@@ -24,16 +24,22 @@ The quadratic identities drop the quantum operator-ordering constant
 (+lam/4 in the coulomb commutator); the finite-difference bracket mode
 exists to pin those constants independently of the analytic gradients.
 
-Every observable carries an analytic phase-space gradient; brackets are
-
-    {f, g} = sum_i (df/dx_i * dg/dp_i - df/dp_i * dg/dx_i).
+Brackets {f, g} = sum_i (df/dx_i * dg/dp_i - df/dp_i * dg/dx_i) are
+pointwise in the gradients, so they batch.  Each built-in observable (Lz,
+H, R'x, R'y, Q'xy, Q'1) carries a ``value_kernel`` and a
+``gradient_kernel``: functions of ``(x1, x2, p1, p2, params)`` that work
+the same on floats and on equal-shape arrays, the gradient a 4-tuple.  The
+algebra checks and turning-point conservation call them once on a
+``(4, n)`` batch; a built-in's scalar ``value``/``gradient`` call them on
+one state, with the same bits.  An ``Observable`` built from scalar
+callables alone has no kernels and takes the scalar path only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,10 +49,15 @@ from .dynamics import (
     SystemParams,
     Trajectory,
     find_turning_points,
+    h_gradient,
+    h_value,
     hamiltonian,
-    potential_derivative,
+    kernel_sqrt,
+    lz_gradient,
+    lz_value,
+    pi_components,
 )
-from .errors import NoTurningPointError, RadiusError
+from .errors import DomainError, ImaginaryAlphaError, NoTurningPointError, RadiusError
 
 _FD_STEP = 6.0e-6  # ~cbrt(eps): optimal central-difference step on unit scales
 
@@ -55,11 +66,13 @@ Gradient = np.ndarray  # (d/dx1, d/dx2, d/dp1, d/dp2)
 
 @dataclass(frozen=True)
 class Observable:
-    """Named phase-space function with an analytic gradient."""
+    """Named phase-space function with an analytic gradient; built-ins add kernels."""
 
     name: str
     value: Callable[[PhaseState, SystemParams], float]
     gradient: Callable[[PhaseState, SystemParams], Gradient]
+    value_kernel: Optional[Callable] = None
+    gradient_kernel: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -72,166 +85,122 @@ class BracketReport:
     mean_abs_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "n_samples": self.n_samples,
-            "max_abs_residual": self.max_abs_residual,
-            "mean_abs_residual": self.mean_abs_residual,
-        }
+        return asdict(self)
 
 
-# --- scalar evaluators ----------------------------------------------------
+# --- value kernels and scalar evaluators -----------------------------------
+
+def _runge_lenz_pair(x, y, px, py, params: SystemParams):
+    r = kernel_sqrt(x * x + y * y)
+    lz = lz_value(x, y, px, py)
+    pix, piy = pi_components(x, y, px, py, params.lam)
+    screen = 1.0 + 2.0 * params.k / r
+    return piy * lz - screen * x / r, -pix * lz - screen * y / r
+
+
+def _fradkin_pair(x, y, px, py, params: SystemParams):
+    r2 = x * x + y * y
+    pix, piy = pi_components(x, y, px, py, params.lam)
+    screen = 1.0 + 2.0 * params.k / (r2 * r2)
+    qxy = screen * x * y + pix * piy
+    q1 = 0.5 * (screen * (x * x - y * y) + pix * pix - piy * piy)
+    return qxy, q1
+
 
 def angular_momentum(state: PhaseState) -> float:
     """Lz = x1*p2 - x2*p1, exactly conserved for any radial potential."""
-    return state.x1 * state.p2 - state.x2 * state.p1
+    return lz_value(state.x1, state.x2, state.p1, state.p2)
 
 
-def _pi(state: PhaseState, lam: float) -> tuple[float, float]:
-    s = state.x1 * state.p1 + state.x2 * state.p2
-    return state.p1 + lam * s * state.x1, state.p2 + lam * s * state.x2
+def _checked_pair(kernel, kind: SystemKind, name: str, state: PhaseState, params: SystemParams):
+    if params.kind is not kind:
+        raise ValueError(f"{name} is defined for the {kind.value} system")
+    if state.r <= 0.0:
+        raise RadiusError(f"{name} requires r > 0")
+    a, b = kernel(state.x1, state.x2, state.p1, state.p2, params)
+    return float(a), float(b)
 
 
 def runge_lenz(state: PhaseState, params: SystemParams) -> tuple[float, float]:
     """Extended Runge-Lenz components (R'x, R'y) for the coulomb system."""
-    if params.kind is not SystemKind.COULOMB:
-        raise ValueError("runge_lenz is defined for the coulomb system")
-    r = state.r
-    if r <= 0.0:
-        raise RadiusError("runge_lenz requires r > 0")
-    lz = angular_momentum(state)
-    pix, piy = _pi(state, params.lam)
-    screen = 1.0 + 2.0 * params.k / r
-    return (piy * lz - screen * state.x1 / r, -pix * lz - screen * state.x2 / r)
+    return _checked_pair(_runge_lenz_pair, SystemKind.COULOMB, "runge_lenz", state, params)
 
 
 def fradkin_quantities(state: PhaseState, params: SystemParams) -> tuple[float, float]:
     """Fradkin-type quantities (Q'xy, Q'1) for the oscillator system."""
-    if params.kind is not SystemKind.OSCILLATOR:
-        raise ValueError("fradkin_quantities is defined for the oscillator system")
-    r = state.r
-    if r <= 0.0:
-        raise RadiusError("fradkin_quantities requires r > 0")
-    pix, piy = _pi(state, params.lam)
-    screen = 1.0 + 2.0 * params.k / r**4
-    qxy = screen * state.x1 * state.x2 + pix * piy
-    q1 = 0.5 * (screen * (state.x1**2 - state.x2**2) + pix**2 - piy**2)
-    return qxy, q1
-
-
-# --- analytic gradients ---------------------------------------------------
-
-def _grad_lz(state: PhaseState, params: SystemParams) -> Gradient:
-    return np.array([state.p2, -state.p1, -state.x2, state.x1])
-
-
-def _grad_h(state: PhaseState, params: SystemParams) -> Gradient:
-    x, y, px, py = state.x1, state.x2, state.p1, state.p2
-    lam = params.lam
-    r2 = x * x + y * y
-    r = math.sqrt(r2)
-    s = x * px + y * py
-    a = 1.0 + lam * r2
-    psq = px * px + py * py
-    dvdr = potential_derivative(r, params)
-    common = lam * (psq + lam * s * s)
-    return np.array(
-        [
-            x * common + a * lam * s * px + dvdr * x / r,
-            y * common + a * lam * s * py + dvdr * y / r,
-            a * (px + lam * s * x),
-            a * (py + lam * s * y),
-        ]
+    return _checked_pair(
+        _fradkin_pair, SystemKind.OSCILLATOR, "fradkin_quantities", state, params
     )
 
 
-def _grad_runge_x(state: PhaseState, params: SystemParams) -> Gradient:
-    x, y, px, py = state.x1, state.x2, state.p1, state.p2
-    lam, k = params.lam, params.k
-    r2 = x * x + y * y
-    r = math.sqrt(r2)
-    r3, r4 = r2 * r, r2 * r2
+# --- gradient kernels -------------------------------------------------------
+
+def _pi_gradients(x, y, px, py, lam: float):
     s = x * px + y * py
-    lz = x * py - y * px
-    _, piy = _pi(state, lam)
-    return np.array(
-        [
-            lam * px * y * lz + piy * py
-            - (1.0 / r - x * x / r3) - 2.0 * k * (1.0 / r2 - 2.0 * x * x / r4),
-            lam * (py * y + s) * lz - piy * px + x * y / r3 + 4.0 * k * x * y / r4,
-            lam * x * y * lz - piy * y,
-            (1.0 + lam * y * y) * lz + piy * x,
-        ]
+    return (
+        (lam * (px * x + s), lam * py * x, 1.0 + lam * x * x, lam * x * y),
+        (lam * px * y, lam * (py * y + s), lam * x * y, 1.0 + lam * y * y),
     )
 
 
-def _grad_runge_y(state: PhaseState, params: SystemParams) -> Gradient:
-    x, y, px, py = state.x1, state.x2, state.p1, state.p2
-    lam, k = params.lam, params.k
+def _runge_lenz_gradients(x, y, px, py, params: SystemParams):
     r2 = x * x + y * y
-    r = math.sqrt(r2)
-    r3, r4 = r2 * r, r2 * r2
-    s = x * px + y * py
-    lz = x * py - y * px
-    pix, _ = _pi(state, lam)
-    return np.array(
-        [
-            -lam * (px * x + s) * lz - pix * py + x * y / r3 + 4.0 * k * x * y / r4,
-            -lam * py * x * lz + pix * px
-            - (1.0 / r - y * y / r3) - 2.0 * k * (1.0 / r2 - 2.0 * y * y / r4),
-            -(1.0 + lam * x * x) * lz + pix * y,
-            -lam * x * y * lz - pix * x,
-        ]
+    r = kernel_sqrt(r2)
+    lz = lz_value(x, y, px, py)
+    pix, piy = pi_components(x, y, px, py, params.lam)
+    (ax, ay, apx, apy), (bx, by, bpx, bpy) = _pi_gradients(x, y, px, py, params.lam)
+    # R' = (piy*Lz, -pix*Lz) - f(r)*(x, y) with f = 1/r + 2k/r**2, df = f'(r)/r
+    f, df = 1.0 / r + 2.0 * params.k / r2, -1.0 / (r2 * r) - 4.0 * params.k / (r2 * r2)
+    return (
+        (lz * bx + piy * py - f - df * x * x, lz * by - piy * px - df * x * y,
+         lz * bpx - piy * y, lz * bpy + piy * x),
+        (-lz * ax - pix * py - df * x * y, -lz * ay + pix * px - f - df * y * y,
+         -lz * apx + pix * y, -lz * apy - pix * x),
     )
 
 
-def _grad_fradkin_xy(state: PhaseState, params: SystemParams) -> Gradient:
-    x, y, px, py = state.x1, state.x2, state.p1, state.p2
-    lam, k = params.lam, params.k
+def _fradkin_gradients(x, y, px, py, params: SystemParams):
     r2 = x * x + y * y
-    r4, r6 = r2 * r2, r2 * r2 * r2
-    s = x * px + y * py
-    pix, piy = _pi(state, lam)
-    screen = 1.0 + 2.0 * k / r4
-    return np.array(
-        [
-            screen * y - 8.0 * k * x * x * y / r6
-            + lam * (px * x + s) * piy + lam * px * y * pix,
-            screen * x - 8.0 * k * x * y * y / r6
-            + lam * py * x * piy + lam * (py * y + s) * pix,
-            (1.0 + lam * x * x) * piy + lam * x * y * pix,
-            lam * x * y * piy + (1.0 + lam * y * y) * pix,
-        ]
+    r4 = r2 * r2
+    pix, piy = pi_components(x, y, px, py, params.lam)
+    (ax, ay, apx, apy), (bx, by, bpx, bpy) = _pi_gradients(x, y, px, py, params.lam)
+    # screen = 1 + 2k/r**4 multiplies x*y and (x**2 - y**2)/2; ds = screen'(r)/r
+    screen, ds = 1.0 + 2.0 * params.k / r4, -8.0 * params.k / (r4 * r2)
+    xy, half_diff = x * y, 0.5 * (x * x - y * y)
+    return (
+        (screen * y + ds * xy * x + piy * ax + pix * bx,
+         screen * x + ds * xy * y + piy * ay + pix * by,
+         piy * apx + pix * bpx, piy * apy + pix * bpy),
+        (screen * x + ds * half_diff * x + pix * ax - piy * bx,
+         -screen * y + ds * half_diff * y + pix * ay - piy * by,
+         pix * apx - piy * bpx, pix * apy - piy * bpy),
     )
 
 
-def _grad_fradkin_1(state: PhaseState, params: SystemParams) -> Gradient:
-    x, y, px, py = state.x1, state.x2, state.p1, state.p2
-    lam, k = params.lam, params.k
-    r2 = x * x + y * y
-    r4, r6 = r2 * r2, r2 * r2 * r2
-    s = x * px + y * py
-    diff = x * x - y * y
-    pix, piy = _pi(state, lam)
-    screen = 1.0 + 2.0 * k / r4
-    return np.array(
-        [
-            -4.0 * k * x * diff / r6 + screen * x
-            + lam * (px * x + s) * pix - lam * px * y * piy,
-            -4.0 * k * y * diff / r6 - screen * y
-            + lam * py * x * pix - lam * (py * y + s) * piy,
-            (1.0 + lam * x * x) * pix - lam * x * y * piy,
-            lam * x * y * pix - (1.0 + lam * y * y) * piy,
-        ]
+def _builtin(name: str, value, value_kernel: Callable, gradient_kernel: Callable) -> Observable:
+    def gradient(st: PhaseState, pr: SystemParams) -> Gradient:
+        return np.array(gradient_kernel(st.x1, st.x2, st.p1, st.p2, pr))
+
+    return Observable(name, value, gradient, value_kernel, gradient_kernel)
+
+
+def _pair_observables(names, scalar, value_kernel: Callable, gradient_kernel: Callable):
+    """The two members of a pair-valued quantity as observables."""
+    return tuple(
+        _builtin(name, lambda st, pr, i=i: scalar(st, pr)[i],
+                 lambda *z, i=i: value_kernel(*z)[i], lambda *z, i=i: gradient_kernel(*z)[i])
+        for i, name in enumerate(names)
     )
 
 
-LZ = Observable("Lz", lambda st, pr: angular_momentum(st), _grad_lz)
-HAMILTONIAN = Observable("H", hamiltonian, _grad_h)
-RUNGE_LENZ_X = Observable("R'x", lambda st, pr: runge_lenz(st, pr)[0], _grad_runge_x)
-RUNGE_LENZ_Y = Observable("R'y", lambda st, pr: runge_lenz(st, pr)[1], _grad_runge_y)
-FRADKIN_XY = Observable("Q'xy", lambda st, pr: fradkin_quantities(st, pr)[0], _grad_fradkin_xy)
-FRADKIN_1 = Observable("Q'1", lambda st, pr: fradkin_quantities(st, pr)[1], _grad_fradkin_1)
+LZ = _builtin("Lz", lambda st, pr: angular_momentum(st), lz_value, lz_gradient)
+HAMILTONIAN = _builtin("H", hamiltonian, h_value, h_gradient)
+RUNGE_LENZ_X, RUNGE_LENZ_Y = _pair_observables(
+    ("R'x", "R'y"), runge_lenz, _runge_lenz_pair, _runge_lenz_gradients
+)
+FRADKIN_XY, FRADKIN_1 = _pair_observables(
+    ("Q'xy", "Q'1"), fradkin_quantities, _fradkin_pair, _fradkin_gradients
+)
 
 
 def extended_quantities(params: SystemParams) -> tuple[Observable, Observable]:
@@ -243,6 +212,18 @@ def extended_quantities(params: SystemParams) -> tuple[Observable, Observable]:
 
 # --- bracket engine ---------------------------------------------------------
 
+def _central_difference(func, z: np.ndarray, rel_step: float = _FD_STEP) -> np.ndarray:
+    """Central differences of ``func`` over the leading axis of a (4,) or (4, n) state."""
+    h = rel_step * np.maximum(1.0, np.abs(z))
+    grad = np.empty_like(z)
+    for i in range(4):
+        zp, zm = z.copy(), z.copy()
+        zp[i] += h[i]
+        zm[i] -= h[i]
+        grad[i] = (func(zp) - func(zm)) / (2.0 * h[i])
+    return grad
+
+
 def finite_difference_gradient(
     func: Callable[[PhaseState, SystemParams], float],
     state: PhaseState,
@@ -250,18 +231,14 @@ def finite_difference_gradient(
     rel_step: float = _FD_STEP,
 ) -> Gradient:
     """Central-difference phase-space gradient, the oracle for analytic ones."""
-    z = state.as_array()
-    grad = np.empty(4)
-    for i in range(4):
-        h = rel_step * max(1.0, abs(z[i]))
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h
-        zm[i] -= h
-        grad[i] = (
-            func(PhaseState.from_array(zp), params)
-            - func(PhaseState.from_array(zm), params)
-        ) / (2.0 * h)
-    return grad
+    return _central_difference(
+        lambda z: func(PhaseState.from_array(z), params), state.as_array(), rel_step
+    )
+
+
+def _bracket(gf, gg):
+    """{f, g} from the gradients of f and g, on floats or arrays."""
+    return gf[0] * gg[2] + gf[1] * gg[3] - gf[2] * gg[0] - gf[3] * gg[1]
 
 
 def poisson_bracket(
@@ -280,7 +257,16 @@ def poisson_bracket(
         gg = finite_difference_gradient(g.value, state, params)
     else:
         raise ValueError(f"unknown bracket method {method!r}")
-    return float(gf[0] * gg[2] + gf[1] * gg[3] - gf[2] * gg[0] - gf[3] * gg[1])
+    return float(_bracket(gf, gg))
+
+
+def _batch_gradient(obs: Observable, z: np.ndarray, params: SystemParams, method: str):
+    """Gradient of a built-in observable over a (4, n) batch of states."""
+    if method == "analytic":
+        return obs.gradient_kernel(*z, params)
+    if method == "fd":
+        return _central_difference(lambda w: obs.value_kernel(*w, params), z)
+    raise ValueError(f"unknown bracket method {method!r}")
 
 
 def product_observable(f: Observable, g: Observable) -> Observable:
@@ -294,6 +280,46 @@ def product_observable(f: Observable, g: Observable) -> Observable:
     )
 
 
+# --- sampling ---------------------------------------------------------------
+
+_R_MIN, _R_MAX, _P_MAX = 0.3, 3.0, 2.0
+_LZ_SQ_MAX = 2.0 * (_R_MAX * _P_MAX) ** 2  # |Lz| <= r*|p| <= 3 * 2*sqrt(2) on the box
+
+
+def _sample_batch(
+    params: SystemParams, n: int, seed: int = 0, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """The states of ``sample_states`` as a (4, n) array."""
+    if n < 1:
+        raise DomainError(f"need at least one sampled state, got {n}")
+    if 2.0 * params.k >= _LZ_SQ_MAX:
+        raise ImaginaryAlphaError(
+            f"2k = {2 * params.k:g} >= {_LZ_SQ_MAX:g}, the largest Lz**2 on the sampling box"
+        )
+    rng = np.random.default_rng(seed) if rng is None else rng
+    max_draws = 1000 * n + (1 << 20)
+    blocks, have, drawn = [], 0, 0
+    while have < n:
+        if drawn >= max_draws:
+            raise ImaginaryAlphaError(
+                f"found {have} of {n} states with 2k < Lz**2 in {drawn} candidate draws"
+            )
+        # block size from the acceptance rate so far; one candidate is four
+        # doubles (u, phi, p1, p2) mapped as Generator.uniform maps them,
+        # low + (high - low) * d, so the stream matches one-at-a-time draws
+        m = min((n - have) * (drawn + 1) // (have + 1) + (n - have) // 8 + 16, 1 << 16)
+        u, phi, p1, p2 = rng.random((m, 4)).T
+        r = np.sqrt(_R_MIN**2 + u * (_R_MAX**2 - _R_MIN**2))
+        phi = 2.0 * math.pi * phi
+        z = np.array([r * np.cos(phi), r * np.sin(phi),
+                      -_P_MAX + 2 * _P_MAX * p1, -_P_MAX + 2 * _P_MAX * p2])
+        lz = lz_value(*z)
+        blocks.append(z[:, 2.0 * params.k < lz * lz])
+        have += blocks[-1].shape[1]
+        drawn += m
+    return np.concatenate(blocks, axis=1)[:, :n]
+
+
 def sample_states(
     params: SystemParams, n: int, seed: int = 0, rng: np.random.Generator | None = None
 ) -> list[PhaseState]:
@@ -301,35 +327,38 @@ def sample_states(
 
     Positions are uniform over the annulus 0.3 <= r <= 3 (area measure),
     momenta uniform over [-2, 2]**2; states with 2k >= Lz**2 are rejected
-    so orbit quantities stay real.
+    so orbit quantities stay real.  Raises ``ImaginaryAlphaError`` when no
+    state of the box, or too few candidates, pass that test.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    states: list[PhaseState] = []
-    while len(states) < n:
-        u = rng.uniform(0.0, 1.0)
-        r = math.sqrt(0.3**2 + u * (3.0**2 - 0.3**2))
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        p1, p2 = rng.uniform(-2.0, 2.0, size=2)
-        st = PhaseState(r * math.cos(phi), r * math.sin(phi), float(p1), float(p2))
-        if 2.0 * params.k >= angular_momentum(st) ** 2:
-            continue
-        states.append(st)
-    return states
+    return [PhaseState.from_array(col) for col in _sample_batch(params, n, seed, rng).T]
 
 
-def _identity_report(
-    name: str,
-    residual: Callable[[PhaseState], float],
-    states: Sequence[PhaseState],
-) -> BracketReport:
-    res = np.array([abs(residual(st)) for st in states])
+# --- algebra identities -----------------------------------------------------
+
+def _report(name: str, residual: np.ndarray) -> BracketReport:
+    res = np.abs(residual)
     return BracketReport(
         identity=name,
-        n_samples=len(states),
+        n_samples=res.size,
         max_abs_residual=float(res.max()),
         mean_abs_residual=float(res.mean()),
     )
+
+
+def _verify_pair(params, kind, n_samples, seed, method, shift, quad_target, names):
+    """Residuals of {A,Lz} - shift*B, {B,Lz} + shift*A and {A,B} - quad_target(H, Lz)
+    for the system's extended pair (A, B), over one batch of random states."""
+    if params.kind is not kind:
+        raise ValueError(f"verify_{kind.value}_algebra needs {kind.value} params")
+    z = _sample_batch(params, n_samples, seed=seed)
+    obs_a, obs_b = extended_quantities(params)
+    g_a, g_b, g_lz = (_batch_gradient(obs, z, params, method) for obs in (obs_a, obs_b, LZ))
+    residuals = (
+        _bracket(g_a, g_lz) - shift * obs_b.value_kernel(*z, params),
+        _bracket(g_b, g_lz) + shift * obs_a.value_kernel(*z, params),
+        _bracket(g_a, g_b) - quad_target(h_value(*z, params), lz_value(*z)),
+    )
+    return [_report(name, res) for name, res in zip(names, residuals)]
 
 
 def verify_coulomb_algebra(
@@ -339,27 +368,12 @@ def verify_coulomb_algebra(
     method: str = "analytic",
 ) -> list[BracketReport]:
     """Residuals of the coulomb Higgs-algebra identities over random states."""
-    if params.kind is not SystemKind.COULOMB:
-        raise ValueError("verify_coulomb_algebra needs coulomb params")
-    states = sample_states(params, n_samples, seed=seed)
     lam = params.lam
-
-    def lin_x(st: PhaseState) -> float:
-        return poisson_bracket(RUNGE_LENZ_X, LZ, st, params, method) + runge_lenz(st, params)[1]
-
-    def lin_y(st: PhaseState) -> float:
-        return poisson_bracket(RUNGE_LENZ_Y, LZ, st, params, method) - runge_lenz(st, params)[0]
-
-    def quad(st: PhaseState) -> float:
-        lz = angular_momentum(st)
-        target = (-2.0 * hamiltonian(st, params) + 2.0 * lam * lz**2 - 2.0 * params.k * lam) * lz
-        return poisson_bracket(RUNGE_LENZ_X, RUNGE_LENZ_Y, st, params, method) - target
-
-    return [
-        _identity_report("{R'x,Lz}+R'y", lin_x, states),
-        _identity_report("{R'y,Lz}-R'x", lin_y, states),
-        _identity_report("{R'x,R'y}-(-2H+2*lam*Lz^2-2*k*lam)*Lz", quad, states),
-    ]
+    return _verify_pair(
+        params, SystemKind.COULOMB, n_samples, seed, method, -1.0,
+        lambda h, lz: (-2.0 * h + 2.0 * lam * lz**2 - 2.0 * params.k * lam) * lz,
+        ("{R'x,Lz}+R'y", "{R'y,Lz}-R'x", "{R'x,R'y}-(-2H+2*lam*Lz^2-2*k*lam)*Lz"),
+    )
 
 
 def verify_oscillator_algebra(
@@ -369,27 +383,12 @@ def verify_oscillator_algebra(
     method: str = "analytic",
 ) -> list[BracketReport]:
     """Residuals of the oscillator Higgs-algebra identities over random states."""
-    if params.kind is not SystemKind.OSCILLATOR:
-        raise ValueError("verify_oscillator_algebra needs oscillator params")
-    states = sample_states(params, n_samples, seed=seed)
     lam = params.lam
-
-    def lin_xy(st: PhaseState) -> float:
-        return poisson_bracket(FRADKIN_XY, LZ, st, params, method) - 2.0 * fradkin_quantities(st, params)[1]
-
-    def lin_1(st: PhaseState) -> float:
-        return poisson_bracket(FRADKIN_1, LZ, st, params, method) + 2.0 * fradkin_quantities(st, params)[0]
-
-    def quad(st: PhaseState) -> float:
-        lz = angular_momentum(st)
-        target = -(2.0 + lam * (2.0 * hamiltonian(st, params) - lam * lz**2)) * lz
-        return poisson_bracket(FRADKIN_XY, FRADKIN_1, st, params, method) - target
-
-    return [
-        _identity_report("{Q'xy,Lz}-2Q'1", lin_xy, states),
-        _identity_report("{Q'1,Lz}+2Q'xy", lin_1, states),
-        _identity_report("{Q'xy,Q'1}+(2+lam*(2H-lam*Lz^2))*Lz", quad, states),
-    ]
+    return _verify_pair(
+        params, SystemKind.OSCILLATOR, n_samples, seed, method, 2.0,
+        lambda h, lz: -(2.0 + lam * (2.0 * h - lam * lz**2)) * lz,
+        ("{Q'xy,Lz}-2Q'1", "{Q'1,Lz}+2Q'xy", "{Q'xy,Q'1}+(2+lam*(2H-lam*Lz^2))*Lz"),
+    )
 
 
 # --- turning-point conservation ---------------------------------------------
@@ -429,7 +428,7 @@ def turning_point_conservation(
     traj: Trajectory, params: SystemParams
 ) -> TurningConservationReport:
     """Evaluate {quantity, H} along a trajectory at and away from rdot = 0."""
-    obs_a, obs_b = extended_quantities(params)
+    quantities = extended_quantities(params)
     points = find_turning_points(traj)
     if not points:
         raise NoTurningPointError(
@@ -437,30 +436,18 @@ def turning_point_conservation(
             + (" (orbit is circular)" if traj.circular else "")
         )
 
-    at_turning = np.array(
-        [
-            [
-                poisson_bracket(obs_a, HAMILTONIAN, p.state, params),
-                poisson_bracket(obs_b, HAMILTONIAN, p.state, params),
-            ]
-            for p in points
-        ]
-    )
-    values = np.array(
-        [
-            [obs_a.value(p.state, params), obs_b.value(p.state, params)]
-            for p in points
-        ]
-    )
-    generic = max(
-        max(
-            abs(poisson_bracket(obs_a, HAMILTONIAN, st, params)),
-            abs(poisson_bracket(obs_b, HAMILTONIAN, st, params)),
+    def brackets_with_h(z: np.ndarray) -> np.ndarray:
+        g_h = h_gradient(*z, params)
+        return np.stack(
+            [_bracket(obs.gradient_kernel(*z, params), g_h) for obs in quantities], axis=1
         )
-        for st in (PhaseState.from_array(row) for row in traj.states)
-    )
+
+    z_turning = np.array([p.state.as_array() for p in points]).T
+    at_turning = brackets_with_h(z_turning)
+    values = np.stack([obs.value_kernel(*z_turning, params) for obs in quantities], axis=1)
+    generic = np.max(np.abs(brackets_with_h(traj.states.T)))
     return TurningConservationReport(
-        quantity_names=(obs_a.name, obs_b.name),
+        quantity_names=(quantities[0].name, quantities[1].name),
         n_turning_points=len(points),
         bracket_at_turning=at_turning,
         values_at_turning=values,

@@ -39,6 +39,7 @@ from scipy.optimize import brentq, least_squares
 from .errors import (
     AccuracyError,
     CurvatureError,
+    DomainError,
     ImaginaryAlphaError,
     NoTurningPointError,
     OrbitDomainError,
@@ -126,16 +127,10 @@ def potential(r, params: SystemParams):
     return float(v) if v.ndim == 0 else v
 
 
-def potential_derivative(r, params: SystemParams):
-    """dV/dr, used by the equations of motion."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise RadiusError("potential requires r > 0")
-    if params.kind is SystemKind.COULOMB:
-        dv = 1.0 / r**2 + 2.0 * params.k / r**3
-    else:
-        dv = r + 2.0 * params.k / r**3
-    return float(dv) if dv.ndim == 0 else dv
+def pi_components(x1, x2, p1, p2, lam: float):
+    """Curvature-corrected momentum components (pi_1, pi_2) on floats or arrays."""
+    s = x1 * p1 + x2 * p2
+    return p1 + lam * s * x1, p2 + lam * s * x2
 
 
 def pi_vector(state: PhaseState, lam: float) -> tuple[float, float]:
@@ -143,12 +138,30 @@ def pi_vector(state: PhaseState, lam: float) -> tuple[float, float]:
 
     Reduces to the canonical momentum at the origin or in the flat limit.
     """
-    s = state.x1 * state.p1 + state.x2 * state.p2
-    return (state.p1 + lam * s * state.x1, state.p2 + lam * s * state.x2)
+    return pi_components(state.x1, state.x2, state.p1, state.p2, lam)
 
 
-def _h_arrays(x1, x2, p1, p2, params: SystemParams):
-    """Hamiltonian on (broadcast) component arrays."""
+# Phase-space kernels: functions of (x1, x2, p1, p2, params) that work the
+# same on floats and on equal-shape arrays; gradients are 4-tuples
+# (d/dx1, d/dx2, d/dp1, d/dp2).
+
+def kernel_sqrt(v):
+    """sqrt that keeps a Python float a float, whose arithmetic is cheaper than numpy's."""
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+
+
+def lz_value(x1, x2, p1, p2, params: Optional[SystemParams] = None):
+    """Lz = x1*p2 - x2*p1."""
+    return x1 * p2 - x2 * p1
+
+
+def lz_gradient(x1, x2, p1, p2, params: Optional[SystemParams] = None):
+    """Phase-space gradient of Lz."""
+    return p2, -p1, -x2, x1
+
+
+def h_value(x1, x2, p1, p2, params: SystemParams):
+    """H = (1 + lam*r**2) * (p**2 + lam*(x.p)**2) / 2 + V(r)."""
     r2 = x1 * x1 + x2 * x2
     s = x1 * p1 + x2 * p2
     psq = p1 * p1 + p2 * p2
@@ -157,15 +170,32 @@ def _h_arrays(x1, x2, p1, p2, params: SystemParams):
     )
 
 
-def _lz_arrays(x1, x2, p1, p2):
-    return x1 * p2 - x2 * p1
+def h_gradient(x1, x2, p1, p2, params: SystemParams):
+    """Phase-space gradient of H; Hamilton's equations are J times it."""
+    lam = params.lam
+    r2 = x1 * x1 + x2 * x2
+    r = kernel_sqrt(r2)
+    s = x1 * p1 + x2 * p2
+    a = 1.0 + lam * r2
+    psq = p1 * p1 + p2 * p2
+    dvdr = (1.0 / r2 if params.kind is SystemKind.COULOMB else r) + 2.0 * params.k / (r2 * r)
+    # dH/dx_i = lam*x_i*(p**2 + lam*s**2) + a*lam*s*p_i + V'(r)*x_i/r
+    common = lam * (psq + lam * s * s)
+    radial = dvdr / r
+    pi1, pi2 = pi_components(x1, x2, p1, p2, lam)
+    return (
+        x1 * common + a * lam * s * p1 + radial * x1,
+        x2 * common + a * lam * s * p2 + radial * x2,
+        a * pi1,
+        a * pi2,
+    )
 
 
 def hamiltonian(state: PhaseState, params: SystemParams) -> float:
     """Total energy H = pi**2/2 + (lam/2)*Lz**2 + V(r)."""
     if state.r <= 0.0:
         raise RadiusError("hamiltonian requires r > 0")
-    return float(_h_arrays(state.x1, state.x2, state.p1, state.p2, params))
+    return float(h_value(state.x1, state.x2, state.p1, state.p2, params))
 
 
 def equations_of_motion(
@@ -174,34 +204,13 @@ def equations_of_motion(
     """Hamilton's equations (x1dot, x2dot, p1dot, p2dot) from analytic gradients."""
     if state.r <= 0.0:
         raise RadiusError("equations of motion require r > 0")
-    d = _rhs(0.0, state.as_array(), params)
-    return (float(d[0]), float(d[1]), float(d[2]), float(d[3]))
+    return tuple(_rhs(0.0, state.as_array(), params).tolist())
 
 
 def _rhs(t, y, params: SystemParams):
-    x1, x2, p1, p2 = y
-    lam = params.lam
-    r2 = x1 * x1 + x2 * x2
-    r = np.sqrt(r2)
-    s = x1 * p1 + x2 * p2
-    a = 1.0 + lam * r2
-    psq = p1 * p1 + p2 * p2
-    dvdr = (
-        1.0 / r2 + 2.0 * params.k / (r2 * r)
-        if params.kind is SystemKind.COULOMB
-        else r + 2.0 * params.k / (r2 * r)
-    )
-    # dH/dx_i = lam*x_i*(p**2 + lam*s**2) + a*lam*s*p_i + V'(r)*x_i/r
-    common = lam * (psq + lam * s * s)
-    radial = dvdr / r
-    return np.array(
-        [
-            a * (p1 + lam * s * x1),
-            a * (p2 + lam * s * x2),
-            -x1 * common - a * lam * s * p1 - radial * x1,
-            -x2 * common - a * lam * s * p2 - radial * x2,
-        ]
-    )
+    # Python floats take the kernel's scalar path, cheaper than numpy scalars
+    hx1, hx2, hp1, hp2 = h_gradient(*y.tolist(), params)
+    return np.array([hp1, hp2, -hx1, -hx2])
 
 
 # --- trajectories --------------------------------------------------------
@@ -287,6 +296,8 @@ def integrate(
     """
     if state0.r <= 0.0:
         raise RadiusError("initial state must have r > 0")
+    if not math.isfinite(t_end):
+        raise DomainError(f"t_end must be finite, got {t_end}")
     if not 1e-13 <= rel_tol <= 1e-6:
         raise ValueError(f"rel_tol must lie in [1e-13, 1e-6], got {rel_tol}")
     if n_samples < 2:
@@ -333,8 +344,8 @@ def integrate(
     x1, x2, p1, p2 = y
     r = np.hypot(x1, x2)
     theta = np.unwrap(np.arctan2(x2, x1))
-    h = _h_arrays(x1, x2, p1, p2, params)
-    lz = _lz_arrays(x1, x2, p1, p2)
+    h = h_value(x1, x2, p1, p2, params)
+    lz = lz_value(x1, x2, p1, p2)
 
     bound = 10.0 * rel_tol
     h_drift = float(np.max(np.abs(h - h[0]))) / max(1.0, abs(float(h[0])))
@@ -433,7 +444,7 @@ class OrbitShape:
     def from_state(
         cls, state: PhaseState, params: SystemParams, theta0: float = 0.0
     ) -> "OrbitShape":
-        lz = _lz_arrays(state.x1, state.x2, state.p1, state.p2)
+        lz = lz_value(state.x1, state.x2, state.p1, state.p2)
         return cls(
             E=hamiltonian(state, params),
             lz=float(lz),

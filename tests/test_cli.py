@@ -2,10 +2,25 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from screened_sphere.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*argv: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter; a hang fails the test at ``timeout``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "screened_sphere.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 def test_orbit_command_writes_trajectory_and_detects_closure(tmp_path, capsys):
@@ -141,3 +156,27 @@ def test_usage_error_exit_codes(capsys):
         main(["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1",
               "--t-end", "1", "--tol", "0.1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        # no state of the sampling box has Lz**2 > 2k = 80
+        (["--k", "40"], "ERR_IMAGINARY_ALPHA:"),
+        # a few states exist, but too rare to find within the draw cap
+        (["--k", "35.99"], "ERR_IMAGINARY_ALPHA:"),
+        (["--k", "0.05", "--samples", "0"], "ERR_DOMAIN:"),
+    ],
+)
+def test_brackets_sampler_terminates_with_code(argv, code):
+    proc = run_cli("brackets", "--system", "coulomb", "--lambda", "0", *argv)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(code)
+
+
+@pytest.mark.parametrize("command,t_end", [("turning", "inf"), ("orbit", "nan")])
+def test_non_finite_t_end_rejected(command, t_end):
+    proc = run_cli(command, "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
+                   "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", t_end)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("ERR_DOMAIN:")

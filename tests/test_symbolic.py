@@ -1,0 +1,78 @@
+"""Symbolic oracle: the Higgs-algebra identities proved exactly, and the
+analytic gradient kernels checked against sympy derivatives."""
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from screened_sphere.conserved import (
+    FRADKIN_1,
+    FRADKIN_XY,
+    HAMILTONIAN,
+    RUNGE_LENZ_X,
+    RUNGE_LENZ_Y,
+    sample_states,
+)
+from screened_sphere.dynamics import SystemKind, SystemParams
+
+X, Y, PX, PY = sp.symbols("x y p_x p_y", real=True)
+LAM, K = sp.symbols("lambda k", positive=True)
+COORDS, MOMENTA = (X, Y), (PX, PY)
+
+R = sp.sqrt(X**2 + Y**2)
+S = X * PX + Y * PY
+PI_X, PI_Y = PX + LAM * S * X, PY + LAM * S * Y
+LZ = X * PY - Y * PX
+KINETIC = (1 + LAM * R**2) * (PX**2 + PY**2 + LAM * S**2) / 2
+
+H_COULOMB = KINETIC - 1 / R - K / R**2
+H_OSCILLATOR = KINETIC + R**2 / 2 - K / R**2
+RX = PI_Y * LZ - (1 + 2 * K / R) * X / R
+RY = -PI_X * LZ - (1 + 2 * K / R) * Y / R
+QXY = (1 + 2 * K / R**4) * X * Y + PI_X * PI_Y
+Q1 = ((1 + 2 * K / R**4) * (X**2 - Y**2) + PI_X**2 - PI_Y**2) / 2
+
+
+def bracket(f, g):
+    return sum(
+        sp.diff(f, q) * sp.diff(g, p) - sp.diff(f, p) * sp.diff(g, q)
+        for q, p in zip(COORDS, MOMENTA)
+    )
+
+
+@pytest.mark.parametrize(
+    "name,residual",
+    [
+        ("{R'x,Lz}+R'y", lambda: bracket(RX, LZ) + RY),
+        ("{R'y,Lz}-R'x", lambda: bracket(RY, LZ) - RX),
+        ("{R'x,R'y}-(-2H+2*lam*Lz^2-2*k*lam)*Lz",
+         lambda: bracket(RX, RY) - (-2 * H_COULOMB + 2 * LAM * LZ**2 - 2 * K * LAM) * LZ),
+        ("{Q'xy,Lz}-2Q'1", lambda: bracket(QXY, LZ) - 2 * Q1),
+        ("{Q'1,Lz}+2Q'xy", lambda: bracket(Q1, LZ) + 2 * QXY),
+        ("{Q'xy,Q'1}+(2+lam*(2H-lam*Lz^2))*Lz",
+         lambda: bracket(QXY, Q1) + (2 + LAM * (2 * H_OSCILLATOR - LAM * LZ**2)) * LZ),
+    ],
+)
+def test_higgs_identity_holds_exactly(name, residual):
+    assert sp.simplify(residual()) == 0, name
+
+
+@pytest.mark.parametrize(
+    "kind,cases",
+    [
+        (SystemKind.COULOMB, ((HAMILTONIAN, H_COULOMB), (RUNGE_LENZ_X, RX), (RUNGE_LENZ_Y, RY))),
+        (SystemKind.OSCILLATOR, ((HAMILTONIAN, H_OSCILLATOR), (FRADKIN_XY, QXY), (FRADKIN_1, Q1))),
+    ],
+)
+def test_gradient_kernels_match_symbolic_derivatives(kind, cases):
+    params = SystemParams(kind, 0.1, 0.05)
+    z = np.array([st.as_array() for st in sample_states(params, 1000, seed=31)]).T
+    for obs, expr in cases:
+        exact = sp.lambdify(
+            (X, Y, PX, PY, LAM, K),
+            [sp.diff(expr, v) for v in (X, Y, PX, PY)],
+            "numpy",
+        )
+        want = np.array(exact(*z, params.lam, params.k))
+        got = np.array(obs.gradient_kernel(*z, params))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), obs.name
