@@ -8,12 +8,18 @@ turning   turning-point conservation report for an integrated orbit
 brackets  Higgs-algebra bracket residuals over seeded random states
 spectrum  analytic (optionally grid-oracle) energy levels
 
-A ``--config`` file with ``key=value`` lines supplies defaults for any
-long option; explicit flags win.  All floating output is printed with 17
-significant digits and files are written atomically, so identical inputs
-(including ``--seed``) give byte-identical outputs.  Exit status: 0 on
-success, 2 on usage errors, 3 on domain errors (one ``CODE: message``
-line on stderr).
+A ``--config`` file of ``key=value`` lines (``#`` starts a comment) sets
+option defaults.  A key is a long option without its dashes (``lambda``,
+``t-end``, ``Lz``) and its value is converted with that flag's type;
+``numeric`` and ``gnuplot`` take ``1``/``true``/``yes`` for on.  Flags beat
+the file and the file beats the built-in defaults.  Keys of options that
+only other commands have are ignored; a key no command has is a domain
+error.
+
+All floating output is printed with 17 significant digits and files are
+written atomically, so identical inputs (including ``--seed``) give
+byte-identical outputs.  Exit status: 0 on success, 2 on usage errors, 3
+on domain errors (one ``CODE: message`` line on stderr).
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .conserved import turning_point_conservation, verify_coulomb_algebra, verify_oscillator_algebra
@@ -31,6 +36,7 @@ from .dynamics import (
     PhaseState,
     SystemKind,
     SystemParams,
+    Trajectory,
     closure_analysis,
     find_turning_points,
     integrate,
@@ -93,63 +99,35 @@ def _strip_header_csv(text: str) -> str:
     return "\n".join(line.replace(",", " ") for line in lines) + "\n"
 
 
-@dataclass
-class RunConfig:
-    """Resolved options of one CLI invocation."""
-
-    command: str
-    system: Optional[str] = None
-    lam: float = 0.0
-    k: float = 0.0
-    x: Optional[float] = None
-    y: float = 0.0
-    px: Optional[float] = None
-    py: Optional[float] = None
-    t_end: Optional[float] = None
-    tol: float = 1e-10
-    samples: int = 1000
-    n_samples: int = 4001
-    lz: Optional[float] = None
-    m: str = "0"
-    n: str = "0"
-    numeric: bool = False
-    seed: int = 0
-    method: str = "analytic"
-    out: str = "-"
-    fmt: Optional[str] = None
-    gnuplot: bool = False
-    turning_out: Optional[str] = None
-
-
 class UsageError(Exception):
     """Missing or malformed flags; maps to exit status 2."""
 
 
-def _params(cfg: RunConfig) -> SystemParams:
-    return SystemParams(kind=SystemKind(cfg.system), lam=cfg.lam, k=cfg.k)
+def _params(args: argparse.Namespace) -> SystemParams:
+    return SystemParams(kind=SystemKind(args.system), lam=args.lam, k=args.k)
 
 
-def _state(cfg: RunConfig) -> PhaseState:
-    missing = [n for n, v in (("x", cfg.x), ("px", cfg.px), ("py", cfg.py)) if v is None]
+def _trajectory(args: argparse.Namespace) -> tuple[SystemParams, Trajectory]:
+    params = _params(args)
+    missing = [n for n in ("x", "px", "py") if getattr(args, n) is None]
     if missing:
         raise UsageError(f"missing initial-condition flags: {', '.join('--' + m for m in missing)}")
-    return PhaseState(cfg.x, cfg.y, cfg.px, cfg.py)
+    state = PhaseState(args.x, args.y, args.px, args.py)
+    return params, integrate(state, params, t_end=args.t_end, rel_tol=args.tol,
+                             n_samples=args.n_samples)
 
 
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in str(text).split(",") if tok != ""]
 
 
-def _cmd_orbit(cfg: RunConfig) -> int:
-    params = _params(cfg)
-    traj = integrate(
-        _state(cfg), params, t_end=cfg.t_end, rel_tol=cfg.tol, n_samples=cfg.n_samples
-    )
+def _cmd_orbit(args: argparse.Namespace) -> int:
+    params, traj = _trajectory(args)
     points = find_turning_points(traj)
     csv = traj.to_csv()
-    _write_output(cfg.out, _strip_header_csv(csv) if cfg.gnuplot else csv)
-    if cfg.turning_out:
-        _write_output(cfg.turning_out, _json(turning_points_json(points)) + "\n")
+    _write_output(args.out, _strip_header_csv(csv) if args.gnuplot else csv)
+    if args.turning_out:
+        _write_output(args.turning_out, _json(turning_points_json(points)) + "\n")
     try:
         closure = closure_analysis(params, float(traj.Lz[0]))
         summary = f"closure: alpha={_fmt(closure.alpha)} closed={_fmt(closure.closed)}"
@@ -165,54 +143,50 @@ def _cmd_orbit(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_closure(cfg: RunConfig) -> int:
-    if cfg.lz is None:
+def _cmd_closure(args: argparse.Namespace) -> int:
+    if args.lz is None:
         raise UsageError("closure requires --Lz")
-    result = closure_analysis(_params(cfg), cfg.lz)
-    _write_output(cfg.out, _json(result.to_dict()) + "\n")
+    result = closure_analysis(_params(args), args.lz)
+    _write_output(args.out, _json(result.to_dict()) + "\n")
     return 0
 
 
-def _cmd_turning(cfg: RunConfig) -> int:
-    params = _params(cfg)
-    traj = integrate(
-        _state(cfg), params, t_end=cfg.t_end, rel_tol=cfg.tol, n_samples=cfg.n_samples
-    )
+def _cmd_turning(args: argparse.Namespace) -> int:
+    params, traj = _trajectory(args)
     report = turning_point_conservation(traj, params)
-    _write_output(cfg.out, _json(report.to_dict()) + "\n")
+    _write_output(args.out, _json(report.to_dict()) + "\n")
     return 0
 
 
-def _cmd_brackets(cfg: RunConfig) -> int:
-    params = _params(cfg)
+def _cmd_brackets(args: argparse.Namespace) -> int:
+    params = _params(args)
     verify = (
         verify_coulomb_algebra
         if params.kind is SystemKind.COULOMB
         else verify_oscillator_algebra
     )
-    reports = verify(params, n_samples=cfg.samples, seed=cfg.seed, method=cfg.method)
-    _write_output(cfg.out, _json([r.to_dict() for r in reports]) + "\n")
+    reports = verify(params, n_samples=args.samples, seed=args.seed, method=args.method)
+    _write_output(args.out, _json([r.to_dict() for r in reports]) + "\n")
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    params = _params(cfg)
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    params = _params(args)
     entries = spectrum_entries(
         params.kind,
-        cfg.lam,
-        cfg.k,
-        ms=_int_list(cfg.m),
-        ns=_int_list(cfg.n),
-        numeric=cfg.numeric,
+        args.lam,
+        args.k,
+        ms=_int_list(args.m),
+        ns=_int_list(args.n),
+        numeric=args.numeric,
     )
-    fmt = cfg.fmt or "csv"
-    if fmt == "json":
+    if args.fmt == "json":
         text = _json([e.to_dict() for e in entries]) + "\n"
     else:
         text = spectrum_csv(entries)
-        if cfg.gnuplot:
+        if args.gnuplot:
             text = _strip_header_csv(text)
-    _write_output(cfg.out, text)
+    _write_output(args.out, text)
     return 0
 
 
@@ -225,34 +199,34 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a resolved configuration; returns the process exit status."""
-    return _COMMANDS[cfg.command](cfg)
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value file supplying option defaults")
     p.add_argument("--system", choices=["coulomb", "oscillator"], help="potential kind")
-    p.add_argument("--lambda", dest="lam", type=float, help="sphere curvature (>= 0)")
-    p.add_argument("--k", type=float, help="screening strength (>= 0)")
-    p.add_argument("--out", help="output path, '-' for stdout (default)")
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"], help="output format")
-    p.add_argument("--gnuplot", action="store_true", default=None,
+    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
+                   help="sphere curvature (>= 0, default %(default)s)")
+    p.add_argument("--k", type=float, default=0.0,
+                   help="screening strength (>= 0, default %(default)s)")
+    p.add_argument("--out", default="-", help="output path, '-' for stdout (default %(default)s)")
+    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv",
+                   help="output format (default %(default)s)")
+    p.add_argument("--gnuplot", action="store_true",
                    help="space-separated columns without header")
 
 
 def _add_state(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", type=float, help="initial x1")
-    p.add_argument("--y", type=float, help="initial x2 (default 0)")
+    p.add_argument("--y", type=float, default=0.0, help="initial x2 (default %(default)s)")
     p.add_argument("--px", type=float, help="initial p1")
     p.add_argument("--py", type=float, help="initial p2")
     p.add_argument("--t-end", dest="t_end", type=float, help="integration time")
-    p.add_argument("--tol", type=float, help="integrator relative tolerance (default 1e-10)")
-    p.add_argument("--trajectory-samples", dest="n_samples", type=int,
-                   help="number of recorded samples (default 4001)")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="integrator relative tolerance (default %(default)s)")
+    p.add_argument("--trajectory-samples", dest="n_samples", type=int, default=4001,
+                   help="number of recorded samples (default %(default)s)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and its subparsers, by command name."""
     parser = argparse.ArgumentParser(
         prog="screened-sphere",
         description="Screened Coulomb/oscillator systems on a sphere: orbits, brackets, spectra.",
@@ -275,21 +249,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_br = sub.add_parser("brackets", help="bracket-identity residuals over random states")
     _add_common(p_br)
-    p_br.add_argument("--samples", type=int, help="number of sampled states (default 1000)")
-    p_br.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p_br.add_argument("--method", choices=["analytic", "fd"], help="gradient mode")
+    p_br.add_argument("--samples", type=int, default=1000,
+                      help="number of sampled states (default %(default)s)")
+    p_br.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
+    p_br.add_argument("--method", choices=["analytic", "fd"], default="analytic",
+                      help="gradient mode (default %(default)s)")
 
     p_sp = sub.add_parser("spectrum", help="energy levels, analytic and grid-oracle")
     _add_common(p_sp)
-    p_sp.add_argument("--m", help="angular quantum number(s), comma separated")
-    p_sp.add_argument("--N", dest="n", help="radial index(es), comma separated")
-    p_sp.add_argument("--numeric", action="store_true", default=None,
+    p_sp.add_argument("--m", default="0",
+                      help="angular quantum number(s), comma separated (default %(default)s)")
+    p_sp.add_argument("--N", dest="n", default="0",
+                      help="radial index(es), comma separated (default %(default)s)")
+    p_sp.add_argument("--numeric", action="store_true",
                       help="add finite-difference oracle energies")
-    return parser
+    commands = {"orbit": p_orbit, "closure": p_closure, "turning": p_turn,
+                "brackets": p_br, "spectrum": p_sp}
+    return parser, commands
 
 
-def _load_config_file(path: str) -> dict:
-    values: dict[str, str] = {}
+def _config_defaults(path: str, command: str, commands: dict) -> dict:
+    """Defaults for ``command``'s options from a config file, keyed by dest.
+
+    A key is a long option of any command without its dashes.  Values stay
+    strings, which argparse converts with the flag's own ``type``; only
+    store_true flags are read here (``1``, ``true`` or ``yes`` sets them).
+    """
+    defaults = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -297,71 +283,33 @@ def _load_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise DomainError(f"bad config line (want key=value): {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
-
-_CONFIG_KEYS = {
-    "system": str, "lambda": float, "k": float, "x": float, "y": float,
-    "px": float, "py": float, "t-end": float, "tol": float,
-    "trajectory-samples": int, "turning-out": str, "Lz": float,
-    "samples": int, "seed": int, "method": str, "m": str, "N": str,
-    "numeric": bool, "out": str, "format": str, "gnuplot": bool,
-}
-
-_KEY_TO_DEST = {
-    "lambda": "lam", "t-end": "t_end", "trajectory-samples": "n_samples",
-    "turning-out": "turning_out", "Lz": "lz", "N": "n", "format": "fmt",
-}
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the config file; explicit flags keep priority."""
-    if not getattr(args, "config", None):
-        return
-    for key, raw in _load_config_file(args.config).items():
-        if key not in _CONFIG_KEYS:
-            raise DomainError(f"unknown config key {key!r}")
-        dest = _KEY_TO_DEST.get(key, key)
-        if getattr(args, dest, None) is not None:
-            continue
-        caster = _CONFIG_KEYS[key]
-        value = raw.lower() in ("1", "true", "yes") if caster is bool else caster(raw)
-        setattr(args, dest, value)
-
-
-_DEFAULTS = {
-    "lam": 0.0, "k": 0.0, "y": 0.0, "tol": 1e-10, "n_samples": 4001,
-    "samples": 1000, "seed": 0, "method": "analytic", "m": "0", "n": "0",
-    "numeric": False, "out": "-", "gnuplot": False,
-}
-
-
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    _apply_config(args)
-    cfg = RunConfig(command=args.command)
-    for field_name in vars(cfg):
-        if field_name == "command":
-            continue
-        value = getattr(args, field_name, None)
-        if value is None:
-            value = _DEFAULTS.get(field_name, getattr(cfg, field_name))
-        setattr(cfg, field_name, value)
-    if cfg.command in ("orbit", "turning") and cfg.t_end is None:
-        raise UsageError("missing --t-end")
-    if cfg.system is None:
-        raise UsageError("missing --system")
-    if not (math.isfinite(cfg.tol) and 1e-13 <= cfg.tol <= 1e-6):
-        raise UsageError(f"--tol must lie in [1e-13, 1e-6], got {cfg.tol:g}")
-    return cfg
+            key, _, raw = (part.strip() for part in line.partition("="))
+            owners = {name: sp._option_string_actions.get("--" + key)
+                      for name, sp in commands.items()}
+            if key in ("config", "help") or not any(owners.values()):
+                raise DomainError(f"unknown config key {key!r}")
+            action = owners[command]
+            if action is None:  # an option of other commands only
+                continue
+            defaults[action.dest] = raw.lower() in ("1", "true", "yes") if action.nargs == 0 else raw
+    return defaults
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve(args)
-        return run(cfg)
+        if args.config:
+            commands[args.command].set_defaults(
+                **_config_defaults(args.config, args.command, commands))
+            args = parser.parse_args(argv)  # flags still beat the file's defaults
+        if "t_end" in args and args.t_end is None:
+            raise UsageError("missing --t-end")
+        if args.system is None:
+            raise UsageError("missing --system")
+        if "tol" in args and not (math.isfinite(args.tol) and 1e-13 <= args.tol <= 1e-6):
+            raise UsageError(f"--tol must lie in [1e-13, 1e-6], got {args.tol:g}")
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         parser.error(str(exc))  # prints usage, raises SystemExit(2)
     except DomainError as exc:

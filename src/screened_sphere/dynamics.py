@@ -61,6 +61,14 @@ class SystemKind(str, Enum):
     OSCILLATOR = "oscillator"
 
 
+def check_lam_k(lam: float, k: float = 0.0) -> None:
+    """Reject a curvature or a screening strength that is non-finite or negative."""
+    if not math.isfinite(lam) or lam < 0.0:
+        raise CurvatureError(f"curvature must be finite and >= 0, got {lam}")
+    if not math.isfinite(k) or k < 0.0:
+        raise DomainError(f"screening strength must be finite and >= 0, got {k}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """System selector: potential kind, curvature lam >= 0, screening k >= 0."""
@@ -70,10 +78,7 @@ class SystemParams:
     k: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.lam) or self.lam < 0.0:
-            raise CurvatureError(f"curvature must be finite and >= 0, got {self.lam}")
-        if not math.isfinite(self.k) or self.k < 0.0:
-            raise ValueError(f"screening strength must be finite and >= 0, got {self.k}")
+        check_lam_k(self.lam, self.k)
 
 
 @dataclass(frozen=True)
@@ -257,18 +262,9 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """CSV export, header ``t,x1,x2,p1,p2,r,theta,H,Lz``, 17 significant digits."""
-        lines = ["t,x1,x2,p1,p2,r,theta,H,Lz"]
-        for i in range(len(self.t)):
-            row = (
-                self.t[i],
-                *self.states[i],
-                self.r[i],
-                self.theta[i],
-                self.H[i],
-                self.Lz[i],
-            )
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        return "\n".join(lines) + "\n"
+        table = np.column_stack((self.t, self.states, self.r, self.theta, self.H, self.Lz))
+        row = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
+        return "t,x1,x2,p1,p2,r,theta,H,Lz\n" + "".join(row.format(*v) for v in table.tolist())
 
 
 def turning_points_json(points: list[TurningPoint]) -> list[dict]:
@@ -296,8 +292,8 @@ def integrate(
     """
     if state0.r <= 0.0:
         raise RadiusError("initial state must have r > 0")
-    if not math.isfinite(t_end):
-        raise DomainError(f"t_end must be finite, got {t_end}")
+    if not math.isfinite(t_end) or t_end == 0.0:
+        raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
     if not 1e-13 <= rel_tol <= 1e-6:
         raise ValueError(f"rel_tol must lie in [1e-13, 1e-6], got {rel_tol}")
     if n_samples < 2:

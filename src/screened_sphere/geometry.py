@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CurvatureError, FlatProjectionError, ProjectionDomainError
+from .dynamics import check_lam_k
+from .errors import FlatProjectionError, ProjectionDomainError
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,8 +32,7 @@ class Curvature:
     lam: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.lam) or self.lam < 0.0:
-            raise CurvatureError(f"curvature must be finite and >= 0, got {self.lam}")
+        check_lam_k(self.lam)
 
     @property
     def radius(self) -> float:

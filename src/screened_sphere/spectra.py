@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .dynamics import SystemKind
+from .dynamics import SystemKind, check_lam_k
 from .errors import AccuracyError, ImaginaryMPrimeError
 
 _MIN_GRID_POINTS = 200
@@ -70,10 +70,7 @@ def m_prime(m: int, k: float) -> float:
 
 
 def _check_qn(lam: float, k: float, n: int) -> None:
-    if lam < 0.0:
-        raise ValueError(f"curvature must be >= 0, got {lam}")
-    if k < 0.0:
-        raise ValueError(f"screening strength must be >= 0, got {k}")
+    check_lam_k(lam, k)
     if n < 0 or int(n) != n:
         raise ValueError(f"radial index N must be a non-negative integer, got {n}")
 

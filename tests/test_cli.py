@@ -174,9 +174,95 @@ def test_brackets_sampler_terminates_with_code(argv, code):
     assert proc.stderr.startswith(code)
 
 
-@pytest.mark.parametrize("command,t_end", [("turning", "inf"), ("orbit", "nan")])
+@pytest.mark.parametrize("command,t_end", [("turning", "inf"), ("orbit", "nan"), ("turning", "0")])
 def test_non_finite_t_end_rejected(command, t_end):
     proc = run_cli(command, "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
                    "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", t_end)
     assert proc.returncode == 3
     assert proc.stderr.startswith("ERR_DOMAIN:")
+
+
+def _run_in(directory: Path, argv: list[str], capsys, monkeypatch):
+    """Run ``main`` inside ``directory``; return (rc, stdout, stderr, files written)."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+    return rc, out, err, files
+
+
+ORBIT_FLAGS = ["--system", "oscillator", "--lambda", "0.1", "--k", "0.05", "--x", "1.5",
+               "--px", "0", "--py", "0.6", "--t-end", "10", "--trajectory-samples", "31",
+               "--tol", "1e-9", "--out", "traj.csv", "--turning-out", "tp.json"]
+ORBIT_CONFIG = ("system=oscillator\nlambda=0.1\nk=0.05\nx=1.5\ny=0\npx=0\npy=0.6\nt-end=10\n"
+                "trajectory-samples=31\ntol=1e-9\nout=traj.csv\nturning-out=tp.json\n")
+
+
+@pytest.mark.parametrize(
+    "command,config,flags",
+    [
+        # keys whose dest differs from their name: lambda, Lz
+        ("closure", "system=coulomb\nlambda=0.1\nk=0.05\nLz=1.5\n",
+         ["--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--Lz", "1.5"]),
+        # t-end, trajectory-samples, turning-out
+        ("orbit", ORBIT_CONFIG, ORBIT_FLAGS),
+        # Lz belongs to closure; an orbit config may carry it
+        ("orbit", ORBIT_CONFIG + "Lz=1\n", ORBIT_FLAGS),
+        # N, format
+        ("spectrum", "system=coulomb\nlambda=0.1\nk=0.05\nm=1,2\nN=0,1\nformat=json\n",
+         ["--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--m", "1,2",
+          "--N", "0,1", "--format", "json"]),
+        # bool keys
+        ("spectrum", "system=oscillator\nlambda=0.1\nk=0.05\nm=1\nN=0\nnumeric=yes\n"
+                     "gnuplot=true\n",
+         ["--system", "oscillator", "--lambda", "0.1", "--k", "0.05", "--m", "1", "--N", "0",
+          "--numeric", "--gnuplot"]),
+        ("spectrum", "system=oscillator\nm=1\nnumeric=no\ngnuplot=0\n",
+         ["--system", "oscillator", "--m", "1"]),
+        ("brackets", "system=coulomb\nlambda=0.1\nk=0.05\nsamples=50\nseed=3\nmethod=fd\n",
+         ["--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--samples", "50",
+          "--seed", "3", "--method", "fd"]),
+        # comment and blank lines, blanks around '='
+        ("closure", "# a comment\n\nsystem = coulomb\n  # indented\nlambda=0\nk=0.375\n\nLz=1\n",
+         ["--system", "coulomb", "--lambda", "0", "--k", "0.375", "--Lz", "1"]),
+    ],
+)
+def test_config_key_acts_like_its_flag(tmp_path, capsys, monkeypatch, command, config, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    from_config = _run_in(tmp_path / "a", [command, "--config", str(cfg)], capsys, monkeypatch)
+    from_flags = _run_in(tmp_path / "b", [command, *flags], capsys, monkeypatch)
+    assert from_config[0] == 0
+    assert from_config == from_flags
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["system=coulomb\nbogus=1\n", "system=coulomb\nlambda 0.1\n", "system=coulomb\nconfig=x\n"],
+)
+def test_config_bad_key_or_line_is_a_domain_error(tmp_path, capsys, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    rc = main(["closure", "--Lz", "1", "--config", str(cfg)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("ERR_DOMAIN:")
+
+
+def test_config_value_is_parsed_like_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("system=coulomb\nk=0.05\nsamples=1.5\n")
+    for argv in (["brackets", "--config", str(cfg)],
+                 ["brackets", "--system", "coulomb", "--k", "0.05", "--samples", "1.5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --samples: invalid int value: '1.5'" in capsys.readouterr().err
+
+
+def test_config_ignores_keys_of_other_commands(tmp_path, capsys):
+    # closure has neither --tol nor --samples, so their values are never parsed
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("system=coulomb\nk=0.375\nLz=1\ntol=1e-3\nsamples=many\n")
+    assert main(["closure", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == 0.5

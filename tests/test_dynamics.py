@@ -27,6 +27,8 @@ from screened_sphere.dynamics import (
     state_at_theta,
 )
 from screened_sphere.errors import (
+    CurvatureError,
+    DomainError,
     ImaginaryAlphaError,
     OrbitDomainError,
     RadiusError,
@@ -115,6 +117,22 @@ def test_integrate_rejects_bad_tolerance():
         integrate(PhaseState(1.0, 0.0, 0.0, 1.0), FLAT_KEPLER, 1.0, rel_tol=1e-3)
 
 
+@pytest.mark.parametrize("lam,k,error", [
+    (bad, 0.0, CurvatureError) for bad in (-0.1, math.nan, math.inf, -math.inf)
+] + [(0.1, bad, DomainError) for bad in (-0.1, math.nan, math.inf, -math.inf)])
+def test_system_params_reject_bad_lam_k(lam, k, error):
+    with pytest.raises(error) as exc:
+        SystemParams(SystemKind.COULOMB, lam, k)
+    assert exc.value.code == error.code
+
+
+def test_integrate_runs_backward():
+    st0 = PhaseState(1.0, 0.0, 0.0, 1.0)
+    backward = integrate(st0, FLAT_KEPLER, t_end=-math.pi / 2.0, n_samples=5)
+    assert backward.t[-1] == -math.pi / 2.0
+    assert np.allclose(backward.states[-1], [0.0, -1.0, 1.0, 0.0], atol=1e-8)
+
+
 def test_radial_infall_hits_guard():
     params = SystemParams(SystemKind.COULOMB, 0.0, 0.05)
     with pytest.raises(SingularOrbitError):
@@ -123,12 +141,21 @@ def test_radial_infall_hits_guard():
 
 def test_trajectory_csv_header_and_precision():
     traj = integrate(PhaseState(1.0, 0.0, 0.0, 1.0), FLAT_KEPLER, 1.0, n_samples=5)
-    lines = traj.to_csv().splitlines()
+    traj.states[0, 1] = -0.0
+    csv = traj.to_csv()
+    lines = csv.splitlines()
     assert lines[0] == "t,x1,x2,p1,p2,r,theta,H,Lz"
     assert len(lines) == 6
     # 17 significant digits round-trip exactly
     row = [float(v) for v in lines[1].split(",")]
     assert row[1] == 1.0 and row[4] == 1.0
+    assert lines[1].split(",")[2] == "-0"
+    # same bytes as formatting each field on its own
+    rows = [lines[0]]
+    for i in range(len(traj.t)):
+        fields = (traj.t[i], *traj.states[i], traj.r[i], traj.theta[i], traj.H[i], traj.Lz[i])
+        rows.append(",".join(f"{v:.17g}" for v in fields))
+    assert csv == "\n".join(rows) + "\n"
 
 
 # --- closed forms -----------------------------------------------------------

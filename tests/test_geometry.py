@@ -112,5 +112,6 @@ def test_flat_curvature_rejected():
 
 
 def test_negative_curvature_rejected():
-    with pytest.raises(CurvatureError):
-        Curvature(-0.1)
+    for bad in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(CurvatureError):
+            Curvature(bad)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from screened_sphere.dynamics import SystemKind
-from screened_sphere.errors import AccuracyError, ImaginaryMPrimeError
+from screened_sphere.errors import AccuracyError, CurvatureError, DomainError, ImaginaryMPrimeError
 from screened_sphere.spectra import (
     RadialGrid,
     coulomb_energy,
@@ -73,6 +73,13 @@ def test_energy_validation():
         coulomb_energy(0.1, 0.0, 1, -1)
     with pytest.raises(ImaginaryMPrimeError):
         oscillator_energy(0.1, 0.5, 0, 0)
+    for energy in (coulomb_energy, oscillator_energy):
+        for bad in (math.nan, math.inf, -math.inf, -0.1):
+            with pytest.raises(CurvatureError):
+                energy(bad, 0.0, 1, 0)
+            with pytest.raises(DomainError) as exc:
+                energy(0.1, bad, 1, 0)
+            assert exc.value.code == "ERR_DOMAIN"
 
 
 def test_unscreened_limit_matches_spherical_closed_form():
