@@ -11,7 +11,8 @@ spectrum  analytic (optionally grid-oracle) energy levels
 A ``--config`` file of ``key=value`` lines (``#`` starts a comment) sets
 option defaults.  A key is a long option without its dashes (``lambda``,
 ``t-end``, ``Lz``) and its value is converted with that flag's type;
-``numeric`` and ``gnuplot`` take ``1``/``true``/``yes`` for on.  Flags beat
+``numeric`` and ``gnuplot`` take ``1``/``true``/``yes`` for on; a value
+outside the flag's choices is the flag's usage error.  Flags beat
 the file and the file beats the built-in defaults.  Keys of options that
 only other commands have are ignored; a key no command has is a domain
 error.
@@ -274,6 +275,8 @@ def _config_defaults(path: str, command: str, commands: dict) -> dict:
     A key is a long option of any command without its dashes.  Values stay
     strings, which argparse converts with the flag's own ``type``; only
     store_true flags are read here (``1``, ``true`` or ``yes`` sets them).
+    argparse checks ``choices`` only on command-line values, so a value
+    outside its flag's choices is a usage error here, with the flag's message.
     """
     defaults = {}
     with open(path) as fh:
@@ -291,6 +294,10 @@ def _config_defaults(path: str, command: str, commands: dict) -> dict:
             action = owners[command]
             if action is None:  # an option of other commands only
                 continue
+            try:
+                commands[command]._check_value(action, raw)
+            except argparse.ArgumentError as exc:
+                commands[command].error(str(exc))  # prints usage, raises SystemExit(2)
             defaults[action.dest] = raw.lower() in ("1", "true", "yes") if action.nargs == 0 else raw
     return defaults
 

@@ -22,6 +22,10 @@ Curvature enters the projected orbit only through Et, so a spherical
 trajectory traces the same (r, theta) curve as the flat trajectory with
 energy Et.  For rational alpha = p/q the orbit closes; the radial period
 in theta is 2*pi/alpha (coulomb) or pi/alpha (oscillator, doubled angle).
+
+scipy is imported on first use, inside the functions that call it
+(``integrate``, ``find_turning_points``, ``fit_theta0``, ``state_at_theta``),
+so importing this module, or running the closure analysis, loads none of it.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, least_squares
 
 from .errors import (
     AccuracyError,
@@ -51,6 +53,7 @@ from .errors import (
 TWO_PI = 2.0 * math.pi
 
 R_MIN_GUARD = 1e-8          # terminate near-collision orbits
+MAX_SAMPLES = 10**6         # cap on recorded trajectory samples, checked before allocating
 RATIONAL_TOL = 1e-9         # |alpha - p/q| below this counts as rational
 MAX_DENOMINATOR = 64        # continued-fraction denominator cap
 TURNING_RDOT_TOL = 1e-10    # refined |rdot| bound at a turning point
@@ -288,8 +291,11 @@ def integrate(
     :class:`~screened_sphere.errors.SingularOrbitError` if the orbit falls
     below ``r_min_guard`` (both potentials are singular at r = 0) and
     :class:`~screened_sphere.errors.AccuracyError` if energy or angular
-    momentum drift beyond 10x the requested tolerance.
+    momentum drift beyond 10x the requested tolerance.  More than
+    ``MAX_SAMPLES`` samples is a domain error, raised before any allocation.
     """
+    from scipy.integrate import solve_ivp
+
     if state0.r <= 0.0:
         raise RadiusError("initial state must have r > 0")
     if not math.isfinite(t_end) or t_end == 0.0:
@@ -298,6 +304,8 @@ def integrate(
         raise ValueError(f"rel_tol must lie in [1e-13, 1e-6], got {rel_tol}")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
+    if n_samples > MAX_SAMPLES:
+        raise DomainError(f"n_samples must be at most {MAX_SAMPLES}, got {n_samples}")
 
     def hit_guard(t, y, _params):
         return math.hypot(y[0], y[1]) - r_min_guard
@@ -376,6 +384,8 @@ def find_turning_points(traj: Trajectory) -> list[TurningPoint]:
     ``circular`` flag instead of reporting discrete points.  Results are
     cached on the trajectory.
     """
+    from scipy.optimize import brentq
+
     if traj._scanned:
         return traj.turning_points
 
@@ -503,6 +513,8 @@ def fit_theta0(traj: Trajectory, params: SystemParams) -> float:
     then refines by least squares over one radial period.  A circular
     orbit accepts any phase; returns 0 by convention.
     """
+    from scipy.optimize import least_squares
+
     points = find_turning_points(traj)
     if traj.circular:
         return 0.0
@@ -612,6 +624,8 @@ def closure_analysis(params: SystemParams, lz: float) -> ClosureResult:
 
 def state_at_theta(traj: Trajectory, theta_target: float) -> PhaseState:
     """Dense-output state where the unwrapped azimuth crosses theta_target."""
+    from scipy.optimize import brentq
+
     sign = 1.0 if traj.theta[-1] >= traj.theta[0] else -1.0  # Lz < 0 runs clockwise
     th = sign * traj.theta
     target = sign * theta_target

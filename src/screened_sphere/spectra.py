@@ -38,6 +38,9 @@ terminating Gauss hypergeometric series,
     gamma = 1 + m',
 
 which the operator-residual check validates against the grid form of H1.
+
+scipy (the tridiagonal eigensolver) is imported on first use by the grid
+oracle, so the closed forms load none of it.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .dynamics import SystemKind, check_lam_k
 from .errors import AccuracyError, ImaginaryMPrimeError
@@ -208,6 +210,8 @@ def _transformed_potential(
 def _eigenvalues_on_grid(
     kind: SystemKind, lam: float, k: float, m: int, n_levels: int, grid: RadialGrid
 ) -> np.ndarray:
+    from scipy.linalg import eigh_tridiagonal
+
     h = grid.spacing
     x = grid.nodes
     c_kin = 0.5 * lam if lam > 0.0 else 0.5

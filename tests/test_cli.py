@@ -182,6 +182,55 @@ def test_non_finite_t_end_rejected(command, t_end):
     assert proc.stderr.startswith("ERR_DOMAIN:")
 
 
+def test_trajectory_samples_are_capped():
+    # 10**12 samples would need terabytes; the cap rejects them before allocating
+    proc = run_cli("orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
+                   "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", "10",
+                   "--trajectory-samples", "1000000000000")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("ERR_DOMAIN: n_samples must be at most")
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import screened_sphere.cli
+argv = json.loads(sys.argv[1])
+rc = None
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = screened_sphere.cli.main(argv)
+print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+_SP_FLAGS = ["--system", "oscillator", "--lambda", "0.1", "--k", "0.05", "--m", "1,2", "--N", "0,1"]
+_BR_FLAGS = ["--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--samples", "200"]
+
+
+@pytest.mark.parametrize(
+    "argv,loads_scipy",
+    [
+        ([], False),  # import only
+        (["closure", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--Lz", "1.5"], False),
+        (["spectrum", *_SP_FLAGS], False),
+        (["brackets", *_BR_FLAGS, "--method", "analytic"], False),
+        (["brackets", *_BR_FLAGS, "--method", "fd"], False),
+        (["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--x", "1.6",
+          "--px", "0", "--py", "0.55", "--t-end", "20", "--out", "traj.csv"], True),
+        (["spectrum", *_SP_FLAGS, "--numeric"], True),
+    ],
+)
+def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
+    # a fresh interpreter, so that no earlier test has loaded scipy already
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["rc"] == (0 if argv else None)
+    assert bool(report["scipy"]) is loads_scipy, report["scipy"]
+
+
 def _run_in(directory: Path, argv: list[str], capsys, monkeypatch):
     """Run ``main`` inside ``directory``; return (rc, stdout, stderr, files written)."""
     directory.mkdir()
@@ -266,3 +315,20 @@ def test_config_ignores_keys_of_other_commands(tmp_path, capsys):
     cfg.write_text("system=coulomb\nk=0.375\nLz=1\ntol=1e-3\nsamples=many\n")
     assert main(["closure", "--config", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["alpha"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [("spectrum", "format", "xml"), ("closure", "system", "kepler"), ("brackets", "method", "newton")],
+)
+def test_config_value_outside_choices_is_a_usage_error(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    errors = []
+    for argv in ([command, "--config", str(cfg)], [command, f"--{key}", value]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert f"argument --{key}: invalid choice: '{value}'" in errors[0]

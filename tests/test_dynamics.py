@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from screened_sphere.conserved import HAMILTONIAN, finite_difference_gradient, sample_states
 from screened_sphere.dynamics import (
+    MAX_SAMPLES,
     OrbitShape,
     PhaseState,
     SystemKind,
@@ -124,6 +125,12 @@ def test_system_params_reject_bad_lam_k(lam, k, error):
     with pytest.raises(error) as exc:
         SystemParams(SystemKind.COULOMB, lam, k)
     assert exc.value.code == error.code
+
+
+def test_integrate_caps_samples():
+    with pytest.raises(DomainError) as exc:
+        integrate(PhaseState(1.0, 0.0, 0.0, 1.0), FLAT_KEPLER, 1.0, n_samples=MAX_SAMPLES + 1)
+    assert exc.value.code == "ERR_DOMAIN"
 
 
 def test_integrate_runs_backward():
