@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import tempfile
 from typing import Optional, Sequence
@@ -266,6 +267,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                       help="add finite-difference oracle energies")
     commands = {"orbit": p_orbit, "closure": p_closure, "turning": p_turn,
                 "brackets": p_br, "spectrum": p_sp}
+    for p in commands.values():  # "-1e-05" and "-inf" are values, not unknown options
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser, commands
 
 

@@ -184,8 +184,16 @@ def _builtin(name: str, value, value_kernel: Callable, gradient_kernel: Callable
     return Observable(name, value, gradient, value_kernel, gradient_kernel)
 
 
-def _pair_observables(names, scalar, value_kernel: Callable, gradient_kernel: Callable):
+# (value, gradient) kernels of each system's extended pair, run once per batch
+_PAIR_KERNELS = {
+    SystemKind.COULOMB: (_runge_lenz_pair, _runge_lenz_gradients),
+    SystemKind.OSCILLATOR: (_fradkin_pair, _fradkin_gradients),
+}
+
+
+def _pair_observables(names, scalar, kind: SystemKind):
     """The two members of a pair-valued quantity as observables."""
+    value_kernel, gradient_kernel = _PAIR_KERNELS[kind]
     return tuple(
         _builtin(name, lambda st, pr, i=i: scalar(st, pr)[i],
                  lambda *z, i=i: value_kernel(*z)[i], lambda *z, i=i: gradient_kernel(*z)[i])
@@ -195,12 +203,9 @@ def _pair_observables(names, scalar, value_kernel: Callable, gradient_kernel: Ca
 
 LZ = _builtin("Lz", lambda st, pr: angular_momentum(st), lz_value, lz_gradient)
 HAMILTONIAN = _builtin("H", hamiltonian, h_value, h_gradient)
-RUNGE_LENZ_X, RUNGE_LENZ_Y = _pair_observables(
-    ("R'x", "R'y"), runge_lenz, _runge_lenz_pair, _runge_lenz_gradients
-)
-FRADKIN_XY, FRADKIN_1 = _pair_observables(
-    ("Q'xy", "Q'1"), fradkin_quantities, _fradkin_pair, _fradkin_gradients
-)
+RUNGE_LENZ_X, RUNGE_LENZ_Y = _pair_observables(("R'x", "R'y"), runge_lenz, SystemKind.COULOMB)
+FRADKIN_XY, FRADKIN_1 = _pair_observables(("Q'xy", "Q'1"), fradkin_quantities,
+                                          SystemKind.OSCILLATOR)
 
 
 def extended_quantities(params: SystemParams) -> tuple[Observable, Observable]:
@@ -213,15 +218,15 @@ def extended_quantities(params: SystemParams) -> tuple[Observable, Observable]:
 # --- bracket engine ---------------------------------------------------------
 
 def _central_difference(func, z: np.ndarray, rel_step: float = _FD_STEP) -> np.ndarray:
-    """Central differences of ``func`` over the leading axis of a (4,) or (4, n) state."""
+    """Central differences of ``func`` along each of the 4 rows of a (4,) or (4, n) state."""
     h = rel_step * np.maximum(1.0, np.abs(z))
-    grad = np.empty_like(z)
+    grad = []
     for i in range(4):
         zp, zm = z.copy(), z.copy()
         zp[i] += h[i]
         zm[i] -= h[i]
-        grad[i] = (func(zp) - func(zm)) / (2.0 * h[i])
-    return grad
+        grad.append((func(zp) - func(zm)) / (2.0 * h[i]))
+    return np.array(grad)
 
 
 def finite_difference_gradient(
@@ -258,15 +263,6 @@ def poisson_bracket(
     else:
         raise ValueError(f"unknown bracket method {method!r}")
     return float(_bracket(gf, gg))
-
-
-def _batch_gradient(obs: Observable, z: np.ndarray, params: SystemParams, method: str):
-    """Gradient of a built-in observable over a (4, n) batch of states."""
-    if method == "analytic":
-        return obs.gradient_kernel(*z, params)
-    if method == "fd":
-        return _central_difference(lambda w: obs.value_kernel(*w, params), z)
-    raise ValueError(f"unknown bracket method {method!r}")
 
 
 def product_observable(f: Observable, g: Observable) -> Observable:
@@ -351,11 +347,18 @@ def _verify_pair(params, kind, n_samples, seed, method, shift, quad_target, name
     if params.kind is not kind:
         raise ValueError(f"verify_{kind.value}_algebra needs {kind.value} params")
     z = _sample_batch(params, n_samples, seed=seed)
-    obs_a, obs_b = extended_quantities(params)
-    g_a, g_b, g_lz = (_batch_gradient(obs, z, params, method) for obs in (obs_a, obs_b, LZ))
+    value_pair, gradient_pair = _PAIR_KERNELS[kind]
+    if method == "analytic":
+        g_a, g_b, g_lz = *gradient_pair(*z, params), lz_gradient(*z)
+    elif method == "fd":  # one value call per shifted copy serves A, B and Lz
+        g_a, g_b, g_lz = _central_difference(
+            lambda w: np.array((*value_pair(*w, params), lz_value(*w))), z).swapaxes(0, 1)
+    else:
+        raise ValueError(f"unknown bracket method {method!r}")
+    a, b = value_pair(*z, params)
     residuals = (
-        _bracket(g_a, g_lz) - shift * obs_b.value_kernel(*z, params),
-        _bracket(g_b, g_lz) + shift * obs_a.value_kernel(*z, params),
+        _bracket(g_a, g_lz) - shift * b,
+        _bracket(g_b, g_lz) + shift * a,
         _bracket(g_a, g_b) - quad_target(h_value(*z, params), lz_value(*z)),
     )
     return [_report(name, res) for name, res in zip(names, residuals)]
@@ -429,6 +432,7 @@ def turning_point_conservation(
 ) -> TurningConservationReport:
     """Evaluate {quantity, H} along a trajectory at and away from rdot = 0."""
     quantities = extended_quantities(params)
+    value_pair, gradient_pair = _PAIR_KERNELS[params.kind]
     points = find_turning_points(traj)
     if not points:
         raise NoTurningPointError(
@@ -438,13 +442,11 @@ def turning_point_conservation(
 
     def brackets_with_h(z: np.ndarray) -> np.ndarray:
         g_h = h_gradient(*z, params)
-        return np.stack(
-            [_bracket(obs.gradient_kernel(*z, params), g_h) for obs in quantities], axis=1
-        )
+        return np.stack([_bracket(g, g_h) for g in gradient_pair(*z, params)], axis=1)
 
     z_turning = np.array([p.state.as_array() for p in points]).T
     at_turning = brackets_with_h(z_turning)
-    values = np.stack([obs.value_kernel(*z_turning, params) for obs in quantities], axis=1)
+    values = np.stack(value_pair(*z_turning, params), axis=1)
     generic = np.max(np.abs(brackets_with_h(traj.states.T)))
     return TurningConservationReport(
         quantity_names=(quantities[0].name, quantities[1].name),

@@ -24,7 +24,7 @@ energy Et.  For rational alpha = p/q the orbit closes; the radial period
 in theta is 2*pi/alpha (coulomb) or pi/alpha (oscillator, doubled angle).
 
 scipy is imported on first use, inside the functions that call it
-(``integrate``, ``find_turning_points``, ``fit_theta0``, ``state_at_theta``),
+(``integrate``, ``fit_theta0``, ``state_at_theta``),
 so importing this module, or running the closure analysis, loads none of it.
 """
 
@@ -228,8 +228,10 @@ class Trajectory:
     """Time-ordered samples of an integrated orbit plus derived scalars.
 
     theta is unwrapped (cumulative) so closure angles beyond 2*pi stay
-    measurable; normalize at presentation boundaries only.  The dense
-    interpolant of the integrator is kept for event refinement.
+    measurable; normalize at presentation boundaries only.  Its branch is
+    the azimuth unwrapped over the solver's accepted steps, so sparse
+    samples cannot alias it.  The dense interpolant and the turning points
+    found during the solve are kept with the samples.
     """
 
     t: np.ndarray
@@ -241,19 +243,18 @@ class Trajectory:
     params: SystemParams
     rel_tol: float
     dense: Callable[[float], np.ndarray]
+    step_t: np.ndarray            # accepted solver steps, ascending
+    step_theta: np.ndarray        # unwrapped azimuth at those steps
     turning_points: list[TurningPoint] = field(default_factory=list)
     circular: bool = False
-    _scanned: bool = field(default=False, repr=False)
 
     def state_at(self, t: float) -> PhaseState:
         return PhaseState.from_array(self.dense(t))
 
     def theta_at(self, t: float) -> float:
-        """Unwrapped theta at arbitrary time, pinned to the sampled branch."""
+        """Unwrapped theta at an arbitrary time, on the branch of the solver's steps."""
         y = self.dense(t)
-        raw = math.atan2(y[1], y[0])
-        approx = float(np.interp(t, self.t, self.theta))
-        return raw + TWO_PI * round((approx - raw) / TWO_PI)
+        return float(_on_branch(math.atan2(y[1], y[0]), t, self.step_t, self.step_theta))
 
     def rdot(self, t) -> np.ndarray:
         """Radial velocity rdot = (x.p) * (1 + lam*r**2)**2 / r along the orbit."""
@@ -268,6 +269,11 @@ class Trajectory:
         table = np.column_stack((self.t, self.states, self.r, self.theta, self.H, self.Lz))
         row = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
         return "t,x1,x2,p1,p2,r,theta,H,Lz\n" + "".join(row.format(*v) for v in table.tolist())
+
+
+def _on_branch(raw, t, step_t: np.ndarray, step_theta: np.ndarray):
+    """atan2 angles ``raw`` at times ``t``, moved by whole turns onto the step branch."""
+    return raw + TWO_PI * np.round((np.interp(t, step_t, step_theta) - raw) / TWO_PI)
 
 
 def turning_points_json(points: list[TurningPoint]) -> list[dict]:
@@ -287,11 +293,14 @@ def integrate(
 ) -> Trajectory:
     """Integrate Hamilton's equations with an adaptive Dormand-Prince scheme.
 
-    Uses DOP853 with dense output.  Raises
+    Uses DOP853 with dense output.  The same solve finds the turning points
+    (see :func:`find_turning_points`), and theta is unwrapped over its
+    accepted steps, so it does not depend on ``n_samples``.  Raises
     :class:`~screened_sphere.errors.SingularOrbitError` if the orbit falls
     below ``r_min_guard`` (both potentials are singular at r = 0) and
     :class:`~screened_sphere.errors.AccuracyError` if energy or angular
-    momentum drift beyond 10x the requested tolerance.  More than
+    momentum drift beyond 10x the requested tolerance, or if a turning
+    point is left with |rdot| above ``TURNING_RDOT_TOL``.  More than
     ``MAX_SAMPLES`` samples is a domain error, raised before any allocation.
     """
     from scipy.integrate import solve_ivp
@@ -313,6 +322,9 @@ def integrate(
     hit_guard.terminal = True
     hit_guard.direction = -1
 
+    def radial_turn(t, y, _params):
+        return y[0] * y[2] + y[1] * y[3]  # x.p, same zeros as rdot
+
     # Local truncation errors accumulate to a few tens of the solver
     # tolerance over long spans; integrating two decades tighter keeps the
     # 10x drift contract on the returned trajectory with margin.
@@ -325,7 +337,7 @@ def integrate(
         rtol=rtol_eff,
         atol=rtol_eff * 1e-2,
         dense_output=True,
-        events=hit_guard,
+        events=(hit_guard, radial_turn),
         args=(params,),
     )
     if sol.status == 1:
@@ -343,11 +355,17 @@ def integrate(
             )
         raise StiffnessError(f"integrator failed: {sol.message}")
 
+    # The accepted steps in increasing time.  theta is unwrapped in
+    # integration order, so theta(0) is atan2 of the initial state.
+    order = slice(None, None, 1 if t_end > 0.0 else -1)
+    step_t, step_y = sol.t[order], sol.y[:, order]
+    step_theta = np.unwrap(np.arctan2(sol.y[1], sol.y[0]))[order]
+
     t = np.linspace(0.0, t_end, n_samples)
     y = sol.sol(t)
     x1, x2, p1, p2 = y
     r = np.hypot(x1, x2)
-    theta = np.unwrap(np.arctan2(x2, x1))
+    theta = _on_branch(np.arctan2(x2, x1), t, step_t, step_theta)
     h = h_value(x1, x2, p1, p2, params)
     lz = lz_value(x1, x2, p1, p2)
 
@@ -360,7 +378,7 @@ def integrate(
             f"dH = {h_drift:.3e}, dLz = {lz_drift:.3e}, bound = {bound:.3e}"
         )
 
-    return Trajectory(
+    traj = Trajectory(
         t=t,
         states=y.T.copy(),
         r=r,
@@ -370,69 +388,45 @@ def integrate(
         params=params,
         rel_tol=rel_tol,
         dense=sol.sol,
+        step_t=step_t,
+        step_theta=step_theta,
     )
+    traj.turning_points, traj.circular = _turning_points(traj, step_y, sol.t_events[1][order])
+    return traj
 
 
 # --- turning points -------------------------------------------------------
 
-def find_turning_points(traj: Trajectory) -> list[TurningPoint]:
-    """Locate all rdot = 0 points by bracketing sign changes of x.p.
-
-    Roots are refined with Brent's method on the dense output and
-    classified by the sign change (rdot -/+ is a perihelion, +/- an
-    aphelion).  A trajectory with rdot = 0 everywhere sets the
-    ``circular`` flag instead of reporting discrete points.  Results are
-    cached on the trajectory.
-    """
-    from scipy.optimize import brentq
-
-    if traj._scanned:
-        return traj.turning_points
-
-    n_det = int(min(max(4 * len(traj.t), 20000), 200000))
-    tg = np.linspace(traj.t[0], traj.t[-1], n_det)
-    y = traj.dense(tg)
-    s = y[0] * y[2] + y[1] * y[3]  # x.p, same zeros as rdot
-    speed = float(np.max(np.hypot(y[2], y[3])))
-    s_scale = float(np.max(np.abs(s)))
-
-    if s_scale <= 1e-8 * max(1.0, speed * float(np.max(traj.r))):
-        traj.circular = True
-        traj._scanned = True
-        return traj.turning_points
-
-    def s_of(t: float) -> float:
-        yy = traj.dense(t)
-        return float(yy[0] * yy[2] + yy[1] * yy[3])
-
-    points: list[TurningPoint] = []
-
-    def add_point(t_star: float, rising: bool) -> None:
-        st = traj.state_at(t_star)
+def _turning_points(traj: Trajectory, step_y: np.ndarray, roots: np.ndarray):
+    """(points, circular) from the solver's ascending x.p roots and its steps."""
+    s = step_y[0] * step_y[2] + step_y[1] * step_y[3]
+    speed = float(np.max(np.hypot(step_y[2], step_y[3])))
+    if float(np.max(np.abs(s))) <= 1e-8 * max(1.0, speed * float(np.max(traj.r))):
+        return [], True
+    # x.p on the steps either side of each root, in increasing time: rising
+    # through zero is a minimum of r, a perihelion
+    i = np.clip(np.searchsorted(traj.step_t, roots, side="right"), 1, len(s) - 1)
+    points = []
+    for t_star, rising in zip(roots.tolist(), (s[i] > s[i - 1]).tolist()):
         rdot = float(traj.rdot(t_star))
         if abs(rdot) > TURNING_RDOT_TOL:
             raise AccuracyError(f"turning-point refinement left |rdot| = {rdot:.3e}")
+        st = traj.state_at(t_star)
         kind = TurningKind.PERIHELION if rising else TurningKind.APHELION
-        points.append(
-            TurningPoint(
-                t=t_star, state=st, kind=kind, r=st.r, theta=traj.theta_at(t_star)
-            )
-        )
+        points.append(TurningPoint(t=t_star, state=st, kind=kind, r=st.r,
+                                   theta=traj.theta_at(t_star)))
+    return points, False
 
-    # The initial sample may itself be a turning point (launches at
-    # perihelion/aphelion are common); sign-change bracketing misses it.
-    if abs(s[0]) <= 1e-12 * max(1.0, s_scale):
-        add_point(tg[0], rising=bool(s[np.argmax(np.abs(s) > 1e-9 * s_scale)] > 0))
 
-    sign = np.sign(s)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        t_star = brentq(s_of, tg[i], tg[i + 1], xtol=1e-13, rtol=8.9e-16)
-        add_point(float(t_star), rising=bool(s[i] < 0))
+def find_turning_points(traj: Trajectory) -> list[TurningPoint]:
+    """The rdot = 0 points of the trajectory, in increasing time.
 
-    points.sort(key=lambda p: p.t)
-    traj.turning_points = points
-    traj._scanned = True
-    return points
+    :func:`integrate` finds them as roots of x.p on the solver's own steps,
+    to |rdot| < ``TURNING_RDOT_TOL``.  A perihelion is where x.p rises
+    through zero in increasing time, an aphelion where it falls.  A
+    trajectory whose x.p stays at rounding level sets ``circular`` instead.
+    """
+    return traj.turning_points
 
 
 # --- closed-form orbits ---------------------------------------------------

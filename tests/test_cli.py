@@ -332,3 +332,30 @@ def test_config_value_outside_choices_is_a_usage_error(tmp_path, capsys, command
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert f"argument --{key}: invalid choice: '{value}'" in errors[0]
+
+
+def _exit_code_and_output(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+@pytest.mark.parametrize("argv,flag,value,rc", [
+    (["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--x", "1.6",
+      "--py", "0.55", "--t-end", "3", "--trajectory-samples", "7"], "--px", "-1e-05", 0),
+    (["orbit", "--system", "coulomb", "--x", "1.6", "--px", "0", "--py", "0.55",
+      "--trajectory-samples", "7"], "--t-end", "-2.5E+00", 0),
+    (["closure", "--system", "coulomb", "--k", "0.05"], "--Lz", "-1e0", 0),
+    (["turning", "--system", "coulomb", "--x", "1.6", "--px", "0", "--py", "0.55"],
+     "--t-end", "-inf", 3),
+    (["brackets", "--system", "coulomb", "--samples", "10"], "--lambda", "-1e-3", 3),
+])
+def test_negative_float_in_exponent_notation_is_a_value(capsys, argv, flag, value, rc):
+    # "--flag -1e-05" must parse as "--flag=-1e-05" does, not as an unknown option
+    spaced = _exit_code_and_output(argv + [flag, value], capsys)
+    joined = _exit_code_and_output(argv + [f"{flag}={value}"], capsys)
+    assert spaced == joined
+    assert spaced[0] == rc

@@ -37,6 +37,7 @@ from screened_sphere.errors import (
 )
 
 FLAT_KEPLER = SystemParams(SystemKind.COULOMB, 0.0, 0.0)
+TWO_PI = 2.0 * math.pi
 
 
 def flat_ellipse_state(energy=-0.5, lz=0.8):
@@ -310,6 +311,43 @@ def test_perihelion_radius_constant_and_matches_effective_potential(
 def test_turning_point_rdot_tolerance(oscillator_orbit):
     for p in find_turning_points(oscillator_orbit):
         assert abs(float(oscillator_orbit.rdot(p.t))) < 1e-10
+
+
+def test_backward_span_turning_points_and_theta():
+    # kinds, times and theta on a span integrated toward negative time
+    from scipy.interpolate import CubicSpline
+
+    params = SystemParams(SystemKind.COULOMB, 0.1, 0.05)
+    traj = integrate(PhaseState(1.6, 0.0, 0.1, 0.55), params, t_end=-20.0, n_samples=2001)
+    points = find_turning_points(traj)
+    r_per = [p.r for p in points if p.kind is TurningKind.PERIHELION]
+    r_aph = [p.r for p in points if p.kind is TurningKind.APHELION]
+    assert r_per and r_aph and max(r_per) < min(r_aph)
+    assert all(a.t < b.t for a, b in zip(points, points[1:]))
+    sampled = CubicSpline(traj.t[::-1], traj.theta[::-1])
+    for p in points:
+        assert abs(p.theta - float(sampled(p.t))) < 1e-6
+        assert abs(traj.theta_at(p.t) - p.theta) < 1e-12
+
+    target = 0.5 * (traj.theta[0] + traj.theta[-1])
+    st = state_at_theta(traj, target)
+    wrapped = (math.atan2(st.x2, st.x1) - target + math.pi) % TWO_PI - math.pi
+    assert abs(wrapped) < 1e-9
+
+
+def test_theta_does_not_alias_between_sparse_samples(coulomb_params):
+    # t_end = 2000 puts several radians of theta between 401 samples
+    sparse, dense = (integrate(PhaseState(1.6, 0.0, 0.0, 0.55), coulomb_params, t_end=2000.0,
+                               rel_tol=1e-9, n_samples=n) for n in (401, 2001))
+    assert sparse.theta[-1] == dense.theta[-1]
+    assert sparse.theta[-1] == pytest.approx(2410.96, abs=0.01)
+    x1, x2 = sparse.states[:, 0], sparse.states[:, 1]
+    wrapped = (sparse.theta - np.arctan2(x2, x1) + math.pi) % TWO_PI - math.pi
+    assert np.max(np.abs(wrapped)) < 1e-12
+    assert np.all(np.diff(sparse.theta) > 0.0)
+    dev_cf, dev_ode = orbit_residual(sparse, coulomb_params)
+    assert dev_cf < 1e-6
+    assert dev_ode < 1e-6
 
 
 # --- closure ----------------------------------------------------------------
