@@ -39,7 +39,6 @@ from .conserved import (
     verify_coulomb_algebra,
     verify_oscillator_algebra,
 )
-from .geometry import Curvature, GnomonicPoint, SpherePoint, embed, from_spherical, to_spherical
 from .spectra import (
     RadialGrid,
     SpectrumEntry,

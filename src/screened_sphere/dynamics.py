@@ -23,18 +23,28 @@ trajectory traces the same (r, theta) curve as the flat trajectory with
 energy Et.  For rational alpha = p/q the orbit closes; the radial period
 in theta is 2*pi/alpha (coulomb) or pi/alpha (oscillator, doubled angle).
 
-scipy is imported on first use, inside the functions that call it
-(``integrate``, ``fit_theta0``, ``state_at_theta``),
-so importing this module, or running the closure analysis, loads none of it.
+The chart is the gnomonic projection of the sphere q1**2 + q2**2 + q0**2
+= 1/lam from its center onto the tangent plane at the north pole:
+
+    (q1, q2, q0) = (x1, x2, 1/sqrt(lam)) / sqrt(1 + lam*r**2),
+
+so r = tan(chi)/sqrt(lam) for the polar angle chi, and the chart covers
+the open upper hemisphere (the equator maps to r = infinity).
+
+Orbits are integrated by DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+II.10) stepped on Python floats; only ``fit_theta0`` imports scipy (on
+first use), so integrating an orbit loads none of it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from operator import mul
+from typing import Optional
 
 import numpy as np
 
@@ -212,13 +222,13 @@ def equations_of_motion(
     """Hamilton's equations (x1dot, x2dot, p1dot, p2dot) from analytic gradients."""
     if state.r <= 0.0:
         raise RadiusError("equations of motion require r > 0")
-    return tuple(_rhs(0.0, state.as_array(), params).tolist())
+    return _rhs(state.x1, state.x2, state.p1, state.p2, params)
 
 
-def _rhs(t, y, params: SystemParams):
-    # Python floats take the kernel's scalar path, cheaper than numpy scalars
-    hx1, hx2, hp1, hp2 = h_gradient(*y.tolist(), params)
-    return np.array([hp1, hp2, -hx1, -hx2])
+def _rhs(x1, x2, p1, p2, params: SystemParams):
+    """J times the gradient of H, on Python floats (the stepper) or arrays (dense output)."""
+    hx1, hx2, hp1, hp2 = h_gradient(x1, x2, p1, p2, params)
+    return hp1, hp2, -hx1, -hx2
 
 
 # --- trajectories --------------------------------------------------------
@@ -242,7 +252,7 @@ class Trajectory:
     Lz: np.ndarray
     params: SystemParams
     rel_tol: float
-    dense: Callable[[float], np.ndarray]
+    dense: DenseOutput
     step_t: np.ndarray            # accepted solver steps, ascending
     step_theta: np.ndarray        # unwrapped azimuth at those steps
     turning_points: list[TurningPoint] = field(default_factory=list)
@@ -251,24 +261,27 @@ class Trajectory:
     def state_at(self, t: float) -> PhaseState:
         return PhaseState.from_array(self.dense(t))
 
-    def theta_at(self, t: float) -> float:
-        """Unwrapped theta at an arbitrary time, on the branch of the solver's steps."""
+    def theta_at(self, t):
+        """Unwrapped theta at a time or times, on the branch of the solver's steps."""
         y = self.dense(t)
-        return float(_on_branch(math.atan2(y[1], y[0]), t, self.step_t, self.step_theta))
+        return _on_branch(np.arctan2(y[1], y[0]), t, self.step_t, self.step_theta)
 
     def rdot(self, t) -> np.ndarray:
-        """Radial velocity rdot = (x.p) * (1 + lam*r**2)**2 / r along the orbit."""
-        y = self.dense(np.asarray(t, dtype=float))
-        x1, x2, p1, p2 = y
-        r2 = x1 * x1 + x2 * x2
-        s = x1 * p1 + x2 * p2
-        return s * (1.0 + self.params.lam * r2) ** 2 / np.sqrt(r2)
+        """Radial velocity along the orbit; see :func:`_rdot`."""
+        return _rdot(self.dense(t), self.params.lam)
 
     def to_csv(self) -> str:
         """CSV export, header ``t,x1,x2,p1,p2,r,theta,H,Lz``, 17 significant digits."""
         table = np.column_stack((self.t, self.states, self.r, self.theta, self.H, self.Lz))
         row = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
         return "t,x1,x2,p1,p2,r,theta,H,Lz\n" + "".join(row.format(*v) for v in table.tolist())
+
+
+def _rdot(y, lam: float):
+    """rdot = (x.p) * (1 + lam*r**2)**2 / r of states ``y`` (columns x1, x2, p1, p2)."""
+    x1, x2, p1, p2 = y
+    r2 = x1 * x1 + x2 * x2
+    return (x1 * p1 + x2 * p2) * (1.0 + lam * r2) ** 2 / np.sqrt(r2)
 
 
 def _on_branch(raw, t, step_t: np.ndarray, step_theta: np.ndarray):
@@ -282,6 +295,177 @@ def turning_points_json(points: list[TurningPoint]) -> list[dict]:
         {"t": p.t, "r": p.r, "theta": p.theta, "kind": p.kind.value} for p in points
     ]
 
+
+# --- DOP853 ----------------------------------------------------------------
+
+# Hairer's DOP853 table (dop853.f) as shortest round-trip doubles: the 12
+# stage rows of A (row 12 is the weights B) and its 3 dense-output rows, the
+# E3 and E5 error weights and the 4 dense-output rows D.  The flow does not
+# depend on t, so the nodes C are not needed.
+_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0, 0.08876275643042054),
+    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+     0.008273789163814023),
+    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+     0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
+    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298),
+    (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+     0.3567271874552811, 0, 0, 0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987),
+)
+_E3 = tuple(b - c for b, c in zip(_A[12] + (0,), (0.2440944881889764, 0, 0, 0, 0, 0, 0, 0,
+                                                   0.7338466882816118, 0, 0, 0.022058823529411766, 0)))
+_E5 = (
+    0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0,
+)
+_D = (
+    (-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114,
+     96.32455395918828, -39.17726167561544, -149.72683625798564),
+)
+
+
+def _dop853(fun, y, t_end: float, rtol: float, atol: float, r_min: float):
+    """DOP853 steps of y' = fun(*y) from t = 0 to ``t_end`` under scipy's step controller.
+
+    Returns the accepted step times and states, each step's 13 stage
+    derivatives (flat, component-major) and a status: 0 at ``t_end``, 1 once
+    r falls through ``r_min`` (that step is kept), -1 on step-size underflow.
+    """
+    direction = 1.0 if t_end > 0.0 else -1.0
+    f = fun(*y)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0, d1 = (math.hypot(*(v / sc for v, sc in zip(w, scale))) / 2.0 for w in (y, f))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t_end))
+    f1 = fun(*(v + h0 * direction * dv for v, dv in zip(y, f)))
+    d2 = math.hypot(*((b - a) / sc for a, b, sc in zip(f, f1, scale))) / 2.0 / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100.0 * h0, h1, abs(t_end))
+
+    t, g = 0.0, math.hypot(y[0], y[1]) - r_min
+    ts, ys, ks = array("d", [t]), array("d", y), array("d")
+    while direction * (t - t_end) < 0.0:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # also ends a NaN step size
+                return ts, ys, ks, -1
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0.0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            # row 12 of A is B: its "stage" is the new state and its derivative the FSAL one
+            y1, y2, y3, y4 = y
+            k = k1, k2, k3, k4 = [f[0]], [f[1]], [f[2]], [f[3]]
+            for a in _A[1:13]:
+                y_new = (y1 + sum(map(mul, a, k1)) * h, y2 + sum(map(mul, a, k2)) * h,
+                         y3 + sum(map(mul, a, k3)) * h, y4 + sum(map(mul, a, k4)) * h)
+                for kv, v in zip(k, fun(*y_new)):
+                    kv.append(v)
+            err5 = err3 = 0.0
+            for v, w, kv in zip(y, y_new, k):
+                sc = atol + max(abs(v), abs(w)) * rtol
+                err5 += (sum(map(mul, _E5, kv)) / sc) ** 2
+                err3 += (sum(map(mul, _E3, kv)) / sc) ** 2
+            err = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 4) if err5 or err3 else 0.0
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+        t, y, f = t_new, y_new, (k1[-1], k2[-1], k3[-1], k4[-1])
+        ts.append(t)
+        ys.extend(y)
+        for kv in k:
+            ks.extend(kv)
+        g, g_old = math.hypot(y[0], y[1]) - r_min, g
+        if g_old >= 0.0 >= g:
+            return ts, ys, ks, 1
+    return ts, ys, ks, 0
+
+
+class DenseOutput:
+    """DOP853's 7th-order interpolant over all steps, built and evaluated on arrays.
+
+    Takes step times ``t`` and states ``y`` (4, n + 1) in integration order
+    and each step's 13 stage derivatives ``k`` (n, 4, 13); keeps the steps in
+    increasing time.  A time on a step boundary takes the step that ends
+    there in integration order, as scipy's ``OdeSolution`` does.
+    """
+
+    def __init__(self, t, y, k, rhs):
+        h = np.diff(t)
+        k = np.concatenate((k, np.empty(k.shape[:2] + (3,))), axis=2)
+        for s in (13, 14, 15):
+            k[:, :, s] = np.transpose(rhs(*(y[:, :-1] + (k[:, :, :s] @ _A[s]).T * h)))
+        dy = y[:, 1:] - y[:, :-1]
+        f_old, f_new = k[:, :, 0].T, k[:, :, 12].T
+        F = np.stack([dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old),
+                      *np.transpose(k @ np.transpose(_D), (2, 1, 0)) * h])
+        order = slice(None) if t[-1] > t[0] else slice(None, None, -1)
+        self.bounds, self.t_old, self.h = t[order], t[:-1][order], h[order]
+        self.y_old, self.F = y[:, :-1][:, order], F[:, :, order]
+        self.side = "left" if t[-1] > t[0] else "right"
+
+    def __call__(self, t) -> np.ndarray:
+        """States (x1, x2, p1, p2) at a time, shape (4,), or at times, shape (4, m)."""
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.bounds, t, self.side) - 1, 0, self.h.size - 1)
+        x = (t - self.t_old[i]) / self.h[i]
+        y = 0.0  # Horner in x over the rows of F, the factors x and 1 - x alternating
+        for row in range(6, -1, -1):
+            y = (y + self.F[row][:, i]) * (x if row % 2 == 0 else 1.0 - x)
+        return y + self.y_old[:, i]
+
+
+def _bracketed_root(g, a, b):
+    """Zeros of ``g`` (vectorised) in brackets [a, b] whose ends do not share a strict
+    sign, bisected to 4 eps; an end where g is exactly zero is returned as it is."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    lo, hi = a, b
+    sign_a, g_b = np.sign(g(a)), g(b)
+    for _ in range(200):  # each pass halves every bracket
+        if not np.any(np.abs(hi - lo) > 4.0 * math.ulp(1.0) * (1.0 + np.abs(lo))):
+            break
+        mid = lo + 0.5 * (hi - lo)
+        left = np.sign(g(mid)) != sign_a
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+    return np.where(sign_a == 0.0, a, np.where(g_b == 0.0, b, lo + 0.5 * (hi - lo)))
+
+
+# --- integration -----------------------------------------------------------
 
 def integrate(
     state0: PhaseState,
@@ -303,8 +487,9 @@ def integrate(
     point is left with |rdot| above ``TURNING_RDOT_TOL``.  More than
     ``MAX_SAMPLES`` samples is a domain error, raised before any allocation.
     """
-    from scipy.integrate import solve_ivp
-
+    y0 = (state0.x1, state0.x2, state0.p1, state0.p2)
+    if not all(map(math.isfinite, y0)):
+        raise DomainError(f"initial state must be finite, got {y0}")
     if state0.r <= 0.0:
         raise RadiusError("initial state must have r > 0")
     if not math.isfinite(t_end) or t_end == 0.0:
@@ -316,56 +501,40 @@ def integrate(
     if n_samples > MAX_SAMPLES:
         raise DomainError(f"n_samples must be at most {MAX_SAMPLES}, got {n_samples}")
 
-    def hit_guard(t, y, _params):
-        return math.hypot(y[0], y[1]) - r_min_guard
-
-    hit_guard.terminal = True
-    hit_guard.direction = -1
-
-    def radial_turn(t, y, _params):
-        return y[0] * y[2] + y[1] * y[3]  # x.p, same zeros as rdot
+    def rhs(x1, x2, p1, p2):
+        return _rhs(x1, x2, p1, p2, params)
 
     # Local truncation errors accumulate to a few tens of the solver
     # tolerance over long spans; integrating two decades tighter keeps the
     # 10x drift contract on the returned trajectory with margin.
     rtol_eff = max(rel_tol * 1e-2, 2.5e-14)
-    sol = solve_ivp(
-        _rhs,
-        (0.0, t_end),
-        state0.as_array(),
-        method="DOP853",
-        rtol=rtol_eff,
-        atol=rtol_eff * 1e-2,
-        dense_output=True,
-        events=(hit_guard, radial_turn),
-        args=(params,),
-    )
-    if sol.status == 1:
-        raise SingularOrbitError(
-            f"orbit collapsed to r <= {r_min_guard:g} at t = {sol.t_events[0][0]:.6g}"
-        )
-    if not sol.success:
+    ts, ys, ks, status = _dop853(rhs, y0, t_end, rtol_eff, rtol_eff * 1e-2, r_min_guard)
+    if status < 0:
         # step-size underflow at vanishing radius is the collapse itself:
         # the time to the singularity drops below float spacing before the
-        # radius event can fire
-        r_final = math.hypot(sol.y[0, -1], sol.y[1, -1])
+        # radius guard can fire
+        r_final = math.hypot(ys[-4], ys[-3])
         if r_final <= max(1e-5, 1e3 * r_min_guard):
-            raise SingularOrbitError(
-                f"orbit collapsed to r = {r_final:.3g} at t = {sol.t[-1]:.6g}"
-            )
-        raise StiffnessError(f"integrator failed: {sol.message}")
+            raise SingularOrbitError(f"orbit collapsed to r = {r_final:.3g} at t = {ts[-1]:.6g}")
+        raise StiffnessError(
+            "integrator failed: Required step size is less than spacing between numbers."
+        )
+    step_y = np.frombuffer(ys).reshape(-1, 4).T
+    dense = DenseOutput(np.frombuffer(ts), step_y, np.frombuffer(ks).reshape(-1, 4, 13), rhs)
+    if status == 1:
+        t_hit = _bracketed_root(lambda t: np.hypot(*dense(t)[:2]) - r_min_guard, ts[-2], ts[-1])
+        raise SingularOrbitError(f"orbit collapsed to r <= {r_min_guard:g} at t = {t_hit:.6g}")
 
     # The accepted steps in increasing time.  theta is unwrapped in
     # integration order, so theta(0) is atan2 of the initial state.
     order = slice(None, None, 1 if t_end > 0.0 else -1)
-    step_t, step_y = sol.t[order], sol.y[:, order]
-    step_theta = np.unwrap(np.arctan2(sol.y[1], sol.y[0]))[order]
+    step_theta = np.unwrap(np.arctan2(step_y[1], step_y[0]))[order]
 
     t = np.linspace(0.0, t_end, n_samples)
-    y = sol.sol(t)
+    y = dense(t)
     x1, x2, p1, p2 = y
     r = np.hypot(x1, x2)
-    theta = _on_branch(np.arctan2(x2, x1), t, step_t, step_theta)
+    theta = _on_branch(np.arctan2(x2, x1), t, dense.bounds, step_theta)
     h = h_value(x1, x2, p1, p2, params)
     lz = lz_value(x1, x2, p1, p2)
 
@@ -387,34 +556,38 @@ def integrate(
         Lz=lz,
         params=params,
         rel_tol=rel_tol,
-        dense=sol.sol,
-        step_t=step_t,
+        dense=dense,
+        step_t=dense.bounds,
         step_theta=step_theta,
     )
-    traj.turning_points, traj.circular = _turning_points(traj, step_y, sol.t_events[1][order])
+    traj.turning_points, traj.circular = _turning_points(traj, step_y[:, order])
     return traj
 
 
 # --- turning points -------------------------------------------------------
 
-def _turning_points(traj: Trajectory, step_y: np.ndarray, roots: np.ndarray):
-    """(points, circular) from the solver's ascending x.p roots and its steps."""
+def _turning_points(traj: Trajectory, step_y: np.ndarray):
+    """(points, circular): the x.p roots on the solver's steps, which ``step_y`` holds ascending."""
     s = step_y[0] * step_y[2] + step_y[1] * step_y[3]
     speed = float(np.max(np.hypot(step_y[2], step_y[3])))
     if float(np.max(np.abs(s))) <= 1e-8 * max(1.0, speed * float(np.max(traj.r))):
         return [], True
-    # x.p on the steps either side of each root, in increasing time: rising
-    # through zero is a minimum of r, a perihelion
-    i = np.clip(np.searchsorted(traj.step_t, roots, side="right"), 1, len(s) - 1)
+    # one root of rdot (which has the sign of x.p) per step over which x.p
+    # changes sign, in increasing time: rising through zero is a minimum of
+    # r, a perihelion
+    j = np.flatnonzero((s[:-1] <= 0.0) & (s[1:] >= 0.0) | (s[:-1] >= 0.0) & (s[1:] <= 0.0))
+    roots = _bracketed_root(traj.rdot, traj.step_t[j], traj.step_t[j + 1])
+    y = traj.dense(roots)
+    rdot = np.abs(_rdot(y, traj.params.lam))
+    if roots.size and float(np.max(rdot)) > TURNING_RDOT_TOL:
+        raise AccuracyError(f"turning-point refinement left |rdot| = {float(np.max(rdot)):.3e}")
+    theta = _on_branch(np.arctan2(y[1], y[0]), roots, traj.step_t, traj.step_theta)
     points = []
-    for t_star, rising in zip(roots.tolist(), (s[i] > s[i - 1]).tolist()):
-        rdot = float(traj.rdot(t_star))
-        if abs(rdot) > TURNING_RDOT_TOL:
-            raise AccuracyError(f"turning-point refinement left |rdot| = {rdot:.3e}")
-        st = traj.state_at(t_star)
+    for t_star, col, th, rising in zip(roots.tolist(), y.T, theta.tolist(),
+                                       (s[j + 1] > s[j]).tolist()):
+        st = PhaseState.from_array(col)
         kind = TurningKind.PERIHELION if rising else TurningKind.APHELION
-        points.append(TurningPoint(t=t_star, state=st, kind=kind, r=st.r,
-                                   theta=traj.theta_at(t_star)))
+        points.append(TurningPoint(t=t_star, state=st, kind=kind, r=st.r, theta=th))
     return points, False
 
 
@@ -618,8 +791,6 @@ def closure_analysis(params: SystemParams, lz: float) -> ClosureResult:
 
 def state_at_theta(traj: Trajectory, theta_target: float) -> PhaseState:
     """Dense-output state where the unwrapped azimuth crosses theta_target."""
-    from scipy.optimize import brentq
-
     sign = 1.0 if traj.theta[-1] >= traj.theta[0] else -1.0  # Lz < 0 runs clockwise
     th = sign * traj.theta
     target = sign * theta_target
@@ -631,11 +802,6 @@ def state_at_theta(traj: Trajectory, theta_target: float) -> PhaseState:
     idx = int(np.searchsorted(th, target))
     if idx == 0:
         return traj.state_at(traj.t[0])
-    t_star = brentq(
-        lambda t: sign * traj.theta_at(t) - target,
-        traj.t[idx - 1],
-        traj.t[idx],
-        xtol=1e-13,
-        rtol=8.9e-16,
-    )
+    t_star = _bracketed_root(lambda t: sign * traj.theta_at(t) - target,
+                             traj.t[idx - 1], traj.t[idx])
     return traj.state_at(float(t_star))

@@ -18,18 +18,6 @@ class CurvatureError(DomainError):
     code = "ERR_NEGATIVE_CURVATURE"
 
 
-class FlatProjectionError(DomainError):
-    """Operation needs a genuine sphere; the flat plane has no embedding."""
-
-    code = "ERR_FLAT_PROJECTION"
-
-
-class ProjectionDomainError(DomainError):
-    """Point outside the open upper hemisphere (chi >= pi/2)."""
-
-    code = "ERR_OUTSIDE_HEMISPHERE"
-
-
 class RadiusError(DomainError):
     """Nonpositive radius where a singular potential is evaluated."""
 

@@ -182,6 +182,18 @@ def test_non_finite_t_end_rejected(command, t_end):
     assert proc.stderr.startswith("ERR_DOMAIN:")
 
 
+@pytest.mark.parametrize("flag,value,code", [
+    ("--px", "nan", "ERR_DOMAIN:"),
+    # p**2 overflows, the step size turns NaN, and that ends as a step underflow
+    ("--py", "1e200", "ERR_STIFF:"),
+])
+def test_non_finite_orbit_ends_with_code(flag, value, code):
+    proc = run_cli("orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1",
+                   "--t-end", "1", flag, value, timeout=30.0)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(code), proc.stderr
+
+
 def test_trajectory_samples_are_capped():
     # 10**12 samples would need terabytes; the cap rejects them before allocating
     proc = run_cli("orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
@@ -214,8 +226,10 @@ _BR_FLAGS = ["--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--samples
         (["brackets", *_BR_FLAGS, "--method", "analytic"], False),
         (["brackets", *_BR_FLAGS, "--method", "fd"], False),
         (["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--x", "1.6",
-          "--px", "0", "--py", "0.55", "--t-end", "20", "--out", "traj.csv"], True),
+          "--px", "0", "--py", "0.55", "--t-end", "20", "--out", "traj.csv"], False),
         (["spectrum", *_SP_FLAGS, "--numeric"], True),
+        (["turning", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--x", "1.6",
+          "--px", "0", "--py", "0.55", "--t-end", "20", "--out", "turning.json"], False),
     ],
 )
 def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):

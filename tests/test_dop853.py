@@ -1,0 +1,79 @@
+"""The in-module DOP853 stepper against scipy's ``solve_ivp``, the test-only oracle.
+
+``integrate`` steps Hairer's table on Python floats with scipy's step-size
+controller, so on the same problem it takes the same accepted steps as
+``solve_ivp(method="DOP853")``, its samples agree to rounding, and the x.p
+roots of its interpolant are the oracle's event times.
+"""
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as reference
+
+from screened_sphere import dynamics
+from screened_sphere.dynamics import (
+    PhaseState,
+    SystemKind,
+    SystemParams,
+    TurningKind,
+    equations_of_motion,
+    integrate,
+)
+
+
+def test_table_equals_scipy_coefficients():
+    for s in range(1, reference.N_STAGES_EXTENDED):
+        assert dynamics._A[s] == tuple(reference.A[s, :s]), s
+    assert dynamics._A[reference.N_STAGES] == tuple(reference.B)
+    assert dynamics._E3 == tuple(reference.E3)
+    assert dynamics._E5 == tuple(reference.E5)
+    assert np.array_equal(np.array(dynamics._D, dtype=float), reference.D)
+
+
+def _oracle(state0, params, t_end, rel_tol):
+    """solve_ivp with integrate's tolerances and its x.p event."""
+    rtol = max(rel_tol * 1e-2, 2.5e-14)
+
+    def radial_turn(t, y):
+        return y[0] * y[2] + y[1] * y[3]
+
+    return solve_ivp(
+        lambda t, y: equations_of_motion(PhaseState.from_array(y), params),
+        (0.0, t_end), state0.as_array(), method="DOP853", rtol=rtol, atol=rtol * 1e-2,
+        dense_output=True, events=radial_turn,
+    )
+
+
+BACKWARD = (PhaseState(1.6, 0.0, 0.1, 0.55), SystemParams(SystemKind.COULOMB, 0.1, 0.05), -20.0)
+
+
+@pytest.fixture(params=["coulomb", "oscillator", "backward"])
+def orbit(request, coulomb_orbit, coulomb_params, oscillator_orbit, oscillator_params):
+    """(trajectory, initial state, params, t_end, rel_tol) of each checked orbit."""
+    if request.param == "coulomb":
+        return coulomb_orbit, PhaseState(1.6, 0.0, 0.0, 0.55), coulomb_params, 70.0, 1e-10
+    if request.param == "oscillator":
+        return oscillator_orbit, PhaseState(1.5, 0.0, 0.0, 0.6), oscillator_params, 40.0, 1e-10
+    state0, params, t_end = BACKWARD
+    return integrate(state0, params, t_end, 1e-10), state0, params, t_end, 1e-10
+
+
+def test_steps_samples_and_turning_points_match_solve_ivp(orbit):
+    traj, state0, params, t_end, rel_tol = orbit
+    sol = _oracle(state0, params, t_end, rel_tol)
+    assert sol.status == 0
+    assert len(traj.step_t) == len(sol.t)
+    assert np.max(np.abs(traj.states.T - sol.sol(traj.t))) < 10.0 * rel_tol
+
+    roots = np.sort(sol.t_events[0])
+    points = traj.turning_points
+    assert len(points) == len(roots) > 0
+    assert np.max(np.abs(np.array([p.t for p in points]) - roots)) < 1e-11
+    # the oracle's kind: x.p rising through its root in increasing time is a perihelion
+    for p, t_root in zip(points, roots):
+        y_before, y_after = sol.sol(t_root - 1e-6), sol.sol(t_root + 1e-6)
+        rising = y_after[0] * y_after[2] + y_after[1] * y_after[3] > (
+            y_before[0] * y_before[2] + y_before[1] * y_before[3])
+        assert p.kind is (TurningKind.PERIHELION if rising else TurningKind.APHELION)
+

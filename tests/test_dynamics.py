@@ -1,6 +1,7 @@
 """Orbit integration, closed forms, turning points, closure."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.optimize import brentq
 from screened_sphere.conserved import HAMILTONIAN, finite_difference_gradient, sample_states
 from screened_sphere.dynamics import (
     MAX_SAMPLES,
+    R_MIN_GUARD,
     OrbitShape,
     PhaseState,
     SystemKind,
@@ -141,10 +143,25 @@ def test_integrate_runs_backward():
     assert np.allclose(backward.states[-1], [0.0, -1.0, 1.0, 0.0], atol=1e-8)
 
 
-def test_radial_infall_hits_guard():
+def test_screened_radial_infall_underflows_the_step():
+    # -k/r**2 makes the fall reach r = 0 in finite time with unbounded
+    # speed: the step size underflows before r reaches the guard
     params = SystemParams(SystemKind.COULOMB, 0.0, 0.05)
-    with pytest.raises(SingularOrbitError):
+    with pytest.raises(SingularOrbitError) as exc:
         integrate(PhaseState(1.0, 0.0, -0.5, 0.0), params, t_end=50.0, rel_tol=1e-10)
+    match = re.fullmatch(r"orbit collapsed to r = (\S+) at t = (\S+)", str(exc.value))
+    assert match, str(exc.value)
+    assert R_MIN_GUARD < float(match[1]) <= 1e-5
+    assert float(match[2]) == pytest.approx(0.719575, abs=1e-6)
+
+
+def test_radial_infall_hits_guard():
+    params = SystemParams(SystemKind.COULOMB, 0.0, 0.0)
+    with pytest.raises(SingularOrbitError) as exc:
+        integrate(PhaseState(1.0, 0.0, -0.5, 0.0), params, t_end=50.0, rel_tol=1e-10)
+    match = re.fullmatch(r"orbit collapsed to r <= 1e-08 at t = (\S+)", str(exc.value))
+    assert match, str(exc.value)
+    assert float(match[1]) == pytest.approx(0.759134, abs=1e-6)
 
 
 def test_trajectory_csv_header_and_precision():
