@@ -1,117 +1,85 @@
-"""Gnomonic projection: embedding constraint, round trips, flat limit."""
+"""The gnomonic chart behind the Hamiltonian: embedding, pole, flat limit, curvature domain.
+
+The chart maps (x1, x2) onto the sphere q1**2 + q2**2 + q0**2 = 1/lam by
+
+    (q1, q2, q0) = (x1, x2, 1/sqrt(lam)) / sqrt(1 + lam*r**2)
+
+(see the ``dynamics`` module docstring); the kinetic term of H must be
+the free motion on that sphere.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from screened_sphere.errors import CurvatureError, FlatProjectionError, ProjectionDomainError
-from screened_sphere.geometry import (
-    Curvature,
-    GnomonicPoint,
-    SpherePoint,
-    embed,
-    from_spherical,
-    to_spherical,
+from screened_sphere.dynamics import (
+    PhaseState,
+    SystemKind,
+    SystemParams,
+    check_lam_k,
+    equations_of_motion,
+    h_gradient,
+    h_value,
+    integrate,
+    pi_vector,
+    potential,
 )
+from screened_sphere.errors import CurvatureError
 
 
-def test_embed_unit_curvature():
-    q1, q2, q0 = embed(GnomonicPoint(1.0, 0.0), Curvature(1.0))
-    assert q1 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
-    assert q2 == 0.0
-    assert q0 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
-
-
-def test_embed_pole():
-    assert embed(GnomonicPoint(0.0, 0.0), Curvature(1.0)) == (0.0, 0.0, 1.0)
+def _embed_with_velocity(x, xdot, lam):
+    """Embedded point q and its velocity qdot for chart position x moving at xdot."""
+    s = 1.0 / math.sqrt(1.0 + lam * (x @ x))
+    q = np.array([x[0] * s, x[1] * s, s / math.sqrt(lam)])
+    ds = -lam * s**3 * (x @ xdot)
+    qdot = np.array([xdot[0] * s + x[0] * ds, xdot[1] * s + x[1] * ds, ds / math.sqrt(lam)])
+    return q, qdot
 
 
 def test_embed_constraint_random():
     rng = np.random.default_rng(42)
-    c = Curvature(0.25)
+    params = SystemParams(SystemKind.COULOMB, lam=0.25, k=0.05)
     for _ in range(1000):
         x1, x2 = rng.uniform(-20.0, 20.0, size=2)
-        q1, q2, q0 = embed(GnomonicPoint(x1, x2), c)
-        assert abs(q0 * q0 + q1 * q1 + q2 * q2 - 4.0) < 1e-12
+        p1, p2 = rng.uniform(-2.0, 2.0, size=2)
+        xdot = np.array(h_gradient(x1, x2, p1, p2, params)[2:])  # dH/dp
+        q, qdot = _embed_with_velocity(np.array([x1, x2]), xdot, params.lam)
+        # the chart lands on the sphere and Hamilton's velocity stays tangent to it
+        assert abs(q @ q - 4.0) < 1e-12
+        assert abs(q @ qdot) < 1e-12 * (1.0 + np.linalg.norm(qdot))
+        # the kinetic term of H is the free kinetic energy on the sphere
+        kinetic = h_value(x1, x2, p1, p2, params) - potential(math.hypot(x1, x2), params)
+        assert 0.5 * (qdot @ qdot) == pytest.approx(kinetic, rel=1e-11, abs=1e-13)
 
 
-def test_from_spherical_values():
-    c = Curvature(0.25)  # R = 2
-    p = from_spherical(SpherePoint(chi=math.pi / 3.0, theta=0.0, curvature=c))
-    assert p.x1 == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-15)
-    assert p.x2 == 0.0
-
-    p = from_spherical(SpherePoint(chi=math.pi / 4.0, theta=0.0, curvature=Curvature(1.0)))
-    assert p.r == pytest.approx(1.0, rel=1e-15)
-
-
-def test_pole_maps_to_origin():
-    p = from_spherical(SpherePoint(chi=0.0, theta=1.3, curvature=Curvature(0.5)))
-    assert p.r == 0.0
-
-
-def test_equator_divergence():
-    c = Curvature(1.0)
-    p = from_spherical(SpherePoint(chi=math.pi / 2.0 - 1e-9, theta=0.0, curvature=c))
-    assert math.isfinite(p.r)
-    assert p.r > 1e8 * c.radius
-    with pytest.raises(ProjectionDomainError):
-        SpherePoint(chi=math.pi / 2.0, theta=0.0, curvature=c)
-
-
-def test_round_trip_random():
-    rng = np.random.default_rng(7)
-    c = Curvature(0.37)
-    for _ in range(1000):
-        x1, x2 = rng.uniform(-15.0, 15.0, size=2)
-        p = GnomonicPoint(x1, x2)
-        back = from_spherical(to_spherical(p, c))
-        assert abs(back.x1 - x1) < 1e-12 * max(1.0, abs(x1))
-        assert abs(back.x2 - x2) < 1e-12 * max(1.0, abs(x2))
-
-
-def test_spherical_round_trip_random():
-    rng = np.random.default_rng(8)
-    c = Curvature(2.0)
-    for _ in range(500):
-        chi = rng.uniform(0.0, math.pi / 2.0 - 1e-3)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        s = SpherePoint(chi=chi, theta=theta, curvature=c)
-        s2 = to_spherical(from_spherical(s), c)
-        assert abs(s2.chi - chi) < 1e-12
-        assert abs((s2.theta - theta + math.pi) % (2.0 * math.pi) - math.pi) < 1e-12
-
-
-def test_embedded_point_matches_spherical_angles():
-    # q = (R sin(chi) cos(theta), R sin(chi) sin(theta), R cos(chi))
-    c = Curvature(0.25)
-    p = GnomonicPoint(1.7, -2.3)
-    q1, q2, q0 = embed(p, c)
-    s = to_spherical(p, c)
-    R = c.radius
-    assert q1 == pytest.approx(R * math.sin(s.chi) * math.cos(s.theta), rel=1e-13)
-    assert q2 == pytest.approx(R * math.sin(s.chi) * math.sin(s.theta), rel=1e-13)
-    assert q0 == pytest.approx(R * math.cos(s.chi), rel=1e-13)
+def test_embed_pole():
+    # the chart touches the sphere at the pole, so there the metric is Euclidean
+    for lam in (0.0, 0.25, 4.0):
+        assert pi_vector(PhaseState(0.0, 0.0, 0.3, -1.2), lam) == (0.3, -1.2)
+        params = SystemParams(SystemKind.OSCILLATOR, lam=lam)
+        x1dot, x2dot, _, _ = equations_of_motion(PhaseState(1e-9, 0.0, 0.3, -1.2), params)
+        assert x1dot == pytest.approx(0.3, rel=1e-15)
+        assert x2dot == pytest.approx(-1.2, rel=1e-15)
 
 
 def test_flat_limit():
-    c = Curvature(1e-12)
+    flat = SystemParams(SystemKind.COULOMB, lam=0.0, k=0.05)
+    tiny = SystemParams(SystemKind.COULOMB, lam=1e-12, k=0.05)
     for x1, x2 in ((0.4, -1.1), (3.0, 2.0)):
-        q1, q2, _ = embed(GnomonicPoint(x1, x2), c)
-        assert abs(q1 - x1) < 1e-10
-        assert abs(q2 - x2) < 1e-10
-
-
-def test_flat_curvature_rejected():
-    flat = Curvature(0.0)
-    with pytest.raises(FlatProjectionError):
-        embed(GnomonicPoint(1.0, 0.0), flat)
-    with pytest.raises(FlatProjectionError):
-        to_spherical(GnomonicPoint(1.0, 0.0), flat)
+        assert h_value(x1, x2, 0.2, 0.7, tiny) == pytest.approx(
+            h_value(x1, x2, 0.2, 0.7, flat), abs=1e-10)
+        assert h_gradient(x1, x2, 0.2, 0.7, tiny) == pytest.approx(
+            h_gradient(x1, x2, 0.2, 0.7, flat), abs=1e-10)
+    state0 = PhaseState(1.6, 0.0, 0.0, 0.55)
+    a = integrate(state0, flat, t_end=20.0)
+    b = integrate(state0, tiny, t_end=20.0)
+    assert np.max(np.abs(a.states - b.states)) < 1e-8
 
 
 def test_negative_curvature_rejected():
     for bad in (-0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(CurvatureError):
-            Curvature(bad)
+            check_lam_k(bad)
+        with pytest.raises(CurvatureError):
+            SystemParams(SystemKind.COULOMB, lam=bad)
