@@ -32,8 +32,10 @@ so r = tan(chi)/sqrt(lam) for the polar angle chi, and the chart covers
 the open upper hemisphere (the equator maps to r = infinity).
 
 Orbits are integrated by DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-II.10) stepped on Python floats; only ``fit_theta0`` imports scipy (on
-first use), so integrating an orbit loads none of it.
+II.10), at most ``MAX_STEPS`` steps, on Python floats; only ``fit_theta0``
+imports scipy.  The step is straight-line code written at import from the
+table: it skips zero coefficients and sums left to right from 0.0 as Python
+3.11's ``sum(map(mul, a, k))`` does; on finite stages it is that loop bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -57,6 +58,7 @@ from .errors import (
     OrbitDomainError,
     RadiusError,
     SingularOrbitError,
+    StepBudgetError,
     StiffnessError,
 )
 
@@ -64,6 +66,7 @@ TWO_PI = 2.0 * math.pi
 
 R_MIN_GUARD = 1e-8          # terminate near-collision orbits
 MAX_SAMPLES = 10**6         # cap on recorded trajectory samples, checked before allocating
+MAX_STEPS = 2 * 10**5       # cap on accepted solver steps (~0.46 kB each)
 RATIONAL_TOL = 1e-9         # |alpha - p/q| below this counts as rational
 MAX_DENOMINATOR = 64        # continued-fraction denominator cap
 TURNING_RDOT_TOL = 1e-10    # refined |rdot| bound at a turning point
@@ -226,7 +229,7 @@ def equations_of_motion(
 
 
 def _rhs(x1, x2, p1, p2, params: SystemParams):
-    """J times the gradient of H, on Python floats (the stepper) or arrays (dense output)."""
+    """J times the gradient of H, on Python floats or on arrays (dense output)."""
     hx1, hx2, hp1, hp2 = h_gradient(x1, x2, p1, p2, params)
     return hp1, hp2, -hx1, -hx2
 
@@ -354,19 +357,37 @@ _D = (
 )
 
 
-def _dop853(fun, y, t_end: float, rtol: float, atol: float, r_min: float):
-    """DOP853 steps of y' = fun(*y) from t = 0 to ``t_end`` under scipy's step controller.
+def _step_source() -> str:
+    """Source of ``_step(y, f, h, params, atol, rtol)``: new state, stage derivatives, err5, err3."""
+    def dot(row, c):
+        return "(0.0" + "".join(f" + {a!r} * k{c}_{j}" for j, a in enumerate(row) if a) + ")"
+    src = ["def _step(y, f, h, params, atol, rtol):", "y1, y2, y3, y4 = y", "k1_0, k2_0, k3_0, k4_0 = f"]
+    for s, row in enumerate(_A[1:13], 1):
+        src += ["n1, n2, n3, n4 = " + ", ".join(f"y{c} + {dot(row, c)} * h" for c in range(1, 5)),
+                f"g1, g2, k1_{s}, k2_{s} = h_gradient(n1, n2, n3, n4, params)", f"k3_{s}, k4_{s} = -g1, -g2"]
+    src += [f"sc{c} = atol + max(abs(y{c}), abs(n{c})) * rtol" for c in range(1, 5)]
+    src += [f"err{n} = " + " + ".join(f"({dot(e, c)} / sc{c}) ** 2" for c in range(1, 5))
+            for n, e in ((5, _E5), (3, _E3))]
+    ks = ", ".join(f"k{c}_{j}" for c in range(1, 5) for j in range(13))
+    return "\n    ".join(src + [f"return (n1, n2, n3, n4), ({ks}), err5, err3"])
+
+
+exec(_step_source())  # defines _step
+
+
+def _dop853(y, params: SystemParams, t_end: float, rtol: float, atol: float, r_min: float):
+    """DOP853 steps of Hamilton's equations from t = 0 to ``t_end`` under scipy's step controller.
 
     Returns the accepted step times and states, each step's 13 stage
     derivatives (flat, component-major) and a status: 0 at ``t_end``, 1 once
     r falls through ``r_min`` (that step is kept), -1 on step-size underflow.
     """
     direction = 1.0 if t_end > 0.0 else -1.0
-    f = fun(*y)
+    f = _rhs(*y, params)
     scale = [atol + abs(v) * rtol for v in y]
     d0, d1 = (math.hypot(*(v / sc for v, sc in zip(w, scale))) / 2.0 for w in (y, f))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t_end))
-    f1 = fun(*(v + h0 * direction * dv for v, dv in zip(y, f)))
+    f1 = _rhs(*(v + h0 * direction * dv for v, dv in zip(y, f)), params)
     d2 = math.hypot(*((b - a) / sc for a, b, sc in zip(f, f1, scale))) / 2.0 / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100.0 * h0, h1, abs(t_end))
@@ -374,6 +395,8 @@ def _dop853(fun, y, t_end: float, rtol: float, atol: float, r_min: float):
     t, g = 0.0, math.hypot(y[0], y[1]) - r_min
     ts, ys, ks = array("d", [t]), array("d", y), array("d")
     while direction * (t - t_end) < 0.0:
+        if len(ts) > MAX_STEPS:
+            raise StepBudgetError(f"more than {MAX_STEPS} solver steps; stopped at t = {t:.6g}")
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -385,19 +408,7 @@ def _dop853(fun, y, t_end: float, rtol: float, atol: float, r_min: float):
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            # row 12 of A is B: its "stage" is the new state and its derivative the FSAL one
-            y1, y2, y3, y4 = y
-            k = k1, k2, k3, k4 = [f[0]], [f[1]], [f[2]], [f[3]]
-            for a in _A[1:13]:
-                y_new = (y1 + sum(map(mul, a, k1)) * h, y2 + sum(map(mul, a, k2)) * h,
-                         y3 + sum(map(mul, a, k3)) * h, y4 + sum(map(mul, a, k4)) * h)
-                for kv, v in zip(k, fun(*y_new)):
-                    kv.append(v)
-            err5 = err3 = 0.0
-            for v, w, kv in zip(y, y_new, k):
-                sc = atol + max(abs(v), abs(w)) * rtol
-                err5 += (sum(map(mul, _E5, kv)) / sc) ** 2
-                err3 += (sum(map(mul, _E3, kv)) / sc) ** 2
+            y_new, k, err5, err3 = _step(y, f, h, params, atol, rtol)
             err = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 4) if err5 or err3 else 0.0
             if err < 1.0:
                 factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
@@ -405,11 +416,10 @@ def _dop853(fun, y, t_end: float, rtol: float, atol: float, r_min: float):
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.125)
             rejected = True
-        t, y, f = t_new, y_new, (k1[-1], k2[-1], k3[-1], k4[-1])
+        t, y, f = t_new, y_new, k[12::13]
         ts.append(t)
         ys.extend(y)
-        for kv in k:
-            ks.extend(kv)
+        ks.extend(k)
         g, g_old = math.hypot(y[0], y[1]) - r_min, g
         if g_old >= 0.0 >= g:
             return ts, ys, ks, 1
@@ -425,11 +435,11 @@ class DenseOutput:
     there in integration order, as scipy's ``OdeSolution`` does.
     """
 
-    def __init__(self, t, y, k, rhs):
+    def __init__(self, t, y, k, params: SystemParams):
         h = np.diff(t)
         k = np.concatenate((k, np.empty(k.shape[:2] + (3,))), axis=2)
         for s in (13, 14, 15):
-            k[:, :, s] = np.transpose(rhs(*(y[:, :-1] + (k[:, :, :s] @ _A[s]).T * h)))
+            k[:, :, s] = np.transpose(_rhs(*(y[:, :-1] + (k[:, :, :s] @ _A[s]).T * h), params))
         dy = y[:, 1:] - y[:, :-1]
         f_old, f_new = k[:, :, 0].T, k[:, :, 12].T
         F = np.stack([dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old),
@@ -492,6 +502,8 @@ def integrate(
         raise DomainError(f"initial state must be finite, got {y0}")
     if state0.r <= 0.0:
         raise RadiusError("initial state must have r > 0")
+    if state0.r <= r_min_guard:
+        raise SingularOrbitError(f"initial r = {state0.r:.3g} is at or below the guard {r_min_guard:g}")
     if not math.isfinite(t_end) or t_end == 0.0:
         raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
     if not 1e-13 <= rel_tol <= 1e-6:
@@ -501,14 +513,11 @@ def integrate(
     if n_samples > MAX_SAMPLES:
         raise DomainError(f"n_samples must be at most {MAX_SAMPLES}, got {n_samples}")
 
-    def rhs(x1, x2, p1, p2):
-        return _rhs(x1, x2, p1, p2, params)
-
     # Local truncation errors accumulate to a few tens of the solver
     # tolerance over long spans; integrating two decades tighter keeps the
     # 10x drift contract on the returned trajectory with margin.
     rtol_eff = max(rel_tol * 1e-2, 2.5e-14)
-    ts, ys, ks, status = _dop853(rhs, y0, t_end, rtol_eff, rtol_eff * 1e-2, r_min_guard)
+    ts, ys, ks, status = _dop853(y0, params, t_end, rtol_eff, rtol_eff * 1e-2, r_min_guard)
     if status < 0:
         # step-size underflow at vanishing radius is the collapse itself:
         # the time to the singularity drops below float spacing before the
@@ -520,7 +529,7 @@ def integrate(
             "integrator failed: Required step size is less than spacing between numbers."
         )
     step_y = np.frombuffer(ys).reshape(-1, 4).T
-    dense = DenseOutput(np.frombuffer(ts), step_y, np.frombuffer(ks).reshape(-1, 4, 13), rhs)
+    dense = DenseOutput(np.frombuffer(ts), step_y, np.frombuffer(ks).reshape(-1, 4, 13), params)
     if status == 1:
         t_hit = _bracketed_root(lambda t: np.hypot(*dense(t)[:2]) - r_min_guard, ts[-2], ts[-1])
         raise SingularOrbitError(f"orbit collapsed to r <= {r_min_guard:g} at t = {t_hit:.6g}")

@@ -54,6 +54,12 @@ class StiffnessError(DomainError):
     code = "ERR_STIFF"
 
 
+class StepBudgetError(DomainError):
+    """Adaptive integrator needed more than its cap on accepted steps."""
+
+    code = "ERR_STEP_BUDGET"
+
+
 class AccuracyError(DomainError):
     """A conservation or resolution bound was violated."""
 

@@ -186,12 +186,22 @@ def test_non_finite_t_end_rejected(command, t_end):
     ("--px", "nan", "ERR_DOMAIN:"),
     # p**2 overflows, the step size turns NaN, and that ends as a step underflow
     ("--py", "1e200", "ERR_STIFF:"),
+    # r**2 underflows in the gradient; the start is refused below the radius guard
+    ("--x", "1e-300", "ERR_SINGULAR_ORBIT:"),
 ])
 def test_non_finite_orbit_ends_with_code(flag, value, code):
     proc = run_cli("orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1",
                    "--t-end", "1", flag, value, timeout=30.0)
     assert proc.returncode == 3
     assert proc.stderr.startswith(code), proc.stderr
+
+
+def test_long_fast_orbit_hits_the_step_cap():
+    # ~770 steps per time unit over 1e6 time units: the step cap ends it within seconds
+    proc = run_cli("orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1",
+                   "--t-end", "1e6", "--tol", "1e-6", "--lambda", "100", timeout=60.0)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("ERR_STEP_BUDGET:"), proc.stderr
 
 
 def test_trajectory_samples_are_capped():

@@ -6,6 +6,8 @@ controller, so on the same problem it takes the same accepted steps as
 roots of its interpolant are the oracle's event times.
 """
 
+from operator import mul
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -29,6 +31,52 @@ def test_table_equals_scipy_coefficients():
     assert dynamics._E3 == tuple(reference.E3)
     assert dynamics._E5 == tuple(reference.E5)
     assert np.array_equal(np.array(dynamics._D, dtype=float), reference.D)
+
+
+def _dot(row, k):
+    """sum(map(mul, row, k)) as Python 3.11 adds it: left to right from 0.0 (3.12 compensates)."""
+    total = 0.0
+    for v in map(mul, row, k):
+        total += v
+    return total
+
+
+def _reference_step(y, f, h, params, atol, rtol):
+    """One step as the loop over the table: one weighted sum per row of A, E5 and E3."""
+    k = [[v] for v in f]
+    for row in dynamics._A[1:13]:
+        y_new = [v + _dot(row, kv) * h for v, kv in zip(y, k)]
+        for kv, d in zip(k, equations_of_motion(PhaseState(*y_new), params)):
+            kv.append(d)
+    err5 = err3 = 0.0
+    for v, w, kv in zip(y, y_new, k):
+        sc = atol + max(abs(v), abs(w)) * rtol
+        err5 += (_dot(dynamics._E5, kv) / sc) ** 2
+        err3 += (_dot(dynamics._E3, kv) / sc) ** 2
+    return tuple(y_new), tuple(d for kv in k for d in kv), err5, err3
+
+
+def _bits(step):
+    y_new, k, err5, err3 = step
+    return [float(v).hex() for v in (*y_new, *k, err5, err3)]
+
+
+@pytest.mark.parametrize("kind", list(SystemKind))
+def test_generated_step_is_the_table_loop_bit_for_bit(kind):
+    params = SystemParams(kind, lam=0.3, k=0.05)
+    rng = np.random.default_rng(853)
+    # radial starts with -0.0 y-components, where sum's 0.0 start sets the sign of zero
+    cases = [((1.2, -0.0, 0.4, -0.0), 0.05, 1e-12), ((1.2, -0.0, 0.4, -0.0), -0.05, 1e-12)]
+    for _ in range(50):
+        r, a = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * np.pi)
+        p1, p2 = rng.uniform(-1.0, 1.0, 2)
+        h = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, -1.0)
+        y = tuple(map(float, (r * np.cos(a), r * np.sin(a), p1, p2)))
+        cases.append((y, float(h), 10.0 ** rng.uniform(-14.0, -8.0)))
+    for y, h, rtol in cases:
+        f = equations_of_motion(PhaseState(*y), params)
+        step = dynamics._step(y, f, h, params, rtol * 1e-2, rtol)
+        assert _bits(step) == _bits(_reference_step(y, f, h, params, rtol * 1e-2, rtol)), (y, h)
 
 
 def _oracle(state0, params, t_end, rel_tol):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from screened_sphere import dynamics
 from screened_sphere.conserved import HAMILTONIAN, finite_difference_gradient, sample_states
 from screened_sphere.dynamics import (
     MAX_SAMPLES,
@@ -36,6 +37,7 @@ from screened_sphere.errors import (
     OrbitDomainError,
     RadiusError,
     SingularOrbitError,
+    StepBudgetError,
 )
 
 FLAT_KEPLER = SystemParams(SystemKind.COULOMB, 0.0, 0.0)
@@ -134,6 +136,16 @@ def test_integrate_caps_samples():
     with pytest.raises(DomainError) as exc:
         integrate(PhaseState(1.0, 0.0, 0.0, 1.0), FLAT_KEPLER, 1.0, n_samples=MAX_SAMPLES + 1)
     assert exc.value.code == "ERR_DOMAIN"
+
+
+def test_integrate_caps_steps(monkeypatch, coulomb_params):
+    # the fixture orbit takes ~2e4 steps to t_end = 2000; a cap of 1000 stops it on the way
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 1000)
+    with pytest.raises(StepBudgetError) as exc:
+        integrate(PhaseState(1.6, 0.0, 0.0, 0.55), coulomb_params, 2000.0, rel_tol=1e-10)
+    assert exc.value.code == "ERR_STEP_BUDGET"
+    match = re.fullmatch(r"more than 1000 solver steps; stopped at t = (\S+)", str(exc.value))
+    assert 0.0 < float(match[1]) < 2000.0
 
 
 def test_integrate_runs_backward():
