@@ -36,6 +36,8 @@ II.10), at most ``MAX_STEPS`` steps, on Python floats; only ``fit_theta0``
 imports scipy.  The step is straight-line code written at import from the
 table: it skips zero coefficients and sums left to right from 0.0 as Python
 3.11's ``sum(map(mul, a, k))`` does; on finite stages it is that loop bit for bit.
+Each stage runs the source text of ``h_gradient`` inline, so the gradient has one
+definition and no call.  ``Trajectory.to_csv`` formats a block of rows per ``%``.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ MAX_STEPS = 2 * 10**5       # cap on accepted solver steps (~0.46 kB each)
 RATIONAL_TOL = 1e-9         # |alpha - p/q| below this counts as rational
 MAX_DENOMINATOR = 64        # continued-fraction denominator cap
 TURNING_RDOT_TOL = 1e-10    # refined |rdot| bound at a turning point
+_CSV_BLOCK = 4096           # trajectory rows formatted by one % operation
 
 
 class SystemKind(str, Enum):
@@ -191,25 +194,25 @@ def h_value(x1, x2, p1, p2, params: SystemParams):
     )
 
 
-def h_gradient(x1, x2, p1, p2, params: SystemParams):
-    """Phase-space gradient of H; Hamilton's equations are J times it."""
-    lam = params.lam
-    r2 = x1 * x1 + x2 * x2
-    r = kernel_sqrt(r2)
-    s = x1 * p1 + x2 * p2
-    a = 1.0 + lam * r2
-    psq = p1 * p1 + p2 * p2
-    dvdr = (1.0 / r2 if params.kind is SystemKind.COULOMB else r) + 2.0 * params.k / (r2 * r)
-    # dH/dx_i = lam*x_i*(p**2 + lam*s**2) + a*lam*s*p_i + V'(r)*x_i/r
-    common = lam * (psq + lam * s * s)
-    radial = dvdr / r
-    pi1, pi2 = pi_components(x1, x2, p1, p2, lam)
-    return (
-        x1 * common + a * lam * s * p1 + radial * x1,
-        x2 * common + a * lam * s * p2 + radial * x2,
-        a * pi1,
-        a * pi2,
-    )
+# The gradient of H as source text, the one definition that h_gradient and each
+# stage of the generated DOP853 step (_step_source) are built from, so a stage
+# derivative is h_gradient's bit for bit: a line reading the system from
+# ``params``, lines on (x1, x2, p1, p2) that call a local ``sqrt``, and the
+# four components dH/dx_i = lam*x_i*(p**2 + lam*s**2) + a*lam*s*p_i + V'(r)*x_i/r,
+# dH/dp_i = a*pi_i with a = 1 + lam*r**2.
+_H_PARAMS = "lam, two_k, coulomb = params.lam, 2.0 * params.k, params.kind is SystemKind.COULOMB"
+_H_LINES = (
+    "r2 = x1 * x1 + x2 * x2", "r = sqrt(r2)", "s = x1 * p1 + x2 * p2", "a = 1.0 + lam * r2",
+    "ls = lam * s", "common = lam * (p1 * p1 + p2 * p2 + ls * s)", "als = a * lam * s",
+    "radial = ((1.0 / r2 if coulomb else r) + two_k / (r2 * r)) / r",
+)
+_H_GRAD = ("x1 * common + als * p1 + radial * x1", "x2 * common + als * p2 + radial * x2",
+           "a * (p1 + ls * x1)", "a * (p2 + ls * x2)")
+
+exec("\n    ".join((  # defines h_gradient
+    "def h_gradient(x1, x2, p1, p2, params):",
+    '"""Phase-space gradient of H on floats or arrays; Hamilton\'s equations are J times it."""',
+    _H_PARAMS, "sqrt = kernel_sqrt", *_H_LINES, "return " + ", ".join(_H_GRAD))))
 
 
 def hamiltonian(state: PhaseState, params: SystemParams) -> float:
@@ -223,8 +226,8 @@ def equations_of_motion(
     state: PhaseState, params: SystemParams
 ) -> tuple[float, float, float, float]:
     """Hamilton's equations (x1dot, x2dot, p1dot, p2dot) from analytic gradients."""
-    if state.r <= 0.0:
-        raise RadiusError("equations of motion require r > 0")
+    if not state.x1 * state.x1 + state.x2 * state.x2 > 0.0:  # r**2 can underflow at r > 0
+        raise RadiusError("equations of motion require r**2 > 0")
     return _rhs(state.x1, state.x2, state.p1, state.p2, params)
 
 
@@ -275,9 +278,12 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """CSV export, header ``t,x1,x2,p1,p2,r,theta,H,Lz``, 17 significant digits."""
-        table = np.column_stack((self.t, self.states, self.r, self.theta, self.H, self.Lz))
-        row = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
-        return "t,x1,x2,p1,p2,r,theta,H,Lz\n" + "".join(row.format(*v) for v in table.tolist())
+        columns = (self.t, self.states, self.r, self.theta, self.H, self.Lz)
+        blocks = (np.column_stack([c[i:i + _CSV_BLOCK] for c in columns])
+                  for i in range(0, len(self.t), _CSV_BLOCK))
+        row = ",".join(["%.17g"] * 9) + "\n"  # the bytes of "{:.17g}", -0 included
+        return "".join(["t,x1,x2,p1,p2,r,theta,H,Lz\n",
+                        *(row * len(b) % tuple(b.ravel().tolist()) for b in blocks)])
 
 
 def _rdot(y, lam: float):
@@ -358,18 +364,24 @@ _D = (
 
 
 def _step_source() -> str:
-    """Source of ``_step(y, f, h, params, atol, rtol)``: new state, stage derivatives, err5, err3."""
+    """Source of ``_step(y, f, h, params, atol, rtol)``: new state, stage derivatives, err5, err3.
+
+    Each stage runs the gradient text of ``h_gradient`` inline and applies J itself.
+    """
     def dot(row, c):
         return "(0.0" + "".join(f" + {a!r} * k{c}_{j}" for j, a in enumerate(row) if a) + ")"
-    src = ["def _step(y, f, h, params, atol, rtol):", "y1, y2, y3, y4 = y", "k1_0, k2_0, k3_0, k4_0 = f"]
+    names = ("x1", "x2", "p1", "p2")
+    hx1, hx2, hp1, hp2 = _H_GRAD
+    src = ["def _step(y, f, h, params, atol, rtol):", _H_PARAMS, "sqrt = math.sqrt",
+           "y1, y2, y3, y4 = y", "k1_0, k2_0, k3_0, k4_0 = f"]
     for s, row in enumerate(_A[1:13], 1):
-        src += ["n1, n2, n3, n4 = " + ", ".join(f"y{c} + {dot(row, c)} * h" for c in range(1, 5)),
-                f"g1, g2, k1_{s}, k2_{s} = h_gradient(n1, n2, n3, n4, params)", f"k3_{s}, k4_{s} = -g1, -g2"]
-    src += [f"sc{c} = atol + max(abs(y{c}), abs(n{c})) * rtol" for c in range(1, 5)]
+        src += [f"{v} = y{c} + {dot(row, c)} * h" for c, v in enumerate(names, 1)]
+        src += [*_H_LINES, f"k1_{s}, k2_{s}, k3_{s}, k4_{s} = {hp1}, {hp2}, -({hx1}), -({hx2})"]
+    src += [f"sc{c} = atol + max(abs(y{c}), abs({v})) * rtol" for c, v in enumerate(names, 1)]
     src += [f"err{n} = " + " + ".join(f"({dot(e, c)} / sc{c}) ** 2" for c in range(1, 5))
             for n, e in ((5, _E5), (3, _E3))]
     ks = ", ".join(f"k{c}_{j}" for c in range(1, 5) for j in range(13))
-    return "\n    ".join(src + [f"return (n1, n2, n3, n4), ({ks}), err5, err3"])
+    return "\n    ".join(src + [f"return (x1, x2, p1, p2), ({ks}), err5, err3"])
 
 
 exec(_step_source())  # defines _step

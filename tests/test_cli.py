@@ -213,6 +213,29 @@ def test_trajectory_samples_are_capped():
     assert proc.stderr.startswith("ERR_DOMAIN: n_samples must be at most")
 
 
+def test_traced_entry_point_writes_the_plain_outputs(tmp_path):
+    # perfbench/traced.py wraps Trajectory.to_csv and cli._write_output in place and
+    # counts the bytes of the text it is given, so both must keep their str interface
+    argv = ["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
+            "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", "70"]
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC), PERFBENCH_SPANS=str(spans), PERFBENCH_OP="op00")
+    traced = subprocess.run(
+        [sys.executable, str(SRC.parent / "perfbench" / "traced.py"), *argv,
+         "--out", str(tmp_path / "traced.csv"), "--turning-out", str(tmp_path / "traced.json")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert traced.returncode == 0, traced.stderr
+    plain = run_cli(*argv, "--out", str(tmp_path / "plain.csv"),
+                    "--turning-out", str(tmp_path / "plain.json"))
+    assert plain.returncode == 0, plain.stderr
+    assert (traced.stdout, traced.stderr) == (plain.stdout, plain.stderr)
+    outputs = [(tmp_path / f"traced.{ext}").read_bytes() for ext in ("csv", "json")]
+    assert outputs == [(tmp_path / f"plain.{ext}").read_bytes() for ext in ("csv", "json")]
+    written = [s for s in json.loads(spans.read_text())["spans"] if s["name"] == "_write_output"]
+    assert [s["attrs"]["bytes"] for s in written] == [len(b) for b in outputs]
+
+
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 import screened_sphere.cli

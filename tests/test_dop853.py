@@ -61,9 +61,18 @@ def _bits(step):
     return [float(v).hex() for v in (*y_new, *k, err5, err3)]
 
 
-@pytest.mark.parametrize("kind", list(SystemKind))
-def test_generated_step_is_the_table_loop_bit_for_bit(kind):
-    params = SystemParams(kind, lam=0.3, k=0.05)
+# (kind, lam, k); the screened curved case keeps the bare kind as its id
+STEP_CASES = [
+    pytest.param(kind, lam, k, id=kind.value if (lam, k) == (0.3, 0.05) else f"{kind.value}-{lam}-{k}")
+    for kind in SystemKind for lam in (0.0, 0.3) for k in (0.0, 0.05)
+]
+
+
+@pytest.mark.parametrize("kind, lam, k", STEP_CASES)
+def test_generated_step_is_the_table_loop_bit_for_bit(kind, lam, k):
+    # the step inlines the gradient text; the reference calls equations_of_motion, so this
+    # also pins each stage to h_gradient, flat and unscreened included (products with 0)
+    params = SystemParams(kind, lam=lam, k=k)
     rng = np.random.default_rng(853)
     # radial starts with -0.0 y-components, where sum's 0.0 start sets the sign of zero
     cases = [((1.2, -0.0, 0.4, -0.0), 0.05, 1e-12), ((1.2, -0.0, 0.4, -0.0), -0.05, 1e-12)]

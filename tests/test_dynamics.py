@@ -84,6 +84,13 @@ def test_eom_flat_circle():
     assert d == pytest.approx((0.0, 1.0, -1.0, 0.0), abs=1e-15)
 
 
+@pytest.mark.parametrize("kind, x", [(SystemKind.COULOMB, 1e-300), (SystemKind.OSCILLATOR, 1e-200)])
+def test_eom_rejects_radius_whose_square_underflows(kind, x):
+    # r > 0 but r**2 rounds to 0, where the gradient would divide by zero
+    with pytest.raises(RadiusError):
+        equations_of_motion(PhaseState(x, 0.0, 0.0, 1.0), SystemParams(kind, 0.1, 0.05))
+
+
 @pytest.mark.parametrize("kind", [SystemKind.COULOMB, SystemKind.OSCILLATOR])
 def test_eom_matches_finite_difference_gradient(kind):
     params = SystemParams(kind, 0.1, 0.05)
@@ -176,7 +183,7 @@ def test_radial_infall_hits_guard():
     assert float(match[1]) == pytest.approx(0.759134, abs=1e-6)
 
 
-def test_trajectory_csv_header_and_precision():
+def test_trajectory_csv_header_and_precision(monkeypatch):
     traj = integrate(PhaseState(1.0, 0.0, 0.0, 1.0), FLAT_KEPLER, 1.0, n_samples=5)
     traj.states[0, 1] = -0.0
     csv = traj.to_csv()
@@ -193,6 +200,9 @@ def test_trajectory_csv_header_and_precision():
         fields = (traj.t[i], *traj.states[i], traj.r[i], traj.theta[i], traj.H[i], traj.Lz[i])
         rows.append(",".join(f"{v:.17g}" for v in fields))
     assert csv == "\n".join(rows) + "\n"
+    # rows are formatted a block at a time; 2-row blocks split the 5 rows 2 + 2 + 1
+    monkeypatch.setattr(dynamics, "_CSV_BLOCK", 2)
+    assert traj.to_csv() == csv
 
 
 # --- closed forms -----------------------------------------------------------
