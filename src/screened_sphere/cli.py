@@ -120,7 +120,14 @@ def _trajectory(args: argparse.Namespace) -> tuple[SystemParams, Trajectory]:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in str(text).split(",") if tok != ""]
+    """Type of ``--m`` and ``--N``: a non-empty comma-separated list of integers."""
+    try:
+        values = [int(tok) for tok in text.split(",") if tok != ""]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"want comma-separated integers, got {text!r}")
+    return values
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
@@ -174,14 +181,7 @@ def _cmd_brackets(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params(args)
-    entries = spectrum_entries(
-        params.kind,
-        args.lam,
-        args.k,
-        ms=_int_list(args.m),
-        ns=_int_list(args.n),
-        numeric=args.numeric,
-    )
+    entries = spectrum_entries(params.kind, args.lam, args.k, args.m, args.n, numeric=args.numeric)
     if args.fmt == "json":
         text = _json([e.to_dict() for e in entries]) + "\n"
     else:
@@ -259,9 +259,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p_sp = sub.add_parser("spectrum", help="energy levels, analytic and grid-oracle")
     _add_common(p_sp)
-    p_sp.add_argument("--m", default="0",
+    p_sp.add_argument("--m", type=_int_list, default="0",
                       help="angular quantum number(s), comma separated (default %(default)s)")
-    p_sp.add_argument("--N", dest="n", default="0",
+    p_sp.add_argument("--N", dest="n", type=_int_list, default="0",
                       help="radial index(es), comma separated (default %(default)s)")
     p_sp.add_argument("--numeric", action="store_true",
                       help="add finite-difference oracle energies")

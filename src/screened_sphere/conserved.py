@@ -114,7 +114,7 @@ def angular_momentum(state: PhaseState) -> float:
 
 def _checked_pair(kernel, kind: SystemKind, name: str, state: PhaseState, params: SystemParams):
     if params.kind is not kind:
-        raise ValueError(f"{name} is defined for the {kind.value} system")
+        raise DomainError(f"{name} is defined for the {kind.value} system")
     if state.r <= 0.0:
         raise RadiusError(f"{name} requires r > 0")
     a, b = kernel(state.x1, state.x2, state.p1, state.p2, params)
@@ -261,7 +261,7 @@ def poisson_bracket(
         gf = finite_difference_gradient(f.value, state, params)
         gg = finite_difference_gradient(g.value, state, params)
     else:
-        raise ValueError(f"unknown bracket method {method!r}")
+        raise DomainError(f"unknown bracket method {method!r}")
     return float(_bracket(gf, gg))
 
 
@@ -345,7 +345,7 @@ def _verify_pair(params, kind, n_samples, seed, method, shift, quad_target, name
     """Residuals of {A,Lz} - shift*B, {B,Lz} + shift*A and {A,B} - quad_target(H, Lz)
     for the system's extended pair (A, B), over one batch of random states."""
     if params.kind is not kind:
-        raise ValueError(f"verify_{kind.value}_algebra needs {kind.value} params")
+        raise DomainError(f"verify_{kind.value}_algebra needs {kind.value} params")
     z = _sample_batch(params, n_samples, seed=seed)
     value_pair, gradient_pair = _PAIR_KERNELS[kind]
     if method == "analytic":
@@ -354,7 +354,7 @@ def _verify_pair(params, kind, n_samples, seed, method, shift, quad_target, name
         g_a, g_b, g_lz = _central_difference(
             lambda w: np.array((*value_pair(*w, params), lz_value(*w))), z).swapaxes(0, 1)
     else:
-        raise ValueError(f"unknown bracket method {method!r}")
+        raise DomainError(f"unknown bracket method {method!r}")
     a, b = value_pair(*z, params)
     residuals = (
         _bracket(g_a, g_lz) - shift * b,

@@ -519,9 +519,9 @@ def integrate(
     if not math.isfinite(t_end) or t_end == 0.0:
         raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
     if not 1e-13 <= rel_tol <= 1e-6:
-        raise ValueError(f"rel_tol must lie in [1e-13, 1e-6], got {rel_tol}")
+        raise DomainError(f"rel_tol must lie in [1e-13, 1e-6], got {rel_tol}")
     if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
+        raise DomainError("n_samples must be at least 2")
     if n_samples > MAX_SAMPLES:
         raise DomainError(f"n_samples must be at most {MAX_SAMPLES}, got {n_samples}")
 
@@ -816,7 +816,7 @@ def state_at_theta(traj: Trajectory, theta_target: float) -> PhaseState:
     th = sign * traj.theta
     target = sign * theta_target
     if not th[0] <= target <= th[-1]:
-        raise ValueError(
+        raise DomainError(
             f"theta_target {theta_target:g} outside trajectory range "
             f"[{traj.theta[0]:g}, {traj.theta[-1]:g}]"
         )

@@ -39,8 +39,8 @@ terminating Gauss hypergeometric series,
 
 which the operator-residual check validates against the grid form of H1.
 
-scipy (the tridiagonal eigensolver) is imported on first use by the grid
-oracle, so the closed forms load none of it.
+The grid oracle loads only scipy's compiled LAPACK wrapper, on first use,
+to call dstebz; it imports no ``scipy.linalg``, and the closed forms no scipy.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import SystemKind, check_lam_k
-from .errors import AccuracyError, ImaginaryMPrimeError
+from .errors import AccuracyError, DomainError, ImaginaryMPrimeError
 
 _MIN_GRID_POINTS = 200
 
@@ -74,7 +74,7 @@ def m_prime(m: int, k: float) -> float:
 def _check_qn(lam: float, k: float, n: int) -> None:
     check_lam_k(lam, k)
     if n < 0 or int(n) != n:
-        raise ValueError(f"radial index N must be a non-negative integer, got {n}")
+        raise DomainError(f"radial index N must be a non-negative integer, got {n}")
 
 
 def coulomb_energy(lam: float, k: float, m: int, n: int) -> float:
@@ -110,10 +110,10 @@ def hypergeometric_terminating(n: int, b: float, c: float, z) -> float | np.ndar
     if (c)_j hits zero before the series terminates.
     """
     if n < 0 or int(n) != n:
-        raise ValueError(f"series order N must be a non-negative integer, got {n}")
+        raise DomainError(f"series order N must be a non-negative integer, got {n}")
     for j in range(n):
         if c + j == 0.0:
-            raise ValueError(f"pole in (c)_j at j = {j} before termination")
+            raise DomainError(f"pole in (c)_j at j = {j} before termination")
     z = np.asarray(z, dtype=float)
     total = np.ones_like(z)
     term = np.ones_like(z)
@@ -126,7 +126,7 @@ def hypergeometric_terminating(n: int, b: float, c: float, z) -> float | np.ndar
 def oscillator_wavefunction(r, lam: float, k: float, m: int, n: int):
     """Radial part of the screened-oscillator eigenstate (full state: e^{im theta} * value)."""
     if lam <= 0.0:
-        raise ValueError("oscillator_wavefunction requires lam > 0")
+        raise DomainError("oscillator_wavefunction requires lam > 0")
     _check_qn(lam, k, n)
     mp = m_prime(m, k)
     root = math.sqrt(4.0 + lam * lam)
@@ -157,11 +157,11 @@ class RadialGrid:
 
     def __post_init__(self) -> None:
         if self.variable not in ("chi", "r"):
-            raise ValueError(f"grid variable must be 'chi' or 'r', got {self.variable!r}")
+            raise DomainError(f"grid variable must be 'chi' or 'r', got {self.variable!r}")
         if self.n_points < _MIN_GRID_POINTS:
-            raise ValueError(f"grid needs at least {_MIN_GRID_POINTS} points")
+            raise DomainError(f"grid needs at least {_MIN_GRID_POINTS} points")
         if self.x_max <= 0.0:
-            raise ValueError("grid extent must be positive")
+            raise DomainError("grid extent must be positive")
 
     @property
     def spacing(self) -> float:
@@ -207,23 +207,42 @@ def _transformed_potential(
     return cent + v0
 
 
+def _dstebz():
+    """LAPACK's ``dstebz`` from scipy's compiled wrapper, loaded in ≈5 ms without the ≈0.25 s
+    ``scipy.linalg`` import; registered under its own name, so ``scipy.linalg`` reuses it."""
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(d, "linalg") for d in scipy_dirs])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name].dstebz
+
+
 def _eigenvalues_on_grid(
     kind: SystemKind, lam: float, k: float, m: int, n_levels: int, grid: RadialGrid
 ) -> np.ndarray:
-    from scipy.linalg import eigh_tridiagonal
-
+    """Lowest ``n_levels`` eigenvalues of the grid matrix, by bisection (LAPACK dstebz)."""
     h = grid.spacing
     x = grid.nodes
     c_kin = 0.5 * lam if lam > 0.0 else 0.5
     diag = 2.0 * c_kin / h**2 + _transformed_potential(kind, lam, k, m, x)
     off = np.full(grid.n_points - 1, -c_kin / h**2)
-    try:
-        vals = eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, n_levels - 1), eigvals_only=True
-        )
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise AccuracyError(f"tridiagonal eigensolver failed: {exc}") from exc
-    return np.asarray(vals)
+    if not np.isfinite(diag).all():  # a NaN inside the band can pass dstebz with info = 0
+        raise AccuracyError("tridiagonal eigensolver failed: array must not contain infs or NaNs")
+    # range 2 selects levels il..iu (1-based) in ascending order, at LAPACK's default tolerance
+    found, vals, _, _, info = _dstebz()(diag, off, 2, 0.0, 1.0, 1, n_levels, 0.0, "E")
+    if info != 0 or found < n_levels:
+        raise AccuracyError(f"tridiagonal eigensolver failed: dstebz found {found} of "
+                            f"{n_levels} levels (LAPACK info={info})")
+    return vals[:n_levels]
 
 
 @dataclass(frozen=True)
@@ -253,7 +272,7 @@ def radial_solve_numeric(
     relative error of any level exceeds it.
     """
     if n_levels < 1 or n_levels > 10:
-        raise ValueError("n_levels must lie in 1..10")
+        raise DomainError("n_levels must lie in 1..10")
     if grid is None:
         grid = default_grid(kind, lam, k, m, n_levels)
     fine = grid.refined()
@@ -284,7 +303,7 @@ def oscillator_operator_residual(
     chi**m' behavior at the singular origin node from masking the test.
     """
     if lam <= 0.0:
-        raise ValueError("operator residual is defined for lam > 0")
+        raise DomainError("operator residual is defined for lam > 0")
     mp = m_prime(m, k)
     h = (math.pi / 2.0) / n_points
     chi = h * np.arange(1, n_points)

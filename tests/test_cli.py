@@ -275,7 +275,8 @@ def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["rc"] == (0 if argv else None)
-    assert bool(report["scipy"]) is loads_scipy, report["scipy"]
+    # the grid oracle loads LAPACK's wrapper alone, not the scipy.linalg package
+    assert report["scipy"] == (["scipy.linalg._flapack"] if loads_scipy else [])
 
 
 def _run_in(directory: Path, argv: list[str], capsys, monkeypatch):
@@ -379,6 +380,24 @@ def test_config_value_outside_choices_is_a_usage_error(tmp_path, capsys, command
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert f"argument --{key}: invalid choice: '{value}'" in errors[0]
+
+
+@pytest.mark.parametrize("flag,value", [("--N", ","), ("--N", "1.5"), ("--m", "1,x"), ("--m", "")])
+@pytest.mark.parametrize("numeric", [[], ["--numeric"]])
+def test_bad_quantum_number_list_is_a_usage_error(tmp_path, capsys, flag, value, numeric):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"system=coulomb\n{flag[2:]}={value}\n")
+    errors = []
+    for argv in (["spectrum", "--config", str(cfg), *numeric],
+                 ["spectrum", "--system", "coulomb", flag, value, *numeric]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        errors.append(out.err)
+    assert errors[0] == errors[1]
+    assert f"argument {flag}: want comma-separated integers, got '{value}'" in errors[0]
 
 
 def _exit_code_and_output(argv, capsys):

@@ -1,15 +1,22 @@
 """Closed-form spectra, terminating hypergeometric series, grid oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from screened_sphere import spectra
 from screened_sphere.dynamics import SystemKind
 from screened_sphere.errors import AccuracyError, CurvatureError, DomainError, ImaginaryMPrimeError
 from screened_sphere.spectra import (
     RadialGrid,
+    _eigenvalues_on_grid,
     coulomb_energy,
+    default_grid,
     degeneracy_split_report,
     hypergeometric_terminating,
     m_prime,
@@ -216,6 +223,93 @@ def test_oracle_rejects_bad_level_count():
         radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 0)
     with pytest.raises(ValueError):
         radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 11)
+
+
+@pytest.mark.parametrize("kind", list(SystemKind))
+@pytest.mark.parametrize("lam", [0.0, 0.015, 0.5])
+def test_grid_eigenvalues_equal_scipy_eigh_tridiagonal(monkeypatch, kind, lam):
+    # scipy's public path is the test-only oracle for the direct dstebz call
+    from scipy.linalg import eigh_tridiagonal
+
+    matrices = []
+    dstebz = spectra._dstebz()
+
+    def spy(d, e, *args):
+        matrices.append((d, e))
+        return dstebz(d, e, *args)
+
+    monkeypatch.setattr(spectra, "_dstebz", lambda: spy)
+    for n_levels in (1, 3, 10):
+        coarse = default_grid(kind, lam, 0.05, 1, n_levels)
+        for grid in (coarse, coarse.refined()):
+            vals = _eigenvalues_on_grid(kind, lam, 0.05, 1, n_levels, grid)
+            d, e = matrices.pop()
+            assert d.size == grid.n_points
+            want = eigh_tridiagonal(d, e, select="i", select_range=(0, n_levels - 1),
+                                    eigvals_only=True)
+            assert vals.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("found,info", [(3, 1), (2, 0)])
+def test_eigensolver_failure_is_an_accuracy_error(monkeypatch, found, info):
+    def fake(d, e, *args):
+        return found, np.zeros(d.size), None, None, info
+
+    monkeypatch.setattr(spectra, "_dstebz", lambda: fake)
+    with pytest.raises(AccuracyError) as exc:
+        radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 3)
+    assert exc.value.code == "ERR_ACCURACY"
+    assert f"info={info}" in str(exc.value)
+
+
+@pytest.mark.parametrize("kind,lam,message", [
+    (SystemKind.COULOMB, 1e300, "info=4"),  # LAPACK's bisection fails
+    (SystemKind.OSCILLATOR, 1e308, "infs or NaNs"),  # the matrix overflows
+])
+def test_unsolvable_grid_matrix_is_an_accuracy_error(kind, lam, message):
+    with np.errstate(over="ignore"), pytest.raises(AccuracyError, match=message):
+        radial_solve_numeric(kind, lam, 0.0, 1, 1)
+
+
+_IMPORT_ORDER = """
+import sys
+import numpy as np
+from screened_sphere import spectra
+from screened_sphere.dynamics import SystemKind
+
+def solve():
+    return spectra.radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.05, 1, 3).energies
+
+if sys.argv[1] == "linalg-first":
+    import scipy.linalg
+    flapack = sys.modules["scipy.linalg._flapack"]
+    before = solve()
+else:
+    before = solve()
+    assert sorted(m for m in sys.modules if m.startswith("scipy")) == ["scipy.linalg._flapack"]
+    flapack = sys.modules["scipy.linalg._flapack"]
+    import scipy.linalg
+assert sys.modules["scipy.linalg._flapack"] is flapack
+assert scipy.linalg.lapack.dstebz is spectra._dstebz()
+d, e = np.linspace(1.0, 3.0, 50), np.full(49, -0.5)
+found, w, _, _, info = spectra._dstebz()(d, e, 2, 0.0, 1.0, 1, 5, 0.0, "E")
+want = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 4), eigvals_only=True)
+assert (found, info) == (5, 0) and w[:found].tobytes() == want.tobytes()
+assert solve().tobytes() == before.tobytes()
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("order", ["solve-first", "linalg-first"])
+def test_lapack_wrapper_is_shared_with_scipy_linalg(order):
+    # a fresh interpreter, so that no earlier test has loaded scipy already
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ORDER, order],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 # --- degeneracy splitting ---------------------------------------------------------
