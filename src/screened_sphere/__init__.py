@@ -3,54 +3,53 @@
 Classical orbits, turning-point-conserved extended quantities, Higgs
 algebra bracket checks, and analytic-versus-numeric energy spectra, all
 in gnomonic-projection coordinates.
+
+The numpy-backed modules ``dynamics``, ``conserved`` and ``spectra`` are
+registered in ``sys.modules`` at import but run their bodies on first
+attribute access, so code that needs only ``closed_forms`` never loads
+numpy.  The public names below resolve from their owning module on use.
 """
 
-from .dynamics import (
-    ClosureResult,
-    OrbitShape,
-    PhaseState,
-    SystemKind,
-    SystemParams,
-    Trajectory,
-    TurningKind,
-    TurningPoint,
-    closed_form_radius,
-    closure_analysis,
-    equations_of_motion,
-    find_turning_points,
-    fit_theta0,
-    hamiltonian,
-    integrate,
-    orbit_alpha,
-    orbit_residual,
-    pi_vector,
-    potential,
-    radial_theta_period,
-    state_at_theta,
-)
-from .conserved import (
-    BracketReport,
-    Observable,
-    angular_momentum,
-    fradkin_quantities,
-    poisson_bracket,
-    runge_lenz,
-    turning_point_conservation,
-    verify_coulomb_algebra,
-    verify_oscillator_algebra,
-)
-from .spectra import (
-    RadialGrid,
-    SpectrumEntry,
-    coulomb_energy,
-    degeneracy_split_report,
-    hypergeometric_terminating,
-    m_prime,
-    oscillator_energy,
-    oscillator_operator_residual,
-    oscillator_wavefunction,
-    radial_solve_numeric,
-    spectrum_entries,
-)
+import importlib.util
+import sys
+
+_EXPORTS = {
+    "closed_forms": """ClosureResult SpectrumEntry SystemKind SystemParams closure_analysis
+        coulomb_energy m_prime orbit_alpha oscillator_energy spectrum_entries""",
+    "dynamics": """OrbitShape PhaseState Trajectory TurningKind TurningPoint closed_form_radius
+        equations_of_motion find_turning_points fit_theta0 hamiltonian integrate
+        orbit_residual pi_vector potential radial_theta_period state_at_theta""",
+    "conserved": """BracketReport Observable angular_momentum fradkin_quantities poisson_bracket
+        runge_lenz turning_point_conservation verify_coulomb_algebra verify_oscillator_algebra""",
+    "spectra": """RadialGrid degeneracy_split_report hypergeometric_terminating
+        oscillator_operator_residual oscillator_wavefunction radial_solve_numeric""",
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+
+def _lazy(name: str):
+    """Register submodule ``name`` whose body runs on its first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+dynamics = _lazy("dynamics")
+conserved = _lazy("conserved")
+spectra = _lazy("spectra")
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        return getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_OWNER))
+
 
 __version__ = "0.1.0"

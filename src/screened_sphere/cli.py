@@ -33,19 +33,9 @@ import sys
 import tempfile
 from typing import Optional, Sequence
 
-from .conserved import turning_point_conservation, verify_coulomb_algebra, verify_oscillator_algebra
-from .dynamics import (
-    PhaseState,
-    SystemKind,
-    SystemParams,
-    Trajectory,
-    closure_analysis,
-    find_turning_points,
-    integrate,
-    turning_points_json,
-)
+from . import conserved, dynamics  # registered lazily: numpy loads on their first use
+from .closed_forms import SystemKind, SystemParams, closure_analysis, spectrum_csv, spectrum_entries
 from .errors import DomainError, ImaginaryAlphaError
-from .spectra import spectrum_csv, spectrum_entries
 
 
 def _fmt(v) -> str:
@@ -109,14 +99,14 @@ def _params(args: argparse.Namespace) -> SystemParams:
     return SystemParams(kind=SystemKind(args.system), lam=args.lam, k=args.k)
 
 
-def _trajectory(args: argparse.Namespace) -> tuple[SystemParams, Trajectory]:
+def _trajectory(args: argparse.Namespace) -> tuple[SystemParams, dynamics.Trajectory]:
     params = _params(args)
     missing = [n for n in ("x", "px", "py") if getattr(args, n) is None]
     if missing:
         raise UsageError(f"missing initial-condition flags: {', '.join('--' + m for m in missing)}")
-    state = PhaseState(args.x, args.y, args.px, args.py)
-    return params, integrate(state, params, t_end=args.t_end, rel_tol=args.tol,
-                             n_samples=args.n_samples)
+    state = dynamics.PhaseState(args.x, args.y, args.px, args.py)
+    return params, dynamics.integrate(state, params, t_end=args.t_end, rel_tol=args.tol,
+                                      n_samples=args.n_samples)
 
 
 def _int_list(text: str) -> list[int]:
@@ -132,11 +122,11 @@ def _int_list(text: str) -> list[int]:
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
     params, traj = _trajectory(args)
-    points = find_turning_points(traj)
+    points = dynamics.find_turning_points(traj)
     csv = traj.to_csv()
     _write_output(args.out, _strip_header_csv(csv) if args.gnuplot else csv)
     if args.turning_out:
-        _write_output(args.turning_out, _json(turning_points_json(points)) + "\n")
+        _write_output(args.turning_out, _json(dynamics.turning_points_json(points)) + "\n")
     try:
         closure = closure_analysis(params, float(traj.Lz[0]))
         summary = f"closure: alpha={_fmt(closure.alpha)} closed={_fmt(closure.closed)}"
@@ -162,7 +152,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 def _cmd_turning(args: argparse.Namespace) -> int:
     params, traj = _trajectory(args)
-    report = turning_point_conservation(traj, params)
+    report = conserved.turning_point_conservation(traj, params)
     _write_output(args.out, _json(report.to_dict()) + "\n")
     return 0
 
@@ -170,9 +160,9 @@ def _cmd_turning(args: argparse.Namespace) -> int:
 def _cmd_brackets(args: argparse.Namespace) -> int:
     params = _params(args)
     verify = (
-        verify_coulomb_algebra
+        conserved.verify_coulomb_algebra
         if params.kind is SystemKind.COULOMB
-        else verify_oscillator_algebra
+        else conserved.verify_oscillator_algebra
     )
     reports = verify(params, n_samples=args.samples, seed=args.seed, method=args.method)
     _write_output(args.out, _json([r.to_dict() for r in reports]) + "\n")

@@ -1,0 +1,214 @@
+"""The paper's closed forms: orbit closure and the analytic spectra.
+
+This module imports only the standard library and ``errors``, so the
+``closure`` command and the analytic ``spectrum`` never load numpy.
+
+Orbits close for rational alpha = sqrt(1 - 2k/Lz**2) = p/q.  Screening
+enters the radial quantum problem only through the effective angular
+number m' = sqrt(m**2 - 2k) and an additive constant lam*k.  The levels are
+
+    coulomb:     E = (lam/2)*(m'+N)*(m'+N+1) - 1/(2*(m'+N+1/2)**2) + lam*k
+    oscillator:  E = (1+m'+2N)/2 * (sqrt(4+lam**2) + lam*(1+m'+2N)) + lam*k
+
+with N = 0, 1, 2, ...  For k > 0, m' is irrational, so levels that are
+degenerate at k = 0 (equal |m|+N, resp. |m|+2N) split.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import asdict, dataclass
+from enum import Enum
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from .errors import CurvatureError, DomainError, ImaginaryAlphaError, ImaginaryMPrimeError
+
+TWO_PI = 2.0 * math.pi
+RATIONAL_TOL = 1e-9         # |alpha - p/q| below this counts as rational
+MAX_DENOMINATOR = 64        # continued-fraction denominator cap
+
+
+class SystemKind(str, Enum):
+    COULOMB = "coulomb"
+    OSCILLATOR = "oscillator"
+
+
+def check_lam_k(lam: float, k: float = 0.0) -> None:
+    """Reject a curvature or a screening strength that is non-finite or negative."""
+    if not math.isfinite(lam) or lam < 0.0:
+        raise CurvatureError(f"curvature must be finite and >= 0, got {lam}")
+    if not math.isfinite(k) or k < 0.0:
+        raise DomainError(f"screening strength must be finite and >= 0, got {k}")
+
+
+@dataclass(frozen=True)
+class SystemParams:
+    """System selector: potential kind, curvature lam >= 0, screening k >= 0."""
+
+    kind: SystemKind
+    lam: float = 0.0
+    k: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_lam_k(self.lam, self.k)
+
+
+# --- closure --------------------------------------------------------------
+
+def orbit_alpha(params: SystemParams, lz: float) -> float:
+    """Frequency ratio alpha = sqrt(1 - 2k/Lz**2); requires a finite Lz with 2k < Lz**2."""
+    if not math.isfinite(lz):
+        raise DomainError(f"angular momentum Lz must be finite, got {lz}")
+    lz2 = lz * lz
+    if 2.0 * params.k >= lz2:
+        raise ImaginaryAlphaError(f"2k = {2 * params.k:g} >= Lz**2 = {lz2:g}: alpha is imaginary")
+    return math.sqrt(1.0 - 2.0 * params.k / lz2)
+
+
+@dataclass(frozen=True)
+class ClosureResult:
+    """Rational-alpha closure analysis for given system and angular momentum."""
+
+    alpha: float
+    closed: bool
+    p: Optional[int] = None
+    q: Optional[int] = None
+    closure_angle: Optional[float] = None
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def closure_analysis(params: SystemParams, lz: float) -> ClosureResult:
+    """Detect rational alpha = p/q (q <= 64) and the phase-closure angle.
+
+    The orbit returns to its initial phase point once the unwrapped
+    azimuth advances by a common multiple of 2*pi and the radial period
+    in theta.  For alpha = p/q in lowest terms that is 2*pi*q for the
+    coulomb system; the oscillator's doubled angle halves it to pi*q
+    when q is even.
+    """
+    alpha = orbit_alpha(params, lz)
+    frac = Fraction(alpha).limit_denominator(MAX_DENOMINATOR)
+    if abs(alpha - float(frac)) > RATIONAL_TOL:
+        return ClosureResult(alpha=alpha, closed=False)
+    p, q = frac.numerator, frac.denominator
+    if params.kind is SystemKind.COULOMB:
+        angle = TWO_PI * q
+    else:
+        angle = math.pi * q if q % 2 == 0 else TWO_PI * q
+    return ClosureResult(alpha=alpha, closed=True, p=p, q=q, closure_angle=angle)
+
+
+# --- analytic spectra -----------------------------------------------------
+
+def m_prime(m: int, k: float) -> float:
+    """Effective angular quantum number m' = sqrt(m**2 - 2k).
+
+    Raises for m**2 < 2k (all m = 0 states once k > 0): m' is imaginary
+    and the state ceases to exist in the screened spectrum.
+    """
+    disc = m * m - 2.0 * k
+    if disc < 0.0:
+        raise ImaginaryMPrimeError(f"m**2 = {m * m} < 2k = {2 * k:g}: m' is imaginary")
+    return math.sqrt(disc)
+
+
+def _check_qn(lam: float, k: float, n: int) -> None:
+    check_lam_k(lam, k)
+    if n < 0 or int(n) != n:
+        raise DomainError(f"radial index N must be a non-negative integer, got {n}")
+
+
+def coulomb_energy(lam: float, k: float, m: int, n: int) -> float:
+    """Screened-coulomb level on a sphere of curvature lam."""
+    _check_qn(lam, k, n)
+    mp = m_prime(m, k)
+    return 0.5 * lam * (mp + n) * (mp + n + 1.0) - 0.5 / (mp + n + 0.5) ** 2 + lam * k
+
+
+def oscillator_energy(lam: float, k: float, m: int, n: int) -> float:
+    """Screened-oscillator level on a sphere of curvature lam."""
+    _check_qn(lam, k, n)
+    mp = m_prime(m, k)
+    s = 1.0 + mp + 2.0 * n
+    return 0.5 * s * (math.sqrt(4.0 + lam * lam) + lam * s) + lam * k
+
+
+def analytic_energy(kind: SystemKind, lam: float, k: float, m: int, n: int) -> float:
+    if kind is SystemKind.COULOMB:
+        return coulomb_energy(lam, k, m, n)
+    return oscillator_energy(lam, k, m, n)
+
+
+@dataclass(frozen=True)
+class SpectrumEntry:
+    """One (m, N) level: analytic energy plus optional grid-oracle energy."""
+
+    kind: SystemKind
+    lam: float
+    k: float
+    m: int
+    n: int
+    m_prime: float
+    e_analytic: float
+    e_numeric: Optional[float] = None
+    abs_diff: Optional[float] = None
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind.value,
+            "lambda": self.lam,
+            "k": self.k,
+            "m": self.m,
+            "N": self.n,
+            "m_prime": self.m_prime,
+            "E_analytic": self.e_analytic,
+            "E_numeric": self.e_numeric,
+            "abs_diff": self.abs_diff,
+        }
+
+
+SPECTRUM_CSV_HEADER = "kind,lambda,k,m,N,m_prime,E_analytic,E_numeric,abs_diff"
+
+
+def spectrum_csv(entries: Sequence[SpectrumEntry]) -> str:
+    """CSV table of spectrum entries, 17 significant digits."""
+    lines = [SPECTRUM_CSV_HEADER]
+    for e in entries:
+        num = "" if e.e_numeric is None else f"{e.e_numeric:.17g}"
+        diff = "" if e.abs_diff is None else f"{e.abs_diff:.17g}"
+        lines.append(
+            f"{e.kind.value},{e.lam:.17g},{e.k:.17g},{e.m},{e.n},"
+            f"{e.m_prime:.17g},{e.e_analytic:.17g},{num},{diff}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def spectrum_entries(
+    kind: SystemKind,
+    lam: float,
+    k: float,
+    ms: Sequence[int],
+    ns: Sequence[int],
+    numeric: bool = False,
+) -> list[SpectrumEntry]:
+    """Spectrum table over given quantum numbers, optionally with the grid oracle.
+
+    Only ``numeric`` imports ``spectra`` (and with it numpy).
+    """
+    entries: list[SpectrumEntry] = []
+    for m in ms:
+        numeric_levels = None
+        if numeric:
+            from .spectra import radial_solve_numeric
+
+            result = radial_solve_numeric(kind, lam, k, m, n_levels=max(ns) + 1)
+            numeric_levels = result.energies
+        for n in sorted(ns):
+            e_an = analytic_energy(kind, lam, k, m, n)
+            e_num = None if numeric_levels is None else float(numeric_levels[n])
+            entries.append(SpectrumEntry(kind, lam, k, m, n, m_prime(m, k), e_an, e_num,
+                                         None if e_num is None else abs(e_an - e_num)))
+    return entries

@@ -22,6 +22,8 @@ Curvature enters the projected orbit only through Et, so a spherical
 trajectory traces the same (r, theta) curve as the flat trajectory with
 energy Et.  For rational alpha = p/q the orbit closes; the radial period
 in theta is 2*pi/alpha (coulomb) or pi/alpha (oscillator, doubled angle).
+alpha, the closure analysis and the system parameters are numpy-free
+closed forms in ``closed_forms``, re-exported here.
 
 The chart is the gnomonic projection of the sphere q1**2 + q2**2 + q0**2
 = 1/lam from its center onto the tangent plane at the north pole:
@@ -46,16 +48,15 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
+from .closed_forms import (  # noqa: F401 -- re-exported
+    TWO_PI, ClosureResult, SystemKind, SystemParams, check_lam_k, closure_analysis, orbit_alpha)
 from .errors import (
     AccuracyError,
-    CurvatureError,
     DomainError,
-    ImaginaryAlphaError,
     NoTurningPointError,
     OrbitDomainError,
     RadiusError,
@@ -64,40 +65,11 @@ from .errors import (
     StiffnessError,
 )
 
-TWO_PI = 2.0 * math.pi
-
 R_MIN_GUARD = 1e-8          # terminate near-collision orbits
 MAX_SAMPLES = 10**6         # cap on recorded trajectory samples, checked before allocating
 MAX_STEPS = 2 * 10**5       # cap on accepted solver steps (~0.46 kB each)
-RATIONAL_TOL = 1e-9         # |alpha - p/q| below this counts as rational
-MAX_DENOMINATOR = 64        # continued-fraction denominator cap
 TURNING_RDOT_TOL = 1e-10    # refined |rdot| bound at a turning point
 _CSV_BLOCK = 4096           # trajectory rows formatted by one % operation
-
-
-class SystemKind(str, Enum):
-    COULOMB = "coulomb"
-    OSCILLATOR = "oscillator"
-
-
-def check_lam_k(lam: float, k: float = 0.0) -> None:
-    """Reject a curvature or a screening strength that is non-finite or negative."""
-    if not math.isfinite(lam) or lam < 0.0:
-        raise CurvatureError(f"curvature must be finite and >= 0, got {lam}")
-    if not math.isfinite(k) or k < 0.0:
-        raise DomainError(f"screening strength must be finite and >= 0, got {k}")
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """System selector: potential kind, curvature lam >= 0, screening k >= 0."""
-
-    kind: SystemKind
-    lam: float = 0.0
-    k: float = 0.0
-
-    def __post_init__(self) -> None:
-        check_lam_k(self.lam, self.k)
 
 
 @dataclass(frozen=True)
@@ -651,16 +623,6 @@ class OrbitShape:
         return self.E - 0.5 * params.lam * self.lz**2
 
 
-def orbit_alpha(params: SystemParams, lz: float) -> float:
-    """Frequency ratio alpha = sqrt(1 - 2k/Lz**2); requires 2k < Lz**2."""
-    lz2 = lz * lz
-    if 2.0 * params.k >= lz2:
-        raise ImaginaryAlphaError(
-            f"2k = {2 * params.k:g} >= Lz**2 = {lz2:g}: alpha is imaginary"
-        )
-    return math.sqrt(1.0 - 2.0 * params.k / lz2)
-
-
 def closed_form_radius(theta, shape: OrbitShape, params: SystemParams):
     """r(theta) from the closed-form orbit equation for the given system.
 
@@ -765,49 +727,6 @@ def orbit_residual(
     rhs = traj.H - 0.5 * params.lam * lz**2
     dev_ode = float(np.max(np.abs(lhs - rhs)))
     return dev_cf, dev_ode
-
-
-# --- closure --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClosureResult:
-    """Rational-alpha closure analysis for given system and angular momentum."""
-
-    alpha: float
-    closed: bool
-    p: Optional[int] = None
-    q: Optional[int] = None
-    closure_angle: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "closed": self.closed,
-            "p": self.p,
-            "q": self.q,
-            "closure_angle": self.closure_angle,
-        }
-
-
-def closure_analysis(params: SystemParams, lz: float) -> ClosureResult:
-    """Detect rational alpha = p/q (q <= 64) and the phase-closure angle.
-
-    The orbit returns to its initial phase point once the unwrapped
-    azimuth advances by a common multiple of 2*pi and the radial period
-    in theta.  For alpha = p/q in lowest terms that is 2*pi*q for the
-    coulomb system; the oscillator's doubled angle halves it to pi*q
-    when q is even.
-    """
-    alpha = orbit_alpha(params, lz)
-    frac = Fraction(alpha).limit_denominator(MAX_DENOMINATOR)
-    if abs(alpha - float(frac)) > RATIONAL_TOL:
-        return ClosureResult(alpha=alpha, closed=False)
-    p, q = frac.numerator, frac.denominator
-    if params.kind is SystemKind.COULOMB:
-        angle = TWO_PI * q
-    else:
-        angle = math.pi * q if q % 2 == 0 else TWO_PI * q
-    return ClosureResult(alpha=alpha, closed=True, p=p, q=q, closure_angle=angle)
 
 
 def state_at_theta(traj: Trajectory, theta_target: float) -> PhaseState:

@@ -1,14 +1,7 @@
-"""Quantum spectra of the screened systems: closed forms and a grid oracle.
+"""Quantum spectra of the screened systems: the grid oracle and the wavefunctions.
 
-Screening enters the radial problem only through the effective angular
-number m' = sqrt(m**2 - 2k) and an additive constant lam*k.  The closed
-forms are
-
-    coulomb:     E = (lam/2)*(m'+N)*(m'+N+1) - 1/(2*(m'+N+1/2)**2) + lam*k
-    oscillator:  E = (1+m'+2N)/2 * (sqrt(4+lam**2) + lam*(1+m'+2N)) + lam*k
-
-with N = 0, 1, 2, ...  For k > 0, m' is irrational, so levels that are
-degenerate at k = 0 (equal |m|+N, resp. |m|+2N) split.
+The closed-form levels, the spectrum table and its CSV live in
+``closed_forms`` and are re-exported here.
 
 The independent oracle discretizes the radial Hamiltonian H1.  Written in
 the polar-angle variable chi (r = tan(chi)/sqrt(lam)) and conjugated by
@@ -40,7 +33,7 @@ terminating Gauss hypergeometric series,
 which the operator-residual check validates against the grid form of H1.
 
 The grid oracle loads only scipy's compiled LAPACK wrapper, on first use,
-to call dstebz; it imports no ``scipy.linalg``, and the closed forms no scipy.
+to call dstebz; it imports no ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -51,55 +44,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import SystemKind, check_lam_k
-from .errors import AccuracyError, DomainError, ImaginaryMPrimeError
+from .closed_forms import (  # noqa: F401 -- re-exported
+    SPECTRUM_CSV_HEADER, SpectrumEntry, SystemKind, _check_qn, analytic_energy, coulomb_energy,
+    m_prime, oscillator_energy, spectrum_csv, spectrum_entries)
+from .errors import AccuracyError, DomainError
 
 _MIN_GRID_POINTS = 200
-
-
-def m_prime(m: int, k: float) -> float:
-    """Effective angular quantum number m' = sqrt(m**2 - 2k).
-
-    Raises for m**2 < 2k (all m = 0 states once k > 0): m' is imaginary
-    and the state ceases to exist in the screened spectrum.
-    """
-    disc = m * m - 2.0 * k
-    if disc < 0.0:
-        raise ImaginaryMPrimeError(
-            f"m**2 = {m * m} < 2k = {2 * k:g}: m' is imaginary"
-        )
-    return math.sqrt(disc)
-
-
-def _check_qn(lam: float, k: float, n: int) -> None:
-    check_lam_k(lam, k)
-    if n < 0 or int(n) != n:
-        raise DomainError(f"radial index N must be a non-negative integer, got {n}")
-
-
-def coulomb_energy(lam: float, k: float, m: int, n: int) -> float:
-    """Screened-coulomb level on a sphere of curvature lam."""
-    _check_qn(lam, k, n)
-    mp = m_prime(m, k)
-    return (
-        0.5 * lam * (mp + n) * (mp + n + 1.0)
-        - 0.5 / (mp + n + 0.5) ** 2
-        + lam * k
-    )
-
-
-def oscillator_energy(lam: float, k: float, m: int, n: int) -> float:
-    """Screened-oscillator level on a sphere of curvature lam."""
-    _check_qn(lam, k, n)
-    mp = m_prime(m, k)
-    s = 1.0 + mp + 2.0 * n
-    return 0.5 * s * (math.sqrt(4.0 + lam * lam) + lam * s) + lam * k
-
-
-def analytic_energy(kind: SystemKind, lam: float, k: float, m: int, n: int) -> float:
-    if kind is SystemKind.COULOMB:
-        return coulomb_energy(lam, k, m, n)
-    return oscillator_energy(lam, k, m, n)
 
 
 def hypergeometric_terminating(n: int, b: float, c: float, z) -> float | np.ndarray:
@@ -333,86 +283,6 @@ def oscillator_operator_residual(
     return float(
         math.sqrt(np.sum(sin * resid**2) / np.sum(sin * interior**2))
     )
-
-
-# --- spectrum tables --------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectrumEntry:
-    """One (m, N) level: analytic energy plus optional grid-oracle energy."""
-
-    kind: SystemKind
-    lam: float
-    k: float
-    m: int
-    n: int
-    m_prime: float
-    e_analytic: float
-    e_numeric: Optional[float] = None
-    abs_diff: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "lambda": self.lam,
-            "k": self.k,
-            "m": self.m,
-            "N": self.n,
-            "m_prime": self.m_prime,
-            "E_analytic": self.e_analytic,
-            "E_numeric": self.e_numeric,
-            "abs_diff": self.abs_diff,
-        }
-
-
-SPECTRUM_CSV_HEADER = "kind,lambda,k,m,N,m_prime,E_analytic,E_numeric,abs_diff"
-
-
-def spectrum_csv(entries: Sequence[SpectrumEntry]) -> str:
-    """CSV table of spectrum entries, 17 significant digits."""
-    lines = [SPECTRUM_CSV_HEADER]
-    for e in entries:
-        num = "" if e.e_numeric is None else f"{e.e_numeric:.17g}"
-        diff = "" if e.abs_diff is None else f"{e.abs_diff:.17g}"
-        lines.append(
-            f"{e.kind.value},{e.lam:.17g},{e.k:.17g},{e.m},{e.n},"
-            f"{e.m_prime:.17g},{e.e_analytic:.17g},{num},{diff}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def spectrum_entries(
-    kind: SystemKind,
-    lam: float,
-    k: float,
-    ms: Sequence[int],
-    ns: Sequence[int],
-    numeric: bool = False,
-) -> list[SpectrumEntry]:
-    """Spectrum table over given quantum numbers, optionally with the oracle."""
-    entries: list[SpectrumEntry] = []
-    for m in ms:
-        numeric_levels = None
-        if numeric:
-            result = radial_solve_numeric(kind, lam, k, m, n_levels=max(ns) + 1)
-            numeric_levels = result.energies
-        for n in sorted(ns):
-            e_an = analytic_energy(kind, lam, k, m, n)
-            e_num = None if numeric_levels is None else float(numeric_levels[n])
-            entries.append(
-                SpectrumEntry(
-                    kind=kind,
-                    lam=lam,
-                    k=k,
-                    m=m,
-                    n=n,
-                    m_prime=m_prime(m, k),
-                    e_analytic=e_an,
-                    e_numeric=e_num,
-                    abs_diff=None if e_num is None else abs(e_an - e_num),
-                )
-            )
-    return entries
 
 
 @dataclass(frozen=True)

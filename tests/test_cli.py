@@ -244,7 +244,8 @@ rc = None
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = screened_sphere.cli.main(argv)
-print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "numpy": any(m == "numpy" or m.startswith("numpy.") for m in sys.modules)}))
 """
 _SP_FLAGS = ["--system", "oscillator", "--lambda", "0.1", "--k", "0.05", "--m", "1,2", "--N", "0,1"]
 _BR_FLAGS = ["--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--samples", "200"]
@@ -277,6 +278,9 @@ def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
     assert report["rc"] == (0 if argv else None)
     # the grid oracle loads LAPACK's wrapper alone, not the scipy.linalg package
     assert report["scipy"] == (["scipy.linalg._flapack"] if loads_scipy else [])
+    # closure and the analytic spectrum run on the stdlib closed forms alone
+    uses_numpy = bool(argv) and (argv[0] in ("orbit", "turning", "brackets") or "--numeric" in argv)
+    assert report["numpy"] is uses_numpy
 
 
 def _run_in(directory: Path, argv: list[str], capsys, monkeypatch):

@@ -11,7 +11,14 @@ from screened_sphere.conserved import (
     runge_lenz,
     verify_coulomb_algebra,
 )
-from screened_sphere.dynamics import PhaseState, SystemKind, SystemParams, integrate, state_at_theta
+from screened_sphere.dynamics import (
+    PhaseState,
+    SystemKind,
+    SystemParams,
+    integrate,
+    orbit_alpha,
+    state_at_theta,
+)
 from screened_sphere.errors import DomainError
 from screened_sphere.spectra import (
     RadialGrid,
@@ -21,6 +28,7 @@ from screened_sphere.spectra import (
     oscillator_wavefunction,
     radial_solve_numeric,
 )
+from test_cli import run_cli
 
 COULOMB = SystemParams(SystemKind.COULOMB, 0.1, 0.05)
 OSCILLATOR = SystemParams(SystemKind.OSCILLATOR, 0.1, 0.05)
@@ -59,3 +67,14 @@ def test_library_input_checks_raise_domain_error(call):
     with pytest.raises(DomainError) as exc:
         call()
     assert exc.value.code == "ERR_DOMAIN"
+
+
+@pytest.mark.parametrize("lz", ["nan", "inf", "-inf"])
+def test_non_finite_lz_is_a_domain_error(lz):
+    # an infinite Lz used to pass as alpha = 1 (a closed orbit), a NaN as a bare ValueError
+    message = f"angular momentum Lz must be finite, got {float(lz)}"
+    with pytest.raises(DomainError, match=message) as exc:
+        orbit_alpha(COULOMB, float(lz))
+    assert exc.value.code == "ERR_DOMAIN"
+    proc = run_cli("closure", "--system", "coulomb", "--Lz", lz)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"ERR_DOMAIN: {message}\n")

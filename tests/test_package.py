@@ -1,0 +1,54 @@
+"""The package's public names and the modules that importing the CLI registers."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import screened_sphere
+from screened_sphere import closed_forms
+from test_cli import SRC
+
+# Every name the package exported before the closed forms moved, by the module
+# it came from; the names in MOVED now live in closed_forms and are re-exported.
+EXPORTED = {
+    "dynamics": """ClosureResult OrbitShape PhaseState SystemKind SystemParams Trajectory
+        TurningKind TurningPoint closed_form_radius closure_analysis equations_of_motion
+        find_turning_points fit_theta0 hamiltonian integrate orbit_alpha orbit_residual
+        pi_vector potential radial_theta_period state_at_theta""",
+    "conserved": """BracketReport Observable angular_momentum fradkin_quantities poisson_bracket
+        runge_lenz turning_point_conservation verify_coulomb_algebra verify_oscillator_algebra""",
+    "spectra": """RadialGrid SpectrumEntry coulomb_energy degeneracy_split_report
+        hypergeometric_terminating m_prime oscillator_energy oscillator_operator_residual
+        oscillator_wavefunction radial_solve_numeric spectrum_entries""",
+}
+MOVED = set("""ClosureResult SystemKind SystemParams closure_analysis orbit_alpha SpectrumEntry
+    coulomb_energy m_prime oscillator_energy spectrum_entries""".split())
+NAMES = [(module, name) for module, names in EXPORTED.items() for name in names.split()]
+
+
+def test_public_names_are_their_owners_objects():
+    wrong = [name for module, name in NAMES
+             if getattr(screened_sphere, name)
+             is not getattr(importlib.import_module(f"screened_sphere.{module}"), name)
+             or name in MOVED and getattr(screened_sphere, name) is not getattr(closed_forms, name)]
+    assert wrong == []
+    assert {name for _, name in NAMES} <= set(dir(screened_sphere))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        screened_sphere.no_such_name
+
+
+def test_cli_import_registers_the_numpy_modules_without_running_them():
+    # perfbench/traced.py reads these from sys.modules right after importing the CLI
+    code = ("import sys, screened_sphere.cli\n"
+            "print([f'screened_sphere.{m}' in sys.modules for m in ('dynamics', 'conserved', 'spectra')],"
+            " 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[True, True, True] False\n"
