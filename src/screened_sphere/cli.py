@@ -270,28 +270,36 @@ def _config_defaults(path: str, command: str, commands: dict) -> dict:
     store_true flags are read here (``1``, ``true`` or ``yes`` sets them).
     argparse checks ``choices`` only on command-line values, so a value
     outside its flag's choices is a usage error here, with the flag's message.
+    A path that cannot be read is a usage error; a file that is not text in
+    the locale's encoding is a domain error, as a bad line is.
     """
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read --config {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"config file {path!r} is not text: {exc}") from None
     defaults = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"bad config line (want key=value): {line!r}")
-            key, _, raw = (part.strip() for part in line.partition("="))
-            owners = {name: sp._option_string_actions.get("--" + key)
-                      for name, sp in commands.items()}
-            if key in ("config", "help") or not any(owners.values()):
-                raise DomainError(f"unknown config key {key!r}")
-            action = owners[command]
-            if action is None:  # an option of other commands only
-                continue
-            try:
-                commands[command]._check_value(action, raw)
-            except argparse.ArgumentError as exc:
-                commands[command].error(str(exc))  # prints usage, raises SystemExit(2)
-            defaults[action.dest] = raw.lower() in ("1", "true", "yes") if action.nargs == 0 else raw
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DomainError(f"bad config line (want key=value): {line!r}")
+        key, _, raw = (part.strip() for part in line.partition("="))
+        owners = {name: sp._option_string_actions.get("--" + key)
+                  for name, sp in commands.items()}
+        if key in ("config", "help") or not any(owners.values()):
+            raise DomainError(f"unknown config key {key!r}")
+        action = owners[command]
+        if action is None:  # an option of other commands only
+            continue
+        try:
+            commands[command]._check_value(action, raw)
+        except argparse.ArgumentError as exc:
+            commands[command].error(str(exc))  # prints usage, raises SystemExit(2)
+        defaults[action.dest] = raw.lower() in ("1", "true", "yes") if action.nargs == 0 else raw
     return defaults
 
 
@@ -314,9 +322,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(str(exc))  # prints usage, raises SystemExit(2)
     except DomainError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"ERR_DOMAIN: {exc}", file=sys.stderr)
         return 3
 
 

@@ -265,17 +265,6 @@ def poisson_bracket(
     return float(_bracket(gf, gg))
 
 
-def product_observable(f: Observable, g: Observable) -> Observable:
-    """Product f*g with the product-rule gradient (for Leibniz checks)."""
-    return Observable(
-        name=f"{f.name}*{g.name}",
-        value=lambda st, pr: f.value(st, pr) * g.value(st, pr),
-        gradient=lambda st, pr: (
-            f.gradient(st, pr) * g.value(st, pr) + g.gradient(st, pr) * f.value(st, pr)
-        ),
-    )
-
-
 # --- sampling ---------------------------------------------------------------
 
 _R_MIN, _R_MAX, _P_MAX = 0.3, 3.0, 2.0
@@ -288,6 +277,8 @@ def _sample_batch(
     """The states of ``sample_states`` as a (4, n) array."""
     if n < 1:
         raise DomainError(f"need at least one sampled state, got {n}")
+    if rng is None and seed < 0:  # numpy's SeedSequence takes no negative entropy
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     if 2.0 * params.k >= _LZ_SQ_MAX:
         raise ImaginaryAlphaError(
             f"2k = {2 * params.k:g} >= {_LZ_SQ_MAX:g}, the largest Lz**2 on the sampling box"

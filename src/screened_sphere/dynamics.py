@@ -34,10 +34,10 @@ so r = tan(chi)/sqrt(lam) for the polar angle chi, and the chart covers
 the open upper hemisphere (the equator maps to r = infinity).
 
 Orbits are integrated by DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-II.10), at most ``MAX_STEPS`` steps, on Python floats; only ``fit_theta0``
-imports scipy.  The step is straight-line code written at import from the
-table: it skips zero coefficients and sums left to right from 0.0 as Python
-3.11's ``sum(map(mul, a, k))`` does; on finite stages it is that loop bit for bit.
+II.10), at most ``MAX_STEPS`` steps, on Python floats, without scipy.  The step
+is straight-line code written at import from the table: it skips zero
+coefficients and sums left to right from 0.0 as Python 3.11's
+``sum(map(mul, a, k))`` does; on finite stages it is that loop bit for bit.
 Each stage runs the source text of ``h_gradient`` inline, so the gradient has one
 definition and no call.  ``Trajectory.to_csv`` formats a block of rows per ``%``.
 """
@@ -57,7 +57,6 @@ from .closed_forms import (  # noqa: F401 -- re-exported
 from .errors import (
     AccuracyError,
     DomainError,
-    NoTurningPointError,
     OrbitDomainError,
     RadiusError,
     SingularOrbitError,
@@ -365,19 +364,21 @@ def _dop853(y, params: SystemParams, t_end: float, rtol: float, atol: float, r_m
     Returns the accepted step times and states, each step's 13 stage
     derivatives (flat, component-major) and a status: 0 at ``t_end``, 1 once
     r falls through ``r_min`` (that step is kept), -1 on step-size underflow.
+    A step whose error norm overflows is rejected.
     """
     direction = 1.0 if t_end > 0.0 else -1.0
+    t, g = 0.0, math.hypot(y[0], y[1]) - r_min
+    ts, ys, ks = array("d", [t]), array("d", y), array("d")
     f = _rhs(*y, params)
     scale = [atol + abs(v) * rtol for v in y]
     d0, d1 = (math.hypot(*(v / sc for v, sc in zip(w, scale))) / 2.0 for w in (y, f))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t_end))
+    if h0 == 0.0:  # an infinite derivative leaves no first step
+        return ts, ys, ks, -1
     f1 = _rhs(*(v + h0 * direction * dv for v, dv in zip(y, f)), params)
     d2 = math.hypot(*((b - a) / sc for a, b, sc in zip(f, f1, scale))) / 2.0 / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100.0 * h0, h1, abs(t_end))
-
-    t, g = 0.0, math.hypot(y[0], y[1]) - r_min
-    ts, ys, ks = array("d", [t]), array("d", y), array("d")
     while direction * (t - t_end) < 0.0:
         if len(ts) > MAX_STEPS:
             raise StepBudgetError(f"more than {MAX_STEPS} solver steps; stopped at t = {t:.6g}")
@@ -392,8 +393,11 @@ def _dop853(y, params: SystemParams, t_end: float, rtol: float, atol: float, r_m
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            y_new, k, err5, err3 = _step(y, f, h, params, atol, rtol)
-            err = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 4) if err5 or err3 else 0.0
+            try:
+                y_new, k, err5, err3 = _step(y, f, h, params, atol, rtol)
+                err = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 4) if err5 or err3 else 0.0
+            except OverflowError:  # from ``** 2`` in the error norm
+                err = math.inf
             if err < 1.0:
                 factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
                 h_abs *= min(1.0, factor) if rejected else factor
@@ -622,6 +626,18 @@ class OrbitShape:
         """Et = E - (lam/2)*Lz**2, the only combination curvature enters."""
         return self.E - 0.5 * params.lam * self.lz**2
 
+    def coefficients(self, params: SystemParams) -> tuple[float, float, float, float, int]:
+        """(c0, c1**2, nu, la2, n) of the closed form w*la2 = c0 + c1*cos(nu*(theta - theta0)).
+
+        w = 1/r**n: 1/r with c0 = 1, nu = alpha for coulomb; 1/r**2 with
+        c0 = Et, nu = 2*alpha for the oscillator; la2 = Lz**2*alpha**2.
+        """
+        et = self.shifted_energy(params)
+        la2 = self.lz**2 * self.alpha**2
+        if params.kind is SystemKind.COULOMB:
+            return 1.0, 1.0 + 2.0 * et * la2, self.alpha, la2, 1
+        return et, et * et - la2, 2.0 * self.alpha, la2, 2
+
 
 def closed_form_radius(theta, shape: OrbitShape, params: SystemParams):
     """r(theta) from the closed-form orbit equation for the given system.
@@ -630,24 +646,14 @@ def closed_form_radius(theta, shape: OrbitShape, params: SystemParams):
     bracket is nonpositive (angles outside the bound range).
     """
     theta = np.asarray(theta, dtype=float)
-    et = shape.shifted_energy(params)
-    la2 = shape.lz**2 * shape.alpha**2
-    if params.kind is SystemKind.COULOMB:
-        disc = 1.0 + 2.0 * et * la2
-        if disc < 0.0:
-            raise OrbitDomainError(f"coulomb orbit discriminant negative: {disc:g}")
-        u = (1.0 + math.sqrt(disc) * np.cos(shape.alpha * (theta - shape.theta0))) / la2
-        if np.any(u <= 0.0):
-            raise OrbitDomainError("1/r nonpositive: angle outside the bound range")
-        r = 1.0 / u
-    else:
-        disc = et * et - la2
-        if disc < 0.0:
-            raise OrbitDomainError(f"oscillator orbit discriminant negative: {disc:g}")
-        w = (et + math.sqrt(disc) * np.cos(2.0 * shape.alpha * (theta - shape.theta0))) / la2
-        if np.any(w <= 0.0):
-            raise OrbitDomainError("1/r**2 nonpositive: angle outside the bound range")
-        r = 1.0 / np.sqrt(w)
+    c0, disc, nu, la2, n = shape.coefficients(params)
+    if disc < 0.0:
+        raise OrbitDomainError(f"{params.kind.value} orbit discriminant negative: {disc:g}")
+    w = (c0 + math.sqrt(disc) * np.cos(nu * (theta - shape.theta0))) / la2
+    if np.any(w <= 0.0):
+        raise OrbitDomainError(("1/r" if n == 1 else "1/r**2")
+                               + " nonpositive: angle outside the bound range")
+    r = 1.0 / w if n == 1 else 1.0 / np.sqrt(w)
     return float(r) if r.ndim == 0 else r
 
 
@@ -659,41 +665,18 @@ def radial_theta_period(params: SystemParams, alpha: float) -> float:
 def fit_theta0(traj: Trajectory, params: SystemParams) -> float:
     """Phase offset theta0 aligning the closed form with the trajectory.
 
-    Anchors a closed-form perihelion on the first detected perihelion,
-    then refines by least squares over one radial period.  A circular
-    orbit accepts any phase; returns 0 by convention.
+    The closed form is linear in (A, B) = c1*(cos(nu*theta0), sin(nu*theta0)):
+    w*la2 - c0 = A*cos(nu*theta) + B*sin(nu*theta) (see
+    :meth:`OrbitShape.coefficients`).  One least-squares solve over all
+    samples gives theta0 = atan2(B, A)/nu, in (-pi/nu, pi/nu], so no turning
+    point is needed.  A circular orbit accepts any phase; returns 0 by convention.
     """
-    from scipy.optimize import least_squares
-
-    points = find_turning_points(traj)
     if traj.circular:
         return 0.0
-    if not points:
-        raise NoTurningPointError("trajectory has no detected turning point")
-
-    perihelia = [p for p in points if p.kind is TurningKind.PERIHELION]
-    anchor = perihelia[0] if perihelia else points[0]
-    shape0 = OrbitShape.from_state(traj.state_at(0.0), params)
-    period = radial_theta_period(params, shape0.alpha)
-    theta_p = anchor.theta
-    if anchor.kind is TurningKind.APHELION:
-        # aphelion sits half a radial period from the nearest perihelion
-        theta_p -= 0.5 * period
-
-    window = (traj.theta >= theta_p - 0.5 * period) & (
-        traj.theta <= theta_p + 0.5 * period
-    )
-    if int(np.count_nonzero(window)) < 10:
-        window = np.ones_like(traj.theta, dtype=bool)
-    th = traj.theta[window]
-    rr = traj.r[window]
-
-    def resid(v):
-        shape = OrbitShape(shape0.E, shape0.lz, shape0.alpha, theta0=float(v[0]))
-        return closed_form_radius(th, shape, params) - rr
-
-    fit = least_squares(resid, x0=[theta_p], method="lm")
-    return float(fit.x[0])
+    c0, _, nu, la2, n = OrbitShape.from_state(traj.state_at(0.0), params).coefficients(params)
+    basis = np.column_stack([np.cos(nu * traj.theta), np.sin(nu * traj.theta)])
+    (a, b), *_ = np.linalg.lstsq(basis, la2 / traj.r**n - c0, rcond=None)
+    return math.atan2(b, a) / nu
 
 
 def orbit_residual(

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +127,21 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     assert data["closed"] is True and data["alpha"] == 0.5
 
 
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing.cfg"):  # a directory, then no file
+        with pytest.raises(SystemExit) as exc:
+            main(["closure", "--config", str(path), "--Lz", "1"])
+        assert exc.value.code == 2
+        assert "cannot read --config" in capsys.readouterr().err
+
+
+def test_undecodable_config_is_a_domain_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"system=coulomb\n\xff\xfe=1\n")
+    assert main(["closure", "--config", str(cfg), "--Lz", "1"]) == 3
+    assert capsys.readouterr().err.startswith("ERR_DOMAIN: ")
+
+
 def test_domain_error_exit_codes(capsys):
     rc = main(["closure", "--system", "coulomb", "--lambda", "0", "--k", "0.5",
                "--Lz", "1"])
@@ -166,6 +182,7 @@ def test_usage_error_exit_codes(capsys):
         # a few states exist, but too rare to find within the draw cap
         (["--k", "35.99"], "ERR_IMAGINARY_ALPHA:"),
         (["--k", "0.05", "--samples", "0"], "ERR_DOMAIN:"),
+        (["--k", "0.05", "--seed", "-1"], "ERR_DOMAIN:"),
     ],
 )
 def test_brackets_sampler_terminates_with_code(argv, code):
@@ -194,6 +211,20 @@ def test_non_finite_orbit_ends_with_code(flag, value, code):
                    "--t-end", "1", flag, value, timeout=30.0)
     assert proc.returncode == 3
     assert proc.stderr.startswith(code), proc.stderr
+
+
+@pytest.mark.parametrize("command", ["orbit", "turning"])
+@pytest.mark.parametrize("flags", [
+    # an infinite first derivative leaves a zero first step
+    ["--px", "1e308"], ["--px", "0", "--lambda", "1e308"], ["--px", "0", "--k", "1e308"],
+    # the error norm of the first step overflows
+    ["--px", "0", "--k", "1e200"],
+])
+def test_huge_inputs_end_with_code(command, flags, capsys):
+    rc = main([command, "--system", "coulomb", "--x", "1", "--px", "1", "--py", "1",
+               "--t-end", "5", "--out", os.devnull, *flags])
+    assert rc == 3
+    assert re.match(r"ERR_[A-Z_]+: ", capsys.readouterr().err)
 
 
 def test_long_fast_orbit_hits_the_step_cap():

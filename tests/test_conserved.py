@@ -17,7 +17,6 @@ from screened_sphere.conserved import (
     finite_difference_gradient,
     fradkin_quantities,
     poisson_bracket,
-    product_observable,
     runge_lenz,
     sample_states,
     turning_point_conservation,
@@ -144,6 +143,15 @@ def test_bracket_rejects_unknown_method(coulomb_params):
     with pytest.raises(ValueError):
         poisson_bracket(LZ, HAMILTONIAN, PhaseState(1.0, 0.0, 0.0, 1.0),
                         coulomb_params, method="symbolic")
+
+
+def product_observable(f: Observable, g: Observable) -> Observable:
+    """f*g on the scalar path, with the product-rule gradient."""
+    return Observable(
+        f"{f.name}*{g.name}",
+        lambda st, pr: f.value(st, pr) * g.value(st, pr),
+        lambda st, pr: f.gradient(st, pr) * g.value(st, pr) + g.gradient(st, pr) * f.value(st, pr),
+    )
 
 
 def test_leibniz_rule(coulomb_params):

@@ -1,7 +1,11 @@
 """Orbit integration, closed forms, turning points, closure."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +45,7 @@ from screened_sphere.errors import (
 )
 
 FLAT_KEPLER = SystemParams(SystemKind.COULOMB, 0.0, 0.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 TWO_PI = 2.0 * math.pi
 
 
@@ -270,6 +275,47 @@ def test_fit_theta0_rotational_covariance():
     )
     traj = integrate(rotated, FLAT_KEPLER, 30.0, rel_tol=1e-11, n_samples=6001)
     assert fit_theta0(traj, FLAT_KEPLER) == pytest.approx(beta, abs=1e-8)
+
+
+def test_fit_theta0_rotated_screened_oscillator(oscillator_params):
+    # a perihelion launch turned by beta: the closed form's theta0 is beta modulo pi/alpha
+    beta = 1.1
+    c, s = math.cos(beta), math.sin(beta)
+    rotated = PhaseState(0.8 * c, 0.8 * s, -1.2 * s, 1.2 * c)
+    traj = integrate(rotated, oscillator_params, 40.0, rel_tol=1e-10, n_samples=6001)
+    assert traj.turning_points[0].kind is TurningKind.PERIHELION
+    period = math.pi / orbit_alpha(oscillator_params, 0.8 * 1.2)
+    theta0 = fit_theta0(traj, oscillator_params)
+    assert abs((theta0 - beta + 0.5 * period) % period - 0.5 * period) < 1e-8
+
+
+def test_fit_theta0_without_turning_point(coulomb_params):
+    # an inbound arc that ends before its perihelion: the linear fit needs no apsis
+    traj = integrate(PhaseState(1.6, 0.0, -0.1, 0.55), coulomb_params, 1.0,
+                     rel_tol=1e-10, n_samples=201)
+    assert traj.turning_points == [] and not traj.circular
+    assert math.isfinite(fit_theta0(traj, coulomb_params))
+    dev_cf, dev_ode = orbit_residual(traj, coulomb_params)
+    assert dev_cf < 1e-6
+    assert dev_ode < 1e-6
+
+
+_RESIDUAL_PROBE = """
+import sys
+from screened_sphere.dynamics import PhaseState, SystemKind, SystemParams, integrate, orbit_residual
+params = SystemParams(SystemKind.COULOMB, 0.1, 0.05)
+orbit_residual(integrate(PhaseState(1.6, 0.0, 0.0, 0.55), params, 20.0), params)
+print(",".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def test_orbit_residual_loads_no_scipy():
+    # a fresh interpreter, so that no earlier test has loaded scipy already
+    proc = subprocess.run([sys.executable, "-c", _RESIDUAL_PROBE],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 # --- orbit residual -----------------------------------------------------------
