@@ -19,8 +19,9 @@ error.
 
 All floating output is printed with 17 significant digits and files are
 written atomically, so identical inputs (including ``--seed``) give
-byte-identical outputs.  Exit status: 0 on success, 2 on usage errors, 3
-on domain errors (one ``CODE: message`` line on stderr).
+byte-identical outputs.  Exit status: 0 on success, 2 on usage errors
+(an output path that cannot be written is one), 3 on domain errors (one
+``CODE: message`` line on stderr).
 """
 
 from __future__ import annotations
@@ -74,15 +75,18 @@ def _write_output(path: str, text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _strip_header_csv(text: str) -> str:

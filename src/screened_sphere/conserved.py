@@ -44,6 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import (
+    MAX_SAMPLES,
     PhaseState,
     SystemKind,
     SystemParams,
@@ -184,42 +185,35 @@ def _builtin(name: str, value, value_kernel: Callable, gradient_kernel: Callable
     return Observable(name, value, gradient, value_kernel, gradient_kernel)
 
 
-# (value, gradient) kernels of each system's extended pair, run once per batch
+# (value, gradient) kernels of each system's extended pair, run once per batch, and its names
 _PAIR_KERNELS = {
     SystemKind.COULOMB: (_runge_lenz_pair, _runge_lenz_gradients),
     SystemKind.OSCILLATOR: (_fradkin_pair, _fradkin_gradients),
 }
+_PAIR_NAMES = {SystemKind.COULOMB: ("R'x", "R'y"), SystemKind.OSCILLATOR: ("Q'xy", "Q'1")}
 
 
-def _pair_observables(names, scalar, kind: SystemKind):
+def _pair_observables(scalar, kind: SystemKind):
     """The two members of a pair-valued quantity as observables."""
     value_kernel, gradient_kernel = _PAIR_KERNELS[kind]
     return tuple(
         _builtin(name, lambda st, pr, i=i: scalar(st, pr)[i],
                  lambda *z, i=i: value_kernel(*z)[i], lambda *z, i=i: gradient_kernel(*z)[i])
-        for i, name in enumerate(names)
+        for i, name in enumerate(_PAIR_NAMES[kind])
     )
 
 
 LZ = _builtin("Lz", lambda st, pr: angular_momentum(st), lz_value, lz_gradient)
 HAMILTONIAN = _builtin("H", hamiltonian, h_value, h_gradient)
-RUNGE_LENZ_X, RUNGE_LENZ_Y = _pair_observables(("R'x", "R'y"), runge_lenz, SystemKind.COULOMB)
-FRADKIN_XY, FRADKIN_1 = _pair_observables(("Q'xy", "Q'1"), fradkin_quantities,
-                                          SystemKind.OSCILLATOR)
-
-
-def extended_quantities(params: SystemParams) -> tuple[Observable, Observable]:
-    """The pair of turning-point-conserved observables for the system."""
-    if params.kind is SystemKind.COULOMB:
-        return RUNGE_LENZ_X, RUNGE_LENZ_Y
-    return FRADKIN_XY, FRADKIN_1
+RUNGE_LENZ_X, RUNGE_LENZ_Y = _pair_observables(runge_lenz, SystemKind.COULOMB)
+FRADKIN_XY, FRADKIN_1 = _pair_observables(fradkin_quantities, SystemKind.OSCILLATOR)
 
 
 # --- bracket engine ---------------------------------------------------------
 
-def _central_difference(func, z: np.ndarray, rel_step: float = _FD_STEP) -> np.ndarray:
+def _central_difference(func, z: np.ndarray) -> np.ndarray:
     """Central differences of ``func`` along each of the 4 rows of a (4,) or (4, n) state."""
-    h = rel_step * np.maximum(1.0, np.abs(z))
+    h = _FD_STEP * np.maximum(1.0, np.abs(z))
     grad = []
     for i in range(4):
         zp, zm = z.copy(), z.copy()
@@ -233,12 +227,9 @@ def finite_difference_gradient(
     func: Callable[[PhaseState, SystemParams], float],
     state: PhaseState,
     params: SystemParams,
-    rel_step: float = _FD_STEP,
 ) -> Gradient:
     """Central-difference phase-space gradient, the oracle for analytic ones."""
-    return _central_difference(
-        lambda z: func(PhaseState.from_array(z), params), state.as_array(), rel_step
-    )
+    return _central_difference(lambda z: func(PhaseState.from_array(z), params), state.as_array())
 
 
 def _bracket(gf, gg):
@@ -271,19 +262,19 @@ _R_MIN, _R_MAX, _P_MAX = 0.3, 3.0, 2.0
 _LZ_SQ_MAX = 2.0 * (_R_MAX * _P_MAX) ** 2  # |Lz| <= r*|p| <= 3 * 2*sqrt(2) on the box
 
 
-def _sample_batch(
-    params: SystemParams, n: int, seed: int = 0, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def _sample_batch(params: SystemParams, n: int, seed: int) -> np.ndarray:
     """The states of ``sample_states`` as a (4, n) array."""
     if n < 1:
         raise DomainError(f"need at least one sampled state, got {n}")
-    if rng is None and seed < 0:  # numpy's SeedSequence takes no negative entropy
+    if n > MAX_SAMPLES:  # checked before anything is drawn, as for trajectory samples
+        raise DomainError(f"at most {MAX_SAMPLES} sampled states, got {n}")
+    if seed < 0:  # numpy's SeedSequence takes no negative entropy
         raise DomainError(f"seed must be nonnegative, got {seed}")
     if 2.0 * params.k >= _LZ_SQ_MAX:
         raise ImaginaryAlphaError(
             f"2k = {2 * params.k:g} >= {_LZ_SQ_MAX:g}, the largest Lz**2 on the sampling box"
         )
-    rng = np.random.default_rng(seed) if rng is None else rng
+    rng = np.random.default_rng(seed)
     max_draws = 1000 * n + (1 << 20)
     blocks, have, drawn = [], 0, 0
     while have < n:
@@ -307,9 +298,7 @@ def _sample_batch(
     return np.concatenate(blocks, axis=1)[:, :n]
 
 
-def sample_states(
-    params: SystemParams, n: int, seed: int = 0, rng: np.random.Generator | None = None
-) -> list[PhaseState]:
+def sample_states(params: SystemParams, n: int, seed: int = 0) -> list[PhaseState]:
     """Well-conditioned random phase states for bracket verification.
 
     Positions are uniform over the annulus 0.3 <= r <= 3 (area measure),
@@ -317,7 +306,7 @@ def sample_states(
     so orbit quantities stay real.  Raises ``ImaginaryAlphaError`` when no
     state of the box, or too few candidates, pass that test.
     """
-    return [PhaseState.from_array(col) for col in _sample_batch(params, n, seed, rng).T]
+    return [PhaseState.from_array(col) for col in _sample_batch(params, n, seed).T]
 
 
 # --- algebra identities -----------------------------------------------------
@@ -422,7 +411,6 @@ def turning_point_conservation(
     traj: Trajectory, params: SystemParams
 ) -> TurningConservationReport:
     """Evaluate {quantity, H} along a trajectory at and away from rdot = 0."""
-    quantities = extended_quantities(params)
     value_pair, gradient_pair = _PAIR_KERNELS[params.kind]
     points = find_turning_points(traj)
     if not points:
@@ -440,7 +428,7 @@ def turning_point_conservation(
     values = np.stack(value_pair(*z_turning, params), axis=1)
     generic = np.max(np.abs(brackets_with_h(traj.states.T)))
     return TurningConservationReport(
-        quantity_names=(quantities[0].name, quantities[1].name),
+        quantity_names=_PAIR_NAMES[params.kind],
         n_turning_points=len(points),
         bracket_at_turning=at_turning,
         values_at_turning=values,

@@ -228,7 +228,6 @@ class Trajectory:
     H: np.ndarray
     Lz: np.ndarray
     params: SystemParams
-    rel_tol: float
     dense: DenseOutput
     step_t: np.ndarray            # accepted solver steps, ascending
     step_theta: np.ndarray        # unwrapped azimuth at those steps
@@ -471,7 +470,6 @@ def integrate(
     t_end: float,
     rel_tol: float = 1e-10,
     n_samples: int = 2001,
-    r_min_guard: float = R_MIN_GUARD,
 ) -> Trajectory:
     """Integrate Hamilton's equations with an adaptive Dormand-Prince scheme.
 
@@ -479,7 +477,7 @@ def integrate(
     (see :func:`find_turning_points`), and theta is unwrapped over its
     accepted steps, so it does not depend on ``n_samples``.  Raises
     :class:`~screened_sphere.errors.SingularOrbitError` if the orbit falls
-    below ``r_min_guard`` (both potentials are singular at r = 0) and
+    below ``R_MIN_GUARD`` (both potentials are singular at r = 0) and
     :class:`~screened_sphere.errors.AccuracyError` if energy or angular
     momentum drift beyond 10x the requested tolerance, or if a turning
     point is left with |rdot| above ``TURNING_RDOT_TOL``.  More than
@@ -490,8 +488,8 @@ def integrate(
         raise DomainError(f"initial state must be finite, got {y0}")
     if state0.r <= 0.0:
         raise RadiusError("initial state must have r > 0")
-    if state0.r <= r_min_guard:
-        raise SingularOrbitError(f"initial r = {state0.r:.3g} is at or below the guard {r_min_guard:g}")
+    if state0.r <= R_MIN_GUARD:
+        raise SingularOrbitError(f"initial r = {state0.r:.3g} is at or below the guard {R_MIN_GUARD:g}")
     if not math.isfinite(t_end) or t_end == 0.0:
         raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
     if not 1e-13 <= rel_tol <= 1e-6:
@@ -505,13 +503,13 @@ def integrate(
     # tolerance over long spans; integrating two decades tighter keeps the
     # 10x drift contract on the returned trajectory with margin.
     rtol_eff = max(rel_tol * 1e-2, 2.5e-14)
-    ts, ys, ks, status = _dop853(y0, params, t_end, rtol_eff, rtol_eff * 1e-2, r_min_guard)
+    ts, ys, ks, status = _dop853(y0, params, t_end, rtol_eff, rtol_eff * 1e-2, R_MIN_GUARD)
     if status < 0:
         # step-size underflow at vanishing radius is the collapse itself:
         # the time to the singularity drops below float spacing before the
         # radius guard can fire
         r_final = math.hypot(ys[-4], ys[-3])
-        if r_final <= max(1e-5, 1e3 * r_min_guard):
+        if r_final <= max(1e-5, 1e3 * R_MIN_GUARD):
             raise SingularOrbitError(f"orbit collapsed to r = {r_final:.3g} at t = {ts[-1]:.6g}")
         raise StiffnessError(
             "integrator failed: Required step size is less than spacing between numbers."
@@ -519,8 +517,8 @@ def integrate(
     step_y = np.frombuffer(ys).reshape(-1, 4).T
     dense = DenseOutput(np.frombuffer(ts), step_y, np.frombuffer(ks).reshape(-1, 4, 13), params)
     if status == 1:
-        t_hit = _bracketed_root(lambda t: np.hypot(*dense(t)[:2]) - r_min_guard, ts[-2], ts[-1])
-        raise SingularOrbitError(f"orbit collapsed to r <= {r_min_guard:g} at t = {t_hit:.6g}")
+        t_hit = _bracketed_root(lambda t: np.hypot(*dense(t)[:2]) - R_MIN_GUARD, ts[-2], ts[-1])
+        raise SingularOrbitError(f"orbit collapsed to r <= {R_MIN_GUARD:g} at t = {t_hit:.6g}")
 
     # The accepted steps in increasing time.  theta is unwrapped in
     # integration order, so theta(0) is atan2 of the initial state.
@@ -552,7 +550,6 @@ def integrate(
         H=h,
         Lz=lz,
         params=params,
-        rel_tol=rel_tol,
         dense=dense,
         step_t=dense.bounds,
         step_theta=step_theta,

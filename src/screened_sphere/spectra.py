@@ -50,6 +50,7 @@ from .closed_forms import (  # noqa: F401 -- re-exported
 from .errors import AccuracyError, DomainError
 
 _MIN_GRID_POINTS = 200
+_RESIDUAL_POINTS = 4000  # chi cells on (0, pi/2) for the operator-residual stencils
 
 
 def hypergeometric_terminating(n: int, b: float, c: float, z) -> float | np.ndarray:
@@ -97,17 +98,14 @@ def oscillator_wavefunction(r, lam: float, k: float, m: int, n: int):
 class RadialGrid:
     """Uniform Dirichlet grid for the radial eigenproblem.
 
-    ``variable`` is "chi" for lam > 0 (compactified polar angle) and "r"
-    for the flat limit.  Interior nodes sit at i*spacing, i = 1..n_points.
+    Interior nodes sit at i*spacing, i = 1..n_points.  The solve reads them
+    as the compactified polar angle chi for lam > 0 and as r in the flat limit.
     """
 
-    variable: str
     n_points: int
     x_max: float
 
     def __post_init__(self) -> None:
-        if self.variable not in ("chi", "r"):
-            raise DomainError(f"grid variable must be 'chi' or 'r', got {self.variable!r}")
         if self.n_points < _MIN_GRID_POINTS:
             raise DomainError(f"grid needs at least {_MIN_GRID_POINTS} points")
         if self.x_max <= 0.0:
@@ -124,7 +122,7 @@ class RadialGrid:
 
     def refined(self) -> "RadialGrid":
         """Nested grid with halved spacing (2n+1 interior points)."""
-        return RadialGrid(self.variable, 2 * self.n_points + 1, self.x_max)
+        return RadialGrid(2 * self.n_points + 1, self.x_max)
 
 
 def default_grid(kind: SystemKind, lam: float, k: float, m: int, n_levels: int) -> RadialGrid:
@@ -132,12 +130,12 @@ def default_grid(kind: SystemKind, lam: float, k: float, m: int, n_levels: int) 
     mp = m_prime(m, k)
     if lam > 0.0:
         x_max = math.pi if kind is SystemKind.COULOMB else math.pi / 2.0
-        return RadialGrid("chi", 2000, x_max)
+        return RadialGrid(2000, x_max)
     if kind is SystemKind.COULOMB:
         n_eff = mp + (n_levels - 1) + 0.5
-        return RadialGrid("r", 6000, max(40.0, 30.0 * n_eff))
+        return RadialGrid(6000, max(40.0, 30.0 * n_eff))
     e_max = 1.0 + mp + 2.0 * (n_levels - 1)
-    return RadialGrid("r", 3000, max(10.0, math.sqrt(2.0 * e_max) + 7.0))
+    return RadialGrid(3000, max(10.0, math.sqrt(2.0 * e_max) + 7.0))
 
 
 def _transformed_potential(
@@ -240,9 +238,7 @@ def radial_solve_numeric(
     return RadialSolveResult(energies=energies, error_estimate=estimate, grid=fine)
 
 
-def oscillator_operator_residual(
-    lam: float, k: float, m: int, n: int, n_points: int = 4000
-) -> float:
+def oscillator_operator_residual(lam: float, k: float, m: int, n: int) -> float:
     """||H1 psi - E psi|| / ||psi|| for the closed-form oscillator state.
 
     Applies the untransformed chi-form of the radial operator with
@@ -255,8 +251,8 @@ def oscillator_operator_residual(
     if lam <= 0.0:
         raise DomainError("operator residual is defined for lam > 0")
     mp = m_prime(m, k)
-    h = (math.pi / 2.0) / n_points
-    chi = h * np.arange(1, n_points)
+    h = (math.pi / 2.0) / _RESIDUAL_POINTS
+    chi = h * np.arange(1, _RESIDUAL_POINTS)
     r = np.tan(chi) / math.sqrt(lam)
     psi = oscillator_wavefunction(r, lam, k, m, n)
     e = oscillator_energy(lam, k, m, n)
@@ -299,20 +295,6 @@ class DegeneracySplit:
     e1: float
     e2: float
     gap: float
-
-    def to_dict(self) -> dict:
-        return {
-            "m1": self.m1,
-            "N1": self.n1,
-            "m2": self.m2,
-            "N2": self.n2,
-            "E1_k0": self.e1_unscreened,
-            "E2_k0": self.e2_unscreened,
-            "degenerate_at_k0": self.degenerate_unscreened,
-            "E1": self.e1,
-            "E2": self.e2,
-            "gap": self.gap,
-        }
 
 
 def degeneracy_split_report(

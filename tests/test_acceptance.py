@@ -269,7 +269,7 @@ def test_criterion_6_spectra():
 
 def test_criterion_7_oscillator_wavefunction_residual():
     worst = max(
-        oscillator_operator_residual(0.1, 0.05, 1, n, n_points=4000)
+        oscillator_operator_residual(0.1, 0.05, 1, n)
         for n in range(4)
     )
     _report(7, "wavefunction residual", worst < 1e-3, f"max residual={worst:.2e}")

@@ -244,6 +244,33 @@ def test_trajectory_samples_are_capped():
     assert proc.stderr.startswith("ERR_DOMAIN: n_samples must be at most")
 
 
+def test_brackets_samples_are_capped(capsys):
+    # 10**12 states would need terabytes; the cap rejects them before any draw
+    for samples in ("1000001", "1000000000000"):
+        assert main(["brackets", "--system", "coulomb", "--k", "0.05", "--samples", samples]) == 3
+        err = capsys.readouterr().err
+        assert err == f"ERR_DOMAIN: at most 1000000 sampled states, got {samples}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", "--system", "coulomb", "--Lz", "1", "--out", "{missing}"],
+    ["closure", "--system", "coulomb", "--Lz", "1", "--out", "{directory}"],
+    ["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1", "--t-end", "1",
+     "--out", "{tmp}/orbit.csv", "--turning-out", "{missing}"],
+])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    # a missing directory fails the temporary file, an existing directory the rename
+    (tmp_path / "taken").mkdir()
+    paths = {"missing": str(tmp_path / "no_such_dir" / "x.json"),
+             "directory": str(tmp_path / "taken"), "tmp": str(tmp_path)}
+    argv = [arg.format(**paths) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"cannot write {argv[-1]!r}: " in capsys.readouterr().err
+    assert not [p.name for p in tmp_path.rglob(".tmp-*")]
+
+
 def test_traced_entry_point_writes_the_plain_outputs(tmp_path):
     # perfbench/traced.py wraps Trajectory.to_csv and cli._write_output in place and
     # counts the bytes of the text it is given, so both must keep their str interface

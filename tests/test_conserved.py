@@ -28,6 +28,7 @@ from screened_sphere.dynamics import (
     SystemKind,
     SystemParams,
     TurningKind,
+    find_turning_points,
     hamiltonian,
     integrate,
     orbit_alpha,
@@ -294,6 +295,33 @@ def test_turning_magnitude_matches_orbit_discriminant(
     disc = math.sqrt(et**2 - lz**2 * alpha**2)
     mags = np.hypot(rep.values_at_turning[:, 0], rep.values_at_turning[:, 1])
     assert np.max(np.abs(mags - disc)) < 1e-7
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize(
+    "kind,state,t_end",
+    [
+        (SystemKind.COULOMB, PhaseState(1.6, 0.0, 0.0, 0.55), 30.0),
+        (SystemKind.OSCILLATOR, PhaseState(1.5, 0.0, 0.0, 0.6), 20.0),
+    ],
+)
+def test_apsidal_radii_follow_from_the_algebra(kind, state, t_end, lam):
+    """At every turning point the extended pair's length fixes the radius:
+    1/r = (1 +- |R'|)/(Lz**2 - 2k) (coulomb) and 1/r**2 = (Et +- |Q'|)/(Lz**2 - 2k)
+    (oscillator), with Et = H - lam*Lz**2/2 and + at perihelion."""
+    for k in (0.0, 0.05, 0.1):
+        params = SystemParams(kind, lam, k)
+        traj = integrate(state, params, t_end=t_end, rel_tol=1e-10, n_samples=2001)
+        rep = turning_point_conservation(traj, params)
+        lz, h = float(traj.Lz[0]), float(traj.H[0])
+        base = 1.0 if kind is SystemKind.COULOMB else h - 0.5 * lam * lz**2
+        length = np.hypot(rep.values_at_turning[:, 0], rep.values_at_turning[:, 1])
+        sign = np.where(np.array(rep.turning_kinds) == TurningKind.PERIHELION.value, 1.0, -1.0)
+        want = (base + sign * length) / (lz**2 - 2.0 * k)
+        r = np.array([p.r for p in find_turning_points(traj)])
+        got = 1.0 / r if kind is SystemKind.COULOMB else 1.0 / r**2
+        assert rep.n_turning_points >= 4
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-9  # 10x the solver tolerance
 
 
 def test_rational_alpha_components_recur():

@@ -45,9 +45,8 @@ def _theta_outside_the_orbit():
     lambda: hypergeometric_terminating(-1, 1.0, 1.0, 0.5),
     lambda: hypergeometric_terminating(2, 1.0, -1.0, 0.5),
     lambda: oscillator_wavefunction(1.0, 0.0, 0.0, 1, 0),
-    lambda: RadialGrid("theta", 500, 1.0),
-    lambda: RadialGrid("chi", 10, 1.0),
-    lambda: RadialGrid("chi", 500, 0.0),
+    lambda: RadialGrid(10, 1.0),
+    lambda: RadialGrid(500, 0.0),
     lambda: radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 11),
     lambda: oscillator_operator_residual(0.0, 0.0, 1, 0),
     lambda: runge_lenz(STATE, OSCILLATOR),
@@ -59,7 +58,7 @@ def _theta_outside_the_orbit():
     _theta_outside_the_orbit,
 ], ids=[
     "spectra-N", "spectra-series-order", "spectra-series-pole", "spectra-wavefunction-lam",
-    "spectra-grid-variable", "spectra-grid-points", "spectra-grid-extent", "spectra-n-levels",
+    "spectra-grid-points", "spectra-grid-extent", "spectra-n-levels",
     "spectra-residual-lam", "conserved-pair-kind", "conserved-bracket-method", "conserved-verify-kind",
     "conserved-verify-method", "dynamics-rel-tol", "dynamics-n-samples", "dynamics-theta-target",
 ])

@@ -169,7 +169,7 @@ def test_wavefunction_ground_state_nodeless():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_wavefunction_operator_residual(n):
-    assert oscillator_operator_residual(0.1, 0.05, 1, n, n_points=4000) < 1e-3
+    assert oscillator_operator_residual(0.1, 0.05, 1, n) < 1e-3
 
 
 def test_wavefunction_node_count():
@@ -185,10 +185,8 @@ def test_wavefunction_node_count():
 
 def test_radial_grid_validation():
     with pytest.raises(ValueError):
-        RadialGrid("chi", 100, math.pi)
-    with pytest.raises(ValueError):
-        RadialGrid("rho", 500, 1.0)
-    grid = RadialGrid("r", 500, 10.0)
+        RadialGrid(100, math.pi)
+    grid = RadialGrid(500, 10.0)
     assert grid.spacing == pytest.approx(10.0 / 501)
     assert grid.refined().n_points == 1001
 
@@ -213,7 +211,7 @@ def test_oracle_matches_screened_oscillator_spectrum():
 
 
 def test_oracle_resolution_error():
-    grid = RadialGrid("chi", 220, math.pi)
+    grid = RadialGrid(220, math.pi)
     with pytest.raises(AccuracyError):
         radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 3, grid=grid, tol=1e-9)
 

@@ -76,3 +76,35 @@ def test_gradient_kernels_match_symbolic_derivatives(kind, cases):
         want = np.array(exact(*z, params.lam, params.k))
         got = np.array(obs.gradient_kernel(*z, params))
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), obs.name
+
+
+# --- the paper's theorem: conservation at the apsides --------------------------
+
+ET_COULOMB = H_COULOMB - LAM * LZ**2 / 2
+ET_OSCILLATOR = H_OSCILLATOR - LAM * LZ**2 / 2
+# rdot = (1 + lam*r**2)**2 * (x.p)/r, so the turning points are x.p = 0
+CONDITIONS = {"k=0": {K: 0}, "x.p=0": {PX: -Y * PY / X}}
+
+
+@pytest.mark.parametrize("condition", CONDITIONS)
+@pytest.mark.parametrize(
+    "name,residual",
+    [
+        ("{R'x,H}", lambda: bracket(RX, H_COULOMB)),
+        ("{R'y,H}", lambda: bracket(RY, H_COULOMB)),
+        ("{Q'xy,H}", lambda: bracket(QXY, H_OSCILLATOR)),
+        ("{Q'1,H}", lambda: bracket(Q1, H_OSCILLATOR)),
+        ("R'x^2+R'y^2-1-2*Et*(Lz^2-2k)",
+         lambda: RX**2 + RY**2 - 1 - 2 * ET_COULOMB * (LZ**2 - 2 * K)),
+        ("Q'xy^2+Q'1^2-Et^2+(Lz^2-2k)",
+         lambda: QXY**2 + Q1**2 - ET_OSCILLATOR**2 + (LZ**2 - 2 * K)),
+    ],
+)
+def test_extended_quantities_conserved_at_turning_points(name, residual, condition):
+    assert sp.simplify(residual().subs(CONDITIONS[condition])) == 0, name
+
+
+def test_screened_runge_lenz_not_conserved_off_the_apsides():
+    state = {X: 1, Y: sp.Rational(1, 2), PX: sp.Rational(3, 10), PY: sp.Rational(7, 10),
+             LAM: sp.Rational(1, 10), K: sp.Rational(1, 20)}
+    assert abs(float(bracket(RX, H_COULOMB).subs(state))) > 0.05  # 0.0527
