@@ -7,7 +7,9 @@ in gnomonic-projection coordinates.
 The numpy-backed modules ``dynamics``, ``conserved`` and ``spectra`` are
 registered in ``sys.modules`` at import but run their bodies on first
 attribute access, so code that needs only ``closed_forms`` never loads
-numpy.  The public names below resolve from their owning module on use.
+numpy, and ``conserved``, which takes its kernels from ``phase_space``,
+runs ``dynamics`` only to analyse a trajectory.  The public names below
+resolve from their owning module on use.
 """
 
 import importlib.util
@@ -16,9 +18,10 @@ import sys
 _EXPORTS = {
     "closed_forms": """ClosureResult SpectrumEntry SystemKind SystemParams closure_analysis
         coulomb_energy m_prime orbit_alpha oscillator_energy spectrum_entries""",
-    "dynamics": """OrbitShape PhaseState Trajectory TurningKind TurningPoint closed_form_radius
-        equations_of_motion find_turning_points fit_theta0 hamiltonian integrate
-        orbit_residual pi_vector potential radial_theta_period state_at_theta""",
+    "phase_space": "PhaseState hamiltonian pi_vector potential",
+    "dynamics": """OrbitShape Trajectory TurningKind TurningPoint closed_form_radius
+        equations_of_motion find_turning_points fit_theta0 integrate orbit_residual
+        radial_theta_period state_at_theta""",
     "conserved": """BracketReport Observable angular_momentum fradkin_quantities poisson_bracket
         runge_lenz turning_point_conservation verify_coulomb_algebra verify_oscillator_algebra""",
     "spectra": """RadialGrid degeneracy_split_report hypergeometric_terminating

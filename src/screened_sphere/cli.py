@@ -17,9 +17,9 @@ the file and the file beats the built-in defaults.  Keys of options that
 only other commands have are ignored; a key no command has is a domain
 error.
 
-All floating output is printed with 17 significant digits and files are
-written atomically, so identical inputs (including ``--seed``) give
-byte-identical outputs.  Exit status: 0 on success, 2 on usage errors
+All floating output is printed with 17 significant digits and regular
+files are written atomically (a FIFO or a device is written into), so
+identical inputs (including ``--seed``) give byte-identical outputs.  Exit status: 0 on success, 2 on usage errors
 (an output path that cannot be written is one), 3 on domain errors (one
 ``CODE: message`` line on stderr).
 """
@@ -70,16 +70,25 @@ def _json(obj, indent: int = 0) -> str:
 
 
 def _write_output(path: str, text: str) -> None:
-    """Write to stdout for '-', otherwise atomically via temp file + rename."""
+    """Write to stdout for '-', into a path that exists and is not a regular file
+    (a FIFO, a device), otherwise atomically via temp file + rename, with the
+    mode that the umask gives a new file."""
     if path == "-":
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
     try:
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w") as fh:
+                fh.write(text)
+            return
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -203,8 +212,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=float, default=0.0,
                    help="screening strength (>= 0, default %(default)s)")
     p.add_argument("--out", default="-", help="output path, '-' for stdout (default %(default)s)")
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv",
-                   help="output format (default %(default)s)")
+
+
+def _add_gnuplot(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gnuplot", action="store_true",
                    help="space-separated columns without header")
 
@@ -231,6 +241,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p_orbit = sub.add_parser("orbit", help="integrate an orbit and export the trajectory")
     _add_common(p_orbit)
+    _add_gnuplot(p_orbit)
     _add_state(p_orbit)
     p_orbit.add_argument("--turning-out", dest="turning_out",
                          help="also write turning points as JSON to this path")
@@ -253,6 +264,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p_sp = sub.add_parser("spectrum", help="energy levels, analytic and grid-oracle")
     _add_common(p_sp)
+    p_sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv",
+                      help="output format (default %(default)s)")
+    _add_gnuplot(p_sp)
     p_sp.add_argument("--m", type=_int_list, default="0",
                       help="angular quantum number(s), comma separated (default %(default)s)")
     p_sp.add_argument("--N", dest="n", type=_int_list, default="0",

@@ -1,7 +1,10 @@
 """The paper's closed forms: orbit closure and the analytic spectra.
 
 This module imports only the standard library and ``errors``, so the
-``closure`` command and the analytic ``spectrum`` never load numpy.
+``closure`` command and the analytic ``spectrum`` never load numpy.  Its
+records are namedtuples rather than dataclasses, since ``dataclasses``
+imports ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``), and
+``fractions`` loads inside ``closure_analysis`` alone.
 
 Orbits close for rational alpha = sqrt(1 - 2k/Lz**2) = p/q.  Screening
 enters the radial quantum problem only through the effective angular
@@ -17,10 +20,9 @@ degenerate at k = 0 (equal |m|+N, resp. |m|+2N) split.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import CurvatureError, DomainError, ImaginaryAlphaError, ImaginaryMPrimeError
 
@@ -42,16 +44,18 @@ def check_lam_k(lam: float, k: float = 0.0) -> None:
         raise DomainError(f"screening strength must be finite and >= 0, got {k}")
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(namedtuple("SystemParams", "kind lam k")):
     """System selector: potential kind, curvature lam >= 0, screening k >= 0."""
 
-    kind: SystemKind
-    lam: float = 0.0
-    k: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_lam_k(self.lam, self.k)
+    def __new__(cls, kind: SystemKind, lam: float = 0.0, k: float = 0.0) -> "SystemParams":
+        check_lam_k(lam, k)
+        return super().__new__(cls, kind, lam, k)
+
+    @classmethod
+    def _make(cls, iterable) -> "SystemParams":  # so that _replace checks too
+        return cls(*iterable)
 
 
 # --- closure --------------------------------------------------------------
@@ -66,18 +70,14 @@ def orbit_alpha(params: SystemParams, lz: float) -> float:
     return math.sqrt(1.0 - 2.0 * params.k / lz2)
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(namedtuple("ClosureResult", "alpha closed p q closure_angle",
+                               defaults=(None, None, None))):
     """Rational-alpha closure analysis for given system and angular momentum."""
 
-    alpha: float
-    closed: bool
-    p: Optional[int] = None
-    q: Optional[int] = None
-    closure_angle: Optional[float] = None
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def closure_analysis(params: SystemParams, lz: float) -> ClosureResult:
@@ -89,6 +89,8 @@ def closure_analysis(params: SystemParams, lz: float) -> ClosureResult:
     coulomb system; the oscillator's doubled angle halves it to pi*q
     when q is even.
     """
+    from fractions import Fraction
+
     alpha = orbit_alpha(params, lz)
     frac = Fraction(alpha).limit_denominator(MAX_DENOMINATOR)
     if abs(alpha - float(frac)) > RATIONAL_TOL:
@@ -142,19 +144,12 @@ def analytic_energy(kind: SystemKind, lam: float, k: float, m: int, n: int) -> f
     return oscillator_energy(lam, k, m, n)
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(namedtuple("SpectrumEntry",
+                               "kind lam k m n m_prime e_analytic e_numeric abs_diff",
+                               defaults=(None, None))):
     """One (m, N) level: analytic energy plus optional grid-oracle energy."""
 
-    kind: SystemKind
-    lam: float
-    k: float
-    m: int
-    n: int
-    m_prime: float
-    e_analytic: float
-    e_numeric: Optional[float] = None
-    abs_diff: Optional[float] = None
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -43,22 +43,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import (
-    MAX_SAMPLES,
-    PhaseState,
-    SystemKind,
-    SystemParams,
-    Trajectory,
-    find_turning_points,
-    h_gradient,
-    h_value,
-    hamiltonian,
-    kernel_sqrt,
-    lz_gradient,
-    lz_value,
-    pi_components,
-)
+from . import dynamics  # registered lazily: runs only when a trajectory is analysed
+from .closed_forms import SystemKind, SystemParams
 from .errors import DomainError, ImaginaryAlphaError, NoTurningPointError, RadiusError
+from .phase_space import (MAX_SAMPLES, PhaseState, h_gradient, h_value, hamiltonian, kernel_sqrt,
+                          lz_gradient, lz_value, pi_components)
 
 _FD_STEP = 6.0e-6  # ~cbrt(eps): optimal central-difference step on unit scales
 
@@ -408,11 +397,11 @@ class TurningConservationReport:
 
 
 def turning_point_conservation(
-    traj: Trajectory, params: SystemParams
+    traj: dynamics.Trajectory, params: SystemParams
 ) -> TurningConservationReport:
     """Evaluate {quantity, H} along a trajectory at and away from rdot = 0."""
     value_pair, gradient_pair = _PAIR_KERNELS[params.kind]
-    points = find_turning_points(traj)
+    points = dynamics.find_turning_points(traj)
     if not points:
         raise NoTurningPointError(
             "no turning points detected"

@@ -1,0 +1,122 @@
+"""Phase-space kernels of the gnomonic chart: H, its gradient, Lz and pi.
+
+``dynamics`` sets out the chart and re-exports every name here; ``conserved``
+takes its kernels from here, so the bracket checks never run ``dynamics``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from .closed_forms import SystemKind, SystemParams
+from .errors import RadiusError
+
+MAX_SAMPLES = 10**6  # cap on trajectory samples and sampled states, checked before allocating
+
+
+@dataclass(frozen=True)
+class PhaseState:
+    """Gnomonic phase-space point (x1, x2, p1, p2)."""
+
+    x1: float
+    x2: float
+    p1: float
+    p2: float
+
+    @property
+    def r(self) -> float:
+        return math.hypot(self.x1, self.x2)
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.x1, self.x2, self.p1, self.p2])
+
+    @classmethod
+    def from_array(cls, y) -> "PhaseState":
+        return cls(float(y[0]), float(y[1]), float(y[2]), float(y[3]))
+
+
+def potential(r, params: SystemParams):
+    """V(r) for the given system; r must be positive (singular at r = 0)."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise RadiusError("potential requires r > 0")
+    if params.kind is SystemKind.COULOMB:
+        v = -1.0 / r - params.k / r**2
+    else:
+        v = 0.5 * r**2 - params.k / r**2
+    return float(v) if v.ndim == 0 else v
+
+
+def pi_components(x1, x2, p1, p2, lam: float):
+    """Curvature-corrected momentum components (pi_1, pi_2) on floats or arrays."""
+    s = x1 * p1 + x2 * p2
+    return p1 + lam * s * x1, p2 + lam * s * x2
+
+
+def pi_vector(state: PhaseState, lam: float) -> tuple[float, float]:
+    """Curvature-corrected momentum pi_i = p_i + lam*x_i*(x.p).
+
+    Reduces to the canonical momentum at the origin or in the flat limit.
+    """
+    return pi_components(state.x1, state.x2, state.p1, state.p2, lam)
+
+
+# Phase-space kernels: functions of (x1, x2, p1, p2, params) that work the
+# same on floats and on equal-shape arrays; gradients are 4-tuples
+# (d/dx1, d/dx2, d/dp1, d/dp2).
+
+def kernel_sqrt(v):
+    """sqrt that keeps a Python float a float, whose arithmetic is cheaper than numpy's."""
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+
+
+def lz_value(x1, x2, p1, p2, params: Optional[SystemParams] = None):
+    """Lz = x1*p2 - x2*p1."""
+    return x1 * p2 - x2 * p1
+
+
+def lz_gradient(x1, x2, p1, p2, params: Optional[SystemParams] = None):
+    """Phase-space gradient of Lz."""
+    return p2, -p1, -x2, x1
+
+
+def h_value(x1, x2, p1, p2, params: SystemParams):
+    """H = (1 + lam*r**2) * (p**2 + lam*(x.p)**2) / 2 + V(r)."""
+    r2 = x1 * x1 + x2 * x2
+    s = x1 * p1 + x2 * p2
+    psq = p1 * p1 + p2 * p2
+    return 0.5 * (1.0 + params.lam * r2) * (psq + params.lam * s * s) + potential(
+        np.sqrt(r2), params
+    )
+
+
+# The gradient of H as source text, the one definition that h_gradient and each
+# stage of the generated DOP853 step (dynamics._step_source) are built from, so a
+# stage derivative is h_gradient's bit for bit: a line reading the system from
+# ``params``, lines on (x1, x2, p1, p2) that call a local ``sqrt``, and the
+# four components dH/dx_i = lam*x_i*(p**2 + lam*s**2) + a*lam*s*p_i + V'(r)*x_i/r,
+# dH/dp_i = a*pi_i with a = 1 + lam*r**2.
+_H_PARAMS = "lam, two_k, coulomb = params.lam, 2.0 * params.k, params.kind is SystemKind.COULOMB"
+_H_LINES = (
+    "r2 = x1 * x1 + x2 * x2", "r = sqrt(r2)", "s = x1 * p1 + x2 * p2", "a = 1.0 + lam * r2",
+    "ls = lam * s", "common = lam * (p1 * p1 + p2 * p2 + ls * s)", "als = a * lam * s",
+    "radial = ((1.0 / r2 if coulomb else r) + two_k / (r2 * r)) / r",
+)
+_H_GRAD = ("x1 * common + als * p1 + radial * x1", "x2 * common + als * p2 + radial * x2",
+           "a * (p1 + ls * x1)", "a * (p2 + ls * x2)")
+
+exec("\n    ".join((  # defines h_gradient
+    "def h_gradient(x1, x2, p1, p2, params):",
+    '"""Phase-space gradient of H on floats or arrays; Hamilton\'s equations are J times it."""',
+    _H_PARAMS, "sqrt = kernel_sqrt", *_H_LINES, "return " + ", ".join(_H_GRAD))))
+
+
+def hamiltonian(state: PhaseState, params: SystemParams) -> float:
+    """Total energy H = pi**2/2 + (lam/2)*Lz**2 + V(r)."""
+    if state.r <= 0.0:
+        raise RadiusError("hamiltonian requires r > 0")
+    return float(h_value(state.x1, state.x2, state.p1, state.p2, params))

@@ -4,8 +4,10 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -259,7 +261,7 @@ def test_brackets_samples_are_capped(capsys):
      "--out", "{tmp}/orbit.csv", "--turning-out", "{missing}"],
 ])
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
-    # a missing directory fails the temporary file, an existing directory the rename
+    # a missing directory fails the temporary file, an existing directory the write into it
     (tmp_path / "taken").mkdir()
     paths = {"missing": str(tmp_path / "no_such_dir" / "x.json"),
              "directory": str(tmp_path / "taken"), "tmp": str(tmp_path)}
@@ -269,6 +271,82 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert f"cannot write {argv[-1]!r}: " in capsys.readouterr().err
     assert not [p.name for p in tmp_path.rglob(".tmp-*")]
+
+
+def test_output_into_a_fifo_is_written_not_replaced(tmp_path, capsys):
+    argv = ["closure", "--system", "coulomb", "--k", "0.375", "--Lz", "1"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main(argv + ["--out", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=30)
+        if reader.is_alive():  # nothing opened the FIFO to write: release the reader
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [want]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=lambda u: f"{u:03o}")
+def test_regular_output_gets_the_mode_of_the_umask(tmp_path, umask):
+    out, tp = tmp_path / "traj.csv", tmp_path / "tp.json"
+    tp.write_text("an older file\n")
+    tp.chmod(0o600)
+    old = os.umask(umask)
+    try:
+        assert main(["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1",
+                     "--t-end", "1", "--out", str(out), "--turning-out", str(tp)]) == 0
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in (out, tp)] == [0o666 & ~umask] * 2
+    assert tp.read_text().startswith("[")
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--format", "json", "--x", "1", "--px", "0", "--py", "1", "--t-end", "1"],
+    ["closure", "--format", "json", "--Lz", "1"],
+    ["closure", "--gnuplot", "--Lz", "1"],
+    ["turning", "--format", "csv", "--x", "1", "--px", "0", "--py", "1", "--t-end", "1"],
+    ["turning", "--gnuplot", "--x", "1", "--px", "0", "--py", "1", "--t-end", "1"],
+    ["brackets", "--format", "json", "--samples", "10"],
+    ["brackets", "--gnuplot", "--samples", "10"],
+])
+def test_format_and_gnuplot_are_usage_errors_where_unread(capsys, argv):
+    # --format belongs to spectrum alone, --gnuplot to orbit and spectrum
+    flag = next(a for a in argv if a in ("--format", "--gnuplot"))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--system", "coulomb", *argv[1:]])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"unrecognized arguments: {flag}" in out.err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("closure", ["--Lz", "1.5"]),
+    ("brackets", ["--samples", "10"]),
+    ("orbit", ["--x", "1", "--px", "0", "--py", "1", "--t-end", "1", "--trajectory-samples", "5"]),
+])
+def test_config_format_and_gnuplot_keys_are_ignored_where_unread(tmp_path, capsys, monkeypatch,
+                                                                 command, flags):
+    # one file can serve every command: keys of options the command lacks are ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("system=coulomb\nk=0.05\nformat=json\n"
+                   + ("" if command == "orbit" else "gnuplot=1\n"))
+    plain = ["--system", "coulomb", "--k", "0.05", *flags]
+    from_config = _run_in(tmp_path / "a", [command, "--config", str(cfg), *flags], capsys,
+                          monkeypatch)
+    from_flags = _run_in(tmp_path / "b", [command, *plain], capsys, monkeypatch)
+    assert from_config[0] == 0
+    assert from_config == from_flags
 
 
 def test_traced_entry_point_writes_the_plain_outputs(tmp_path):
@@ -295,7 +373,7 @@ def test_traced_entry_point_writes_the_plain_outputs(tmp_path):
 
 
 _SCIPY_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 import screened_sphere.cli
 argv = json.loads(sys.argv[1])
 rc = None
@@ -303,7 +381,12 @@ if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = screened_sphere.cli.main(argv)
 print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
-                  "numpy": any(m == "numpy" or m.startswith("numpy.") for m in sys.modules)}))
+                  "numpy": any(m == "numpy" or m.startswith("numpy.") for m in sys.modules),
+                  "dataclasses": "dataclasses" in sys.modules,
+                  "fractions": "fractions" in sys.modules,
+                  # a lazily registered module turns into a plain module once its body runs
+                  "dynamics_ran":
+                      type(sys.modules["screened_sphere.dynamics"]) is types.ModuleType}))
 """
 _SP_FLAGS = ["--system", "oscillator", "--lambda", "0.1", "--k", "0.05", "--m", "1,2", "--N", "0,1"]
 _BR_FLAGS = ["--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--samples", "200"]
@@ -339,6 +422,12 @@ def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
     # closure and the analytic spectrum run on the stdlib closed forms alone
     uses_numpy = bool(argv) and (argv[0] in ("orbit", "turning", "brackets") or "--numeric" in argv)
     assert report["numpy"] is uses_numpy
+    # ... whose records are namedtuples, and only closure analysis (closure, orbit) needs fractions
+    if not uses_numpy:
+        assert report["dataclasses"] is False
+    assert report["fractions"] is (argv[:1] in (["closure"], ["orbit"]))
+    # brackets takes its kernels from phase_space; only an integrated orbit runs dynamics
+    assert report["dynamics_ran"] is (argv[:1] in (["orbit"], ["turning"]))
 
 
 def _run_in(directory: Path, argv: list[str], capsys, monkeypatch):

@@ -9,6 +9,8 @@ import pytest
 
 import screened_sphere
 from screened_sphere import closed_forms
+from screened_sphere.closed_forms import SystemKind, SystemParams
+from screened_sphere.errors import CurvatureError, DomainError
 from test_cli import SRC
 
 # Every name the package exported before the closed forms moved, by the module
@@ -52,3 +54,44 @@ def test_cli_import_registers_the_numpy_modules_without_running_them():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[True, True, True] False\n"
+
+
+def _records():
+    """One of each closed_forms record: system parameters, a closure result, a spectrum entry."""
+    params = SystemParams(SystemKind.COULOMB, 0.0, 0.375)
+    entry, = closed_forms.spectrum_entries(SystemKind.OSCILLATOR, 0.1, 0.05, [1], [0])
+    return params, closed_forms.closure_analysis(params, 1.0), entry
+
+
+def test_closed_form_records_are_frozen_hashable_values():
+    for record in _records():
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[1], 1.0)
+        with pytest.raises(AttributeError):  # no instance dict either
+            record.note = "x"
+        copy = type(record)(*record)
+        assert copy is not record and copy == record and hash(copy) == hash(record)
+        assert len({record, copy}) == 1
+        other = type(record)(*record[:2], *(1.0 if v is None else 2 * v for v in record[2:]))
+        assert other != record
+
+
+def test_closed_form_records_keep_fields_defaults_and_checks():
+    assert SystemParams(SystemKind.OSCILLATOR) == SystemParams(
+        kind=SystemKind.OSCILLATOR, lam=0.0, k=0.0)
+    assert SystemParams._fields == ("kind", "lam", "k")
+    for bad in ({"lam": -1.0}, {"lam": float("nan")}, {"k": -0.1}):
+        with pytest.raises(CurvatureError if "lam" in bad else DomainError):
+            SystemParams(SystemKind.COULOMB, **bad)
+        with pytest.raises(CurvatureError if "lam" in bad else DomainError):
+            SystemParams(SystemKind.COULOMB)._replace(**bad)
+    assert SystemParams(SystemKind.COULOMB)._replace(k=0.5) == (SystemKind.COULOMB, 0.0, 0.5)
+    assert closed_forms.ClosureResult(0.25, False) == (0.25, False, None, None, None)
+    params, closure, entry = _records()
+    assert closure.to_dict() == {"alpha": 0.5, "closed": True, "p": 1, "q": 2,
+                                 "closure_angle": closure.closure_angle}
+    assert list(closure.to_dict()) == ["alpha", "closed", "p", "q", "closure_angle"]
+    assert type(closure.to_dict()) is dict
+    assert list(entry.to_dict()) == ["kind", "lambda", "k", "m", "N", "m_prime", "E_analytic",
+                                     "E_numeric", "abs_diff"]
+    assert (entry.e_numeric, entry.abs_diff) == (None, None)

@@ -1,11 +1,13 @@
 """Closed-form spectra, terminating hypergeometric series, grid oracle."""
 
+import itertools
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -117,6 +119,36 @@ def test_energy_monotonic_in_radial_index():
                 eo = [oscillator_energy(lam, k, m, n) for n in range(4)]
                 assert all(a < b for a, b in zip(ec, ec[1:]))
                 assert all(a < b for a, b in zip(eo, eo[1:]))
+
+
+def _energy_terms_mp(kind: SystemKind, lam: float, k: float, m: int, n: int):
+    """The closed form's terms at 50 digits and its derivative in m', on the exact float inputs."""
+    lam, k = mpmath.mpf(lam), mpmath.mpf(k)
+    mp = mpmath.sqrt(m * m - 2 * k)
+    if kind is SystemKind.COULOMB:
+        nu = mp + n + mpmath.mpf(1) / 2
+        terms = (lam / 2 * (mp + n) * (mp + n + 1), -1 / (2 * nu**2), lam * k)
+        return terms, mp, lam * nu + 1 / nu**3
+    s, root = 1 + mp + 2 * n, mpmath.sqrt(4 + lam * lam)
+    return (s / 2 * (root + lam * s), lam * k), mp, root / 2 + lam * s
+
+
+@pytest.mark.parametrize("kind", list(SystemKind))
+@pytest.mark.parametrize("lam", [1e-12, 1e-6])
+def test_energies_match_50_digit_values(kind, lam):
+    # The bound: 4 eps of the summed term sizes for the float arithmetic (the
+    # coulomb terms cancel near N = lam**-0.25, so |E| itself cannot scale it),
+    # plus 4 eps of m' times the cancellation factor (m**2 + 2k)/(m**2 - 2k) of
+    # sqrt(m**2 - 2k), as the benchmark's oracle allows, carried through dE/dm'.
+    energy = coulomb_energy if kind is SystemKind.COULOMB else oscillator_energy
+    with mpmath.workdps(50):
+        for m, n in itertools.product((1, 2, 5), (0, 1, 10, 100, 1000, 10**4)):
+            for k in (0.0, 0.5 * m * m * (1.0 - 1e-8)):  # unscreened, and m' -> 0
+                terms, mp, de_dmp = _energy_terms_mp(kind, lam, k, m, n)
+                cancel = (m * m + 2 * k) / (m * m - 2 * k)
+                size = sum(abs(t) for t in terms) + de_dmp * mp * (1 + cancel)
+                bound = 4 * sys.float_info.epsilon * size
+                assert abs(energy(lam, k, m, n) - sum(terms)) <= bound, (m, n, k)
 
 
 # --- terminating hypergeometric ------------------------------------------------
