@@ -25,44 +25,39 @@ The quadratic identities drop the quantum operator-ordering constant
 exists to pin those constants independently of the analytic gradients.
 
 Brackets {f, g} = sum_i (df/dx_i * dg/dp_i - df/dp_i * dg/dx_i) are
-pointwise in the gradients, so they batch.  Each built-in observable (Lz,
-H, R'x, R'y, Q'xy, Q'1) carries a ``value_kernel`` and a
-``gradient_kernel``: functions of ``(x1, x2, p1, p2, params)`` that work
-the same on floats and on equal-shape arrays, the gradient a 4-tuple.  The
-algebra checks and turning-point conservation call them once on a
-``(4, n)`` batch; a built-in's scalar ``value``/``gradient`` call them on
-one state, with the same bits.  An ``Observable`` built from scalar
-callables alone has no kernels and takes the scalar path only.
+pointwise in the gradients, so they batch.  An ``Observable`` is its two
+kernels: ``value`` and ``gradient`` are functions of
+``(x1, x2, p1, p2, params)`` that work the same on floats and on
+equal-shape arrays, the gradient a 4-tuple.  ``poisson_bracket`` and
+``finite_difference_gradient`` call them on one state's four floats; the
+algebra checks and turning-point conservation call the same kernels once
+on a ``(4, n)`` batch.  The kernels of R' and Q' reject the other
+system's params, so every entry point refuses a wrong system alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import dynamics  # registered lazily: runs only when a trajectory is analysed
 from .closed_forms import SystemKind, SystemParams
-from .errors import DomainError, ImaginaryAlphaError, NoTurningPointError, RadiusError
-from .phase_space import (MAX_SAMPLES, PhaseState, h_gradient, h_value, hamiltonian, kernel_sqrt,
+from .errors import DomainError, ImaginaryAlphaError, NoTurningPointError
+from .phase_space import (MAX_SAMPLES, PhaseState, check_radius, h_gradient, h_value, kernel_sqrt,
                           lz_gradient, lz_value, pi_components)
 
 _FD_STEP = 6.0e-6  # ~cbrt(eps): optimal central-difference step on unit scales
 
-Gradient = np.ndarray  # (d/dx1, d/dx2, d/dp1, d/dp2)
-
-
 @dataclass(frozen=True)
 class Observable:
-    """Named phase-space function with an analytic gradient; built-ins add kernels."""
+    """Named phase-space function: value and gradient kernels of (x1, x2, p1, p2, params)."""
 
     name: str
-    value: Callable[[PhaseState, SystemParams], float]
-    gradient: Callable[[PhaseState, SystemParams], Gradient]
-    value_kernel: Optional[Callable] = None
-    gradient_kernel: Optional[Callable] = None
+    value: Callable
+    gradient: Callable
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,13 @@ class BracketReport:
 
 # --- value kernels and scalar evaluators -----------------------------------
 
+def _require(params: SystemParams, kind: SystemKind, name: str) -> None:
+    if params.kind is not kind:
+        raise DomainError(f"{name} is defined for the {kind.value} system")
+
+
 def _runge_lenz_pair(x, y, px, py, params: SystemParams):
+    _require(params, SystemKind.COULOMB, "R'")
     r = kernel_sqrt(x * x + y * y)
     lz = lz_value(x, y, px, py)
     pix, piy = pi_components(x, y, px, py, params.lam)
@@ -89,6 +90,7 @@ def _runge_lenz_pair(x, y, px, py, params: SystemParams):
 
 
 def _fradkin_pair(x, y, px, py, params: SystemParams):
+    _require(params, SystemKind.OSCILLATOR, "Q'")
     r2 = x * x + y * y
     pix, piy = pi_components(x, y, px, py, params.lam)
     screen = 1.0 + 2.0 * params.k / (r2 * r2)
@@ -102,25 +104,20 @@ def angular_momentum(state: PhaseState) -> float:
     return lz_value(state.x1, state.x2, state.p1, state.p2)
 
 
-def _checked_pair(kernel, kind: SystemKind, name: str, state: PhaseState, params: SystemParams):
-    if params.kind is not kind:
-        raise DomainError(f"{name} is defined for the {kind.value} system")
-    if state.r <= 0.0:
-        raise RadiusError(f"{name} requires r > 0")
+def _checked_pair(kernel, name: str, state: PhaseState, params: SystemParams):
+    check_radius(state.x1, state.x2, name)
     a, b = kernel(state.x1, state.x2, state.p1, state.p2, params)
     return float(a), float(b)
 
 
 def runge_lenz(state: PhaseState, params: SystemParams) -> tuple[float, float]:
     """Extended Runge-Lenz components (R'x, R'y) for the coulomb system."""
-    return _checked_pair(_runge_lenz_pair, SystemKind.COULOMB, "runge_lenz", state, params)
+    return _checked_pair(_runge_lenz_pair, "runge_lenz", state, params)
 
 
 def fradkin_quantities(state: PhaseState, params: SystemParams) -> tuple[float, float]:
     """Fradkin-type quantities (Q'xy, Q'1) for the oscillator system."""
-    return _checked_pair(
-        _fradkin_pair, SystemKind.OSCILLATOR, "fradkin_quantities", state, params
-    )
+    return _checked_pair(_fradkin_pair, "fradkin_quantities", state, params)
 
 
 # --- gradient kernels -------------------------------------------------------
@@ -134,6 +131,7 @@ def _pi_gradients(x, y, px, py, lam: float):
 
 
 def _runge_lenz_gradients(x, y, px, py, params: SystemParams):
+    _require(params, SystemKind.COULOMB, "R'")
     r2 = x * x + y * y
     r = kernel_sqrt(r2)
     lz = lz_value(x, y, px, py)
@@ -150,6 +148,7 @@ def _runge_lenz_gradients(x, y, px, py, params: SystemParams):
 
 
 def _fradkin_gradients(x, y, px, py, params: SystemParams):
+    _require(params, SystemKind.OSCILLATOR, "Q'")
     r2 = x * x + y * y
     r4 = r2 * r2
     pix, piy = pi_components(x, y, px, py, params.lam)
@@ -167,13 +166,6 @@ def _fradkin_gradients(x, y, px, py, params: SystemParams):
     )
 
 
-def _builtin(name: str, value, value_kernel: Callable, gradient_kernel: Callable) -> Observable:
-    def gradient(st: PhaseState, pr: SystemParams) -> Gradient:
-        return np.array(gradient_kernel(st.x1, st.x2, st.p1, st.p2, pr))
-
-    return Observable(name, value, gradient, value_kernel, gradient_kernel)
-
-
 # (value, gradient) kernels of each system's extended pair, run once per batch, and its names
 _PAIR_KERNELS = {
     SystemKind.COULOMB: (_runge_lenz_pair, _runge_lenz_gradients),
@@ -182,20 +174,19 @@ _PAIR_KERNELS = {
 _PAIR_NAMES = {SystemKind.COULOMB: ("R'x", "R'y"), SystemKind.OSCILLATOR: ("Q'xy", "Q'1")}
 
 
-def _pair_observables(scalar, kind: SystemKind):
-    """The two members of a pair-valued quantity as observables."""
-    value_kernel, gradient_kernel = _PAIR_KERNELS[kind]
+def _pair_observables(kind: SystemKind):
+    """The two members of a system's extended pair as observables."""
+    value_pair, gradient_pair = _PAIR_KERNELS[kind]
     return tuple(
-        _builtin(name, lambda st, pr, i=i: scalar(st, pr)[i],
-                 lambda *z, i=i: value_kernel(*z)[i], lambda *z, i=i: gradient_kernel(*z)[i])
+        Observable(name, lambda *z, i=i: value_pair(*z)[i], lambda *z, i=i: gradient_pair(*z)[i])
         for i, name in enumerate(_PAIR_NAMES[kind])
     )
 
 
-LZ = _builtin("Lz", lambda st, pr: angular_momentum(st), lz_value, lz_gradient)
-HAMILTONIAN = _builtin("H", hamiltonian, h_value, h_gradient)
-RUNGE_LENZ_X, RUNGE_LENZ_Y = _pair_observables(runge_lenz, SystemKind.COULOMB)
-FRADKIN_XY, FRADKIN_1 = _pair_observables(fradkin_quantities, SystemKind.OSCILLATOR)
+LZ = Observable("Lz", lz_value, lz_gradient)
+HAMILTONIAN = Observable("H", h_value, h_gradient)
+RUNGE_LENZ_X, RUNGE_LENZ_Y = _pair_observables(SystemKind.COULOMB)
+FRADKIN_XY, FRADKIN_1 = _pair_observables(SystemKind.OSCILLATOR)
 
 
 # --- bracket engine ---------------------------------------------------------
@@ -212,13 +203,15 @@ def _central_difference(func, z: np.ndarray) -> np.ndarray:
     return np.array(grad)
 
 
-def finite_difference_gradient(
-    func: Callable[[PhaseState, SystemParams], float],
-    state: PhaseState,
-    params: SystemParams,
-) -> Gradient:
-    """Central-difference phase-space gradient, the oracle for analytic ones."""
-    return _central_difference(lambda z: func(PhaseState.from_array(z), params), state.as_array())
+def finite_difference_gradient(func, state: PhaseState, params: SystemParams) -> np.ndarray:
+    """Central-difference gradient (d/dx1, d/dx2, d/dp1, d/dp2) of a value kernel at a state,
+    the oracle for analytic ones."""
+    def value(z: np.ndarray) -> float:
+        x1, x2, p1, p2 = z.tolist()
+        check_radius(x1, x2, "finite_difference_gradient")  # a stencil point can land on r = 0
+        return func(x1, x2, p1, p2, params)
+
+    return _central_difference(value, state.as_array())
 
 
 def _bracket(gf, gg):
@@ -234,9 +227,11 @@ def poisson_bracket(
     method: str = "analytic",
 ) -> float:
     """{f, g} at a state, from analytic or finite-difference gradients."""
+    check_radius(state.x1, state.x2, "poisson_bracket")
     if method == "analytic":
-        gf = f.gradient(state, params)
-        gg = g.gradient(state, params)
+        z = (state.x1, state.x2, state.p1, state.p2)
+        gf = f.gradient(*z, params)
+        gg = g.gradient(*z, params)
     elif method == "fd":
         gf = finite_difference_gradient(f.value, state, params)
         gg = finite_difference_gradient(g.value, state, params)
@@ -313,8 +308,6 @@ def _report(name: str, residual: np.ndarray) -> BracketReport:
 def _verify_pair(params, kind, n_samples, seed, method, shift, quad_target, names):
     """Residuals of {A,Lz} - shift*B, {B,Lz} + shift*A and {A,B} - quad_target(H, Lz)
     for the system's extended pair (A, B), over one batch of random states."""
-    if params.kind is not kind:
-        raise DomainError(f"verify_{kind.value}_algebra needs {kind.value} params")
     z = _sample_batch(params, n_samples, seed=seed)
     value_pair, gradient_pair = _PAIR_KERNELS[kind]
     if method == "analytic":

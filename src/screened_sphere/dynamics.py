@@ -65,8 +65,8 @@ from .errors import (
     StiffnessError,
 )
 from .phase_space import (  # noqa: F401 -- re-exported
-    _H_GRAD, _H_LINES, _H_PARAMS, MAX_SAMPLES, PhaseState, h_gradient, h_value, hamiltonian,
-    kernel_sqrt, lz_gradient, lz_value, pi_components, pi_vector, potential)
+    _H_GRAD, _H_LINES, _H_PARAMS, MAX_SAMPLES, PhaseState, check_radius, h_gradient, h_value,
+    hamiltonian, kernel_sqrt, lz_gradient, lz_value, pi_components, pi_vector, potential)
 
 R_MIN_GUARD = 1e-8          # terminate near-collision orbits
 MAX_STEPS = 2 * 10**5       # cap on accepted solver steps (~0.46 kB each)
@@ -96,8 +96,7 @@ def equations_of_motion(
     state: PhaseState, params: SystemParams
 ) -> tuple[float, float, float, float]:
     """Hamilton's equations (x1dot, x2dot, p1dot, p2dot) from analytic gradients."""
-    if not state.x1 * state.x1 + state.x2 * state.x2 > 0.0:  # r**2 can underflow at r > 0
-        raise RadiusError("equations of motion require r**2 > 0")
+    check_radius(state.x1, state.x2, "equations_of_motion")
     return _rhs(state.x1, state.x2, state.p1, state.p2, params)
 
 
@@ -378,7 +377,8 @@ def integrate(
     :class:`~screened_sphere.errors.SingularOrbitError` if the orbit falls
     below ``R_MIN_GUARD`` (both potentials are singular at r = 0) and
     :class:`~screened_sphere.errors.AccuracyError` if energy or angular
-    momentum drift beyond 10x the requested tolerance, or if a turning
+    momentum drift beyond 10x the requested tolerance, relative to
+    max(1, |H0|) and max(1, |Lz0|), or if a turning
     point is left with |rdot| above ``TURNING_RDOT_TOL``.  More than
     ``MAX_SAMPLES`` samples is a domain error, raised before any allocation.
     """
@@ -434,7 +434,7 @@ def integrate(
 
     bound = 10.0 * rel_tol
     h_drift = float(np.max(np.abs(h - h[0]))) / max(1.0, abs(float(h[0])))
-    lz_drift = float(np.max(np.abs(lz - lz[0])))
+    lz_drift = float(np.max(np.abs(lz - lz[0]))) / max(1.0, abs(float(lz[0])))
     if h_drift > bound or lz_drift > bound:
         raise AccuracyError(
             f"conservation drift exceeds 10x tolerance: "

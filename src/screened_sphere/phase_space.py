@@ -65,6 +65,12 @@ def pi_vector(state: PhaseState, lam: float) -> tuple[float, float]:
     return pi_components(state.x1, state.x2, state.p1, state.p2, lam)
 
 
+def check_radius(x1: float, x2: float, name: str) -> None:
+    """Raise ``RadiusError`` unless r**2 = x1**2 + x2**2 > 0; it can underflow at r > 0."""
+    if not x1 * x1 + x2 * x2 > 0.0:
+        raise RadiusError(f"{name} requires r**2 > 0")
+
+
 # Phase-space kernels: functions of (x1, x2, p1, p2, params) that work the
 # same on floats and on equal-shape arrays; gradients are 4-tuples
 # (d/dx1, d/dx2, d/dp1, d/dp2).
@@ -117,6 +123,5 @@ exec("\n    ".join((  # defines h_gradient
 
 def hamiltonian(state: PhaseState, params: SystemParams) -> float:
     """Total energy H = pi**2/2 + (lam/2)*Lz**2 + V(r)."""
-    if state.r <= 0.0:
-        raise RadiusError("hamiltonian requires r > 0")
+    check_radius(state.x1, state.x2, "hamiltonian")
     return float(h_value(state.x1, state.x2, state.p1, state.p2, params))

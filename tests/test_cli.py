@@ -1,5 +1,7 @@
 """CLI commands: outputs, schemas, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screened_sphere.cli import main
 
@@ -576,3 +580,64 @@ def test_negative_float_in_exponent_notation_is_a_value(capsys, argv, flag, valu
     joined = _exit_code_and_output(argv + [f"{flag}={value}"], capsys)
     assert spaced == joined
     assert spaced[0] == rc
+
+
+# --- sweep: odd values on every numeric flag of every command ------------------
+
+# Odd values: nan, +-inf, zeros, negatives, exponent notation, huge.  Slow ones
+# are left out, since they only make a run longer: an orbit run to MAX_STEPS takes
+# seconds (test_long_fast_orbit_hits_the_step_cap covers that exit), which --t-end
+# beyond ~100 does, as does an orbit that passes close round the singularity or,
+# at lambda ~ 1, out to the edge of the chart; so the orbit commands mix their odd
+# values only with the ordinary ones of the fixtures.  A sample count from 10**4
+# up to MAX_SAMPLES is left out too.
+_ODD = ("nan", "inf", "-inf", "0", "-0.0", "-1", "-2.5E-01", "1e-320", "1e200", "1e308",
+        "-1e308")
+_FLOATS = _ODD + ("0.5", "1", "3")
+_T_END = ("nan", "inf", "-inf", "0", "-0.0", "-1e-320", "1e-320", "-2.5E+00", "0.5", "3",
+          "1e2", "-1e2")
+_TOL = _ODD + ("1e-13", "1e-6", "1e-7", "1E-6", "-1e-10")
+_COUNTS = ("0", "-1", "1", "2", "7", "1e3", "nan", "1000001", "1000000000000",
+           "99999999999999999999999")
+_LISTS = ("0", "-1", "1,2", "0,-3", "2,,5", "1e3", "nan", "1000000", "99999999999999999999999")
+_STATE = {"--x": "1.6", "--px": "0", "--py": "0.55", "--t-end": "3", "--trajectory-samples": "7"}
+_STATE_POOLS = {"--lambda": _ODD + ("0.1",), "--k": _ODD + ("0.05", "0.5"),
+                **{flag: _ODD + ("0.5", "1.6") for flag in ("--x", "--y", "--px", "--py")},
+                "--t-end": _T_END, "--tol": _TOL, "--trajectory-samples": _COUNTS}
+# command: (valid base flags, pool of values for each numeric flag)
+_SWEEP = {
+    "orbit": (_STATE, _STATE_POOLS),
+    "turning": (_STATE, _STATE_POOLS),
+    "closure": ({"--Lz": "1"}, {"--lambda": _FLOATS, "--k": _FLOATS, "--Lz": _FLOATS}),
+    "brackets": ({"--samples": "10"}, {"--lambda": _FLOATS, "--k": _FLOATS, "--samples": _COUNTS,
+                                       "--seed": _COUNTS, "--method": ("analytic", "fd")}),
+    "spectrum": ({}, {"--lambda": _FLOATS, "--k": _FLOATS, "--m": _LISTS, "--N": _LISTS}),
+}
+
+
+@st.composite
+def _odd_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_SWEEP)))
+    base, pools = _SWEEP[command]
+    flags = dict(base)
+    for flag in draw(st.sets(st.sampled_from(sorted(pools)), min_size=1, max_size=3)):
+        flags[flag] = draw(st.sampled_from(pools[flag]))
+    argv = [command, "--system", draw(st.sampled_from(["coulomb", "oscillator"])),
+            "--out", os.devnull, *(tok for item in flags.items() for tok in item)]
+    if command == "spectrum" and draw(st.booleans()):
+        argv.append("--numeric")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=_odd_argv())
+def test_numeric_flags_end_in_a_result_or_a_coded_error(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 2, 3), argv
+    if rc == 3:
+        assert re.fullmatch(r"ERR_[A-Z_]+: .+\n", err.getvalue()), (argv, err.getvalue())

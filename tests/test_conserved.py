@@ -35,8 +35,13 @@ from screened_sphere.dynamics import (
 )
 from screened_sphere.errors import NoTurningPointError
 
-X1 = Observable("x1", lambda st, pr: st.x1, lambda st, pr: np.array([1.0, 0.0, 0.0, 0.0]))
-P1 = Observable("p1", lambda st, pr: st.p1, lambda st, pr: np.array([0.0, 0.0, 1.0, 0.0]))
+X1 = Observable("x1", lambda x1, x2, p1, p2, pr: x1, lambda *z: (1.0, 0.0, 0.0, 0.0))
+P1 = Observable("p1", lambda x1, x2, p1, p2, pr: p1, lambda *z: (0.0, 0.0, 1.0, 0.0))
+
+
+def coords(state: PhaseState) -> tuple[float, float, float, float]:
+    """The four floats that an observable's kernels take before params."""
+    return state.x1, state.x2, state.p1, state.p2
 
 
 def rotate(state: PhaseState, beta: float) -> PhaseState:
@@ -128,7 +133,7 @@ def test_analytic_gradients_match_finite_differences(coulomb_params, oscillator_
     for params, observables in checks:
         for st in sample_states(params, 500, seed=1):
             for obs in observables:
-                ga = obs.gradient(st, params)
+                ga = np.array(obs.gradient(*coords(st), params))
                 gf = finite_difference_gradient(obs.value, st, params)
                 assert np.max(np.abs(ga - gf) / np.maximum(1.0, np.abs(ga))) < 1e-6
 
@@ -147,11 +152,11 @@ def test_bracket_rejects_unknown_method(coulomb_params):
 
 
 def product_observable(f: Observable, g: Observable) -> Observable:
-    """f*g on the scalar path, with the product-rule gradient."""
+    """f*g, with the product-rule gradient."""
     return Observable(
         f"{f.name}*{g.name}",
-        lambda st, pr: f.value(st, pr) * g.value(st, pr),
-        lambda st, pr: f.gradient(st, pr) * g.value(st, pr) + g.gradient(st, pr) * f.value(st, pr),
+        lambda *z: f.value(*z) * g.value(*z),
+        lambda *z: np.array(f.gradient(*z)) * g.value(*z) + np.array(g.gradient(*z)) * f.value(*z),
     )
 
 
@@ -164,18 +169,22 @@ def test_leibniz_rule(coulomb_params):
     for st in sample_states(coulomb_params, 100, seed=9):
         for f, g, h in triples:
             lhs = poisson_bracket(product_observable(f, g), h, st, coulomb_params)
-            rhs = f.value(st, coulomb_params) * poisson_bracket(g, h, st, coulomb_params) + \
-                g.value(st, coulomb_params) * poisson_bracket(f, h, st, coulomb_params)
+            z = coords(st)
+            rhs = f.value(*z, coulomb_params) * poisson_bracket(g, h, st, coulomb_params) + \
+                g.value(*z, coulomb_params) * poisson_bracket(f, h, st, coulomb_params)
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
 
 def test_jacobi_identity(coulomb_params):
     def bracket_as_observable(f, g):
+        def value(x1, x2, p1, p2, pr):
+            return poisson_bracket(f, g, PhaseState(x1, x2, p1, p2), pr)
+
         return Observable(
             f"{{{f.name},{g.name}}}",
-            lambda st, pr: poisson_bracket(f, g, st, pr),
-            lambda st, pr: finite_difference_gradient(
-                lambda s2, p2: poisson_bracket(f, g, s2, p2), st, pr
+            value,
+            lambda x1, x2, p1, p2, pr: finite_difference_gradient(
+                value, PhaseState(x1, x2, p1, p2), pr
             ),
         )
 

@@ -5,8 +5,12 @@ import math
 import pytest
 
 from screened_sphere.conserved import (
+    FRADKIN_XY,
     HAMILTONIAN,
     LZ,
+    RUNGE_LENZ_X,
+    RUNGE_LENZ_Y,
+    fradkin_quantities,
     poisson_bracket,
     runge_lenz,
     verify_coulomb_algebra,
@@ -15,11 +19,13 @@ from screened_sphere.dynamics import (
     PhaseState,
     SystemKind,
     SystemParams,
+    equations_of_motion,
+    hamiltonian,
     integrate,
     orbit_alpha,
     state_at_theta,
 )
-from screened_sphere.errors import DomainError
+from screened_sphere.errors import DomainError, RadiusError
 from screened_sphere.spectra import (
     RadialGrid,
     coulomb_energy,
@@ -77,3 +83,37 @@ def test_non_finite_lz_is_a_domain_error(lz):
     assert exc.value.code == "ERR_DOMAIN"
     proc = run_cli("closure", "--system", "coulomb", "--Lz", lz)
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"ERR_DOMAIN: {message}\n")
+
+
+@pytest.mark.parametrize("x1", [0.0, 1e-200], ids=["r=0", "r2-underflows"])
+@pytest.mark.parametrize("call", [
+    lambda st: runge_lenz(st, COULOMB),
+    lambda st: fradkin_quantities(st, OSCILLATOR),
+    lambda st: hamiltonian(st, COULOMB),
+    lambda st: equations_of_motion(st, OSCILLATOR),
+    lambda st: poisson_bracket(HAMILTONIAN, LZ, st, COULOMB),
+    lambda st: poisson_bracket(RUNGE_LENZ_X, LZ, st, COULOMB),
+    lambda st: poisson_bracket(RUNGE_LENZ_X, LZ, st, COULOMB, method="fd"),
+    lambda st: poisson_bracket(FRADKIN_XY, HAMILTONIAN, st, OSCILLATOR, method="fd"),
+], ids=["runge_lenz", "fradkin_quantities", "hamiltonian", "equations_of_motion",
+        "bracket-H", "bracket-R'x", "bracket-R'x-fd", "bracket-Q'xy-fd"])
+def test_scalar_entry_points_refuse_a_vanishing_radius(call, x1):
+    # at x1 = 1e-200, r > 0 but r**2 underflows to 0 in every kernel
+    with pytest.raises(RadiusError) as exc:
+        call(PhaseState(x1, 0.0, 0.3, 0.5))
+    assert exc.value.code == "ERR_NONPOSITIVE_RADIUS"
+
+
+def test_finite_difference_stencil_through_the_origin_is_a_radius_error():
+    # r = 6e-6 is valid, but the x1 + h stencil point of the fd gradient lands on r = 0
+    st = PhaseState(-6e-6, 0.0, 0.3, 0.5)
+    assert math.isfinite(poisson_bracket(RUNGE_LENZ_X, LZ, st, COULOMB))
+    with pytest.raises(RadiusError):
+        poisson_bracket(RUNGE_LENZ_X, LZ, st, COULOMB, method="fd")
+
+
+@pytest.mark.parametrize("method", ["analytic", "fd"])
+def test_both_bracket_methods_refuse_the_wrong_system(method):
+    with pytest.raises(DomainError) as exc:
+        poisson_bracket(RUNGE_LENZ_X, RUNGE_LENZ_Y, STATE, OSCILLATOR, method=method)
+    assert exc.value.code == "ERR_DOMAIN"

@@ -130,6 +130,14 @@ def test_conservation_drift_bound(coulomb_params):
     assert np.max(np.abs(traj.Lz - traj.Lz[0])) < 10.0 * 1e-10
 
 
+def test_lz_drift_bound_is_relative_to_large_lz():
+    # |Lz0| = 600: the absolute Lz drift (~2e-9) passes 10*tol only relative to |Lz0|
+    params = SystemParams(SystemKind.OSCILLATOR, 0.0, 0.0)
+    traj = integrate(PhaseState(30.0, 0.0, 0.0, 20.0), params, t_end=10.0, rel_tol=1e-10)
+    assert traj.Lz[0] == 600.0
+    assert np.max(np.abs(traj.Lz - traj.Lz[0])) <= 10.0 * 1e-10 * abs(traj.Lz[0])
+
+
 def test_integrate_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         integrate(PhaseState(1.0, 0.0, 0.0, 1.0), FLAT_KEPLER, 1.0, rel_tol=1e-3)

@@ -1,5 +1,8 @@
-"""Symbolic oracle: the Higgs-algebra identities proved exactly, and the
-analytic gradient kernels checked against sympy derivatives."""
+"""Symbolic oracle: the Higgs-algebra identities proved exactly, the
+analytic gradient kernels checked against sympy derivatives, and the
+coulomb ground state proved an exact eigenstate of the radial operator."""
+
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from screened_sphere.conserved import (
     sample_states,
 )
 from screened_sphere.dynamics import SystemKind, SystemParams
+from screened_sphere.spectra import _transformed_potential, coulomb_energy, m_prime
 
 X, Y, PX, PY = sp.symbols("x y p_x p_y", real=True)
 LAM, K = sp.symbols("lambda k", positive=True)
@@ -74,7 +78,7 @@ def test_gradient_kernels_match_symbolic_derivatives(kind, cases):
             "numpy",
         )
         want = np.array(exact(*z, params.lam, params.k))
-        got = np.array(obs.gradient_kernel(*z, params))
+        got = np.array(obs.gradient(*z, params))
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), obs.name
 
 
@@ -108,3 +112,32 @@ def test_screened_runge_lenz_not_conserved_off_the_apsides():
     state = {X: 1, Y: sp.Rational(1, 2), PX: sp.Rational(3, 10), PY: sp.Rational(7, 10),
              LAM: sp.Rational(1, 10), K: sp.Rational(1, 20)}
     assert abs(float(bracket(RX, H_COULOMB).subs(state))) > 0.05  # 0.0527
+
+
+# --- the coulomb ground state, exactly -----------------------------------------
+
+CHI = sp.symbols("chi", positive=True)
+MP = sp.symbols("m_prime", positive=True)
+# spectra's Ht = -(lam/2) d^2/dchi^2 + V(chi) for the coulomb system, lam > 0
+HT_POTENTIAL = (LAM / 2 * (MP**2 - sp.Rational(1, 4)) / sp.sin(CHI) ** 2
+                - sp.sqrt(LAM) * sp.cot(CHI) - LAM / 8 + LAM * K)
+E_GROUND = LAM / 2 * MP * (MP + 1) - 1 / (2 * (MP + sp.Rational(1, 2)) ** 2) + LAM * K
+PSI_GROUND = sp.sin(CHI) ** (MP + sp.Rational(1, 2)) * sp.exp(
+    -CHI / (sp.sqrt(LAM) * (MP + sp.Rational(1, 2))))
+
+
+def test_coulomb_ground_state_is_an_exact_eigenstate():
+    ht_psi = -LAM / 2 * sp.diff(PSI_GROUND, CHI, 2) + HT_POTENTIAL * PSI_GROUND
+    assert sp.simplify((ht_psi - E_GROUND * PSI_GROUND) / PSI_GROUND) == 0
+
+
+@pytest.mark.parametrize("lam,k,m", [(0.1, 0.05, 1), (0.7, 0.0, 2), (2.0, 1.3, 3)])
+def test_coulomb_ground_state_operator_is_the_grid_operator(lam, k, m):
+    mp = m_prime(m, k)
+    chi = np.array([0.1, 0.7, 1.3, 1.5])
+    values = {LAM: lam, K: k, MP: mp}
+    want = [float(HT_POTENTIAL.subs(values).subs(CHI, c)) for c in chi]
+    got = _transformed_potential(SystemKind.COULOMB, lam, k, m, chi)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    assert math.isclose(float(E_GROUND.subs(values)), coulomb_energy(lam, k, m, 0),
+                        rel_tol=1e-14)
