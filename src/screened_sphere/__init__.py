@@ -18,14 +18,13 @@ import sys
 _EXPORTS = {
     "closed_forms": """ClosureResult SpectrumEntry SystemKind SystemParams closure_analysis
         coulomb_energy m_prime orbit_alpha oscillator_energy spectrum_entries""",
-    "phase_space": "PhaseState hamiltonian pi_vector potential",
+    "phase_space": "PhaseState hamiltonian potential",
     "dynamics": """OrbitShape Trajectory TurningKind TurningPoint closed_form_radius
         equations_of_motion find_turning_points fit_theta0 integrate orbit_residual
-        radial_theta_period state_at_theta""",
-    "conserved": """BracketReport Observable angular_momentum fradkin_quantities poisson_bracket
-        runge_lenz turning_point_conservation verify_coulomb_algebra verify_oscillator_algebra""",
-    "spectra": """RadialGrid degeneracy_split_report hypergeometric_terminating
-        oscillator_operator_residual oscillator_wavefunction radial_solve_numeric""",
+        state_at_theta""",
+    "conserved": """BracketReport Observable fradkin_quantities poisson_bracket runge_lenz
+        turning_point_conservation verify_coulomb_algebra verify_oscillator_algebra""",
+    "spectra": "RadialGrid radial_solve_numeric",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

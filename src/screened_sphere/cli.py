@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 from . import conserved, dynamics  # registered lazily: numpy loads on their first use
 from .closed_forms import SystemKind, SystemParams, closure_analysis, spectrum_csv, spectrum_entries
-from .errors import DomainError, ImaginaryAlphaError
+from .errors import AccuracyError, DomainError, ImaginaryAlphaError
 
 
 def _fmt(v) -> str:
@@ -50,7 +50,10 @@ def _fmt(v) -> str:
 
 
 def _json(obj, indent: int = 0) -> str:
-    """Minimal JSON writer with deterministic 17-significant-digit floats."""
+    """Minimal JSON writer with deterministic 17-significant-digit floats.
+
+    JSON has no nan or infinity, so a non-finite float raises ``AccuracyError``.
+    """
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -66,6 +69,8 @@ def _json(obj, indent: int = 0) -> str:
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise AccuracyError(f"{obj} is not a JSON number")
     return _fmt(obj)
 
 

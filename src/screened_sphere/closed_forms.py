@@ -123,19 +123,26 @@ def _check_qn(lam: float, k: float, n: int) -> None:
         raise DomainError(f"radial index N must be a non-negative integer, got {n}")
 
 
+def _finite_level(e: float, lam: float, m: int, n: int) -> float:
+    if not math.isfinite(e):
+        raise DomainError(f"level m = {m}, N = {n} overflows at lam = {lam:g}")
+    return e
+
+
 def coulomb_energy(lam: float, k: float, m: int, n: int) -> float:
-    """Screened-coulomb level on a sphere of curvature lam."""
+    """Screened-coulomb level on a sphere of curvature lam; a domain error if it overflows."""
     _check_qn(lam, k, n)
     mp = m_prime(m, k)
-    return 0.5 * lam * (mp + n) * (mp + n + 1.0) - 0.5 / (mp + n + 0.5) ** 2 + lam * k
+    return _finite_level(
+        0.5 * lam * (mp + n) * (mp + n + 1.0) - 0.5 / (mp + n + 0.5) ** 2 + lam * k, lam, m, n)
 
 
 def oscillator_energy(lam: float, k: float, m: int, n: int) -> float:
-    """Screened-oscillator level on a sphere of curvature lam."""
+    """Screened-oscillator level on a sphere of curvature lam; a domain error if it overflows."""
     _check_qn(lam, k, n)
     mp = m_prime(m, k)
     s = 1.0 + mp + 2.0 * n
-    return 0.5 * s * (math.sqrt(4.0 + lam * lam) + lam * s) + lam * k
+    return _finite_level(0.5 * s * (math.sqrt(4.0 + lam * lam) + lam * s) + lam * k, lam, m, n)
 
 
 def analytic_energy(kind: SystemKind, lam: float, k: float, m: int, n: int) -> float:

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import dynamics  # registered lazily: runs only when a trajectory is analysed
 from .closed_forms import SystemKind, SystemParams
-from .errors import DomainError, ImaginaryAlphaError, NoTurningPointError
+from .errors import AccuracyError, DomainError, ImaginaryAlphaError, NoTurningPointError
 from .phase_space import (MAX_SAMPLES, PhaseState, check_radius, h_gradient, h_value, kernel_sqrt,
                           lz_gradient, lz_value, pi_components)
 
@@ -97,11 +97,6 @@ def _fradkin_pair(x, y, px, py, params: SystemParams):
     qxy = screen * x * y + pix * piy
     q1 = 0.5 * (screen * (x * x - y * y) + pix * pix - piy * piy)
     return qxy, q1
-
-
-def angular_momentum(state: PhaseState) -> float:
-    """Lz = x1*p2 - x2*p1, exactly conserved for any radial potential."""
-    return lz_value(state.x1, state.x2, state.p1, state.p2)
 
 
 def _checked_pair(kernel, name: str, state: PhaseState, params: SystemParams):
@@ -307,7 +302,10 @@ def _report(name: str, residual: np.ndarray) -> BracketReport:
 
 def _verify_pair(params, kind, n_samples, seed, method, shift, quad_target, names):
     """Residuals of {A,Lz} - shift*B, {B,Lz} + shift*A and {A,B} - quad_target(H, Lz)
-    for the system's extended pair (A, B), over one batch of random states."""
+    for the system's extended pair (A, B), over one batch of random states.
+
+    Raises ``AccuracyError`` if any residual is not finite: the terms overflowed.
+    """
     z = _sample_batch(params, n_samples, seed=seed)
     value_pair, gradient_pair = _PAIR_KERNELS[kind]
     if method == "analytic":
@@ -323,6 +321,9 @@ def _verify_pair(params, kind, n_samples, seed, method, shift, quad_target, name
         _bracket(g_b, g_lz) + shift * a,
         _bracket(g_a, g_b) - quad_target(h_value(*z, params), lz_value(*z)),
     )
+    if not all(np.isfinite(res).all() for res in residuals):
+        raise AccuracyError(f"bracket residuals are not finite at lam = {params.lam:g}, "
+                            f"k = {params.k:g}: the terms overflow")
     return [_report(name, res) for name, res in zip(names, residuals)]
 
 

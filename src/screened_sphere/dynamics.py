@@ -32,7 +32,8 @@ The chart is the gnomonic projection of the sphere q1**2 + q2**2 + q0**2
     (q1, q2, q0) = (x1, x2, 1/sqrt(lam)) / sqrt(1 + lam*r**2),
 
 so r = tan(chi)/sqrt(lam) for the polar angle chi, and the chart covers
-the open upper hemisphere (the equator maps to r = infinity).
+the open upper hemisphere (the equator maps to r = infinity).  An orbit
+that runs out to the equator stops once lam*r**2 passes ``CHART_EDGE_GUARD``.
 
 Orbits are integrated by DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
 II.10), at most ``MAX_STEPS`` steps, on Python floats, without scipy.  The step
@@ -57,6 +58,7 @@ from .closed_forms import (  # noqa: F401 -- re-exported
     TWO_PI, ClosureResult, SystemKind, SystemParams, check_lam_k, closure_analysis, orbit_alpha)
 from .errors import (
     AccuracyError,
+    ChartEdgeError,
     DomainError,
     OrbitDomainError,
     RadiusError,
@@ -66,9 +68,10 @@ from .errors import (
 )
 from .phase_space import (  # noqa: F401 -- re-exported
     _H_GRAD, _H_LINES, _H_PARAMS, MAX_SAMPLES, PhaseState, check_radius, h_gradient, h_value,
-    hamiltonian, kernel_sqrt, lz_gradient, lz_value, pi_components, pi_vector, potential)
+    hamiltonian, kernel_sqrt, lz_gradient, lz_value, pi_components, potential)
 
 R_MIN_GUARD = 1e-8          # terminate near-collision orbits
+CHART_EDGE_GUARD = 1e12     # terminate orbits with lam*r**2 = tan(chi)**2 beyond this
 MAX_STEPS = 2 * 10**5       # cap on accepted solver steps (~0.46 kB each)
 TURNING_RDOT_TOL = 1e-10    # refined |rdot| bound at a turning point
 _CSV_BLOCK = 4096           # trajectory rows formatted by one % operation
@@ -255,13 +258,15 @@ def _step_source() -> str:
 exec(_step_source())  # defines _step
 
 
-def _dop853(y, params: SystemParams, t_end: float, rtol: float, atol: float, r_min: float):
+def _dop853(y, params: SystemParams, t_end: float, rtol: float, atol: float, r_min: float,
+            r_max: float):
     """DOP853 steps of Hamilton's equations from t = 0 to ``t_end`` under scipy's step controller.
 
     Returns the accepted step times and states, each step's 13 stage
     derivatives (flat, component-major) and a status: 0 at ``t_end``, 1 once
-    r falls through ``r_min`` (that step is kept), -1 on step-size underflow.
-    A step whose error norm overflows is rejected.
+    r falls through ``r_min``, 2 once r exceeds ``r_max`` (either step is
+    kept), -1 on step-size underflow.  A step whose error norm overflows is
+    rejected.
     """
     direction = 1.0 if t_end > 0.0 else -1.0
     t, g = 0.0, math.hypot(y[0], y[1]) - r_min
@@ -305,9 +310,12 @@ def _dop853(y, params: SystemParams, t_end: float, rtol: float, atol: float, r_m
         ts.append(t)
         ys.extend(y)
         ks.extend(k)
-        g, g_old = math.hypot(y[0], y[1]) - r_min, g
+        r = math.hypot(y[0], y[1])
+        g, g_old = r - r_min, g
         if g_old >= 0.0 >= g:
             return ts, ys, ks, 1
+        if r > r_max:
+            return ts, ys, ks, 2
     return ts, ys, ks, 0
 
 
@@ -375,7 +383,9 @@ def integrate(
     (see :func:`find_turning_points`), and theta is unwrapped over its
     accepted steps, so it does not depend on ``n_samples``.  Raises
     :class:`~screened_sphere.errors.SingularOrbitError` if the orbit falls
-    below ``R_MIN_GUARD`` (both potentials are singular at r = 0) and
+    below ``R_MIN_GUARD`` (both potentials are singular at r = 0),
+    :class:`~screened_sphere.errors.ChartEdgeError` once lam*r**2 exceeds
+    ``CHART_EDGE_GUARD`` (the orbit is at the equator, where the chart ends) and
     :class:`~screened_sphere.errors.AccuracyError` if energy or angular
     momentum drift beyond 10x the requested tolerance, relative to
     max(1, |H0|) and max(1, |Lz0|), or if a turning
@@ -402,7 +412,8 @@ def integrate(
     # tolerance over long spans; integrating two decades tighter keeps the
     # 10x drift contract on the returned trajectory with margin.
     rtol_eff = max(rel_tol * 1e-2, 2.5e-14)
-    ts, ys, ks, status = _dop853(y0, params, t_end, rtol_eff, rtol_eff * 1e-2, R_MIN_GUARD)
+    r_max = math.sqrt(CHART_EDGE_GUARD / params.lam) if params.lam > 0.0 else math.inf
+    ts, ys, ks, status = _dop853(y0, params, t_end, rtol_eff, rtol_eff * 1e-2, R_MIN_GUARD, r_max)
     if status < 0:
         # step-size underflow at vanishing radius is the collapse itself:
         # the time to the singularity drops below float spacing before the
@@ -413,6 +424,9 @@ def integrate(
         raise StiffnessError(
             "integrator failed: Required step size is less than spacing between numbers."
         )
+    if status == 2:
+        raise ChartEdgeError(f"orbit reached the edge of the chart, lam*r**2 > "
+                             f"{CHART_EDGE_GUARD:g}, at t = {ts[-1]:.6g}")
     step_y = np.frombuffer(ys).reshape(-1, 4).T
     dense = DenseOutput(np.frombuffer(ts), step_y, np.frombuffer(ks).reshape(-1, 4, 13), params)
     if status == 1:
@@ -551,11 +565,6 @@ def closed_form_radius(theta, shape: OrbitShape, params: SystemParams):
                                + " nonpositive: angle outside the bound range")
     r = 1.0 / w if n == 1 else 1.0 / np.sqrt(w)
     return float(r) if r.ndim == 0 else r
-
-
-def radial_theta_period(params: SystemParams, alpha: float) -> float:
-    """Period of the radial oscillation in theta: 2*pi/alpha, halved for the oscillator."""
-    return (TWO_PI if params.kind is SystemKind.COULOMB else math.pi) / alpha
 
 
 def fit_theta0(traj: Trajectory, params: SystemParams) -> float:

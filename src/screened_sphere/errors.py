@@ -48,6 +48,12 @@ class SingularOrbitError(DomainError):
     code = "ERR_SINGULAR_ORBIT"
 
 
+class ChartEdgeError(DomainError):
+    """Trajectory reached the equator, the edge of the gnomonic chart."""
+
+    code = "ERR_CHART_EDGE"
+
+
 class StiffnessError(DomainError):
     """Adaptive integrator step size underflowed."""
 

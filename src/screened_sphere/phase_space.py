@@ -57,14 +57,6 @@ def pi_components(x1, x2, p1, p2, lam: float):
     return p1 + lam * s * x1, p2 + lam * s * x2
 
 
-def pi_vector(state: PhaseState, lam: float) -> tuple[float, float]:
-    """Curvature-corrected momentum pi_i = p_i + lam*x_i*(x.p).
-
-    Reduces to the canonical momentum at the origin or in the flat limit.
-    """
-    return pi_components(state.x1, state.x2, state.p1, state.p2, lam)
-
-
 def check_radius(x1: float, x2: float, name: str) -> None:
     """Raise ``RadiusError`` unless r**2 = x1**2 + x2**2 > 0; it can underflow at r > 0."""
     if not x1 * x1 + x2 * x2 > 0.0:

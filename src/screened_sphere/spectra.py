@@ -1,4 +1,4 @@
-"""Quantum spectra of the screened systems: the grid oracle and the wavefunctions.
+"""Quantum spectra of the screened systems: the finite-difference grid oracle.
 
 The closed-form levels, the spectrum table and its CSV live in
 ``closed_forms`` and are re-exported here.
@@ -21,17 +21,6 @@ differences with Dirichlet ends give a symmetric tridiagonal matrix;
 eigenvalues from two nested grids are Richardson-combined and their gap
 is reported as the discretization-error estimate.
 
-The oscillator eigenfunctions are available in closed form through a
-terminating Gauss hypergeometric series,
-
-    psi(r) = r**m' * (1 + lam*r**2)**(-eta/lam) * F(-N, beta, gamma, lam*r**2/(1+lam*r**2)),
-
-    eta   = (4*lam + 2*lam*m' + sqrt(4+lam**2)) / 4,
-    beta  = 1 + m' + N + sqrt(4+lam**2)/(2*lam),
-    gamma = 1 + m',
-
-which the operator-residual check validates against the grid form of H1.
-
 The grid oracle loads only scipy's compiled LAPACK wrapper, on first use,
 to call dstebz; it imports no ``scipy.linalg``.
 """
@@ -40,56 +29,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .closed_forms import (  # noqa: F401 -- re-exported
-    SPECTRUM_CSV_HEADER, SpectrumEntry, SystemKind, _check_qn, analytic_energy, coulomb_energy,
-    m_prime, oscillator_energy, spectrum_csv, spectrum_entries)
+    SPECTRUM_CSV_HEADER, SpectrumEntry, SystemKind, analytic_energy, coulomb_energy, m_prime,
+    oscillator_energy, spectrum_csv, spectrum_entries)
 from .errors import AccuracyError, DomainError
 
 _MIN_GRID_POINTS = 200
-_RESIDUAL_POINTS = 4000  # chi cells on (0, pi/2) for the operator-residual stencils
-
-
-def hypergeometric_terminating(n: int, b: float, c: float, z) -> float | np.ndarray:
-    """Terminating series F(-N, b; c; z) = sum_{j<=N} (-N)_j (b)_j / (c)_j z^j / j!.
-
-    Evaluated by the forward term recurrence; exact termination after N+1
-    terms because the first parameter is a non-positive integer.  Raises
-    if (c)_j hits zero before the series terminates.
-    """
-    if n < 0 or int(n) != n:
-        raise DomainError(f"series order N must be a non-negative integer, got {n}")
-    for j in range(n):
-        if c + j == 0.0:
-            raise DomainError(f"pole in (c)_j at j = {j} before termination")
-    z = np.asarray(z, dtype=float)
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    for j in range(n):
-        term = term * ((-n + j) * (b + j)) / ((c + j) * (j + 1.0)) * z
-        total = total + term
-    return float(total) if total.ndim == 0 else total
-
-
-def oscillator_wavefunction(r, lam: float, k: float, m: int, n: int):
-    """Radial part of the screened-oscillator eigenstate (full state: e^{im theta} * value)."""
-    if lam <= 0.0:
-        raise DomainError("oscillator_wavefunction requires lam > 0")
-    _check_qn(lam, k, n)
-    mp = m_prime(m, k)
-    root = math.sqrt(4.0 + lam * lam)
-    eta = 0.25 * (4.0 * lam + 2.0 * lam * mp + root)
-    beta = 1.0 + mp + n + root / (2.0 * lam)
-    gamma = 1.0 + mp
-    r = np.asarray(r, dtype=float)
-    z = lam * r**2 / (1.0 + lam * r**2)
-    val = r**mp * (1.0 + lam * r**2) ** (-eta / lam) * hypergeometric_terminating(
-        n, beta, gamma, z
-    )
-    return float(val) if val.ndim == 0 else val
 
 
 # --- finite-difference radial oracle ---------------------------------------
@@ -236,97 +185,3 @@ def radial_solve_numeric(
                 f"{float(rel.max()):.3e} exceeds tol {tol:g}"
             )
     return RadialSolveResult(energies=energies, error_estimate=estimate, grid=fine)
-
-
-def oscillator_operator_residual(lam: float, k: float, m: int, n: int) -> float:
-    """||H1 psi - E psi|| / ||psi|| for the closed-form oscillator state.
-
-    Applies the untransformed chi-form of the radial operator with
-    second-order stencils to the sampled wavefunction; adjudicates the
-    eta constant in the closed form (a wrong eta leaves an O(1) residual).
-    Norms are taken in L2 of the sphere's radial measure sin(chi) d(chi),
-    which also keeps the known stencil inconsistency against the
-    chi**m' behavior at the singular origin node from masking the test.
-    """
-    if lam <= 0.0:
-        raise DomainError("operator residual is defined for lam > 0")
-    mp = m_prime(m, k)
-    h = (math.pi / 2.0) / _RESIDUAL_POINTS
-    chi = h * np.arange(1, _RESIDUAL_POINTS)
-    r = np.tan(chi) / math.sqrt(lam)
-    psi = oscillator_wavefunction(r, lam, k, m, n)
-    e = oscillator_energy(lam, k, m, n)
-
-    d2 = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h**2
-    d1 = (psi[2:] - psi[:-2]) / (2.0 * h)
-    ci = chi[1:-1]
-    tan, sin = np.tan(ci), np.sin(ci)
-    interior = psi[1:-1]
-    h1_psi = (
-        -0.5
-        * lam
-        * (
-            d2
-            + (1.0 / tan + 3.0 * tan) * d1
-            - (mp * mp / sin**2) * interior
-            + 3.0 * interior
-            + 3.75 * tan**2 * interior
-        )
-        + (tan**2 / (2.0 * lam)) * interior
-        + lam * k * interior
-    )
-    resid = h1_psi - e * interior
-    return float(
-        math.sqrt(np.sum(sin * resid**2) / np.sum(sin * interior**2))
-    )
-
-
-@dataclass(frozen=True)
-class DegeneracySplit:
-    """Energy gap opened by screening between two k = 0 degenerate levels."""
-
-    m1: int
-    n1: int
-    m2: int
-    n2: int
-    e1_unscreened: float
-    e2_unscreened: float
-    degenerate_unscreened: bool
-    e1: float
-    e2: float
-    gap: float
-
-
-def degeneracy_split_report(
-    kind: SystemKind,
-    lam: float,
-    k: float,
-    pairs: Sequence[tuple[tuple[int, int], tuple[int, int]]],
-) -> list[DegeneracySplit]:
-    """For each pair of (m, N) levels: equality at k = 0 and the gap at k.
-
-    Since m' -> |m| as k -> 0, levels with equal |m|+N (coulomb) or
-    |m|+2N (oscillator) coincide exactly at k = 0; screening makes m'
-    irrational and splits them.
-    """
-    rows = []
-    for (m1, n1), (m2, n2) in pairs:
-        e1_0 = analytic_energy(kind, lam, 0.0, m1, n1)
-        e2_0 = analytic_energy(kind, lam, 0.0, m2, n2)
-        e1 = analytic_energy(kind, lam, k, m1, n1)
-        e2 = analytic_energy(kind, lam, k, m2, n2)
-        rows.append(
-            DegeneracySplit(
-                m1=m1,
-                n1=n1,
-                m2=m2,
-                n2=n2,
-                e1_unscreened=e1_0,
-                e2_unscreened=e2_0,
-                degenerate_unscreened=(e1_0 == e2_0),
-                e1=e1,
-                e2=e2,
-                gap=abs(e1 - e2),
-            )
-        )
-    return rows

@@ -20,7 +20,6 @@ from screened_sphere.conserved import (
     RUNGE_LENZ_X,
     RUNGE_LENZ_Y,
     Observable,
-    angular_momentum,
     finite_difference_gradient,
     poisson_bracket,
     sample_states,
@@ -29,6 +28,7 @@ from screened_sphere.conserved import (
     verify_oscillator_algebra,
 )
 from screened_sphere.dynamics import (
+    OrbitShape,
     PhaseState,
     SystemKind,
     SystemParams,
@@ -36,19 +36,18 @@ from screened_sphere.dynamics import (
     equations_of_motion,
     find_turning_points,
     integrate,
+    lz_value,
     orbit_residual,
-    radial_theta_period,
     state_at_theta,
 )
 from screened_sphere.spectra import (
     analytic_energy,
     coulomb_energy,
-    degeneracy_split_report,
     m_prime,
     oscillator_energy,
-    oscillator_operator_residual,
     radial_solve_numeric,
 )
+from oscillator_reference import oscillator_operator_residual
 
 COULOMB = SystemParams(SystemKind.COULOMB, 0.1, 0.05)
 OSCILLATOR = SystemParams(SystemKind.OSCILLATOR, 0.1, 0.05)
@@ -62,10 +61,8 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def _radial_periods_covered(traj, params) -> float:
-    from screened_sphere.dynamics import orbit_alpha
-
-    alpha = orbit_alpha(params, float(traj.Lz[0]))
-    return (traj.theta[-1] - traj.theta[0]) / radial_theta_period(params, alpha)
+    nu = OrbitShape.from_state(traj.state_at(0.0), params).coefficients(params)[2]
+    return (traj.theta[-1] - traj.theta[0]) / (2.0 * math.pi / nu)
 
 
 def test_criterion_1_orbit_matches_closed_form():
@@ -128,9 +125,7 @@ def test_criterion_3_closure_and_irrational_control():
     t_radial = 2.0 * math.pi * (-2.0 * -0.3875) ** -1.5  # flat-Kepler-period scale
     traj_i = integrate(st_i, params_i, t_end=65.5 * t_radial, rel_tol=1e-10,
                        n_samples=40001)
-    n_periods = (traj_i.theta[-1] - traj_i.theta[0]) / radial_theta_period(
-        params_i, res_i.alpha
-    )
+    n_periods = (traj_i.theta[-1] - traj_i.theta[0]) / (2.0 * math.pi / res_i.alpha)
     tg = np.linspace(0.5 * t_radial, traj_i.t[-1], 300000)
     y = traj_i.dense(tg)
     dist = np.sqrt(
@@ -187,7 +182,7 @@ def test_criterion_5_algebra_verification():
     # oracle pinning of the classical quadratic constants at 10 states
     pin_ok = True
     for st in sample_states(COULOMB, 10, seed=13):
-        lz = angular_momentum(st)
+        lz = lz_value(st.x1, st.x2, st.p1, st.p2)
         fd = poisson_bracket(RUNGE_LENZ_X, RUNGE_LENZ_Y, st, COULOMB, "fd")
         classical = (-2.0 * HAMILTONIAN.value(st.x1, st.x2, st.p1, st.p2, COULOMB)
                      + 2.0 * COULOMB.lam * lz**2 - 2.0 * COULOMB.k * COULOMB.lam) * lz
@@ -260,8 +255,12 @@ def test_criterion_6_spectra():
         (SystemKind.COULOMB, ((1, 1), (2, 0))),
         (SystemKind.OSCILLATOR, ((4, 0), (2, 1))),
     ):
-        row = degeneracy_split_report(kind, 0.0, 0.05, [pair])[0]
-        deg_ok = deg_ok and row.degenerate_unscreened and row.gap > 1e-4
+        (m1, n1), (m2, n2) = pair
+        degenerate_unscreened = (analytic_energy(kind, 0.0, 0.0, m1, n1)
+                                 == analytic_energy(kind, 0.0, 0.0, m2, n2))
+        gap = abs(analytic_energy(kind, 0.0, 0.05, m1, n1)
+                  - analytic_energy(kind, 0.0, 0.05, m2, n2))
+        deg_ok = deg_ok and degenerate_unscreened and gap > 1e-4
 
     elapsed = time.perf_counter() - start
     ok = limits_ok and box_ok and deg_ok and elapsed < 180.0

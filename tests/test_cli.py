@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from screened_sphere.cli import main
+from screened_sphere.cli import _json, main
+from screened_sphere.errors import AccuracyError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -231,6 +232,29 @@ def test_huge_inputs_end_with_code(command, flags, capsys):
                "--t-end", "5", "--out", os.devnull, *flags])
     assert rc == 3
     assert re.match(r"ERR_[A-Z_]+: ", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv,code", [
+    # the bracket terms overflow; the residuals used to be printed as nan
+    (["brackets", "--system", "coulomb", "--lambda", "1e300", "--samples", "3"], "ERR_ACCURACY"),
+    # the level overflows; it used to be printed as a bare inf
+    (["spectrum", "--system", "oscillator", "--lambda", "1e308", "--m", "1", "--N", "0",
+      "--format", "json"], "ERR_DOMAIN"),
+    # the orbit crosses the equator, where the chart ends; it used to run the whole step budget
+    (["orbit", "--system", "coulomb", "--x", "1", "--y", "1", "--px", "0", "--py", "0.55",
+      "--lambda", "1", "--t-end", "3"], "ERR_CHART_EDGE"),
+])
+def test_overflow_and_chart_edge_end_with_code(argv, code, capsys):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(code + r": .+\n", err), err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_writer_refuses_non_finite_numbers(value):
+    with pytest.raises(AccuracyError):
+        _json({"report": [0.5, value]})
 
 
 def test_long_fast_orbit_hits_the_step_cap():
@@ -587,10 +611,10 @@ def test_negative_float_in_exponent_notation_is_a_value(capsys, argv, flag, valu
 # Odd values: nan, +-inf, zeros, negatives, exponent notation, huge.  Slow ones
 # are left out, since they only make a run longer: an orbit run to MAX_STEPS takes
 # seconds (test_long_fast_orbit_hits_the_step_cap covers that exit), which --t-end
-# beyond ~100 does, as does an orbit that passes close round the singularity or,
-# at lambda ~ 1, out to the edge of the chart; so the orbit commands mix their odd
-# values only with the ordinary ones of the fixtures.  A sample count from 10**4
-# up to MAX_SAMPLES is left out too.
+# beyond ~100 does, as does an orbit that passes close round the singularity; so
+# the orbit commands mix their odd values only with the ordinary ones of the
+# fixtures and lambda = 1, where many of them run out to the edge of the chart.  A
+# sample count from 10**4 up to MAX_SAMPLES is left out too.
 _ODD = ("nan", "inf", "-inf", "0", "-0.0", "-1", "-2.5E-01", "1e-320", "1e200", "1e308",
         "-1e308")
 _FLOATS = _ODD + ("0.5", "1", "3")
@@ -601,7 +625,7 @@ _COUNTS = ("0", "-1", "1", "2", "7", "1e3", "nan", "1000001", "1000000000000",
            "99999999999999999999999")
 _LISTS = ("0", "-1", "1,2", "0,-3", "2,,5", "1e3", "nan", "1000000", "99999999999999999999999")
 _STATE = {"--x": "1.6", "--px": "0", "--py": "0.55", "--t-end": "3", "--trajectory-samples": "7"}
-_STATE_POOLS = {"--lambda": _ODD + ("0.1",), "--k": _ODD + ("0.05", "0.5"),
+_STATE_POOLS = {"--lambda": _ODD + ("0.1", "1"), "--k": _ODD + ("0.05", "0.5"),
                 **{flag: _ODD + ("0.5", "1.6") for flag in ("--x", "--y", "--px", "--py")},
                 "--t-end": _T_END, "--tol": _TOL, "--trajectory-samples": _COUNTS}
 # command: (valid base flags, pool of values for each numeric flag)
@@ -623,21 +647,39 @@ def _odd_argv(draw) -> list[str]:
     for flag in draw(st.sets(st.sampled_from(sorted(pools)), min_size=1, max_size=3)):
         flags[flag] = draw(st.sampled_from(pools[flag]))
     argv = [command, "--system", draw(st.sampled_from(["coulomb", "oscillator"])),
-            "--out", os.devnull, *(tok for item in flags.items() for tok in item)]
+            *(tok for item in flags.items() for tok in item)]
     if command == "spectrum" and draw(st.booleans()):
         argv.append("--numeric")
     return argv
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _assert_finite_output(text: str) -> None:
+    """JSON without nan or infinity, or CSV under a header whose fields are finite floats
+    (or a system name, or empty for a value not computed)."""
+    assert text, "exit 0 with no output"
+    if text.startswith(("[", "{")):
+        json.loads(text, parse_constant=_refuse_constant)
+        return
+    for line in text.splitlines()[1:]:
+        for field in line.split(","):
+            assert field in ("", "coulomb", "oscillator") or math.isfinite(float(field)), line
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(argv=_odd_argv())
 def test_numeric_flags_end_in_a_result_or_a_coded_error(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         try:
             rc = main(argv)
         except SystemExit as exc:
             rc = exc.code
     assert rc in (0, 2, 3), argv
+    if rc == 0:
+        _assert_finite_output(out.getvalue())
     if rc == 3:
         assert re.fullmatch(r"ERR_[A-Z_]+: .+\n", err.getvalue()), (argv, err.getvalue())

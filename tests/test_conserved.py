@@ -13,7 +13,6 @@ from screened_sphere.conserved import (
     RUNGE_LENZ_X,
     RUNGE_LENZ_Y,
     Observable,
-    angular_momentum,
     finite_difference_gradient,
     fradkin_quantities,
     poisson_bracket,
@@ -31,6 +30,7 @@ from screened_sphere.dynamics import (
     find_turning_points,
     hamiltonian,
     integrate,
+    lz_value,
     orbit_alpha,
 )
 from screened_sphere.errors import NoTurningPointError
@@ -57,8 +57,8 @@ def rotate(state: PhaseState, beta: float) -> PhaseState:
 # --- observables -------------------------------------------------------------
 
 def test_angular_momentum_values():
-    assert angular_momentum(PhaseState(1.0, 0.0, 0.0, 1.0)) == 1.0
-    assert angular_momentum(PhaseState(2.0, 1.0, 0.6, 0.3)) == 0.0  # p parallel to x
+    assert lz_value(1.0, 0.0, 0.0, 1.0) == 1.0
+    assert lz_value(2.0, 1.0, 0.6, 0.3) == 0.0  # p parallel to x
 
 
 def test_angular_momentum_rotation_invariant():
@@ -66,8 +66,8 @@ def test_angular_momentum_rotation_invariant():
     for _ in range(200):
         st = PhaseState(*rng.uniform(-2.0, 2.0, size=4))
         beta = rng.uniform(0.0, 2.0 * math.pi)
-        assert angular_momentum(rotate(st, beta)) == pytest.approx(
-            angular_momentum(st), abs=1e-12
+        assert lz_value(*coords(rotate(st, beta))) == pytest.approx(
+            lz_value(*coords(st)), abs=1e-12
         )
 
 
@@ -225,7 +225,7 @@ def test_quadratic_constant_pinned_by_fd_oracle(coulomb_params, oscillator_param
     quadratic identities: the quantum +lam/4 ordering term must NOT appear."""
     lam = coulomb_params.lam
     for st in sample_states(coulomb_params, 10, seed=13):
-        lz = angular_momentum(st)
+        lz = lz_value(*coords(st))
         bracket = poisson_bracket(RUNGE_LENZ_X, RUNGE_LENZ_Y, st, coulomb_params, "fd")
         classical = (-2.0 * hamiltonian(st, coulomb_params) + 2.0 * lam * lz**2
                      - 2.0 * coulomb_params.k * lam) * lz
@@ -234,7 +234,7 @@ def test_quadratic_constant_pinned_by_fd_oracle(coulomb_params, oscillator_param
         assert abs(bracket - with_quantum_term) > 1e-3
 
     for st in sample_states(oscillator_params, 10, seed=13):
-        lz = angular_momentum(st)
+        lz = lz_value(*coords(st))
         bracket = poisson_bracket(FRADKIN_XY, FRADKIN_1, st, oscillator_params, "fd")
         classical = -(2.0 + lam * (2.0 * hamiltonian(st, oscillator_params)
                                    - lam * lz**2)) * lz

@@ -26,13 +26,11 @@ from screened_sphere.dynamics import (
     state_at_theta,
 )
 from screened_sphere.errors import DomainError, RadiusError
-from screened_sphere.spectra import (
-    RadialGrid,
-    coulomb_energy,
+from screened_sphere.spectra import RadialGrid, coulomb_energy, radial_solve_numeric
+from oscillator_reference import (
     hypergeometric_terminating,
     oscillator_operator_residual,
     oscillator_wavefunction,
-    radial_solve_numeric,
 )
 from test_cli import run_cli
 

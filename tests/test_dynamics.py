@@ -30,11 +30,12 @@ from screened_sphere.dynamics import (
     integrate,
     orbit_alpha,
     orbit_residual,
-    pi_vector,
+    pi_components,
     potential,
     state_at_theta,
 )
 from screened_sphere.errors import (
+    ChartEdgeError,
     CurvatureError,
     DomainError,
     ImaginaryAlphaError,
@@ -69,9 +70,9 @@ def test_potential_values():
 
 
 def test_pi_vector():
-    assert pi_vector(PhaseState(0.0, 0.0, 0.7, -0.2), 1.5) == (0.7, -0.2)
-    assert pi_vector(PhaseState(1.3, -0.4, 0.7, -0.2), 0.0) == (0.7, -0.2)
-    assert pi_vector(PhaseState(1.0, 0.0, 2.0, 3.0), 1.0) == (4.0, 3.0)
+    assert pi_components(0.0, 0.0, 0.7, -0.2, 1.5) == (0.7, -0.2)
+    assert pi_components(1.3, -0.4, 0.7, -0.2, 0.0) == (0.7, -0.2)
+    assert pi_components(1.0, 0.0, 2.0, 3.0, 1.0) == (4.0, 3.0)
 
 
 def test_hamiltonian_values():
@@ -166,6 +167,22 @@ def test_integrate_caps_steps(monkeypatch, coulomb_params):
     assert exc.value.code == "ERR_STEP_BUDGET"
     match = re.fullmatch(r"more than 1000 solver steps; stopped at t = (\S+)", str(exc.value))
     assert 0.0 < float(match[1]) < 2000.0
+
+
+def test_orbit_past_the_equator_stops_at_the_chart_edge(monkeypatch):
+    # r -> infinity near t = 0.84 is the sphere's equator; the orbit used to run the whole
+    # step budget there, and a cap of 1000 steps shows that it now ends well before it
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 1000)
+    params = SystemParams(SystemKind.COULOMB, 1.0, 0.0)
+    with pytest.raises(ChartEdgeError) as exc:
+        integrate(PhaseState(1.0, 1.0, 0.0, 0.55), params, 3.0)
+    assert exc.value.code == "ERR_CHART_EDGE"
+    match = re.fullmatch(r"orbit reached the edge of the chart, lam\*r\*\*2 > 1e\+12, "
+                         r"at t = (\S+)", str(exc.value))
+    assert float(match[1]) == pytest.approx(0.842, abs=1e-3)
+    # a start near r = 0 is a real near-collision and still runs into the step cap
+    with pytest.raises(StepBudgetError):
+        integrate(PhaseState(1e-3, 0.0, 0.0, 0.55), params, 3.0)
 
 
 def test_integrate_runs_backward():

@@ -22,7 +22,7 @@ from screened_sphere.dynamics import (
     h_gradient,
     h_value,
     integrate,
-    pi_vector,
+    pi_components,
     potential,
 )
 from screened_sphere.errors import CurvatureError
@@ -56,7 +56,7 @@ def test_embed_constraint_random():
 def test_embed_pole():
     # the chart touches the sphere at the pole, so there the metric is Euclidean
     for lam in (0.0, 0.25, 4.0):
-        assert pi_vector(PhaseState(0.0, 0.0, 0.3, -1.2), lam) == (0.3, -1.2)
+        assert pi_components(0.0, 0.0, 0.3, -1.2, lam) == (0.3, -1.2)
         params = SystemParams(SystemKind.OSCILLATOR, lam=lam)
         x1dot, x2dot, _, _ = equations_of_motion(PhaseState(1e-9, 0.0, 0.3, -1.2), params)
         assert x1dot == pytest.approx(0.3, rel=1e-15)

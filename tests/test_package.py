@@ -19,12 +19,11 @@ EXPORTED = {
     "dynamics": """ClosureResult OrbitShape PhaseState SystemKind SystemParams Trajectory
         TurningKind TurningPoint closed_form_radius closure_analysis equations_of_motion
         find_turning_points fit_theta0 hamiltonian integrate orbit_alpha orbit_residual
-        pi_vector potential radial_theta_period state_at_theta""",
-    "conserved": """BracketReport Observable angular_momentum fradkin_quantities poisson_bracket
-        runge_lenz turning_point_conservation verify_coulomb_algebra verify_oscillator_algebra""",
-    "spectra": """RadialGrid SpectrumEntry coulomb_energy degeneracy_split_report
-        hypergeometric_terminating m_prime oscillator_energy oscillator_operator_residual
-        oscillator_wavefunction radial_solve_numeric spectrum_entries""",
+        potential state_at_theta""",
+    "conserved": """BracketReport Observable fradkin_quantities poisson_bracket runge_lenz
+        turning_point_conservation verify_coulomb_algebra verify_oscillator_algebra""",
+    "spectra": """RadialGrid SpectrumEntry coulomb_energy m_prime oscillator_energy
+        radial_solve_numeric spectrum_entries""",
 }
 MOVED = set("""ClosureResult SystemKind SystemParams closure_analysis orbit_alpha SpectrumEntry
     coulomb_energy m_prime oscillator_energy spectrum_entries""".split())

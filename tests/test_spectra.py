@@ -1,4 +1,4 @@
-"""Closed-form spectra, terminating hypergeometric series, grid oracle."""
+"""Closed-form spectra, the grid oracle, and the reference oscillator eigenstates."""
 
 import itertools
 import math
@@ -17,17 +17,19 @@ from screened_sphere.errors import AccuracyError, CurvatureError, DomainError, I
 from screened_sphere.spectra import (
     RadialGrid,
     _eigenvalues_on_grid,
+    analytic_energy,
     coulomb_energy,
     default_grid,
-    degeneracy_split_report,
-    hypergeometric_terminating,
     m_prime,
     oscillator_energy,
-    oscillator_operator_residual,
-    oscillator_wavefunction,
     radial_solve_numeric,
     spectrum_csv,
     spectrum_entries,
+)
+from oscillator_reference import (
+    hypergeometric_terminating,
+    oscillator_operator_residual,
+    oscillator_wavefunction,
 )
 
 
@@ -344,27 +346,30 @@ def test_lapack_wrapper_is_shared_with_scipy_linalg(order):
 
 # --- degeneracy splitting ---------------------------------------------------------
 
+def _levels(kind, lam, k, pair):
+    """The energies of the two (m, N) levels of ``pair``."""
+    return [analytic_energy(kind, lam, k, m, n) for m, n in pair]
+
+
 def test_coulomb_degeneracy_split():
-    rows = degeneracy_split_report(
-        SystemKind.COULOMB, 0.0, 0.05, [((1, 1), (2, 0))]
-    )
-    row = rows[0]
-    assert row.degenerate_unscreened
-    assert row.e1_unscreened == pytest.approx(-0.5 / 2.5**2, rel=1e-14)
-    assert row.gap > 1e-4
+    pair = ((1, 1), (2, 0))
+    e1_unscreened, e2_unscreened = _levels(SystemKind.COULOMB, 0.0, 0.0, pair)
+    e1, e2 = _levels(SystemKind.COULOMB, 0.0, 0.05, pair)
+    assert e1_unscreened == e2_unscreened
+    assert e1_unscreened == pytest.approx(-0.5 / 2.5**2, rel=1e-14)
+    assert abs(e1 - e2) > 1e-4
     # m' + N values quoted against direct evaluation
     assert m_prime(1, 0.05) + 1 == pytest.approx(1.9486832980505138, rel=1e-12)
     assert m_prime(2, 0.05) == pytest.approx(1.9748417658131499, rel=1e-12)
 
 
 def test_oscillator_degeneracy_split():
-    rows = degeneracy_split_report(
-        SystemKind.OSCILLATOR, 0.0, 0.05, [((4, 0), (2, 1))]
-    )
-    row = rows[0]
-    assert row.degenerate_unscreened
-    assert row.e1_unscreened == pytest.approx(5.0, rel=1e-14)
-    assert row.gap > 1e-4
+    pair = ((4, 0), (2, 1))
+    e1_unscreened, e2_unscreened = _levels(SystemKind.OSCILLATOR, 0.0, 0.0, pair)
+    e1, e2 = _levels(SystemKind.OSCILLATOR, 0.0, 0.05, pair)
+    assert e1_unscreened == e2_unscreened
+    assert e1_unscreened == pytest.approx(5.0, rel=1e-14)
+    assert abs(e1 - e2) > 1e-4
 
 
 def test_degeneracy_gap_confirmed_by_oracle():

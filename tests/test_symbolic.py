@@ -1,6 +1,7 @@
 """Symbolic oracle: the Higgs-algebra identities proved exactly, the
 analytic gradient kernels checked against sympy derivatives, and the
-coulomb ground state proved an exact eigenstate of the radial operator."""
+coulomb ground state and the lowest oscillator states proved exact
+eigenstates of the radial operator."""
 
 import math
 
@@ -17,7 +18,9 @@ from screened_sphere.conserved import (
     sample_states,
 )
 from screened_sphere.dynamics import SystemKind, SystemParams
-from screened_sphere.spectra import _transformed_potential, coulomb_energy, m_prime
+from screened_sphere.spectra import (_transformed_potential, coulomb_energy, m_prime,
+                                     oscillator_energy)
+from oscillator_reference import oscillator_wavefunction
 
 X, Y, PX, PY = sp.symbols("x y p_x p_y", real=True)
 LAM, K = sp.symbols("lambda k", positive=True)
@@ -140,4 +143,66 @@ def test_coulomb_ground_state_operator_is_the_grid_operator(lam, k, m):
     got = _transformed_potential(SystemKind.COULOMB, lam, k, m, chi)
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
     assert math.isclose(float(E_GROUND.subs(values)), coulomb_energy(lam, k, m, 0),
+                        rel_tol=1e-14)
+
+
+# --- the oscillator eigenstates, exactly ---------------------------------------
+
+T, RHO = sp.symbols("t rho", positive=True)  # t = tan(chi), rho = sqrt(4 + lam**2)
+ETA = (4 * LAM + 2 * LAM * MP + RHO) / 4
+
+
+def _oscillator_state(n: int, eta):
+    """(g, F, E) of the N-th closed-form state psi = g*F in t: g = t**m' * (1 + t**2)**(-eta/lam)
+    and the terminating series F = F(-N, beta; gamma; sin(chi)**2)."""
+    beta, gamma = 1 + MP + n + RHO / (2 * LAM), 1 + MP
+    sin2 = T**2 / (1 + T**2)
+    series = sum(sp.rf(-n, j) * sp.rf(beta, j) / (sp.rf(gamma, j) * sp.factorial(j)) * sin2**j
+                 for j in range(n + 1))
+    s = 1 + MP + 2 * n
+    return T**MP * (1 + T**2) ** (-eta / LAM), series, s * (RHO + LAM * s) / 2 + LAM * K
+
+
+def _oscillator_residual(n: int, eta):
+    """Numerator of (H1 - E)psi / g, reduced modulo rho**2 - 4 - lam**2.
+
+    H1 is the chi-form that ``oscillator_operator_residual`` applies by stencils.
+    Since d/dchi = (1 + t**2) d/dt, d/dchi (g*u) = g * (1 + t**2) * (u' + (g'/g)*u),
+    so g divides out before sympy sees it and only rational functions of t remain.
+    """
+    g, series, energy = _oscillator_state(n, eta)
+    log_dg = sp.diff(sp.expand_log(sp.log(g), force=True), T)
+
+    def d_chi(u):  # d/dchi (g*u), divided by g
+        return (1 + T**2) * (sp.diff(u, T) + log_dg * u)
+
+    d1 = d_chi(series)
+    d2 = d_chi(d1)
+    h1 = (-LAM / 2 * (d2 + (1 / T + 3 * T) * d1 - MP**2 * (1 + T**2) / T**2 * series
+                      + 3 * series + sp.Rational(15, 4) * T**2 * series)
+          + T**2 / (2 * LAM) * series + LAM * K * series)
+    numerator = sp.numer(sp.together(h1 - energy * series))
+    return sp.rem(sp.expand(numerator), RHO**2 - 4 - LAM**2, RHO)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_oscillator_states_are_exact_eigenstates(n):
+    assert _oscillator_residual(n, ETA) == 0
+
+
+def test_oscillator_proof_rejects_a_shifted_eta():
+    assert _oscillator_residual(0, ETA + LAM / 8) != 0
+
+
+@pytest.mark.parametrize("lam,k,m,n", [(0.1, 0.05, 1, 0), (0.7, 0.0, 2, 3), (2.0, 1.3, 3, 2)])
+def test_oscillator_proof_is_of_the_reference_state_and_energy(lam, k, m, n):
+    mp = m_prime(m, k)
+    g, series, energy = _oscillator_state(n, ETA)
+    values = {LAM: lam, K: k, MP: mp, RHO: math.sqrt(4.0 + lam * lam)}
+    psi = sp.lambdify(T, (g * series).subs(values), "numpy")
+    r = np.array([0.2, 0.9, 1.7, 3.0])
+    # r**m' = lam**(-m'/2) * t**m', a constant factor that g leaves out
+    want = oscillator_wavefunction(r, lam, k, m, n)
+    assert np.allclose(lam ** (-mp / 2) * psi(math.sqrt(lam) * r), want, rtol=1e-12, atol=0.0)
+    assert math.isclose(float(energy.subs(values)), oscillator_energy(lam, k, m, n),
                         rel_tol=1e-14)
