@@ -111,7 +111,10 @@ def m_prime(m: int, k: float) -> float:
     Raises for m**2 < 2k (all m = 0 states once k > 0): m' is imaginary
     and the state ceases to exist in the screened spectrum.
     """
-    disc = m * m - 2.0 * k
+    try:
+        disc = m * m - 2.0 * k
+    except OverflowError:
+        raise DomainError("m**2 is too large for a float") from None
     if disc < 0.0:
         raise ImaginaryMPrimeError(f"m**2 = {m * m} < 2k = {2 * k:g}: m' is imaginary")
     return math.sqrt(disc)
@@ -121,6 +124,10 @@ def _check_qn(lam: float, k: float, n: int) -> None:
     check_lam_k(lam, k)
     if n < 0 or int(n) != n:
         raise DomainError(f"radial index N must be a non-negative integer, got {n}")
+    try:
+        float(n)
+    except OverflowError:
+        raise DomainError("radial index N is too large for a float") from None
 
 
 def _finite_level(e: float, lam: float, m: int, n: int) -> float:
@@ -133,8 +140,11 @@ def coulomb_energy(lam: float, k: float, m: int, n: int) -> float:
     """Screened-coulomb level on a sphere of curvature lam; a domain error if it overflows."""
     _check_qn(lam, k, n)
     mp = m_prime(m, k)
-    return _finite_level(
-        0.5 * lam * (mp + n) * (mp + n + 1.0) - 0.5 / (mp + n + 0.5) ** 2 + lam * k, lam, m, n)
+    try:
+        e = 0.5 * lam * (mp + n) * (mp + n + 1.0) - 0.5 / (mp + n + 0.5) ** 2 + lam * k
+    except OverflowError:  # a float ** raises where a float * gives inf
+        e = math.inf
+    return _finite_level(e, lam, m, n)
 
 
 def oscillator_energy(lam: float, k: float, m: int, n: int) -> float:

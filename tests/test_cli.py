@@ -1,6 +1,8 @@
 """CLI commands: outputs, schemas, determinism, exit codes."""
 
+import ast
 import contextlib
+import gc
 import io
 import json
 import math
@@ -16,18 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from screened_sphere.cli import _json, main
+from screened_sphere.cli import _json, main, run
 from screened_sphere.errors import AccuracyError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*argv: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
+def run_cli(*argv: str, timeout: float = 60.0, cwd=None) -> subprocess.CompletedProcess:
     """Run the CLI in a fresh interpreter; a hang fails the test at ``timeout``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
         [sys.executable, "-m", "screened_sphere.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        env=env, capture_output=True, text=True, timeout=timeout, cwd=cwd,
     )
 
 
@@ -251,6 +253,27 @@ def test_overflow_and_chart_edge_end_with_code(argv, code, capsys):
     assert re.fullmatch(code + r": .+\n", err), err
 
 
+_HUGE_INT = "1" + "0" * 200  # converts to a float, but its square does not
+
+
+@pytest.mark.parametrize("flag", ["--N", "--m"])
+def test_huge_quantum_number_ends_in_a_code(capsys, flag):
+    # the coulomb level's (m' + N + 1/2)**2 and m**2 overflow; both used to end in a traceback
+    assert main(["spectrum", "--system", "coulomb", flag, _HUGE_INT]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"ERR_DOMAIN: .+\n", err), err
+
+
+@pytest.mark.parametrize("system,lam", [("coulomb", "1e300"), ("oscillator", "1e150")])
+def test_overflowing_brackets_print_only_their_code_line(system, lam):
+    # a fresh process, since pytest would capture numpy's RuntimeWarnings in-process
+    proc = run_cli("brackets", "--system", system, "--lambda", lam, "--samples", "3")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert re.fullmatch(r"ERR_ACCURACY: .+\n", proc.stderr), proc.stderr
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_json_writer_refuses_non_finite_numbers(value):
     with pytest.raises(AccuracyError):
@@ -458,14 +481,20 @@ def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
     assert report["dynamics_ran"] is (argv[:1] in (["orbit"], ["turning"]))
 
 
+def _files(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
 def _run_in(directory: Path, argv: list[str], capsys, monkeypatch):
     """Run ``main`` inside ``directory``; return (rc, stdout, stderr, files written)."""
     directory.mkdir()
     monkeypatch.chdir(directory)
-    rc = main(argv)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
     out, err = capsys.readouterr()
-    files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
-    return rc, out, err, files
+    return rc, out, err, _files(directory)
 
 
 ORBIT_FLAGS = ["--system", "oscillator", "--lambda", "0.1", "--k", "0.05", "--x", "1.5",
@@ -623,7 +652,8 @@ _T_END = ("nan", "inf", "-inf", "0", "-0.0", "-1e-320", "1e-320", "-2.5E+00", "0
 _TOL = _ODD + ("1e-13", "1e-6", "1e-7", "1E-6", "-1e-10")
 _COUNTS = ("0", "-1", "1", "2", "7", "1e3", "nan", "1000001", "1000000000000",
            "99999999999999999999999")
-_LISTS = ("0", "-1", "1,2", "0,-3", "2,,5", "1e3", "nan", "1000000", "99999999999999999999999")
+_LISTS = ("0", "-1", "1,2", "0,-3", "2,,5", "1e3", "nan", "1000000", "99999999999999999999999",
+          "1" + "0" * 400)
 _STATE = {"--x": "1.6", "--px": "0", "--py": "0.55", "--t-end": "3", "--trajectory-samples": "7"}
 _STATE_POOLS = {"--lambda": _ODD + ("0.1", "1"), "--k": _ODD + ("0.05", "0.5"),
                 **{flag: _ODD + ("0.5", "1.6") for flag in ("--x", "--y", "--px", "--py")},
@@ -683,3 +713,91 @@ def test_numeric_flags_end_in_a_result_or_a_coded_error(argv):
         _assert_finite_output(out.getvalue())
     if rc == 3:
         assert re.fullmatch(r"ERR_[A-Z_]+: .+\n", err.getvalue()), (argv, err.getvalue())
+
+
+# --- the process entry: collector off for the run, heap frozen on exit -------------
+
+_ORBIT = ["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--x", "1.6",
+          "--px", "0", "--py", "0.55", "--t-end", "20"]
+_EXITS = {
+    0: ["closure", "--system", "coulomb", "--k", "0.375", "--Lz", "1"],
+    2: ["closure", "--system", "coulomb"],  # missing --Lz
+    3: ["closure", "--system", "coulomb", "--k", "0.5", "--Lz", "1"],
+}
+
+
+def _exit_code(entry, argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return entry(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@pytest.mark.parametrize("rc", sorted(_EXITS))
+def test_only_the_process_entry_touches_the_collector(rc):
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    assert _exit_code(main, _EXITS[rc]) == rc
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    try:
+        assert _exit_code(run, _EXITS[rc]) == rc
+        assert not gc.isenabled()
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+def _cyclic_garbage(argv) -> int:
+    """Objects in reference cycles that one ``main`` run leaves for the collector."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert _exit_code(main, argv) == 0
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("argv,flag,small,large", [
+    ([*_ORBIT, "--out", os.devnull], "--trajectory-samples", "2001", "30000"),
+    (["brackets", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--out", os.devnull],
+     "--samples", "200", "30000"),
+])
+def test_cyclic_garbage_does_not_grow_with_the_work(argv, flag, small, large):
+    # the process entry never collects, so a cycle per step, sample or state would pile up
+    _cyclic_garbage([*argv, flag, small])  # first use: lazy imports
+    assert _cyclic_garbage([*argv, flag, small]) == _cyclic_garbage([*argv, flag, large])
+
+
+@pytest.mark.parametrize("argv", [
+    [*_ORBIT, "--out", "traj.csv", "--turning-out", "tp.json"],
+    ["turning", *_ORBIT[1:], "--out", "turning.json"],
+    ["brackets", *_BR_FLAGS, "--seed", "7"],
+    ["spectrum", *_SP_FLAGS, "--numeric", "--out", "levels.csv"],
+    _EXITS[0],
+    _EXITS[2],
+    ["brackets", "--system", "coulomb", "--lambda", "1e300", "--samples", "3"],
+], ids=["orbit", "turning", "brackets", "spectrum-numeric", "exit-0", "exit-2", "exit-3"])
+def test_process_entry_and_main_give_the_same_results(tmp_path, capsys, monkeypatch, argv):
+    fresh = tmp_path / "process"
+    fresh.mkdir()
+    proc = run_cli(*argv, cwd=fresh)
+    in_process = _run_in(tmp_path / "main", argv, capsys, monkeypatch)
+    assert (proc.returncode, proc.stdout, proc.stderr, _files(fresh)) == in_process
+
+
+def test_script_target_is_the_entry_of_python_m():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    module, _, name = project["project"]["scripts"]["screened-sphere"].partition(":")
+    assert module == "screened_sphere.cli"
+    tree = ast.parse((SRC / "screened_sphere" / "cli.py").read_text())
+    main_block = next(node for node in tree.body if isinstance(node, ast.If)
+                      and ast.unparse(node.test) == "__name__ == '__main__'")
+    called = {node.func.id for node in ast.walk(main_block)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called == {"SystemExit", name}
