@@ -206,15 +206,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "orbit": _cmd_orbit,
-    "closure": _cmd_closure,
-    "turning": _cmd_turning,
-    "brackets": _cmd_brackets,
-    "spectrum": _cmd_spectrum,
-}
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value file supplying option defaults")
     p.add_argument("--system", choices=["coulomb", "oscillator"], help="potential kind")
@@ -242,52 +233,82 @@ def _add_state(p: argparse.ArgumentParser) -> None:
                    help="number of recorded samples (default %(default)s)")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The CLI parser and its subparsers, by command name."""
+def _add_orbit(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    _add_gnuplot(p)
+    _add_state(p)
+    p.add_argument("--turning-out", dest="turning_out",
+                   help="also write turning points as JSON to this path")
+
+
+def _add_closure(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--Lz", dest="lz", type=float, help="angular momentum")
+
+
+def _add_turning(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    _add_state(p)
+
+
+def _add_brackets(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--samples", type=int, default=1000,
+                   help="number of sampled states (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
+    p.add_argument("--method", choices=["analytic", "fd"], default="analytic",
+                   help="gradient mode (default %(default)s)")
+
+
+def _add_spectrum(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv",
+                   help="output format (default %(default)s)")
+    _add_gnuplot(p)
+    p.add_argument("--m", type=_int_list, default="0",
+                   help="angular quantum number(s), comma separated (default %(default)s)")
+    p.add_argument("--N", dest="n", type=_int_list, default="0",
+                   help="radial index(es), comma separated (default %(default)s)")
+    p.add_argument("--numeric", action="store_true",
+                   help="add finite-difference oracle energies")
+
+
+_COMMANDS = {  # name: (run, help, options)
+    "orbit": (_cmd_orbit, "integrate an orbit and export the trajectory", _add_orbit),
+    "closure": (_cmd_closure, "rational-alpha closure analysis", _add_closure),
+    "turning": (_cmd_turning, "turning-point conservation report", _add_turning),
+    "brackets": (_cmd_brackets, "bracket-identity residuals over random states", _add_brackets),
+    "spectrum": (_cmd_spectrum, "energy levels, analytic and grid-oracle", _add_spectrum),
+}
+_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)  # "-1e-05", "-inf" are not options
+
+
+def build_parser(
+    argv: Optional[Sequence[str]] = None,
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and its subparsers, by command name.
+
+    With ``argv`` whose first word is a command, only that command's
+    subparser is built, unless a word starts like ``--config`` (which reads
+    every command's keys) or ``--help``/``-h``; without it, or for a missing
+    or unknown command, every one is.  The usage line lists all commands.
+    """
     parser = argparse.ArgumentParser(
         prog="screened-sphere",
         description="Screened Coulomb/oscillator systems on a sphere: orbits, brackets, spectra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_orbit = sub.add_parser("orbit", help="integrate an orbit and export the trajectory")
-    _add_common(p_orbit)
-    _add_gnuplot(p_orbit)
-    _add_state(p_orbit)
-    p_orbit.add_argument("--turning-out", dest="turning_out",
-                         help="also write turning points as JSON to this path")
-
-    p_closure = sub.add_parser("closure", help="rational-alpha closure analysis")
-    _add_common(p_closure)
-    p_closure.add_argument("--Lz", dest="lz", type=float, help="angular momentum")
-
-    p_turn = sub.add_parser("turning", help="turning-point conservation report")
-    _add_common(p_turn)
-    _add_state(p_turn)
-
-    p_br = sub.add_parser("brackets", help="bracket-identity residuals over random states")
-    _add_common(p_br)
-    p_br.add_argument("--samples", type=int, default=1000,
-                      help="number of sampled states (default %(default)s)")
-    p_br.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
-    p_br.add_argument("--method", choices=["analytic", "fd"], default="analytic",
-                      help="gradient mode (default %(default)s)")
-
-    p_sp = sub.add_parser("spectrum", help="energy levels, analytic and grid-oracle")
-    _add_common(p_sp)
-    p_sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv",
-                      help="output format (default %(default)s)")
-    _add_gnuplot(p_sp)
-    p_sp.add_argument("--m", type=_int_list, default="0",
-                      help="angular quantum number(s), comma separated (default %(default)s)")
-    p_sp.add_argument("--N", dest="n", type=_int_list, default="0",
-                      help="radial index(es), comma separated (default %(default)s)")
-    p_sp.add_argument("--numeric", action="store_true",
-                      help="add finite-difference oracle energies")
-    commands = {"orbit": p_orbit, "closure": p_closure, "turning": p_turn,
-                "brackets": p_br, "spectrum": p_sp}
-    for p in commands.values():  # "-1e-05" and "-inf" are values, not unknown options
-        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+    names = list(_COMMANDS)
+    if argv and argv[0] in _COMMANDS and not any(
+            a.startswith(("--c", "--h", "-h")) for a in argv):
+        sub.metavar = "{" + ",".join(names) + "}"
+        names = [argv[0]]
+    commands = {}
+    for name in names:
+        _, help_text, add_options = _COMMANDS[name]
+        p = commands[name] = sub.add_parser(name, help=help_text)
+        add_options(p)
+        p._negative_number_matcher = _NUMBER
     return parser, commands
 
 
@@ -333,7 +354,7 @@ def _config_defaults(path: str, command: str, commands: dict) -> dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, commands = build_parser()
+    parser, commands = build_parser(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     try:
         if args.config:
@@ -346,7 +367,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise UsageError("missing --system")
         if "tol" in args and not (math.isfinite(args.tol) and 1e-13 <= args.tol <= 1e-6):
             raise UsageError(f"--tol must lie in [1e-13, 1e-6], got {args.tol:g}")
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         parser.error(str(exc))  # prints usage, raises SystemExit(2)
     except DomainError as exc:

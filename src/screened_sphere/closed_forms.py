@@ -4,7 +4,7 @@ This module imports only the standard library and ``errors``, so the
 ``closure`` command and the analytic ``spectrum`` never load numpy.  Its
 records are namedtuples rather than dataclasses, since ``dataclasses``
 imports ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``), and
-``fractions`` loads inside ``closure_analysis`` alone.
+``closure_analysis`` finds p/q without ``fractions`` (which imports ``decimal``).
 
 Orbits close for rational alpha = sqrt(1 - 2k/Lz**2) = p/q.  Screening
 enters the radial quantum problem only through the effective angular
@@ -28,7 +28,7 @@ from .errors import CurvatureError, DomainError, ImaginaryAlphaError, ImaginaryM
 
 TWO_PI = 2.0 * math.pi
 RATIONAL_TOL = 1e-9         # |alpha - p/q| below this counts as rational
-MAX_DENOMINATOR = 64        # continued-fraction denominator cap
+MAX_DENOMINATOR = 64        # largest denominator q of a rational alpha = p/q
 
 
 class SystemKind(str, Enum):
@@ -88,14 +88,17 @@ def closure_analysis(params: SystemParams, lz: float) -> ClosureResult:
     in theta.  For alpha = p/q in lowest terms that is 2*pi*q for the
     coulomb system; the oscillator's doubled angle halves it to pi*q
     when q is even.
-    """
-    from fractions import Fraction
 
+    p/q is the fraction of smallest q within ``RATIONAL_TOL`` of alpha.
+    Fractions with q <= 64 lie at least 1/4032 apart, so no other is that
+    close, and it is ``Fraction(alpha).limit_denominator(64)`` in lowest terms.
+    """
     alpha = orbit_alpha(params, lz)
-    frac = Fraction(alpha).limit_denominator(MAX_DENOMINATOR)
-    if abs(alpha - float(frac)) > RATIONAL_TOL:
+    q = next((q for q in range(1, MAX_DENOMINATOR + 1)
+              if abs(alpha - round(alpha * q) / q) <= RATIONAL_TOL), None)
+    if q is None:
         return ClosureResult(alpha=alpha, closed=False)
-    p, q = frac.numerator, frac.denominator
+    p = round(alpha * q)
     if params.kind is SystemKind.COULOMB:
         angle = TWO_PI * q
     else:

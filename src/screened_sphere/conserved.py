@@ -38,8 +38,7 @@ system's params, so every entry point refuses a wrong system alike.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable
+from collections import namedtuple
 
 import numpy as np
 
@@ -51,26 +50,20 @@ from .phase_space import (MAX_SAMPLES, PhaseState, check_radius, h_gradient, h_v
 
 _FD_STEP = 6.0e-6  # ~cbrt(eps): optimal central-difference step on unit scales
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(namedtuple("Observable", "name value gradient")):
     """Named phase-space function: value and gradient kernels of (x1, x2, p1, p2, params)."""
 
-    name: str
-    value: Callable
-    gradient: Callable
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BracketReport:
+class BracketReport(namedtuple("BracketReport",
+                               "identity n_samples max_abs_residual mean_abs_residual")):
     """Residual summary of one bracket identity over sampled states."""
 
-    identity: str
-    n_samples: int
-    max_abs_residual: float
-    mean_abs_residual: float
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # --- value kernels and scalar evaluators -----------------------------------
@@ -361,24 +354,19 @@ def verify_oscillator_algebra(
 
 # --- turning-point conservation ---------------------------------------------
 
-@dataclass(frozen=True)
-class TurningConservationReport:
+class TurningConservationReport(namedtuple(
+        "TurningConservationReport", "quantity_names n_turning_points bracket_at_turning "
+        "values_at_turning turning_kinds max_abs_at_turning generic_max")):
     """|{quantity, H}| at turning points versus generic points of one orbit.
 
     For k > 0 the extended quantities are conserved only where rdot = 0:
     the turning-point maximum should sit at root-finder noise while the
     generic maximum stays finite.  ``values_at_turning`` holds the
     quantities themselves, which agree across successive same-kind
-    turning points.
+    turning points; it and ``bracket_at_turning`` are (n_turning, 2) arrays.
     """
 
-    quantity_names: tuple[str, str]
-    n_turning_points: int
-    bracket_at_turning: np.ndarray   # (n_turning, 2)
-    values_at_turning: np.ndarray    # (n_turning, 2)
-    turning_kinds: tuple[str, ...]
-    max_abs_at_turning: float
-    generic_max: float
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

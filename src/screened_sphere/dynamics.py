@@ -41,14 +41,20 @@ is straight-line code written at import from the table: it skips zero
 coefficients and sums left to right from 0.0 as Python 3.11's
 ``sum(map(mul, a, k))`` does; on finite stages it is that loop bit for bit.
 Each stage runs the source text of ``h_gradient`` inline, so the gradient has one
-definition and no call.  ``Trajectory.to_csv`` formats a block of rows per ``%``.
+definition and no call.
+
+``Trajectory.to_csv`` writes the bytes of ``%.17g`` per field.  Rows whose
+fields all lie in 1e-4 <= |v| < 1e16 are laid out by numpy from exact
+17-digit integers (Dekker's product, round half to even); other rows go
+through ``%``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from typing import Optional
 
@@ -74,7 +80,7 @@ R_MIN_GUARD = 1e-8          # terminate near-collision orbits
 CHART_EDGE_GUARD = 1e12     # terminate orbits with lam*r**2 = tan(chi)**2 beyond this
 MAX_STEPS = 2 * 10**5       # cap on accepted solver steps (~0.46 kB each)
 TURNING_RDOT_TOL = 1e-10    # refined |rdot| bound at a turning point
-_CSV_BLOCK = 4096           # trajectory rows formatted by one % operation
+_CSV_BLOCK = 4096           # trajectory rows formatted together
 
 
 class TurningKind(str, Enum):
@@ -82,15 +88,10 @@ class TurningKind(str, Enum):
     PERIHELION = "perihelion"
 
 
-@dataclass(frozen=True)
-class TurningPoint:
+class TurningPoint(namedtuple("TurningPoint", "t state kind r theta")):
     """Point with rdot = 0: local maximum (aphelion) or minimum (perihelion) of r."""
 
-    t: float
-    state: PhaseState
-    kind: TurningKind
-    r: float
-    theta: float
+    __slots__ = ()
 
 
 # --- equations of motion ---------------------------------------------------
@@ -111,7 +112,6 @@ def _rhs(x1, x2, p1, p2, params: SystemParams):
 
 # --- trajectories --------------------------------------------------------
 
-@dataclass
 class Trajectory:
     """Time-ordered samples of an integrated orbit plus derived scalars.
 
@@ -119,21 +119,18 @@ class Trajectory:
     measurable; normalize at presentation boundaries only.  Its branch is
     the azimuth unwrapped over the solver's accepted steps, so sparse
     samples cannot alias it.  The dense interpolant and the turning points
-    found during the solve are kept with the samples.
+    found during the solve are kept with the samples; :func:`integrate`
+    sets ``turning_points`` and ``circular`` after construction.
     """
 
-    t: np.ndarray
-    states: np.ndarray            # (n, 4) rows (x1, x2, p1, p2)
-    r: np.ndarray
-    theta: np.ndarray             # unwrapped
-    H: np.ndarray
-    Lz: np.ndarray
-    params: SystemParams
-    dense: DenseOutput
-    step_t: np.ndarray            # accepted solver steps, ascending
-    step_theta: np.ndarray        # unwrapped azimuth at those steps
-    turning_points: list[TurningPoint] = field(default_factory=list)
-    circular: bool = False
+    def __init__(self, t: np.ndarray, states: np.ndarray, r: np.ndarray, theta: np.ndarray,
+                 H: np.ndarray, Lz: np.ndarray, params: SystemParams, dense: DenseOutput,
+                 step_t: np.ndarray, step_theta: np.ndarray):
+        self.t, self.states, self.r, self.theta = t, states, r, theta  # states: (n, 4) rows
+        self.H, self.Lz, self.params, self.dense = H, Lz, params, dense
+        self.step_t, self.step_theta = step_t, step_theta  # accepted steps, ascending
+        self.turning_points: list[TurningPoint] = []
+        self.circular = False
 
     def state_at(self, t: float) -> PhaseState:
         return PhaseState.from_array(self.dense(t))
@@ -148,13 +145,98 @@ class Trajectory:
         return _rdot(self.dense(t), self.params.lam)
 
     def to_csv(self) -> str:
-        """CSV export, header ``t,x1,x2,p1,p2,r,theta,H,Lz``, 17 significant digits."""
+        """CSV export, header ``t,x1,x2,p1,p2,r,theta,H,Lz``, the bytes of ``%.17g`` per field.
+
+        A row whose fields all have 1e-4 <= |v| < 1e16, which ``%g`` prints in
+        fixed notation, is laid out by :func:`_csv_rows`; runs of other rows
+        (a zero, -0, a non-finite value) go through ``%``.
+        """
         columns = (self.t, self.states, self.r, self.theta, self.H, self.Lz)
-        blocks = (np.column_stack([c[i:i + _CSV_BLOCK] for c in columns])
-                  for i in range(0, len(self.t), _CSV_BLOCK))
-        row = ",".join(["%.17g"] * 9) + "\n"  # the bytes of "{:.17g}", -0 included
-        return "".join(["t,x1,x2,p1,p2,r,theta,H,Lz\n",
-                        *(row * len(b) % tuple(b.ravel().tolist()) for b in blocks)])
+        parts = ["t,x1,x2,p1,p2,r,theta,H,Lz\n"]
+        for i in range(0, len(self.t), _CSV_BLOCK):
+            b = np.column_stack([c[i:i + _CSV_BLOCK] for c in columns])
+            fast = ((np.abs(b) >= 1e-4) & (np.abs(b) < 1e16)).all(axis=1)
+            rows = _csv_rows(np.where(fast[:, None], b, 1.0))
+            edges = [0, *(np.flatnonzero(fast[1:] != fast[:-1]) + 1).tolist(), len(b)]
+            parts.append(b"".join(
+                rows[s:e].tobytes() if fast[s] else
+                (_CSV_ROW * (e - s) % tuple(b[s:e].ravel().tolist())).encode()
+                for s, e in zip(edges, edges[1:])).translate(None, b"\0").decode())
+        return "".join(parts)
+
+
+_CSV_ROW = ",".join(["%.17g"] * 9) + "\n"  # the bytes of "{:.17g}", -0 included
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+
+
+@functools.cache
+def _csv_items():
+    """The 8-byte items ``_csv_rows`` looks up: each 4-digit group with a NUL after every
+    digit, as is, with its trailing zeros as NUL, and that with a comma last; and each
+    sign, "0.", "0.0", "0.00" or "0.000" prefix and leading digit."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)
+    items = np.zeros((3, 10000, 8), np.uint8)
+    items[:, :, ::2] = (digits + 48).T
+    items[1:, :, ::2] *= ~np.logical_and.accumulate(digits[::-1] == 0)[::-1].T
+    items[2, :, 7] = 44
+    lead = b"".join((s + z).ljust(6, b"\0") + bytes([48 + d, 0]) for s in (b"", b"-")
+                    for z in (b"", b"0.", b"0.0", b"0.00", b"0.000") for d in range(10))
+    groups = items.reshape(-1, 8).view(np.uint64).ravel()
+    groups.flags.writeable = False  # shared by every call, as the read-only lead table is
+    return groups, np.frombuffer(lead, np.uint64)
+
+
+def _round17(a, x):
+    """round-half-even(a * 10**(16 - x)), exactly: by Dekker's split, hi + lo = a * 10**k
+    exactly, and hi >= 1e16 > 2**53 is an even integer wherever the result has 17 digits."""
+    p = _POW10[16 - x]
+    hi = a * p
+    ca, cp = a * 134217729.0, p * 134217729.0  # 2**27 + 1
+    ah, ph = ca - (ca - a), cp - (cp - p)
+    al, pl = a - ah, p - ph
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _csv_rows(b):
+    """Rows of ``b`` (n, 9) as ``%.17g`` CSV lines, NUL-padded to 360 bytes.
+
+    Every field needs 1e-4 <= |v| < 1e16.  Its 17 digits D and decimal
+    exponent X satisfy 1e16 <= D < 1e17 and -4 <= X <= 15; a field is 40
+    bytes: sign and "0." prefix, the digits with a NUL after each (the one
+    after digit X becomes the point), trailing fraction zeros as NUL.
+    """
+    groups, lead = _csv_items()
+    v = b.ravel()
+    a = np.abs(v)
+    x = np.floor(np.log10(a)).astype(np.int64)
+    d = _round17(a, x)
+    while (i := np.flatnonzero((d < 10**16) | (d >= 10**17))).size:
+        x[i] += np.where(d[i] < 10**16, -1, 1)
+        d[i] = _round17(a[i], x[i])  # from a again, never from d
+    d0, rest = np.divmod(d, 10**16)
+    g1, g2 = np.divmod(rest // 10**8, 10**4)
+    g3, g4 = np.divmod(rest % 10**8, 10**4)
+    z3 = g4 == 0
+    z2 = z3 & (g3 == 0)
+    out = np.empty((len(v), 5), np.uint64)
+    out[:, 0] = lead[d0 + 10 * np.clip(-x, 0, 4) + 50 * (v < 0)]
+    out[:, 1] = groups[g1 + 10000 * (z2 & (g2 == 0))]
+    out[:, 2] = groups[g2 + 10000 * z2]
+    out[:, 3] = groups[g3 + 10000 * z3]
+    out[:, 4] = groups[g4 + 20000]
+    chars = out.view(np.uint8)
+    flat = chars.ravel()
+    f = np.flatnonzero(x >= 0)
+    point = 40 * f + 7 + 2 * x[f]
+    flat[point[flat[point + 1] != 0]] = 46  # no point before an empty fraction
+    whole = f[flat[point - 1] == 0]  # trailing zeros reach into the integer part: put them back
+    if whole.size:
+        sub = chars[whole, 6::2]
+        sub[(sub == 0) & (np.arange(17) <= x[whole, None])] = 48
+        chars[whole, 6::2] = sub
+    chars[8::9, 39] = 10
+    return chars.reshape(len(b), 360)
 
 
 def _rdot(y, lam: float):
@@ -511,14 +593,10 @@ def find_turning_points(traj: Trajectory) -> list[TurningPoint]:
 
 # --- closed-form orbits ---------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitShape:
+class OrbitShape(namedtuple("OrbitShape", "E lz alpha theta0", defaults=(0.0,))):
     """Constants of a closed-form orbit: energy, Lz, alpha, phase offset."""
 
-    E: float
-    lz: float
-    alpha: float
-    theta0: float = 0.0
+    __slots__ = ()
 
     @classmethod
     def from_state(

@@ -7,7 +7,7 @@ takes its kernels from here, so the bracket checks never run ``dynamics``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 import numpy as np
@@ -18,14 +18,10 @@ from .errors import RadiusError
 MAX_SAMPLES = 10**6  # cap on trajectory samples and sampled states, checked before allocating
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(namedtuple("PhaseState", "x1 x2 p1 p2")):
     """Gnomonic phase-space point (x1, x2, p1, p2)."""
 
-    x1: float
-    x2: float
-    p1: float
-    p2: float
+    __slots__ = ()
 
     @property
     def r(self) -> float:

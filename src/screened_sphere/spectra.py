@@ -28,7 +28,7 @@ to call dstebz; it imports no ``scipy.linalg``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 import numpy as np
@@ -43,22 +43,25 @@ _MIN_GRID_POINTS = 200
 
 # --- finite-difference radial oracle ---------------------------------------
 
-@dataclass(frozen=True)
-class RadialGrid:
+class RadialGrid(namedtuple("RadialGrid", "n_points x_max")):
     """Uniform Dirichlet grid for the radial eigenproblem.
 
     Interior nodes sit at i*spacing, i = 1..n_points.  The solve reads them
     as the compactified polar angle chi for lam > 0 and as r in the flat limit.
     """
 
-    n_points: int
-    x_max: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_points < _MIN_GRID_POINTS:
+    def __new__(cls, n_points: int, x_max: float) -> "RadialGrid":
+        if n_points < _MIN_GRID_POINTS:
             raise DomainError(f"grid needs at least {_MIN_GRID_POINTS} points")
-        if self.x_max <= 0.0:
+        if x_max <= 0.0:
             raise DomainError("grid extent must be positive")
+        return super().__new__(cls, n_points, x_max)
+
+    @classmethod
+    def _make(cls, iterable) -> "RadialGrid":  # so that _replace checks too
+        return cls(*iterable)
 
     @property
     def spacing(self) -> float:
@@ -142,13 +145,10 @@ def _eigenvalues_on_grid(
     return vals[:n_levels]
 
 
-@dataclass(frozen=True)
-class RadialSolveResult:
+class RadialSolveResult(namedtuple("RadialSolveResult", "energies error_estimate grid")):
     """Richardson-combined eigenvalues with a per-level error estimate."""
 
-    energies: np.ndarray
-    error_estimate: np.ndarray
-    grid: RadialGrid
+    __slots__ = ()
 
 
 def radial_solve_numeric(

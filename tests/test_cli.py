@@ -183,6 +183,22 @@ def test_usage_error_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1"], "missing --t-end"),
+    (["closure", "--system", "coulomb", "--k", "0.1"], "closure requires --Lz"),
+    (["turning", "--system", "oscillator", "--t-end", "5", "--x", "1"],
+     "missing initial-condition flags: --px, --py"),
+    (["brackets", "--samples", "10"], "missing --system"),
+    (["spectrum", "--m", "1,2", "--numeric"], "missing --system"),
+])
+def test_missing_flag_usage_lists_every_command(argv, message):
+    # the run builds only its own command's subparser; the usage line still lists all five
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("usage: screened-sphere [-h] {orbit,closure,turning,brackets,spectrum}"
+                           f" ...\nscreened-sphere: error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [
@@ -473,10 +489,9 @@ def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
     # closure and the analytic spectrum run on the stdlib closed forms alone
     uses_numpy = bool(argv) and (argv[0] in ("orbit", "turning", "brackets") or "--numeric" in argv)
     assert report["numpy"] is uses_numpy
-    # ... whose records are namedtuples, and only closure analysis (closure, orbit) needs fractions
-    if not uses_numpy:
-        assert report["dataclasses"] is False
-    assert report["fractions"] is (argv[:1] in (["closure"], ["orbit"]))
+    # every record is a namedtuple, and closure analysis finds p/q without fractions
+    assert report["dataclasses"] is False
+    assert report["fractions"] is False
     # brackets takes its kernels from phase_space; only an integrated orbit runs dynamics
     assert report["dynamics_ran"] is (argv[:1] in (["orbit"], ["turning"]))
 

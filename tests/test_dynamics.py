@@ -235,6 +235,75 @@ def test_trajectory_csv_header_and_precision(monkeypatch):
     assert traj.to_csv() == csv
 
 
+def _csv_matches_percent(values):
+    """``to_csv`` of a trajectory whose rows are ``values`` (padded to 9 columns by
+    repeating them) equals formatting each field with ``{:.17g}``."""
+    v = np.resize(np.asarray(values, dtype=float), (-(-len(values) // 9), 9))
+    traj = dynamics.Trajectory(v[:, 0], v[:, 1:5].copy(), v[:, 5], v[:, 6], v[:, 7], v[:, 8],
+                               None, None, None, None)
+    want = ["t,x1,x2,p1,p2,r,theta,H,Lz"] + [",".join(f"{x:.17g}" for x in row) for row in v.tolist()]
+    csv = traj.to_csv()
+    same = csv == "\n".join(want) + "\n"
+    assert same, next(((g, w) for g, w in zip(csv.split("\n"), want) if g != w),
+                      "the row count or the last newline differs")
+
+
+def _fast_path_only(monkeypatch):
+    """Make the % fallback raise, so that every row must take the fast path."""
+    monkeypatch.setattr(dynamics, "_CSV_ROW", "")
+
+
+def test_trajectory_csv_fast_path_random_magnitudes(monkeypatch):
+    # random signs, log-uniform in [1e-6, 3e17], kept where the fast path applies
+    rng = np.random.default_rng(19)
+    v = 10.0 ** rng.uniform(-6.0, math.log10(3e17), 4 * 10**5) * rng.choice([-1.0, 1.0], 4 * 10**5)
+    _fast_path_only(monkeypatch)
+    _csv_matches_percent(v[(np.abs(v) >= 1e-4) & (np.abs(v) < 1e16)])
+
+
+def test_trajectory_csv_fast_path_near_powers_of_ten(monkeypatch):
+    # the 817 doubles from 39 ulps below to 3 above each power of ten 1e-3 ... 1e15,
+    # where the decimal exponent and the digit count turn over
+    values = []
+    for e in range(-3, 16):
+        x = 10.0**e
+        for _ in range(39):
+            x = math.nextafter(x, 0.0)
+        for _ in range(43):
+            values.append(x)
+            x = math.nextafter(x, math.inf)
+    assert len(set(values)) == 817
+    _fast_path_only(monkeypatch)
+    _csv_matches_percent(values)
+
+
+def test_trajectory_csv_fast_path_ties_integers_and_trailing_zeros(monkeypatch):
+    rng = np.random.default_rng(20)
+    ties = [1234567890123456.75, 1234567890123456.25, 0.5, 1.5, 2.5, 0.125, 1e-4, 0.0001234,
+            9999999999999998.0, 1e15, 123456.0, 100.0, 10.0, 1.0, 7.0, 1234.5, 0.1, 0.3,
+            1.23406789, 0.0012340678, 120000.5, 1000000.0001]
+    integers = rng.integers(1, 1000, 9000) * 10.0 ** rng.integers(0, 13, 9000)
+    places = 10.0 ** rng.integers(0, 8, 9000)
+    decimals = np.round(rng.uniform(-1000.0, 1000.0, 9000) * places) / places
+    values = np.concatenate([ties, -np.array(ties), integers, decimals,
+                             np.linspace(0.1, 70.0, 9000), np.arange(1, 9001) / 1000.0])
+    _fast_path_only(monkeypatch)
+    _csv_matches_percent(values[np.abs(values) >= 1e-4])
+
+
+def test_trajectory_csv_slow_rows_on_block_boundaries(monkeypatch):
+    # rows the fast path does not take: zero, -0, non-finite, too small, too large
+    slow = [0.0, -0.0, math.nan, math.inf, -math.inf, 9.99e-5, -1e-300, 1e16, 3e17, 1e300]
+    rows = np.resize([1.5, -0.25, 3e-3, 42.0, 7e14, -1e-4, 0.999, 12.5, -8.0], (20, 9))
+    for i, value in zip((0, 3, 4, 7, 8, 12, 13, 14, 15, 19), slow):
+        rows[i, i % 9] = value  # slow rows at the ends of 4-row blocks, and a slow block
+    monkeypatch.setattr(dynamics, "_CSV_BLOCK", 4)
+    _csv_matches_percent(rows.ravel())
+    monkeypatch.setattr(dynamics, "_CSV_BLOCK", 8)
+    _csv_matches_percent(rows.ravel())
+    _csv_matches_percent(slow * 9)  # no row takes the fast path
+
+
 # --- closed forms -----------------------------------------------------------
 
 def test_closed_form_flat_circle():
@@ -477,6 +546,31 @@ def test_closure_analysis_values():
 
     with pytest.raises(ImaginaryAlphaError):
         closure_analysis(SystemParams(SystemKind.COULOMB, 0.0, 0.5), 1.0)
+
+
+def test_closure_fraction_is_limit_denominator():
+    # every p/q with q <= 64 at offsets within and beyond RATIONAL_TOL, and random alpha;
+    # Lz = 1 and k = (1 - alpha**2)/2 give alpha back to within rounding
+    from fractions import Fraction
+
+    targets = [p / q + off for q in range(1, 65) for p in range(1, q + 1)
+               for off in (0.0, 1e-10, -1e-10, 2e-9, -2e-9)]
+    targets += (1.0 - np.random.default_rng(7).random(10**4)).tolist()
+    checked = 0
+    for target in targets:
+        if not 0.0 < target <= 1.0:
+            continue
+        for kind in SystemKind:
+            res = closure_analysis(SystemParams(kind, 0.0, 0.5 * (1.0 - target * target)), 1.0)
+            frac = Fraction(res.alpha).limit_denominator(64)
+            closed = abs(res.alpha - float(frac)) <= 1e-9
+            assert res.closed is closed, (target, res)
+            if closed:
+                q = frac.denominator
+                angle = math.pi * q if kind is SystemKind.OSCILLATOR and q % 2 == 0 else 2 * math.pi * q
+                assert (res.p, res.q, res.closure_angle) == (frac.numerator, q, angle)
+            checked += 1
+    assert checked > 2 * 10**4
 
 
 def test_oscillator_closure_angle_uses_doubled_angle():

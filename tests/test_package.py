@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import screened_sphere
@@ -62,17 +63,54 @@ def _records():
     return params, closed_forms.closure_analysis(params, 1.0), entry
 
 
+def _library_records():
+    """(record, a record of the same type that differs) for each record of phase_space,
+    dynamics, conserved and spectra whose fields are all hashable."""
+    from screened_sphere import conserved, dynamics, spectra
+
+    state = dynamics.PhaseState(1.0, 0.0, 0.0, 1.0)
+    point = dynamics.TurningPoint(1.0, state, dynamics.TurningKind.APHELION, 1.0, 0.5)
+    report = conserved.BracketReport("{R'x,Lz}+R'y", 10, 2e-16, 1e-16)
+    return [
+        (state, state._replace(p2=2.0)),
+        (point, point._replace(kind=dynamics.TurningKind.PERIHELION)),
+        (dynamics.OrbitShape(-0.5, 1.0, 1.0), dynamics.OrbitShape(-0.5, 1.0, 1.0, 0.25)),
+        (conserved.LZ, conserved.HAMILTONIAN),
+        (report, report._replace(n_samples=20)),
+        (spectra.RadialGrid(200, 3.0), spectra.RadialGrid(401, 3.0)),
+    ]
+
+
+def _assert_frozen_hashable(record, other):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[1], 1.0)
+    with pytest.raises(AttributeError):  # no instance dict either
+        record.note = "x"
+    copy = type(record)(*record)
+    assert copy is not record and copy == record and hash(copy) == hash(record)
+    assert len({record, copy}) == 1
+    assert type(other) is type(record) and other != record
+
+
 def test_closed_form_records_are_frozen_hashable_values():
     for record in _records():
-        with pytest.raises(AttributeError):
-            setattr(record, record._fields[1], 1.0)
-        with pytest.raises(AttributeError):  # no instance dict either
-            record.note = "x"
-        copy = type(record)(*record)
-        assert copy is not record and copy == record and hash(copy) == hash(record)
-        assert len({record, copy}) == 1
         other = type(record)(*record[:2], *(1.0 if v is None else 2 * v for v in record[2:]))
-        assert other != record
+        _assert_frozen_hashable(record, other)
+    for record, other in _library_records():
+        _assert_frozen_hashable(record, other)
+    # the records that hold arrays are frozen too, though arrays make them unhashable
+    from screened_sphere import conserved, spectra
+
+    result = spectra.radial_solve_numeric(SystemKind.COULOMB, 0.0, 0.0, 1, 1)
+    report = conserved.TurningConservationReport(
+        ("R'x", "R'y"), 1, np.zeros((1, 2)), np.ones((1, 2)), ("aphelion",), 0.0, 1.0)
+    for record in (result, report):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.note = "x"
+    with pytest.raises(DomainError):  # RadialGrid checks its fields on every construction
+        spectra.RadialGrid(200, 3.0)._replace(n_points=10)
 
 
 def test_closed_form_records_keep_fields_defaults_and_checks():
