@@ -111,8 +111,7 @@ def _write_output(path: str, text: str) -> None:
 
 def _strip_header_csv(text: str) -> str:
     """Gnuplot mode: drop the header line and use space-separated columns."""
-    lines = text.splitlines()[1:]
-    return "\n".join(line.replace(",", " ") for line in lines) + "\n"
+    return text.split("\n", 1)[1].replace(",", " ")
 
 
 class UsageError(Exception):

@@ -154,20 +154,29 @@ def _fradkin_gradients(x, y, px, py, params: SystemParams):
     )
 
 
-# (value, gradient) kernels of each system's extended pair, run once per batch, and its names
-_PAIR_KERNELS = {
-    SystemKind.COULOMB: (_runge_lenz_pair, _runge_lenz_gradients),
-    SystemKind.OSCILLATOR: (_fradkin_pair, _fradkin_gradients),
+# Each system's Higgs algebra: its extended pair (A, B), their value and gradient kernels
+# (run once per batch), the structure constants of {A, Lz} = shift*B, {B, Lz} = -shift*A
+# and {A, B} = quadratic(H, Lz, params), and the names of those three identities.
+_Algebra = namedtuple("_Algebra", "names values gradients shift quadratic identities")
+_ALGEBRAS = {
+    SystemKind.COULOMB: _Algebra(
+        ("R'x", "R'y"), _runge_lenz_pair, _runge_lenz_gradients, -1.0,
+        lambda h, lz, p: (-2.0 * h + 2.0 * p.lam * lz**2 - 2.0 * p.k * p.lam) * lz,
+        ("{R'x,Lz}+R'y", "{R'y,Lz}-R'x", "{R'x,R'y}-(-2H+2*lam*Lz^2-2*k*lam)*Lz")),
+    SystemKind.OSCILLATOR: _Algebra(
+        ("Q'xy", "Q'1"), _fradkin_pair, _fradkin_gradients, 2.0,
+        lambda h, lz, p: -(2.0 + p.lam * (2.0 * h - p.lam * lz**2)) * lz,
+        ("{Q'xy,Lz}-2Q'1", "{Q'1,Lz}+2Q'xy", "{Q'xy,Q'1}+(2+lam*(2H-lam*Lz^2))*Lz")),
 }
-_PAIR_NAMES = {SystemKind.COULOMB: ("R'x", "R'y"), SystemKind.OSCILLATOR: ("Q'xy", "Q'1")}
 
 
 def _pair_observables(kind: SystemKind):
     """The two members of a system's extended pair as observables."""
-    value_pair, gradient_pair = _PAIR_KERNELS[kind]
+    algebra = _ALGEBRAS[kind]
     return tuple(
-        Observable(name, lambda *z, i=i: value_pair(*z)[i], lambda *z, i=i: gradient_pair(*z)[i])
-        for i, name in enumerate(_PAIR_NAMES[kind])
+        Observable(name, lambda *z, i=i: algebra.values(*z)[i],
+                   lambda *z, i=i: algebra.gradients(*z)[i])
+        for i, name in enumerate(algebra.names)
     )
 
 
@@ -293,33 +302,33 @@ def _report(name: str, residual: np.ndarray) -> BracketReport:
     )
 
 
-def _verify_pair(params, kind, n_samples, seed, method, shift, quad_target, names):
-    """Residuals of {A,Lz} - shift*B, {B,Lz} + shift*A and {A,B} - quad_target(H, Lz)
-    for the system's extended pair (A, B), over one batch of random states.
+def _verify_pair(kind, params, n_samples, seed, method):
+    """Residuals of the identities of ``kind``'s algebra (see ``_ALGEBRAS``) over one batch
+    of random states.
 
     Raises ``AccuracyError`` if any residual is not finite: the terms overflowed,
     which numpy is told not to warn of, so that the error is the one line printed.
     """
+    algebra = _ALGEBRAS[kind]
     z = _sample_batch(params, n_samples, seed=seed)
-    value_pair, gradient_pair = _PAIR_KERNELS[kind]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is the check below
         if method == "analytic":
-            g_a, g_b, g_lz = *gradient_pair(*z, params), lz_gradient(*z)
+            g_a, g_b, g_lz = *algebra.gradients(*z, params), lz_gradient(*z)
         elif method == "fd":  # one value call per shifted copy serves A, B and Lz
             g_a, g_b, g_lz = _central_difference(
-                lambda w: np.array((*value_pair(*w, params), lz_value(*w))), z).swapaxes(0, 1)
+                lambda w: np.array((*algebra.values(*w, params), lz_value(*w))), z).swapaxes(0, 1)
         else:
             raise DomainError(f"unknown bracket method {method!r}")
-        a, b = value_pair(*z, params)
+        a, b = algebra.values(*z, params)
         residuals = (
-            _bracket(g_a, g_lz) - shift * b,
-            _bracket(g_b, g_lz) + shift * a,
-            _bracket(g_a, g_b) - quad_target(h_value(*z, params), lz_value(*z)),
+            _bracket(g_a, g_lz) - algebra.shift * b,
+            _bracket(g_b, g_lz) + algebra.shift * a,
+            _bracket(g_a, g_b) - algebra.quadratic(h_value(*z, params), lz_value(*z), params),
         )
     if not all(np.isfinite(res).all() for res in residuals):
         raise AccuracyError(f"bracket residuals are not finite at lam = {params.lam:g}, "
                             f"k = {params.k:g}: the terms overflow")
-    return [_report(name, res) for name, res in zip(names, residuals)]
+    return [_report(name, res) for name, res in zip(algebra.identities, residuals)]
 
 
 def verify_coulomb_algebra(
@@ -329,12 +338,7 @@ def verify_coulomb_algebra(
     method: str = "analytic",
 ) -> list[BracketReport]:
     """Residuals of the coulomb Higgs-algebra identities over random states."""
-    lam = params.lam
-    return _verify_pair(
-        params, SystemKind.COULOMB, n_samples, seed, method, -1.0,
-        lambda h, lz: (-2.0 * h + 2.0 * lam * lz**2 - 2.0 * params.k * lam) * lz,
-        ("{R'x,Lz}+R'y", "{R'y,Lz}-R'x", "{R'x,R'y}-(-2H+2*lam*Lz^2-2*k*lam)*Lz"),
-    )
+    return _verify_pair(SystemKind.COULOMB, params, n_samples, seed, method)
 
 
 def verify_oscillator_algebra(
@@ -344,12 +348,7 @@ def verify_oscillator_algebra(
     method: str = "analytic",
 ) -> list[BracketReport]:
     """Residuals of the oscillator Higgs-algebra identities over random states."""
-    lam = params.lam
-    return _verify_pair(
-        params, SystemKind.OSCILLATOR, n_samples, seed, method, 2.0,
-        lambda h, lz: -(2.0 + lam * (2.0 * h - lam * lz**2)) * lz,
-        ("{Q'xy,Lz}-2Q'1", "{Q'1,Lz}+2Q'xy", "{Q'xy,Q'1}+(2+lam*(2H-lam*Lz^2))*Lz"),
-    )
+    return _verify_pair(SystemKind.OSCILLATOR, params, n_samples, seed, method)
 
 
 # --- turning-point conservation ---------------------------------------------
@@ -384,7 +383,7 @@ def turning_point_conservation(
     traj: dynamics.Trajectory, params: SystemParams
 ) -> TurningConservationReport:
     """Evaluate {quantity, H} along a trajectory at and away from rdot = 0."""
-    value_pair, gradient_pair = _PAIR_KERNELS[params.kind]
+    algebra = _ALGEBRAS[params.kind]
     points = dynamics.find_turning_points(traj)
     if not points:
         raise NoTurningPointError(
@@ -394,14 +393,14 @@ def turning_point_conservation(
 
     def brackets_with_h(z: np.ndarray) -> np.ndarray:
         g_h = h_gradient(*z, params)
-        return np.stack([_bracket(g, g_h) for g in gradient_pair(*z, params)], axis=1)
+        return np.stack([_bracket(g, g_h) for g in algebra.gradients(*z, params)], axis=1)
 
     z_turning = np.array([p.state.as_array() for p in points]).T
     at_turning = brackets_with_h(z_turning)
-    values = np.stack(value_pair(*z_turning, params), axis=1)
+    values = np.stack(algebra.values(*z_turning, params), axis=1)
     generic = np.max(np.abs(brackets_with_h(traj.states.T)))
     return TurningConservationReport(
-        quantity_names=_PAIR_NAMES[params.kind],
+        quantity_names=algebra.names,
         n_turning_points=len(points),
         bracket_at_turning=at_turning,
         values_at_turning=values,

@@ -36,7 +36,8 @@ the open upper hemisphere (the equator maps to r = infinity).  An orbit
 that runs out to the equator stops once lam*r**2 passes ``CHART_EDGE_GUARD``.
 
 Orbits are integrated by DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-II.10), at most ``MAX_STEPS`` steps, on Python floats, without scipy.  The step
+II.10), at most ``MAX_STEPS`` steps, on Python floats, without scipy.  The driver
+returns the steps to t_end and raises every other end of an orbit itself.  The step
 is straight-line code written at import from the table: it skips zero
 coefficients and sums left to right from 0.0 as Python 3.11's
 ``sum(map(mul, a, k))`` does; on finite stages it is that loop bit for bit.
@@ -340,25 +341,27 @@ def _step_source() -> str:
 exec(_step_source())  # defines _step
 
 
-def _dop853(y, params: SystemParams, t_end: float, rtol: float, atol: float, r_min: float,
-            r_max: float):
+def _dop853(y, params: SystemParams, t_end: float, rtol: float):
     """DOP853 steps of Hamilton's equations from t = 0 to ``t_end`` under scipy's step controller.
 
-    Returns the accepted step times and states, each step's 13 stage
-    derivatives (flat, component-major) and a status: 0 at ``t_end``, 1 once
-    r falls through ``r_min``, 2 once r exceeds ``r_max`` (either step is
-    kept), -1 on step-size underflow.  A step whose error norm overflows is
-    rejected.
+    Returns the accepted step times and states and each step's 13 stage
+    derivatives (flat, component-major), at atol = rtol * 1e-2; a step whose
+    error norm overflows is rejected.  Every other end is raised here: past
+    ``MAX_STEPS`` steps, once r falls to ``R_MIN_GUARD`` (at the time the step's
+    interpolant crosses it), once lam*r**2 exceeds ``CHART_EDGE_GUARD``, and on
+    a step size below float spacing (:func:`_underflow`).
     """
+    atol = rtol * 1e-2
+    r_max = math.sqrt(CHART_EDGE_GUARD / params.lam) if params.lam > 0.0 else math.inf
     direction = 1.0 if t_end > 0.0 else -1.0
-    t, g = 0.0, math.hypot(y[0], y[1]) - r_min
+    t = 0.0
     ts, ys, ks = array("d", [t]), array("d", y), array("d")
     f = _rhs(*y, params)
     scale = [atol + abs(v) * rtol for v in y]
     d0, d1 = (math.hypot(*(v / sc for v, sc in zip(w, scale))) / 2.0 for w in (y, f))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t_end))
     if h0 == 0.0:  # an infinite derivative leaves no first step
-        return ts, ys, ks, -1
+        raise _underflow(y, t)
     f1 = _rhs(*(v + h0 * direction * dv for v, dv in zip(y, f)), params)
     d2 = math.hypot(*((b - a) / sc for a, b, sc in zip(f, f1, scale))) / 2.0 / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
@@ -371,7 +374,7 @@ def _dop853(y, params: SystemParams, t_end: float, rtol: float, atol: float, r_m
         rejected = False
         while True:
             if not h_abs >= min_step:  # also ends a NaN step size
-                return ts, ys, ks, -1
+                raise _underflow(y, t)
             t_new = t + h_abs * direction
             if direction * (t_new - t_end) > 0.0:
                 t_new = t_end
@@ -388,17 +391,31 @@ def _dop853(y, params: SystemParams, t_end: float, rtol: float, atol: float, r_m
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.125)
             rejected = True
+        r = math.hypot(y_new[0], y_new[1])
+        if r <= R_MIN_GUARD:
+            dense = DenseOutput(np.array((t, t_new)), np.array((y, y_new)).T,
+                                np.reshape(k, (1, 4, 13)), params)
+            t_hit = _bracketed_root(lambda s: np.hypot(*dense(s)[:2]) - R_MIN_GUARD, t, t_new)
+            raise SingularOrbitError(f"orbit collapsed to r <= {R_MIN_GUARD:g} at t = {t_hit:.6g}")
+        if r > r_max:
+            raise ChartEdgeError(f"orbit reached the edge of the chart, lam*r**2 > "
+                                 f"{CHART_EDGE_GUARD:g}, at t = {t_new:.6g}")
         t, y, f = t_new, y_new, k[12::13]
         ts.append(t)
         ys.extend(y)
         ks.extend(k)
-        r = math.hypot(y[0], y[1])
-        g, g_old = r - r_min, g
-        if g_old >= 0.0 >= g:
-            return ts, ys, ks, 1
-        if r > r_max:
-            return ts, ys, ks, 2
-    return ts, ys, ks, 0
+    return ts, ys, ks
+
+
+def _underflow(y, t: float) -> DomainError:
+    """The error for a step size below float spacing at state ``y``, time ``t``.  At a vanishing
+    radius that is the collapse itself: the time to the singularity drops below float
+    spacing before the radius guard can fire."""
+    r = math.hypot(y[0], y[1])
+    if r <= max(1e-5, 1e3 * R_MIN_GUARD):
+        return SingularOrbitError(f"orbit collapsed to r = {r:.3g} at t = {t:.6g}")
+    return StiffnessError(
+        "integrator failed: Required step size is less than spacing between numbers.")
 
 
 class DenseOutput:
@@ -494,26 +511,9 @@ def integrate(
     # tolerance over long spans; integrating two decades tighter keeps the
     # 10x drift contract on the returned trajectory with margin.
     rtol_eff = max(rel_tol * 1e-2, 2.5e-14)
-    r_max = math.sqrt(CHART_EDGE_GUARD / params.lam) if params.lam > 0.0 else math.inf
-    ts, ys, ks, status = _dop853(y0, params, t_end, rtol_eff, rtol_eff * 1e-2, R_MIN_GUARD, r_max)
-    if status < 0:
-        # step-size underflow at vanishing radius is the collapse itself:
-        # the time to the singularity drops below float spacing before the
-        # radius guard can fire
-        r_final = math.hypot(ys[-4], ys[-3])
-        if r_final <= max(1e-5, 1e3 * R_MIN_GUARD):
-            raise SingularOrbitError(f"orbit collapsed to r = {r_final:.3g} at t = {ts[-1]:.6g}")
-        raise StiffnessError(
-            "integrator failed: Required step size is less than spacing between numbers."
-        )
-    if status == 2:
-        raise ChartEdgeError(f"orbit reached the edge of the chart, lam*r**2 > "
-                             f"{CHART_EDGE_GUARD:g}, at t = {ts[-1]:.6g}")
+    ts, ys, ks = _dop853(y0, params, t_end, rtol_eff)
     step_y = np.frombuffer(ys).reshape(-1, 4).T
     dense = DenseOutput(np.frombuffer(ts), step_y, np.frombuffer(ks).reshape(-1, 4, 13), params)
-    if status == 1:
-        t_hit = _bracketed_root(lambda t: np.hypot(*dense(t)[:2]) - R_MIN_GUARD, ts[-2], ts[-1])
-        raise SingularOrbitError(f"orbit collapsed to r <= {R_MIN_GUARD:g} at t = {t_hit:.6g}")
 
     # The accepted steps in increasing time.  theta is unwrapped in
     # integration order, so theta(0) is atan2 of the initial state.

@@ -133,7 +133,8 @@ def _eigenvalues_on_grid(
     h = grid.spacing
     x = grid.nodes
     c_kin = 0.5 * lam if lam > 0.0 else 0.5
-    diag = 2.0 * c_kin / h**2 + _transformed_potential(kind, lam, k, m, x)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        diag = 2.0 * c_kin / h**2 + _transformed_potential(kind, lam, k, m, x)
     off = np.full(grid.n_points - 1, -c_kin / h**2)
     if not np.isfinite(diag).all():  # a NaN inside the band can pass dstebz with info = 0
         raise AccuracyError("tridiagonal eigensolver failed: array must not contain infs or NaNs")

@@ -87,6 +87,17 @@ def test_spectrum_gnuplot_strips_header(capsys):
     assert out[0].split()[6] == "2"  # E = 1 + m' + 2N = 2
 
 
+def test_orbit_gnuplot_is_the_csv_without_header_or_commas(tmp_path, capsys):
+    argv = ["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
+            "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", "5"]
+    plain, gnuplot = tmp_path / "orbit.csv", tmp_path / "orbit.dat"
+    assert main([*argv, "--out", str(plain)]) == 0
+    assert main([*argv, "--gnuplot", "--out", str(gnuplot)]) == 0
+    lines = plain.read_bytes().splitlines(keepends=True)
+    assert lines[0] == b"t,x1,x2,p1,p2,r,theta,H,Lz\n"
+    assert gnuplot.read_bytes() == b"".join(lines[1:]).replace(b",", b" ")
+
+
 def test_closure_command_json(capsys):
     rc = main(["closure", "--system", "coulomb", "--lambda", "0", "--k", "0.375",
                "--Lz", "1"])
@@ -285,6 +296,18 @@ def test_huge_quantum_number_ends_in_a_code(capsys, flag):
 def test_overflowing_brackets_print_only_their_code_line(system, lam):
     # a fresh process, since pytest would capture numpy's RuntimeWarnings in-process
     proc = run_cli("brackets", "--system", system, "--lambda", lam, "--samples", "3")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert re.fullmatch(r"ERR_ACCURACY: .+\n", proc.stderr), proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--system", "coulomb", "--lambda", "1e308"],
+    ["--system", "oscillator", "--lambda", "1e-320", "--m", "1"],
+])
+def test_overflowing_numeric_spectrum_prints_only_its_code_line(argv):
+    # the grid potential overflows; numpy's RuntimeWarnings used to come before the code line
+    proc = run_cli("spectrum", *argv, "--numeric")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert re.fullmatch(r"ERR_ACCURACY: .+\n", proc.stderr), proc.stderr

@@ -43,6 +43,7 @@ from screened_sphere.errors import (
     RadiusError,
     SingularOrbitError,
     StepBudgetError,
+    StiffnessError,
 )
 
 FLAT_KEPLER = SystemParams(SystemKind.COULOMB, 0.0, 0.0)
@@ -202,6 +203,20 @@ def test_screened_radial_infall_underflows_the_step():
     assert match, str(exc.value)
     assert R_MIN_GUARD < float(match[1]) <= 1e-5
     assert float(match[2]) == pytest.approx(0.719575, abs=1e-6)
+
+
+@pytest.mark.parametrize("state,lam,k", [
+    ((1.0, 0.0, 1.0, 1e200), 0.0, 0.0),  # p**2 overflows and the step size turns NaN
+    ((1.0, 0.0, 1e308, 1.0), 0.0, 0.0),  # an infinite derivative leaves a zero first step
+    ((1.0, 0.0, 0.0, 1.0), 1e308, 0.0),  # likewise
+    ((1.0, 0.0, 0.0, 1.0), 0.0, 1e200),  # the error norm overflows at every step size
+])
+def test_huge_starts_end_as_a_step_underflow(state, lam, k):
+    with pytest.raises(StiffnessError) as exc:
+        integrate(PhaseState(*state), SystemParams(SystemKind.COULOMB, lam, k), 1.0)
+    assert exc.value.code == "ERR_STIFF"
+    assert str(exc.value) == (
+        "integrator failed: Required step size is less than spacing between numbers.")
 
 
 def test_radial_infall_hits_guard():
