@@ -1,0 +1,114 @@
+"""Golden digests of CLI runs, and the script that regenerates them.
+
+Each argv in ``golden/argv.json`` runs in-process through ``cli.main`` in
+an empty directory; its record in ``golden/digests.json`` holds the exit
+status and, for stdout, stderr and every file written, the SHA-256 of the
+bytes and a 16-bit fingerprint per line (base64), so that a mismatch can
+name its first differing line.  The numpy version and the CPU model are
+stored beside the records: the dense output runs a numpy matmul, whose last
+digits may depend on both.
+
+    PYTHONPATH=src python tests/golden_digests.py
+
+rewrites ``golden/digests.json`` from the current sources.  Record every
+regeneration in CHANGES.md, with each changed op and the reason.
+"""
+
+from __future__ import annotations
+
+import base64
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from screened_sphere.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def host() -> dict:
+    """The numpy version and CPU model that outputs are produced with."""
+    cpu = platform.machine()
+    with contextlib.suppress(OSError):
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    return {"numpy": np.__version__, "cpu": cpu}
+
+
+def run(argv: list[str], directory: Path) -> tuple[int, dict[str, bytes]]:
+    """(rc, outputs) of ``main(argv)`` run inside the empty ``directory``; outputs maps
+    "stdout", "stderr" and the name of each file written to its bytes."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+    finally:
+        os.chdir(cwd)
+    outputs = {"stdout": out.getvalue().encode(), "stderr": err.getvalue().encode()}
+    outputs.update((p.name, p.read_bytes()) for p in sorted(directory.iterdir()))
+    return rc, outputs
+
+
+def fingerprints(data: bytes) -> bytes:
+    """The first two bytes of each line's SHA-256, the newline included."""
+    return b"".join(hashlib.sha256(line).digest()[:2] for line in data.splitlines(True))
+
+
+def record(rc: int, outputs: dict[str, bytes]) -> dict:
+    return {"rc": rc, "outputs": {
+        name: {"sha256": hashlib.sha256(data).hexdigest(),
+               "lines": base64.b64encode(fingerprints(data)).decode()}
+        for name, data in outputs.items()}}
+
+
+def mismatch(rc: int, outputs: dict[str, bytes], golden: dict) -> str | None:
+    """None if the run matches its golden record, else what differs first: the exit status,
+    the set of outputs, or the first line of the first differing output."""
+    if rc != golden["rc"]:
+        return f"exit status {rc}, golden {golden['rc']}"
+    if sorted(outputs) != sorted(golden["outputs"]):
+        return f"outputs {sorted(outputs)}, golden {sorted(golden['outputs'])}"
+    for name, data in outputs.items():
+        want = golden["outputs"][name]
+        if hashlib.sha256(data).hexdigest() == want["sha256"]:
+            continue
+        lines = data.splitlines(True)
+        have, old = fingerprints(data), base64.b64decode(want["lines"])
+        i = next((i for i in range(0, min(len(have), len(old)), 2)
+                  if have[i:i + 2] != old[i:i + 2]), min(len(have), len(old)))
+        n = i // 2
+        line = repr(lines[n]) if n < len(lines) else "end of output"
+        return (f"{name}: first differing line {n + 1} of {len(lines)} "
+                f"(golden {len(old) // 2}): {line}")
+    return None
+
+
+def load_argv() -> list[dict]:
+    return json.loads((GOLDEN / "argv.json").read_text())
+
+
+def regenerate() -> None:
+    ops = {}
+    for op in load_argv():
+        with tempfile.TemporaryDirectory() as directory:
+            ops[op["name"]] = record(*run(op["argv"], Path(directory)))
+            print(op["name"], ops[op["name"]]["rc"])
+    text = json.dumps({**host(), "ops": ops}, indent=1)
+    (GOLDEN / "digests.json").write_text(text + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

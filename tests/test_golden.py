@@ -1,0 +1,35 @@
+"""Byte identity of pinned CLI commands: each argv in ``golden/argv.json`` against its record
+in ``golden/digests.json``, which ``golden_digests.py`` regenerates."""
+
+import json
+import math
+
+import pytest
+
+from golden_digests import GOLDEN, host, load_argv, mismatch, run
+
+DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
+ARGV = load_argv()
+
+
+@pytest.mark.parametrize("op", ARGV, ids=[op["name"] for op in ARGV])
+def test_cli_output_matches_its_golden_digests(op, tmp_path):
+    found = mismatch(*run(op["argv"], tmp_path), DIGESTS["ops"][op["name"]])
+    made = {key: DIGESTS[key] for key in host()}
+    assert found is None, found + ("" if host() == made else
+                                   f" (digests made with {made}, this host has {host()})")
+
+
+def test_a_one_ulp_change_in_a_csv_field_fails(tmp_path):
+    op = next(op for op in ARGV if op["name"] == "cli-mix-1-op10-orbit")
+    rc, outputs = run(op["argv"], tmp_path)
+    golden = DIGESTS["ops"][op["name"]]
+    assert mismatch(rc, outputs, golden) is None
+    lines = outputs["op10.csv"].splitlines(True)
+    n = len(lines) // 2
+    fields = lines[n].split(b",")
+    fields[3] = b"%.17g" % math.nextafter(float(fields[3]), math.inf)
+    lines[n] = b",".join(fields)
+    found = mismatch(rc, {**outputs, "op10.csv": b"".join(lines)}, golden)
+    assert found == f"op10.csv: first differing line {n + 1} of {len(lines)} " \
+                    f"(golden {len(lines)}): {lines[n]!r}"
