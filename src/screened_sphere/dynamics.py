@@ -36,13 +36,13 @@ the open upper hemisphere (the equator maps to r = infinity).  An orbit
 that runs out to the equator stops once lam*r**2 passes ``CHART_EDGE_GUARD``.
 
 Orbits are integrated by DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-II.10), at most ``MAX_STEPS`` steps, on Python floats, without scipy.  The driver
-returns the steps to t_end and raises every other end of an orbit itself.  The step
-is straight-line code written at import from the table: it skips zero
-coefficients and sums left to right from 0.0 as Python 3.11's
-``sum(map(mul, a, k))`` does; on finite stages it is that loop bit for bit.
-Each stage runs the source text of ``h_gradient`` inline, so the gradient has one
-definition and no call.
+II.10), at most ``MAX_STEPS`` steps, on Python floats, without scipy, by one loop
+written at import from the table.  Its stages are straight-line code that skips zero
+coefficients, sums left to right from 0.0 as Python 3.11's ``sum(map(mul, a, k))``
+does and runs the text of ``h_gradient`` inline: on finite stages that loop bit for
+bit.  It keeps only the step times and states, returns them at t_end and raises every
+other end of an orbit itself; the dense output rebuilds the stage derivatives of all
+steps with the same operations on arrays (``_stages``).
 
 ``Trajectory.to_csv`` writes the bytes of ``%.17g`` per field.  Rows whose
 fields all lie in 1e-4 <= |v| < 1e16 are laid out by numpy from exact
@@ -53,6 +53,7 @@ through ``%``.
 from __future__ import annotations
 
 import functools
+import linecache
 import math
 from array import array
 from collections import namedtuple
@@ -79,9 +80,10 @@ from .phase_space import (  # noqa: F401 -- re-exported
 
 R_MIN_GUARD = 1e-8          # terminate near-collision orbits
 CHART_EDGE_GUARD = 1e12     # terminate orbits with lam*r**2 = tan(chi)**2 beyond this
-MAX_STEPS = 2 * 10**5       # cap on accepted solver steps (~0.46 kB each)
+MAX_STEPS = 2 * 10**5       # cap on accepted solver steps (40 B each, ~1 kB in dense output)
 TURNING_RDOT_TOL = 1e-10    # refined |rdot| bound at a turning point
 _CSV_BLOCK = 4096           # trajectory rows formatted together
+_STAGE_BLOCK = 2048         # steps whose stage derivatives are rebuilt together
 
 
 class TurningKind(str, Enum):
@@ -317,45 +319,40 @@ _D = (
 )
 
 
-def _step_source() -> str:
-    """Source of ``_step(y, f, h, params, atol, rtol)``: new state, stage derivatives, err5, err3.
-
-    Each stage runs the gradient text of ``h_gradient`` inline and applies J itself.
-    """
-    def dot(row, c):
-        return "(0.0" + "".join(f" + {a!r} * k{c}_{j}" for j, a in enumerate(row) if a) + ")"
-    names = ("x1", "x2", "p1", "p2")
-    hx1, hx2, hp1, hp2 = _H_GRAD
-    src = ["def _step(y, f, h, params, atol, rtol):", _H_PARAMS, "sqrt = math.sqrt",
-           "y1, y2, y3, y4 = y", "k1_0, k2_0, k3_0, k4_0 = f"]
-    for s, row in enumerate(_A[1:13], 1):
-        src += [f"{v} = y{c} + {dot(row, c)} * h" for c, v in enumerate(names, 1)]
-        src += [*_H_LINES, f"k1_{s}, k2_{s}, k3_{s}, k4_{s} = {hp1}, {hp2}, -({hx1}), -({hx2})"]
-    src += [f"sc{c} = atol + max(abs(y{c}), abs({v})) * rtol" for c, v in enumerate(names, 1)]
-    src += [f"err{n} = " + " + ".join(f"({dot(e, c)} / sc{c}) ** 2" for c in range(1, 5))
-            for n, e in ((5, _E5), (3, _E3))]
-    ks = ", ".join(f"k{c}_{j}" for c in range(1, 5) for j in range(13))
-    return "\n    ".join(src + [f"return (x1, x2, p1, p2), ({ks}), err5, err3"])
+def _stages(y, h, params: SystemParams):
+    """Stage derivatives (n, 4, 16) of steps of sizes ``h`` (n,) from states ``y`` (4, n): 0-12 as
+    the driver computes them (each row of ``_A`` summed left to right from 0.0 over its nonzero
+    entries, then J times ``h_gradient``), 13-15 left empty.  A block of steps at a time, its
+    stages stage-major, so that every sum runs on contiguous rows."""
+    k = np.empty((h.size, 4, 16))
+    for i in range(0, h.size, _STAGE_BLOCK):
+        yb, hb = y[:, i:i + _STAGE_BLOCK], h[i:i + _STAGE_BLOCK]
+        kb = np.empty((13, 4, hb.size))
+        for s, row in enumerate(_A[:13]):
+            acc = 0.0
+            for j, a in enumerate(row):
+                if a:
+                    acc = acc + a * kb[j]
+            kb[s] = _rhs(*(yb + acc * hb if s else yb), params)
+        k[i:i + _STAGE_BLOCK, :, :13] = kb.transpose(2, 1, 0)
+    return k
 
 
-exec(_step_source())  # defines _step
-
-
-def _dop853(y, params: SystemParams, t_end: float, rtol: float):
+_DRIVER = '''\
+def _dop853(y, params, t_end, rtol):
     """DOP853 steps of Hamilton's equations from t = 0 to ``t_end`` under scipy's step controller.
 
-    Returns the accepted step times and states and each step's 13 stage
-    derivatives (flat, component-major), at atol = rtol * 1e-2; a step whose
-    error norm overflows is rejected.  Every other end is raised here: past
-    ``MAX_STEPS`` steps, once r falls to ``R_MIN_GUARD`` (at the time the step's
-    interpolant crosses it), once lam*r**2 exceeds ``CHART_EDGE_GUARD``, and on
-    a step size below float spacing (:func:`_underflow`).
+    Returns the accepted step times and states (flat), at atol = rtol * 1e-2; a step whose
+    error norm overflows is rejected.  Every other end is raised here: past ``MAX_STEPS``
+    steps, once r falls to ``R_MIN_GUARD`` (when the step's interpolant crosses it), once
+    lam*r**2 exceeds ``CHART_EDGE_GUARD``, and on a step below float spacing (``_underflow``).
     """
+    sqrt = math.sqrt  # called by the stages' gradient lines
     atol = rtol * 1e-2
     r_max = math.sqrt(CHART_EDGE_GUARD / params.lam) if params.lam > 0.0 else math.inf
     direction = 1.0 if t_end > 0.0 else -1.0
     t = 0.0
-    ts, ys, ks = array("d", [t]), array("d", y), array("d")
+    ts, ys = array("d", [t]), array("d", y)
     f = _rhs(*y, params)
     scale = [atol + abs(v) * rtol for v in y]
     d0, d1 = (math.hypot(*(v / sc for v, sc in zip(w, scale))) / 2.0 for w in (y, f))
@@ -366,6 +363,8 @@ def _dop853(y, params: SystemParams, t_end: float, rtol: float):
     d2 = math.hypot(*((b - a) / sc for a, b, sc in zip(f, f1, scale))) / 2.0 / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100.0 * h0, h1, abs(t_end))
+    (y1, y2, y3, y4), (k1_0, k2_0, k3_0, k4_0) = y, f
+    <params>
     while direction * (t - t_end) < 0.0:
         if len(ts) > MAX_STEPS:
             raise StepBudgetError(f"more than {MAX_STEPS} solver steps; stopped at t = {t:.6g}")
@@ -374,14 +373,14 @@ def _dop853(y, params: SystemParams, t_end: float, rtol: float):
         rejected = False
         while True:
             if not h_abs >= min_step:  # also ends a NaN step size
-                raise _underflow(y, t)
+                raise _underflow((y1, y2, y3, y4), t)
             t_new = t + h_abs * direction
             if direction * (t_new - t_end) > 0.0:
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
             try:
-                y_new, k, err5, err3 = _step(y, f, h, params, atol, rtol)
+                <stages>
                 err = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 4) if err5 or err3 else 0.0
             except OverflowError:  # from ``** 2`` in the error norm
                 err = math.inf
@@ -391,20 +390,46 @@ def _dop853(y, params: SystemParams, t_end: float, rtol: float):
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.125)
             rejected = True
-        r = math.hypot(y_new[0], y_new[1])
+        r = math.hypot(x1, x2)
         if r <= R_MIN_GUARD:
-            dense = DenseOutput(np.array((t, t_new)), np.array((y, y_new)).T,
-                                np.reshape(k, (1, 4, 13)), params)
+            y_new = (x1, x2, p1, p2)
+            dense = DenseOutput(np.array((t, t_new)), np.array(((y1, y2, y3, y4), y_new)).T, params)
             t_hit = _bracketed_root(lambda s: np.hypot(*dense(s)[:2]) - R_MIN_GUARD, t, t_new)
             raise SingularOrbitError(f"orbit collapsed to r <= {R_MIN_GUARD:g} at t = {t_hit:.6g}")
         if r > r_max:
             raise ChartEdgeError(f"orbit reached the edge of the chart, lam*r**2 > "
                                  f"{CHART_EDGE_GUARD:g}, at t = {t_new:.6g}")
-        t, y, f = t_new, y_new, k[12::13]
+        t, y1, y2, y3, y4 = t_new, x1, x2, p1, p2
+        k1_0, k2_0, k3_0, k4_0 = k1_12, k2_12, k3_12, k4_12
         ts.append(t)
-        ys.extend(y)
-        ks.extend(k)
-    return ts, ys, ks
+        ys.extend((y1, y2, y3, y4))
+    return ts, ys
+'''
+
+
+def _compile_driver():
+    """The driver's loop ``_DRIVER`` with one block per row of ``_A`` at <stages> (the stage's state
+    in x1, x2, p1, p2, the text of ``h_gradient`` inline, the derivative in k1_s..k4_s) and the
+    error norms err5, err3, compiled; its text goes into ``linecache`` for tracebacks."""
+    def dot(row, c):
+        return "(0.0" + "".join(f" + {a!r} * k{c}_{j}" for j, a in enumerate(row) if a) + ")"
+    names = ("x1", "x2", "p1", "p2")
+    rhs = (_H_GRAD[2], _H_GRAD[3], f"-({_H_GRAD[0]})", f"-({_H_GRAD[1]})")  # J times the gradient
+    lines = []
+    for s, row in enumerate(_A[1:13], 1):
+        lines += [f"{v} = y{c} + {dot(row, c)} * h" for c, v in enumerate(names, 1)]
+        lines += [*_H_LINES, *(f"k{c}_{s} = {d}" for c, d in enumerate(rhs, 1))]  # no tuple
+    lines += [f"sc{c} = atol + max(abs(y{c}), abs({v})) * rtol" for c, v in enumerate(names, 1)]
+    lines += [f"err{n} = " + " + ".join(f"({dot(e, c)} / sc{c}) ** 2" for c in range(1, 5))
+              for n, e in ((5, _E5), (3, _E3))]
+    stages = ("\n" + " " * 16).join(lines)  # at the indentation of <stages>
+    src = _DRIVER.replace("<params>", _H_PARAMS).replace("<stages>", stages)
+    name = "<generated screened_sphere.dynamics._dop853>"
+    linecache.cache[name] = (len(src), None, src.splitlines(True), name)
+    return compile(src, name, "exec")
+
+
+exec(_compile_driver())  # defines _dop853
 
 
 def _underflow(y, t: float) -> DomainError:
@@ -421,15 +446,15 @@ def _underflow(y, t: float) -> DomainError:
 class DenseOutput:
     """DOP853's 7th-order interpolant over all steps, built and evaluated on arrays.
 
-    Takes step times ``t`` and states ``y`` (4, n + 1) in integration order
-    and each step's 13 stage derivatives ``k`` (n, 4, 13); keeps the steps in
-    increasing time.  A time on a step boundary takes the step that ends
+    Takes step times ``t`` and states ``y`` (4, n + 1) in integration order,
+    rebuilds each step's stage derivatives (:func:`_stages`) and keeps the
+    steps in increasing time.  A time on a step boundary takes the step that ends
     there in integration order, as scipy's ``OdeSolution`` does.
     """
 
-    def __init__(self, t, y, k, params: SystemParams):
+    def __init__(self, t, y, params: SystemParams):
         h = np.diff(t)
-        k = np.concatenate((k, np.empty(k.shape[:2] + (3,))), axis=2)
+        k = _stages(y[:, :-1], h, params)
         for s in (13, 14, 15):
             k[:, :, s] = np.transpose(_rhs(*(y[:, :-1] + (k[:, :, :s] @ _A[s]).T * h), params))
         dy = y[:, 1:] - y[:, :-1]
@@ -511,9 +536,9 @@ def integrate(
     # tolerance over long spans; integrating two decades tighter keeps the
     # 10x drift contract on the returned trajectory with margin.
     rtol_eff = max(rel_tol * 1e-2, 2.5e-14)
-    ts, ys, ks = _dop853(y0, params, t_end, rtol_eff)
+    ts, ys = _dop853(y0, params, t_end, rtol_eff)
     step_y = np.frombuffer(ys).reshape(-1, 4).T
-    dense = DenseOutput(np.frombuffer(ts), step_y, np.frombuffer(ks).reshape(-1, 4, 13), params)
+    dense = DenseOutput(np.frombuffer(ts), step_y, params)
 
     # The accepted steps in increasing time.  theta is unwrapped in
     # integration order, so theta(0) is atan2 of the initial state.
@@ -558,13 +583,17 @@ def integrate(
 def _turning_points(traj: Trajectory, step_y: np.ndarray):
     """(points, circular): the x.p roots on the solver's steps, which ``step_y`` holds ascending."""
     s = step_y[0] * step_y[2] + step_y[1] * step_y[3]
-    speed = float(np.max(np.hypot(step_y[2], step_y[3])))
-    if float(np.max(np.abs(s))) <= 1e-8 * max(1.0, speed * float(np.max(traj.r))):
+    momentum = np.hypot(step_y[2], step_y[3])
+    if float(np.max(np.abs(s))) <= 1e-8 * max(1.0, float(np.max(momentum) * np.max(traj.r))):
         return [], True
     # one root of rdot (which has the sign of x.p) per step over which x.p
     # changes sign, in increasing time: rising through zero is a minimum of
     # r, a perihelion
     j = np.flatnonzero((s[:-1] <= 0.0) & (s[1:] >= 0.0) | (s[:-1] >= 0.0) & (s[1:] <= 0.0))
+    # with Lz at rounding level x.p also rises through zero where the orbit passes r = 0,
+    # while rdot jumps from -|v| to |v|: that is no apsis
+    radial = np.abs(lz_value(*step_y)) <= 4.0 * math.ulp(1.0) * np.hypot(*step_y[:2]) * momentum
+    j = j[~((s[j + 1] > s[j]) & radial[j] & radial[j + 1])]
     roots = _bracketed_root(traj.rdot, traj.step_t[j], traj.step_t[j + 1])
     y = traj.dense(roots)
     rdot = np.abs(_rdot(y, traj.params.lam))

@@ -89,7 +89,7 @@ def h_value(x1, x2, p1, p2, params: SystemParams):
 
 
 # The gradient of H as source text, the one definition that h_gradient and each
-# stage of the generated DOP853 step (dynamics._step_source) are built from, so a
+# stage of the generated DOP853 driver (dynamics._compile_driver) are built from, so a
 # stage derivative is h_gradient's bit for bit: a line reading the system from
 # ``params``, lines on (x1, x2, p1, p2) that call a local ``sqrt``, and the
 # four components dH/dx_i = lam*x_i*(p**2 + lam*s**2) + a*lam*s*p_i + V'(r)*x_i/r,

@@ -319,6 +319,28 @@ def test_json_writer_refuses_non_finite_numbers(value):
         _json({"report": [0.5, value]})
 
 
+@pytest.mark.parametrize("command,lam,t_end,apsides", [("orbit", "0", "50", 16),
+                                                        ("turning", "0.3", "20", 7)])
+def test_radial_oscillator_passes_r_0_between_its_aphelia(tmp_path, capsys, command, lam,
+                                                           t_end, apsides):
+    # Lz = 0: the orbit runs through the origin, where x.p changes sign but rdot jumps from
+    # -|v| to |v|; those passes used to be refined as perihelia and end in ERR_ACCURACY
+    out = tmp_path / "out.json"
+    argv = [command, "--system", "oscillator", "--lambda", lam, "--x", "1", "--px", "-0.5",
+            "--py", "0", "--t-end", t_end]
+    argv += ["--out", os.devnull, "--turning-out", str(out)] if command == "orbit" else [
+        "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    if command == "orbit":
+        points = json.loads(out.read_text())
+        assert [p["kind"] for p in points] == ["aphelion"] * apsides
+        # flat and unscreened, E = 0.625 = r**2/2 at the aphelion
+        assert max(abs(p["r"] - math.sqrt(1.25)) for p in points) < 1e-9
+    else:
+        assert json.loads(out.read_text())["turning_kinds"] == ["aphelion"] * apsides
+
+
 def test_long_fast_orbit_hits_the_step_cap():
     # ~770 steps per time unit over 1e6 time units: the step cap ends it within seconds
     proc = run_cli("orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1",

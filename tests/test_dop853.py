@@ -6,6 +6,9 @@ controller, so on the same problem it takes the same accepted steps as
 roots of its interpolant are the oracle's event times.
 """
 
+import linecache
+import math
+import traceback
 from operator import mul
 
 import numpy as np
@@ -56,11 +59,6 @@ def _reference_step(y, f, h, params, atol, rtol):
     return tuple(y_new), tuple(d for kv in k for d in kv), err5, err3
 
 
-def _bits(step):
-    y_new, k, err5, err3 = step
-    return [float(v).hex() for v in (*y_new, *k, err5, err3)]
-
-
 # (kind, lam, k); the screened curved case keeps the bare kind as its id
 STEP_CASES = [
     pytest.param(kind, lam, k, id=kind.value if (lam, k) == (0.3, 0.05) else f"{kind.value}-{lam}-{k}")
@@ -68,10 +66,25 @@ STEP_CASES = [
 ]
 
 
+def _generated_step():
+    """The driver's own stage and error-norm lines, between its ``try:`` and ``err = ``, as
+    ``step(y, f, h, params, atol, rtol)`` -> (new state, stage derivatives, err5, err3)."""
+    lines = [line.strip() for line in linecache.getlines(dynamics._dop853.__code__.co_filename)]
+    body = lines[lines.index("try:") + 1:next(i for i, line in enumerate(lines)
+                                              if line.startswith("err = "))]
+    ks = ", ".join(f"k{c}_{j}" for c in range(1, 5) for j in range(13))
+    namespace = {"math": math, "SystemKind": SystemKind}
+    exec("\n    ".join(["def step(y, f, h, params, atol, rtol):", dynamics._H_PARAMS,
+                        "sqrt = math.sqrt", "(y1, y2, y3, y4), (k1_0, k2_0, k3_0, k4_0) = y, f",
+                        *body, f"return (x1, x2, p1, p2), ({ks}), err5, err3"]), namespace)
+    return namespace["step"]
+
+
 @pytest.mark.parametrize("kind, lam, k", STEP_CASES)
 def test_generated_step_is_the_table_loop_bit_for_bit(kind, lam, k):
-    # the step inlines the gradient text; the reference calls equations_of_motion, so this
-    # also pins each stage to h_gradient, flat and unscreened included (products with 0)
+    # the driver's step and the dense output's _stages against the table loop, which calls
+    # equations_of_motion: this also pins each stage to h_gradient, flat and unscreened
+    # included (products with 0)
     params = SystemParams(kind, lam=lam, k=k)
     rng = np.random.default_rng(853)
     # radial starts with -0.0 y-components, where sum's 0.0 start sets the sign of zero
@@ -82,10 +95,51 @@ def test_generated_step_is_the_table_loop_bit_for_bit(kind, lam, k):
         h = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, -1.0)
         y = tuple(map(float, (r * np.cos(a), r * np.sin(a), p1, p2)))
         cases.append((y, float(h), 10.0 ** rng.uniform(-14.0, -8.0)))
+    step = _generated_step()
     for y, h, rtol in cases:
         f = equations_of_motion(PhaseState(*y), params)
-        step = dynamics._step(y, f, h, params, rtol * 1e-2, rtol)
-        assert _bits(step) == _bits(_reference_step(y, f, h, params, rtol * 1e-2, rtol)), (y, h)
+        ref = _reference_step(y, f, h, params, rtol * 1e-2, rtol)
+        assert _step_bits(step(y, f, h, params, rtol * 1e-2, rtol)) == _step_bits(ref), (y, h)
+        stages = dynamics._stages(np.array(y)[:, None], np.array([h]), params)[0, :, :13]
+        assert _bits(stages.ravel()) == _bits(ref[1]), (y, h)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _step_bits(step):
+    y_new, k, err5, err3 = step
+    return _bits((*y_new, *k, err5, err3))
+
+
+def _stage_12_sum(y, h, k):
+    """States y (4, n) stepped by h (n,) with the weights B over stage derivatives k (n, 4, 13),
+    each sum left to right from 0.0 as the driver adds it."""
+    acc = 0.0
+    for j, b in enumerate(dynamics._A[12]):
+        if b:
+            acc = acc + b * k[:, :, j].T
+    return y + acc * h
+
+
+def test_stored_states_are_the_stage_12_sums_of_the_rebuilt_stages(orbit):
+    # the driver keeps only its steps; the dense output rebuilds their stages with _stages
+    _, state0, params, t_end, rel_tol = orbit
+    ts, ys = dynamics._dop853(tuple(state0), params, t_end, max(rel_tol * 1e-2, 2.5e-14))
+    y = np.frombuffer(ys).reshape(-1, 4).T
+    h = np.diff(np.frombuffer(ts))
+    k = dynamics._stages(y[:, :-1], h, params)[:, :, :13]
+    assert np.array_equal(_stage_12_sum(y[:, :-1], h, k).view(np.int64), y[:, 1:].view(np.int64))
+
+
+def test_driver_source_reads_back_for_tracebacks():
+    code = dynamics._dop853.__code__
+    assert linecache.getline(code.co_filename, 1) == "def _dop853(y, params, t_end, rtol):\n"
+    with pytest.raises(AttributeError) as exc:
+        dynamics._dop853((1.0, 0.0, 0.0, 1.0), None, 1.0, 1e-10)
+    assert "r_max = math.sqrt(CHART_EDGE_GUARD / params.lam)" in "".join(
+        traceback.format_exception(exc.value))
 
 
 def _oracle(state0, params, t_end, rel_tol):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,33 @@ def test_integrate_caps_samples():
     with pytest.raises(DomainError) as exc:
         integrate(PhaseState(1.0, 0.0, 0.0, 1.0), FLAT_KEPLER, 1.0, n_samples=MAX_SAMPLES + 1)
     assert exc.value.code == "ERR_DOMAIN"
+
+
+def test_integrate_holds_the_steps_one_stage_buffer_and_the_samples(monkeypatch, coulomb_params):
+    # tracemalloc traces every Python float of the driver's loop (over 10x slower), so tracing
+    # starts as the driver returns, and the arrays it returns are counted by their length
+    driver, returned = dynamics._dop853, []
+
+    def trace_from_here(*args):
+        steps = driver(*args)
+        returned.append(sum(8 * len(a) for a in steps))
+        tracemalloc.start()
+        return steps
+
+    monkeypatch.setattr(dynamics, "_dop853", trace_from_here)
+    try:
+        traj = integrate(PhaseState(1.6, 0.0, 0.0, 0.55), coulomb_params, 2240.0, n_samples=2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(traj.step_t) - 1
+    assert n > 29000
+    assert returned == [8 * 5 * (n + 1)]  # step times and states only
+    # per step: t and y, the one (n, 4, 16) stage buffer, and the interpolant's 7 rows of 4,
+    # twice while np.stack joins them; one block of stages; about 50 floats per sample.
+    # A driver that also kept its 52 stage derivatives a step would exceed it by 416n bytes
+    bound = 8 * (5 + 4 * 16 + 2 * 7 * 4) * n + 8 * 13 * 4 * dynamics._STAGE_BLOCK + 8 * 50 * 2001
+    assert returned[0] + peak < bound
 
 
 def test_integrate_caps_steps(monkeypatch, coulomb_params):
