@@ -25,8 +25,12 @@ identical inputs (including ``--seed``) give byte-identical outputs.  Exit statu
 
 The process entry ``run`` (``python -m screened_sphere.cli``, the
 ``screened-sphere`` script) runs the command with the cyclic garbage
-collector off and freezes the heap before exit, since no command makes
-cycles that grow with its work; ``main`` leaves the collector as it finds it.
+collector off, since no command makes cycles that grow with its work, and
+freezes the heap when it ends.  After the command returns it flushes stdout
+and stderr and ends the process with ``os._exit``, so the interpreter does not
+tear down its modules and objects; a usage error, an uncaught exception or a
+flush that fails ends through the interpreter's normal exit instead.  ``main``
+leaves the collector as it finds it.
 """
 
 from __future__ import annotations
@@ -375,12 +379,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """``main`` as a whole process: collector off for the run, heap frozen on every exit."""
+    """``main`` as a whole process: collector off for the run, heap frozen on every exit.
+
+    Once ``main`` returns and stdout and stderr are flushed, the process ends
+    with ``os._exit``, skipping the interpreter's teardown.  A usage error
+    (``SystemExit``), an uncaught exception or a flush that fails returns through
+    the interpreter's normal exit, which reports it as before.
+    """
     gc.disable()
     try:
-        return main(argv)
+        status = main(argv)
     finally:
         gc.freeze()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError, AttributeError):  # a broken pipe, a closed or a missing stream
+        return status
+    os._exit(status)
 
 
 if __name__ == "__main__":

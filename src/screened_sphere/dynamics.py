@@ -457,10 +457,11 @@ class DenseOutput:
         k = _stages(y[:, :-1], h, params)
         for s in (13, 14, 15):
             k[:, :, s] = np.transpose(_rhs(*(y[:, :-1] + (k[:, :, :s] @ _A[s]).T * h), params))
-        dy = y[:, 1:] - y[:, :-1]
+        F = np.empty((7, 4, h.size))  # rows are written in place, so none is held twice
+        dy = np.subtract(y[:, 1:], y[:, :-1], out=F[0])
         f_old, f_new = k[:, :, 0].T, k[:, :, 12].T
-        F = np.stack([dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old),
-                      *np.transpose(k @ np.transpose(_D), (2, 1, 0)) * h])
+        F[1], F[2] = h * f_old - dy, 2.0 * dy - h * (f_new + f_old)
+        np.multiply(np.transpose(k @ np.transpose(_D), (2, 1, 0)), h, out=F[3:])
         order = slice(None) if t[-1] > t[0] else slice(None, None, -1)
         self.bounds, self.t_old, self.h = t[order], t[:-1][order], h[order]
         self.y_old, self.F = y[:, :-1][:, order], F[:, :, order]

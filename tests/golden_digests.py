@@ -4,9 +4,11 @@ Each argv in ``golden/argv.json`` runs in-process through ``cli.main`` in
 an empty directory; its record in ``golden/digests.json`` holds the exit
 status and, for stdout, stderr and every file written, the SHA-256 of the
 bytes and a 16-bit fingerprint per line (base64), so that a mismatch can
-name its first differing line.  The numpy version and the CPU model are
-stored beside the records: the dense output runs a numpy matmul, whose last
-digits may depend on both.
+name its first differing line.  ``run_process`` runs an argv through
+``python -m screened_sphere.cli`` instead, to check the same record.  The
+numpy version and the CPU model are stored beside the records: the dense
+output runs a numpy matmul, whose last digits may depend on both, and the
+``spectrum --numeric`` levels come from LAPACK.
 
     PYTHONPATH=src python tests/golden_digests.py
 
@@ -23,6 +25,8 @@ import io
 import json
 import os
 import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -57,9 +61,23 @@ def run(argv: list[str], directory: Path) -> tuple[int, dict[str, bytes]]:
                 rc = exc.code
     finally:
         os.chdir(cwd)
-    outputs = {"stdout": out.getvalue().encode(), "stderr": err.getvalue().encode()}
+    return rc, _outputs(out.getvalue().encode(), err.getvalue().encode(), directory)
+
+
+def run_process(argv: list[str], directory: Path) -> tuple[int, dict[str, bytes]]:
+    """``run`` through ``python -m screened_sphere.cli`` in a fresh interpreter, with stdio
+    buffered as by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(GOLDEN.parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "screened_sphere.cli", *argv], cwd=directory,
+                          env=env, capture_output=True, timeout=120)
+    return proc.returncode, _outputs(proc.stdout, proc.stderr, directory)
+
+
+def _outputs(stdout: bytes, stderr: bytes, directory: Path) -> dict[str, bytes]:
+    outputs = {"stdout": stdout, "stderr": stderr}
     outputs.update((p.name, p.read_bytes()) for p in sorted(directory.iterdir()))
-    return rc, outputs
+    return outputs
 
 
 def fingerprints(data: bytes) -> bytes:

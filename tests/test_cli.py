@@ -24,12 +24,21 @@ from screened_sphere.errors import AccuracyError
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _env(unbuffered: bool = False) -> dict:
+    """The environment of a fresh CLI process: this package on the path, and stdio
+    buffered as by default unless ``unbuffered`` (whatever PYTHONUNBUFFERED is here)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 def run_cli(*argv: str, timeout: float = 60.0, cwd=None) -> subprocess.CompletedProcess:
     """Run the CLI in a fresh interpreter; a hang fails the test at ``timeout``."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
         [sys.executable, "-m", "screened_sphere.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout, cwd=cwd,
+        env=_env(), capture_output=True, text=True, timeout=timeout, cwd=cwd,
     )
 
 
@@ -794,8 +803,13 @@ def _exit_code(entry, argv) -> int:
             return exc.code
 
 
+def _raise_exit(status):
+    raise SystemExit(status)
+
+
 @pytest.mark.parametrize("rc", sorted(_EXITS))
-def test_only_the_process_entry_touches_the_collector(rc):
+def test_only_the_process_entry_touches_the_collector(rc, monkeypatch):
+    monkeypatch.setattr(os, "_exit", _raise_exit)  # run ends its process; this one goes on
     enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     assert _exit_code(main, _EXITS[rc]) == rc
     assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
@@ -833,21 +847,121 @@ def test_cyclic_garbage_does_not_grow_with_the_work(argv, flag, small, large):
     assert _cyclic_garbage([*argv, flag, small]) == _cyclic_garbage([*argv, flag, large])
 
 
+_CLOSURE = ["closure", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--Lz", "1.5"]
+# ≈5 MB of CSV on stdout: more than a pipe (64 KiB) and the stdio buffer (8 KiB) hold
+_BIG_CSV = [*_ORBIT, "--trajectory-samples", "30000", "--out", "-"]
+
+
 @pytest.mark.parametrize("argv", [
     [*_ORBIT, "--out", "traj.csv", "--turning-out", "tp.json"],
     ["turning", *_ORBIT[1:], "--out", "turning.json"],
     ["brackets", *_BR_FLAGS, "--seed", "7"],
     ["spectrum", *_SP_FLAGS, "--numeric", "--out", "levels.csv"],
+    _CLOSURE,
+    ["spectrum", *_SP_FLAGS],
+    ["spectrum", *_SP_FLAGS, "--gnuplot"],
+    _BIG_CSV,
     _EXITS[0],
     _EXITS[2],
     ["brackets", "--system", "coulomb", "--lambda", "1e300", "--samples", "3"],
-], ids=["orbit", "turning", "brackets", "spectrum-numeric", "exit-0", "exit-2", "exit-3"])
+], ids=["orbit", "turning", "brackets", "spectrum-numeric", "closure", "spectrum",
+        "spectrum-gnuplot", "orbit-stdout", "exit-0", "exit-2", "exit-3"])
 def test_process_entry_and_main_give_the_same_results(tmp_path, capsys, monkeypatch, argv):
     fresh = tmp_path / "process"
     fresh.mkdir()
     proc = run_cli(*argv, cwd=fresh)
     in_process = _run_in(tmp_path / "main", argv, capsys, monkeypatch)
     assert (proc.returncode, proc.stdout, proc.stderr, _files(fresh)) == in_process
+
+
+# the generated `screened-sphere` script, with an exit hook registered before it runs
+_SCRIPT_WITH_HOOK = """
+import atexit, os, sys
+atexit.register(os.write, 2, b"exit hook ran\\n")
+from screened_sphere.cli import run
+sys.exit(run())
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    _CLOSURE,
+    [*_ORBIT, "--out", "traj.csv", "--turning-out", "tp.json"],
+    _EXITS[3],
+    _EXITS[2],
+], ids=["closure-stdout", "orbit-files", "exit-3", "exit-2"])
+def test_run_ends_the_process_without_the_interpreter_teardown(tmp_path, capsys, monkeypatch,
+                                                               argv):
+    fresh = tmp_path / "process"
+    fresh.mkdir()
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT_WITH_HOOK, *argv], env=_env(),
+                          cwd=fresh, capture_output=True, text=True, timeout=60)
+    rc, out, err, files = _run_in(tmp_path / "main", argv, capsys, monkeypatch)
+    # a usage error leaves through SystemExit, so the interpreter exits as usual and runs the hook
+    hook = "exit hook ran\n" if rc == 2 else ""
+    assert (proc.returncode, proc.stdout, proc.stderr, _files(fresh)) == (rc, out, err + hook, files)
+
+
+def _traceback(command: str, error: str) -> str:
+    """A traceback from a write to stdout, by the names of its frames (see ``_stderr_shape``)."""
+    frames = ["_run_module_as_main", "_run_code", "<module>", "run", "main", command,
+              "_write_output"]
+    return "\n".join(["Traceback (most recent call last):", *(f"  in {f}" for f in frames), error])
+
+
+def _stderr_shape(stderr: str) -> str:
+    """stderr with each traceback frame reduced to its function name, since line numbers and
+    source lines follow the code's layout; every other line is kept as it is."""
+    return "\n".join(re.sub(r'^  File ".*", line \d+, ', "  ", line)
+                     for line in stderr.splitlines() if not line.startswith("    "))
+
+
+_EPIPE = "BrokenPipeError: [Errno 32] Broken pipe"
+_NO_STDOUT = "AttributeError: 'NoneType' object has no attribute 'write'"
+# (argv, (exit status, stderr shape) with stdout buffered, the same with PYTHONUNBUFFERED set)
+_STDOUT_GONE = {
+    # nothing reads the pipe: a short text waits in the stdio buffer, so the interpreter's
+    # final flush reports the broken pipe (status 120); unbuffered, the write itself raises
+    "reader-gone": (_CLOSURE, (120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>' "
+                                    f"mode='w' encoding='utf-8'>\n{_EPIPE}"),
+                    (1, _traceback("_cmd_closure", _EPIPE))),
+    # the reader leaves after 64 KiB of the CSV; unbuffered, the text layer drops the rest of
+    # the short write and the run ends in status 0
+    "reader-leaves": (_BIG_CSV, (1, _traceback("_cmd_orbit", _EPIPE)),
+                      (0, "closure: alpha=0.93320296216580956 closed=false; turning_points=8")),
+    # `>&-` leaves no stdout, so sys.stdout is None
+    "stdout-closed": (_CLOSURE, (1, _traceback("_cmd_closure", _NO_STDOUT)),
+                      (1, _traceback("_cmd_closure", _NO_STDOUT))),
+    "stdout-closed-out-file": ([*_CLOSURE, "--out", "closure.json"], (0, ""), (0, "")),
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("case", sorted(_STDOUT_GONE))
+def test_a_stdout_that_goes_away_ends_as_it_always_has(tmp_path, case, unbuffered):
+    argv, *expected = _STDOUT_GONE[case]
+    env = _env(unbuffered)
+    cmd = [sys.executable, "-m", "screened_sphere.cli", *argv]
+    if case.startswith("stdout-closed"):
+        proc = subprocess.run(["sh", "-c", '"$0" "$@" >&-', *cmd], env=env, cwd=tmp_path,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+        rc, err = proc.returncode, proc.stderr
+    elif case == "reader-gone":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(cmd, env=env, cwd=tmp_path, stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        rc, err = proc.returncode, proc.stderr
+    else:
+        with subprocess.Popen(cmd, env=env, cwd=tmp_path, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            assert os.read(proc.stdout.fileno(), 65536)  # the child is blocked in its write
+            proc.stdout.close()
+            err = proc.communicate(timeout=60)[1]
+            rc = proc.returncode
+    assert (rc, _stderr_shape(err)) == expected[unbuffered]
 
 
 def test_script_target_is_the_entry_of_python_m():

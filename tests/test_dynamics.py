@@ -181,11 +181,34 @@ def test_integrate_holds_the_steps_one_stage_buffer_and_the_samples(monkeypatch,
     n = len(traj.step_t) - 1
     assert n > 29000
     assert returned == [8 * 5 * (n + 1)]  # step times and states only
-    # per step: t and y, the one (n, 4, 16) stage buffer, and the interpolant's 7 rows of 4,
-    # twice while np.stack joins them; one block of stages; about 50 floats per sample.
-    # A driver that also kept its 52 stage derivatives a step would exceed it by 416n bytes
-    bound = 8 * (5 + 4 * 16 + 2 * 7 * 4) * n + 8 * 13 * 4 * dynamics._STAGE_BLOCK + 8 * 50 * 2001
+    # per step: t and y, the one (n, 4, 16) stage buffer, the interpolant's 7 rows of 4 and
+    # the (4, 4) product of stages that its last 4 rows are scaled from; one block of stages;
+    # about 50 floats per sample.  Rows stacked from separate copies (953 B a step measured,
+    # against 859 B written in place) exceed it, as would a driver that also kept its 52 stage
+    # derivatives a step (416n bytes)
+    bound = 8 * (5 + 4 * 16 + 7 * 4 + 4 * 4) * n + 8 * 13 * 4 * dynamics._STAGE_BLOCK + 8 * 50 * 2001
     assert returned[0] + peak < bound
+
+
+@pytest.mark.parametrize("t_end", [70.0, -70.0])
+def test_dense_output_rows_keep_the_bits_of_their_stacked_form(coulomb_params, t_end):
+    # the interpolant's rows are written into one array in place; here they are stacked
+    # from separate rows, with the same expressions
+    ts, ys = dynamics._dop853((1.6, 0.0, 0.0, 0.55), coulomb_params, t_end, 1e-12)
+    t, y = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, 4).T
+    h = np.diff(t)
+    k = dynamics._stages(y[:, :-1], h, coulomb_params)
+    for s in (13, 14, 15):
+        k[:, :, s] = np.transpose(dynamics._rhs(*(y[:, :-1] + (k[:, :, :s] @ dynamics._A[s]).T * h),
+                                                coulomb_params))
+    dy = y[:, 1:] - y[:, :-1]
+    f_old, f_new = k[:, :, 0].T, k[:, :, 12].T
+    stacked = np.stack([dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old),
+                        *np.transpose(k @ np.transpose(dynamics._D), (2, 1, 0)) * h])
+    order = slice(None, None, 1 if t_end > 0.0 else -1)
+    F = dynamics.DenseOutput(t, y, coulomb_params).F
+    assert F.shape == (7, 4, h.size) and h.size > 500
+    assert F.tobytes() == stacked[:, :, order].tobytes()
 
 
 def test_integrate_caps_steps(monkeypatch, coulomb_params):

@@ -6,10 +6,11 @@ import math
 
 import pytest
 
-from golden_digests import GOLDEN, host, load_argv, mismatch, run
+from golden_digests import GOLDEN, host, load_argv, mismatch, run, run_process
 
 DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
 ARGV = load_argv()
+README = [op for op in ARGV if op["name"].startswith("readme-")]
 
 
 @pytest.mark.parametrize("op", ARGV, ids=[op["name"] for op in ARGV])
@@ -18,6 +19,13 @@ def test_cli_output_matches_its_golden_digests(op, tmp_path):
     made = {key: DIGESTS[key] for key in host()}
     assert found is None, found + ("" if host() == made else
                                    f" (digests made with {made}, this host has {host()})")
+
+
+@pytest.mark.parametrize("op", README, ids=[op["name"] for op in README])
+def test_process_entry_output_matches_its_golden_digests(op, tmp_path):
+    # the bytes a fresh process leaves on stdout and on disk as it ends, not only those of main
+    found = mismatch(*run_process(op["argv"], tmp_path), DIGESTS["ops"][op["name"]])
+    assert found is None, found
 
 
 def test_a_one_ulp_change_in_a_csv_field_fails(tmp_path):
