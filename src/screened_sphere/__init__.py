@@ -19,9 +19,8 @@ _EXPORTS = {
     "closed_forms": """ClosureResult SpectrumEntry SystemKind SystemParams closure_analysis
         coulomb_energy m_prime orbit_alpha oscillator_energy spectrum_entries""",
     "phase_space": "PhaseState hamiltonian potential",
-    "dynamics": """OrbitShape Trajectory TurningKind TurningPoint closed_form_radius
-        equations_of_motion find_turning_points fit_theta0 integrate orbit_residual
-        state_at_theta""",
+    "dynamics": """Trajectory TurningKind TurningPoint equations_of_motion find_turning_points
+        integrate""",
     "conserved": """BracketReport Observable fradkin_quantities poisson_bracket runge_lenz
         turning_point_conservation verify_coulomb_algebra verify_oscillator_algebra""",
     "spectra": "RadialGrid radial_solve_numeric",

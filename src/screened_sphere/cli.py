@@ -87,9 +87,23 @@ def _json(obj, indent: int = 0) -> str:
 def _write_output(path: str, text: str) -> None:
     """Write to stdout for '-', into a path that exists and is not a regular file
     (a FIFO, a device), otherwise atomically via temp file + rename, with the
-    mode that the umask gives a new file."""
+    mode that the umask gives a new file.
+
+    Stdout with a binary ``buffer`` takes the encoded text through it until every byte
+    is written: unbuffered (``PYTHONUNBUFFERED``), that buffer is the raw file, whose
+    short write the text layer would let pass, dropping the rest."""
     if path == "-":
-        sys.stdout.write(text)
+        out = sys.stdout
+        if getattr(out, "buffer", None) is None:  # no stdout at all, or a StringIO
+            out.write(text)
+            return
+        out.flush()
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            n = out.buffer.write(data)
+            if not n:  # 0, or None from a raw file that would block
+                raise OSError(f"stdout took none of the last {len(data)} bytes")
+            data = data[n:]
         return
     directory = os.path.dirname(os.path.abspath(path))
     try:
@@ -126,14 +140,14 @@ def _params(args: argparse.Namespace) -> SystemParams:
     return SystemParams(kind=SystemKind(args.system), lam=args.lam, k=args.k)
 
 
-def _trajectory(args: argparse.Namespace) -> tuple[SystemParams, dynamics.Trajectory]:
+def _trajectory(args: argparse.Namespace) -> dynamics.Trajectory:
     params = _params(args)
     missing = [n for n in ("x", "px", "py") if getattr(args, n) is None]
     if missing:
         raise UsageError(f"missing initial-condition flags: {', '.join('--' + m for m in missing)}")
     state = dynamics.PhaseState(args.x, args.y, args.px, args.py)
-    return params, dynamics.integrate(state, params, t_end=args.t_end, rel_tol=args.tol,
-                                      n_samples=args.n_samples)
+    return dynamics.integrate(state, params, t_end=args.t_end, rel_tol=args.tol,
+                              n_samples=args.n_samples)
 
 
 def _int_list(text: str) -> list[int]:
@@ -148,14 +162,14 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
-    params, traj = _trajectory(args)
+    traj = _trajectory(args)
     points = dynamics.find_turning_points(traj)
     csv = traj.to_csv()
     _write_output(args.out, _strip_header_csv(csv) if args.gnuplot else csv)
     if args.turning_out:
         _write_output(args.turning_out, _json(dynamics.turning_points_json(points)) + "\n")
     try:
-        closure = closure_analysis(params, float(traj.Lz[0]))
+        closure = closure_analysis(traj.params, float(traj.Lz[0]))
         summary = f"closure: alpha={_fmt(closure.alpha)} closed={_fmt(closure.closed)}"
         if closure.closed:
             summary += f" p={closure.p} q={closure.q} delta_theta={_fmt(closure.closure_angle)}"
@@ -178,8 +192,8 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 
 def _cmd_turning(args: argparse.Namespace) -> int:
-    params, traj = _trajectory(args)
-    report = conserved.turning_point_conservation(traj, params)
+    traj = _trajectory(args)
+    report = conserved.turning_point_conservation(traj)
     _write_output(args.out, _json(report.to_dict()) + "\n")
     return 0
 

@@ -379,10 +379,9 @@ class TurningConservationReport(namedtuple(
         }
 
 
-def turning_point_conservation(
-    traj: dynamics.Trajectory, params: SystemParams
-) -> TurningConservationReport:
-    """Evaluate {quantity, H} along a trajectory at and away from rdot = 0."""
+def turning_point_conservation(traj: dynamics.Trajectory) -> TurningConservationReport:
+    """Evaluate {quantity, H} along a trajectory, under its own params, at and away from rdot = 0."""
+    params = traj.params
     algebra = _ALGEBRAS[params.kind]
     points = dynamics.find_turning_points(traj)
     if not points:

@@ -12,16 +12,12 @@ Lz = x1*p2 - x2*p1.  The two screened potentials are
     coulomb:     V(r) = -1/r    - k/r**2
     oscillator:  V(r) = r**2/2  - k/r**2
 
-Bound orbits obey closed forms controlled by alpha = sqrt(1 - 2k/Lz**2)
-and the shifted energy Et = E - (lam/2)*Lz**2:
-
-    coulomb:     1/r    = [1  + sqrt(1 + 2*Et*Lz**2*alpha**2)  * cos(alpha*(theta - theta0))]   / (Lz**2 * alpha**2)
-    oscillator:  1/r**2 = [Et + sqrt(Et**2 - Lz**2*alpha**2)   * cos(2*alpha*(theta - theta0))] / (Lz**2 * alpha**2)
-
-Curvature enters the projected orbit only through Et, so a spherical
-trajectory traces the same (r, theta) curve as the flat trajectory with
-energy Et.  For rational alpha = p/q the orbit closes; the radial period
-in theta is 2*pi/alpha (coulomb) or pi/alpha (oscillator, doubled angle).
+Bound orbits are controlled by alpha = sqrt(1 - 2k/Lz**2) and the shifted
+energy Et = E - (lam/2)*Lz**2.  Curvature enters the projected orbit only
+through Et, so a spherical trajectory traces the same (r, theta) curve as
+the flat trajectory with energy Et.  For rational alpha = p/q the orbit
+closes; the radial period in theta is 2*pi/alpha (coulomb) or pi/alpha
+(oscillator, doubled angle).
 alpha, the closure analysis and the system parameters are numpy-free
 closed forms in ``closed_forms``; H, its gradient, Lz, pi and ``PhaseState``
 are the kernels in ``phase_space``.  Both are re-exported here.
@@ -58,7 +54,6 @@ import math
 from array import array
 from collections import namedtuple
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -68,7 +63,6 @@ from .errors import (
     AccuracyError,
     ChartEdgeError,
     DomainError,
-    OrbitDomainError,
     RadiusError,
     SingularOrbitError,
     StepBudgetError,
@@ -115,25 +109,20 @@ def _rhs(x1, x2, p1, p2, params: SystemParams):
 
 # --- trajectories --------------------------------------------------------
 
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "t states r theta H Lz params dense step_theta "
+                                           "turning_points circular")):
     """Time-ordered samples of an integrated orbit plus derived scalars.
 
     theta is unwrapped (cumulative) so closure angles beyond 2*pi stay
     measurable; normalize at presentation boundaries only.  Its branch is
-    the azimuth unwrapped over the solver's accepted steps, so sparse
-    samples cannot alias it.  The dense interpolant and the turning points
-    found during the solve are kept with the samples; :func:`integrate`
-    sets ``turning_points`` and ``circular`` after construction.
+    the azimuth unwrapped over the solver's accepted steps (``step_theta``,
+    at the times ``dense.bounds``), so sparse samples cannot alias it.
+    ``states`` holds (n, 4) rows.  The dense interpolant and the turning
+    points found during the solve (``circular`` when x.p stays at rounding
+    level) are kept with the samples.
     """
 
-    def __init__(self, t: np.ndarray, states: np.ndarray, r: np.ndarray, theta: np.ndarray,
-                 H: np.ndarray, Lz: np.ndarray, params: SystemParams, dense: DenseOutput,
-                 step_t: np.ndarray, step_theta: np.ndarray):
-        self.t, self.states, self.r, self.theta = t, states, r, theta  # states: (n, 4) rows
-        self.H, self.Lz, self.params, self.dense = H, Lz, params, dense
-        self.step_t, self.step_theta = step_t, step_theta  # accepted steps, ascending
-        self.turning_points: list[TurningPoint] = []
-        self.circular = False
+    __slots__ = ()
 
     def state_at(self, t: float) -> PhaseState:
         return PhaseState.from_array(self.dense(t))
@@ -141,7 +130,7 @@ class Trajectory:
     def theta_at(self, t):
         """Unwrapped theta at a time or times, on the branch of the solver's steps."""
         y = self.dense(t)
-        return _on_branch(np.arctan2(y[1], y[0]), t, self.step_t, self.step_theta)
+        return _on_branch(np.arctan2(y[1], y[0]), t, self.dense.bounds, self.step_theta)
 
     def rdot(self, t) -> np.ndarray:
         """Radial velocity along the orbit; see :func:`_rdot`."""
@@ -563,29 +552,19 @@ def integrate(
             f"dH = {h_drift:.3e}, dLz = {lz_drift:.3e}, bound = {bound:.3e}"
         )
 
-    traj = Trajectory(
-        t=t,
-        states=y.T.copy(),
-        r=r,
-        theta=theta,
-        H=h,
-        Lz=lz,
-        params=params,
-        dense=dense,
-        step_t=dense.bounds,
-        step_theta=step_theta,
-    )
-    traj.turning_points, traj.circular = _turning_points(traj, step_y[:, order])
-    return traj
+    points, circular = _turning_points(dense, step_y[:, order], step_theta, r, params)
+    return Trajectory(t, y.T.copy(), r, theta, h, lz, params, dense, step_theta, points, circular)
 
 
 # --- turning points -------------------------------------------------------
 
-def _turning_points(traj: Trajectory, step_y: np.ndarray):
-    """(points, circular): the x.p roots on the solver's steps, which ``step_y`` holds ascending."""
+def _turning_points(dense: DenseOutput, step_y: np.ndarray, step_theta: np.ndarray,
+                    r: np.ndarray, params: SystemParams):
+    """(points, circular): the x.p roots on the solver's steps, which ``step_y`` holds ascending;
+    ``r`` is the sampled radius, which scales the circular test."""
     s = step_y[0] * step_y[2] + step_y[1] * step_y[3]
     momentum = np.hypot(step_y[2], step_y[3])
-    if float(np.max(np.abs(s))) <= 1e-8 * max(1.0, float(np.max(momentum) * np.max(traj.r))):
+    if float(np.max(np.abs(s))) <= 1e-8 * max(1.0, float(np.max(momentum) * np.max(r))):
         return [], True
     # one root of rdot (which has the sign of x.p) per step over which x.p
     # changes sign, in increasing time: rising through zero is a minimum of
@@ -595,12 +574,13 @@ def _turning_points(traj: Trajectory, step_y: np.ndarray):
     # while rdot jumps from -|v| to |v|: that is no apsis
     radial = np.abs(lz_value(*step_y)) <= 4.0 * math.ulp(1.0) * np.hypot(*step_y[:2]) * momentum
     j = j[~((s[j + 1] > s[j]) & radial[j] & radial[j + 1])]
-    roots = _bracketed_root(traj.rdot, traj.step_t[j], traj.step_t[j + 1])
-    y = traj.dense(roots)
-    rdot = np.abs(_rdot(y, traj.params.lam))
+    step_t = dense.bounds
+    roots = _bracketed_root(lambda t: _rdot(dense(t), params.lam), step_t[j], step_t[j + 1])
+    y = dense(roots)
+    rdot = np.abs(_rdot(y, params.lam))
     if roots.size and float(np.max(rdot)) > TURNING_RDOT_TOL:
         raise AccuracyError(f"turning-point refinement left |rdot| = {float(np.max(rdot)):.3e}")
-    theta = _on_branch(np.arctan2(y[1], y[0]), roots, traj.step_t, traj.step_theta)
+    theta = _on_branch(np.arctan2(y[1], y[0]), roots, step_t, step_theta)
     points = []
     for t_star, col, th, rising in zip(roots.tolist(), y.T, theta.tolist(),
                                        (s[j + 1] > s[j]).tolist()):
@@ -619,125 +599,3 @@ def find_turning_points(traj: Trajectory) -> list[TurningPoint]:
     trajectory whose x.p stays at rounding level sets ``circular`` instead.
     """
     return traj.turning_points
-
-
-# --- closed-form orbits ---------------------------------------------------
-
-class OrbitShape(namedtuple("OrbitShape", "E lz alpha theta0", defaults=(0.0,))):
-    """Constants of a closed-form orbit: energy, Lz, alpha, phase offset."""
-
-    __slots__ = ()
-
-    @classmethod
-    def from_state(
-        cls, state: PhaseState, params: SystemParams, theta0: float = 0.0
-    ) -> "OrbitShape":
-        lz = lz_value(state.x1, state.x2, state.p1, state.p2)
-        return cls(
-            E=hamiltonian(state, params),
-            lz=float(lz),
-            alpha=orbit_alpha(params, float(lz)),
-            theta0=theta0,
-        )
-
-    def shifted_energy(self, params: SystemParams) -> float:
-        """Et = E - (lam/2)*Lz**2, the only combination curvature enters."""
-        return self.E - 0.5 * params.lam * self.lz**2
-
-    def coefficients(self, params: SystemParams) -> tuple[float, float, float, float, int]:
-        """(c0, c1**2, nu, la2, n) of the closed form w*la2 = c0 + c1*cos(nu*(theta - theta0)).
-
-        w = 1/r**n: 1/r with c0 = 1, nu = alpha for coulomb; 1/r**2 with
-        c0 = Et, nu = 2*alpha for the oscillator; la2 = Lz**2*alpha**2.
-        """
-        et = self.shifted_energy(params)
-        la2 = self.lz**2 * self.alpha**2
-        if params.kind is SystemKind.COULOMB:
-            return 1.0, 1.0 + 2.0 * et * la2, self.alpha, la2, 1
-        return et, et * et - la2, 2.0 * self.alpha, la2, 2
-
-
-def closed_form_radius(theta, shape: OrbitShape, params: SystemParams):
-    """r(theta) from the closed-form orbit equation for the given system.
-
-    Raises :class:`~screened_sphere.errors.OrbitDomainError` where the
-    bracket is nonpositive (angles outside the bound range).
-    """
-    theta = np.asarray(theta, dtype=float)
-    c0, disc, nu, la2, n = shape.coefficients(params)
-    if disc < 0.0:
-        raise OrbitDomainError(f"{params.kind.value} orbit discriminant negative: {disc:g}")
-    w = (c0 + math.sqrt(disc) * np.cos(nu * (theta - shape.theta0))) / la2
-    if np.any(w <= 0.0):
-        raise OrbitDomainError(("1/r" if n == 1 else "1/r**2")
-                               + " nonpositive: angle outside the bound range")
-    r = 1.0 / w if n == 1 else 1.0 / np.sqrt(w)
-    return float(r) if r.ndim == 0 else r
-
-
-def fit_theta0(traj: Trajectory, params: SystemParams) -> float:
-    """Phase offset theta0 aligning the closed form with the trajectory.
-
-    The closed form is linear in (A, B) = c1*(cos(nu*theta0), sin(nu*theta0)):
-    w*la2 - c0 = A*cos(nu*theta) + B*sin(nu*theta) (see
-    :meth:`OrbitShape.coefficients`).  One least-squares solve over all
-    samples gives theta0 = atan2(B, A)/nu, in (-pi/nu, pi/nu], so no turning
-    point is needed.  A circular orbit accepts any phase; returns 0 by convention.
-    """
-    if traj.circular:
-        return 0.0
-    c0, _, nu, la2, n = OrbitShape.from_state(traj.state_at(0.0), params).coefficients(params)
-    basis = np.column_stack([np.cos(nu * traj.theta), np.sin(nu * traj.theta)])
-    (a, b), *_ = np.linalg.lstsq(basis, la2 / traj.r**n - c0, rcond=None)
-    return math.atan2(b, a) / nu
-
-
-def orbit_residual(
-    traj: Trajectory,
-    params: SystemParams,
-    shape: Optional[OrbitShape] = None,
-) -> tuple[float, float]:
-    """(max closed-form deviation, max orbit-relation residual) over samples.
-
-    The first is max |r - r_closed(theta)| / r with theta0 fitted unless a
-    shape is supplied.  The second is the pointwise residual of
-
-        (Lz**2/2) * [(dr/dtheta)**2 / r**4 + 1/r**2] + V(r) - (E - lam*Lz**2/2),
-
-    with dr/dtheta evaluated analytically along the dense output as
-    (x.p) * r * (1 + lam*r**2) / Lz.
-    """
-    if shape is None:
-        theta0 = fit_theta0(traj, params)
-        shape = OrbitShape.from_state(traj.state_at(0.0), params, theta0=theta0)
-
-    r_cf = closed_form_radius(traj.theta, shape, params)
-    dev_cf = float(np.max(np.abs(traj.r - r_cf) / traj.r))
-
-    x1, x2, p1, p2 = traj.states.T
-    s = x1 * p1 + x2 * p2
-    lz = traj.Lz
-    r = traj.r
-    dr_dtheta = s * r * (1.0 + params.lam * r**2) / lz
-    lhs = 0.5 * lz**2 * (dr_dtheta**2 / r**4 + 1.0 / r**2) + potential(r, params)
-    rhs = traj.H - 0.5 * params.lam * lz**2
-    dev_ode = float(np.max(np.abs(lhs - rhs)))
-    return dev_cf, dev_ode
-
-
-def state_at_theta(traj: Trajectory, theta_target: float) -> PhaseState:
-    """Dense-output state where the unwrapped azimuth crosses theta_target."""
-    sign = 1.0 if traj.theta[-1] >= traj.theta[0] else -1.0  # Lz < 0 runs clockwise
-    th = sign * traj.theta
-    target = sign * theta_target
-    if not th[0] <= target <= th[-1]:
-        raise DomainError(
-            f"theta_target {theta_target:g} outside trajectory range "
-            f"[{traj.theta[0]:g}, {traj.theta[-1]:g}]"
-        )
-    idx = int(np.searchsorted(th, target))
-    if idx == 0:
-        return traj.state_at(traj.t[0])
-    t_star = _bracketed_root(lambda t: sign * traj.theta_at(t) - target,
-                             traj.t[idx - 1], traj.t[idx])
-    return traj.state_at(float(t_star))

@@ -36,12 +36,6 @@ class ImaginaryMPrimeError(DomainError):
     code = "ERR_IMAGINARY_MPRIME"
 
 
-class OrbitDomainError(DomainError):
-    """Closed-form orbit evaluated outside its allowed angular range."""
-
-    code = "ERR_ORBIT_DOMAIN"
-
-
 class SingularOrbitError(DomainError):
     """Trajectory collapsed below the minimum-radius guard."""
 

@@ -1,0 +1,161 @@
+"""Closed-form screened orbits r(theta), the oracle the integrator is checked against.
+
+Bound orbits obey closed forms controlled by alpha = sqrt(1 - 2k/Lz**2)
+and the shifted energy Et = E - (lam/2)*Lz**2 (Wu & Zeng's flat-space
+orbits, with curvature entering only through Et):
+
+    coulomb:     1/r    = [1  + sqrt(1 + 2*Et*Lz**2*alpha**2)  * cos(alpha*(theta - theta0))]   / (Lz**2 * alpha**2)
+    oscillator:  1/r**2 = [Et + sqrt(Et**2 - Lz**2*alpha**2)   * cos(2*alpha*(theta - theta0))] / (Lz**2 * alpha**2)
+
+``orbit_residual`` compares an integrated ``Trajectory`` with them, with
+theta0 fitted by one linear least-squares solve (``fit_theta0``), and
+``state_at_theta`` finds the state where the unwrapped azimuth reaches a
+given angle, for the closure checks.  No command runs these.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import namedtuple
+from typing import Optional
+
+import numpy as np
+
+from screened_sphere.dynamics import (
+    PhaseState,
+    SystemKind,
+    SystemParams,
+    Trajectory,
+    _bracketed_root,
+    hamiltonian,
+    lz_value,
+    orbit_alpha,
+    potential,
+)
+from screened_sphere.errors import DomainError
+
+
+class OrbitDomainError(DomainError):
+    """Closed-form orbit evaluated outside its allowed angular range."""
+
+    code = "ERR_ORBIT_DOMAIN"
+
+
+class OrbitShape(namedtuple("OrbitShape", "E lz alpha theta0", defaults=(0.0,))):
+    """Constants of a closed-form orbit: energy, Lz, alpha, phase offset."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_state(
+        cls, state: PhaseState, params: SystemParams, theta0: float = 0.0
+    ) -> "OrbitShape":
+        lz = lz_value(state.x1, state.x2, state.p1, state.p2)
+        return cls(
+            E=hamiltonian(state, params),
+            lz=float(lz),
+            alpha=orbit_alpha(params, float(lz)),
+            theta0=theta0,
+        )
+
+    def shifted_energy(self, params: SystemParams) -> float:
+        """Et = E - (lam/2)*Lz**2, the only combination curvature enters."""
+        return self.E - 0.5 * params.lam * self.lz**2
+
+    def coefficients(self, params: SystemParams) -> tuple[float, float, float, float, int]:
+        """(c0, c1**2, nu, la2, n) of the closed form w*la2 = c0 + c1*cos(nu*(theta - theta0)).
+
+        w = 1/r**n: 1/r with c0 = 1, nu = alpha for coulomb; 1/r**2 with
+        c0 = Et, nu = 2*alpha for the oscillator; la2 = Lz**2*alpha**2.
+        """
+        et = self.shifted_energy(params)
+        la2 = self.lz**2 * self.alpha**2
+        if params.kind is SystemKind.COULOMB:
+            return 1.0, 1.0 + 2.0 * et * la2, self.alpha, la2, 1
+        return et, et * et - la2, 2.0 * self.alpha, la2, 2
+
+
+def closed_form_radius(theta, shape: OrbitShape, params: SystemParams):
+    """r(theta) from the closed-form orbit equation for the given system.
+
+    Raises :class:`OrbitDomainError` where the
+    bracket is nonpositive (angles outside the bound range).
+    """
+    theta = np.asarray(theta, dtype=float)
+    c0, disc, nu, la2, n = shape.coefficients(params)
+    if disc < 0.0:
+        raise OrbitDomainError(f"{params.kind.value} orbit discriminant negative: {disc:g}")
+    w = (c0 + math.sqrt(disc) * np.cos(nu * (theta - shape.theta0))) / la2
+    if np.any(w <= 0.0):
+        raise OrbitDomainError(("1/r" if n == 1 else "1/r**2")
+                               + " nonpositive: angle outside the bound range")
+    r = 1.0 / w if n == 1 else 1.0 / np.sqrt(w)
+    return float(r) if r.ndim == 0 else r
+
+
+def fit_theta0(traj: Trajectory, params: SystemParams) -> float:
+    """Phase offset theta0 aligning the closed form with the trajectory.
+
+    The closed form is linear in (A, B) = c1*(cos(nu*theta0), sin(nu*theta0)):
+    w*la2 - c0 = A*cos(nu*theta) + B*sin(nu*theta) (see
+    :meth:`OrbitShape.coefficients`).  One least-squares solve over all
+    samples gives theta0 = atan2(B, A)/nu, in (-pi/nu, pi/nu], so no turning
+    point is needed.  A circular orbit accepts any phase; returns 0 by convention.
+    """
+    if traj.circular:
+        return 0.0
+    c0, _, nu, la2, n = OrbitShape.from_state(traj.state_at(0.0), params).coefficients(params)
+    basis = np.column_stack([np.cos(nu * traj.theta), np.sin(nu * traj.theta)])
+    (a, b), *_ = np.linalg.lstsq(basis, la2 / traj.r**n - c0, rcond=None)
+    return math.atan2(b, a) / nu
+
+
+def orbit_residual(
+    traj: Trajectory,
+    params: SystemParams,
+    shape: Optional[OrbitShape] = None,
+) -> tuple[float, float]:
+    """(max closed-form deviation, max orbit-relation residual) over samples.
+
+    The first is max |r - r_closed(theta)| / r with theta0 fitted unless a
+    shape is supplied.  The second is the pointwise residual of
+
+        (Lz**2/2) * [(dr/dtheta)**2 / r**4 + 1/r**2] + V(r) - (E - lam*Lz**2/2),
+
+    with dr/dtheta evaluated analytically along the dense output as
+    (x.p) * r * (1 + lam*r**2) / Lz.
+    """
+    if shape is None:
+        theta0 = fit_theta0(traj, params)
+        shape = OrbitShape.from_state(traj.state_at(0.0), params, theta0=theta0)
+
+    r_cf = closed_form_radius(traj.theta, shape, params)
+    dev_cf = float(np.max(np.abs(traj.r - r_cf) / traj.r))
+
+    x1, x2, p1, p2 = traj.states.T
+    s = x1 * p1 + x2 * p2
+    lz = traj.Lz
+    r = traj.r
+    dr_dtheta = s * r * (1.0 + params.lam * r**2) / lz
+    lhs = 0.5 * lz**2 * (dr_dtheta**2 / r**4 + 1.0 / r**2) + potential(r, params)
+    rhs = traj.H - 0.5 * params.lam * lz**2
+    dev_ode = float(np.max(np.abs(lhs - rhs)))
+    return dev_cf, dev_ode
+
+
+def state_at_theta(traj: Trajectory, theta_target: float) -> PhaseState:
+    """Dense-output state where the unwrapped azimuth crosses theta_target."""
+    sign = 1.0 if traj.theta[-1] >= traj.theta[0] else -1.0  # Lz < 0 runs clockwise
+    th = sign * traj.theta
+    target = sign * theta_target
+    if not th[0] <= target <= th[-1]:
+        raise DomainError(
+            f"theta_target {theta_target:g} outside trajectory range "
+            f"[{traj.theta[0]:g}, {traj.theta[-1]:g}]"
+        )
+    idx = int(np.searchsorted(th, target))
+    if idx == 0:
+        return traj.state_at(traj.t[0])
+    t_star = _bracketed_root(lambda t: sign * traj.theta_at(t) - target,
+                             traj.t[idx - 1], traj.t[idx])
+    return traj.state_at(float(t_star))

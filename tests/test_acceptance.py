@@ -28,7 +28,6 @@ from screened_sphere.conserved import (
     verify_oscillator_algebra,
 )
 from screened_sphere.dynamics import (
-    OrbitShape,
     PhaseState,
     SystemKind,
     SystemParams,
@@ -37,8 +36,6 @@ from screened_sphere.dynamics import (
     find_turning_points,
     integrate,
     lz_value,
-    orbit_residual,
-    state_at_theta,
 )
 from screened_sphere.spectra import (
     analytic_energy,
@@ -47,6 +44,7 @@ from screened_sphere.spectra import (
     oscillator_energy,
     radial_solve_numeric,
 )
+from orbit_reference import OrbitShape, orbit_residual, state_at_theta
 from oscillator_reference import oscillator_operator_residual
 
 COULOMB = SystemParams(SystemKind.COULOMB, 0.1, 0.05)
@@ -154,10 +152,10 @@ def test_criterion_4_turning_point_conservation():
         (OSCILLATOR, OSCILLATOR_STATE, 40.0),
     ):
         traj = integrate(st0, params, t_end=t_end, rel_tol=1e-10, n_samples=6001)
-        rep = turning_point_conservation(traj, params)
+        rep = turning_point_conservation(traj)
         unscreened = SystemParams(params.kind, params.lam, 0.0)
         traj0 = integrate(st0, unscreened, t_end=t_end / 2, rel_tol=1e-10, n_samples=3001)
-        rep0 = turning_point_conservation(traj0, unscreened)
+        rep0 = turning_point_conservation(traj0)
         ok = (
             ok
             and rep.max_abs_at_turning < 1e-7

@@ -257,14 +257,14 @@ def test_bracket_sampling_is_seeded(coulomb_params):
 
 # --- turning-point conservation ---------------------------------------------
 
-def test_turning_conservation_screened(coulomb_orbit, coulomb_params):
-    rep = turning_point_conservation(coulomb_orbit, coulomb_params)
+def test_turning_conservation_screened(coulomb_orbit):
+    rep = turning_point_conservation(coulomb_orbit)
     assert rep.max_abs_at_turning < 1e-7
     assert rep.generic_max > 1e-3
 
 
-def test_turning_conservation_oscillator(oscillator_orbit, oscillator_params):
-    rep = turning_point_conservation(oscillator_orbit, oscillator_params)
+def test_turning_conservation_oscillator(oscillator_orbit):
+    rep = turning_point_conservation(oscillator_orbit)
     assert rep.max_abs_at_turning < 1e-7
     assert rep.generic_max > 1e-3
 
@@ -279,7 +279,7 @@ def test_turning_conservation_oscillator(oscillator_orbit, oscillator_params):
 def test_unscreened_quantities_conserved_everywhere(kind, state):
     params = SystemParams(kind, 0.1, 0.0)
     traj = integrate(state, params, t_end=40.0, rel_tol=1e-10, n_samples=3001)
-    rep = turning_point_conservation(traj, params)
+    rep = turning_point_conservation(traj)
     assert rep.generic_max < 1e-9
 
 
@@ -289,7 +289,7 @@ def test_turning_magnitude_matches_orbit_discriminant(
     """|R'| (and the oscillator analog) at every turning point equals the
     closed-form orbit discriminant; components rotate with the apsidal
     precession but the magnitude is the piecewise-conserved invariant."""
-    rep = turning_point_conservation(coulomb_orbit, coulomb_params)
+    rep = turning_point_conservation(coulomb_orbit)
     e, lz = float(coulomb_orbit.H[0]), float(coulomb_orbit.Lz[0])
     alpha = orbit_alpha(coulomb_params, lz)
     et = e - 0.5 * coulomb_params.lam * lz**2
@@ -297,7 +297,7 @@ def test_turning_magnitude_matches_orbit_discriminant(
     mags = np.hypot(rep.values_at_turning[:, 0], rep.values_at_turning[:, 1])
     assert np.max(np.abs(mags - ecc)) < 1e-7
 
-    rep = turning_point_conservation(oscillator_orbit, oscillator_params)
+    rep = turning_point_conservation(oscillator_orbit)
     e, lz = float(oscillator_orbit.H[0]), float(oscillator_orbit.Lz[0])
     alpha = orbit_alpha(oscillator_params, lz)
     et = e - 0.5 * oscillator_params.lam * lz**2
@@ -321,7 +321,7 @@ def test_apsidal_radii_follow_from_the_algebra(kind, state, t_end, lam):
     for k in (0.0, 0.05, 0.1):
         params = SystemParams(kind, lam, k)
         traj = integrate(state, params, t_end=t_end, rel_tol=1e-10, n_samples=2001)
-        rep = turning_point_conservation(traj, params)
+        rep = turning_point_conservation(traj)
         lz, h = float(traj.Lz[0]), float(traj.H[0])
         base = 1.0 if kind is SystemKind.COULOMB else h - 0.5 * lam * lz**2
         length = np.hypot(rep.values_at_turning[:, 0], rep.values_at_turning[:, 1])
@@ -339,7 +339,7 @@ def test_rational_alpha_components_recur():
     params = SystemParams(SystemKind.COULOMB, 0.0, 0.375)
     traj = integrate(PhaseState(2.0, 0.0, 0.0, 0.5), params, t_end=80.0,
                      rel_tol=1e-11, n_samples=12001)
-    rep = turning_point_conservation(traj, params)
+    rep = turning_point_conservation(traj)
     kinds = np.array(rep.turning_kinds)
     per = rep.values_at_turning[kinds == TurningKind.PERIHELION.value]
     assert len(per) >= 3
@@ -350,4 +350,4 @@ def test_turning_conservation_requires_turning_points():
     params = SystemParams(SystemKind.COULOMB, 0.0, 0.0)
     traj = integrate(PhaseState(1.0, 0.0, 0.0, 1.0), params, t_end=10.0, rel_tol=1e-10)
     with pytest.raises(NoTurningPointError):
-        turning_point_conservation(traj, params)
+        turning_point_conservation(traj)

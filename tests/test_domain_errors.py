@@ -23,10 +23,10 @@ from screened_sphere.dynamics import (
     hamiltonian,
     integrate,
     orbit_alpha,
-    state_at_theta,
 )
 from screened_sphere.errors import DomainError, RadiusError
 from screened_sphere.spectra import RadialGrid, coulomb_energy, radial_solve_numeric
+from orbit_reference import state_at_theta
 from oscillator_reference import (
     hypergeometric_terminating,
     oscillator_operator_residual,

@@ -174,7 +174,7 @@ def test_steps_samples_and_turning_points_match_solve_ivp(orbit):
     traj, state0, params, t_end, rel_tol = orbit
     sol = _oracle(state0, params, t_end, rel_tol)
     assert sol.status == 0
-    assert len(traj.step_t) == len(sol.t)
+    assert len(traj.dense.bounds) == len(sol.t)
     assert np.max(np.abs(traj.states.T - sol.sol(traj.t))) < 10.0 * rel_tol
 
     roots = np.sort(sol.t_events[0])

@@ -17,38 +17,41 @@ from screened_sphere.conserved import HAMILTONIAN, finite_difference_gradient, s
 from screened_sphere.dynamics import (
     MAX_SAMPLES,
     R_MIN_GUARD,
-    OrbitShape,
     PhaseState,
     SystemKind,
     SystemParams,
     TurningKind,
-    closed_form_radius,
     closure_analysis,
     equations_of_motion,
     find_turning_points,
-    fit_theta0,
     hamiltonian,
     integrate,
     orbit_alpha,
-    orbit_residual,
     pi_components,
     potential,
-    state_at_theta,
 )
 from screened_sphere.errors import (
     ChartEdgeError,
     CurvatureError,
     DomainError,
     ImaginaryAlphaError,
-    OrbitDomainError,
     RadiusError,
     SingularOrbitError,
     StepBudgetError,
     StiffnessError,
 )
+from orbit_reference import (
+    OrbitDomainError,
+    OrbitShape,
+    closed_form_radius,
+    fit_theta0,
+    orbit_residual,
+    state_at_theta,
+)
 
 FLAT_KEPLER = SystemParams(SystemKind.COULOMB, 0.0, 0.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent  # holds orbit_reference
 TWO_PI = 2.0 * math.pi
 
 
@@ -178,7 +181,7 @@ def test_integrate_holds_the_steps_one_stage_buffer_and_the_samples(monkeypatch,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n = len(traj.step_t) - 1
+    n = len(traj.dense.bounds) - 1
     assert n > 29000
     assert returned == [8 * 5 * (n + 1)]  # step times and states only
     # per step: t and y, the one (n, 4, 16) stage buffer, the interpolant's 7 rows of 4 and
@@ -306,7 +309,7 @@ def _csv_matches_percent(values):
     repeating them) equals formatting each field with ``{:.17g}``."""
     v = np.resize(np.asarray(values, dtype=float), (-(-len(values) // 9), 9))
     traj = dynamics.Trajectory(v[:, 0], v[:, 1:5].copy(), v[:, 5], v[:, 6], v[:, 7], v[:, 8],
-                               None, None, None, None)
+                               None, None, None, [], False)
     want = ["t,x1,x2,p1,p2,r,theta,H,Lz"] + [",".join(f"{x:.17g}" for x in row) for row in v.tolist()]
     csv = traj.to_csv()
     same = csv == "\n".join(want) + "\n"
@@ -462,7 +465,8 @@ def test_fit_theta0_without_turning_point(coulomb_params):
 
 _RESIDUAL_PROBE = """
 import sys
-from screened_sphere.dynamics import PhaseState, SystemKind, SystemParams, integrate, orbit_residual
+from screened_sphere.dynamics import PhaseState, SystemKind, SystemParams, integrate
+from orbit_reference import orbit_residual
 params = SystemParams(SystemKind.COULOMB, 0.1, 0.05)
 orbit_residual(integrate(PhaseState(1.6, 0.0, 0.0, 0.55), params, 20.0), params)
 print(",".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
@@ -472,7 +476,7 @@ print(",".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
 def test_orbit_residual_loads_no_scipy():
     # a fresh interpreter, so that no earlier test has loaded scipy already
     proc = subprocess.run([sys.executable, "-c", _RESIDUAL_PROBE],
-                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)])),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"

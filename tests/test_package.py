@@ -1,6 +1,7 @@
 """The package's public names and the modules that importing the CLI registers."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -14,13 +15,12 @@ from screened_sphere.closed_forms import SystemKind, SystemParams
 from screened_sphere.errors import CurvatureError, DomainError
 from test_cli import SRC
 
-# Every name the package exported before the closed forms moved, by the module
-# it came from; the names in MOVED now live in closed_forms and are re-exported.
+# Every name the package exports, by the module it came from; the names in MOVED
+# now live in closed_forms and are re-exported.
 EXPORTED = {
-    "dynamics": """ClosureResult OrbitShape PhaseState SystemKind SystemParams Trajectory
-        TurningKind TurningPoint closed_form_radius closure_analysis equations_of_motion
-        find_turning_points fit_theta0 hamiltonian integrate orbit_alpha orbit_residual
-        potential state_at_theta""",
+    "dynamics": """ClosureResult PhaseState SystemKind SystemParams Trajectory TurningKind
+        TurningPoint closure_analysis equations_of_motion find_turning_points hamiltonian
+        integrate orbit_alpha potential""",
     "conserved": """BracketReport Observable fradkin_quantities poisson_bracket runge_lenz
         turning_point_conservation verify_coulomb_algebra verify_oscillator_algebra""",
     "spectra": """RadialGrid SpectrumEntry coulomb_energy m_prime oscillator_energy
@@ -28,6 +28,8 @@ EXPORTED = {
 }
 MOVED = set("""ClosureResult SystemKind SystemParams closure_analysis orbit_alpha SpectrumEntry
     coulomb_energy m_prime oscillator_energy spectrum_entries""".split())
+# The closed-form orbit oracle, which no command runs, lives in tests/orbit_reference.py.
+ORBIT_REFERENCE = "OrbitShape closed_form_radius fit_theta0 orbit_residual state_at_theta".split()
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names.split()]
 
 
@@ -43,6 +45,84 @@ def test_public_names_are_their_owners_objects():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         screened_sphere.no_such_name
+
+
+@pytest.mark.parametrize("name", ORBIT_REFERENCE)
+def test_the_orbit_oracle_is_not_in_the_library(name):
+    from screened_sphere import dynamics, errors
+
+    for owner in (screened_sphere, dynamics):
+        with pytest.raises(AttributeError):
+            getattr(owner, name)
+    assert not hasattr(errors, "OrbitDomainError")
+
+
+# What perfbench/micro.py imports and perfbench/traced.py wraps, by module, written out
+# here so that tier-1 fails when a change removes or renames one; "Cls.meth" is a method
+# that traced.py replaces on its class.
+BENCHMARK_NAMES = {
+    "dynamics": """PhaseState SystemKind SystemParams equations_of_motion integrate
+        find_turning_points closure_analysis Trajectory.to_csv""",
+    "conserved": """RUNGE_LENZ_X RUNGE_LENZ_Y poisson_bracket turning_point_conservation
+        verify_coulomb_algebra verify_oscillator_algebra""",
+    "spectra": "spectrum_entries radial_solve_numeric spectrum_csv",
+    "cli": "_json _write_output main",
+}
+# the arguments traced.py reads by name from a call it wraps
+BENCHMARK_PARAMS = {
+    ("cli", "_write_output"): ("text",),
+    ("spectra", "radial_solve_numeric"): ("n_levels",),
+    ("conserved", "verify_coulomb_algebra"): ("n_samples", "method"),
+    ("conserved", "verify_oscillator_algebra"): ("n_samples", "method"),
+}
+
+
+def _benchmark_target(module: str, name: str):
+    target = importlib.import_module(f"screened_sphere.{module}")
+    for part in name.split("."):
+        target = getattr(target, part)
+    return target
+
+
+@pytest.mark.parametrize("module,name", [(module, name) for module, names in BENCHMARK_NAMES.items()
+                                         for name in names.split()])
+def test_the_benchmark_entry_points_resolve(module, name):
+    target = _benchmark_target(module, name)
+    if callable(target):  # traced.py binds each call of what it wraps to the signature
+        params = inspect.signature(target).parameters
+        assert set(BENCHMARK_PARAMS.get((module, name), ())) <= set(params)
+
+
+def _trajectory(state, params):
+    from screened_sphere import dynamics
+
+    return dynamics.integrate(dynamics.PhaseState(*state), params, 20.0, n_samples=201)
+
+
+ECCENTRIC = ((1.6, 0.0, 0.0, 0.55), SystemParams(SystemKind.COULOMB, 0.1, 0.05))
+
+
+def test_trajectory_to_csv_can_be_replaced_on_its_class(monkeypatch):
+    from screened_sphere import dynamics
+
+    traj = _trajectory(*ECCENTRIC)
+    original = dynamics.Trajectory.to_csv
+    monkeypatch.setattr(dynamics.Trajectory, "to_csv", lambda self: "wrapped " + original(self))
+    assert traj.to_csv() == "wrapped " + original(traj)
+
+
+def test_integrate_returns_the_trajectory_whole():
+    traj = _trajectory(*ECCENTRIC)
+    assert isinstance(traj, tuple) and "step_t" not in traj._fields
+    assert traj._fields[-2:] == ("turning_points", "circular")
+    assert len(traj.turning_points) >= 2 and traj.circular is False
+    circle = _trajectory((1.0, 0.0, 0.0, 1.0), SystemParams(SystemKind.COULOMB, 0.0, 0.0))
+    assert (circle.turning_points, circle.circular) == ([], True)
+    for field in traj._fields:
+        with pytest.raises(AttributeError):
+            setattr(traj, field, None)
+    with pytest.raises(AttributeError):
+        traj.note = "x"
 
 
 def test_cli_import_registers_the_numpy_modules_without_running_them():
@@ -74,7 +154,6 @@ def _library_records():
     return [
         (state, state._replace(p2=2.0)),
         (point, point._replace(kind=dynamics.TurningKind.PERIHELION)),
-        (dynamics.OrbitShape(-0.5, 1.0, 1.0), dynamics.OrbitShape(-0.5, 1.0, 1.0, 0.25)),
         (conserved.LZ, conserved.HAMILTONIAN),
         (report, report._replace(n_samples=20)),
         (spectra.RadialGrid(200, 3.0), spectra.RadialGrid(401, 3.0)),
