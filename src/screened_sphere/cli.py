@@ -8,14 +8,14 @@ turning   turning-point conservation report for an integrated orbit
 brackets  Higgs-algebra bracket residuals over seeded random states
 spectrum  analytic (optionally grid-oracle) energy levels
 
-A ``--config`` file of ``key=value`` lines (``#`` starts a comment) sets
-option defaults.  A key is a long option without its dashes (``lambda``,
-``t-end``, ``Lz``) and its value is converted with that flag's type;
-``numeric`` and ``gnuplot`` take ``1``/``true``/``yes`` for on; a value
-outside the flag's choices is the flag's usage error.  Flags beat
-the file and the file beats the built-in defaults.  Keys of options that
-only other commands have are ignored; a key no command has is a domain
-error.
+A ``--config`` file of ``key=value`` lines (``#`` starts a comment) is read
+as the flags ``--key=value``, placed before the command line's own flags, so
+a key acts exactly as its flag does (type, choices, the last one wins) and
+the command line beats the file.  A key is a long option without its dashes
+(``lambda``, ``t-end``, ``Lz``); ``numeric`` and ``gnuplot`` become their
+bare flags for ``1``/``true``/``yes`` and are left out otherwise.  Keys of
+options that only other commands have are skipped; a bad line or a key no
+command has is a domain error, found before any value is parsed.
 
 All floating output is printed with 17 significant digits and regular
 files are written atomically (a FIFO or a device is written into), so
@@ -224,7 +224,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value file supplying option defaults")
+    p.add_argument("--config", help="file of key=value lines, read as --key=value flags")
     p.add_argument("--system", choices=["coulomb", "oscillator"], help="potential kind")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0,
                    help="sphere curvature (>= 0, default %(default)s)")
@@ -329,16 +329,14 @@ def build_parser(
     return parser, commands
 
 
-def _config_defaults(path: str, command: str, commands: dict) -> dict:
-    """Defaults for ``command``'s options from a config file, keyed by dest.
+def _config_flags(path: str, command: str, commands: dict) -> list[str]:
+    """The flags a config file names for ``command``: ``--key=value`` for each line.
 
-    A key is a long option of any command without its dashes.  Values stay
-    strings, which argparse converts with the flag's own ``type``; only
-    store_true flags are read here (``1``, ``true`` or ``yes`` sets them).
-    argparse checks ``choices`` only on command-line values, so a value
-    outside its flag's choices is a usage error here, with the flag's message.
+    A key is a long option of any command without its dashes; a store_true
+    key is its bare flag when its value is ``1``, ``true`` or ``yes`` and
+    nothing otherwise, and a key of other commands' options only is skipped.
     A path that cannot be read is a usage error; a file that is not text in
-    the locale's encoding is a domain error, as a bad line is.
+    the locale's encoding is a domain error, as a bad line or key is.
     """
     try:
         with open(path) as fh:
@@ -347,37 +345,36 @@ def _config_defaults(path: str, command: str, commands: dict) -> dict:
         raise UsageError(f"cannot read --config {path!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DomainError(f"config file {path!r} is not text: {exc}") from None
-    defaults = {}
+    flags = []
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise DomainError(f"bad config line (want key=value): {line!r}")
-        key, _, raw = (part.strip() for part in line.partition("="))
-        owners = {name: sp._option_string_actions.get("--" + key)
-                  for name, sp in commands.items()}
-        if key in ("config", "help") or not any(owners.values()):
+        key, _, value = (part.strip() for part in line.partition("="))
+        flag = "--" + key
+        if key in ("config", "help") or not any(
+                flag in sp._option_string_actions for sp in commands.values()):
             raise DomainError(f"unknown config key {key!r}")
-        action = owners[command]
+        action = commands[command]._option_string_actions.get(flag)
         if action is None:  # an option of other commands only
             continue
-        try:
-            commands[command]._check_value(action, raw)
-        except argparse.ArgumentError as exc:
-            commands[command].error(str(exc))  # prints usage, raises SystemExit(2)
-        defaults[action.dest] = raw.lower() in ("1", "true", "yes") if action.nargs == 0 else raw
-    return defaults
+        if action.nargs != 0:
+            flags.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            flags.append(flag)
+    return flags
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, commands = build_parser(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser(argv)
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            commands[args.command].set_defaults(
-                **_config_defaults(args.config, args.command, commands))
-            args = parser.parse_args(argv)  # flags still beat the file's defaults
+        if args.config:  # the file's flags go before the command line's, which win
+            flags = _config_flags(args.config, args.command, commands)
+            args = parser.parse_args([args.command, *flags, *argv[1:]])
         if "t_end" in args and args.t_end is None:
             raise UsageError("missing --t-end")
         if args.system is None:

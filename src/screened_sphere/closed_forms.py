@@ -64,6 +64,8 @@ def orbit_alpha(params: SystemParams, lz: float) -> float:
     """Frequency ratio alpha = sqrt(1 - 2k/Lz**2); requires a finite Lz with 2k < Lz**2."""
     if not math.isfinite(lz):
         raise DomainError(f"angular momentum Lz must be finite, got {lz}")
+    if params.k == 0.0 and lz != 0.0:  # alpha = 1, also where Lz**2 underflows to 0
+        return 1.0
     lz2 = lz * lz
     if 2.0 * params.k >= lz2:
         raise ImaginaryAlphaError(f"2k = {2 * params.k:g} >= Lz**2 = {lz2:g}: alpha is imaginary")

@@ -37,8 +37,8 @@ written at import from the table.  Its stages are straight-line code that skips 
 coefficients, sums left to right from 0.0 as Python 3.11's ``sum(map(mul, a, k))``
 does and runs the text of ``h_gradient`` inline: on finite stages that loop bit for
 bit.  It keeps only the step times and states, returns them at t_end and raises every
-other end of an orbit itself; the dense output rebuilds the stage derivatives of all
-steps with the same operations on arrays (``_stages``).
+other end of an orbit itself; the dense output rebuilds the stage derivatives of its
+steps with the same operations on arrays, a block of steps at a time (``_stages``).
 
 ``Trajectory.to_csv`` writes the bytes of ``%.17g`` per field.  Rows whose
 fields all lie in 1e-4 <= |v| < 1e16 are laid out by numpy from exact
@@ -74,7 +74,7 @@ from .phase_space import (  # noqa: F401 -- re-exported
 
 R_MIN_GUARD = 1e-8          # terminate near-collision orbits
 CHART_EDGE_GUARD = 1e12     # terminate orbits with lam*r**2 = tan(chi)**2 beyond this
-MAX_STEPS = 2 * 10**5       # cap on accepted solver steps (40 B each, ~1 kB in dense output)
+MAX_STEPS = 2 * 10**5       # cap on accepted solver steps (40 B each, ~0.3 kB in dense output)
 TURNING_RDOT_TOL = 1e-10    # refined |rdot| bound at a turning point
 _CSV_BLOCK = 4096           # trajectory rows formatted together
 _STAGE_BLOCK = 2048         # steps whose stage derivatives are rebuilt together
@@ -311,19 +311,19 @@ _D = (
 def _stages(y, h, params: SystemParams):
     """Stage derivatives (n, 4, 16) of steps of sizes ``h`` (n,) from states ``y`` (4, n): 0-12 as
     the driver computes them (each row of ``_A`` summed left to right from 0.0 over its nonzero
-    entries, then J times ``h_gradient``), 13-15 left empty.  A block of steps at a time, its
-    stages stage-major, so that every sum runs on contiguous rows."""
+    entries, then J times ``h_gradient``), built stage-major so that every sum runs on contiguous
+    rows, and 13-15 from the dense-output rows of ``_A``."""
+    kb = np.empty((13, 4, h.size))
+    for s, row in enumerate(_A[:13]):
+        acc = 0.0
+        for j, a in enumerate(row):
+            if a:
+                acc = acc + a * kb[j]
+        kb[s] = _rhs(*(y + acc * h if s else y), params)
     k = np.empty((h.size, 4, 16))
-    for i in range(0, h.size, _STAGE_BLOCK):
-        yb, hb = y[:, i:i + _STAGE_BLOCK], h[i:i + _STAGE_BLOCK]
-        kb = np.empty((13, 4, hb.size))
-        for s, row in enumerate(_A[:13]):
-            acc = 0.0
-            for j, a in enumerate(row):
-                if a:
-                    acc = acc + a * kb[j]
-            kb[s] = _rhs(*(yb + acc * hb if s else yb), params)
-        k[i:i + _STAGE_BLOCK, :, :13] = kb.transpose(2, 1, 0)
+    k[:, :, :13] = kb.transpose(2, 1, 0)
+    for s in (13, 14, 15):
+        k[:, :, s] = np.transpose(_rhs(*(y + (k[:, :, :s] @ _A[s]).T * h), params))
     return k
 
 
@@ -443,14 +443,15 @@ class DenseOutput:
 
     def __init__(self, t, y, params: SystemParams):
         h = np.diff(t)
-        k = _stages(y[:, :-1], h, params)
-        for s in (13, 14, 15):
-            k[:, :, s] = np.transpose(_rhs(*(y[:, :-1] + (k[:, :, :s] @ _A[s]).T * h), params))
         F = np.empty((7, 4, h.size))  # rows are written in place, so none is held twice
-        dy = np.subtract(y[:, 1:], y[:, :-1], out=F[0])
-        f_old, f_new = k[:, :, 0].T, k[:, :, 12].T
-        F[1], F[2] = h * f_old - dy, 2.0 * dy - h * (f_new + f_old)
-        np.multiply(np.transpose(k @ np.transpose(_D), (2, 1, 0)), h, out=F[3:])
+        for i in range(0, h.size, _STAGE_BLOCK):  # a block of steps' stages at a time
+            b = slice(i, i + _STAGE_BLOCK)
+            hb, y_old = h[b], y[:, :-1][:, b]
+            k = _stages(y_old, hb, params)
+            dy = np.subtract(y[:, 1:][:, b], y_old, out=F[0, :, b])
+            f_old, f_new = k[:, :, 0].T, k[:, :, 12].T
+            F[1, :, b], F[2, :, b] = hb * f_old - dy, 2.0 * dy - hb * (f_new + f_old)
+            np.multiply(np.transpose(k @ np.transpose(_D), (2, 1, 0)), hb, out=F[3:, :, b])
         order = slice(None) if t[-1] > t[0] else slice(None, None, -1)
         self.bounds, self.t_old, self.h = t[order], t[:-1][order], h[order]
         self.y_old, self.F = y[:, :-1][:, order], F[:, :, order]

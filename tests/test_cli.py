@@ -188,6 +188,14 @@ def test_domain_error_exit_codes(capsys):
     assert capsys.readouterr().err.startswith("ERR_SINGULAR_ORBIT:")
 
 
+@pytest.mark.parametrize("lz", ["1e-200", "-5e-324"])
+def test_unscreened_closure_where_lz_squared_underflows(capsys, lz):
+    # at k = 0 alpha is 1 for every Lz != 0, also where Lz**2 underflows to 0
+    assert main(["closure", "--system", "coulomb", "--k", "0", "--Lz", lz]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["alpha"], data["closed"], data["p"], data["q"]) == (1.0, True, 1, 1)
+
+
 def test_usage_error_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["closure", "--system", "coulomb", "--bogus-flag", "1"])
@@ -600,6 +608,18 @@ ORBIT_CONFIG = ("system=oscillator\nlambda=0.1\nk=0.05\nx=1.5\ny=0\npx=0\npy=0.6
         # comment and blank lines, blanks around '='
         ("closure", "# a comment\n\nsystem = coulomb\n  # indented\nlambda=0\nk=0.375\n\nLz=1\n",
          ["--system", "coulomb", "--lambda", "0", "--k", "0.375", "--Lz", "1"]),
+        # values that start with '-'
+        ("orbit", "system=coulomb\nx=-1e-05\ny=1.6\npx=-0.55\npy=0\nt-end=3\n"
+                  "trajectory-samples=7\n",
+         ["--system", "coulomb", "--x", "-1e-05", "--y", "1.6", "--px", "-0.55", "--py", "0",
+          "--t-end", "3", "--trajectory-samples", "7"]),
+        # a value that holds '=': the line splits at its first '='
+        ("closure", "system=coulomb\nk=0.375\nLz=1\nout=a=b.json\n",
+         ["--system", "coulomb", "--k", "0.375", "--Lz", "1", "--out", "a=b.json"]),
+        # a repeated key: the last one wins, as a repeated flag does
+        ("closure", "system=oscillator\nk=0.05\nLz=1\nk=0.375\nsystem=coulomb\n",
+         ["--system", "oscillator", "--k", "0.05", "--Lz", "1", "--k", "0.375",
+          "--system", "coulomb"]),
     ],
 )
 def test_config_key_acts_like_its_flag(tmp_path, capsys, monkeypatch, command, config, flags):
@@ -657,6 +677,35 @@ def test_config_value_outside_choices_is_a_usage_error(tmp_path, capsys, command
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert f"argument --{key}: invalid choice: '{value}'" in errors[0]
+
+
+def test_config_value_ends_in_its_flags_code(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("system=coulomb\nlambda=-1\nLz=1\n")  # a value that starts with '-'
+    assert main(["closure", "--config", str(cfg)]) == 3
+    assert capsys.readouterr() == ("", "ERR_NEGATIVE_CURVATURE: "
+                                       "curvature must be finite and >= 0, got -1.0\n")
+
+
+def test_a_flag_before_config_still_beats_the_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("system=coulomb\nlambda=0\nk=0.05\nLz=1\n")
+    assert main(["closure", "--k", "0.375", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == 0.5
+
+
+@pytest.mark.parametrize("config", [
+    "system=kepler\nbogus=1\n", "bogus=1\nsystem=kepler\n",
+    "samples=1.5\nlambda 0.1\n", "lambda 0.1\nsamples=1.5\n",
+])
+def test_config_bad_key_or_line_beats_a_bad_value_wherever_it_stands(tmp_path, capsys, config):
+    # every line is checked before any value is parsed, so the domain error wins
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert main(["brackets", "--config", str(cfg)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("ERR_DOMAIN: ") and out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag,value", [("--N", ","), ("--N", "1.5"), ("--m", "1,x"), ("--m", "")])

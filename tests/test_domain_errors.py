@@ -24,7 +24,7 @@ from screened_sphere.dynamics import (
     integrate,
     orbit_alpha,
 )
-from screened_sphere.errors import DomainError, RadiusError
+from screened_sphere.errors import DomainError, ImaginaryAlphaError, RadiusError
 from screened_sphere.spectra import RadialGrid, coulomb_energy, radial_solve_numeric
 from orbit_reference import state_at_theta
 from oscillator_reference import (
@@ -81,6 +81,15 @@ def test_non_finite_lz_is_a_domain_error(lz):
     assert exc.value.code == "ERR_DOMAIN"
     proc = run_cli("closure", "--system", "coulomb", "--Lz", lz)
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"ERR_DOMAIN: {message}\n")
+
+
+@pytest.mark.parametrize("lz", [1e-200, -1e-200, 5e-324, -5e-324])
+def test_unscreened_alpha_is_one_where_lz_squared_underflows(lz):
+    # Lz**2 underflows to 0 below ~1.6e-162, but at k = 0 alpha = 1 for every Lz != 0
+    unscreened = SystemParams(SystemKind.COULOMB, 0.1, 0.0)
+    assert orbit_alpha(unscreened, lz) == 1.0
+    with pytest.raises(ImaginaryAlphaError):
+        orbit_alpha(unscreened, 0.0)
 
 
 @pytest.mark.parametrize("x1", [0.0, 1e-200], ids=["r=0", "r2-underflows"])

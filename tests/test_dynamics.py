@@ -193,6 +193,22 @@ def test_integrate_holds_the_steps_one_stage_buffer_and_the_samples(monkeypatch,
     assert returned[0] + peak < bound
 
 
+def test_dense_output_builds_its_stages_a_block_of_steps_at_a_time(coulomb_params):
+    # the orbit of the test above: its interpolant holds 7 rows of 4 floats a step (224 B); all
+    # steps' (n, 4, 16) stages and their (n, 4, 4) product with D at once took 874 B a step
+    ts, ys = dynamics._dop853((1.6, 0.0, 0.0, 0.55), coulomb_params, 2240.0, 1e-12)
+    t, y = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, 4).T
+    n = t.size - 1
+    tracemalloc.start()
+    try:
+        dynamics.DenseOutput(t, y, coulomb_params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n > 29000
+    assert peak <= 400 * n
+
+
 @pytest.mark.parametrize("t_end", [70.0, -70.0])
 def test_dense_output_rows_keep_the_bits_of_their_stacked_form(coulomb_params, t_end):
     # the interpolant's rows are written into one array in place; here they are stacked

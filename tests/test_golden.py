@@ -28,6 +28,31 @@ def test_process_entry_output_matches_its_golden_digests(op, tmp_path):
     assert found is None, found
 
 
+# one op per command, and an orbit's --turning-out and --gnuplot
+CONFIG_TWINS = ["cli-mix-1-op10-orbit", "readme-turning", "cli-mix-1-op00-closure",
+                "cli-mix-1-op08-brackets", "cli-mix-1-op04-spectrum", "readme-orbit-gnuplot"]
+
+
+def _as_config(flags: list[str]) -> str:
+    """``key=value`` lines naming ``flags``, a store_true flag as ``key=yes``."""
+    lines, rest = [], list(flags)
+    while rest:
+        flag = rest.pop(0)
+        value = "yes" if flag in ("--gnuplot", "--numeric") else rest.pop(0)
+        lines.append(f"{flag[2:]}={value}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name", CONFIG_TWINS)
+def test_an_op_read_from_a_config_file_matches_its_golden_digests(name, tmp_path):
+    command, *flags = next(op["argv"] for op in ARGV if op["name"] == name)
+    cfg = tmp_path / "op.cfg"
+    cfg.write_text(_as_config(flags))
+    (tmp_path / "run").mkdir()
+    found = mismatch(*run([command, "--config", str(cfg)], tmp_path / "run"), DIGESTS["ops"][name])
+    assert found is None, found
+
+
 def test_a_one_ulp_change_in_a_csv_field_fails(tmp_path):
     op = next(op for op in ARGV if op["name"] == "cli-mix-1-op10-orbit")
     rc, outputs = run(op["argv"], tmp_path)
