@@ -8,14 +8,18 @@ turning   turning-point conservation report for an integrated orbit
 brackets  Higgs-algebra bracket residuals over seeded random states
 spectrum  analytic (optionally grid-oracle) energy levels
 
-A ``--config`` file of ``key=value`` lines (``#`` starts a comment) is read
-as the flags ``--key=value``, placed before the command line's own flags, so
-a key acts exactly as its flag does (type, choices, the last one wins) and
+Each option is declared once, in ``_OPTIONS``: its flag, the commands that
+take it and its argparse keywords.  The parser is built from that table, with
+the subparser of the command being run alone, and so is the ``--config``
+reader.  A ``--config`` file of ``key=value`` lines (``#`` starts a comment) is
+read as the flags ``--key=value``, placed before the command line's own flags,
+so a key acts exactly as its flag does (type, choices, the last one wins) and
 the command line beats the file.  A key is a long option without its dashes
 (``lambda``, ``t-end``, ``Lz``); ``numeric`` and ``gnuplot`` become their
 bare flags for ``1``/``true``/``yes`` and are left out otherwise.  Keys of
 options that only other commands have are skipped; a bad line or a key no
 command has is a domain error, found before any value is parsed.
+``--gnuplot`` with ``--format json`` is a usage error, from either source.
 
 All floating output is printed with 17 significant digits and regular
 files are written atomically (a FIFO or a device is written into), so
@@ -223,118 +227,79 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="file of key=value lines, read as --key=value flags")
-    p.add_argument("--system", choices=["coulomb", "oscillator"], help="potential kind")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                   help="sphere curvature (>= 0, default %(default)s)")
-    p.add_argument("--k", type=float, default=0.0,
-                   help="screening strength (>= 0, default %(default)s)")
-    p.add_argument("--out", default="-", help="output path, '-' for stdout (default %(default)s)")
-
-
-def _add_gnuplot(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gnuplot", action="store_true",
-                   help="space-separated columns without header")
-
-
-def _add_state(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x", type=float, help="initial x1")
-    p.add_argument("--y", type=float, default=0.0, help="initial x2 (default %(default)s)")
-    p.add_argument("--px", type=float, help="initial p1")
-    p.add_argument("--py", type=float, help="initial p2")
-    p.add_argument("--t-end", dest="t_end", type=float, help="integration time")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="integrator relative tolerance (default %(default)s)")
-    p.add_argument("--trajectory-samples", dest="n_samples", type=int, default=4001,
-                   help="number of recorded samples (default %(default)s)")
-
-
-def _add_orbit(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    _add_gnuplot(p)
-    _add_state(p)
-    p.add_argument("--turning-out", dest="turning_out",
-                   help="also write turning points as JSON to this path")
-
-
-def _add_closure(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--Lz", dest="lz", type=float, help="angular momentum")
-
-
-def _add_turning(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    _add_state(p)
-
-
-def _add_brackets(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--samples", type=int, default=1000,
-                   help="number of sampled states (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
-    p.add_argument("--method", choices=["analytic", "fd"], default="analytic",
-                   help="gradient mode (default %(default)s)")
-
-
-def _add_spectrum(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv",
-                   help="output format (default %(default)s)")
-    _add_gnuplot(p)
-    p.add_argument("--m", type=_int_list, default="0",
-                   help="angular quantum number(s), comma separated (default %(default)s)")
-    p.add_argument("--N", dest="n", type=_int_list, default="0",
-                   help="radial index(es), comma separated (default %(default)s)")
-    p.add_argument("--numeric", action="store_true",
-                   help="add finite-difference oracle energies")
-
-
-_COMMANDS = {  # name: (run, help, options)
-    "orbit": (_cmd_orbit, "integrate an orbit and export the trajectory", _add_orbit),
-    "closure": (_cmd_closure, "rational-alpha closure analysis", _add_closure),
-    "turning": (_cmd_turning, "turning-point conservation report", _add_turning),
-    "brackets": (_cmd_brackets, "bracket-identity residuals over random states", _add_brackets),
-    "spectrum": (_cmd_spectrum, "energy levels, analytic and grid-oracle", _add_spectrum),
+_COMMANDS = {  # name: (run, help)
+    "orbit": (_cmd_orbit, "integrate an orbit and export the trajectory"),
+    "closure": (_cmd_closure, "rational-alpha closure analysis"),
+    "turning": (_cmd_turning, "turning-point conservation report"),
+    "brackets": (_cmd_brackets, "bracket-identity residuals over random states"),
+    "spectrum": (_cmd_spectrum, "energy levels, analytic and grid-oracle"),
 }
+_ALL, _ORBITS = tuple(_COMMANDS), ("orbit", "turning")
+# Every option once, in each command's help order: (flag, commands that take it, keywords)
+_OPTIONS = (
+    ("--config", _ALL, dict(help="file of key=value lines, read as --key=value flags")),
+    ("--system", _ALL, dict(choices=["coulomb", "oscillator"], help="potential kind")),
+    ("--lambda", _ALL, dict(dest="lam", type=float, default=0.0,
+                            help="sphere curvature (>= 0, default %(default)s)")),
+    ("--k", _ALL, dict(type=float, default=0.0,
+                       help="screening strength (>= 0, default %(default)s)")),
+    ("--out", _ALL, dict(default="-", help="output path, '-' for stdout (default %(default)s)")),
+    ("--format", ("spectrum",), dict(dest="fmt", choices=["csv", "json"], default="csv",
+                                     help="output format (default %(default)s)")),
+    ("--gnuplot", ("orbit", "spectrum"), dict(action="store_true",
+                                              help="space-separated columns without header")),
+    ("--x", _ORBITS, dict(type=float, help="initial x1")),
+    ("--y", _ORBITS, dict(type=float, default=0.0, help="initial x2 (default %(default)s)")),
+    ("--px", _ORBITS, dict(type=float, help="initial p1")),
+    ("--py", _ORBITS, dict(type=float, help="initial p2")),
+    ("--t-end", _ORBITS, dict(dest="t_end", type=float, help="integration time")),
+    ("--tol", _ORBITS, dict(type=float, default=1e-10,
+                            help="integrator relative tolerance (default %(default)s)")),
+    ("--trajectory-samples", _ORBITS, dict(
+        dest="n_samples", type=int, default=4001,
+        help="number of recorded samples (default %(default)s)")),
+    ("--turning-out", ("orbit",), dict(dest="turning_out",
+                                       help="also write turning points as JSON to this path")),
+    ("--Lz", ("closure",), dict(dest="lz", type=float, help="angular momentum")),
+    ("--samples", ("brackets",), dict(type=int, default=1000,
+                                      help="number of sampled states (default %(default)s)")),
+    ("--seed", ("brackets",), dict(type=int, default=0, help="RNG seed (default %(default)s)")),
+    ("--method", ("brackets",), dict(choices=["analytic", "fd"], default="analytic",
+                                     help="gradient mode (default %(default)s)")),
+    ("--m", ("spectrum",), dict(
+        type=_int_list, default="0",
+        help="angular quantum number(s), comma separated (default %(default)s)")),
+    ("--N", ("spectrum",), dict(dest="n", type=_int_list, default="0",
+                                help="radial index(es), comma separated (default %(default)s)")),
+    ("--numeric", ("spectrum",), dict(action="store_true",
+                                      help="add finite-difference oracle energies")),
+)
 _NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)  # "-1e-05", "-inf" are not options
 
 
-def build_parser(
-    argv: Optional[Sequence[str]] = None,
-) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The CLI parser and its subparsers, by command name.
-
-    With ``argv`` whose first word is a command, only that command's
-    subparser is built, unless a word starts like ``--config`` (which reads
-    every command's keys) or ``--help``/``-h``; without it, or for a missing
-    or unknown command, every one is.  The usage line lists all commands.
-    """
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The CLI parser, with the subparser of ``argv``'s command alone when its first word
+    names one, and every command's otherwise.  The usage line lists all commands."""
     parser = argparse.ArgumentParser(
         prog="screened-sphere",
         description="Screened Coulomb/oscillator systems on a sphere: orbits, brackets, spectra.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    names = list(_COMMANDS)
-    if argv and argv[0] in _COMMANDS and not any(
-            a.startswith(("--c", "--h", "-h")) for a in argv):
-        sub.metavar = "{" + ",".join(names) + "}"
-        names = [argv[0]]
-    commands = {}
-    for name in names:
-        _, help_text, add_options = _COMMANDS[name]
-        p = commands[name] = sub.add_parser(name, help=help_text)
-        add_options(p)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_ALL) + "}")
+    for name in [argv[0]] if argv and argv[0] in _COMMANDS else _ALL:
+        p = sub.add_parser(name, help=_COMMANDS[name][1])
+        for flag, commands, keywords in _OPTIONS:
+            if name in commands:
+                p.add_argument(flag, **keywords)
         p._negative_number_matcher = _NUMBER
-    return parser, commands
+    return parser
 
 
-def _config_flags(path: str, command: str, commands: dict) -> list[str]:
+def _config_flags(path: str, command: str) -> list[str]:
     """The flags a config file names for ``command``: ``--key=value`` for each line.
 
-    A key is a long option of any command without its dashes; a store_true
-    key is its bare flag when its value is ``1``, ``true`` or ``yes`` and
-    nothing otherwise, and a key of other commands' options only is skipped.
+    A key is a flag of ``_OPTIONS`` without its dashes; a store_true key is
+    its bare flag when its value is ``1``, ``true`` or ``yes`` and nothing
+    otherwise, and a key of other commands' options only is skipped.
     A path that cannot be read is a usage error; a file that is not text in
     the locale's encoding is a domain error, as a bad line or key is.
     """
@@ -345,6 +310,7 @@ def _config_flags(path: str, command: str, commands: dict) -> list[str]:
         raise UsageError(f"cannot read --config {path!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DomainError(f"config file {path!r} is not text: {exc}") from None
+    options = {flag: (commands, keywords) for flag, commands, keywords in _OPTIONS}
     flags = []
     for line in lines:
         line = line.strip()
@@ -354,13 +320,12 @@ def _config_flags(path: str, command: str, commands: dict) -> list[str]:
             raise DomainError(f"bad config line (want key=value): {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
         flag = "--" + key
-        if key in ("config", "help") or not any(
-                flag in sp._option_string_actions for sp in commands.values()):
+        if key == "config" or flag not in options:
             raise DomainError(f"unknown config key {key!r}")
-        action = commands[command]._option_string_actions.get(flag)
-        if action is None:  # an option of other commands only
+        commands, keywords = options[flag]
+        if command not in commands:  # an option of other commands only
             continue
-        if action.nargs != 0:
+        if keywords.get("action") != "store_true":
             flags.append(f"{flag}={value}")
         elif value.lower() in ("1", "true", "yes"):
             flags.append(flag)
@@ -369,16 +334,18 @@ def _config_flags(path: str, command: str, commands: dict) -> list[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = build_parser(argv)
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         if args.config:  # the file's flags go before the command line's, which win
-            flags = _config_flags(args.config, args.command, commands)
+            flags = _config_flags(args.config, args.command)
             args = parser.parse_args([args.command, *flags, *argv[1:]])
         if "t_end" in args and args.t_end is None:
             raise UsageError("missing --t-end")
         if args.system is None:
             raise UsageError("missing --system")
+        if "fmt" in args and args.fmt == "json" and args.gnuplot:
+            raise UsageError("--gnuplot needs csv output, not --format json")
         if "tol" in args and not (math.isfinite(args.tol) and 1e-13 <= args.tol <= 1e-6):
             raise UsageError(f"--tol must lie in [1e-13, 1e-6], got {args.tol:g}")
         return _COMMANDS[args.command][0](args)

@@ -213,8 +213,13 @@ def spectrum_entries(
 ) -> list[SpectrumEntry]:
     """Spectrum table over given quantum numbers, optionally with the grid oracle.
 
-    Only ``numeric`` imports ``spectra`` (and with it numpy).
+    Every N is checked first; the grid oracle takes N <= 9.  Only a
+    ``numeric`` table that passes those checks imports ``spectra`` (and with it numpy).
     """
+    for n in ns:
+        _check_qn(lam, k, n)
+        if numeric and n > 9:
+            raise DomainError(f"radial index N must be at most 9 for the grid oracle, got {n}")
     entries: list[SpectrumEntry] = []
     for m in ms:
         numeric_levels = None

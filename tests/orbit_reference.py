@@ -159,3 +159,43 @@ def state_at_theta(traj: Trajectory, theta_target: float) -> PhaseState:
     t_star = _bracketed_root(lambda t: sign * traj.theta_at(t) - target,
                              traj.t[idx - 1], traj.t[idx])
     return traj.state_at(float(t_star))
+
+
+def coulomb_apsis_times(state: PhaseState, params: SystemParams, t_end: float) -> list:
+    """Exact (t, kind) of each apsis in [0, t_end] of a flat (lam = 0) bound coulomb orbit.
+
+    The radial motion is Kepler's with L_eff**2 = Lz**2 - 2k: semi-major axis
+    a = -1/(2E), eccentricity e = sqrt(1 + 2E*L_eff**2), mean motion a**-1.5.
+    Apsides fall at mean anomaly j*pi (perihelia at even j), counted from the
+    start's mean anomaly M0.
+    """
+    e_tot = hamiltonian(state, params)
+    l_eff2 = lz_value(state.x1, state.x2, state.p1, state.p2) ** 2 - 2.0 * params.k
+    a, ecc = -0.5 / e_tot, math.sqrt(max(0.0, 1.0 + 2.0 * e_tot * l_eff2))
+    s = state.x1 * state.p1 + state.x2 * state.p2  # has the sign of rdot, and of sin(E0)
+    ecc0 = math.copysign(math.acos(max(-1.0, min(1.0, (1.0 - state.r / a) / ecc))), s)
+    m0, motion = ecc0 - ecc * math.sin(ecc0), a ** -1.5
+    j = math.ceil(m0 / math.pi - 1e-12)
+    times = []
+    while (t := (j * math.pi - m0) / motion) <= t_end:
+        times.append((max(t, 0.0), "perihelion" if j % 2 == 0 else "aphelion"))
+        j += 1
+    return times
+
+
+def oscillator_apsis_times(state: PhaseState, params: SystemParams, t_end: float) -> list:
+    """Exact (t, kind) of each apsis in [0, t_end] of a flat (lam = 0) oscillator orbit.
+
+    d(x.p)/dt = 2E - 2r**2, so r**2(t) = E + B*cos(2t + phi) with
+    phi = atan2(-x.p, r0**2 - E), and the apsides fall at 2t + phi = j*pi
+    (aphelia at even j).
+    """
+    e_tot = hamiltonian(state, params)
+    s = state.x1 * state.p1 + state.x2 * state.p2
+    phi = math.atan2(-s, state.r ** 2 - e_tot)
+    j = math.ceil(phi / math.pi - 1e-12)
+    times = []
+    while (t := (j * math.pi - phi) / 2.0) <= t_end:
+        times.append((max(t, 0.0), "aphelion" if j % 2 == 0 else "perihelion"))
+        j += 1
+    return times

@@ -87,10 +87,15 @@ def test_spectrum_sweep_json(capsys):
 
 
 def test_spectrum_gnuplot_strips_header(capsys):
-    rc = main(["spectrum", "--system", "oscillator", "--lambda", "0", "--k", "0",
-               "--m", "1", "--N", "0,1", "--gnuplot"])
-    assert rc == 0
-    out = capsys.readouterr().out.splitlines()
+    argv = ["spectrum", "--system", "oscillator", "--lambda", "0", "--k", "0",
+            "--m", "1", "--N", "0,1"]
+    assert main(argv) == 0
+    csv = capsys.readouterr().out.splitlines(keepends=True)
+    for gnuplot in (["--gnuplot"], ["--format", "csv", "--gnuplot"]):
+        assert main([*argv, *gnuplot]) == 0
+        out = capsys.readouterr().out
+        assert out == "".join(csv[1:]).replace(",", " ")
+    out = out.splitlines()
     assert len(out) == 2
     assert "," not in out[0]
     assert out[0].split()[6] == "2"  # E = 1 + m' + 2N = 2
@@ -105,6 +110,28 @@ def test_orbit_gnuplot_is_the_csv_without_header_or_commas(tmp_path, capsys):
     lines = plain.read_bytes().splitlines(keepends=True)
     assert lines[0] == b"t,x1,x2,p1,p2,r,theta,H,Lz\n"
     assert gnuplot.read_bytes() == b"".join(lines[1:]).replace(b",", b" ")
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["--format", "json", "--gnuplot"], None),
+    (["--gnuplot", "--format", "json"], None),
+    ([], "format=json\ngnuplot=yes\n"),
+    (["--gnuplot"], "format=json\n"),
+    (["--format", "json"], "gnuplot=1\n"),
+], ids=["flags", "flags-reversed", "config", "gnuplot-flag", "format-flag"])
+def test_spectrum_json_with_gnuplot_is_a_usage_error(tmp_path, capsys, flags, config):
+    # gnuplot columns are a csv layout; json output would drop the flag without a word
+    argv = ["spectrum", "--system", "coulomb", "--m", "1", "--N", "0", *flags]
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith("error: --gnuplot needs csv output, not --format json\n")
 
 
 def test_closure_command_json(capsys):
@@ -556,6 +583,35 @@ def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
     assert report["fractions"] is False
     # brackets takes its kernels from phase_space; only an integrated orbit runs dynamics
     assert report["dynamics_ran"] is (argv[:1] in (["orbit"], ["turning"]))
+
+
+@pytest.mark.parametrize("n,message", [
+    ("-1", "radial index N must be a non-negative integer, got -1"),
+    ("10", "radial index N must be at most 9 for the grid oracle, got 10"),
+], ids=["N=-1", "N=10"])
+def test_a_bad_radial_index_for_the_grid_oracle_names_n_and_loads_no_numpy(tmp_path, n, message):
+    argv = ["spectrum", "--system", "coulomb", "--m", "1", "--N", n, "--numeric"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+    )
+    report = json.loads(proc.stdout)
+    assert (report["rc"], proc.stderr) == (3, f"ERR_DOMAIN: {message}\n")
+    assert report["numpy"] is False
+
+
+HELP = json.loads((Path(__file__).resolve().parent / "golden" / "help.json").read_text())
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=[c or "bare" for c in HELP])
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    # each command's options, their order and their wording, at a fixed terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP[command]
 
 
 def _files(directory: Path) -> dict:

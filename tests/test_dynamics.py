@@ -44,7 +44,9 @@ from orbit_reference import (
     OrbitDomainError,
     OrbitShape,
     closed_form_radius,
+    coulomb_apsis_times,
     fit_theta0,
+    oscillator_apsis_times,
     orbit_residual,
     state_at_theta,
 )
@@ -701,3 +703,20 @@ def test_curvature_shift_traces_same_projected_orbit():
     r1 = CubicSpline(sphere.theta, sphere.r)(th)
     r2 = CubicSpline(flat.theta, flat.r)(th)
     assert np.max(np.abs(r1 - r2) / r1) < 1e-6
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("kind,start,t_end,reference,count,bound", [
+    # 26.8 radial periods, starting at an aphelion; measured 129-216 x rel_tol
+    (SystemKind.COULOMB, (1.0, 0.0, 0.0, 0.55), 70.0, coulomb_apsis_times, 54, 500.0),
+    # measured 0.012-0.036 x rel_tol, the last at the rounding of t near 60
+    (SystemKind.OSCILLATOR, (1.0, 0.0, 0.3, 0.8), 60.0, oscillator_apsis_times, 38, 0.1),
+], ids=["coulomb", "oscillator"])
+def test_turning_times_match_the_exact_apsis_times_at_zero_curvature(
+        rel_tol, kind, start, t_end, reference, count, bound):
+    state, params = PhaseState(*start), SystemParams(kind, 0.0, 0.05)
+    exact = reference(state, params, t_end)
+    points = integrate(state, params, t_end, rel_tol=rel_tol, n_samples=2).turning_points
+    assert len(exact) == count
+    assert [p.kind.value for p in points] == [kind for _, kind in exact]
+    assert max(abs(p.t - t) for p, (t, _) in zip(points, exact)) <= bound * rel_tol
