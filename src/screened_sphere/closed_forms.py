@@ -24,7 +24,8 @@ from collections import namedtuple
 from enum import Enum
 from typing import Sequence
 
-from .errors import CurvatureError, DomainError, ImaginaryAlphaError, ImaginaryMPrimeError
+from .errors import (AccuracyError, CurvatureError, DomainError, ImaginaryAlphaError,
+                     ImaginaryMPrimeError)
 
 TWO_PI = 2.0 * math.pi
 RATIONAL_TOL = 1e-9         # |alpha - p/q| below this counts as rational
@@ -125,6 +126,14 @@ def m_prime(m: int, k: float) -> float:
     return math.sqrt(disc)
 
 
+def check_grid_m_prime(m: int, k: float) -> None:
+    """Refuse the grid oracle for m' < 1/2: there u ~ x**(m'+1/2) is not smooth at x = 0,
+    and its levels stray past their Richardson error estimate (by 12-15x at m' = 0)."""
+    mp = m_prime(m, k)
+    if mp < 0.5:
+        raise AccuracyError(f"the grid oracle needs m' >= 1/2, got m' = {mp:.6g} at m = {m}")
+
+
 def _check_qn(lam: float, k: float, n: int) -> None:
     check_lam_k(lam, k)
     if n < 0 or int(n) != n:
@@ -213,13 +222,16 @@ def spectrum_entries(
 ) -> list[SpectrumEntry]:
     """Spectrum table over given quantum numbers, optionally with the grid oracle.
 
-    Every N is checked first; the grid oracle takes N <= 9.  Only a
+    Every N is checked first; the grid oracle takes N <= 9 and m' >= 1/2.  Only a
     ``numeric`` table that passes those checks imports ``spectra`` (and with it numpy).
     """
     for n in ns:
         _check_qn(lam, k, n)
         if numeric and n > 9:
             raise DomainError(f"radial index N must be at most 9 for the grid oracle, got {n}")
+    if numeric:
+        for m in ms:
+            check_grid_m_prime(m, k)
     entries: list[SpectrumEntry] = []
     for m in ms:
         numeric_levels = None

@@ -19,7 +19,10 @@ flat limit the same reduction in r gives the familiar 2D radial operator
 -(1/2) d^2/dr^2 + (m'**2 - 1/4)/(2 r**2) + V0(r).  Second-order central
 differences with Dirichlet ends give a symmetric tridiagonal matrix;
 eigenvalues from two nested grids are Richardson-combined and their gap
-is reported as the discretization-error estimate.
+is reported as the discretization-error estimate.  The oracle sizes both
+grids itself (``default_grid`` and its halved spacing) and refuses
+m' < 1/2, whose solution ~ x**(m'+1/2) is too rough at x = 0 for that
+h**2 step, with ``ERR_ACCURACY``.
 
 The grid oracle loads only scipy's compiled LAPACK wrapper, on first use,
 to call dstebz; it imports no ``scipy.linalg``.
@@ -29,52 +32,22 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Optional
 
 import numpy as np
 
 from .closed_forms import (  # noqa: F401 -- re-exported
-    SPECTRUM_CSV_HEADER, SpectrumEntry, SystemKind, analytic_energy, coulomb_energy, m_prime,
-    oscillator_energy, spectrum_csv, spectrum_entries)
+    SPECTRUM_CSV_HEADER, SpectrumEntry, SystemKind, analytic_energy, check_grid_m_prime,
+    coulomb_energy, m_prime, oscillator_energy, spectrum_csv, spectrum_entries)
 from .errors import AccuracyError, DomainError
-
-_MIN_GRID_POINTS = 200
 
 
 # --- finite-difference radial oracle ---------------------------------------
 
 class RadialGrid(namedtuple("RadialGrid", "n_points x_max")):
-    """Uniform Dirichlet grid for the radial eigenproblem.
-
-    Interior nodes sit at i*spacing, i = 1..n_points.  The solve reads them
-    as the compactified polar angle chi for lam > 0 and as r in the flat limit.
-    """
+    """The uniform Dirichlet grid a level set was solved on: interior nodes at
+    i*x_max/(n_points + 1), i = 1..n_points, read as chi for lam > 0 and as r at lam = 0."""
 
     __slots__ = ()
-
-    def __new__(cls, n_points: int, x_max: float) -> "RadialGrid":
-        if n_points < _MIN_GRID_POINTS:
-            raise DomainError(f"grid needs at least {_MIN_GRID_POINTS} points")
-        if x_max <= 0.0:
-            raise DomainError("grid extent must be positive")
-        return super().__new__(cls, n_points, x_max)
-
-    @classmethod
-    def _make(cls, iterable) -> "RadialGrid":  # so that _replace checks too
-        return cls(*iterable)
-
-    @property
-    def spacing(self) -> float:
-        return self.x_max / (self.n_points + 1)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        h = self.spacing
-        return h * np.arange(1, self.n_points + 1)
-
-    def refined(self) -> "RadialGrid":
-        """Nested grid with halved spacing (2n+1 interior points)."""
-        return RadialGrid(2 * self.n_points + 1, self.x_max)
 
 
 def default_grid(kind: SystemKind, lam: float, k: float, m: int, n_levels: int) -> RadialGrid:
@@ -130,8 +103,8 @@ def _eigenvalues_on_grid(
     kind: SystemKind, lam: float, k: float, m: int, n_levels: int, grid: RadialGrid
 ) -> np.ndarray:
     """Lowest ``n_levels`` eigenvalues of the grid matrix, by bisection (LAPACK dstebz)."""
-    h = grid.spacing
-    x = grid.nodes
+    h = grid.x_max / (grid.n_points + 1)
+    x = h * np.arange(1, grid.n_points + 1)
     c_kin = 0.5 * lam if lam > 0.0 else 0.5
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
         diag = 2.0 * c_kin / h**2 + _transformed_potential(kind, lam, k, m, x)
@@ -152,37 +125,20 @@ class RadialSolveResult(namedtuple("RadialSolveResult", "energies error_estimate
     __slots__ = ()
 
 
-def radial_solve_numeric(
-    kind: SystemKind,
-    lam: float,
-    k: float,
-    m: int,
-    n_levels: int,
-    grid: Optional[RadialGrid] = None,
-    tol: Optional[float] = None,
-) -> RadialSolveResult:
+def radial_solve_numeric(kind: SystemKind, lam: float, k: float, m: int,
+                         n_levels: int) -> RadialSolveResult:
     """Lowest eigenvalues of the discretized radial Hamiltonian.
 
-    Solves on the given grid and on its nested refinement; returns the
-    h**2-extrapolated eigenvalues with |E_fine - E_coarse| as the error
-    estimate.  With ``tol`` set, raises
-    :class:`~screened_sphere.errors.AccuracyError` when the estimated
-    relative error of any level exceeds it.
+    Solves on ``default_grid`` and on its nested grid of halved spacing
+    (2n+1 interior points); returns the h**2-extrapolated eigenvalues with
+    |E_fine - E_coarse| as the error estimate, and the nested grid.
     """
     if n_levels < 1 or n_levels > 10:
         raise DomainError("n_levels must lie in 1..10")
-    if grid is None:
-        grid = default_grid(kind, lam, k, m, n_levels)
-    fine = grid.refined()
+    check_grid_m_prime(m, k)
+    grid = default_grid(kind, lam, k, m, n_levels)
+    fine = RadialGrid(2 * grid.n_points + 1, grid.x_max)
     e_coarse = _eigenvalues_on_grid(kind, lam, k, m, n_levels, grid)
     e_fine = _eigenvalues_on_grid(kind, lam, k, m, n_levels, fine)
     energies = (4.0 * e_fine - e_coarse) / 3.0
-    estimate = np.abs(e_fine - e_coarse)
-    if tol is not None:
-        rel = estimate / np.maximum(1e-30, np.abs(energies))
-        if np.any(rel > tol):
-            raise AccuracyError(
-                f"grid resolution insufficient: Richardson disagreement "
-                f"{float(rel.max()):.3e} exceeds tol {tol:g}"
-            )
-    return RadialSolveResult(energies=energies, error_estimate=estimate, grid=fine)
+    return RadialSolveResult(energies=energies, error_estimate=np.abs(e_fine - e_coarse), grid=fine)

@@ -10,10 +10,12 @@ numpy version and the CPU model are stored beside the records: the dense
 output runs a numpy matmul, whose last digits may depend on both, and the
 ``spectrum --numeric`` levels come from LAPACK.
 
-    PYTHONPATH=src python tests/golden_digests.py
+    PYTHONPATH=src python tests/golden_digests.py [NAME ...]
 
-rewrites ``golden/digests.json`` from the current sources.  Record every
-regeneration in CHANGES.md, with each changed op and the reason.
+rewrites ``golden/digests.json`` from the current sources: every record, or
+only the named ones, each other record kept byte for byte (which needs the
+host the file was made on).  Record every regeneration in CHANGES.md, with
+each changed op and the reason.
 """
 
 from __future__ import annotations
@@ -118,15 +120,27 @@ def load_argv() -> list[dict]:
     return json.loads((GOLDEN / "argv.json").read_text())
 
 
-def regenerate() -> None:
+def regenerate(names: list[str]) -> None:
+    """Rewrite the records of ``names`` in argv order, or all records if none is named."""
+    argv = load_argv()
+    unknown = sorted(set(names) - {op["name"] for op in argv})
+    if unknown:
+        raise SystemExit(f"not in argv.json: {', '.join(unknown)}")
+    golden = json.loads((GOLDEN / "digests.json").read_text()) if names else host()
+    made = {key: golden[key] for key in host()}
+    if made != host():
+        raise SystemExit(f"digests made with {made}, this host has {host()}")
     ops = {}
-    for op in load_argv():
+    for op in argv:
+        if names and op["name"] not in names:
+            ops[op["name"]] = golden["ops"][op["name"]]
+            continue
         with tempfile.TemporaryDirectory() as directory:
             ops[op["name"]] = record(*run(op["argv"], Path(directory)))
             print(op["name"], ops[op["name"]]["rc"])
-    text = json.dumps({**host(), "ops": ops}, indent=1)
+    text = json.dumps({**made, "ops": ops}, indent=1)
     (GOLDEN / "digests.json").write_text(text + "\n")
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

@@ -161,6 +161,17 @@ def state_at_theta(traj: Trajectory, theta_target: float) -> PhaseState:
     return traj.state_at(float(t_star))
 
 
+def _kepler_elements(state: PhaseState, params: SystemParams) -> tuple:
+    """(a, e, mean motion, start's mean anomaly M0, start's eccentric anomaly E0) of a flat
+    (lam = 0) bound coulomb orbit, whose radial motion is Kepler's with L_eff**2 = Lz**2 - 2k."""
+    e_tot = hamiltonian(state, params)
+    l_eff2 = lz_value(state.x1, state.x2, state.p1, state.p2) ** 2 - 2.0 * params.k
+    a, ecc = -0.5 / e_tot, math.sqrt(max(0.0, 1.0 + 2.0 * e_tot * l_eff2))
+    s = state.x1 * state.p1 + state.x2 * state.p2  # has the sign of rdot, and of sin(E0)
+    ecc0 = math.copysign(math.acos(max(-1.0, min(1.0, (1.0 - state.r / a) / ecc))), s)
+    return a, ecc, a ** -1.5, ecc0 - ecc * math.sin(ecc0), ecc0
+
+
 def coulomb_apsis_times(state: PhaseState, params: SystemParams, t_end: float) -> list:
     """Exact (t, kind) of each apsis in [0, t_end] of a flat (lam = 0) bound coulomb orbit.
 
@@ -169,18 +180,51 @@ def coulomb_apsis_times(state: PhaseState, params: SystemParams, t_end: float) -
     Apsides fall at mean anomaly j*pi (perihelia at even j), counted from the
     start's mean anomaly M0.
     """
-    e_tot = hamiltonian(state, params)
-    l_eff2 = lz_value(state.x1, state.x2, state.p1, state.p2) ** 2 - 2.0 * params.k
-    a, ecc = -0.5 / e_tot, math.sqrt(max(0.0, 1.0 + 2.0 * e_tot * l_eff2))
-    s = state.x1 * state.p1 + state.x2 * state.p2  # has the sign of rdot, and of sin(E0)
-    ecc0 = math.copysign(math.acos(max(-1.0, min(1.0, (1.0 - state.r / a) / ecc))), s)
-    m0, motion = ecc0 - ecc * math.sin(ecc0), a ** -1.5
+    _, _, motion, m0, _ = _kepler_elements(state, params)
     j = math.ceil(m0 / math.pi - 1e-12)
     times = []
     while (t := (j * math.pi - m0) / motion) <= t_end:
         times.append((max(t, 0.0), "perihelion" if j % 2 == 0 else "aphelion"))
         j += 1
     return times
+
+
+def _true_anomaly(ecc_anomaly, ecc: float):
+    """Unwrapped true anomaly f = E + 2*atan(beta*sin(E)/(1 - beta*cos(E))),
+    beta = e/(1 + sqrt(1 - e**2)), continuous in the eccentric anomaly E."""
+    beta = ecc / (1.0 + math.sqrt(1.0 - ecc * ecc))
+    return ecc_anomaly + 2.0 * np.arctan(beta * np.sin(ecc_anomaly)
+                                         / (1.0 - beta * np.cos(ecc_anomaly)))
+
+
+def coulomb_polar_at(state: PhaseState, params: SystemParams, t) -> tuple:
+    """Exact (r, unwrapped theta) at times ``t`` of a flat (lam = 0) bound coulomb orbit.
+
+    Kepler's equation E - e*sin(E) = M0 + n*t, solved by Newton's method,
+    gives r = a*(1 - e*cos(E)).  Since dtheta/dt = Lz/r**2 and the Kepler
+    true anomaly f has df/dt = L_eff/r**2 with L_eff = alpha*|Lz|,
+    theta = theta0 + sign(Lz)*(f - f0)/alpha.
+    """
+    a, ecc, motion, m0, ecc0 = _kepler_elements(state, params)
+    mean = m0 + motion * np.asarray(t, dtype=float)
+    ecc_anomaly = mean + ecc * np.sin(mean)
+    for _ in range(50):
+        step = (ecc_anomaly - ecc * np.sin(ecc_anomaly) - mean) / (1.0 - ecc * np.cos(ecc_anomaly))
+        ecc_anomaly = ecc_anomaly - step
+        if np.all(np.abs(step) <= 4e-16 * np.maximum(1.0, np.abs(mean))):
+            break
+    lz = lz_value(state.x1, state.x2, state.p1, state.p2)
+    turn = (_true_anomaly(ecc_anomaly, ecc) - _true_anomaly(ecc0, ecc)) / orbit_alpha(params, lz)
+    theta = math.atan2(state.x2, state.x1) + math.copysign(1.0, lz) * turn
+    return a * (1.0 - ecc * np.cos(ecc_anomaly)), theta
+
+
+def _oscillator_phase(state: PhaseState, params: SystemParams) -> tuple:
+    """(E, B, phi) of r**2(t) = E + B*cos(2t + phi) for a flat (lam = 0) oscillator orbit:
+    d(x.p)/dt = 2E - 2r**2 and d(r**2)/dt = 2*x.p."""
+    e_tot = hamiltonian(state, params)
+    s = state.x1 * state.p1 + state.x2 * state.p2
+    return e_tot, math.hypot(s, state.r ** 2 - e_tot), math.atan2(-s, state.r ** 2 - e_tot)
 
 
 def oscillator_apsis_times(state: PhaseState, params: SystemParams, t_end: float) -> list:
@@ -190,12 +234,31 @@ def oscillator_apsis_times(state: PhaseState, params: SystemParams, t_end: float
     phi = atan2(-x.p, r0**2 - E), and the apsides fall at 2t + phi = j*pi
     (aphelia at even j).
     """
-    e_tot = hamiltonian(state, params)
-    s = state.x1 * state.p1 + state.x2 * state.p2
-    phi = math.atan2(-s, state.r ** 2 - e_tot)
+    _, _, phi = _oscillator_phase(state, params)
     j = math.ceil(phi / math.pi - 1e-12)
     times = []
     while (t := (j * math.pi - phi) / 2.0) <= t_end:
         times.append((max(t, 0.0), "aphelion" if j % 2 == 0 else "perihelion"))
         j += 1
     return times
+
+
+def oscillator_polar_at(state: PhaseState, params: SystemParams, t) -> tuple:
+    """Exact (r, unwrapped theta) at times ``t`` of a flat (lam = 0) oscillator orbit, Lz != 0.
+
+    r**2 = E + B*cos(2x) with x = t + phi/2, and dtheta/dt = Lz/r**2 integrates to
+    theta = theta0 + (Lz/w)*(F(x) - F(x0)), w = sqrt(E**2 - B**2), where
+    F(x) = atan(c*tan(x)) with c = sqrt((E - B)/(E + B)), unwrapped as
+    x + atan((c - 1)*sin(x)*cos(x)/(cos(x)**2 + c*sin(x)**2)).
+    """
+    e_tot, b, phi = _oscillator_phase(state, params)
+    c, w = math.sqrt((e_tot - b) / (e_tot + b)), math.sqrt((e_tot - b) * (e_tot + b))
+
+    def unwrapped(x):
+        sin, cos = np.sin(x), np.cos(x)
+        return x + np.arctan((c - 1.0) * sin * cos / (cos * cos + c * sin * sin))
+
+    x = np.asarray(t, dtype=float) + 0.5 * phi
+    lz = lz_value(state.x1, state.x2, state.p1, state.p2)
+    theta = math.atan2(state.x2, state.x1) + lz / w * (unwrapped(x) - unwrapped(0.5 * phi))
+    return np.sqrt(e_tot + b * np.cos(2.0 * x)), theta

@@ -601,6 +601,25 @@ def test_a_bad_radial_index_for_the_grid_oracle_names_n_and_loads_no_numpy(tmp_p
     assert report["numpy"] is False
 
 
+@pytest.mark.parametrize("flags", [
+    ["--m", "0", "--N", "0,1"],  # printed -1.2185 for E(0, 0) = -2 with exit 0
+    [],  # --m defaults to 0
+    ["--lambda", "0.1", "--k", "0.4", "--m", "2,1"],  # m' = 0.447 at m = 1
+], ids=["m=0", "default-m", "mp=0.45"])
+def test_the_grid_oracle_refuses_m_prime_below_one_half_and_loads_no_numpy(tmp_path, flags):
+    argv = ["spectrum", "--system", "coulomb", *flags, "--numeric"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+    )
+    report = json.loads(proc.stdout)
+    assert report["rc"] == 3
+    assert re.fullmatch(r"ERR_ACCURACY: the grid oracle needs m' >= 1/2, got m' = \S+ at m = "
+                        r"[01]\n", proc.stderr), proc.stderr
+    assert report["numpy"] is False
+
+
 HELP = json.loads((Path(__file__).resolve().parent / "golden" / "help.json").read_text())
 
 

@@ -25,7 +25,7 @@ from screened_sphere.dynamics import (
     orbit_alpha,
 )
 from screened_sphere.errors import DomainError, ImaginaryAlphaError, RadiusError
-from screened_sphere.spectra import RadialGrid, coulomb_energy, radial_solve_numeric
+from screened_sphere.spectra import coulomb_energy, radial_solve_numeric
 from orbit_reference import state_at_theta
 from oscillator_reference import (
     hypergeometric_terminating,
@@ -49,8 +49,6 @@ def _theta_outside_the_orbit():
     lambda: hypergeometric_terminating(-1, 1.0, 1.0, 0.5),
     lambda: hypergeometric_terminating(2, 1.0, -1.0, 0.5),
     lambda: oscillator_wavefunction(1.0, 0.0, 0.0, 1, 0),
-    lambda: RadialGrid(10, 1.0),
-    lambda: RadialGrid(500, 0.0),
     lambda: radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 11),
     lambda: oscillator_operator_residual(0.0, 0.0, 1, 0),
     lambda: runge_lenz(STATE, OSCILLATOR),
@@ -62,9 +60,9 @@ def _theta_outside_the_orbit():
     _theta_outside_the_orbit,
 ], ids=[
     "spectra-N", "spectra-series-order", "spectra-series-pole", "spectra-wavefunction-lam",
-    "spectra-grid-points", "spectra-grid-extent", "spectra-n-levels",
-    "spectra-residual-lam", "conserved-pair-kind", "conserved-bracket-method", "conserved-verify-kind",
-    "conserved-verify-method", "dynamics-rel-tol", "dynamics-n-samples", "dynamics-theta-target",
+    "spectra-n-levels", "spectra-residual-lam", "conserved-pair-kind", "conserved-bracket-method",
+    "conserved-verify-kind", "conserved-verify-method", "dynamics-rel-tol", "dynamics-n-samples",
+    "dynamics-theta-target",
 ])
 def test_library_input_checks_raise_domain_error(call):
     with pytest.raises(DomainError) as exc:

@@ -45,8 +45,10 @@ from orbit_reference import (
     OrbitShape,
     closed_form_radius,
     coulomb_apsis_times,
+    coulomb_polar_at,
     fit_theta0,
     oscillator_apsis_times,
+    oscillator_polar_at,
     orbit_residual,
     state_at_theta,
 )
@@ -720,3 +722,20 @@ def test_turning_times_match_the_exact_apsis_times_at_zero_curvature(
     assert len(exact) == count
     assert [p.kind.value for p in points] == [kind for _, kind in exact]
     assert max(abs(p.t - t) for p, (t, _) in zip(points, exact)) <= bound * rel_tol
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("kind,start,t_end,reference,r_bound,theta_bound", [
+    # measured 146-247 x rel_tol in r and 4500-7600 x rel_tol in theta: the drift gate
+    # passes while the phase runs ahead, as a non-symplectic stepper may
+    (SystemKind.COULOMB, (1.0, 0.0, 0.0, 0.55), 70.0, coulomb_polar_at, 500.0, 16000.0),
+    # measured 0.028-0.049 x rel_tol in r and 0.025-0.064 in theta
+    (SystemKind.OSCILLATOR, (1.0, 0.0, 0.3, 0.8), 60.0, oscillator_polar_at, 0.2, 0.2),
+], ids=["coulomb", "oscillator"])
+def test_sampled_states_match_the_exact_orbit_at_zero_curvature(
+        rel_tol, kind, start, t_end, reference, r_bound, theta_bound):
+    state, params = PhaseState(*start), SystemParams(kind, 0.0, 0.05)
+    traj = integrate(state, params, t_end, rel_tol=rel_tol, n_samples=41)
+    r, theta = reference(state, params, traj.t)
+    assert np.max(np.abs(traj.r - r)) <= r_bound * rel_tol
+    assert np.max(np.abs(traj.theta - theta)) <= theta_bound * rel_tol

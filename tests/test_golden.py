@@ -66,3 +66,22 @@ def test_a_one_ulp_change_in_a_csv_field_fails(tmp_path):
     found = mismatch(rc, {**outputs, "op10.csv": b"".join(lines)}, golden)
     assert found == f"op10.csv: first differing line {n + 1} of {len(lines)} " \
                     f"(golden {len(lines)}): {lines[n]!r}"
+
+
+def test_regenerating_named_records_keeps_every_other_record(tmp_path, monkeypatch):
+    import golden_digests
+
+    for name in ("argv.json", "digests.json"):
+        (tmp_path / name).write_bytes((GOLDEN / name).read_bytes())
+    monkeypatch.setattr(golden_digests, "GOLDEN", tmp_path)
+    stale = {**json.loads((GOLDEN / "digests.json").read_text()), **golden_digests.host()}
+    stale["ops"]["refuse-grid-mprime"]["rc"] = 0
+    stale["ops"]["readme-closure"]["rc"] = 5  # not named, so kept as it is
+    text = json.dumps(stale, indent=1) + "\n"
+    (tmp_path / "digests.json").write_text(text)
+    with pytest.raises(SystemExit, match="not in argv.json: no-such-op"):
+        golden_digests.regenerate(["refuse-grid-mprime", "no-such-op"])
+    assert (tmp_path / "digests.json").read_text() == text
+    golden_digests.regenerate(["refuse-grid-mprime"])
+    stale["ops"]["refuse-grid-mprime"]["rc"] = 3
+    assert (tmp_path / "digests.json").read_text() == json.dumps(stale, indent=1) + "\n"

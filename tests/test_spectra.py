@@ -217,14 +217,6 @@ def test_wavefunction_node_count():
 
 # --- radial grid oracle ----------------------------------------------------------
 
-def test_radial_grid_validation():
-    with pytest.raises(ValueError):
-        RadialGrid(100, math.pi)
-    grid = RadialGrid(500, 10.0)
-    assert grid.spacing == pytest.approx(10.0 / 501)
-    assert grid.refined().n_points == 1001
-
-
 def test_flat_hydrogen_lowest_level():
     result = radial_solve_numeric(SystemKind.COULOMB, 0.0, 0.0, 1, 1)
     assert result.energies[0] == pytest.approx(-0.5 / 1.5**2, abs=1e-4)
@@ -244,10 +236,26 @@ def test_oracle_matches_screened_oscillator_spectrum():
         assert abs(result.energies[n] - want) / abs(want) < 1e-4
 
 
-def test_oracle_resolution_error():
-    grid = RadialGrid(220, math.pi)
-    with pytest.raises(AccuracyError):
-        radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 3, grid=grid, tol=1e-9)
+@pytest.mark.parametrize("kind", list(SystemKind))
+@pytest.mark.parametrize("lam,k,m", [(0.0, 0.0, 0), (0.1, 0.0, 0), (0.0, 0.4, 1),
+                                     (0.1, 0.3799, 1)], ids=["m=0", "m=0-sphere", "mp=0.45",
+                                                             "mp=0.49"])
+def test_oracle_refuses_m_prime_below_one_half(kind, lam, k, m):
+    # u ~ x**(m'+1/2) is too rough at x = 0 for the h**2 step: at m' = 0 the grid printed
+    # -1.2185 for the coulomb E(0, 0) = -2, 12-15 times past its own error estimate
+    for solve in (lambda: radial_solve_numeric(kind, lam, k, m, 2),
+                  lambda: spectrum_entries(kind, lam, k, [1, m], [0, 1], numeric=True)):
+        with pytest.raises(AccuracyError, match=f"m' >= 1/2, got m' = .* at m = {m}") as exc:
+            solve()
+        assert exc.value.code == "ERR_ACCURACY"
+    assert spectrum_entries(kind, lam, k, [m], [0, 1])[0].e_numeric is None
+
+
+def test_oracle_takes_m_prime_of_one_half():
+    # m' = 1/2 is the smallest the oracle takes: u ~ x, and the levels keep to their estimate
+    result = radial_solve_numeric(SystemKind.COULOMB, 0.0, 0.375, 1, 3)
+    want = [coulomb_energy(0.0, 0.375, 1, n) for n in range(3)]
+    assert np.all(np.abs(result.energies - want) <= result.error_estimate)
 
 
 def test_oracle_rejects_bad_level_count():
@@ -273,7 +281,7 @@ def test_grid_eigenvalues_equal_scipy_eigh_tridiagonal(monkeypatch, kind, lam):
     monkeypatch.setattr(spectra, "_dstebz", lambda: spy)
     for n_levels in (1, 3, 10):
         coarse = default_grid(kind, lam, 0.05, 1, n_levels)
-        for grid in (coarse, coarse.refined()):
+        for grid in (coarse, RadialGrid(2 * coarse.n_points + 1, coarse.x_max)):
             vals = _eigenvalues_on_grid(kind, lam, 0.05, 1, n_levels, grid)
             d, e = matrices.pop()
             assert d.size == grid.n_points
