@@ -29,18 +29,20 @@ pointwise in the gradients, so they batch.  An ``Observable`` is its two
 kernels: ``value`` and ``gradient`` are functions of
 ``(x1, x2, p1, p2, params)`` that work the same on floats and on
 equal-shape arrays, the gradient a 4-tuple.  ``poisson_bracket`` and
-``finite_difference_gradient`` call them on one state's four floats; the
-algebra checks and turning-point conservation call the same kernels once
-on a ``(4, n)`` batch.  The kernels of R' and Q' reject the other
-system's params, so every entry point refuses a wrong system alike.
+``finite_difference_gradient`` call them on one state's four floats, as
+does an analytic algebra check of at most 4096 states, so that it never
+loads numpy; larger and ``fd`` checks and turning-point conservation call
+the same kernels once on a ``(4, n)`` batch, with the same bits.  States
+come from one stream, ``random.Random(seed)``, on either path.  The
+kernels of R' and Q' reject the other system's params, so every entry
+point refuses a wrong system alike.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import namedtuple
-
-import numpy as np
 
 from . import dynamics  # registered lazily: runs only when a trajectory is analysed
 from .closed_forms import SystemKind, SystemParams
@@ -161,11 +163,11 @@ _Algebra = namedtuple("_Algebra", "names values gradients shift quadratic identi
 _ALGEBRAS = {
     SystemKind.COULOMB: _Algebra(
         ("R'x", "R'y"), _runge_lenz_pair, _runge_lenz_gradients, -1.0,
-        lambda h, lz, p: (-2.0 * h + 2.0 * p.lam * lz**2 - 2.0 * p.k * p.lam) * lz,
+        lambda h, lz, p: (-2.0 * h + 2.0 * p.lam * (lz * lz) - 2.0 * p.k * p.lam) * lz,
         ("{R'x,Lz}+R'y", "{R'y,Lz}-R'x", "{R'x,R'y}-(-2H+2*lam*Lz^2-2*k*lam)*Lz")),
     SystemKind.OSCILLATOR: _Algebra(
         ("Q'xy", "Q'1"), _fradkin_pair, _fradkin_gradients, 2.0,
-        lambda h, lz, p: -(2.0 + p.lam * (2.0 * h - p.lam * lz**2)) * lz,
+        lambda h, lz, p: -(2.0 + p.lam * (2.0 * h - p.lam * (lz * lz))) * lz,
         ("{Q'xy,Lz}-2Q'1", "{Q'1,Lz}+2Q'xy", "{Q'xy,Q'1}+(2+lam*(2H-lam*Lz^2))*Lz")),
 }
 
@@ -188,8 +190,9 @@ FRADKIN_XY, FRADKIN_1 = _pair_observables(SystemKind.OSCILLATOR)
 
 # --- bracket engine ---------------------------------------------------------
 
-def _central_difference(func, z: np.ndarray) -> np.ndarray:
+def _central_difference(func, z):
     """Central differences of ``func`` along each of the 4 rows of a (4,) or (4, n) state."""
+    import numpy as np
     h = _FD_STEP * np.maximum(1.0, np.abs(z))
     grad = []
     for i in range(4):
@@ -200,10 +203,10 @@ def _central_difference(func, z: np.ndarray) -> np.ndarray:
     return np.array(grad)
 
 
-def finite_difference_gradient(func, state: PhaseState, params: SystemParams) -> np.ndarray:
+def finite_difference_gradient(func, state: PhaseState, params: SystemParams):
     """Central-difference gradient (d/dx1, d/dx2, d/dp1, d/dp2) of a value kernel at a state,
-    the oracle for analytic ones."""
-    def value(z: np.ndarray) -> float:
+    as a (4,) array, the oracle for analytic ones."""
+    def value(z) -> float:
         x1, x2, p1, p2 = z.tolist()
         check_radius(x1, x2, "finite_difference_gradient")  # a stencil point can land on r = 0
         return func(x1, x2, p1, p2, params)
@@ -241,37 +244,67 @@ def poisson_bracket(
 
 _R_MIN, _R_MAX, _P_MAX = 0.3, 3.0, 2.0
 _LZ_SQ_MAX = 2.0 * (_R_MAX * _P_MAX) ** 2  # |Lz| <= r*|p| <= 3 * 2*sqrt(2) on the box
+_FLOAT_PATH_MAX = 4096  # analytic checks of at most this many states run on Python floats
 
 
-def _sample_batch(params: SystemParams, n: int, seed: int) -> np.ndarray:
-    """The states of ``sample_states`` as a (4, n) array."""
+def _check_sampling(params: SystemParams, n: int, seed: int) -> None:
     if n < 1:
         raise DomainError(f"need at least one sampled state, got {n}")
     if n > MAX_SAMPLES:  # checked before anything is drawn, as for trajectory samples
         raise DomainError(f"at most {MAX_SAMPLES} sampled states, got {n}")
-    if seed < 0:  # numpy's SeedSequence takes no negative entropy
+    if seed < 0:  # random.Random seeds with abs(seed), so -s would alias s
         raise DomainError(f"seed must be nonnegative, got {seed}")
     if 2.0 * params.k >= _LZ_SQ_MAX:
         raise ImaginaryAlphaError(
             f"2k = {2 * params.k:g} >= {_LZ_SQ_MAX:g}, the largest Lz**2 on the sampling box"
         )
-    rng = np.random.default_rng(seed)
+
+
+def _candidate(xp, u, phi, p1, p2):
+    """The candidate state of four successive random() values of random.Random(seed), on
+    floats (``xp`` is ``math``) or arrays (numpy, whose float64 sin and cos match libm's)."""
+    r = xp.sqrt(_R_MIN**2 + u * (_R_MAX**2 - _R_MIN**2))
+    phi = 2.0 * math.pi * phi
+    return r * xp.cos(phi), r * xp.sin(phi), -_P_MAX + 2 * _P_MAX * p1, -_P_MAX + 2 * _P_MAX * p2
+
+
+def _sample_floats(params: SystemParams, n: int, seed: int):
+    """The states of ``sample_states`` as float tuples, drawn one value at a time, or None
+    if fewer than n pass among the first 4n + 64 candidates."""
+    draw, states = random.Random(seed).random, []
+    for _ in range(4 * n + 64):
+        z = _candidate(math, draw(), draw(), draw(), draw())
+        if 2.0 * params.k < (lz := lz_value(*z)) * lz:
+            states.append(z)
+            if len(states) == n:
+                return states
+    return None
+
+
+def _uniforms(rng: random.Random, count: int):
+    """The next ``count`` values of ``rng.random()`` as an array, from one getrandbits call:
+    random() maps two 32-bit outputs a, b to ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and
+    getrandbits puts each output above the one before, so a 64-bit word is one value."""
+    import numpy as np
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u8")
+    return (((words & 0xFFFFFFFF) >> 5) * 67108864.0 + (words >> 38)) * 2.0**-53
+
+
+def _sample_batch(params: SystemParams, n: int, seed: int):
+    """The states of ``sample_states`` as a (4, n) array, drawn a block at a time.  Refuses
+    at the draw cap, or sooner once 2**20 candidates show a yield that, projected to the
+    cap, finds less than half of n; both rules read only the seeded stream."""
+    import numpy as np
+    rng = random.Random(seed)
     max_draws = 1000 * n + (1 << 20)
     blocks, have, drawn = [], 0, 0
     while have < n:
-        if drawn >= max_draws:
-            raise ImaginaryAlphaError(
-                f"found {have} of {n} states with 2k < Lz**2 in {drawn} candidate draws"
-            )
-        # block size from the acceptance rate so far; one candidate is four
-        # doubles (u, phi, p1, p2) mapped as Generator.uniform maps them,
-        # low + (high - low) * d, so the stream matches one-at-a-time draws
+        if drawn >= max_draws or (drawn >= 1 << 20 and 2 * have * max_draws < n * drawn):
+            raise ImaginaryAlphaError(f"found {have} of {n} states with 2k < Lz**2 in {drawn} "
+                                      f"candidate draws, too few to reach {n} in {max_draws}")
+        # block size from the acceptance rate so far
         m = min((n - have) * (drawn + 1) // (have + 1) + (n - have) // 8 + 16, 1 << 16)
-        u, phi, p1, p2 = rng.random((m, 4)).T
-        r = np.sqrt(_R_MIN**2 + u * (_R_MAX**2 - _R_MIN**2))
-        phi = 2.0 * math.pi * phi
-        z = np.array([r * np.cos(phi), r * np.sin(phi),
-                      -_P_MAX + 2 * _P_MAX * p1, -_P_MAX + 2 * _P_MAX * p2])
+        z = np.array(_candidate(np, *_uniforms(rng, 4 * m).reshape(m, 4).T))
         lz = lz_value(*z)
         blocks.append(z[:, 2.0 * params.k < lz * lz])
         have += blocks[-1].shape[1]
@@ -287,66 +320,76 @@ def sample_states(params: SystemParams, n: int, seed: int = 0) -> list[PhaseStat
     so orbit quantities stay real.  Raises ``ImaginaryAlphaError`` when no
     state of the box, or too few candidates, pass that test.
     """
-    return [PhaseState.from_array(col) for col in _sample_batch(params, n, seed).T]
+    _check_sampling(params, n, seed)
+    states = n <= _FLOAT_PATH_MAX and _sample_floats(params, n, seed)
+    return [PhaseState(*z) for z in states or _sample_batch(params, n, seed).T.tolist()]
 
 
 # --- algebra identities -----------------------------------------------------
 
-def _report(name: str, residual: np.ndarray) -> BracketReport:
-    res = np.abs(residual)
-    return BracketReport(
-        identity=name,
-        n_samples=res.size,
-        max_abs_residual=float(res.max()),
-        mean_abs_residual=float(res.mean()),
+def _residuals(algebra: _Algebra, params: SystemParams, z, gradients=None):
+    """The three identity residuals at states ``z`` (floats, or rows of arrays), from the
+    analytic gradients or the given (A, B, Lz) ones."""
+    a, b = algebra.values(*z, params)
+    g_a, g_b, g_lz = (*algebra.gradients(*z, params), lz_gradient(*z)) if gradients is None \
+        else gradients
+    return (
+        _bracket(g_a, g_lz) - algebra.shift * b,
+        _bracket(g_b, g_lz) + algebra.shift * a,
+        _bracket(g_a, g_b) - algebra.quadratic(h_value(*z, params), lz_value(*z), params),
     )
 
 
-def _verify_pair(kind, params, n_samples, seed, method):
-    """Residuals of the identities of ``kind``'s algebra (see ``_ALGEBRAS``) over one batch
-    of random states.
-
-    Raises ``AccuracyError`` if any residual is not finite: the terms overflowed,
-    which numpy is told not to warn of, so that the error is the one line printed.
-    """
-    algebra = _ALGEBRAS[kind]
-    z = _sample_batch(params, n_samples, seed=seed)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the check below
-        if method == "analytic":
-            g_a, g_b, g_lz = *algebra.gradients(*z, params), lz_gradient(*z)
-        elif method == "fd":  # one value call per shifted copy serves A, B and Lz
-            g_a, g_b, g_lz = _central_difference(
-                lambda w: np.array((*algebra.values(*w, params), lz_value(*w))), z).swapaxes(0, 1)
-        else:
-            raise DomainError(f"unknown bracket method {method!r}")
-        a, b = algebra.values(*z, params)
-        residuals = (
-            _bracket(g_a, g_lz) - algebra.shift * b,
-            _bracket(g_b, g_lz) + algebra.shift * a,
-            _bracket(g_a, g_b) - algebra.quadratic(h_value(*z, params), lz_value(*z), params),
-        )
-    if not all(np.isfinite(res).all() for res in residuals):
+def _report(name: str, res: list, params: SystemParams) -> BracketReport:
+    """The exact max and the correctly rounded mean of one identity's |residuals|; raises
+    ``AccuracyError`` if one is not finite or their sum overflows: the terms overflowed,
+    which numpy is told not to warn of, so that the error is the one line printed."""
+    try:
+        total = math.fsum(res)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
         raise AccuracyError(f"bracket residuals are not finite at lam = {params.lam:g}, "
                             f"k = {params.k:g}: the terms overflow")
-    return [_report(name, res) for name, res in zip(algebra.identities, residuals)]
+    return BracketReport(name, len(res), max(res), total / len(res))
 
 
-def verify_coulomb_algebra(
-    params: SystemParams,
-    n_samples: int = 1000,
-    seed: int = 0,
-    method: str = "analytic",
-) -> list[BracketReport]:
+def _verify_pair(kind, params, n_samples, seed, method):
+    """Residuals of the identities of ``kind``'s algebra (see ``_ALGEBRAS``) over random
+    states: an analytic check of at most ``_FLOAT_PATH_MAX`` states runs one state at a
+    time on Python floats, without numpy, and any other on one batch of arrays; both take
+    the same states for a seed and give the same bits."""
+    algebra = _ALGEBRAS[kind]
+    _check_sampling(params, n_samples, seed)
+    states = (method == "analytic" and n_samples <= _FLOAT_PATH_MAX
+              and _sample_floats(params, n_samples, seed))
+    if states:
+        residuals = [list(map(abs, res))
+                     for res in zip(*(_residuals(algebra, params, z) for z in states))]
+    else:
+        import numpy as np
+        z = _sample_batch(params, n_samples, seed)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked in _report
+            if method == "analytic":
+                residuals = _residuals(algebra, params, z)
+            elif method == "fd":  # one value call per shifted copy serves A, B and Lz
+                residuals = _residuals(algebra, params, z, _central_difference(
+                    lambda w: np.array((*algebra.values(*w, params), lz_value(*w))), z
+                ).swapaxes(0, 1))
+            else:
+                raise DomainError(f"unknown bracket method {method!r}")
+        residuals = [np.abs(res).tolist() for res in residuals]
+    return [_report(name, res, params) for name, res in zip(algebra.identities, residuals)]
+
+
+def verify_coulomb_algebra(params: SystemParams, n_samples: int = 1000, seed: int = 0,
+                          method: str = "analytic") -> list[BracketReport]:
     """Residuals of the coulomb Higgs-algebra identities over random states."""
     return _verify_pair(SystemKind.COULOMB, params, n_samples, seed, method)
 
 
-def verify_oscillator_algebra(
-    params: SystemParams,
-    n_samples: int = 1000,
-    seed: int = 0,
-    method: str = "analytic",
-) -> list[BracketReport]:
+def verify_oscillator_algebra(params: SystemParams, n_samples: int = 1000, seed: int = 0,
+                             method: str = "analytic") -> list[BracketReport]:
     """Residuals of the oscillator Higgs-algebra identities over random states."""
     return _verify_pair(SystemKind.OSCILLATOR, params, n_samples, seed, method)
 
@@ -381,6 +424,7 @@ class TurningConservationReport(namedtuple(
 
 def turning_point_conservation(traj: dynamics.Trajectory) -> TurningConservationReport:
     """Evaluate {quantity, H} along a trajectory, under its own params, at and away from rdot = 0."""
+    import numpy as np
     params = traj.params
     algebra = _ALGEBRAS[params.kind]
     points = dynamics.find_turning_points(traj)
@@ -390,7 +434,7 @@ def turning_point_conservation(traj: dynamics.Trajectory) -> TurningConservation
             + (" (orbit is circular)" if traj.circular else "")
         )
 
-    def brackets_with_h(z: np.ndarray) -> np.ndarray:
+    def brackets_with_h(z):
         g_h = h_gradient(*z, params)
         return np.stack([_bracket(g, g_h) for g in algebra.gradients(*z, params)], axis=1)
 

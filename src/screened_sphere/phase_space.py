@@ -2,6 +2,8 @@
 
 ``dynamics`` sets out the chart and re-exports every name here; ``conserved``
 takes its kernels from here, so the bracket checks never run ``dynamics``.
+On Python floats the kernels run on the stdlib alone: numpy loads only
+where an array is passed in.
 """
 
 from __future__ import annotations
@@ -9,8 +11,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from typing import Optional
-
-import numpy as np
 
 from .closed_forms import SystemKind, SystemParams
 from .errors import RadiusError
@@ -27,7 +27,8 @@ class PhaseState(namedtuple("PhaseState", "x1 x2 p1 p2")):
     def r(self) -> float:
         return math.hypot(self.x1, self.x2)
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        import numpy as np
         return np.array([self.x1, self.x2, self.p1, self.p2])
 
     @classmethod
@@ -36,15 +37,16 @@ class PhaseState(namedtuple("PhaseState", "x1 x2 p1 p2")):
 
 
 def potential(r, params: SystemParams):
-    """V(r) for the given system; r must be positive (singular at r = 0)."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
+    """V(r) for the given system on a float or an array; r must be positive (singular at
+    r = 0), and a float r whose square underflows to 0 is refused alike."""
+    if array := not isinstance(r, (float, int)):
+        import numpy as np
+        r = np.asarray(r, dtype=float)
+    if (r <= 0.0).any() if array else r <= 0.0 or r * r == 0.0:
         raise RadiusError("potential requires r > 0")
-    if params.kind is SystemKind.COULOMB:
-        v = -1.0 / r - params.k / r**2
-    else:
-        v = 0.5 * r**2 - params.k / r**2
-    return float(v) if v.ndim == 0 else v
+    r2 = r * r  # numpy's r**2 is r*r; a float ** calls pow, which need not be
+    v = (-1.0 / r if params.kind is SystemKind.COULOMB else 0.5 * r2) - params.k / r2
+    return v if array and v.ndim else float(v)
 
 
 def pi_components(x1, x2, p1, p2, lam: float):
@@ -64,8 +66,12 @@ def check_radius(x1: float, x2: float, name: str) -> None:
 # (d/dx1, d/dx2, d/dp1, d/dp2).
 
 def kernel_sqrt(v):
-    """sqrt that keeps a Python float a float, whose arithmetic is cheaper than numpy's."""
-    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+    """sqrt that keeps a Python float a float, whose arithmetic is cheaper than numpy's, and
+    loads numpy only for an array."""
+    if isinstance(v, (float, int)):
+        return math.sqrt(v)
+    import numpy as np
+    return np.sqrt(v)
 
 
 def lz_value(x1, x2, p1, p2, params: Optional[SystemParams] = None):
@@ -84,7 +90,7 @@ def h_value(x1, x2, p1, p2, params: SystemParams):
     s = x1 * p1 + x2 * p2
     psq = p1 * p1 + p2 * p2
     return 0.5 * (1.0 + params.lam * r2) * (psq + params.lam * s * s) + potential(
-        np.sqrt(r2), params
+        kernel_sqrt(r2), params
     )
 
 

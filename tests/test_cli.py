@@ -271,6 +271,24 @@ def test_brackets_sampler_terminates_with_code(argv, code):
     assert proc.stderr.startswith(code)
 
 
+def test_brackets_sampler_refuses_a_hopeless_request_without_drawing_to_the_cap():
+    # the cap allows 10**9 candidates here; drawing them took minutes, and none passes
+    proc = run_cli("brackets", "--system", "coulomb", "--lambda", "0", "--k", "35.99",
+                   "--samples", "1000000", timeout=20.0)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("ERR_IMAGINARY_ALPHA: found 0 of 1000000 states")
+
+
+def test_brackets_sampler_finds_a_low_yield_request_past_the_yield_check(tmp_path):
+    # about 8e-4 of the candidates pass at k = 26, so 1000 states take more than the 2**20
+    # candidates after which the sampler may refuse a request for its yield
+    out = tmp_path / "brackets.json"
+    proc = run_cli("brackets", "--system", "coulomb", "--lambda", "0", "--k", "26",
+                   "--samples", "1000", "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert all(r["n_samples"] == 1000 for r in json.loads(out.read_text()))
+
+
 @pytest.mark.parametrize("command,t_end", [("turning", "inf"), ("orbit", "nan"), ("turning", "0")])
 def test_non_finite_t_end_rejected(command, t_end):
     proc = run_cli(command, "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
@@ -561,6 +579,7 @@ _BR_FLAGS = ["--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--samples
         (["spectrum", *_SP_FLAGS, "--numeric"], True),
         (["turning", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--x", "1.6",
           "--px", "0", "--py", "0.55", "--t-end", "20", "--out", "turning.json"], False),
+        (["brackets", *_BR_FLAGS, "--samples", "4097"], False),  # above the float path's limit
     ],
 )
 def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
@@ -575,8 +594,10 @@ def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
     assert report["rc"] == (0 if argv else None)
     # the grid oracle loads LAPACK's wrapper alone, not the scipy.linalg package
     assert report["scipy"] == (["scipy.linalg._flapack"] if loads_scipy else [])
-    # closure and the analytic spectrum run on the stdlib closed forms alone
-    uses_numpy = bool(argv) and (argv[0] in ("orbit", "turning", "brackets") or "--numeric" in argv)
+    # closure and the analytic spectrum run on the stdlib closed forms alone, and analytic
+    # brackets of at most 4096 states on Python floats
+    batch = argv[:1] == ["brackets"] and ("fd" in argv or "4097" in argv)
+    uses_numpy = bool(argv) and (argv[0] in ("orbit", "turning") or "--numeric" in argv or batch)
     assert report["numpy"] is uses_numpy
     # every record is a namedtuple, and closure analysis finds p/q without fractions
     assert report["dataclasses"] is False
