@@ -4,12 +4,13 @@ Classical orbits, turning-point-conserved extended quantities, Higgs
 algebra bracket checks, and analytic-versus-numeric energy spectra, all
 in gnomonic-projection coordinates.
 
-The numpy-backed modules ``dynamics``, ``conserved`` and ``spectra`` are
-registered in ``sys.modules`` at import but run their bodies on first
-attribute access, so code that needs only ``closed_forms`` never loads
-numpy, and ``conserved``, which takes its kernels from ``phase_space``,
-runs ``dynamics`` only to analyse a trajectory.  The public names below
-resolve from their owning module on use.
+The numpy-backed modules ``dynamics`` and ``conserved``, and the grid
+oracle ``spectra``, are registered in ``sys.modules`` at import but run
+their bodies on first attribute access, so code that needs only
+``closed_forms`` never loads numpy, and ``conserved``, which takes its
+kernels from ``phase_space``, runs ``dynamics`` only to analyse a
+trajectory.  The public names below resolve from their owning module on
+use.
 """
 
 import importlib.util

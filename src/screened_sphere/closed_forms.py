@@ -223,7 +223,8 @@ def spectrum_entries(
     """Spectrum table over given quantum numbers, optionally with the grid oracle.
 
     Every N is checked first; the grid oracle takes N <= 9 and m' >= 1/2.  Only a
-    ``numeric`` table that passes those checks imports ``spectra`` (and with it numpy).
+    ``numeric`` table that passes those checks imports ``spectra``, which solves each
+    distinct m once.
     """
     for n in ns:
         _check_qn(lam, k, n)
@@ -233,13 +234,13 @@ def spectrum_entries(
         for m in ms:
             check_grid_m_prime(m, k)
     entries: list[SpectrumEntry] = []
+    solved: dict[int, Sequence[float]] = {}
     for m in ms:
-        numeric_levels = None
-        if numeric:
+        if numeric and m not in solved:
             from .spectra import radial_solve_numeric
 
-            result = radial_solve_numeric(kind, lam, k, m, n_levels=max(ns) + 1)
-            numeric_levels = result.energies
+            solved[m] = radial_solve_numeric(kind, lam, k, m, n_levels=max(ns) + 1).energies
+        numeric_levels = solved.get(m)
         for n in sorted(ns):
             e_an = analytic_energy(kind, lam, k, m, n)
             e_num = None if numeric_levels is None else float(numeric_levels[n])

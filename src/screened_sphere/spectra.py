@@ -24,16 +24,19 @@ grids itself (``default_grid`` and its halved spacing) and refuses
 m' < 1/2, whose solution ~ x**(m'+1/2) is too rough at x = 0 for that
 h**2 step, with ``ERR_ACCURACY``.
 
-The grid oracle loads only scipy's compiled LAPACK wrapper, on first use,
-to call dstebz; it imports no ``scipy.linalg``.
+The grid matrix is built on Python floats with ``math``, and its levels
+come from LAPACK's bisection routine dstebz in the OpenBLAS that scipy
+ships, called through ``ctypes`` on first use, so the oracle imports
+neither numpy nor any scipy module.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from collections import namedtuple
-
-import numpy as np
+from typing import Sequence
 
 from .closed_forms import (  # noqa: F401 -- re-exported
     SPECTRUM_CSV_HEADER, SpectrumEntry, SystemKind, analytic_energy, check_grid_m_prime,
@@ -64,55 +67,86 @@ def default_grid(kind: SystemKind, lam: float, k: float, m: int, n_levels: int) 
 
 
 def _transformed_potential(
-    kind: SystemKind, lam: float, k: float, m: int, x: np.ndarray
-) -> np.ndarray:
+    kind: SystemKind, lam: float, k: float, m: int, x: Sequence[float]
+) -> list[float]:
     """Potential of the symmetrized operator Ht on grid nodes."""
     mp = m_prime(m, k)
     if lam > 0.0:
-        cent = 0.5 * lam * (mp * mp - 0.25) / np.sin(x) ** 2
+        c, shift, screen = 0.5 * lam * (mp * mp - 0.25), lam / 8.0, lam * k
+        sines, tangents = map(math.sin, x), map(math.tan, x)
         if kind is SystemKind.COULOMB:
-            v0 = -math.sqrt(lam) / np.tan(x)
-        else:
-            v0 = np.tan(x) ** 2 / (2.0 * lam)
-        return cent + v0 - lam / 8.0 + lam * k
-    cent = 0.5 * (mp * mp - 0.25) / x**2
-    v0 = -1.0 / x if kind is SystemKind.COULOMB else 0.5 * x**2
-    return cent + v0
+            a = -math.sqrt(lam)
+            return [c / (s * s) + a / t - shift + screen for s, t in zip(sines, tangents)]
+        b = 2.0 * lam
+        return [c / (s * s) + t * t / b - shift + screen for s, t in zip(sines, tangents)]
+    c = 0.5 * (mp * mp - 0.25)
+    if kind is SystemKind.COULOMB:
+        return [c / (r * r) - 1.0 / r for r in x]
+    return [c / (r * r) + 0.5 * (r * r) for r in x]
 
 
-def _dstebz():
-    """LAPACK's ``dstebz`` from scipy's compiled wrapper, loaded in ≈5 ms without the ≈0.25 s
-    ``scipy.linalg`` import; registered under its own name, so ``scipy.linalg`` reuses it."""
+@functools.cache
+def _dstebz_routine():
+    """LAPACK's ``dstebz`` in the OpenBLAS that scipy ships, found through scipy's compiled
+    LAPACK wrapper: ``ctypes`` loads that library (≈5 ms) without running its module init,
+    so neither numpy nor any scipy module is imported."""
+    import ctypes
     import importlib.machinery
     import importlib.util
     import os
-    import sys
 
-    name = "scipy.linalg._flapack"
-    if name not in sys.modules:
-        scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
-        spec = importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(d, "linalg") for d in scipy_dirs])
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[name] = module
-    return sys.modules[name].dstebz
+    scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack", [os.path.join(d, "linalg") for d in scipy_dirs])
+    routine = ctypes.CDLL(spec.origin).scipy_dstebz_
+    i, d = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK, ISPLIT, WORK,
+    # IWORK, INFO, then the hidden lengths of the two character arguments
+    routine.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i, d, d, i, i, d, d, d, i, i, d, i, i,
+                        d, i, i, ctypes.c_size_t, ctypes.c_size_t]
+    routine.restype = None
+    return routine
+
+
+def _dstebz(d: array, e: array, il: int, iu: int) -> tuple[int, tuple[float, ...], int]:
+    """Eigenvalues il..iu (1-based, ascending) of the symmetric tridiagonal matrix with
+    diagonal ``d`` and off-diagonal ``e`` (``array('d')``, len(e) = len(d) - 1), by
+    LAPACK's bisection at its default tolerance; returns (found, values, info)."""
+    from ctypes import byref, c_double, c_int
+
+    n = len(d)
+    if len(e) != n - 1 or not 1 <= il <= iu <= n:
+        raise ValueError(f"bad tridiagonal: n = {n}, {len(e)} off-diagonal entries, "
+                         f"levels {il}..{iu}")
+    found, nsplit, info = c_int(), c_int(), c_int()
+    w = (c_double * n)()
+    _dstebz_routine()(
+        b"I", b"E", byref(c_int(n)), byref(c_double(0.0)), byref(c_double(1.0)),
+        byref(c_int(il)), byref(c_int(iu)), byref(c_double(0.0)),
+        (c_double * n).from_buffer(d), (c_double * (n - 1)).from_buffer(e),
+        byref(found), byref(nsplit), w, (c_int * n)(), (c_int * n)(), (c_double * (4 * n))(),
+        (c_int * (3 * n))(), byref(info), 1, 1)
+    return found.value, tuple(w[:found.value]), info.value
 
 
 def _eigenvalues_on_grid(
     kind: SystemKind, lam: float, k: float, m: int, n_levels: int, grid: RadialGrid
-) -> np.ndarray:
+) -> tuple[float, ...]:
     """Lowest ``n_levels`` eigenvalues of the grid matrix, by bisection (LAPACK dstebz)."""
-    h = grid.x_max / (grid.n_points + 1)
-    x = h * np.arange(1, grid.n_points + 1)
+    n = grid.n_points
+    h = grid.x_max / (n + 1)
     c_kin = 0.5 * lam if lam > 0.0 else 0.5
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
-        diag = 2.0 * c_kin / h**2 + _transformed_potential(kind, lam, k, m, x)
-    off = np.full(grid.n_points - 1, -c_kin / h**2)
-    if not np.isfinite(diag).all():  # a NaN inside the band can pass dstebz with info = 0
+    kin = 2.0 * c_kin / h**2
+    x = [h * i for i in range(1, n + 1)]
+    try:
+        diag = array("d", [kin + v for v in _transformed_potential(kind, lam, k, m, x)])
+        finite = all(map(math.isfinite, diag))
+    except ZeroDivisionError:  # a float division by zero, an inf or a NaN in IEEE arithmetic
+        finite = False
+    if not finite:  # a NaN inside the band can pass dstebz with info = 0
         raise AccuracyError("tridiagonal eigensolver failed: array must not contain infs or NaNs")
-    # range 2 selects levels il..iu (1-based) in ascending order, at LAPACK's default tolerance
-    found, vals, _, _, info = _dstebz()(diag, off, 2, 0.0, 1.0, 1, n_levels, 0.0, "E")
+    off = array("d", [-c_kin / h**2]) * (n - 1)
+    found, vals, info = _dstebz(diag, off, 1, n_levels)
     if info != 0 or found < n_levels:
         raise AccuracyError(f"tridiagonal eigensolver failed: dstebz found {found} of "
                             f"{n_levels} levels (LAPACK info={info})")
@@ -140,5 +174,6 @@ def radial_solve_numeric(kind: SystemKind, lam: float, k: float, m: int,
     fine = RadialGrid(2 * grid.n_points + 1, grid.x_max)
     e_coarse = _eigenvalues_on_grid(kind, lam, k, m, n_levels, grid)
     e_fine = _eigenvalues_on_grid(kind, lam, k, m, n_levels, fine)
-    energies = (4.0 * e_fine - e_coarse) / 3.0
-    return RadialSolveResult(energies=energies, error_estimate=np.abs(e_fine - e_coarse), grid=fine)
+    energies = tuple((4.0 * f - c) / 3.0 for f, c in zip(e_fine, e_coarse))
+    estimate = tuple(abs(f - c) for f, c in zip(e_fine, e_coarse))
+    return RadialSolveResult(energies=energies, error_estimate=estimate, grid=fine)

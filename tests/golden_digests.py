@@ -7,8 +7,9 @@ bytes and a 16-bit fingerprint per line (base64), so that a mismatch can
 name its first differing line.  ``run_process`` runs an argv through
 ``python -m screened_sphere.cli`` instead, to check the same record.  The
 numpy version and the CPU model are stored beside the records: the dense
-output runs a numpy matmul, whose last digits may depend on both, and the
-``spectrum --numeric`` levels come from LAPACK.
+output runs a numpy matmul, whose last digits may depend on both.  The
+``spectrum --numeric`` levels take no numpy: their bits come from libm's
+``sin`` and ``tan`` and from dstebz in the OpenBLAS that scipy ships.
 
     PYTHONPATH=src python tests/golden_digests.py [NAME ...]
 

@@ -576,7 +576,7 @@ _BR_FLAGS = ["--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--samples
         (["brackets", *_BR_FLAGS, "--method", "fd"], False),
         (["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--x", "1.6",
           "--px", "0", "--py", "0.55", "--t-end", "20", "--out", "traj.csv"], False),
-        (["spectrum", *_SP_FLAGS, "--numeric"], True),
+        (["spectrum", *_SP_FLAGS, "--numeric"], False),  # LAPACK through ctypes
         (["turning", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--x", "1.6",
           "--px", "0", "--py", "0.55", "--t-end", "20", "--out", "turning.json"], False),
         (["brackets", *_BR_FLAGS, "--samples", "4097"], False),  # above the float path's limit
@@ -592,12 +592,12 @@ def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["rc"] == (0 if argv else None)
-    # the grid oracle loads LAPACK's wrapper alone, not the scipy.linalg package
-    assert report["scipy"] == (["scipy.linalg._flapack"] if loads_scipy else [])
-    # closure and the analytic spectrum run on the stdlib closed forms alone, and analytic
-    # brackets of at most 4096 states on Python floats
+    # the grid oracle calls dstebz in scipy's OpenBLAS through ctypes, importing no scipy module
+    assert bool(report["scipy"]) is loads_scipy, report["scipy"]
+    # closure and the spectrum run on the stdlib alone, and analytic brackets of at most
+    # 4096 states on Python floats
     batch = argv[:1] == ["brackets"] and ("fd" in argv or "4097" in argv)
-    uses_numpy = bool(argv) and (argv[0] in ("orbit", "turning") or "--numeric" in argv or batch)
+    uses_numpy = bool(argv) and (argv[0] in ("orbit", "turning") or batch)
     assert report["numpy"] is uses_numpy
     # every record is a namedtuple, and closure analysis finds p/q without fractions
     assert report["dataclasses"] is False

@@ -177,7 +177,7 @@ def test_closed_form_records_are_frozen_hashable_values():
         _assert_frozen_hashable(record, other)
     for record, other in _library_records():
         _assert_frozen_hashable(record, other)
-    # the records that hold arrays are frozen too, though arrays make them unhashable
+    # the grid result is frozen, and so is the report, though its arrays make it unhashable
     from screened_sphere import conserved, spectra
 
     result = spectra.radial_solve_numeric(SystemKind.COULOMB, 0.0, 0.0, 1, 1)

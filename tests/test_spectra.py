@@ -5,11 +5,15 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from screened_sphere import spectra
 from screened_sphere.dynamics import SystemKind
@@ -255,7 +259,7 @@ def test_oracle_takes_m_prime_of_one_half():
     # m' = 1/2 is the smallest the oracle takes: u ~ x, and the levels keep to their estimate
     result = radial_solve_numeric(SystemKind.COULOMB, 0.0, 0.375, 1, 3)
     want = [coulomb_energy(0.0, 0.375, 1, n) for n in range(3)]
-    assert np.all(np.abs(result.energies - want) <= result.error_estimate)
+    assert np.all(np.abs(np.asarray(result.energies) - want) <= np.asarray(result.error_estimate))
 
 
 def test_oracle_rejects_bad_level_count():
@@ -265,83 +269,177 @@ def test_oracle_rejects_bad_level_count():
         radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 11)
 
 
-@pytest.mark.parametrize("kind", list(SystemKind))
-@pytest.mark.parametrize("lam", [0.0, 0.015, 0.5])
-def test_grid_eigenvalues_equal_scipy_eigh_tridiagonal(monkeypatch, kind, lam):
-    # scipy's public path is the test-only oracle for the direct dstebz call
-    from scipy.linalg import eigh_tridiagonal
+def _numpy_matrix(kind, lam, k, m, grid):
+    """The grid matrix's diagonal and off-diagonal as numpy built them before the oracle ran
+    on floats: the test-only reference for the float matrix."""
+    h = grid.x_max / (grid.n_points + 1)
+    x = h * np.arange(1, grid.n_points + 1)
+    mp = m_prime(m, k)
+    c_kin = 0.5 * lam if lam > 0.0 else 0.5
+    if lam > 0.0:
+        cent = 0.5 * lam * (mp * mp - 0.25) / np.sin(x) ** 2
+        if kind is SystemKind.COULOMB:
+            v0 = -math.sqrt(lam) / np.tan(x)
+        else:
+            v0 = np.tan(x) ** 2 / (2.0 * lam)
+        potential = cent + v0 - lam / 8.0 + lam * k
+    else:
+        cent = 0.5 * (mp * mp - 0.25) / x**2
+        potential = cent + (-1.0 / x if kind is SystemKind.COULOMB else 0.5 * x**2)
+    return 2.0 * c_kin / h**2 + potential, np.full(grid.n_points - 1, -c_kin / h**2)
 
-    matrices = []
-    dstebz = spectra._dstebz()
 
-    def spy(d, e, *args):
-        matrices.append((d, e))
-        return dstebz(d, e, *args)
+@pytest.fixture
+def grid_solves(monkeypatch):
+    """Each (d, e, il, iu, (found, values, info)) that the grid oracle passes to dstebz."""
+    solves = []
+    dstebz = spectra._dstebz
 
-    monkeypatch.setattr(spectra, "_dstebz", lambda: spy)
+    def spy(d, e, il, iu):
+        solves.append((d, e, il, iu, dstebz(d, e, il, iu)))
+        return solves[-1][-1]
+
+    monkeypatch.setattr(spectra, "_dstebz", spy)
+    return solves
+
+
+def _grids(kind, lam):
+    """(n_levels, grid) for every grid the oracle solves on at k = 0.05, m = 1."""
     for n_levels in (1, 3, 10):
         coarse = default_grid(kind, lam, 0.05, 1, n_levels)
         for grid in (coarse, RadialGrid(2 * coarse.n_points + 1, coarse.x_max)):
-            vals = _eigenvalues_on_grid(kind, lam, 0.05, 1, n_levels, grid)
-            d, e = matrices.pop()
-            assert d.size == grid.n_points
-            want = eigh_tridiagonal(d, e, select="i", select_range=(0, n_levels - 1),
-                                    eigvals_only=True)
-            assert vals.tobytes() == want.tobytes()
+            yield n_levels, grid
+
+
+@pytest.mark.parametrize("kind", list(SystemKind))
+@pytest.mark.parametrize("lam", [0.0, 0.015, 0.5])
+def test_grid_eigenvalues_equal_scipy_eigh_tridiagonal(grid_solves, kind, lam):
+    # scipy's public path is the test-only oracle for the direct dstebz call
+    from scipy.linalg import eigh_tridiagonal
+
+    for n_levels, grid in _grids(kind, lam):
+        vals = _eigenvalues_on_grid(kind, lam, 0.05, 1, n_levels, grid)
+        d, e, *_ = grid_solves.pop()
+        assert len(d) == grid.n_points
+        want = eigh_tridiagonal(np.asarray(d), np.asarray(e), select="i",
+                                select_range=(0, n_levels - 1), eigvals_only=True)
+        assert np.array(vals).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(SystemKind))
+@pytest.mark.parametrize("lam", [0.0, 0.015, 0.5])
+def test_float_diagonal_matches_the_numpy_reference(grid_solves, kind, lam):
+    # at lam = 0 the arithmetic is the same, op for op; at lam > 0 libm's tan may round
+    # differently from numpy's by an ulp, which the oscillator's tan**2 doubles
+    ulps = 1 if kind is SystemKind.COULOMB else 2
+    for n_levels, grid in _grids(kind, lam):
+        _eigenvalues_on_grid(kind, lam, 0.05, 1, n_levels, grid)
+        d, e, *_ = grid_solves.pop()
+        want, off = _numpy_matrix(kind, lam, 0.05, 1, grid)
+        assert np.asarray(e).tobytes() == off.tobytes()
+        if lam == 0.0:
+            assert np.asarray(d).tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(np.asarray(d) - want) <= ulps * np.spacing(np.abs(want)))
+
+
+# arrays() fills most entries with one repeated value, so ties and clusters come often
+_tridiagonals = st.integers(1, 300).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=st.floats(-1e6, 1e6)),
+    arrays(np.float64, n - 1, elements=st.floats(-1e6, 1e6)),
+    st.integers(1, n).flatmap(lambda il: st.tuples(st.just(il), st.integers(il, n)))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_tridiagonals)
+def test_dstebz_call_matches_scipy_lapack(matrix):
+    from scipy.linalg import lapack
+
+    d, e, (il, iu) = matrix
+    found, vals, info = spectra._dstebz(array("d", d), array("d", e), il, iu)
+    e_f2py = e if e.size else np.zeros(1)  # the f2py wrapper takes no empty array at n = 1
+    want = lapack.dstebz(d, e_f2py, 2, 0.0, 1.0, il, iu, 0.0, "E")
+    assert (found, info) == (want[0], want[4])
+    assert array("d", vals).tobytes() == want[1][:found].tobytes()
+
+
+@pytest.mark.parametrize("n_off,il,iu", [(2, 1, 1), (0, 1, 1), (1, 0, 1), (1, 2, 1), (1, 1, 3)])
+def test_dstebz_call_refuses_a_bad_shape_before_lapack_sees_it(n_off, il, iu):
+    with pytest.raises(ValueError, match="bad tridiagonal"):
+        spectra._dstebz(array("d", [1.0, 2.0]), array("d", [0.5] * n_off), il, iu)
 
 
 @pytest.mark.parametrize("found,info", [(3, 1), (2, 0)])
 def test_eigensolver_failure_is_an_accuracy_error(monkeypatch, found, info):
-    def fake(d, e, *args):
-        return found, np.zeros(d.size), None, None, info
+    def fake(d, e, il, iu):
+        return found, (0.0,) * found, info
 
-    monkeypatch.setattr(spectra, "_dstebz", lambda: fake)
+    monkeypatch.setattr(spectra, "_dstebz", fake)
     with pytest.raises(AccuracyError) as exc:
         radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 3)
     assert exc.value.code == "ERR_ACCURACY"
-    assert f"info={info}" in str(exc.value)
+    assert str(exc.value) == (f"tridiagonal eigensolver failed: dstebz found {found} of 3 "
+                              f"levels (LAPACK info={info})")
 
 
 @pytest.mark.parametrize("kind,lam,message", [
-    (SystemKind.COULOMB, 1e300, "info=4"),  # LAPACK's bisection fails
-    (SystemKind.OSCILLATOR, 1e308, "infs or NaNs"),  # the matrix overflows
+    pytest.param(SystemKind.COULOMB, 1e300, "dstebz found 0 of 1 levels (LAPACK info=4)",
+                 id="coulomb-1e+300-info=4"),  # LAPACK's bisection fails
+    pytest.param(SystemKind.OSCILLATOR, 1e308, "array must not contain infs or NaNs",
+                 id="oscillator-1e+308-infs or NaNs"),  # the matrix overflows
 ])
 def test_unsolvable_grid_matrix_is_an_accuracy_error(kind, lam, message):
-    with np.errstate(over="ignore"), pytest.raises(AccuracyError, match=message):
+    with pytest.raises(AccuracyError) as exc:
         radial_solve_numeric(kind, lam, 0.0, 1, 1)
+    assert str(exc.value) == f"tridiagonal eigensolver failed: {message}"
+
+
+def test_a_zero_division_on_the_diagonal_is_the_non_finite_matrix_error(monkeypatch):
+    # where numpy's division gave an inf or a NaN, Python's raises
+    monkeypatch.setattr(spectra, "_transformed_potential", lambda *args: [1.0 / 0.0])
+    with pytest.raises(AccuracyError) as exc:
+        radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 1)
+    assert str(exc.value) == "tridiagonal eigensolver failed: array must not contain infs or NaNs"
 
 
 _IMPORT_ORDER = """
 import sys
-import numpy as np
+from array import array
 from screened_sphere import spectra
-from screened_sphere.dynamics import SystemKind
+from screened_sphere.closed_forms import SystemKind
+
+solves = []
+dstebz = spectra._dstebz
+
+def spy(d, e, il, iu):
+    solves.append((d, e, il, iu, dstebz(d, e, il, iu)))
+    return solves[-1][-1]
+
+spectra._dstebz = spy
 
 def solve():
-    return spectra.radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.05, 1, 3).energies
+    return array("d", spectra.radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.05, 1, 3).energies)
 
 if sys.argv[1] == "linalg-first":
     import scipy.linalg
-    flapack = sys.modules["scipy.linalg._flapack"]
     before = solve()
 else:
     before = solve()
-    assert sorted(m for m in sys.modules if m.startswith("scipy")) == ["scipy.linalg._flapack"]
-    flapack = sys.modules["scipy.linalg._flapack"]
+    assert not [m for m in sys.modules if m.startswith(("scipy", "numpy"))]
     import scipy.linalg
-assert sys.modules["scipy.linalg._flapack"] is flapack
-assert scipy.linalg.lapack.dstebz is spectra._dstebz()
-d, e = np.linspace(1.0, 3.0, 50), np.full(49, -0.5)
-found, w, _, _, info = spectra._dstebz()(d, e, 2, 0.0, 1.0, 1, 5, 0.0, "E")
-want = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 4), eigvals_only=True)
-assert (found, info) == (5, 0) and w[:found].tobytes() == want.tobytes()
+import numpy as np
 assert solve().tobytes() == before.tobytes()
+assert len(solves) == 4
+for d, e, il, iu, (found, vals, info) in solves:
+    want = scipy.linalg.lapack.dstebz(np.asarray(d), np.asarray(e), 2, 0.0, 1.0, il, iu, 0.0, "E")
+    assert (found, info) == (want[0], want[4]) == (3, 0)
+    assert array("d", vals).tobytes() == want[1][:found].tobytes()
 print("ok")
 """
 
 
 @pytest.mark.parametrize("order", ["solve-first", "linalg-first"])
-def test_lapack_wrapper_is_shared_with_scipy_linalg(order):
+def test_scipy_linalg_loads_beside_the_grid_solve_and_agrees_bitwise(order):
     # a fresh interpreter, so that no earlier test has loaded scipy already
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
@@ -403,3 +501,20 @@ def test_spectrum_entries_and_csv():
         assert e.e_numeric is not None
         assert e.abs_diff == pytest.approx(abs(e.e_analytic - e.e_numeric))
         assert e.abs_diff < 1e-4
+
+
+def test_spectrum_entries_solve_each_distinct_m_once(monkeypatch):
+    solved = []
+    solve = spectra.radial_solve_numeric
+
+    def counting(kind, lam, k, m, n_levels):
+        solved.append(m)
+        return solve(kind, lam, k, m, n_levels)
+
+    monkeypatch.setattr(spectra, "radial_solve_numeric", counting)
+    entries = spectrum_entries(SystemKind.COULOMB, 0.1, 0.05, ms=[1, 2, 1], ns=[1, 0],
+                               numeric=True)
+    assert solved == [1, 2]
+    assert entries[4:] == entries[:2]
+    assert entries == (spectrum_entries(SystemKind.COULOMB, 0.1, 0.05, ms=[1, 2], ns=[1, 0],
+                                        numeric=True) + entries[:2])
