@@ -8,18 +8,20 @@ turning   turning-point conservation report for an integrated orbit
 brackets  Higgs-algebra bracket residuals over seeded random states
 spectrum  analytic (optionally grid-oracle) energy levels
 
-Each option is declared once, in ``_OPTIONS``: its flag, the commands that
-take it and its argparse keywords.  The parser is built from that table, with
-the subparser of the command being run alone, and so is the ``--config``
-reader.  A ``--config`` file of ``key=value`` lines (``#`` starts a comment) is
-read as the flags ``--key=value``, placed before the command line's own flags,
-so a key acts exactly as its flag does (type, choices, the last one wins) and
-the command line beats the file.  A key is a long option without its dashes
-(``lambda``, ``t-end``, ``Lz``); ``numeric`` and ``gnuplot`` become their
-bare flags for ``1``/``true``/``yes`` and are left out otherwise.  Keys of
-options that only other commands have are skipped; a bad line or a key no
-command has is a domain error, found before any value is parsed.
-``--gnuplot`` with ``--format json`` is a usage error, from either source.
+Each option is declared once, in ``_OPTIONS``: its flag, the commands that take
+it and its argparse keywords.  ``_read_args`` reads a command and its exact
+long flags from that table, the ``--config`` re-read too; help, an
+abbreviation, a bad value and every usage error go to argparse, whose parser is
+built from the same table (its command's subparser alone), so no other run
+imports argparse.  A ``--config`` file of ``key=value`` lines (``#`` starts a
+comment) is read as the flags ``--key=value``, placed before the command line's
+own flags, so a key acts exactly as its flag does (type, choices, the last one
+wins) and the command line beats the file.  A key is a long option without its
+dashes (``lambda``, ``t-end``, ``Lz``); ``numeric`` and ``gnuplot`` become
+their bare flags for ``1``/``true``/``yes`` and are left out otherwise.  Keys
+of options that only other commands have are skipped; a bad line or a key no
+command has is a domain error, found before any value is parsed.  ``--gnuplot``
+with ``--format json`` is a usage error, from either source.
 
 All floating output is printed with 17 significant digits and regular
 files are written atomically (a FIFO or a device is written into), so
@@ -39,14 +41,17 @@ leaves the collector as it finds it.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
 import re
 import sys
 import tempfile
-from typing import Optional, Sequence
+import types
+from typing import TYPE_CHECKING, Optional, Sequence
+
+if TYPE_CHECKING:
+    import argparse
 
 from . import conserved, dynamics  # registered lazily: numpy loads on their first use
 from .closed_forms import SystemKind, SystemParams, closure_analysis, spectrum_csv, spectrum_entries
@@ -161,6 +166,7 @@ def _int_list(text: str) -> list[int]:
     except ValueError:
         values = []
     if not values:
+        import argparse
         raise argparse.ArgumentTypeError(f"want comma-separated integers, got {text!r}")
     return values
 
@@ -280,6 +286,7 @@ _NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)  # "-1e-05", "-inf" are
 def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
     """The CLI parser, with the subparser of ``argv``'s command alone when its first word
     names one, and every command's otherwise.  The usage line lists all commands."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="screened-sphere",
         description="Screened Coulomb/oscillator systems on a sphere: orbits, brackets, spectra.",
@@ -292,6 +299,44 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
                 p.add_argument(flag, **keywords)
         p._negative_number_matcher = _NUMBER
     return parser
+
+
+def _read_args(argv: Sequence[str]) -> Optional[types.SimpleNamespace]:
+    """argparse's namespace for ``argv`` when it is a command and only its exact long flags
+    (``--flag value``, ``--flag=value``, a bare store_true flag), read from ``_OPTIONS``, each
+    value typed and checked where it stands; None for argparse to read or report otherwise."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values, options = {"command": argv[0]}, {}
+    for flag, commands, keywords in _OPTIONS:
+        if argv[0] in commands:
+            dest = keywords.get("dest", flag[2:].replace("-", "_"))
+            default = keywords.get("default", False if "action" in keywords else None)
+            values[dest] = keywords.get("type", str)(default) if type(default) is str else default
+            options[flag] = dest, keywords
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            return None
+        dest, keywords = options[flag]
+        if "action" in keywords:  # a store_true flag takes no value
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:  # argparse takes a separate "-..." value only if it is "-" or a number
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and value != "-" and not _NUMBER.match(value):
+                return None
+        try:
+            value = keywords.get("type", str)(value)
+        except Exception:  # argparse reports it, or raises it again
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[dest] = value
+    return types.SimpleNamespace(**values)
 
 
 def _config_flags(path: str, command: str) -> list[str]:
@@ -334,23 +379,22 @@ def _config_flags(path: str, command: str) -> list[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    args = _read_args(argv) or build_parser(argv).parse_args(argv)
     try:
         if args.config:  # the file's flags go before the command line's, which win
-            flags = _config_flags(args.config, args.command)
-            args = parser.parse_args([args.command, *flags, *argv[1:]])
-        if "t_end" in args and args.t_end is None:
+            argv = [args.command, *_config_flags(args.config, args.command), *argv[1:]]
+            args = _read_args(argv) or build_parser(argv).parse_args(argv)
+        if getattr(args, "t_end", 0.0) is None:
             raise UsageError("missing --t-end")
         if args.system is None:
             raise UsageError("missing --system")
-        if "fmt" in args and args.fmt == "json" and args.gnuplot:
+        if getattr(args, "fmt", None) == "json" and args.gnuplot:
             raise UsageError("--gnuplot needs csv output, not --format json")
-        if "tol" in args and not (math.isfinite(args.tol) and 1e-13 <= args.tol <= 1e-6):
+        if hasattr(args, "tol") and not (math.isfinite(args.tol) and 1e-13 <= args.tol <= 1e-6):
             raise UsageError(f"--tol must lie in [1e-13, 1e-6], got {args.tol:g}")
         return _COMMANDS[args.command][0](args)
     except UsageError as exc:
-        parser.error(str(exc))  # prints usage, raises SystemExit(2)
+        build_parser(argv).error(str(exc))  # prints usage, raises SystemExit(2)
     except DomainError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 3

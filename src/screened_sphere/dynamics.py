@@ -506,6 +506,12 @@ def integrate(
     max(1, |H0|) and max(1, |Lz0|), or if a turning
     point is left with |rdot| above ``TURNING_RDOT_TOL``.  More than
     ``MAX_SAMPLES`` samples is a domain error, raised before any allocation.
+
+    ``rel_tol`` bounds the drift of H and Lz, not the phase: on the exact coulomb orbit at
+    lam = 0 (k = 0.05, from (1, 0, 0, 0.55) to t = 70, 26.8 radial periods) r was within
+    146-247 x rel_tol, theta 4500-7600 x and the apsis times 129-216 x, the oscillator 0.07 x
+    (``test_sampled_states_match_the_exact_orbit_at_zero_curvature`` and
+    ``test_turning_times_match_the_exact_apsis_times_at_zero_curvature``).
     """
     y0 = (state0.x1, state0.x2, state0.p1, state0.p2)
     if not all(map(math.isfinite, y0)):

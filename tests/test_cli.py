@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from screened_sphere.cli import _json, main, run
+from screened_sphere.cli import _OPTIONS, _json, _read_args, build_parser, main, run
 from screened_sphere.errors import AccuracyError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -553,11 +553,16 @@ argv = json.loads(sys.argv[1])
 rc = None
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
-        rc = screened_sphere.cli.main(argv)
+        try:
+            rc = screened_sphere.cli.main(argv)
+        except SystemExit as exc:  # a usage error
+            rc = exc.code
 print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
                   "numpy": any(m == "numpy" or m.startswith("numpy.") for m in sys.modules),
                   "dataclasses": "dataclasses" in sys.modules,
                   "fractions": "fractions" in sys.modules,
+                  "argparse": "argparse" in sys.modules,
+                  "gettext": "gettext" in sys.modules,
                   # a lazily registered module turns into a plain module once its body runs
                   "dynamics_ran":
                       type(sys.modules["screened_sphere.dynamics"]) is types.ModuleType}))
@@ -602,8 +607,23 @@ def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
     # every record is a namedtuple, and closure analysis finds p/q without fractions
     assert report["dataclasses"] is False
     assert report["fractions"] is False
+    # the option table reads every argv here; argparse loads only for help or a usage error
+    assert (report["argparse"], report["gettext"]) == (False, False)
     # brackets takes its kernels from phase_space; only an integrated orbit runs dynamics
     assert report["dynamics_ran"] is (argv[:1] in (["orbit"], ["turning"]))
+
+
+def test_a_usage_error_loads_argparse_and_reports_through_it(tmp_path):
+    argv = ["closure", "--system", "coulomb", "--lambda", "0.1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+    )
+    report = json.loads(proc.stdout)
+    assert (report["rc"], report["argparse"], report["gettext"]) == (2, True, True)
+    assert proc.stderr == ("usage: screened-sphere [-h] {orbit,closure,turning,brackets,spectrum}"
+                           " ...\nscreened-sphere: error: closure requires --Lz\n")
 
 
 @pytest.mark.parametrize("n,message", [
@@ -927,6 +947,73 @@ def test_numeric_flags_end_in_a_result_or_a_coded_error(argv):
         _assert_finite_output(out.getvalue())
     if rc == 3:
         assert re.fullmatch(r"ERR_[A-Z_]+: .+\n", err.getvalue()), (argv, err.getvalue())
+
+
+# --- the option-table reader: argparse's namespace, or None -------------------------
+
+_FLAGS = tuple(flag for flag, _, _ in _OPTIONS)
+
+
+@st.composite
+def _edited_argv(draw) -> list[str]:
+    """An ``_odd_argv`` with up to three edits that argparse reads another way or refuses:
+    ``--flag=value``, an abbreviation, ``-h``, ``--``, a repeated flag or ``--out`` with a
+    negative number or ``-`` as its value, a flag as a value, a trailing flag with no
+    value, ``--numeric=1`` and a repeated flag whose first value is bad."""
+    command, *rest = draw(_odd_argv())
+    groups = []  # [flag, value] or [flag]
+    while rest:
+        n = 1 if rest[0] == "--numeric" else 2
+        groups.append(rest[:n])
+        rest = rest[n:]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(groups) - 1))
+        flag, *value = groups[i]
+        edit = draw(st.sampled_from(["joined", "prefix", "help", "dashes", "negative",
+                                     "flag-value", "trailing", "numeric=1", "bad-first"]))
+        if edit == "joined" and value:
+            groups[i] = [f"{flag}={value[0]}"]
+        elif edit == "prefix" and len(flag) > 3:
+            groups[i] = [flag[:draw(st.integers(3, len(flag) - 1))], *value]
+        elif edit in ("help", "dashes"):
+            groups.insert(i, ["-h" if edit == "help" else "--"])
+        elif edit == "negative":  # before the group: its flag repeated, or --out
+            groups.insert(i, [draw(st.sampled_from([flag, "--out"])),
+                              draw(st.sampled_from(["-1e-05", "-inf", "-.5", "-"]))])
+        elif edit == "flag-value":
+            groups.insert(i, [draw(st.sampled_from(_FLAGS)), draw(st.sampled_from(_FLAGS))])
+        elif edit == "trailing":
+            groups.append([draw(st.sampled_from(_FLAGS))])
+        elif edit == "numeric=1":
+            groups.append(["--numeric=1"])
+        elif edit == "bad-first" and value:
+            groups.insert(i, [flag, "x"])
+    return [command, *(tok for group in groups for tok in group)]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(argv=_edited_argv())
+def test_the_option_table_reads_argv_as_argparse_does(argv):
+    read = _read_args(argv)
+    if read is None:  # argparse reads it, or reports it
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            parsed = build_parser(argv).parse_args(argv)
+        except SystemExit:
+            parsed = None
+    assert parsed is not None, (argv, err.getvalue())
+    assert repr(vars(read)) == repr(vars(parsed))  # by repr, since nan != nan
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", "--system", "coulomb", "--lam", "0.1", "--Lz", "1"],  # an abbreviation
+    ["spectrum", "-h"],
+    ["brackets", "--system", "coulomb", "--k", "x", "--k", "1"],  # argparse stops at --k x
+], ids=["prefix", "help", "bad-first"])
+def test_the_option_table_leaves_to_argparse_what_it_does_not_settle(argv):
+    assert _read_args(argv) is None
 
 
 # --- the process entry: collector off for the run, heap frozen on exit -------------

@@ -1,12 +1,15 @@
 """Byte identity of pinned CLI commands: each argv in ``golden/argv.json`` against its record
 in ``golden/digests.json``, which ``golden_digests.py`` regenerates."""
 
+import importlib
 import json
 import math
+import sys
 
 import pytest
 
 from golden_digests import GOLDEN, host, load_argv, mismatch, run, run_process
+from screened_sphere.cli import _config_flags, _read_args
 
 DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
 ARGV = load_argv()
@@ -51,6 +54,23 @@ def test_an_op_read_from_a_config_file_matches_its_golden_digests(name, tmp_path
     (tmp_path / "run").mkdir()
     found = mismatch(*run([command, "--config", str(cfg)], tmp_path / "run"), DIGESTS["ops"][name])
     assert found is None, found
+
+
+def test_the_option_table_reads_every_pinned_and_benchmark_argv(tmp_path, monkeypatch):
+    # none of this traffic falls back to argparse, so none of it imports argparse
+    argvs = [op["argv"] for op in ARGV]
+    for name in CONFIG_TWINS:  # the argv that main reads once it has read the file
+        command, *flags = next(op["argv"] for op in ARGV if op["name"] == name)
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(_as_config(flags))
+        argvs.append([command, *_config_flags(str(cfg), command), "--config", str(cfg)])
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(GOLDEN.parents[1]))
+    workloads = importlib.import_module("perfbench.workloads")
+    argvs += [op.argv for workload in workloads.WORKLOADS for seed in range(1, 6)
+              for op in workloads.generate(workload, seed, str(tmp_path))]
+    assert [argv for argv in argvs if _read_args(argv) is None] == []
+    assert len(argvs) > len(ARGV) + len(CONFIG_TWINS)
 
 
 def test_a_one_ulp_change_in_a_csv_field_fails(tmp_path):
