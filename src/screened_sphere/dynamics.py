@@ -36,9 +36,15 @@ II.10), at most ``MAX_STEPS`` steps, on Python floats, without scipy, by one loo
 written at import from the table.  Its stages are straight-line code that skips zero
 coefficients, sums left to right from 0.0 as Python 3.11's ``sum(map(mul, a, k))``
 does and runs the text of ``h_gradient`` inline: on finite stages that loop bit for
-bit.  It keeps only the step times and states, returns them at t_end and raises every
-other end of an orbit itself; the dense output rebuilds the stage derivatives of its
-steps with the same operations on arrays, a block of steps at a time (``_stages``).
+bit.  (The squared error-norm sums start from their first term instead, since a square
+drops the sign of zero that the 0.0 sets, and ``max`` of two floats is written as the
+comparison ``max`` makes.)  It keeps only the step times and states, returns them at
+t_end and raises every other end of an orbit itself; the dense output rebuilds the stage
+derivatives of its steps with the same operations on arrays, a block of steps at a time
+(``_stages``).  The interpolant is evaluated a block of times at a time, on the step
+coefficients of those times gathered once (``_interpolate``), and the turning points are
+bisected on the coefficients of their own steps (``DenseOutput.on_steps``): the same
+bits as evaluating each time alone.
 
 ``Trajectory.to_csv`` writes the bytes of ``%.17g`` per field.  Rows whose
 fields all lie in 1e-4 <= |v| < 1e16 are laid out by numpy from exact
@@ -76,7 +82,8 @@ R_MIN_GUARD = 1e-8          # terminate near-collision orbits
 CHART_EDGE_GUARD = 1e12     # terminate orbits with lam*r**2 = tan(chi)**2 beyond this
 MAX_STEPS = 2 * 10**5       # cap on accepted solver steps (40 B each, ~0.3 kB in dense output)
 TURNING_RDOT_TOL = 1e-10    # refined |rdot| bound at a turning point
-_CSV_BLOCK = 4096           # trajectory rows formatted together
+_CSV_BLOCK = 1024           # trajectory rows formatted together
+_DENSE_BLOCK = 1024         # samples whose interpolant is evaluated together
 _STAGE_BLOCK = 2048         # steps whose stage derivatives are rebuilt together
 
 
@@ -141,19 +148,29 @@ class Trajectory(namedtuple("Trajectory", "t states r theta H Lz params dense st
 
         A row whose fields all have 1e-4 <= |v| < 1e16, which ``%g`` prints in
         fixed notation, is laid out by :func:`_csv_rows`; runs of other rows
-        (a zero, -0, a non-finite value) go through ``%``.
+        (a zero, -0, a non-finite value) go through ``%``.  Rows are copied into
+        one reused buffer and formatted ``_CSV_BLOCK`` at a time.
         """
-        columns = (self.t, self.states, self.r, self.theta, self.H, self.Lz)
+        n, size = len(self.t), _CSV_BLOCK
+        buf = np.empty((min(n, size), 9))  # one block of rows, reused
         parts = ["t,x1,x2,p1,p2,r,theta,H,Lz\n"]
-        for i in range(0, len(self.t), _CSV_BLOCK):
-            b = np.column_stack([c[i:i + _CSV_BLOCK] for c in columns])
-            fast = ((np.abs(b) >= 1e-4) & (np.abs(b) < 1e16)).all(axis=1)
-            rows = _csv_rows(np.where(fast[:, None], b, 1.0))
-            edges = [0, *(np.flatnonzero(fast[1:] != fast[:-1]) + 1).tolist(), len(b)]
-            parts.append(b"".join(
-                rows[s:e].tobytes() if fast[s] else
-                (_CSV_ROW * (e - s) % tuple(b[s:e].ravel().tolist())).encode()
-                for s, e in zip(edges, edges[1:])).translate(None, b"\0").decode())
+        for i in range(0, n, size):
+            end = min(i + size, n)
+            b = buf[:end - i]
+            b[:, 0], b[:, 1:5], b[:, 5], b[:, 6], b[:, 7], b[:, 8] = (
+                c[i:end] for c in (self.t, self.states, self.r, self.theta, self.H, self.Lz))
+            a = np.abs(b)
+            fast = ((a >= 1e-4) & (a < 1e16)).all(axis=1)
+            if fast.all():
+                text = _csv_rows(b, a).tobytes()
+            else:
+                rows = _csv_rows(np.where(fast[:, None], b, 1.0), np.where(fast[:, None], a, 1.0))
+                edges = [0, *(np.flatnonzero(fast[1:] != fast[:-1]) + 1).tolist(), len(b)]
+                text = b"".join(
+                    rows[s:e].tobytes() if fast[s] else
+                    (_CSV_ROW * (e - s) % tuple(b[s:e].ravel().tolist())).encode()
+                    for s, e in zip(edges, edges[1:]))
+            parts.append(text.translate(None, b"\0").decode())
         return "".join(parts)
 
 
@@ -190,8 +207,9 @@ def _round17(a, x):
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _csv_rows(b):
-    """Rows of ``b`` (n, 9) as ``%.17g`` CSV lines, NUL-padded to 360 bytes.
+def _csv_rows(b, a):
+    """Rows of ``b`` (n, 9), whose absolute values are ``a``, as ``%.17g`` CSV lines, NUL-padded
+    to 360 bytes.
 
     Every field needs 1e-4 <= |v| < 1e16.  Its 17 digits D and decimal
     exponent X satisfy 1e16 <= D < 1e17 and -4 <= X <= 15; a field is 40
@@ -199,16 +217,16 @@ def _csv_rows(b):
     after digit X becomes the point), trailing fraction zeros as NUL.
     """
     groups, lead = _csv_items()
-    v = b.ravel()
-    a = np.abs(v)
+    v, a = b.ravel(), a.ravel()
     x = np.floor(np.log10(a)).astype(np.int64)
     d = _round17(a, x)
     while (i := np.flatnonzero((d < 10**16) | (d >= 10**17))).size:
         x[i] += np.where(d[i] < 10**16, -1, 1)
         d[i] = _round17(a[i], x[i])  # from a again, never from d
-    d0, rest = np.divmod(d, 10**16)
-    g1, g2 = np.divmod(rest // 10**8, 10**4)
-    g3, g4 = np.divmod(rest % 10**8, 10**4)
+    q = d // 10**8  # D = q * 10**8 + its last 8 digits; both parts fit int32, which divides faster
+    d0, g12 = np.divmod(q.astype(np.int32), 10**8)
+    g1, g2 = np.divmod(g12, 10**4)
+    g3, g4 = np.divmod((d - q * 10**8).astype(np.int32), 10**4)
     z3 = g4 == 0
     z2 = z3 & (g3 == 0)
     out = np.empty((len(v), 5), np.uint64)
@@ -337,9 +355,12 @@ def _dop853(y, params, t_end, rtol):
     lam*r**2 exceeds ``CHART_EDGE_GUARD``, and on a step below float spacing (``_underflow``).
     """
     sqrt = math.sqrt  # called by the stages' gradient lines
+    hypot, nextafter, inf = math.hypot, math.nextafter, math.inf
+    max_steps, r_min = MAX_STEPS, R_MIN_GUARD
     atol = rtol * 1e-2
     r_max = math.sqrt(CHART_EDGE_GUARD / params.lam) if params.lam > 0.0 else math.inf
     direction = 1.0 if t_end > 0.0 else -1.0
+    toward = direction * inf
     t = 0.0
     ts, ys = array("d", [t]), array("d", y)
     f = _rhs(*y, params)
@@ -355,10 +376,11 @@ def _dop853(y, params, t_end, rtol):
     (y1, y2, y3, y4), (k1_0, k2_0, k3_0, k4_0) = y, f
     <params>
     while direction * (t - t_end) < 0.0:
-        if len(ts) > MAX_STEPS:
-            raise StepBudgetError(f"more than {MAX_STEPS} solver steps; stopped at t = {t:.6g}")
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
+        if len(ts) > max_steps:
+            raise StepBudgetError(f"more than {max_steps} solver steps; stopped at t = {t:.6g}")
+        min_step = 10.0 * abs(nextafter(t, toward) - t)
+        if min_step > h_abs:  # max(h_abs, min_step): h_abs on a tie or a NaN
+            h_abs = min_step
         rejected = False
         while True:
             if not h_abs >= min_step:  # also ends a NaN step size
@@ -370,17 +392,20 @@ def _dop853(y, params, t_end, rtol):
             h_abs = abs(h)
             try:
                 <stages>
-                err = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 4) if err5 or err3 else 0.0
+                err = h_abs * err5 / sqrt((err5 + 0.01 * err3) * 4) if err5 or err3 else 0.0
             except OverflowError:  # from ``** 2`` in the error norm
                 err = math.inf
             if err < 1.0:
-                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
-                h_abs *= min(1.0, factor) if rejected else factor
+                factor = 10.0 if err == 0.0 else 0.9 * err ** -0.125
+                if not factor < 10.0:  # min(10.0, factor): these conditionals pick as min, max do
+                    factor = 10.0
+                h_abs *= factor if not rejected or factor < 1.0 else 1.0  # min(1.0, factor)
                 break
-            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            factor = 0.9 * err ** -0.125
+            h_abs *= factor if factor > 0.2 else 0.2  # max(0.2, factor)
             rejected = True
-        r = math.hypot(x1, x2)
-        if r <= R_MIN_GUARD:
+        r = hypot(x1, x2)
+        if r <= r_min:
             y_new = (x1, x2, p1, p2)
             dense = DenseOutput(np.array((t, t_new)), np.array(((y1, y2, y3, y4), y_new)).T, params)
             t_hit = _bracketed_root(lambda s: np.hypot(*dense(s)[:2]) - R_MIN_GUARD, t, t_new)
@@ -391,7 +416,7 @@ def _dop853(y, params, t_end, rtol):
         t, y1, y2, y3, y4 = t_new, x1, x2, p1, p2
         k1_0, k2_0, k3_0, k4_0 = k1_12, k2_12, k3_12, k4_12
         ts.append(t)
-        ys.extend((y1, y2, y3, y4))
+        ys.fromlist([y1, y2, y3, y4])  # half the time of extend with a tuple
     return ts, ys
 '''
 
@@ -400,16 +425,19 @@ def _compile_driver():
     """The driver's loop ``_DRIVER`` with one block per row of ``_A`` at <stages> (the stage's state
     in x1, x2, p1, p2, the text of ``h_gradient`` inline, the derivative in k1_s..k4_s) and the
     error norms err5, err3, compiled; its text goes into ``linecache`` for tracebacks."""
-    def dot(row, c):
-        return "(0.0" + "".join(f" + {a!r} * k{c}_{j}" for j, a in enumerate(row) if a) + ")"
+    def dot(row, c, start="0.0 + "):
+        return "(" + start + " + ".join(f"{a!r} * k{c}_{j}" for j, a in enumerate(row) if a) + ")"
     names = ("x1", "x2", "p1", "p2")
     rhs = (_H_GRAD[2], _H_GRAD[3], f"-({_H_GRAD[0]})", f"-({_H_GRAD[1]})")  # J times the gradient
     lines = []
     for s, row in enumerate(_A[1:13], 1):
         lines += [f"{v} = y{c} + {dot(row, c)} * h" for c, v in enumerate(names, 1)]
         lines += [*_H_LINES, *(f"k{c}_{s} = {d}" for c, d in enumerate(rhs, 1))]  # no tuple
-    lines += [f"sc{c} = atol + max(abs(y{c}), abs({v})) * rtol" for c, v in enumerate(names, 1)]
-    lines += [f"err{n} = " + " + ".join(f"({dot(e, c)} / sc{c}) ** 2" for c in range(1, 5))
+    # max(|y|, |x|) as max picks it, the first on a tie or a NaN
+    lines += [f"sc{c} = atol + (new if (new := abs({v})) > (old := abs(y{c})) else old) * rtol"
+              for c, v in enumerate(names, 1)]
+    # squared, a sum's sign is lost, so these start from their first term
+    lines += [f"err{n} = " + " + ".join(f"({dot(e, c, '')} / sc{c}) ** 2" for c in range(1, 5))
               for n, e in ((5, _E5), (3, _E3))]
     stages = ("\n" + " " * 16).join(lines)  # at the indentation of <stages>
     src = _DRIVER.replace("<params>", _H_PARAMS).replace("<stages>", stages)
@@ -438,7 +466,8 @@ class DenseOutput:
     Takes step times ``t`` and states ``y`` (4, n + 1) in integration order,
     rebuilds each step's stage derivatives (:func:`_stages`) and keeps the
     steps in increasing time.  A time on a step boundary takes the step that ends
-    there in integration order, as scipy's ``OdeSolution`` does.
+    there in integration order, as scipy's ``OdeSolution`` does.  Times are evaluated
+    ``_DENSE_BLOCK`` at a time, each block on its steps' coefficients gathered once.
     """
 
     def __init__(self, t, y, params: SystemParams):
@@ -448,9 +477,12 @@ class DenseOutput:
             b = slice(i, i + _STAGE_BLOCK)
             hb, y_old = h[b], y[:, :-1][:, b]
             k = _stages(y_old, hb, params)
-            dy = np.subtract(y[:, 1:][:, b], y_old, out=F[0, :, b])
+            dy, f1, f2 = F[0, :, b], F[1, :, b], F[2, :, b]
+            np.subtract(y[:, 1:][:, b], y_old, out=dy)
             f_old, f_new = k[:, :, 0].T, k[:, :, 12].T
-            F[1, :, b], F[2, :, b] = hb * f_old - dy, 2.0 * dy - hb * (f_new + f_old)
+            np.subtract(np.multiply(hb, f_old, out=f1), dy, out=f1)  # hb * f_old - dy
+            np.add(f_new, f_old, out=f2)  # then 2 dy - hb (f_new + f_old)
+            np.subtract(2.0 * dy, np.multiply(hb, f2, out=f2), out=f2)
             np.multiply(np.transpose(k @ np.transpose(_D), (2, 1, 0)), hb, out=F[3:, :, b])
         order = slice(None) if t[-1] > t[0] else slice(None, None, -1)
         self.bounds, self.t_old, self.h = t[order], t[:-1][order], h[order]
@@ -461,11 +493,42 @@ class DenseOutput:
         """States (x1, x2, p1, p2) at a time, shape (4,), or at times, shape (4, m)."""
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self.bounds, t, self.side) - 1, 0, self.h.size - 1)
-        x = (t - self.t_old[i]) / self.h[i]
-        y = 0.0  # Horner in x over the rows of F, the factors x and 1 - x alternating
-        for row in range(6, -1, -1):
-            y = (y + self.F[row][:, i]) * (x if row % 2 == 0 else 1.0 - x)
-        return y + self.y_old[:, i]
+        ts, steps = t.ravel(), i.ravel()
+        y = np.empty((4, ts.size))
+        for s in range(0, ts.size, _DENSE_BLOCK):  # each block's coefficients are gathered once
+            b, j = slice(s, s + _DENSE_BLOCK), steps[s:s + _DENSE_BLOCK]
+            _interpolate(self.F[:, :, j], self.y_old[:, j], self.t_old[j], self.h[j], ts[b], y[:, b])
+        return y.reshape(4, *t.shape)
+
+    def on_steps(self, j):
+        """The interpolant on the steps ``j`` (indices in increasing time), one time in each
+        step's span: ``at(t)`` evaluates it on each step's coefficients, gathered once here, and
+        a time at either end of its step through ``self``, whose side rule picks the step there."""
+        a, b = self.bounds[j], self.bounds[j + 1]
+        F, y_old, t_old, h = self.F[:, :, j], self.y_old[:, j], self.t_old[j], self.h[j]
+
+        def at(t):
+            y = _interpolate(F, y_old, t_old, h, t, np.empty((4, t.size)))
+            if (end := (t == a) | (t == b)).any():
+                y[:, end] = self(t[end])
+            return y
+
+        return at
+
+
+def _interpolate(F, y_old, t_old, h, t, out):
+    """The interpolant with step coefficients ``F`` (7, 4, m), ``y_old`` (4, m), ``t_old`` and ``h``
+    (m,) at times ``t`` (m,), into ``out`` (4, m): Horner in x over the rows of F, from 0.0, the
+    factors x and 1 - x alternating."""
+    x = (t - t_old) / h
+    w = 1.0 - x
+    np.add(F[6], 0.0, out=out)
+    out *= x
+    for row in (5, 4, 3, 2, 1, 0):
+        out += F[row]
+        out *= w if row % 2 else x
+    out += y_old
+    return out
 
 
 def _bracketed_root(g, a, b):
@@ -581,20 +644,18 @@ def _turning_points(dense: DenseOutput, step_y: np.ndarray, step_theta: np.ndarr
     # while rdot jumps from -|v| to |v|: that is no apsis
     radial = np.abs(lz_value(*step_y)) <= 4.0 * math.ulp(1.0) * np.hypot(*step_y[:2]) * momentum
     j = j[~((s[j + 1] > s[j]) & radial[j] & radial[j + 1])]
-    step_t = dense.bounds
-    roots = _bracketed_root(lambda t: _rdot(dense(t), params.lam), step_t[j], step_t[j + 1])
-    y = dense(roots)
+    step_t, on_steps = dense.bounds, dense.on_steps(j)
+    roots = _bracketed_root(lambda t: _rdot(on_steps(t), params.lam), step_t[j], step_t[j + 1])
+    y = on_steps(roots)
     rdot = np.abs(_rdot(y, params.lam))
     if roots.size and float(np.max(rdot)) > TURNING_RDOT_TOL:
         raise AccuracyError(f"turning-point refinement left |rdot| = {float(np.max(rdot)):.3e}")
-    theta = _on_branch(np.arctan2(y[1], y[0]), roots, step_t, step_theta)
-    points = []
-    for t_star, col, th, rising in zip(roots.tolist(), y.T, theta.tolist(),
-                                       (s[j + 1] > s[j]).tolist()):
-        st = PhaseState.from_array(col)
-        kind = TurningKind.PERIHELION if rising else TurningKind.APHELION
-        points.append(TurningPoint(t=t_star, state=st, kind=kind, r=st.r, theta=th))
-    return points, False
+    theta = _on_branch(np.arctan2(y[1], y[0]), roots, step_t, step_theta).tolist()
+    kinds = [TurningKind.PERIHELION if rising else TurningKind.APHELION
+             for rising in (s[j + 1] > s[j]).tolist()]
+    states = map(PhaseState._make, y.T.tolist())
+    return [TurningPoint(t_star, st, kind, math.hypot(st.x1, st.x2), th)
+            for t_star, st, kind, th in zip(roots.tolist(), states, kinds, theta)], False
 
 
 def find_turning_points(traj: Trajectory) -> list[TurningPoint]:

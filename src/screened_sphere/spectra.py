@@ -60,8 +60,8 @@ def default_grid(kind: SystemKind, lam: float, k: float, m: int, n_levels: int) 
         x_max = math.pi if kind is SystemKind.COULOMB else math.pi / 2.0
         return RadialGrid(2000, x_max)
     if kind is SystemKind.COULOMB:
-        n_eff = mp + (n_levels - 1) + 0.5
-        return RadialGrid(6000, max(40.0, 30.0 * n_eff))
+        n_eff = mp + (n_levels - 1) + 0.5  # the outer turning point of the top level is ~2 n_eff**2
+        return RadialGrid(6000, max(40.0, 30.0 * n_eff, 2.0 * n_eff * n_eff + 20.0 * n_eff))
     e_max = 1.0 + mp + 2.0 * (n_levels - 1)
     return RadialGrid(3000, max(10.0, math.sqrt(2.0 * e_max) + 7.0))
 

@@ -234,6 +234,92 @@ def test_dense_output_rows_keep_the_bits_of_their_stacked_form(coulomb_params, t
     assert F.tobytes() == stacked[:, :, order].tobytes()
 
 
+def _interpolant_one_at_a_time(dense, t):
+    """The interpolant at each time of ``t`` alone, row by row over F as every time was
+    evaluated before the blocks: the reference for the block evaluation."""
+    cols = []
+    for ti in t.tolist():
+        i = min(max(int(np.searchsorted(dense.bounds, ti, dense.side)) - 1, 0), dense.h.size - 1)
+        x = (ti - dense.t_old[i]) / dense.h[i]
+        y = 0.0
+        for row in range(6, -1, -1):
+            y = (y + dense.F[row][:, i]) * (x if row % 2 == 0 else 1.0 - x)
+        cols.append(y + dense.y_old[:, i])
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("t_end", [70.0, -70.0])
+def test_dense_output_blocks_equal_each_time_alone(coulomb_params, t_end):
+    # times are evaluated a block at a time on the block's gathered coefficients; here more
+    # than two blocks, with step ends among them
+    dense = integrate(PhaseState(1.6, 0.0, 0.0, 0.55), coulomb_params, t_end, n_samples=3).dense
+    t = np.sort(np.concatenate([dense.bounds[::7], np.linspace(
+        dense.bounds[0], dense.bounds[-1], 2 * dynamics._DENSE_BLOCK + 17)]))
+    y = dense(t)
+    assert y.shape == (4, t.size) and t.size > 2 * dynamics._DENSE_BLOCK
+    assert y.tobytes() == _interpolant_one_at_a_time(dense, t).tobytes()
+    assert y.tobytes() == np.stack([dense(v) for v in t.tolist()], axis=1).tobytes()
+    assert y[:, ::-1].tobytes() == dense(t[::-1]).tobytes()
+
+
+@pytest.mark.parametrize("kind, state", [(SystemKind.COULOMB, (1.6, 0.0, 0.0, 0.55)),
+                                         (SystemKind.OSCILLATOR, (1.5, 0.0, 0.0, 0.6))])
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("t_end", [30.0, -30.0])
+def test_apsis_refinement_is_the_bisection_of_the_dense_output(monkeypatch, kind, state, lam,
+                                                                t_end):
+    # each bracket is bisected on its own step's gathered coefficients; the turning points are
+    # those of bisecting rdot(dense(t)), bit for bit
+    brackets, bisect = [], dynamics._bracketed_root
+
+    def spy(g, a, b):
+        brackets.append((a, b))
+        return bisect(g, a, b)
+
+    monkeypatch.setattr(dynamics, "_bracketed_root", spy)
+    traj = integrate(PhaseState(*state), SystemParams(kind, lam, 0.05), t_end, n_samples=3)
+    [(a, b)] = brackets
+    t = bisect(lambda t: dynamics._rdot(traj.dense(t), lam), a, b)
+    y = traj.dense(t)
+    points = traj.turning_points
+    assert len(points) == t.size >= 4
+    assert [p.t.hex() for p in points] == [v.hex() for v in t.tolist()]
+    assert [[v.hex() for v in p.state] for p in points] == [[v.hex() for v in c] for c in y.T.tolist()]
+    assert [p.r.hex() for p in points] == [PhaseState(*c).r.hex() for c in y.T.tolist()]
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_a_midpoint_on_a_step_end_is_evaluated_through_the_dense_output(coulomb_params,
+                                                                         direction):
+    # two steps whose x2 goes 0.3, -0.1, -0.2: the first step's polynomial ends at
+    # 0.3 + (-0.1 - 0.3) != -0.1, where the second starts, so at the time they share the
+    # step that dense() picks matters in the last bit; that time has an even last bit, which
+    # the midpoint of a one-float bracket rounds to
+    t = direction * np.array([0.0, 0.0625, 0.125])
+    y = np.array([[1.0, 1.0, 1.0], [0.3, -0.1, -0.2], [0.0, 0.0, 0.0], [0.55, 0.55, 0.55]])
+    dense = dynamics.DenseOutput(t, y, coulomb_params)
+    shared = dense.bounds[1]
+    # bisection halves every bracket until the widest has converged, so a bracket one float
+    # wide keeps being halved and its midpoint falls on its ends: here one on each side of the
+    # shared time, beside a whole step
+    j = np.array([0, 1, 0])
+    a = np.array([np.nextafter(shared, -np.inf), shared, dense.bounds[0]])
+    b = np.array([shared, np.nextafter(shared, np.inf), shared])
+    at, on_end = dense.on_steps(j), []
+
+    def g(t):
+        y = at(t)
+        assert y.tobytes() == dense(t).tobytes()
+        on_end.append(np.count_nonzero(t == shared))
+        return dynamics._rdot(y, coulomb_params.lam)
+
+    dynamics._bracketed_root(g, a, b)
+    assert sum(on_end[2:]) > 0  # g(a) and g(b) come first, then the midpoints
+    own = dynamics._interpolate(dense.F[:, :, :2], dense.y_old[:, :2], dense.t_old[:2],
+                                dense.h[:2], np.array([shared, shared]), np.empty((4, 2)))
+    assert not np.array_equal(own[:, 0], own[:, 1])  # the two steps disagree there
+
+
 def test_integrate_caps_steps(monkeypatch, coulomb_params):
     # the fixture orbit takes ~2e4 steps to t_end = 2000; a cap of 1000 stops it on the way
     monkeypatch.setattr(dynamics, "MAX_STEPS", 1000)

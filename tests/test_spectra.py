@@ -262,6 +262,17 @@ def test_oracle_takes_m_prime_of_one_half():
     assert np.all(np.abs(np.asarray(result.energies) - want) <= np.asarray(result.error_estimate))
 
 
+@pytest.mark.parametrize("k", [0.0, 0.3])
+@pytest.mark.parametrize("m", [2, 6, 20, 100])
+def test_flat_coulomb_levels_keep_to_their_estimate_past_n_eff_5(m, k):
+    # the outer turning point of a flat coulomb level is near r = 2 n_eff**2; a grid of
+    # 30 n_eff cut the levels past n_eff = 5 off: m = 100 printed 2.998e-4 for E(100, 0) =
+    # -4.950e-5, and m = 20 was 8e5 times past its estimate
+    result = radial_solve_numeric(SystemKind.COULOMB, 0.0, k, m, 10)
+    want = [coulomb_energy(0.0, k, m, n) for n in range(10)]
+    assert np.all(np.abs(np.asarray(result.energies) - want) <= np.asarray(result.error_estimate))
+
+
 def test_oracle_rejects_bad_level_count():
     with pytest.raises(ValueError):
         radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 0)
