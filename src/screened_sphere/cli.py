@@ -24,10 +24,11 @@ command has is a domain error, found before any value is parsed.  ``--gnuplot``
 with ``--format json`` is a usage error, from either source.
 
 All floating output is printed with 17 significant digits and regular
-files are written atomically (a FIFO or a device is written into), so
-identical inputs (including ``--seed``) give byte-identical outputs.  Exit status: 0 on success, 2 on usage errors
-(an output path that cannot be written is one), 3 on domain errors (one
-``CODE: message`` line on stderr).
+files are written atomically, through a new temporary file beside the target
+that is renamed over it (a FIFO or a device is written into), so identical
+inputs (including ``--seed``) give byte-identical outputs.  Exit status: 0 on
+success, 2 on usage errors (an output path that cannot be written is one), 3 on
+domain errors (one ``CODE: message`` line on stderr).
 
 The process entry ``run`` (``python -m screened_sphere.cli``, the
 ``screened-sphere`` script) runs the command with the cyclic garbage
@@ -46,12 +47,8 @@ import math
 import os
 import re
 import sys
-import tempfile
 import types
-from typing import TYPE_CHECKING, Optional, Sequence
-
-if TYPE_CHECKING:
-    import argparse
+from collections.abc import Sequence
 
 from . import conserved, dynamics  # registered lazily: numpy loads on their first use
 from .closed_forms import SystemKind, SystemParams, closure_analysis, spectrum_csv, spectrum_entries
@@ -95,8 +92,9 @@ def _json(obj, indent: int = 0) -> str:
 
 def _write_output(path: str, text: str) -> None:
     """Write to stdout for '-', into a path that exists and is not a regular file
-    (a FIFO, a device), otherwise atomically via temp file + rename, with the
-    mode that the umask gives a new file.
+    (a FIFO, a device), otherwise atomically: into a new file beside ``path``, named
+    ``.tmp-`` and 16 random hex digits and created exclusively with mode 0o666, so that
+    the kernel applies the umask as to any new file, then renamed over ``path``.
 
     Stdout with a binary ``buffer`` takes the encoded text through it until every byte
     is written: unbuffered (``PYTHONUNBUFFERED``), that buffer is the raw file, whose
@@ -114,19 +112,16 @@ def _write_output(path: str, text: str) -> None:
                 raise OSError(f"stdout took none of the last {len(data)} bytes")
             data = data[n:]
         return
-    directory = os.path.dirname(os.path.abspath(path))
     try:
         if os.path.exists(path) and not os.path.isfile(path):
             with open(path, "w") as fh:
                 fh.write(text)
             return
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        tmp = os.path.join(os.path.dirname(os.path.abspath(path)), ".tmp-" + os.urandom(8).hex())
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -283,7 +278,7 @@ _OPTIONS = (
 _NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)  # "-1e-05", "-inf" are not options
 
 
-def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     """The CLI parser, with the subparser of ``argv``'s command alone when its first word
     names one, and every command's otherwise.  The usage line lists all commands."""
     import argparse
@@ -301,7 +296,7 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
     return parser
 
 
-def _read_args(argv: Sequence[str]) -> Optional[types.SimpleNamespace]:
+def _read_args(argv: Sequence[str]) -> types.SimpleNamespace | None:
     """argparse's namespace for ``argv`` when it is a command and only its exact long flags
     (``--flag value``, ``--flag=value``, a bare store_true flag), read from ``_OPTIONS``, each
     value typed and checked where it stands; None for argparse to read or report otherwise."""
@@ -377,7 +372,7 @@ def _config_flags(path: str, command: str) -> list[str]:
     return flags
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_args(argv) or build_parser(argv).parse_args(argv)
     try:
@@ -400,7 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
+def run(argv: Sequence[str] | None = None) -> int:
     """``main`` as a whole process: collector off for the run, heap frozen on every exit.
 
     Once ``main`` returns and stdout and stderr are flushed, the process ends

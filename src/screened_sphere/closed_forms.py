@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
-from typing import Sequence
 
 from .errors import (AccuracyError, CurvatureError, DomainError, ImaginaryAlphaError,
                      ImaginaryMPrimeError)
@@ -30,6 +30,7 @@ from .errors import (AccuracyError, CurvatureError, DomainError, ImaginaryAlphaE
 TWO_PI = 2.0 * math.pi
 RATIONAL_TOL = 1e-9         # |alpha - p/q| below this counts as rational
 MAX_DENOMINATOR = 64        # largest denominator q of a rational alpha = p/q
+GRID_MAX_LEVELS = 10        # levels the grid oracle solves: N = 0 .. GRID_MAX_LEVELS - 1
 
 
 class SystemKind(str, Enum):
@@ -222,14 +223,15 @@ def spectrum_entries(
 ) -> list[SpectrumEntry]:
     """Spectrum table over given quantum numbers, optionally with the grid oracle.
 
-    Every N is checked first; the grid oracle takes N <= 9 and m' >= 1/2.  Only a
-    ``numeric`` table that passes those checks imports ``spectra``, which solves each
-    distinct m once.
+    Every N is checked first; the grid oracle takes N < ``GRID_MAX_LEVELS`` and
+    m' >= 1/2.  Only a ``numeric`` table that passes those checks imports ``spectra``,
+    which solves each distinct m once.
     """
     for n in ns:
         _check_qn(lam, k, n)
-        if numeric and n > 9:
-            raise DomainError(f"radial index N must be at most 9 for the grid oracle, got {n}")
+        if numeric and n >= GRID_MAX_LEVELS:
+            raise DomainError(f"radial index N must be at most {GRID_MAX_LEVELS - 1} for the grid "
+                              f"oracle, got {n}")
     if numeric:
         for m in ms:
             check_grid_m_prime(m, k)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Optional
 
 from .closed_forms import SystemKind, SystemParams
 from .errors import RadiusError
@@ -74,12 +73,12 @@ def kernel_sqrt(v):
     return np.sqrt(v)
 
 
-def lz_value(x1, x2, p1, p2, params: Optional[SystemParams] = None):
+def lz_value(x1, x2, p1, p2, params: SystemParams | None = None):
     """Lz = x1*p2 - x2*p1."""
     return x1 * p2 - x2 * p1
 
 
-def lz_gradient(x1, x2, p1, p2, params: Optional[SystemParams] = None):
+def lz_gradient(x1, x2, p1, p2, params: SystemParams | None = None):
     """Phase-space gradient of Lz."""
     return p2, -p1, -x2, x1
 

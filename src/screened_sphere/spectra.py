@@ -36,11 +36,11 @@ import functools
 import math
 from array import array
 from collections import namedtuple
-from typing import Sequence
+from collections.abc import Sequence
 
 from .closed_forms import (  # noqa: F401 -- re-exported
-    SPECTRUM_CSV_HEADER, SpectrumEntry, SystemKind, analytic_energy, check_grid_m_prime,
-    coulomb_energy, m_prime, oscillator_energy, spectrum_csv, spectrum_entries)
+    GRID_MAX_LEVELS, SPECTRUM_CSV_HEADER, SpectrumEntry, SystemKind, analytic_energy,
+    check_grid_m_prime, coulomb_energy, m_prime, oscillator_energy, spectrum_csv, spectrum_entries)
 from .errors import AccuracyError, DomainError
 
 
@@ -167,8 +167,8 @@ def radial_solve_numeric(kind: SystemKind, lam: float, k: float, m: int,
     (2n+1 interior points); returns the h**2-extrapolated eigenvalues with
     |E_fine - E_coarse| as the error estimate, and the nested grid.
     """
-    if n_levels < 1 or n_levels > 10:
-        raise DomainError("n_levels must lie in 1..10")
+    if not 1 <= n_levels <= GRID_MAX_LEVELS:
+        raise DomainError(f"n_levels must lie in 1..{GRID_MAX_LEVELS}")
     check_grid_m_prime(m, k)
     grid = default_grid(kind, lam, k, m, n_levels)
     fine = RadialGrid(2 * grid.n_points + 1, grid.x_max)

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import site
 import stat
 import subprocess
 import sys
@@ -548,6 +549,7 @@ def test_traced_entry_point_writes_the_plain_outputs(tmp_path):
 
 _SCIPY_PROBE = """
 import contextlib, io, json, sys, types
+sys.path.extend(json.loads(sys.argv[2]))
 import screened_sphere.cli
 argv = json.loads(sys.argv[1])
 rc = None
@@ -563,10 +565,25 @@ print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswi
                   "fractions": "fractions" in sys.modules,
                   "argparse": "argparse" in sys.modules,
                   "gettext": "gettext" in sys.modules,
+                  "unused": sorted({"typing", "tempfile", "shutil", "bz2", "lzma", "random"}
+                                   & set(sys.modules)),
                   # a lazily registered module turns into a plain module once its body runs
                   "dynamics_ran":
                       type(sys.modules["screened_sphere.dynamics"]) is types.ModuleType}))
 """
+
+
+def _probe(argv: list, cwd: Path, clean: bool = False) -> subprocess.CompletedProcess:
+    """``_SCIPY_PROBE`` on ``argv`` in a fresh interpreter; ``clean`` runs it under ``python -S``
+    with site-packages appended to the path, so that no ``.pth`` hook imports modules first."""
+    return subprocess.run(
+        [sys.executable, *["-S"] * clean, "-c", _SCIPY_PROBE, json.dumps(argv),
+         json.dumps(site.getsitepackages() if clean else [])],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), cwd=cwd,
+        capture_output=True, text=True, timeout=60,
+    )
+
+
 _SP_FLAGS = ["--system", "oscillator", "--lambda", "0.1", "--k", "0.05", "--m", "1,2", "--N", "0,1"]
 _BR_FLAGS = ["--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--samples", "200"]
 
@@ -588,38 +605,37 @@ _BR_FLAGS = ["--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--samples
     ],
 )
 def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
-    # a fresh interpreter, so that no earlier test has loaded scipy already
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), cwd=tmp_path,
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["rc"] == (0 if argv else None)
-    # the grid oracle calls dstebz in scipy's OpenBLAS through ctypes, importing no scipy module
-    assert bool(report["scipy"]) is loads_scipy, report["scipy"]
-    # closure and the spectrum run on the stdlib alone, and analytic brackets of at most
-    # 4096 states on Python floats
+    # a fresh interpreter, so that no earlier test has loaded scipy already; and a clean one,
+    # since a site hook can import (here: does import) every module of "unused" first
     batch = argv[:1] == ["brackets"] and ("fd" in argv or "4097" in argv)
     uses_numpy = bool(argv) and (argv[0] in ("orbit", "turning") or batch)
-    assert report["numpy"] is uses_numpy
-    # every record is a namedtuple, and closure analysis finds p/q without fractions
-    assert report["dataclasses"] is False
-    assert report["fractions"] is False
-    # the option table reads every argv here; argparse loads only for help or a usage error
-    assert (report["argparse"], report["gettext"]) == (False, False)
-    # brackets takes its kernels from phase_space; only an integrated orbit runs dynamics
-    assert report["dynamics_ran"] is (argv[:1] in (["orbit"], ["turning"]))
+    for clean in (False, True):
+        proc = _probe(argv, tmp_path, clean)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["rc"] == (0 if argv else None)
+        # the grid oracle calls dstebz in scipy's OpenBLAS through ctypes, importing no scipy
+        # module
+        assert bool(report["scipy"]) is loads_scipy, report["scipy"]
+        # closure and the spectrum run on the stdlib alone, and analytic brackets of at most
+        # 4096 states on Python floats
+        assert report["numpy"] is uses_numpy
+        # every record is a namedtuple, and closure analysis finds p/q without fractions
+        assert report["dataclasses"] is False
+        assert report["fractions"] is False
+        # the option table reads every argv here; argparse loads only for help or a usage error
+        assert (report["argparse"], report["gettext"]) == (False, False)
+        # brackets takes its kernels from phase_space; only an integrated orbit runs dynamics
+        assert report["dynamics_ran"] is (argv[:1] in (["orbit"], ["turning"]))
+    # in the clean run: annotations need no typing, a regular --out file no tempfile (nor its
+    # shutil, bz2, lzma and random); only brackets draws random states
+    if not uses_numpy:
+        assert report["unused"] == (["random"] if argv[:1] == ["brackets"] else []), argv
 
 
 def test_a_usage_error_loads_argparse_and_reports_through_it(tmp_path):
     argv = ["closure", "--system", "coulomb", "--lambda", "0.1"]
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), cwd=tmp_path,
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = _probe(argv, tmp_path)
     report = json.loads(proc.stdout)
     assert (report["rc"], report["argparse"], report["gettext"]) == (2, True, True)
     assert proc.stderr == ("usage: screened-sphere [-h] {orbit,closure,turning,brackets,spectrum}"
@@ -632,11 +648,7 @@ def test_a_usage_error_loads_argparse_and_reports_through_it(tmp_path):
 ], ids=["N=-1", "N=10"])
 def test_a_bad_radial_index_for_the_grid_oracle_names_n_and_loads_no_numpy(tmp_path, n, message):
     argv = ["spectrum", "--system", "coulomb", "--m", "1", "--N", n, "--numeric"]
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), cwd=tmp_path,
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = _probe(argv, tmp_path)
     report = json.loads(proc.stdout)
     assert (report["rc"], proc.stderr) == (3, f"ERR_DOMAIN: {message}\n")
     assert report["numpy"] is False
@@ -649,11 +661,7 @@ def test_a_bad_radial_index_for_the_grid_oracle_names_n_and_loads_no_numpy(tmp_p
 ], ids=["m=0", "default-m", "mp=0.45"])
 def test_the_grid_oracle_refuses_m_prime_below_one_half_and_loads_no_numpy(tmp_path, flags):
     argv = ["spectrum", "--system", "coulomb", *flags, "--numeric"]
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), cwd=tmp_path,
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = _probe(argv, tmp_path)
     report = json.loads(proc.stdout)
     assert report["rc"] == 3
     assert re.fullmatch(r"ERR_ACCURACY: the grid oracle needs m' >= 1/2, got m' = \S+ at m = "

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,27 @@ def test_dense_output_rows_keep_the_bits_of_their_stacked_form(coulomb_params, t
     F = dynamics.DenseOutput(t, y, coulomb_params).F
     assert F.shape == (7, 4, h.size) and h.size > 500
     assert F.tobytes() == stacked[:, :, order].tobytes()
+
+
+def test_orbit_bytes_do_not_depend_on_the_block_sizes(monkeypatch, coulomb_params):
+    # the stage, sample and CSV blocks only split the work, yet a product such as the stages'
+    # `@` may take another BLAS kernel at another shape; at each size here this orbit spans
+    # more than two blocks (9328 steps, 9000 samples)
+    y0, t_end = (1.6, 0.0, 0.0, 0.55), 700.0
+    ts, ys = dynamics._dop853(y0, coulomb_params, t_end, 1e-12)  # the steps depend on no block
+    monkeypatch.setattr(dynamics, "_dop853", lambda *args: (array("d", ts), array("d", ys)))
+
+    def outputs():
+        traj = integrate(PhaseState(*y0), coulomb_params, t_end, n_samples=9000)
+        return (traj.dense.F.tobytes(), traj.states.tobytes(), traj.to_csv(),
+                [p.t.hex() for p in traj.turning_points])
+
+    want = outputs()
+    assert len(ts) - 1 > 2 * 4096
+    for sizes in [(1000, 1000, 1000), (3000, 777, 4096), (4096, 4096, 333)]:
+        for name, size in zip(("_STAGE_BLOCK", "_DENSE_BLOCK", "_CSV_BLOCK"), sizes):
+            monkeypatch.setattr(dynamics, name, size)
+        assert outputs() == want, sizes
 
 
 def _interpolant_one_at_a_time(dense, t):

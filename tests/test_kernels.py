@@ -151,6 +151,17 @@ def test_overflowing_terms_raise_the_same_error_on_both_paths(kind):
                                               "lam = 1e+300, k = 0: the terms overflow")
 
 
+@pytest.mark.parametrize("res", [[1e308, 1e308], [1.5e308] * 3 + [0.0]])
+def test_finite_residuals_whose_sum_overflows_are_an_accuracy_error(res):
+    # fsum returns inf for infinite terms but raises OverflowError when finite ones sum past
+    # the largest float; both end in the same coded error, not in a traceback
+    with pytest.raises(OverflowError):
+        math.fsum(res)
+    with pytest.raises(AccuracyError, match=r"^bracket residuals are not finite at lam = 0\.1, "
+                                            r"k = 0\.05: the terms overflow$"):
+        conserved._report("{R'x,Lz}+R'y", res, SystemParams(SystemKind.COULOMB, 0.1, 0.05))
+
+
 @pytest.mark.parametrize("n", [300, 5000], ids=["float-path", "batch-path"])
 def test_reports_give_the_exact_max_and_the_correctly_rounded_mean(n):
     params = SystemParams(SystemKind.OSCILLATOR, 0.1, 0.05)

@@ -6,10 +6,13 @@ the closed forms it also evaluates (ROADMAP item 15).
 
 import random
 
+import numpy as np
 import pytest
 
 from screened_sphere.cli import main
-from screened_sphere.dynamics import SystemKind, SystemParams, closure_analysis
+from screened_sphere.conserved import turning_point_conservation
+from screened_sphere.dynamics import (PhaseState, SystemKind, SystemParams, closure_analysis,
+                                      integrate)
 
 
 def _e_numeric(capsys, system: str, lam: float) -> float:
@@ -64,3 +67,49 @@ def test_closure_is_invariant_under_the_coulomb_scaling(capsys, kind, s):
                          "--k", repr(args[1]), "--Lz", repr(args[2])]) == 0
             out.append(capsys.readouterr().out)
         assert out[0] == out[1], (lam, k, lz)
+
+
+_SHORT_ORBITS = [(SystemKind.COULOMB, (1.6, 0.0, 0.0, 0.55), 20.0),
+                 (SystemKind.OSCILLATOR, (1.5, 0.0, 0.0, 0.6), 10.0)]
+
+
+def _assert_reflected(kind, state, t_end, lam, signs, lz_sign, value_signs):
+    """The orbit from ``state`` and the one from its reflection by ``signs`` are the same
+    integration: times, radii, energies and turning times equal to the bit, states and the
+    extended pair reflected (an exact zero may take either sign), Lz times ``lz_sign``.  theta
+    is left out, since atan2 and the unwrapping pick branches."""
+    params = SystemParams(kind, lam, 0.05)
+    a, b = (integrate(PhaseState(*(s * v for s, v in zip(side, state))), params, t_end,
+                      n_samples=401) for side in ((1.0,) * 4, signs))
+    ra, rb = turning_point_conservation(a), turning_point_conservation(b)
+    assert len(a.turning_points) >= 4
+    for name in ("t", "r", "H"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert [(p.t.hex(), p.kind) for p in a.turning_points] == [
+        (p.t.hex(), p.kind) for p in b.turning_points]
+    assert np.array_equal(a.states * signs, b.states)
+    assert np.array_equal([p.state for p in a.turning_points] * np.array(signs),
+                          [p.state for p in b.turning_points])
+    assert (lz_sign * a.Lz).tobytes() == b.Lz.tobytes()
+    assert ra.generic_max == rb.generic_max
+    assert np.array_equal(ra.values_at_turning * value_signs, rb.values_at_turning)
+    # the brackets at the turning points are rounding noise, of no definite sign
+    assert rb.max_abs_at_turning < 1e-7
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("kind, state, t_end", _SHORT_ORBITS, ids=["coulomb", "oscillator"])
+def test_point_reflection_maps_an_orbit_onto_itself(kind, state, t_end, lam):
+    # (x, p) -> (-x, -p) is the rotation by pi: H and Lz are even, the equations of motion odd,
+    # and so is rounding, so the solver takes the same steps; R' is odd and Q' even
+    value_signs = (-1.0, -1.0) if kind is SystemKind.COULOMB else (1.0, 1.0)
+    _assert_reflected(kind, state, t_end, lam, (-1.0,) * 4, 1.0, value_signs)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("kind, state, t_end", _SHORT_ORBITS, ids=["coulomb", "oscillator"])
+def test_mirror_maps_an_orbit_onto_itself(kind, state, t_end, lam):
+    # (x2, p2) -> (-x2, -p2) keeps H and x.p and negates Lz: R' -> (R'x, -R'y) and
+    # (Q'xy, Q'1) -> (-Q'xy, Q'1)
+    value_signs = (1.0, -1.0) if kind is SystemKind.COULOMB else (-1.0, 1.0)
+    _assert_reflected(kind, state, t_end, lam, (1.0, -1.0, 1.0, -1.0), -1.0, value_signs)

@@ -255,6 +255,18 @@ def test_oracle_refuses_m_prime_below_one_half(kind, lam, k, m):
     assert spectrum_entries(kind, lam, k, [m], [0, 1])[0].e_numeric is None
 
 
+def test_oracle_level_cap_is_the_same_for_the_table_and_the_solve():
+    # ten levels, N = 0..9, on both sides of the cap, each refusal in its own words
+    for n_levels in (0, 11):
+        with pytest.raises(DomainError, match=r"^n_levels must lie in 1\.\.10$"):
+            radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.05, 1, n_levels)
+    with pytest.raises(DomainError, match=r"^radial index N must be at most 9 for the grid "
+                                          r"oracle, got 10$"):
+        spectrum_entries(SystemKind.COULOMB, 0.1, 0.05, [1], [10], numeric=True)
+    [entry] = spectrum_entries(SystemKind.COULOMB, 0.1, 0.05, [1], [9], numeric=True)
+    assert entry.e_numeric == radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.05, 1, 10).energies[9]
+
+
 def test_oracle_takes_m_prime_of_one_half():
     # m' = 1/2 is the smallest the oracle takes: u ~ x, and the levels keep to their estimate
     result = radial_solve_numeric(SystemKind.COULOMB, 0.0, 0.375, 1, 3)
