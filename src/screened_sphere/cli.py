@@ -12,11 +12,11 @@ Each option is declared once, in ``_OPTIONS``: its flag, the commands that take
 it and its argparse keywords.  ``_read_args`` reads a command and its exact
 long flags from that table, the ``--config`` re-read too; help, an
 abbreviation, a bad value and every usage error go to argparse, whose parser is
-built from the same table (its command's subparser alone), so no other run
-imports argparse.  A ``--config`` file of ``key=value`` lines (``#`` starts a
-comment) is read as the flags ``--key=value``, placed before the command line's
-own flags, so a key acts exactly as its flag does (type, choices, the last one
-wins) and the command line beats the file.  A key is a long option without its
+built from the same table, so no other run imports argparse.  A ``--config``
+file of ``key=value`` lines (``#`` starts a comment) is read as the flags
+``--key=value``, placed before the command line's own flags, so a key acts
+exactly as its flag does (type, choices, the last one wins) and the command
+line beats the file.  A key is a long option without its
 dashes (``lambda``, ``t-end``, ``Lz``); ``numeric`` and ``gnuplot`` become
 their bare flags for ``1``/``true``/``yes`` and are left out otherwise.  Keys
 of options that only other commands have are skipped; a bad line or a key no
@@ -112,6 +112,8 @@ def _write_output(path: str, text: str) -> None:
                 raise OSError(f"stdout took none of the last {len(data)} bytes")
             data = data[n:]
         return
+    if "\0" in path:  # no file can have this name; the os calls would raise ValueError
+        raise UsageError(f"cannot write {path!r}: embedded null byte")
     try:
         if os.path.exists(path) and not os.path.isfile(path):
             with open(path, "w") as fh:
@@ -172,7 +174,8 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     csv = traj.to_csv()
     _write_output(args.out, _strip_header_csv(csv) if args.gnuplot else csv)
     if args.turning_out:
-        _write_output(args.turning_out, _json(dynamics.turning_points_json(points)) + "\n")
+        rows = [{"t": p.t, "r": p.r, "theta": p.theta, "kind": p.kind.value} for p in points]
+        _write_output(args.turning_out, _json(rows) + "\n")
     try:
         closure = closure_analysis(traj.params, float(traj.Lz[0]))
         summary = f"closure: alpha={_fmt(closure.alpha)} closed={_fmt(closure.closed)}"
@@ -278,17 +281,17 @@ _OPTIONS = (
 _NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)  # "-1e-05", "-inf" are not options
 
 
-def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
-    """The CLI parser, with the subparser of ``argv``'s command alone when its first word
-    names one, and every command's otherwise.  The usage line lists all commands."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, a subparser per command with its options from ``_OPTIONS``.  The
+    metavar names the command argument in the errors for a missing or an unknown command."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="screened-sphere",
         description="Screened Coulomb/oscillator systems on a sphere: orbits, brackets, spectra.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_ALL) + "}")
-    for name in [argv[0]] if argv and argv[0] in _COMMANDS else _ALL:
-        p = sub.add_parser(name, help=_COMMANDS[name][1])
+    for name, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         for flag, commands, keywords in _OPTIONS:
             if name in commands:
                 p.add_argument(flag, **keywords)
@@ -374,11 +377,11 @@ def _config_flags(path: str, command: str) -> list[str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_args(argv) or build_parser(argv).parse_args(argv)
+    args = _read_args(argv) or build_parser().parse_args(argv)
     try:
         if args.config:  # the file's flags go before the command line's, which win
             argv = [args.command, *_config_flags(args.config, args.command), *argv[1:]]
-            args = _read_args(argv) or build_parser(argv).parse_args(argv)
+            args = _read_args(argv) or build_parser().parse_args(argv)
         if getattr(args, "t_end", 0.0) is None:
             raise UsageError("missing --t-end")
         if args.system is None:
@@ -389,7 +392,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise UsageError(f"--tol must lie in [1e-13, 1e-6], got {args.tol:g}")
         return _COMMANDS[args.command][0](args)
     except UsageError as exc:
-        build_parser(argv).error(str(exc))  # prints usage, raises SystemExit(2)
+        build_parser().error(str(exc))  # prints usage, raises SystemExit(2)
     except DomainError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 3

@@ -176,6 +176,9 @@ def analytic_energy(kind: SystemKind, lam: float, k: float, m: int, n: int) -> f
     return oscillator_energy(lam, k, m, n)
 
 
+SPECTRUM_COLUMNS = tuple("kind lambda k m N m_prime E_analytic E_numeric abs_diff".split())
+
+
 class SpectrumEntry(namedtuple("SpectrumEntry",
                                "kind lam k m n m_prime e_analytic e_numeric abs_diff",
                                defaults=(None, None))):
@@ -184,32 +187,16 @@ class SpectrumEntry(namedtuple("SpectrumEntry",
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "lambda": self.lam,
-            "k": self.k,
-            "m": self.m,
-            "N": self.n,
-            "m_prime": self.m_prime,
-            "E_analytic": self.e_analytic,
-            "E_numeric": self.e_numeric,
-            "abs_diff": self.abs_diff,
-        }
-
-
-SPECTRUM_CSV_HEADER = "kind,lambda,k,m,N,m_prime,E_analytic,E_numeric,abs_diff"
+        return dict(zip(SPECTRUM_COLUMNS, (self.kind.value, *self[1:])))
 
 
 def spectrum_csv(entries: Sequence[SpectrumEntry]) -> str:
-    """CSV table of spectrum entries, 17 significant digits."""
-    lines = [SPECTRUM_CSV_HEADER]
+    """CSV table of spectrum entries under a ``SPECTRUM_COLUMNS`` header: a float with 17
+    significant digits, None as an empty field."""
+    lines = [",".join(SPECTRUM_COLUMNS)]
     for e in entries:
-        num = "" if e.e_numeric is None else f"{e.e_numeric:.17g}"
-        diff = "" if e.abs_diff is None else f"{e.abs_diff:.17g}"
-        lines.append(
-            f"{e.kind.value},{e.lam:.17g},{e.k:.17g},{e.m},{e.n},"
-            f"{e.m_prime:.17g},{e.e_analytic:.17g},{num},{diff}"
-        )
+        lines.append(",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in e.to_dict().values()))
     return "\n".join(lines) + "\n"
 
 

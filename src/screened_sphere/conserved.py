@@ -41,7 +41,6 @@ point refuses a wrong system alike.
 from __future__ import annotations
 
 import math
-import random
 from collections import namedtuple
 
 from . import dynamics  # registered lazily: runs only when a trajectory is analysed
@@ -271,6 +270,7 @@ def _candidate(xp, u, phi, p1, p2):
 def _sample_floats(params: SystemParams, n: int, seed: int):
     """The states of ``sample_states`` as float tuples, drawn one value at a time, or None
     if fewer than n pass among the first 4n + 64 candidates."""
+    import random
     draw, states = random.Random(seed).random, []
     for _ in range(4 * n + 64):
         z = _candidate(math, draw(), draw(), draw(), draw())
@@ -294,6 +294,7 @@ def _sample_batch(params: SystemParams, n: int, seed: int):
     """The states of ``sample_states`` as a (4, n) array, drawn a block at a time.  Refuses
     at the draw cap, or sooner once 2**20 candidates show a yield that, projected to the
     cap, finds less than half of n; both rules read only the seeded stream."""
+    import random
     import numpy as np
     rng = random.Random(seed)
     max_draws = 1000 * n + (1 << 20)

@@ -261,13 +261,6 @@ def _on_branch(raw, t, step_t: np.ndarray, step_theta: np.ndarray):
     return raw + TWO_PI * np.round((np.interp(t, step_t, step_theta) - raw) / TWO_PI)
 
 
-def turning_points_json(points: list[TurningPoint]) -> list[dict]:
-    """JSON-ready rows ``{t, r, theta, kind}`` for detected turning points."""
-    return [
-        {"t": p.t, "r": p.r, "theta": p.theta, "kind": p.kind.value} for p in points
-    ]
-
-
 # --- DOP853 ----------------------------------------------------------------
 
 # Hairer's DOP853 table (dop853.f) as shortest round-trip doubles: the 12

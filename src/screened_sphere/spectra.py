@@ -39,8 +39,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .closed_forms import (  # noqa: F401 -- re-exported
-    GRID_MAX_LEVELS, SPECTRUM_CSV_HEADER, SpectrumEntry, SystemKind, analytic_energy,
-    check_grid_m_prime, coulomb_energy, m_prime, oscillator_energy, spectrum_csv, spectrum_entries)
+    GRID_MAX_LEVELS, SpectrumEntry, SystemKind, analytic_energy, check_grid_m_prime,
+    coulomb_energy, m_prime, oscillator_energy, spectrum_csv, spectrum_entries)
 from .errors import AccuracyError, DomainError
 
 

@@ -434,12 +434,17 @@ def test_brackets_samples_are_capped(capsys):
     ["closure", "--system", "coulomb", "--Lz", "1", "--out", "{directory}"],
     ["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1", "--t-end", "1",
      "--out", "{tmp}/orbit.csv", "--turning-out", "{missing}"],
+    ["closure", "--system", "coulomb", "--Lz", "1", "--out", "{nul}"],
+    ["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1", "--t-end", "1",
+     "--out", "{tmp}/orbit.csv", "--turning-out", "{nul}"],
 ])
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
-    # a missing directory fails the temporary file, an existing directory the write into it
+    # a missing directory fails the temporary file, an existing directory the write into it;
+    # a NUL byte, which a --config line can carry, fails every os call with ValueError
     (tmp_path / "taken").mkdir()
     paths = {"missing": str(tmp_path / "no_such_dir" / "x.json"),
-             "directory": str(tmp_path / "taken"), "tmp": str(tmp_path)}
+             "directory": str(tmp_path / "taken"), "tmp": str(tmp_path),
+             "nul": str(tmp_path / "a\0b.json")}
     argv = [arg.format(**paths) for arg in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -629,6 +634,7 @@ def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
         assert report["dynamics_ran"] is (argv[:1] in (["orbit"], ["turning"]))
     # in the clean run: annotations need no typing, a regular --out file no tempfile (nor its
     # shutil, bz2, lzma and random); only brackets draws random states
+    assert ("random" in report["unused"]) is (argv[:1] == ["brackets"]), argv
     if not uses_numpy:
         assert report["unused"] == (["random"] if argv[:1] == ["brackets"] else []), argv
 
@@ -640,6 +646,20 @@ def test_a_usage_error_loads_argparse_and_reports_through_it(tmp_path):
     assert (report["rc"], report["argparse"], report["gettext"]) == (2, True, True)
     assert proc.stderr == ("usage: screened-sphere [-h] {orbit,closure,turning,brackets,spectrum}"
                            " ...\nscreened-sphere: error: closure requires --Lz\n")
+
+
+@pytest.mark.parametrize("argv,error", [
+    ([], "the following arguments are required: {orbit,closure,turning,brackets,spectrum}"),
+    (["orb"], "argument {orbit,closure,turning,brackets,spectrum}: invalid choice: 'orb' "
+              "(choose from 'orbit', 'closure', 'turning', 'brackets', 'spectrum')"),
+], ids=["missing", "unknown"])
+def test_a_missing_or_unknown_command_is_named_by_the_command_list(capsys, argv, error):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == ("usage: screened-sphere [-h] "
+                                       "{orbit,closure,turning,brackets,spectrum} ...\n"
+                                       f"screened-sphere: error: {error}\n")
 
 
 @pytest.mark.parametrize("n,message", [
@@ -1008,7 +1028,7 @@ def test_the_option_table_reads_argv_as_argparse_does(argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         try:
-            parsed = build_parser(argv).parse_args(argv)
+            parsed = build_parser().parse_args(argv)
         except SystemExit:
             parsed = None
     assert parsed is not None, (argv, err.getvalue())

@@ -526,6 +526,29 @@ def test_spectrum_entries_and_csv():
         assert e.abs_diff < 1e-4
 
 
+def _csv_field(value) -> str:
+    return "" if value is None else f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+# about one example in nine solves the grid oracle, which takes most of the test's time
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SystemKind), st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+       st.floats(0.0, 0.3), st.sets(st.integers(1, 4), min_size=1),
+       st.sets(st.integers(0, 5), min_size=1), st.sampled_from([False] * 3 + [True]))
+def test_spectrum_csv_rows_are_the_json_records(kind, lam, k, ms, ns, numeric):
+    entries = spectrum_entries(kind, lam, k, sorted(ms), sorted(ns), numeric=numeric)
+    header, *rows = spectrum_csv(entries).splitlines()
+    assert len(rows) == len(entries)
+    for entry, row in zip(entries, rows):
+        record = entry.to_dict()
+        assert header.split(",") == list(record)
+        fields = row.split(",")
+        assert fields == [_csv_field(v) for v in record.values()]
+        for field, value in zip(fields, record.values()):
+            if isinstance(value, float):
+                assert float(field) == value
+
+
 def test_spectrum_entries_solve_each_distinct_m_once(monkeypatch):
     solved = []
     solve = spectra.radial_solve_numeric
