@@ -256,14 +256,13 @@ _OPTIONS = (
     ("--y", _ORBITS, dict(type=float, default=0.0, help="initial x2 (default %(default)s)")),
     ("--px", _ORBITS, dict(type=float, help="initial p1")),
     ("--py", _ORBITS, dict(type=float, help="initial p2")),
-    ("--t-end", _ORBITS, dict(dest="t_end", type=float, help="integration time")),
+    ("--t-end", _ORBITS, dict(type=float, help="integration time")),
     ("--tol", _ORBITS, dict(type=float, default=1e-10,
                             help="integrator relative tolerance (default %(default)s)")),
     ("--trajectory-samples", _ORBITS, dict(
         dest="n_samples", type=int, default=4001,
         help="number of recorded samples (default %(default)s)")),
-    ("--turning-out", ("orbit",), dict(dest="turning_out",
-                                       help="also write turning points as JSON to this path")),
+    ("--turning-out", ("orbit",), dict(help="also write turning points as JSON to this path")),
     ("--Lz", ("closure",), dict(dest="lz", type=float, help="angular momentum")),
     ("--samples", ("brackets",), dict(type=int, default=1000,
                                       help="number of sampled states (default %(default)s)")),

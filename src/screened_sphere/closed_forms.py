@@ -24,13 +24,11 @@ from collections import namedtuple
 from collections.abc import Sequence
 from enum import Enum
 
-from .errors import (AccuracyError, CurvatureError, DomainError, ImaginaryAlphaError,
-                     ImaginaryMPrimeError)
+from .errors import CurvatureError, DomainError, ImaginaryAlphaError, ImaginaryMPrimeError
 
 TWO_PI = 2.0 * math.pi
 RATIONAL_TOL = 1e-9         # |alpha - p/q| below this counts as rational
 MAX_DENOMINATOR = 64        # largest denominator q of a rational alpha = p/q
-GRID_MAX_LEVELS = 10        # levels the grid oracle solves: N = 0 .. GRID_MAX_LEVELS - 1
 
 
 class SystemKind(str, Enum):
@@ -127,14 +125,6 @@ def m_prime(m: int, k: float) -> float:
     return math.sqrt(disc)
 
 
-def check_grid_m_prime(m: int, k: float) -> None:
-    """Refuse the grid oracle for m' < 1/2: there u ~ x**(m'+1/2) is not smooth at x = 0,
-    and its levels stray past their Richardson error estimate (by 12-15x at m' = 0)."""
-    mp = m_prime(m, k)
-    if mp < 0.5:
-        raise AccuracyError(f"the grid oracle needs m' >= 1/2, got m' = {mp:.6g} at m = {m}")
-
-
 def _check_qn(lam: float, k: float, n: int) -> None:
     check_lam_k(lam, k)
     if n < 0 or int(n) != n:
@@ -210,10 +200,11 @@ def spectrum_entries(
 ) -> list[SpectrumEntry]:
     """Spectrum table over given quantum numbers, optionally with the grid oracle.
 
-    Every N is checked first; the grid oracle takes N < ``GRID_MAX_LEVELS`` and
-    m' >= 1/2.  Only a ``numeric`` table that passes those checks imports ``spectra``,
-    which solves each distinct m once.
+    Every N is checked first; the grid oracle takes N < ``spectra.GRID_MAX_LEVELS`` and
+    m' >= 1/2, and solves each distinct m once.  Only a ``numeric`` table imports ``spectra``.
     """
+    if numeric:
+        from .spectra import GRID_MAX_LEVELS, check_grid_m_prime, radial_solve_numeric
     for n in ns:
         _check_qn(lam, k, n)
         if numeric and n >= GRID_MAX_LEVELS:
@@ -226,8 +217,6 @@ def spectrum_entries(
     solved: dict[int, Sequence[float]] = {}
     for m in ms:
         if numeric and m not in solved:
-            from .spectra import radial_solve_numeric
-
             solved[m] = radial_solve_numeric(kind, lam, k, m, n_levels=max(ns) + 1).energies
         numeric_levels = solved.get(m)
         for n in sorted(ns):

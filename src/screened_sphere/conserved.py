@@ -362,6 +362,9 @@ def _verify_pair(kind, params, n_samples, seed, method):
     the same states for a seed and give the same bits."""
     algebra = _ALGEBRAS[kind]
     _check_sampling(params, n_samples, seed)
+    if method not in ("analytic", "fd"):  # this and the system are checked before any draw
+        raise DomainError(f"unknown bracket method {method!r}")
+    _require(params, kind, "R'" if kind is SystemKind.COULOMB else "Q'")
     states = (method == "analytic" and n_samples <= _FLOAT_PATH_MAX
               and _sample_floats(params, n_samples, seed))
     if states:
@@ -373,12 +376,10 @@ def _verify_pair(kind, params, n_samples, seed, method):
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked in _report
             if method == "analytic":
                 residuals = _residuals(algebra, params, z)
-            elif method == "fd":  # one value call per shifted copy serves A, B and Lz
+            else:  # fd: one value call per shifted copy serves A, B and Lz
                 residuals = _residuals(algebra, params, z, _central_difference(
                     lambda w: np.array((*algebra.values(*w, params), lz_value(*w))), z
                 ).swapaxes(0, 1))
-            else:
-                raise DomainError(f"unknown bracket method {method!r}")
         residuals = [np.abs(res).tolist() for res in residuals]
     return [_report(name, res, params) for name, res in zip(algebra.identities, residuals)]
 

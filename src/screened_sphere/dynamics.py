@@ -20,7 +20,8 @@ closes; the radial period in theta is 2*pi/alpha (coulomb) or pi/alpha
 (oscillator, doubled angle).
 alpha, the closure analysis and the system parameters are numpy-free
 closed forms in ``closed_forms``; H, its gradient, Lz, pi and ``PhaseState``
-are the kernels in ``phase_space``.  Both are re-exported here.
+are the kernels in ``phase_space``.  ``perfbench`` reads ``SystemParams``
+and ``closure_analysis`` here, though this module does not run them.
 
 The chart is the gnomonic projection of the sphere q1**2 + q2**2 + q0**2
 = 1/lam from its center onto the tangent plane at the north pole:
@@ -63,8 +64,8 @@ from enum import Enum
 
 import numpy as np
 
-from .closed_forms import (  # noqa: F401 -- re-exported
-    TWO_PI, ClosureResult, SystemKind, SystemParams, check_lam_k, closure_analysis, orbit_alpha)
+from .closed_forms import TWO_PI, SystemKind  # SystemKind runs in the driver's text
+from .closed_forms import SystemParams, closure_analysis  # noqa: F401 -- perfbench reads them here
 from .errors import (
     AccuracyError,
     ChartEdgeError,
@@ -74,9 +75,8 @@ from .errors import (
     StepBudgetError,
     StiffnessError,
 )
-from .phase_space import (  # noqa: F401 -- re-exported
-    _H_GRAD, _H_LINES, _H_PARAMS, MAX_SAMPLES, PhaseState, check_radius, h_gradient, h_value,
-    hamiltonian, kernel_sqrt, lz_gradient, lz_value, pi_components, potential)
+from .phase_space import (_H_GRAD, _H_LINES, _H_PARAMS, MAX_SAMPLES, PhaseState, check_radius,
+                          h_gradient, h_value, lz_value)
 
 R_MIN_GUARD = 1e-8          # terminate near-collision orbits
 CHART_EDGE_GUARD = 1e12     # terminate orbits with lam*r**2 = tan(chi)**2 beyond this
@@ -615,19 +615,19 @@ def integrate(
             f"dH = {h_drift:.3e}, dLz = {lz_drift:.3e}, bound = {bound:.3e}"
         )
 
-    points, circular = _turning_points(dense, step_y[:, order], step_theta, r, params)
+    points, circular = _turning_points(dense, step_y[:, order], step_theta, params)
     return Trajectory(t, y.T.copy(), r, theta, h, lz, params, dense, step_theta, points, circular)
 
 
 # --- turning points -------------------------------------------------------
 
 def _turning_points(dense: DenseOutput, step_y: np.ndarray, step_theta: np.ndarray,
-                    r: np.ndarray, params: SystemParams):
+                    params: SystemParams):
     """(points, circular): the x.p roots on the solver's steps, which ``step_y`` holds ascending;
-    ``r`` is the sampled radius, which scales the circular test."""
+    the steps alone decide both, so neither depends on the samples."""
     s = step_y[0] * step_y[2] + step_y[1] * step_y[3]
-    momentum = np.hypot(step_y[2], step_y[3])
-    if float(np.max(np.abs(s))) <= 1e-8 * max(1.0, float(np.max(momentum) * np.max(r))):
+    radius, momentum = np.hypot(step_y[0], step_y[1]), np.hypot(step_y[2], step_y[3])
+    if float(np.max(np.abs(s))) <= 1e-8 * max(1.0, float(np.max(momentum) * np.max(radius))):
         return [], True
     # one root of rdot (which has the sign of x.p) per step over which x.p
     # changes sign, in increasing time: rising through zero is a minimum of
@@ -635,7 +635,7 @@ def _turning_points(dense: DenseOutput, step_y: np.ndarray, step_theta: np.ndarr
     j = np.flatnonzero((s[:-1] <= 0.0) & (s[1:] >= 0.0) | (s[:-1] >= 0.0) & (s[1:] <= 0.0))
     # with Lz at rounding level x.p also rises through zero where the orbit passes r = 0,
     # while rdot jumps from -|v| to |v|: that is no apsis
-    radial = np.abs(lz_value(*step_y)) <= 4.0 * math.ulp(1.0) * np.hypot(*step_y[:2]) * momentum
+    radial = np.abs(lz_value(*step_y)) <= 4.0 * math.ulp(1.0) * radius * momentum
     j = j[~((s[j + 1] > s[j]) & radial[j] & radial[j + 1])]
     step_t, on_steps = dense.bounds, dense.on_steps(j)
     roots = _bracketed_root(lambda t: _rdot(on_steps(t), params.lam), step_t[j], step_t[j + 1])

@@ -1,6 +1,6 @@
 """Phase-space kernels of the gnomonic chart: H, its gradient, Lz and pi.
 
-``dynamics`` sets out the chart and re-exports every name here; ``conserved``
+``dynamics`` sets out the chart and integrates on these kernels; ``conserved``
 takes its kernels from here, so the bracket checks never run ``dynamics``.
 On Python floats the kernels run on the stdlib alone: numpy loads only
 where an array is passed in.

@@ -1,7 +1,7 @@
 """Quantum spectra of the screened systems: the finite-difference grid oracle.
 
 The closed-form levels, the spectrum table and its CSV live in
-``closed_forms`` and are re-exported here.
+``closed_forms``; ``perfbench`` reads the table and its CSV here.
 
 The independent oracle discretizes the radial Hamiltonian H1.  Written in
 the polar-angle variable chi (r = tan(chi)/sqrt(lam)) and conjugated by
@@ -20,9 +20,9 @@ flat limit the same reduction in r gives the familiar 2D radial operator
 differences with Dirichlet ends give a symmetric tridiagonal matrix;
 eigenvalues from two nested grids are Richardson-combined and their gap
 is reported as the discretization-error estimate.  The oracle sizes both
-grids itself (``default_grid`` and its halved spacing) and refuses
-m' < 1/2, whose solution ~ x**(m'+1/2) is too rough at x = 0 for that
-h**2 step, with ``ERR_ACCURACY``.
+grids itself (``default_grid`` and its halved spacing), solves at most
+``GRID_MAX_LEVELS`` levels and refuses m' < 1/2, whose solution
+~ x**(m'+1/2) is too rough at x = 0 for that h**2 step, with ``ERR_ACCURACY``.
 
 The grid matrix is built on Python floats with ``math``, and its levels
 come from LAPACK's bisection routine dstebz in the OpenBLAS that scipy
@@ -38,13 +38,22 @@ from array import array
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .closed_forms import (  # noqa: F401 -- re-exported
-    GRID_MAX_LEVELS, SpectrumEntry, SystemKind, analytic_energy, check_grid_m_prime,
-    coulomb_energy, m_prime, oscillator_energy, spectrum_csv, spectrum_entries)
+from .closed_forms import SystemKind, m_prime
+from .closed_forms import spectrum_csv, spectrum_entries  # noqa: F401 -- perfbench reads them here
 from .errors import AccuracyError, DomainError
+
+GRID_MAX_LEVELS = 10        # levels the grid oracle solves: N = 0 .. GRID_MAX_LEVELS - 1
 
 
 # --- finite-difference radial oracle ---------------------------------------
+
+def check_grid_m_prime(m: int, k: float) -> None:
+    """Refuse the grid oracle for m' < 1/2: there u ~ x**(m'+1/2) is not smooth at x = 0,
+    and its levels stray past their Richardson error estimate (by 12-15x at m' = 0)."""
+    mp = m_prime(m, k)
+    if mp < 0.5:
+        raise AccuracyError(f"the grid oracle needs m' >= 1/2, got m' = {mp:.6g} at m = {m}")
+
 
 class RadialGrid(namedtuple("RadialGrid", "n_points x_max")):
     """The uniform Dirichlet grid a level set was solved on: interior nodes at

@@ -21,18 +21,17 @@ from typing import Optional
 
 import numpy as np
 
+from screened_sphere.closed_forms import orbit_alpha
 from screened_sphere.dynamics import (
     PhaseState,
     SystemKind,
     SystemParams,
     Trajectory,
     _bracketed_root,
-    hamiltonian,
     lz_value,
-    orbit_alpha,
-    potential,
 )
 from screened_sphere.errors import DomainError
+from screened_sphere.phase_space import hamiltonian, potential
 
 
 class OrbitDomainError(DomainError):

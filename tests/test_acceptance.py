@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from screened_sphere.closed_forms import analytic_energy, coulomb_energy, m_prime, oscillator_energy
 from screened_sphere.conserved import (
     FRADKIN_1,
     FRADKIN_XY,
@@ -37,13 +38,7 @@ from screened_sphere.dynamics import (
     integrate,
     lz_value,
 )
-from screened_sphere.spectra import (
-    analytic_energy,
-    coulomb_energy,
-    m_prime,
-    oscillator_energy,
-    radial_solve_numeric,
-)
+from screened_sphere.spectra import radial_solve_numeric
 from orbit_reference import OrbitShape, orbit_residual, state_at_theta
 from oscillator_reference import oscillator_operator_residual
 

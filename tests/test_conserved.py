@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from screened_sphere.closed_forms import orbit_alpha
 from screened_sphere.conserved import (
     FRADKIN_1,
     FRADKIN_XY,
@@ -28,12 +29,11 @@ from screened_sphere.dynamics import (
     SystemParams,
     TurningKind,
     find_turning_points,
-    hamiltonian,
     integrate,
     lz_value,
-    orbit_alpha,
 )
 from screened_sphere.errors import NoTurningPointError
+from screened_sphere.phase_space import hamiltonian
 
 X1 = Observable("x1", lambda x1, x2, p1, p2, pr: x1, lambda *z: (1.0, 0.0, 0.0, 0.0))
 P1 = Observable("p1", lambda x1, x2, p1, p2, pr: p1, lambda *z: (0.0, 0.0, 1.0, 0.0))

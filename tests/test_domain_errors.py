@@ -1,9 +1,12 @@
 """Every input check in the library raises a coded ``DomainError``."""
 
 import math
+import re
 
 import pytest
 
+from screened_sphere import conserved
+from screened_sphere.closed_forms import coulomb_energy, orbit_alpha
 from screened_sphere.conserved import (
     FRADKIN_XY,
     HAMILTONIAN,
@@ -14,18 +17,18 @@ from screened_sphere.conserved import (
     poisson_bracket,
     runge_lenz,
     verify_coulomb_algebra,
+    verify_oscillator_algebra,
 )
 from screened_sphere.dynamics import (
     PhaseState,
     SystemKind,
     SystemParams,
     equations_of_motion,
-    hamiltonian,
     integrate,
-    orbit_alpha,
 )
 from screened_sphere.errors import DomainError, ImaginaryAlphaError, RadiusError
-from screened_sphere.spectra import coulomb_energy, radial_solve_numeric
+from screened_sphere.phase_space import hamiltonian
+from screened_sphere.spectra import radial_solve_numeric
 from orbit_reference import state_at_theta
 from oscillator_reference import (
     hypergeometric_terminating,
@@ -121,4 +124,22 @@ def test_finite_difference_stencil_through_the_origin_is_a_radius_error():
 def test_both_bracket_methods_refuse_the_wrong_system(method):
     with pytest.raises(DomainError) as exc:
         poisson_bracket(RUNGE_LENZ_X, RUNGE_LENZ_Y, STATE, OSCILLATOR, method=method)
+    assert exc.value.code == "ERR_DOMAIN"
+
+
+@pytest.mark.parametrize("n_samples", [10, 10**6])  # the float path and the batch path
+@pytest.mark.parametrize("verify,params,method,message", [
+    (verify_coulomb_algebra, COULOMB, "bogus", "unknown bracket method 'bogus'"),
+    (verify_coulomb_algebra, OSCILLATOR, "analytic", "R' is defined for the coulomb system"),
+    (verify_oscillator_algebra, COULOMB, "fd", "Q' is defined for the oscillator system"),
+], ids=["method", "coulomb-kind", "oscillator-kind"])
+def test_algebra_checks_refuse_a_bad_request_before_drawing_a_state(
+        monkeypatch, verify, params, method, message, n_samples):
+    def draw(*args):
+        raise AssertionError("a state was drawn for a request that is refused")
+
+    monkeypatch.setattr(conserved, "_sample_floats", draw)
+    monkeypatch.setattr(conserved, "_sample_batch", draw)
+    with pytest.raises(DomainError, match=re.escape(message)) as exc:
+        verify(params, n_samples, method=method)
     assert exc.value.code == "ERR_DOMAIN"

@@ -14,6 +14,7 @@ import pytest
 from scipy.optimize import brentq
 
 from screened_sphere import dynamics
+from screened_sphere.closed_forms import orbit_alpha
 from screened_sphere.conserved import HAMILTONIAN, finite_difference_gradient, sample_states
 from screened_sphere.dynamics import (
     MAX_SAMPLES,
@@ -25,11 +26,7 @@ from screened_sphere.dynamics import (
     closure_analysis,
     equations_of_motion,
     find_turning_points,
-    hamiltonian,
     integrate,
-    orbit_alpha,
-    pi_components,
-    potential,
 )
 from screened_sphere.errors import (
     ChartEdgeError,
@@ -41,6 +38,7 @@ from screened_sphere.errors import (
     StepBudgetError,
     StiffnessError,
 )
+from screened_sphere.phase_space import hamiltonian, pi_components, potential
 from orbit_reference import (
     OrbitDomainError,
     OrbitShape,
@@ -688,6 +686,23 @@ def test_perihelion_radius_constant_and_matches_effective_potential(
 def test_turning_point_rdot_tolerance(oscillator_orbit):
     for p in find_turning_points(oscillator_orbit):
         assert abs(float(oscillator_orbit.rdot(p.t))) < 1e-10
+
+
+@pytest.mark.parametrize("params, state, t_end", [
+    (SystemParams(SystemKind.COULOMB, 0.1, 0.05), (1.6, 0.0, 0.0, 0.55), 70.0),
+    (SystemParams(SystemKind.OSCILLATOR, 0.1, 0.05), (1.5, 0.0, 0.0, 0.6), 40.0),
+    (SystemParams(SystemKind.COULOMB, 0.1, 0.05), (1.6, 0.0, 0.1, 0.55), -20.0),
+    (FLAT_KEPLER, (1.0, 0.0, 0.0, 1.0), 20.0),
+], ids=["coulomb-fixture", "oscillator-fixture", "backward", "circular"])
+def test_turning_points_do_not_depend_on_the_samples(params, state, t_end):
+    # the solver's steps alone decide the turning points and the circular verdict
+    runs = [integrate(PhaseState(*state), params, t_end, n_samples=n) for n in (2, 11, 4001)]
+    for traj in runs[1:]:
+        assert repr(traj.turning_points) == repr(runs[0].turning_points)  # repr keeps every bit
+        assert traj.circular == runs[0].circular
+        assert traj.step_theta.tobytes() == runs[0].step_theta.tobytes()
+        assert traj.dense.bounds.tobytes() == runs[0].dense.bounds.tobytes()
+    assert runs[0].circular == (params is FLAT_KEPLER)
 
 
 def test_backward_span_turning_points_and_theta():

@@ -13,19 +13,18 @@ import math
 import numpy as np
 import pytest
 
+from screened_sphere.closed_forms import check_lam_k
 from screened_sphere.dynamics import (
     PhaseState,
     SystemKind,
     SystemParams,
-    check_lam_k,
     equations_of_motion,
     h_gradient,
     h_value,
     integrate,
-    pi_components,
-    potential,
 )
 from screened_sphere.errors import CurvatureError
+from screened_sphere.phase_space import pi_components, potential
 
 
 def _embed_with_velocity(x, xdot, lam):

@@ -4,6 +4,7 @@ Each relation follows from the physics alone, so it checks the program independe
 the closed forms it also evaluates (ROADMAP item 15).
 """
 
+import math
 import random
 
 import numpy as np
@@ -113,3 +114,26 @@ def test_mirror_maps_an_orbit_onto_itself(kind, state, t_end, lam):
     # (Q'xy, Q'1) -> (-Q'xy, Q'1)
     value_signs = (1.0, -1.0) if kind is SystemKind.COULOMB else (-1.0, 1.0)
     _assert_reflected(kind, state, t_end, lam, (1.0, -1.0, 1.0, -1.0), -1.0, value_signs)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("kind, state, t_end", _SHORT_ORBITS, ids=["coulomb", "oscillator"])
+def test_time_reversal_maps_an_orbit_onto_itself(kind, state, t_end, lam):
+    # H is even in p, so the orbit from (x, p) back to -T is the one from (x, -p) on to T with
+    # every step negated: t negated, the states with p negated, r, theta and H to the bit, Lz
+    # negated, and the turning points in reverse.  Each side bisects its turning times in
+    # increasing time, to a bracket of 4 eps (1 + |t|) about the same sign change, so the
+    # two times lie within 8 eps (1 + |t|)
+    params, flip = SystemParams(kind, lam, 0.05), np.array((1.0, 1.0, -1.0, -1.0))
+    back = integrate(PhaseState(*state), params, -t_end, n_samples=401)
+    forth = integrate(PhaseState(*(flip * state).tolist()), params, t_end, n_samples=401)
+    assert np.array_equal(-back.t, forth.t)
+    for name in ("r", "theta", "H"):
+        assert getattr(back, name).tobytes() == getattr(forth, name).tobytes(), name
+    assert np.array_equal(back.states * flip, forth.states)  # an exact zero may take either sign
+    assert np.array_equal(-back.Lz, forth.Lz)
+    assert back.circular == forth.circular
+    points = back.turning_points[::-1]
+    assert len(points) >= 4 and [p.kind for p in points] == [p.kind for p in forth.turning_points]
+    for p, q in zip(points, forth.turning_points):
+        assert abs(p.t + q.t) <= 8.0 * math.ulp(1.0) * (1.0 + abs(q.t)), (p.t, q.t)

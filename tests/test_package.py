@@ -1,8 +1,11 @@
 """The package's public names and the modules that importing the CLI registers."""
 
+import ast
 import importlib
 import inspect
+import linecache
 import os
+import re
 import subprocess
 import sys
 
@@ -15,19 +18,17 @@ from screened_sphere.closed_forms import SystemKind, SystemParams
 from screened_sphere.errors import CurvatureError, DomainError
 from test_cli import SRC
 
-# Every name the package exports, by the module it came from; the names in MOVED
-# now live in closed_forms and are re-exported.
+# Every name the package exports, by the module that defines it.
 EXPORTED = {
-    "dynamics": """ClosureResult PhaseState SystemKind SystemParams Trajectory TurningKind
-        TurningPoint closure_analysis equations_of_motion find_turning_points hamiltonian
-        integrate orbit_alpha potential""",
+    "closed_forms": """ClosureResult SpectrumEntry SystemKind SystemParams closure_analysis
+        coulomb_energy m_prime orbit_alpha oscillator_energy spectrum_entries""",
+    "phase_space": "PhaseState hamiltonian potential",
+    "dynamics": """Trajectory TurningKind TurningPoint equations_of_motion find_turning_points
+        integrate""",
     "conserved": """BracketReport Observable fradkin_quantities poisson_bracket runge_lenz
         turning_point_conservation verify_coulomb_algebra verify_oscillator_algebra""",
-    "spectra": """RadialGrid SpectrumEntry coulomb_energy m_prime oscillator_energy
-        radial_solve_numeric spectrum_entries""",
+    "spectra": "RadialGrid radial_solve_numeric",
 }
-MOVED = set("""ClosureResult SystemKind SystemParams closure_analysis orbit_alpha SpectrumEntry
-    coulomb_energy m_prime oscillator_energy spectrum_entries""".split())
 # The closed-form orbit oracle, which no command runs, lives in tests/orbit_reference.py.
 ORBIT_REFERENCE = "OrbitShape closed_form_radius fit_theta0 orbit_residual state_at_theta".split()
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names.split()]
@@ -36,9 +37,9 @@ NAMES = [(module, name) for module, names in EXPORTED.items() for name in names.
 def test_public_names_are_their_owners_objects():
     wrong = [name for module, name in NAMES
              if getattr(screened_sphere, name)
-             is not getattr(importlib.import_module(f"screened_sphere.{module}"), name)
-             or name in MOVED and getattr(screened_sphere, name) is not getattr(closed_forms, name)]
+             is not getattr(importlib.import_module(f"screened_sphere.{module}"), name)]
     assert wrong == []
+    assert {name: module for module, name in NAMES} == screened_sphere._OWNER
     assert {name for _, name in NAMES} <= set(dir(screened_sphere))
 
 
@@ -91,6 +92,27 @@ def test_the_benchmark_entry_points_resolve(module, name):
     if callable(target):  # traced.py binds each call of what it wraps to the signature
         params = inspect.signature(target).parameters
         assert set(BENCHMARK_PARAMS.get((module, name), ())) <= set(params)
+
+
+def test_every_name_imported_from_a_sibling_module_is_used():
+    # pyflakes' unused-import check (F401), for what a module imports from its siblings: each
+    # name is loaded in the module, annotations included, runs in the text of the generated
+    # DOP853 driver (dynamics), or is one that the benchmark reads there (BENCHMARK_NAMES)
+    from screened_sphere import dynamics
+
+    driver = "".join(linecache.getlines(dynamics._dop853.__code__.co_filename))
+    unused = []
+    for path in sorted((SRC / "screened_sphere").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        used |= {name.split(".")[0] for name in BENCHMARK_NAMES.get(path.stem, "").split()}
+        text = driver if path.stem == "dynamics" else ""
+        imported = [(node.lineno, alias.asname or alias.name) for node in tree.body
+                    if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+        unused += [f"{path.name}:{line} {name}" for line, name in imported
+                   if name not in used and not re.search(rf"\b{name}\b", text)]
+    assert unused == []
 
 
 def _trajectory(state, params):

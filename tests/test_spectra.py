@@ -16,16 +16,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from screened_sphere import spectra
+from screened_sphere.closed_forms import analytic_energy, coulomb_energy, oscillator_energy
 from screened_sphere.dynamics import SystemKind
 from screened_sphere.errors import AccuracyError, CurvatureError, DomainError, ImaginaryMPrimeError
 from screened_sphere.spectra import (
     RadialGrid,
     _eigenvalues_on_grid,
-    analytic_energy,
-    coulomb_energy,
     default_grid,
     m_prime,
-    oscillator_energy,
     radial_solve_numeric,
     spectrum_csv,
     spectrum_entries,

@@ -18,8 +18,8 @@ from screened_sphere.conserved import (
     sample_states,
 )
 from screened_sphere.dynamics import SystemKind, SystemParams
-from screened_sphere.spectra import (_transformed_potential, coulomb_energy, m_prime,
-                                     oscillator_energy)
+from screened_sphere.closed_forms import coulomb_energy, m_prime, oscillator_energy
+from screened_sphere.spectra import _transformed_potential
 from oscillator_reference import oscillator_wavefunction
 
 X, Y, PX, PY = sp.symbols("x y p_x p_y", real=True)
