@@ -216,7 +216,7 @@ def spectrum_entries(
     entries: list[SpectrumEntry] = []
     solved: dict[int, Sequence[float]] = {}
     for m in ms:
-        if numeric and m not in solved:
+        if numeric and ns and m not in solved:
             solved[m] = radial_solve_numeric(kind, lam, k, m, n_levels=max(ns) + 1).energies
         numeric_levels = solved.get(m)
         for n in sorted(ns):

@@ -3,26 +3,26 @@
 The closed-form levels, the spectrum table and its CSV live in
 ``closed_forms``; ``perfbench`` reads the table and its CSV here.
 
-The independent oracle discretizes the radial Hamiltonian H1.  Written in
-the polar-angle variable chi (r = tan(chi)/sqrt(lam)) and conjugated by
-w(chi) = cos(chi)**1.5 / sin(chi)**0.5 (which removes the first-derivative
-term), H1 becomes an ordinary 1D Schroedinger operator
+The independent oracle discretizes the radial Hamiltonian H1 in the arc
+length s = chi/sqrt(lam) from the pole (chi the polar angle, r =
+tan(chi)/sqrt(lam)).  Conjugated by w = cos(chi)**1.5 / sin(chi)**0.5, H1
+becomes an ordinary 1D Schroedinger operator, for every lam >= 0,
 
-    Ht = -(lam/2) d^2/dchi^2 + (lam/2)*(m'**2 - 1/4)/sin(chi)**2 + V0 - lam/8 + lam*k
+    Ht = -(1/2) d^2/ds^2 + (m'**2 - 1/4)/(2 S**2) + V0 - lam/8 + lam*k
 
-with V0 = -sqrt(lam)/tan(chi) for the coulomb system and
-V0 = tan(chi)**2/(2*lam) for the oscillator.  The coulomb potential is
-regular at the equator and its eigenfunctions extend over the whole
-sphere, so the grid spans chi in (0, pi); the oscillator wall confines
-the states to the upper hemisphere and the grid spans (0, pi/2).  In the
-flat limit the same reduction in r gives the familiar 2D radial operator
--(1/2) d^2/dr^2 + (m'**2 - 1/4)/(2 r**2) + V0(r).  Second-order central
-differences with Dirichlet ends give a symmetric tridiagonal matrix;
-eigenvalues from two nested grids are Richardson-combined and their gap
-is reported as the discretization-error estimate.  The oracle sizes both
-grids itself (``default_grid`` and its halved spacing), solves at most
-``GRID_MAX_LEVELS`` levels and refuses m' < 1/2, whose solution
-~ x**(m'+1/2) is too rough at x = 0 for that h**2 step, with ``ERR_ACCURACY``.
+with S = sin(sqrt(lam) s)/sqrt(lam), T = tan(sqrt(lam) s)/sqrt(lam) (both s
+at lam = 0, where Ht is the flat 2D radial operator), and V0 = -1/T for the
+coulomb system, T**2/2 for the oscillator.  The grid spans the flat extent
+the requested levels need, unless the sphere ends inside it, where
+atan(sqrt(lam)*extent) > 1/2; then it spans the coulomb sphere, s in (0,
+pi/sqrt(lam)), or the oscillator's upper hemisphere, which its wall holds.
+Central differences with Dirichlet ends give a symmetric tridiagonal
+matrix; eigenvalues on two nested grids (``default_grid`` and its halved
+spacing) are Richardson-combined and their gap is the error estimate.  At
+most ``GRID_MAX_LEVELS`` levels are solved.  ``ERR_ACCURACY`` refuses
+m' < 1/2, whose solution ~ s**(m'+1/2) is too rough at s = 0 for that h**2
+step, a matrix entry that overflows (lam near the float range's end) and a
+failed bisection.
 
 The grid matrix is built on Python floats with ``math``, and its levels
 come from LAPACK's bisection routine dstebz in the OpenBLAS that scipy
@@ -56,42 +56,43 @@ def check_grid_m_prime(m: int, k: float) -> None:
 
 
 class RadialGrid(namedtuple("RadialGrid", "n_points x_max")):
-    """The uniform Dirichlet grid a level set was solved on: interior nodes at
-    i*x_max/(n_points + 1), i = 1..n_points, read as chi for lam > 0 and as r at lam = 0."""
+    """The uniform Dirichlet grid a level set was solved on: interior nodes s = i*x_max/(n_points
+    + 1), i = 1..n_points, in the arc length s = chi/sqrt(lam) from the pole (r at lam = 0)."""
 
     __slots__ = ()
 
 
 def default_grid(kind: SystemKind, lam: float, k: float, m: int, n_levels: int) -> RadialGrid:
-    """Grid sized so the requested levels are resolved and contained."""
+    """The flat grid that holds the requested levels, or 2000 points where the sphere ends in it."""
     mp = m_prime(m, k)
-    if lam > 0.0:
-        x_max = math.pi if kind is SystemKind.COULOMB else math.pi / 2.0
-        return RadialGrid(2000, x_max)
     if kind is SystemKind.COULOMB:
         n_eff = mp + (n_levels - 1) + 0.5  # the outer turning point of the top level is ~2 n_eff**2
-        return RadialGrid(6000, max(40.0, 30.0 * n_eff, 2.0 * n_eff * n_eff + 20.0 * n_eff))
-    e_max = 1.0 + mp + 2.0 * (n_levels - 1)
-    return RadialGrid(3000, max(10.0, math.sqrt(2.0 * e_max) + 7.0))
+        x_max = max(40.0, 30.0 * n_eff, 2.0 * n_eff * n_eff + 20.0 * n_eff)
+        flat, chi_end = RadialGrid(6000, x_max), math.pi
+    else:
+        e_max = 1.0 + mp + 2.0 * (n_levels - 1)
+        flat, chi_end = RadialGrid(3000, max(10.0, math.sqrt(2.0 * e_max) + 7.0)), math.pi / 2.0
+    q = math.sqrt(lam)
+    return RadialGrid(2000, chi_end / q) if math.atan(q * flat.x_max) > 0.5 else flat
 
 
-def _transformed_potential(
-    kind: SystemKind, lam: float, k: float, m: int, x: Sequence[float]
-) -> list[float]:
-    """Potential of the symmetrized operator Ht on grid nodes."""
+def _sine_tangent(lam: float, s: Sequence[float]) -> tuple[Sequence[float], Sequence[float]]:
+    """S and T on the nodes s: sin(q s)/q and tan(q s)/q, q = sqrt(lam), and s at lam = 0."""
+    q = math.sqrt(lam)
+    if q == 0.0:
+        return s, s
+    return [math.sin(q * x) / q for x in s], [math.tan(q * x) / q for x in s]
+
+
+def _transformed_potential(kind: SystemKind, lam: float, k: float, m: int,
+                           s: Sequence[float]) -> list[float]:
+    """Potential of the symmetrized operator Ht on the nodes s."""
     mp = m_prime(m, k)
-    if lam > 0.0:
-        c, shift, screen = 0.5 * lam * (mp * mp - 0.25), lam / 8.0, lam * k
-        sines, tangents = map(math.sin, x), map(math.tan, x)
-        if kind is SystemKind.COULOMB:
-            a = -math.sqrt(lam)
-            return [c / (s * s) + a / t - shift + screen for s, t in zip(sines, tangents)]
-        b = 2.0 * lam
-        return [c / (s * s) + t * t / b - shift + screen for s, t in zip(sines, tangents)]
-    c = 0.5 * (mp * mp - 0.25)
+    c, shift = 0.5 * (mp * mp - 0.25), lam * k - lam / 8.0
+    sines, tangents = _sine_tangent(lam, s)
     if kind is SystemKind.COULOMB:
-        return [c / (r * r) - 1.0 / r for r in x]
-    return [c / (r * r) + 0.5 * (r * r) for r in x]
+        return [c / (a * a) - 1.0 / t + shift for a, t in zip(sines, tangents)]
+    return [c / (a * a) + 0.5 * (t * t) + shift for a, t in zip(sines, tangents)]
 
 
 @functools.cache
@@ -144,17 +145,16 @@ def _eigenvalues_on_grid(
     """Lowest ``n_levels`` eigenvalues of the grid matrix, by bisection (LAPACK dstebz)."""
     n = grid.n_points
     h = grid.x_max / (n + 1)
-    c_kin = 0.5 * lam if lam > 0.0 else 0.5
-    kin = 2.0 * c_kin / h**2
-    x = [h * i for i in range(1, n + 1)]
+    s = [h * i for i in range(1, n + 1)]
     try:
-        diag = array("d", [kin + v for v in _transformed_potential(kind, lam, k, m, x)])
+        kin = 1.0 / h**2
+        diag = array("d", [kin + v for v in _transformed_potential(kind, lam, k, m, s)])
         finite = all(map(math.isfinite, diag))
-    except ZeroDivisionError:  # a float division by zero, an inf or a NaN in IEEE arithmetic
-        finite = False
+    except ArithmeticError:  # a float division by zero or an h**2 past the float range:
+        finite = False       # an inf or a NaN in IEEE arithmetic
     if not finite:  # a NaN inside the band can pass dstebz with info = 0
         raise AccuracyError("tridiagonal eigensolver failed: array must not contain infs or NaNs")
-    off = array("d", [-c_kin / h**2]) * (n - 1)
+    off = array("d", [-0.5 / h**2]) * (n - 1)
     found, vals, info = _dstebz(diag, off, 1, n_levels)
     if info != 0 or found < n_levels:
         raise AccuracyError(f"tridiagonal eigensolver failed: dstebz found {found} of "

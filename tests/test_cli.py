@@ -366,10 +366,10 @@ def test_overflowing_brackets_print_only_their_code_line(system, lam):
 
 @pytest.mark.parametrize("argv", [
     ["--system", "coulomb", "--lambda", "1e308"],
-    ["--system", "oscillator", "--lambda", "1e-320", "--m", "1"],
+    ["--system", "oscillator", "--lambda", "1e308", "--m", "1"],
 ])
 def test_overflowing_numeric_spectrum_prints_only_its_code_line(argv):
-    # the grid potential overflows; numpy's RuntimeWarnings used to come before the code line
+    # the grid matrix overflows; numpy's RuntimeWarnings used to come before the code line
     proc = run_cli("spectrum", *argv, "--numeric")
     assert proc.returncode == 3
     assert proc.stdout == ""

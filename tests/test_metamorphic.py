@@ -24,13 +24,13 @@ def _e_numeric(capsys, system: str, lam: float) -> float:
     return float(dict(zip(header.split(","), row.split(",")))["E_numeric"])
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the grid oracle is wrong at small lambda")
 @pytest.mark.parametrize("system, lam", [("coulomb", 1e-12), ("oscillator", 1e-7)])
 def test_numeric_spectrum_is_continuous_as_lambda_goes_to_zero(capsys, system, lam):
     # a printed level is within 1e-4 relative of the true level (the acceptance contract),
     # and a level is smooth in lambda with a slope of order one, so from lambda = 0 to these
     # lambda it moves by far less than that: the two prints agree within 2e-4 relative.  The
-    # grid printed -0.23825 and -0.00148 for coulomb, 1.94868 and 1.0089 for the oscillator
+    # chi grid of 2000 points on the whole sphere printed -0.23825 and -0.00148 for coulomb,
+    # 1.94868 and 1.0089 for the oscillator
     flat, curved = _e_numeric(capsys, system, 0.0), _e_numeric(capsys, system, lam)
     assert abs(curved - flat) <= 2e-4 * abs(flat)
 

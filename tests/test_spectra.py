@@ -290,24 +290,50 @@ def test_oracle_rejects_bad_level_count():
         radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 11)
 
 
+_SWEEP_LAMS = [0.0, 1e-320, 1e-300, 1e-12, 1e-9, 1e-7, 1e-6, 3e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1,
+               0.5, 1.0]
+_DEGENERACY_LAMS = [0.0, 1e-9, 1e-4, 0.05, 0.5]
+
+
+@pytest.fixture(scope="module")
+def ten_levels():
+    """radial_solve_numeric(kind, lam, k, m, 10), keyed by (kind, lam, k, m), for the sweep's
+    and the degeneracy test's cases, solved on two threads: ctypes lets go of the GIL while
+    dstebz, most of a solve, runs."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    cases = sorted(set(itertools.product(SystemKind, _SWEEP_LAMS, (0.0, 0.05), (1, 2, 3)))
+                   | set(itertools.product(SystemKind, _DEGENERACY_LAMS, (0.0, 0.05),
+                                           range(1, 6))))
+    spectra._dstebz_routine()  # loaded once, before the two threads start
+    with ThreadPoolExecutor(2) as pool:
+        return dict(zip(cases, pool.map(lambda case: radial_solve_numeric(*case, 10), cases)))
+
+
+@pytest.mark.parametrize("lam", _SWEEP_LAMS)
+@pytest.mark.parametrize("kind", list(SystemKind))
+def test_grid_levels_keep_to_their_estimate_at_every_lambda(ten_levels, kind, lam):
+    # a chi grid of 2000 points on the whole sphere could not see a state of extent
+    # ~sqrt(lam)*r at small lam: it printed -0.00148 for the coulomb E(1, 0) = -0.2222 at
+    # lam = 1e-12, and -3.16e286 for the oscillator E(1, 0) = 2 at lam = 1e-300
+    for k, m in itertools.product((0.0, 0.05), (1, 2, 3)):
+        result = ten_levels[kind, lam, k, m]
+        want = [analytic_energy(kind, lam, k, m, n) for n in range(10)]
+        error = np.abs(np.asarray(result.energies) - want)
+        assert np.all(error <= np.asarray(result.error_estimate)), (k, m)
+
+
 def _numpy_matrix(kind, lam, k, m, grid):
-    """The grid matrix's diagonal and off-diagonal as numpy built them before the oracle ran
-    on floats: the test-only reference for the float matrix."""
+    """The grid matrix's diagonal and off-diagonal built with numpy: the test-only reference
+    for the float matrix."""
     h = grid.x_max / (grid.n_points + 1)
-    x = h * np.arange(1, grid.n_points + 1)
+    s = h * np.arange(1, grid.n_points + 1)
+    q = math.sqrt(lam)
+    sine, tangent = (np.sin(q * s) / q, np.tan(q * s) / q) if lam > 0.0 else (s, s)
     mp = m_prime(m, k)
-    c_kin = 0.5 * lam if lam > 0.0 else 0.5
-    if lam > 0.0:
-        cent = 0.5 * lam * (mp * mp - 0.25) / np.sin(x) ** 2
-        if kind is SystemKind.COULOMB:
-            v0 = -math.sqrt(lam) / np.tan(x)
-        else:
-            v0 = np.tan(x) ** 2 / (2.0 * lam)
-        potential = cent + v0 - lam / 8.0 + lam * k
-    else:
-        cent = 0.5 * (mp * mp - 0.25) / x**2
-        potential = cent + (-1.0 / x if kind is SystemKind.COULOMB else 0.5 * x**2)
-    return 2.0 * c_kin / h**2 + potential, np.full(grid.n_points - 1, -c_kin / h**2)
+    v0 = -1.0 / tangent if kind is SystemKind.COULOMB else 0.5 * tangent**2
+    potential = 0.5 * (mp * mp - 0.25) / sine**2 + v0 + (lam * k - lam / 8.0)
+    return 1.0 / h**2 + potential, np.full(grid.n_points - 1, -0.5 / h**2)
 
 
 @pytest.fixture
@@ -350,8 +376,8 @@ def test_grid_eigenvalues_equal_scipy_eigh_tridiagonal(grid_solves, kind, lam):
 @pytest.mark.parametrize("kind", list(SystemKind))
 @pytest.mark.parametrize("lam", [0.0, 0.015, 0.5])
 def test_float_diagonal_matches_the_numpy_reference(grid_solves, kind, lam):
-    # at lam = 0 the arithmetic is the same, op for op; at lam > 0 libm's tan may round
-    # differently from numpy's by an ulp, which the oscillator's tan**2 doubles
+    # at lam = 0 the arithmetic is the same, op for op; at lam > 0 libm's sin and tan may
+    # round differently from numpy's by an ulp, which the oscillator's tan**2 doubles
     ulps = 1 if kind is SystemKind.COULOMB else 2
     for n_levels, grid in _grids(kind, lam):
         _eigenvalues_on_grid(kind, lam, 0.05, 1, n_levels, grid)
@@ -403,15 +429,18 @@ def test_eigensolver_failure_is_an_accuracy_error(monkeypatch, found, info):
                               f"levels (LAPACK info={info})")
 
 
-@pytest.mark.parametrize("kind,lam,message", [
-    pytest.param(SystemKind.COULOMB, 1e300, "dstebz found 0 of 1 levels (LAPACK info=4)",
+@pytest.mark.parametrize("kind,lam,m,message", [
+    pytest.param(SystemKind.COULOMB, 1e300, 1, "dstebz found 0 of 1 levels (LAPACK info=4)",
                  id="coulomb-1e+300-info=4"),  # LAPACK's bisection fails
-    pytest.param(SystemKind.OSCILLATOR, 1e308, "array must not contain infs or NaNs",
+    pytest.param(SystemKind.OSCILLATOR, 1e308, 1, "array must not contain infs or NaNs",
                  id="oscillator-1e+308-infs or NaNs"),  # the matrix overflows
+    # the flat grid reaches r = 2e200 and its h**2 overflows, which was an OverflowError
+    pytest.param(SystemKind.COULOMB, 0.0, 10**100, "array must not contain infs or NaNs",
+                 id="coulomb-0-m=1e100-h**2 overflows"),
 ])
-def test_unsolvable_grid_matrix_is_an_accuracy_error(kind, lam, message):
+def test_unsolvable_grid_matrix_is_an_accuracy_error(kind, lam, m, message):
     with pytest.raises(AccuracyError) as exc:
-        radial_solve_numeric(kind, lam, 0.0, 1, 1)
+        radial_solve_numeric(kind, lam, 0.0, m, 1)
     assert str(exc.value) == f"tridiagonal eigensolver failed: {message}"
 
 
@@ -507,6 +536,21 @@ def test_degeneracy_gap_confirmed_by_oracle():
     assert abs(abs(e_m1 - e_m2) - gap_analytic) < 1e-4
 
 
+@pytest.mark.parametrize("lam", _DEGENERACY_LAMS)
+@pytest.mark.parametrize("kind", list(SystemKind))
+def test_grid_levels_are_degenerate_unscreened_and_split_screened(ten_levels, kind, lam):
+    # with no closed form: at k = 0 a level depends on m + N (coulomb) or m + 2N (oscillator)
+    # alone, so E(m, N) = E(m + dm, N - 1) within the two levels' estimates; at k > 0 it
+    # depends on m' = sqrt(m**2 - 2k) instead, which splits the pair by more than that
+    dm = 1 if kind is SystemKind.COULOMB else 2
+    for m, n in itertools.product(range(1, 6 - dm), range(1, 10)):
+        for k in (0.0, 0.05):
+            a, b = ten_levels[kind, lam, k, m], ten_levels[kind, lam, k, m + dm]
+            gap = abs(a.energies[n] - b.energies[n - 1])
+            estimates = a.error_estimate[n] + b.error_estimate[n - 1]
+            assert gap <= estimates if k == 0.0 else gap > estimates, (m, n, k, gap, estimates)
+
+
 # --- tables --------------------------------------------------------------------
 
 def test_spectrum_entries_and_csv():
@@ -522,6 +566,12 @@ def test_spectrum_entries_and_csv():
         assert e.e_numeric is not None
         assert e.abs_diff == pytest.approx(abs(e.e_analytic - e.e_numeric))
         assert e.abs_diff < 1e-4
+
+
+@pytest.mark.parametrize("numeric", [False, True])
+def test_spectrum_table_of_no_levels_is_empty(numeric):
+    # the numeric table sized its solve by max(ns), which raised on an empty N list
+    assert spectrum_entries(SystemKind.COULOMB, 0.1, 0.05, [1], [], numeric=numeric) == []
 
 
 def _csv_field(value) -> str:

@@ -121,7 +121,8 @@ def test_screened_runge_lenz_not_conserved_off_the_apsides():
 
 CHI = sp.symbols("chi", positive=True)
 MP = sp.symbols("m_prime", positive=True)
-# spectra's Ht = -(lam/2) d^2/dchi^2 + V(chi) for the coulomb system, lam > 0
+# spectra's Ht for the coulomb system at lam > 0, written in chi = sqrt(lam) s:
+# Ht = -(lam/2) d^2/dchi^2 + V(chi)
 HT_POTENTIAL = (LAM / 2 * (MP**2 - sp.Rational(1, 4)) / sp.sin(CHI) ** 2
                 - sp.sqrt(LAM) * sp.cot(CHI) - LAM / 8 + LAM * K)
 E_GROUND = LAM / 2 * MP * (MP + 1) - 1 / (2 * (MP + sp.Rational(1, 2)) ** 2) + LAM * K
@@ -140,7 +141,7 @@ def test_coulomb_ground_state_operator_is_the_grid_operator(lam, k, m):
     chi = np.array([0.1, 0.7, 1.3, 1.5])
     values = {LAM: lam, K: k, MP: mp}
     want = [float(HT_POTENTIAL.subs(values).subs(CHI, c)) for c in chi]
-    got = _transformed_potential(SystemKind.COULOMB, lam, k, m, chi)
+    got = _transformed_potential(SystemKind.COULOMB, lam, k, m, chi / math.sqrt(lam))
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
     assert math.isclose(float(E_GROUND.subs(values)), coulomb_energy(lam, k, m, 0),
                         rel_tol=1e-14)
