@@ -41,7 +41,7 @@ def _lazy(name: str):
 
 dynamics = _lazy("dynamics")
 conserved = _lazy("conserved")
-spectra = _lazy("spectra")
+spectra = _lazy("spectra")  # contract: the package attribute of a submodule
 
 
 def __getattr__(name: str):

@@ -51,7 +51,8 @@ import types
 from collections.abc import Sequence
 
 from . import conserved, dynamics  # registered lazily: numpy loads on their first use
-from .closed_forms import SystemKind, SystemParams, closure_analysis, spectrum_csv, spectrum_entries
+from .closed_forms import (MAX_DENOMINATOR, RATIONAL_TOL, SystemKind, SystemParams,
+                           closure_analysis, spectrum_csv, spectrum_entries)
 from .errors import AccuracyError, DomainError, ImaginaryAlphaError
 
 
@@ -231,12 +232,14 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {  # name: (run, help)
-    "orbit": (_cmd_orbit, "integrate an orbit and export the trajectory"),
-    "closure": (_cmd_closure, "rational-alpha closure analysis"),
-    "turning": (_cmd_turning, "turning-point conservation report"),
-    "brackets": (_cmd_brackets, "bracket-identity residuals over random states"),
-    "spectrum": (_cmd_spectrum, "energy levels, analytic and grid-oracle"),
+_CLOSED = (f'"closed": true means alpha lies within {RATIONAL_TOL:g} of p/q with q <= '
+           f"{MAX_DENOMINATOR}; an orbit whose alpha is p/q with a larger q closes too, only later")
+_COMMANDS = {  # name: (run, help, description)
+    "orbit": (_cmd_orbit, "integrate an orbit and export the trajectory", None),
+    "closure": (_cmd_closure, "rational-alpha closure analysis", _CLOSED),
+    "turning": (_cmd_turning, "turning-point conservation report", None),
+    "brackets": (_cmd_brackets, "bracket-identity residuals over random states", None),
+    "spectrum": (_cmd_spectrum, "energy levels, analytic and grid-oracle", None),
 }
 _ALL, _ORBITS = tuple(_COMMANDS), ("orbit", "turning")
 # Every option once, in each command's help order: (flag, commands that take it, keywords)
@@ -289,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Screened Coulomb/oscillator systems on a sphere: orbits, brackets, spectra.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_ALL) + "}")
-    for name, (_, text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
+    for name, (_, text, description) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text, description=description)
         for flag, commands, keywords in _OPTIONS:
             if name in commands:
                 p.add_argument(flag, **keywords)

@@ -54,7 +54,7 @@ class SystemParams(namedtuple("SystemParams", "kind lam k")):
         return super().__new__(cls, kind, lam, k)
 
     @classmethod
-    def _make(cls, iterable) -> "SystemParams":  # so that _replace checks too
+    def _make(cls, iterable) -> "SystemParams":  # contract: so that _replace checks too
         return cls(*iterable)
 
 

@@ -99,11 +99,13 @@ def _checked_pair(kernel, name: str, state: PhaseState, params: SystemParams):
     return float(a), float(b)
 
 
+# contract: a scalar entry point, R' of one state
 def runge_lenz(state: PhaseState, params: SystemParams) -> tuple[float, float]:
     """Extended Runge-Lenz components (R'x, R'y) for the coulomb system."""
     return _checked_pair(_runge_lenz_pair, "runge_lenz", state, params)
 
 
+# contract: a scalar entry point, Q' of one state
 def fradkin_quantities(state: PhaseState, params: SystemParams) -> tuple[float, float]:
     """Fradkin-type quantities (Q'xy, Q'1) for the oscillator system."""
     return _checked_pair(_fradkin_pair, "fradkin_quantities", state, params)
@@ -181,10 +183,10 @@ def _pair_observables(kind: SystemKind):
     )
 
 
-LZ = Observable("Lz", lz_value, lz_gradient)
-HAMILTONIAN = Observable("H", h_value, h_gradient)
+LZ = Observable("Lz", lz_value, lz_gradient)  # contract: a bracket operand
+HAMILTONIAN = Observable("H", h_value, h_gradient)  # contract: a bracket operand
 RUNGE_LENZ_X, RUNGE_LENZ_Y = _pair_observables(SystemKind.COULOMB)
-FRADKIN_XY, FRADKIN_1 = _pair_observables(SystemKind.OSCILLATOR)
+FRADKIN_XY, FRADKIN_1 = _pair_observables(SystemKind.OSCILLATOR)  # contract: bracket operands
 
 
 # --- bracket engine ---------------------------------------------------------
@@ -218,7 +220,7 @@ def _bracket(gf, gg):
     return gf[0] * gg[2] + gf[1] * gg[3] - gf[2] * gg[0] - gf[3] * gg[1]
 
 
-def poisson_bracket(
+def poisson_bracket(  # contract: a scalar entry point, {f, g} at one state
     f: Observable,
     g: Observable,
     state: PhaseState,
@@ -241,6 +243,10 @@ def poisson_bracket(
 
 # --- sampling ---------------------------------------------------------------
 
+# The states of an algebra check: positions uniform over the annulus 0.3 <= r <= 3 (area
+# measure), momenta uniform over [-2, 2]**2, and a state with 2k >= Lz**2 rejected, so that
+# orbit quantities stay real; ``ImaginaryAlphaError`` when no state of the box, or too few
+# candidates, pass that test.
 _R_MIN, _R_MAX, _P_MAX = 0.3, 3.0, 2.0
 _LZ_SQ_MAX = 2.0 * (_R_MAX * _P_MAX) ** 2  # |Lz| <= r*|p| <= 3 * 2*sqrt(2) on the box
 _FLOAT_PATH_MAX = 4096  # analytic checks of at most this many states run on Python floats
@@ -268,8 +274,8 @@ def _candidate(xp, u, phi, p1, p2):
 
 
 def _sample_floats(params: SystemParams, n: int, seed: int):
-    """The states of ``sample_states`` as float tuples, drawn one value at a time, or None
-    if fewer than n pass among the first 4n + 64 candidates."""
+    """The sampled states as float tuples, drawn one value at a time, or None if fewer than n
+    pass among the first 4n + 64 candidates."""
     import random
     draw, states = random.Random(seed).random, []
     for _ in range(4 * n + 64):
@@ -291,9 +297,9 @@ def _uniforms(rng: random.Random, count: int):
 
 
 def _sample_batch(params: SystemParams, n: int, seed: int):
-    """The states of ``sample_states`` as a (4, n) array, drawn a block at a time.  Refuses
-    at the draw cap, or sooner once 2**20 candidates show a yield that, projected to the
-    cap, finds less than half of n; both rules read only the seeded stream."""
+    """The sampled states as a (4, n) array, drawn a block at a time.  Refuses at the draw cap,
+    or sooner once 2**20 candidates show a yield that, projected to the cap, finds less than
+    half of n; both rules read only the seeded stream."""
     import random
     import numpy as np
     rng = random.Random(seed)
@@ -311,19 +317,6 @@ def _sample_batch(params: SystemParams, n: int, seed: int):
         have += blocks[-1].shape[1]
         drawn += m
     return np.concatenate(blocks, axis=1)[:, :n]
-
-
-def sample_states(params: SystemParams, n: int, seed: int = 0) -> list[PhaseState]:
-    """Well-conditioned random phase states for bracket verification.
-
-    Positions are uniform over the annulus 0.3 <= r <= 3 (area measure),
-    momenta uniform over [-2, 2]**2; states with 2k >= Lz**2 are rejected
-    so orbit quantities stay real.  Raises ``ImaginaryAlphaError`` when no
-    state of the box, or too few candidates, pass that test.
-    """
-    _check_sampling(params, n, seed)
-    states = n <= _FLOAT_PATH_MAX and _sample_floats(params, n, seed)
-    return [PhaseState(*z) for z in states or _sample_batch(params, n, seed).T.tolist()]
 
 
 # --- algebra identities -----------------------------------------------------

@@ -82,9 +82,7 @@ R_MIN_GUARD = 1e-8          # terminate near-collision orbits
 CHART_EDGE_GUARD = 1e12     # terminate orbits with lam*r**2 = tan(chi)**2 beyond this
 MAX_STEPS = 2 * 10**5       # cap on accepted solver steps (40 B each, ~0.3 kB in dense output)
 TURNING_RDOT_TOL = 1e-10    # refined |rdot| bound at a turning point
-_CSV_BLOCK = 1024           # trajectory rows formatted together
-_DENSE_BLOCK = 1024         # samples whose interpolant is evaluated together
-_STAGE_BLOCK = 2048         # steps whose stage derivatives are rebuilt together
+_BLOCK = 2048               # steps, samples or trajectory rows worked on together
 
 
 class TurningKind(str, Enum):
@@ -100,7 +98,7 @@ class TurningPoint(namedtuple("TurningPoint", "t state kind r theta")):
 
 # --- equations of motion ---------------------------------------------------
 
-def equations_of_motion(
+def equations_of_motion(  # contract: a scalar entry point, Hamilton's equations at one state
     state: PhaseState, params: SystemParams
 ) -> tuple[float, float, float, float]:
     """Hamilton's equations (x1dot, x2dot, p1dot, p2dot) from analytic gradients."""
@@ -131,15 +129,15 @@ class Trajectory(namedtuple("Trajectory", "t states r theta H Lz params dense st
 
     __slots__ = ()
 
-    def state_at(self, t: float) -> PhaseState:
+    def state_at(self, t: float) -> PhaseState:  # contract: the orbit between its samples
         return PhaseState.from_array(self.dense(t))
 
-    def theta_at(self, t):
+    def theta_at(self, t):  # contract: the orbit between its samples
         """Unwrapped theta at a time or times, on the branch of the solver's steps."""
         y = self.dense(t)
         return _on_branch(np.arctan2(y[1], y[0]), t, self.dense.bounds, self.step_theta)
 
-    def rdot(self, t) -> np.ndarray:
+    def rdot(self, t) -> np.ndarray:  # contract: the orbit between its samples
         """Radial velocity along the orbit; see :func:`_rdot`."""
         return _rdot(self.dense(t), self.params.lam)
 
@@ -149,9 +147,9 @@ class Trajectory(namedtuple("Trajectory", "t states r theta H Lz params dense st
         A row whose fields all have 1e-4 <= |v| < 1e16, which ``%g`` prints in
         fixed notation, is laid out by :func:`_csv_rows`; runs of other rows
         (a zero, -0, a non-finite value) go through ``%``.  Rows are copied into
-        one reused buffer and formatted ``_CSV_BLOCK`` at a time.
+        one reused buffer and formatted ``_BLOCK`` at a time.
         """
-        n, size = len(self.t), _CSV_BLOCK
+        n, size = len(self.t), _BLOCK
         buf = np.empty((min(n, size), 9))  # one block of rows, reused
         parts = ["t,x1,x2,p1,p2,r,theta,H,Lz\n"]
         for i in range(0, n, size):
@@ -460,14 +458,14 @@ class DenseOutput:
     rebuilds each step's stage derivatives (:func:`_stages`) and keeps the
     steps in increasing time.  A time on a step boundary takes the step that ends
     there in integration order, as scipy's ``OdeSolution`` does.  Times are evaluated
-    ``_DENSE_BLOCK`` at a time, each block on its steps' coefficients gathered once.
+    ``_BLOCK`` at a time, each block on its steps' coefficients gathered once.
     """
 
     def __init__(self, t, y, params: SystemParams):
         h = np.diff(t)
         F = np.empty((7, 4, h.size))  # rows are written in place, so none is held twice
-        for i in range(0, h.size, _STAGE_BLOCK):  # a block of steps' stages at a time
-            b = slice(i, i + _STAGE_BLOCK)
+        for i in range(0, h.size, _BLOCK):  # a block of steps' stages at a time
+            b = slice(i, i + _BLOCK)
             hb, y_old = h[b], y[:, :-1][:, b]
             k = _stages(y_old, hb, params)
             dy, f1, f2 = F[0, :, b], F[1, :, b], F[2, :, b]
@@ -488,8 +486,8 @@ class DenseOutput:
         i = np.clip(np.searchsorted(self.bounds, t, self.side) - 1, 0, self.h.size - 1)
         ts, steps = t.ravel(), i.ravel()
         y = np.empty((4, ts.size))
-        for s in range(0, ts.size, _DENSE_BLOCK):  # each block's coefficients are gathered once
-            b, j = slice(s, s + _DENSE_BLOCK), steps[s:s + _DENSE_BLOCK]
+        for s in range(0, ts.size, _BLOCK):  # each block's coefficients are gathered once
+            b, j = slice(s, s + _BLOCK), steps[s:s + _BLOCK]
             _interpolate(self.F[:, :, j], self.y_old[:, j], self.t_old[j], self.h[j], ts[b], y[:, b])
         return y.reshape(4, *t.shape)
 

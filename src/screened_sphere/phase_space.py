@@ -114,6 +114,7 @@ exec("\n    ".join((  # defines h_gradient
     _H_PARAMS, "sqrt = kernel_sqrt", *_H_LINES, "return " + ", ".join(_H_GRAD))))
 
 
+# contract: a scalar entry point, H of one state
 def hamiltonian(state: PhaseState, params: SystemParams) -> float:
     """Total energy H = pi**2/2 + (lam/2)*Lz**2 + V(r)."""
     check_radius(state.x1, state.x2, "hamiltonian")

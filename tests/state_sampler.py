@@ -1,0 +1,18 @@
+"""The seeded random phase states that ``brackets`` draws, as ``PhaseState`` records.
+
+``sample_states(params, n, seed)`` takes the same states, in the same order, as
+``conserved.verify_coulomb_algebra`` and ``verify_oscillator_algebra`` with that
+``n`` and ``seed``, under the same checks: at most 4096 states on Python floats,
+more (or a float path that runs short) on the array path, which finds the same
+ones.  No command runs it; the sampling rule itself stays in ``conserved``.
+"""
+
+from screened_sphere import conserved
+from screened_sphere.phase_space import PhaseState
+
+
+def sample_states(params, n: int, seed: int = 0) -> list[PhaseState]:
+    """``n`` states for ``seed``; raises as the algebra checks do before any draw."""
+    conserved._check_sampling(params, n, seed)
+    states = n <= conserved._FLOAT_PATH_MAX and conserved._sample_floats(params, n, seed)
+    return [PhaseState(*z) for z in states or conserved._sample_batch(params, n, seed).T.tolist()]

@@ -23,7 +23,6 @@ from screened_sphere.conserved import (
     Observable,
     finite_difference_gradient,
     poisson_bracket,
-    sample_states,
     turning_point_conservation,
     verify_coulomb_algebra,
     verify_oscillator_algebra,
@@ -41,6 +40,7 @@ from screened_sphere.dynamics import (
 from screened_sphere.spectra import radial_solve_numeric
 from orbit_reference import OrbitShape, orbit_residual, state_at_theta
 from oscillator_reference import oscillator_operator_residual
+from state_sampler import sample_states
 
 COULOMB = SystemParams(SystemKind.COULOMB, 0.1, 0.05)
 OSCILLATOR = SystemParams(SystemKind.OSCILLATOR, 0.1, 0.05)

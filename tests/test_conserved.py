@@ -18,7 +18,6 @@ from screened_sphere.conserved import (
     fradkin_quantities,
     poisson_bracket,
     runge_lenz,
-    sample_states,
     turning_point_conservation,
     verify_coulomb_algebra,
     verify_oscillator_algebra,
@@ -34,6 +33,7 @@ from screened_sphere.dynamics import (
 )
 from screened_sphere.errors import NoTurningPointError
 from screened_sphere.phase_space import hamiltonian
+from state_sampler import sample_states
 
 X1 = Observable("x1", lambda x1, x2, p1, p2, pr: x1, lambda *z: (1.0, 0.0, 0.0, 0.0))
 P1 = Observable("p1", lambda x1, x2, p1, p2, pr: p1, lambda *z: (0.0, 0.0, 1.0, 0.0))

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 from screened_sphere import dynamics
 from screened_sphere.closed_forms import orbit_alpha
-from screened_sphere.conserved import HAMILTONIAN, finite_difference_gradient, sample_states
+from screened_sphere.conserved import HAMILTONIAN, finite_difference_gradient
 from screened_sphere.dynamics import (
     MAX_SAMPLES,
     R_MIN_GUARD,
@@ -51,6 +51,7 @@ from orbit_reference import (
     orbit_residual,
     state_at_theta,
 )
+from state_sampler import sample_states
 
 FLAT_KEPLER = SystemParams(SystemKind.COULOMB, 0.0, 0.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -192,7 +193,7 @@ def test_integrate_holds_the_steps_one_stage_buffer_and_the_samples(monkeypatch,
     # about 50 floats per sample.  Rows stacked from separate copies (953 B a step measured,
     # against 859 B written in place) exceed it, as would a driver that also kept its 52 stage
     # derivatives a step (416n bytes)
-    bound = 8 * (5 + 4 * 16 + 7 * 4 + 4 * 4) * n + 8 * 13 * 4 * dynamics._STAGE_BLOCK + 8 * 50 * 2001
+    bound = 8 * (5 + 4 * 16 + 7 * 4 + 4 * 4) * n + 8 * 13 * 4 * dynamics._BLOCK + 8 * 50 * 2001
     assert returned[0] + peak < bound
 
 
@@ -234,9 +235,9 @@ def test_dense_output_rows_keep_the_bits_of_their_stacked_form(coulomb_params, t
 
 
 def test_orbit_bytes_do_not_depend_on_the_block_sizes(monkeypatch, coulomb_params):
-    # the stage, sample and CSV blocks only split the work, yet a product such as the stages'
-    # `@` may take another BLAS kernel at another shape; at each size here this orbit spans
-    # more than two blocks (9328 steps, 9000 samples)
+    # the blocks of stages, samples and CSV rows only split the work, yet a product such as the
+    # stages' `@` may take another BLAS kernel at another shape; at each size here this orbit
+    # spans more than two blocks (9328 steps, 9000 samples)
     y0, t_end = (1.6, 0.0, 0.0, 0.55), 700.0
     ts, ys = dynamics._dop853(y0, coulomb_params, t_end, 1e-12)  # the steps depend on no block
     monkeypatch.setattr(dynamics, "_dop853", lambda *args: (array("d", ts), array("d", ys)))
@@ -248,10 +249,9 @@ def test_orbit_bytes_do_not_depend_on_the_block_sizes(monkeypatch, coulomb_param
 
     want = outputs()
     assert len(ts) - 1 > 2 * 4096
-    for sizes in [(1000, 1000, 1000), (3000, 777, 4096), (4096, 4096, 333)]:
-        for name, size in zip(("_STAGE_BLOCK", "_DENSE_BLOCK", "_CSV_BLOCK"), sizes):
-            monkeypatch.setattr(dynamics, name, size)
-        assert outputs() == want, sizes
+    for size in [333, 1000, 4096]:
+        monkeypatch.setattr(dynamics, "_BLOCK", size)
+        assert outputs() == want, size
 
 
 def _interpolant_one_at_a_time(dense, t):
@@ -274,9 +274,9 @@ def test_dense_output_blocks_equal_each_time_alone(coulomb_params, t_end):
     # than two blocks, with step ends among them
     dense = integrate(PhaseState(1.6, 0.0, 0.0, 0.55), coulomb_params, t_end, n_samples=3).dense
     t = np.sort(np.concatenate([dense.bounds[::7], np.linspace(
-        dense.bounds[0], dense.bounds[-1], 2 * dynamics._DENSE_BLOCK + 17)]))
+        dense.bounds[0], dense.bounds[-1], 2 * dynamics._BLOCK + 17)]))
     y = dense(t)
-    assert y.shape == (4, t.size) and t.size > 2 * dynamics._DENSE_BLOCK
+    assert y.shape == (4, t.size) and t.size > 2 * dynamics._BLOCK
     assert y.tobytes() == _interpolant_one_at_a_time(dense, t).tobytes()
     assert y.tobytes() == np.stack([dense(v) for v in t.tolist()], axis=1).tobytes()
     assert y[:, ::-1].tobytes() == dense(t[::-1]).tobytes()
@@ -426,7 +426,7 @@ def test_trajectory_csv_header_and_precision(monkeypatch):
         rows.append(",".join(f"{v:.17g}" for v in fields))
     assert csv == "\n".join(rows) + "\n"
     # rows are formatted a block at a time; 2-row blocks split the 5 rows 2 + 2 + 1
-    monkeypatch.setattr(dynamics, "_CSV_BLOCK", 2)
+    monkeypatch.setattr(dynamics, "_BLOCK", 2)
     assert traj.to_csv() == csv
 
 
@@ -492,9 +492,9 @@ def test_trajectory_csv_slow_rows_on_block_boundaries(monkeypatch):
     rows = np.resize([1.5, -0.25, 3e-3, 42.0, 7e14, -1e-4, 0.999, 12.5, -8.0], (20, 9))
     for i, value in zip((0, 3, 4, 7, 8, 12, 13, 14, 15, 19), slow):
         rows[i, i % 9] = value  # slow rows at the ends of 4-row blocks, and a slow block
-    monkeypatch.setattr(dynamics, "_CSV_BLOCK", 4)
+    monkeypatch.setattr(dynamics, "_BLOCK", 4)
     _csv_matches_percent(rows.ravel())
-    monkeypatch.setattr(dynamics, "_CSV_BLOCK", 8)
+    monkeypatch.setattr(dynamics, "_BLOCK", 8)
     _csv_matches_percent(rows.ravel())
     _csv_matches_percent(slow * 9)  # no row takes the fast path
 

@@ -14,7 +14,6 @@ from screened_sphere.conserved import (
     LZ,
     RUNGE_LENZ_X,
     RUNGE_LENZ_Y,
-    sample_states,
     verify_oscillator_algebra,
 )
 from screened_sphere.dynamics import (
@@ -25,6 +24,7 @@ from screened_sphere.dynamics import (
     h_gradient,
 )
 from screened_sphere.errors import AccuracyError, DomainError, ImaginaryAlphaError
+from state_sampler import sample_states
 
 SYSTEMS = [
     (SystemKind.COULOMB, (LZ, HAMILTONIAN, RUNGE_LENZ_X, RUNGE_LENZ_Y)),

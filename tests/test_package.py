@@ -94,16 +94,22 @@ def test_the_benchmark_entry_points_resolve(module, name):
         assert set(BENCHMARK_PARAMS.get((module, name), ())) <= set(params)
 
 
+def _sources():
+    """The parsed modules of src/, by path, and the text of the generated DOP853 driver."""
+    from screened_sphere import dynamics
+
+    trees = {path: ast.parse(path.read_text()) for path in
+             sorted((SRC / "screened_sphere").glob("*.py"))}
+    return trees, "".join(linecache.getlines(dynamics._dop853.__code__.co_filename))
+
+
 def test_every_name_imported_from_a_sibling_module_is_used():
     # pyflakes' unused-import check (F401), for what a module imports from its siblings: each
     # name is loaded in the module, annotations included, runs in the text of the generated
     # DOP853 driver (dynamics), or is one that the benchmark reads there (BENCHMARK_NAMES)
-    from screened_sphere import dynamics
-
-    driver = "".join(linecache.getlines(dynamics._dop853.__code__.co_filename))
+    trees, driver = _sources()
     unused = []
-    for path in sorted((SRC / "screened_sphere").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in trees.items():
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         used |= {name.split(".")[0] for name in BENCHMARK_NAMES.get(path.stem, "").split()}
@@ -113,6 +119,66 @@ def test_every_name_imported_from_a_sibling_module_is_used():
         unused += [f"{path.name}:{line} {name}" for line, name in imported
                    if name not in used and not re.search(rf"\b{name}\b", text)]
     assert unused == []
+
+
+CONTRACT = re.compile(r"#\s*contract:\s*\S")
+
+
+def _definitions(tree):
+    """(node, name) of each function, class and constant a module defines at its top level,
+    and of each method, named Class.method; dunder names belong to Python's protocols."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((item, f"{node.name}.{item.name}") for item in node.body
+                            if isinstance(item, ast.FunctionDef))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((node, name.id) for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name))
+
+
+def _marked(node, lines: list[str]) -> bool:
+    """Whether a ``# contract:`` comment ends a definition's line or is the whole line just
+    above it (above its decorators, if any)."""
+    first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
+    above = lines[first - 2].lstrip() if first > 1 else ""
+    return bool(CONTRACT.search(lines[node.lineno - 1]) or CONTRACT.match(above))
+
+
+def _surface():
+    """(unadmitted, marked): each definition of src/ that no line of src/ or of the generated
+    DOP853 driver reads (a method only as an attribute) and that is neither exported, read by
+    the benchmark nor marked ``# contract:``, as "file:line name"; and every marked name."""
+    trees, driver = _sources()
+    loads = [node for tree in [*trees.values(), ast.parse(driver)] for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    attrs = {node.attr for node in loads if isinstance(node, ast.Attribute)}
+    names = attrs | {node.id for node in loads if isinstance(node, ast.Name)}
+    unadmitted, marked = [], []
+    for path, tree in trees.items():
+        lines = path.read_text().splitlines()
+        admitted = set(EXPORTED.get(path.stem, "").split()) | set(
+            BENCHMARK_NAMES.get(path.stem, "").split())
+        for node, name in _definitions(tree):
+            owner, _, short = name.rpartition(".")
+            if _marked(node, lines):
+                marked.append(name)
+            elif not (short.startswith("__") and short.endswith("__") or name in admitted
+                      or short in (attrs if owner else names)):
+                unadmitted.append(f"{path.name}:{node.lineno} {name}")
+    return unadmitted, marked
+
+
+def test_src_holds_only_what_runs_or_a_stated_contract():
+    # a name of src/ is read in src/ or by the generated driver, exported, read by the
+    # benchmark, or marked "# contract: <why>" on or just above its definition; README's
+    # surface paragraph names each marked one
+    unadmitted, marked = _surface()
+    assert unadmitted == []
+    readme = (SRC.parent / "README.md").read_text()
+    assert marked and [name for name in marked if f"`{name}`" not in readme] == []
 
 
 def _trajectory(state, params):

@@ -15,12 +15,12 @@ from screened_sphere.conserved import (
     HAMILTONIAN,
     RUNGE_LENZ_X,
     RUNGE_LENZ_Y,
-    sample_states,
 )
 from screened_sphere.dynamics import SystemKind, SystemParams
 from screened_sphere.closed_forms import coulomb_energy, m_prime, oscillator_energy
 from screened_sphere.spectra import _transformed_potential
 from oscillator_reference import oscillator_wavefunction
+from state_sampler import sample_states
 
 X, Y, PX, PY = sp.symbols("x y p_x p_y", real=True)
 LAM, K = sp.symbols("lambda k", positive=True)
