@@ -42,6 +42,7 @@ leaves the collector as it finds it.
 
 from __future__ import annotations
 
+import codecs
 import gc
 import math
 import os
@@ -100,31 +101,34 @@ def _write_output(path: str, text: str) -> None:
     Stdout with a binary ``buffer`` takes the encoded text through it until every byte
     is written: unbuffered (``PYTHONUNBUFFERED``), that buffer is the raw file, whose
     short write the text layer would let pass, dropping the rest."""
+    chunks = (text[i:i + 2**20] for i in range(0, len(text), 2**20))  # never encoded whole
     if path == "-":
         out = sys.stdout
         if getattr(out, "buffer", None) is None:  # no stdout at all, or a StringIO
             out.write(text)
             return
         out.flush()
-        data = memoryview(text.encode(out.encoding, out.errors))
-        while data:
-            n = out.buffer.write(data)
-            if not n:  # 0, or None from a raw file that would block
-                raise OSError(f"stdout took none of the last {len(data)} bytes")
-            data = data[n:]
+        encode = codecs.getincrementalencoder(out.encoding)(out.errors).encode  # as the text layer
+        for chunk in chunks:
+            data = memoryview(encode(chunk))
+            while data:
+                n = out.buffer.write(data)
+                if not n:  # 0, or None from a raw file that would block
+                    raise OSError(f"stdout took none of the last {len(data)} bytes")
+                data = data[n:]
         return
     if "\0" in path:  # no file can have this name; the os calls would raise ValueError
         raise UsageError(f"cannot write {path!r}: embedded null byte")
     try:
         if os.path.exists(path) and not os.path.isfile(path):
             with open(path, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             return
         tmp = os.path.join(os.path.dirname(os.path.abspath(path)), ".tmp-" + os.urandom(8).hex())
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -433,7 +433,7 @@ def turning_point_conservation(traj: dynamics.Trajectory) -> TurningConservation
         g_h = h_gradient(*z, params)
         return np.stack([_bracket(g, g_h) for g in algebra.gradients(*z, params)], axis=1)
 
-    z_turning = np.array([p.state.as_array() for p in points]).T
+    z_turning = np.array([p.state for p in points]).T
     at_turning = brackets_with_h(z_turning)
     values = np.stack(algebra.values(*z_turning, params), axis=1)
     generic = np.max(np.abs(brackets_with_h(traj.states.T)))

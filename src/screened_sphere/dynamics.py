@@ -47,10 +47,9 @@ coefficients of those times gathered once (``_interpolate``), and the turning po
 bisected on the coefficients of their own steps (``DenseOutput.on_steps``): the same
 bits as evaluating each time alone.
 
-``Trajectory.to_csv`` writes the bytes of ``%.17g`` per field.  Rows whose
-fields all lie in 1e-4 <= |v| < 1e16 are laid out by numpy from exact
-17-digit integers (Dekker's product, round half to even); other rows go
-through ``%``.
+``Trajectory.to_csv`` writes the bytes of ``%.17g`` per field: numpy lays out a field in
+1e-4 <= |v| < 1e16 from its exact 17-digit integer (Dekker's product, round half to
+even), and ``%`` formats every other field.
 """
 
 from __future__ import annotations
@@ -142,37 +141,16 @@ class Trajectory(namedtuple("Trajectory", "t states r theta H Lz params dense st
         return _rdot(self.dense(t), self.params.lam)
 
     def to_csv(self) -> str:
-        """CSV export, header ``t,x1,x2,p1,p2,r,theta,H,Lz``, the bytes of ``%.17g`` per field.
-
-        A row whose fields all have 1e-4 <= |v| < 1e16, which ``%g`` prints in
-        fixed notation, is laid out by :func:`_csv_rows`; runs of other rows
-        (a zero, -0, a non-finite value) go through ``%``.  Rows are copied into
-        one reused buffer and formatted ``_BLOCK`` at a time.
-        """
-        n, size = len(self.t), _BLOCK
-        buf = np.empty((min(n, size), 9))  # one block of rows, reused
+        """CSV export, header ``t,x1,x2,p1,p2,r,theta,H,Lz``, the bytes of ``%.17g`` per field,
+        formatted ``_BLOCK`` rows at a time by :func:`_csv_rows`."""
+        columns = (self.t, self.states, self.r, self.theta, self.H, self.Lz)
         parts = ["t,x1,x2,p1,p2,r,theta,H,Lz\n"]
-        for i in range(0, n, size):
-            end = min(i + size, n)
-            b = buf[:end - i]
-            b[:, 0], b[:, 1:5], b[:, 5], b[:, 6], b[:, 7], b[:, 8] = (
-                c[i:end] for c in (self.t, self.states, self.r, self.theta, self.H, self.Lz))
-            a = np.abs(b)
-            fast = ((a >= 1e-4) & (a < 1e16)).all(axis=1)
-            if fast.all():
-                text = _csv_rows(b, a).tobytes()
-            else:
-                rows = _csv_rows(np.where(fast[:, None], b, 1.0), np.where(fast[:, None], a, 1.0))
-                edges = [0, *(np.flatnonzero(fast[1:] != fast[:-1]) + 1).tolist(), len(b)]
-                text = b"".join(
-                    rows[s:e].tobytes() if fast[s] else
-                    (_CSV_ROW * (e - s) % tuple(b[s:e].ravel().tolist())).encode()
-                    for s, e in zip(edges, edges[1:]))
-            parts.append(text.translate(None, b"\0").decode())
+        for s in range(0, len(self.t), _BLOCK):
+            parts.append(_csv_rows(np.column_stack([c[s:s + _BLOCK] for c in columns])))
         return "".join(parts)
 
 
-_CSV_ROW = ",".join(["%.17g"] * 9) + "\n"  # the bytes of "{:.17g}", -0 included
+_CSV_FIELD = b"%.17g"  # the bytes of "{:.17g}", -0 included
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 
 
@@ -205,17 +183,20 @@ def _round17(a, x):
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _csv_rows(b, a):
-    """Rows of ``b`` (n, 9), whose absolute values are ``a``, as ``%.17g`` CSV lines, NUL-padded
-    to 360 bytes.
+def _csv_rows(b):
+    """Rows of ``b`` (n, 9) as ``%.17g`` CSV lines, each field in a NUL-padded 40-byte slot.
 
-    Every field needs 1e-4 <= |v| < 1e16.  Its 17 digits D and decimal
-    exponent X satisfy 1e16 <= D < 1e17 and -4 <= X <= 15; a field is 40
-    bytes: sign and "0." prefix, the digits with a NUL after each (the one
-    after digit X becomes the point), trailing fraction zeros as NUL.
+    A field with 1e-4 <= |v| < 1e16, which ``%g`` prints in fixed notation, has 17 digits D
+    and decimal exponent X with 1e16 <= D < 1e17 and -4 <= X <= 15: its slot holds the sign
+    and "0." prefix, the digits with a NUL after each (the one after digit X becomes the
+    point), trailing fraction zeros as NUL, and its comma or newline.  Every other field (a
+    zero, -0, a non-finite value, one printed with an exponent) is laid out as 1.0, then its
+    slot is overwritten with ``_CSV_FIELD % v``.
     """
     groups, lead = _csv_items()
-    v, a = b.ravel(), a.ravel()
+    a = np.abs(b.ravel())
+    fast = (a >= 1e-4) & (a < 1e16)
+    v, a = np.where(fast, b.ravel(), 1.0), np.where(fast, a, 1.0)
     x = np.floor(np.log10(a)).astype(np.int64)
     d = _round17(a, x)
     while (i := np.flatnonzero((d < 10**16) | (d >= 10**17))).size:
@@ -239,12 +220,15 @@ def _csv_rows(b, a):
     point = 40 * f + 7 + 2 * x[f]
     flat[point[flat[point + 1] != 0]] = 46  # no point before an empty fraction
     whole = f[flat[point - 1] == 0]  # trailing zeros reach into the integer part: put them back
-    if whole.size:
-        sub = chars[whole, 6::2]
-        sub[(sub == 0) & (np.arange(17) <= x[whole, None])] = 48
-        chars[whole, 6::2] = sub
+    sub = chars[whole, 6::2]
+    sub[(sub == 0) & (np.arange(17) <= x[whole, None])] = 48
+    chars[whole, 6::2] = sub
     chars[8::9, 39] = 10
-    return chars.reshape(len(b), 360)
+    slow = np.flatnonzero(~fast)
+    text = b"".join((_CSV_FIELD % value).ljust(39, b"\0")
+                    for value in b.ravel()[slow].tolist())
+    chars[slow, :39] = np.frombuffer(text, np.uint8).reshape(-1, 39)
+    return chars.tobytes().translate(None, b"\0").decode()
 
 
 def _rdot(y, lam: float):
@@ -463,18 +447,14 @@ class DenseOutput:
 
     def __init__(self, t, y, params: SystemParams):
         h = np.diff(t)
-        F = np.empty((7, 4, h.size))  # rows are written in place, so none is held twice
+        F = np.empty((7, 4, h.size))
         for i in range(0, h.size, _BLOCK):  # a block of steps' stages at a time
             b = slice(i, i + _BLOCK)
             hb, y_old = h[b], y[:, :-1][:, b]
             k = _stages(y_old, hb, params)
-            dy, f1, f2 = F[0, :, b], F[1, :, b], F[2, :, b]
-            np.subtract(y[:, 1:][:, b], y_old, out=dy)
-            f_old, f_new = k[:, :, 0].T, k[:, :, 12].T
-            np.subtract(np.multiply(hb, f_old, out=f1), dy, out=f1)  # hb * f_old - dy
-            np.add(f_new, f_old, out=f2)  # then 2 dy - hb (f_new + f_old)
-            np.subtract(2.0 * dy, np.multiply(hb, f2, out=f2), out=f2)
-            np.multiply(np.transpose(k @ np.transpose(_D), (2, 1, 0)), hb, out=F[3:, :, b])
+            dy, f_old, f_new = y[:, 1:][:, b] - y_old, k[:, :, 0].T, k[:, :, 12].T
+            F[:3, :, b] = dy, hb * f_old - dy, 2.0 * dy - hb * (f_new + f_old)
+            F[3:, :, b] = np.transpose(k @ np.transpose(_D), (2, 1, 0)) * hb
         order = slice(None) if t[-1] > t[0] else slice(None, None, -1)
         self.bounds, self.t_old, self.h = t[order], t[:-1][order], h[order]
         self.y_old, self.F = y[:, :-1][:, order], F[:, :, order]
@@ -614,7 +594,7 @@ def integrate(
         )
 
     points, circular = _turning_points(dense, step_y[:, order], step_theta, params)
-    return Trajectory(t, y.T.copy(), r, theta, h, lz, params, dense, step_theta, points, circular)
+    return Trajectory(t, y.T, r, theta, h, lz, params, dense, step_theta, points, circular)
 
 
 # --- turning points -------------------------------------------------------

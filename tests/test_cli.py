@@ -13,13 +13,15 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from screened_sphere.cli import _OPTIONS, _json, _read_args, build_parser, main, run
+from screened_sphere.cli import (_OPTIONS, _json, _read_args, _write_output, build_parser, main,
+                                 run)
 from screened_sphere.errors import AccuracyError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -488,6 +490,36 @@ def test_output_into_a_fifo_is_written_not_replaced(tmp_path, capsys):
     assert got == [want]
     assert stat.S_ISFIFO(fifo.lstat().st_mode)
     assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+@pytest.mark.parametrize("target", ["file", "device", "stdout"])
+def test_output_is_written_a_chunk_at_a_time(tmp_path, monkeypatch, target):
+    # an encoded copy of the whole 16 MiB text would take 16 MiB more; 2**20-character
+    # chunks take about 2-3 MiB
+    text = "0.12345678901234567,-1.5e-300,42\n" * (2**19 + 7)
+    path = {"file": str(tmp_path / "out.csv"), "device": os.devnull, "stdout": "-"}[target]
+    with open(tmp_path / "stdout", "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        tracemalloc.start()
+        try:
+            _write_output(path, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(text) > 16 * 2**20
+    assert peak < 4 * 2**20
+    if target != "device":
+        assert (tmp_path / ("out.csv" if target == "file" else "stdout")).read_text() == text
+
+
+def test_stdout_chunks_are_encoded_as_one_stream(tmp_path, monkeypatch):
+    # one encoder runs over every chunk, so a stateful encoding writes its BOM once
+    text = "t,x1\n" * (2**19 + 3)
+    with open(tmp_path / "stdout", "w", encoding="utf-16") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        _write_output("-", text)
+    assert len(text) > 2 * 2**20
+    assert (tmp_path / "stdout").read_bytes() == text.encode("utf-16")
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=lambda u: f"{u:03o}")

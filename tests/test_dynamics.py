@@ -190,9 +190,9 @@ def test_integrate_holds_the_steps_one_stage_buffer_and_the_samples(monkeypatch,
     assert returned == [8 * 5 * (n + 1)]  # step times and states only
     # per step: t and y, the one (n, 4, 16) stage buffer, the interpolant's 7 rows of 4 and
     # the (4, 4) product of stages that its last 4 rows are scaled from; one block of stages;
-    # about 50 floats per sample.  Rows stacked from separate copies (953 B a step measured,
-    # against 859 B written in place) exceed it, as would a driver that also kept its 52 stage
-    # derivatives a step (416n bytes)
+    # about 50 floats per sample.  Each block's rows are built as expressions and copied in,
+    # so their temporaries stay within the block; a driver that also kept its 52 stage
+    # derivatives a step (416n bytes) would exceed it
     bound = 8 * (5 + 4 * 16 + 7 * 4 + 4 * 4) * n + 8 * 13 * 4 * dynamics._BLOCK + 8 * 50 * 2001
     assert returned[0] + peak < bound
 
@@ -215,8 +215,8 @@ def test_dense_output_builds_its_stages_a_block_of_steps_at_a_time(coulomb_param
 
 @pytest.mark.parametrize("t_end", [70.0, -70.0])
 def test_dense_output_rows_keep_the_bits_of_their_stacked_form(coulomb_params, t_end):
-    # the interpolant's rows are written into one array in place; here they are stacked
-    # from separate rows, with the same expressions
+    # the interpolant's rows are built a block of steps at a time; here they are stacked
+    # from whole rows over all steps, with the same expressions
     ts, ys = dynamics._dop853((1.6, 0.0, 0.0, 0.55), coulomb_params, t_end, 1e-12)
     t, y = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, 4).T
     h = np.diff(t)
@@ -444,8 +444,8 @@ def _csv_matches_percent(values):
 
 
 def _fast_path_only(monkeypatch):
-    """Make the % fallback raise, so that every row must take the fast path."""
-    monkeypatch.setattr(dynamics, "_CSV_ROW", "")
+    """Make the % fallback raise, so that every field must take the fast path."""
+    monkeypatch.setattr(dynamics, "_CSV_FIELD", b"")
 
 
 def test_trajectory_csv_fast_path_random_magnitudes(monkeypatch):
@@ -487,16 +487,16 @@ def test_trajectory_csv_fast_path_ties_integers_and_trailing_zeros(monkeypatch):
 
 
 def test_trajectory_csv_slow_rows_on_block_boundaries(monkeypatch):
-    # rows the fast path does not take: zero, -0, non-finite, too small, too large
+    # fields the fast path does not take: zero, -0, non-finite, too small, too large
     slow = [0.0, -0.0, math.nan, math.inf, -math.inf, 9.99e-5, -1e-300, 1e16, 3e17, 1e300]
     rows = np.resize([1.5, -0.25, 3e-3, 42.0, 7e14, -1e-4, 0.999, 12.5, -8.0], (20, 9))
     for i, value in zip((0, 3, 4, 7, 8, 12, 13, 14, 15, 19), slow):
-        rows[i, i % 9] = value  # slow rows at the ends of 4-row blocks, and a slow block
+        rows[i, i % 9] = value  # slow fields in rows at the ends of 4-row blocks, and a slow block
     monkeypatch.setattr(dynamics, "_BLOCK", 4)
     _csv_matches_percent(rows.ravel())
     monkeypatch.setattr(dynamics, "_BLOCK", 8)
     _csv_matches_percent(rows.ravel())
-    _csv_matches_percent(slow * 9)  # no row takes the fast path
+    _csv_matches_percent(slow * 9)  # no field takes the fast path
 
 
 # --- closed forms -----------------------------------------------------------
