@@ -43,9 +43,10 @@ comparison ``max`` makes.)  It keeps only the step times and states, returns the
 t_end and raises every other end of an orbit itself; the dense output rebuilds the stage
 derivatives of its steps with the same operations on arrays, a block of steps at a time
 (``_stages``).  The interpolant is evaluated a block of times at a time, on the step
-coefficients of those times gathered once (``_interpolate``), and the turning points are
-bisected on the coefficients of their own steps (``DenseOutput.on_steps``): the same
-bits as evaluating each time alone.
+coefficients of those times gathered once (``_interpolate``): the same bits as evaluating
+each time alone.  The apsides (rdot = 0) are found and refined on x.p, which has the sign
+of rdot: its sign changes over the solver's steps bracket them, and each bracket, one
+step's span, is bisected on x.p of the dense output.
 
 ``Trajectory.to_csv`` writes the bytes of ``%.17g`` per field: numpy lays out a field in
 1e-4 <= |v| < 1e16 from its exact 17-digit integer (Dekker's product, round half to
@@ -442,7 +443,9 @@ class DenseOutput:
     rebuilds each step's stage derivatives (:func:`_stages`) and keeps the
     steps in increasing time.  A time on a step boundary takes the step that ends
     there in integration order, as scipy's ``OdeSolution`` does.  Times are evaluated
-    ``_BLOCK`` at a time, each block on its steps' coefficients gathered once.
+    ``_BLOCK`` at a time, each block on its steps' coefficients gathered once.  So a
+    bisection inside one step's span is evaluated on that step's polynomial, and where a
+    midpoint lands on either end, on the step the boundary rule picks there.
     """
 
     def __init__(self, t, y, params: SystemParams):
@@ -463,28 +466,13 @@ class DenseOutput:
     def __call__(self, t) -> np.ndarray:
         """States (x1, x2, p1, p2) at a time, shape (4,), or at times, shape (4, m)."""
         t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.bounds, t, self.side) - 1, 0, self.h.size - 1)
+        i = np.searchsorted(self.bounds[1:-1], t, self.side)  # the step; past an end, the end step
         ts, steps = t.ravel(), i.ravel()
         y = np.empty((4, ts.size))
         for s in range(0, ts.size, _BLOCK):  # each block's coefficients are gathered once
             b, j = slice(s, s + _BLOCK), steps[s:s + _BLOCK]
             _interpolate(self.F[:, :, j], self.y_old[:, j], self.t_old[j], self.h[j], ts[b], y[:, b])
         return y.reshape(4, *t.shape)
-
-    def on_steps(self, j):
-        """The interpolant on the steps ``j`` (indices in increasing time), one time in each
-        step's span: ``at(t)`` evaluates it on each step's coefficients, gathered once here, and
-        a time at either end of its step through ``self``, whose side rule picks the step there."""
-        a, b = self.bounds[j], self.bounds[j + 1]
-        F, y_old, t_old, h = self.F[:, :, j], self.y_old[:, j], self.t_old[j], self.h[j]
-
-        def at(t):
-            y = _interpolate(F, y_old, t_old, h, t, np.empty((4, t.size)))
-            if (end := (t == a) | (t == b)).any():
-                y[:, end] = self(t[end])
-            return y
-
-        return at
 
 
 def _interpolate(F, y_old, t_old, h, t, out):
@@ -541,6 +529,11 @@ def integrate(
     point is left with |rdot| above ``TURNING_RDOT_TOL``.  More than
     ``MAX_SAMPLES`` samples is a domain error, raised before any allocation.
 
+    Local truncation errors accumulate to a few tens of the solver tolerance over long spans,
+    so the solver runs two decades tighter, at max(rel_tol * 1e-2, 2.5e-14), to keep the 10x
+    drift contract with margin.  Below rel_tol = 2.5e-12 that floor leaves less than two
+    decades, and at the minimum 1e-13 (0.25 x rel_tol) a coulomb orbit can fail the drift gate.
+
     ``rel_tol`` bounds the drift of H and Lz, not the phase: on the exact coulomb orbit at
     lam = 0 (k = 0.05, from (1, 0, 0, 0.55) to t = 70, 26.8 radial periods) r was within
     146-247 x rel_tol, theta 4500-7600 x and the apsis times 129-216 x, the oscillator 0.07 x
@@ -563,9 +556,6 @@ def integrate(
     if n_samples > MAX_SAMPLES:
         raise DomainError(f"n_samples must be at most {MAX_SAMPLES}, got {n_samples}")
 
-    # Local truncation errors accumulate to a few tens of the solver
-    # tolerance over long spans; integrating two decades tighter keeps the
-    # 10x drift contract on the returned trajectory with margin.
     rtol_eff = max(rel_tol * 1e-2, 2.5e-14)
     ts, ys = _dop853(y0, params, t_end, rtol_eff)
     step_y = np.frombuffer(ys).reshape(-1, 4).T
@@ -603,21 +593,23 @@ def _turning_points(dense: DenseOutput, step_y: np.ndarray, step_theta: np.ndarr
                     params: SystemParams):
     """(points, circular): the x.p roots on the solver's steps, which ``step_y`` holds ascending;
     the steps alone decide both, so neither depends on the samples."""
-    s = step_y[0] * step_y[2] + step_y[1] * step_y[3]
+    def xp(y):  # x.p, which has the sign of rdot: it brackets each apsis and refines it
+        return y[0] * y[2] + y[1] * y[3]
+
+    s = xp(step_y)
     radius, momentum = np.hypot(step_y[0], step_y[1]), np.hypot(step_y[2], step_y[3])
     if float(np.max(np.abs(s))) <= 1e-8 * max(1.0, float(np.max(momentum) * np.max(radius))):
         return [], True
-    # one root of rdot (which has the sign of x.p) per step over which x.p
-    # changes sign, in increasing time: rising through zero is a minimum of
-    # r, a perihelion
+    # one root of x.p per step over which it changes sign, in increasing time:
+    # rising through zero is a minimum of r, a perihelion
     j = np.flatnonzero((s[:-1] <= 0.0) & (s[1:] >= 0.0) | (s[:-1] >= 0.0) & (s[1:] <= 0.0))
     # with Lz at rounding level x.p also rises through zero where the orbit passes r = 0,
     # while rdot jumps from -|v| to |v|: that is no apsis
     radial = np.abs(lz_value(*step_y)) <= 4.0 * math.ulp(1.0) * radius * momentum
     j = j[~((s[j + 1] > s[j]) & radial[j] & radial[j + 1])]
-    step_t, on_steps = dense.bounds, dense.on_steps(j)
-    roots = _bracketed_root(lambda t: _rdot(on_steps(t), params.lam), step_t[j], step_t[j + 1])
-    y = on_steps(roots)
+    step_t = dense.bounds
+    roots = _bracketed_root(lambda t: xp(dense(t)), step_t[j], step_t[j + 1])
+    y = dense(roots)
     rdot = np.abs(_rdot(y, params.lam))
     if roots.size and float(np.max(rdot)) > TURNING_RDOT_TOL:
         raise AccuracyError(f"turning-point refinement left |rdot| = {float(np.max(rdot)):.3e}")

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 from scipy.optimize import brentq
 
 from screened_sphere import dynamics
@@ -282,30 +283,72 @@ def test_dense_output_blocks_equal_each_time_alone(coulomb_params, t_end):
     assert y[:, ::-1].tobytes() == dense(t[::-1]).tobytes()
 
 
-@pytest.mark.parametrize("kind, state", [(SystemKind.COULOMB, (1.6, 0.0, 0.0, 0.55)),
-                                         (SystemKind.OSCILLATOR, (1.5, 0.0, 0.0, 0.6))])
-@pytest.mark.parametrize("lam", [0.0, 0.1])
-@pytest.mark.parametrize("t_end", [30.0, -30.0])
-def test_apsis_refinement_is_the_bisection_of_the_dense_output(monkeypatch, kind, state, lam,
-                                                                t_end):
-    # each bracket is bisected on its own step's gathered coefficients; the turning points are
-    # those of bisecting rdot(dense(t)), bit for bit
+def _assert_apsides_are_the_bisection_of_rdot(kind, state, lam, k, t_end):
+    """The turning points equal, bit for bit, the bisection of rdot(dense(t)) on the brackets
+    that ``integrate`` bisects (there on x.p, each bracket on its own step's coefficients)."""
     brackets, bisect = [], dynamics._bracketed_root
 
     def spy(g, a, b):
         brackets.append((a, b))
         return bisect(g, a, b)
 
-    monkeypatch.setattr(dynamics, "_bracketed_root", spy)
-    traj = integrate(PhaseState(*state), SystemParams(kind, lam, 0.05), t_end, n_samples=3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_bracketed_root", spy)
+        traj = integrate(PhaseState(*state), SystemParams(kind, lam, k), t_end, n_samples=3)
     [(a, b)] = brackets
     t = bisect(lambda t: dynamics._rdot(traj.dense(t), lam), a, b)
     y = traj.dense(t)
     points = traj.turning_points
-    assert len(points) == t.size >= 4
+    assert len(points) == t.size
     assert [p.t.hex() for p in points] == [v.hex() for v in t.tolist()]
     assert [[v.hex() for v in p.state] for p in points] == [[v.hex() for v in c] for c in y.T.tolist()]
     assert [p.r.hex() for p in points] == [PhaseState(*c).r.hex() for c in y.T.tolist()]
+    return points
+
+
+@pytest.mark.parametrize("kind, state", [(SystemKind.COULOMB, (1.6, 0.0, 0.0, 0.55)),
+                                         (SystemKind.OSCILLATOR, (1.5, 0.0, 0.0, 0.6))])
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("t_end", [30.0, -30.0])
+def test_apsis_refinement_is_the_bisection_of_the_dense_output(kind, state, lam, t_end):
+    assert len(_assert_apsides_are_the_bisection_of_rdot(kind, state, lam, 0.05, t_end)) >= 4
+
+
+def _bound_orbit_start(system, lam, k, shape, ecc, psi, phi):
+    """Start on the bound orbit of eccentricity ``ecc`` (in 1/r for coulomb, 1/r**2 for the
+    oscillator) at radial phase ``psi``, rotated by ``phi``; ``shape`` is Lz**2*alpha**2
+    (coulomb) or Lz*alpha (oscillator).  The radial momentum comes from the shifted energy
+    Et = E - lam*Lz**2/2 and has the sign of sin(psi)."""
+    if system == SystemKind.COULOMB:
+        lz = math.sqrt(shape + 2.0 * k)
+        et = (ecc * ecc - 1.0) / (2.0 * shape)
+        r0 = shape / (1.0 + ecc * math.cos(psi))
+        v = -1.0 / r0 - k / r0**2
+    else:
+        lz = math.sqrt(shape * shape + 2.0 * k)
+        et = shape / math.sqrt(1.0 - ecc * ecc)
+        r0 = shape / math.sqrt(et * (1.0 + ecc * math.cos(psi)))
+        v = 0.5 * r0 * r0 - k / r0**2
+    a2 = 2.0 * (et - lz * lz / (2.0 * r0 * r0) - v) / (1.0 + lam * r0 * r0) ** 2
+    a = math.copysign(math.sqrt(max(a2, 0.0)), math.sin(psi))
+    c, s = math.cos(phi), math.sin(phi)
+    return (r0 * c, r0 * s, a * c - lz / r0 * s, a * s + lz / r0 * c)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(kind=strategies.sampled_from([SystemKind.COULOMB, SystemKind.OSCILLATOR]),
+       lam=strategies.floats(0.0, 0.5), k=strategies.floats(0.0, 0.1),
+       ecc=strategies.floats(0.05, 0.95), psi=strategies.floats(0.0, TWO_PI),
+       phi=strategies.floats(0.0, TWO_PI), backward=strategies.booleans())
+def test_apsis_refinement_is_the_bisection_of_the_dense_output_on_bound_orbits(
+        kind, lam, k, ecc, psi, phi, backward):
+    # the shape puts the flat-equivalent orbit between r = 1 - ecc and 1 + ecc (coulomb; its
+    # radial period is 2*pi) or between r**2 = 1 - ecc and 1 + ecc (oscillator, period pi),
+    # and curvature only shortens the radial period, so 8 time units hold at least two apsides
+    shape = 1.0 - ecc * ecc if kind == SystemKind.COULOMB else math.sqrt(1.0 - ecc * ecc)
+    state = _bound_orbit_start(kind, lam, k, shape, ecc, psi, phi)
+    t_end = -8.0 if backward else 8.0
+    assert len(_assert_apsides_are_the_bisection_of_rdot(kind, state, lam, k, t_end)) >= 2
 
 
 @pytest.mark.parametrize("direction", [1.0, -1.0])
@@ -325,11 +368,17 @@ def test_a_midpoint_on_a_step_end_is_evaluated_through_the_dense_output(coulomb_
     j = np.array([0, 1, 0])
     a = np.array([np.nextafter(shared, -np.inf), shared, dense.bounds[0]])
     b = np.array([shared, np.nextafter(shared, np.inf), shared])
-    at, on_end = dense.on_steps(j), []
+    on_end = []
 
     def g(t):
-        y = at(t)
-        assert y.tobytes() == dense(t).tobytes()
+        # inside its bracket's step a time is on that step's polynomial, and at either end
+        # on the step the boundary rule picks, as in the one-at-a-time reference
+        y = dense(t)
+        own = dynamics._interpolate(dense.F[:, :, j], dense.y_old[:, j], dense.t_old[j],
+                                    dense.h[j], t, np.empty((4, t.size)))
+        inside = (t != dense.bounds[j]) & (t != dense.bounds[j + 1])
+        assert y[:, inside].tobytes() == own[:, inside].tobytes()
+        assert y.tobytes() == _interpolant_one_at_a_time(dense, t).tobytes()
         on_end.append(np.count_nonzero(t == shared))
         return dynamics._rdot(y, coulomb_params.lam)
 
