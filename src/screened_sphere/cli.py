@@ -104,7 +104,9 @@ def _write_output(path: str, text: str) -> None:
     chunks = (text[i:i + 2**20] for i in range(0, len(text), 2**20))  # never encoded whole
     if path == "-":
         out = sys.stdout
-        if getattr(out, "buffer", None) is None:  # no stdout at all, or a StringIO
+        if out is None:  # `>&-` leaves no stdout
+            raise UsageError("cannot write '-': there is no stdout")
+        if getattr(out, "buffer", None) is None:  # a StringIO
             out.write(text)
             return
         out.flush()

@@ -40,13 +40,13 @@ does and runs the text of ``h_gradient`` inline: on finite stages that loop bit 
 bit.  (The squared error-norm sums start from their first term instead, since a square
 drops the sign of zero that the 0.0 sets, and ``max`` of two floats is written as the
 comparison ``max`` makes.)  It keeps only the step times and states, returns them at
-t_end and raises every other end of an orbit itself; the dense output rebuilds the stage
-derivatives of its steps with the same operations on arrays, a block of steps at a time
-(``_stages``).  The interpolant is evaluated a block of times at a time, on the step
-coefficients of those times gathered once (``_interpolate``): the same bits as evaluating
-each time alone.  The apsides (rdot = 0) are found and refined on x.p, which has the sign
-of rdot: its sign changes over the solver's steps bracket them, and each bracket, one
-step's span, is bisected on x.p of the dense output.
+t_end and raises every other end of an orbit itself.  The dense output then owns the steps:
+in increasing time, with theta's branch unwrapped over them, and their stage derivatives
+rebuilt with the same operations on arrays, a block of steps at a time (``_stages``).  It is
+evaluated a block of times at a time, on the step coefficients gathered once (``_interpolate``):
+the same bits as evaluating each time alone.  The apsides (rdot = 0) are found and refined on
+x.p, which has the sign of rdot: its sign changes over the dense output's steps bracket them,
+and each bracket, one step's span, is bisected on x.p of the dense output.
 
 ``Trajectory.to_csv`` writes the bytes of ``%.17g`` per field: numpy lays out a field in
 1e-4 <= |v| < 1e16 from its exact 17-digit integer (Dekker's product, round half to
@@ -114,13 +114,13 @@ def _rhs(x1, x2, p1, p2, params: SystemParams):
 
 # --- trajectories --------------------------------------------------------
 
-class Trajectory(namedtuple("Trajectory", "t states r theta H Lz params dense step_theta "
-                                           "turning_points circular")):
+class Trajectory(namedtuple("Trajectory", "t states r theta H Lz params dense turning_points "
+                                           "circular")):
     """Time-ordered samples of an integrated orbit plus derived scalars.
 
     theta is unwrapped (cumulative) so closure angles beyond 2*pi stay
     measurable; normalize at presentation boundaries only.  Its branch is
-    the azimuth unwrapped over the solver's accepted steps (``step_theta``,
+    the azimuth unwrapped over the solver's accepted steps (``dense.theta``,
     at the times ``dense.bounds``), so sparse samples cannot alias it.
     ``states`` holds (n, 4) rows.  The dense interpolant and the turning
     points found during the solve (``circular`` when x.p stays at rounding
@@ -134,8 +134,7 @@ class Trajectory(namedtuple("Trajectory", "t states r theta H Lz params dense st
 
     def theta_at(self, t):  # contract: the orbit between its samples
         """Unwrapped theta at a time or times, on the branch of the solver's steps."""
-        y = self.dense(t)
-        return _on_branch(np.arctan2(y[1], y[0]), t, self.dense.bounds, self.step_theta)
+        return self.dense.on_branch(t, self.dense(t))
 
     def rdot(self, t) -> np.ndarray:  # contract: the orbit between its samples
         """Radial velocity along the orbit; see :func:`_rdot`."""
@@ -237,11 +236,6 @@ def _rdot(y, lam: float):
     x1, x2, p1, p2 = y
     r2 = x1 * x1 + x2 * x2
     return (x1 * p1 + x2 * p2) * (1.0 + lam * r2) ** 2 / np.sqrt(r2)
-
-
-def _on_branch(raw, t, step_t: np.ndarray, step_theta: np.ndarray):
-    """atan2 angles ``raw`` at times ``t``, moved by whole turns onto the step branch."""
-    return raw + TWO_PI * np.round((np.interp(t, step_t, step_theta) - raw) / TWO_PI)
 
 
 # --- DOP853 ----------------------------------------------------------------
@@ -439,13 +433,14 @@ def _underflow(y, t: float) -> DomainError:
 class DenseOutput:
     """DOP853's 7th-order interpolant over all steps, built and evaluated on arrays.
 
-    Takes step times ``t`` and states ``y`` (4, n + 1) in integration order,
-    rebuilds each step's stage derivatives (:func:`_stages`) and keeps the
-    steps in increasing time.  A time on a step boundary takes the step that ends
-    there in integration order, as scipy's ``OdeSolution`` does.  Times are evaluated
-    ``_BLOCK`` at a time, each block on its steps' coefficients gathered once.  So a
-    bisection inside one step's span is evaluated on that step's polynomial, and where a
-    midpoint lands on either end, on the step the boundary rule picks there.
+    Takes step times ``t`` and states ``y`` (4, n + 1) in integration order, rebuilds each
+    step's stage derivatives (:func:`_stages`) and keeps the steps in increasing time: times
+    ``bounds``, states ``steps`` and azimuth ``theta``, unwrapped in integration order so that
+    theta(0) is atan2 of the start.  A time on a step boundary takes the step that ends there
+    in integration order, as scipy's ``OdeSolution`` does.  Times are evaluated ``_BLOCK`` at a
+    time, each block on its steps' coefficients gathered once.  So a bisection inside one step's
+    span is evaluated on that step's polynomial, and where a midpoint lands on either end, on
+    the step the boundary rule picks there.
     """
 
     def __init__(self, t, y, params: SystemParams):
@@ -460,7 +455,8 @@ class DenseOutput:
             F[3:, :, b] = np.transpose(k @ np.transpose(_D), (2, 1, 0)) * hb
         order = slice(None) if t[-1] > t[0] else slice(None, None, -1)
         self.bounds, self.t_old, self.h = t[order], t[:-1][order], h[order]
-        self.y_old, self.F = y[:, :-1][:, order], F[:, :, order]
+        self.steps, self.y_old, self.F = y[:, order], y[:, :-1][:, order], F[:, :, order]
+        self.theta = np.unwrap(np.arctan2(y[1], y[0]))[order]
         self.side = "left" if t[-1] > t[0] else "right"
 
     def __call__(self, t) -> np.ndarray:
@@ -473,6 +469,11 @@ class DenseOutput:
             b, j = slice(s, s + _BLOCK), steps[s:s + _BLOCK]
             _interpolate(self.F[:, :, j], self.y_old[:, j], self.t_old[j], self.h[j], ts[b], y[:, b])
         return y.reshape(4, *t.shape)
+
+    def on_branch(self, t, y):
+        """atan2 of states ``y`` at times ``t``, moved by whole turns onto ``theta``'s branch."""
+        raw = np.arctan2(y[1], y[0])
+        return raw + TWO_PI * np.round((np.interp(t, self.bounds, self.theta) - raw) / TWO_PI)
 
 
 def _interpolate(F, y_old, t_old, h, t, out):
@@ -517,8 +518,8 @@ def integrate(
     """Integrate Hamilton's equations with an adaptive Dormand-Prince scheme.
 
     Uses DOP853 with dense output.  The same solve finds the turning points
-    (see :func:`find_turning_points`), and theta is unwrapped over its
-    accepted steps, so it does not depend on ``n_samples``.  Raises
+    (see :func:`find_turning_points`), and theta takes the branch unwrapped over
+    its accepted steps (``DenseOutput.theta``), not over ``n_samples``.  Raises
     :class:`~screened_sphere.errors.SingularOrbitError` if the orbit falls
     below ``R_MIN_GUARD`` (both potentials are singular at r = 0),
     :class:`~screened_sphere.errors.ChartEdgeError` once lam*r**2 exceeds
@@ -558,19 +559,13 @@ def integrate(
 
     rtol_eff = max(rel_tol * 1e-2, 2.5e-14)
     ts, ys = _dop853(y0, params, t_end, rtol_eff)
-    step_y = np.frombuffer(ys).reshape(-1, 4).T
-    dense = DenseOutput(np.frombuffer(ts), step_y, params)
-
-    # The accepted steps in increasing time.  theta is unwrapped in
-    # integration order, so theta(0) is atan2 of the initial state.
-    order = slice(None, None, 1 if t_end > 0.0 else -1)
-    step_theta = np.unwrap(np.arctan2(step_y[1], step_y[0]))[order]
+    dense = DenseOutput(np.frombuffer(ts), np.frombuffer(ys).reshape(-1, 4).T, params)
 
     t = np.linspace(0.0, t_end, n_samples)
     y = dense(t)
     x1, x2, p1, p2 = y
     r = np.hypot(x1, x2)
-    theta = _on_branch(np.arctan2(x2, x1), t, dense.bounds, step_theta)
+    theta = dense.on_branch(t, y)
     h = h_value(x1, x2, p1, p2, params)
     lz = lz_value(x1, x2, p1, p2)
 
@@ -583,19 +578,18 @@ def integrate(
             f"dH = {h_drift:.3e}, dLz = {lz_drift:.3e}, bound = {bound:.3e}"
         )
 
-    points, circular = _turning_points(dense, step_y[:, order], step_theta, params)
-    return Trajectory(t, y.T, r, theta, h, lz, params, dense, step_theta, points, circular)
+    points, circular = _turning_points(dense, params)
+    return Trajectory(t, y.T, r, theta, h, lz, params, dense, points, circular)
 
 
 # --- turning points -------------------------------------------------------
 
-def _turning_points(dense: DenseOutput, step_y: np.ndarray, step_theta: np.ndarray,
-                    params: SystemParams):
-    """(points, circular): the x.p roots on the solver's steps, which ``step_y`` holds ascending;
-    the steps alone decide both, so neither depends on the samples."""
+def _turning_points(dense: DenseOutput, params: SystemParams):
+    """(points, circular) from x.p on the solver's steps, ``dense.steps``, never the samples."""
     def xp(y):  # x.p, which has the sign of rdot: it brackets each apsis and refines it
         return y[0] * y[2] + y[1] * y[3]
 
+    step_y, step_t = dense.steps, dense.bounds
     s = xp(step_y)
     radius, momentum = np.hypot(step_y[0], step_y[1]), np.hypot(step_y[2], step_y[3])
     if float(np.max(np.abs(s))) <= 1e-8 * max(1.0, float(np.max(momentum) * np.max(radius))):
@@ -607,13 +601,12 @@ def _turning_points(dense: DenseOutput, step_y: np.ndarray, step_theta: np.ndarr
     # while rdot jumps from -|v| to |v|: that is no apsis
     radial = np.abs(lz_value(*step_y)) <= 4.0 * math.ulp(1.0) * radius * momentum
     j = j[~((s[j + 1] > s[j]) & radial[j] & radial[j + 1])]
-    step_t = dense.bounds
     roots = _bracketed_root(lambda t: xp(dense(t)), step_t[j], step_t[j + 1])
     y = dense(roots)
     rdot = np.abs(_rdot(y, params.lam))
     if roots.size and float(np.max(rdot)) > TURNING_RDOT_TOL:
         raise AccuracyError(f"turning-point refinement left |rdot| = {float(np.max(rdot)):.3e}")
-    theta = _on_branch(np.arctan2(y[1], y[0]), roots, step_t, step_theta).tolist()
+    theta = dense.on_branch(roots, y).tolist()
     kinds = [TurningKind.PERIHELION if rising else TurningKind.APHELION
              for rising in (s[j + 1] > s[j]).tolist()]
     states = map(PhaseState._make, y.T.tolist())
@@ -624,8 +617,8 @@ def _turning_points(dense: DenseOutput, step_y: np.ndarray, step_theta: np.ndarr
 def find_turning_points(traj: Trajectory) -> list[TurningPoint]:
     """The rdot = 0 points of the trajectory, in increasing time.
 
-    :func:`integrate` finds them as roots of x.p on the solver's own steps,
-    to |rdot| < ``TURNING_RDOT_TOL``.  A perihelion is where x.p rises
+    :func:`integrate` finds them as roots of x.p on the solver's own steps
+    (``traj.dense.steps``), to |rdot| < ``TURNING_RDOT_TOL``.  A perihelion is where x.p rises
     through zero in increasing time, an aphelion where it falls.  A
     trajectory whose x.p stays at rounding level sets ``circular`` instead.
     """

@@ -10,7 +10,11 @@ orbits, with curvature entering only through Et):
 ``orbit_residual`` compares an integrated ``Trajectory`` with them, with
 theta0 fitted by one linear least-squares solve (``fit_theta0``), and
 ``state_at_theta`` finds the state where the unwrapped azimuth reaches a
-given angle, for the closure checks.  No command runs these.
+given angle, for the closure checks.  The exact apsis times and polar
+coordinates follow from the time laws: Kepler's and the oscillator's at
+lam = 0, and at any lam ``sphere_apsis_times``, which integrates
+dt = r(theta)**2/(Lz*(1 + lam*r(theta)**2)) dtheta along the closed form.
+No command runs these.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import math
 from collections import namedtuple
 from typing import Optional
 
+import mpmath
 import numpy as np
 
 from screened_sphere.closed_forms import orbit_alpha
@@ -261,3 +266,37 @@ def oscillator_polar_at(state: PhaseState, params: SystemParams, t) -> tuple:
     lz = lz_value(state.x1, state.x2, state.p1, state.p2)
     theta = math.atan2(state.x2, state.x1) + lz / w * (unwrapped(x) - unwrapped(0.5 * phi))
     return np.sqrt(e_tot + b * np.cos(2.0 * x)), theta
+
+
+def sphere_apsis_times(state: PhaseState, params: SystemParams, t_end: float) -> list:
+    """Exact (t, kind) of each apsis in [0, t_end] of a bound orbit at any lam >= 0, Lz != 0.
+
+    The projected orbit is the flat closed form with Et (:meth:`OrbitShape.coefficients`),
+    w*la2 = c0 + c1*cos(u) with w = 1/r**n, in the phase u = sign(Lz)*nu*(theta - theta0),
+    which grows with t: perihelia at even multiples of pi, aphelia at odd ones.  Since
+    r**2*thetadot = Lz*(1 + lam*r**2), dt = r**2/(|Lz|*nu*(1 + lam*r**2)) du.  The start's
+    phase is read from its state, not fitted: c1*cos(u) = w*la2 - c0, and through
+    rdot = (x.p)*(1 + lam*r**2)**2/r, c1*sin(u) = n*la2*(x.p)*(1 + lam*r**2)/(nu*|Lz|*r**n),
+    so no acos loses digits near an apsis.  Every half radial period takes the same time, so
+    two quadratures give every apsis: one to the first, one over a half period.
+    """
+    c0, disc, nu, la2, n = OrbitShape.from_state(state, params).coefficients(params)
+    lz = abs(lz_value(state.x1, state.x2, state.p1, state.p2))
+    s = state.x1 * state.p1 + state.x2 * state.p2
+    w = 1.0 / state.r ** n
+    u0 = math.atan2(n * la2 * s * (1.0 + params.lam * state.r ** 2) * w / (nu * lz), w * la2 - c0)
+    c1 = math.sqrt(disc)
+
+    def dt_du(u):
+        r2 = (la2 / (c0 + c1 * mpmath.cos(u))) ** (2 // n)
+        return r2 / (lz * nu * (1 + params.lam * r2))
+
+    j0 = math.ceil(u0 / math.pi - 1e-12)
+    with mpmath.workdps(30):
+        first = float(mpmath.quad(dt_du, [u0, j0 * mpmath.pi]))
+        half = float(mpmath.quad(dt_du, [0, mpmath.pi]))
+    times, j = [], j0
+    while (t := first + (j - j0) * half) <= t_end:
+        times.append((max(t, 0.0), "perihelion" if j % 2 == 0 else "aphelion"))
+        j += 1
+    return times

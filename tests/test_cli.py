@@ -1235,7 +1235,8 @@ def _stderr_shape(stderr: str) -> str:
 
 
 _EPIPE = "BrokenPipeError: [Errno 32] Broken pipe"
-_NO_STDOUT = "AttributeError: 'NoneType' object has no attribute 'write'"
+_NO_STDOUT = ("usage: screened-sphere [-h] {orbit,closure,turning,brackets,spectrum} ...\n"
+              "screened-sphere: error: cannot write '-': there is no stdout")
 # (argv, (exit status, stderr shape) with stdout buffered, the same with PYTHONUNBUFFERED set)
 _STDOUT_GONE = {
     # nothing reads the pipe: a short text waits in the stdio buffer, so the interpreter's
@@ -1247,9 +1248,9 @@ _STDOUT_GONE = {
     # write until the broken pipe raises, rather than ending in status 0 with the rest dropped
     "reader-leaves": (_BIG_CSV, (1, _traceback("_cmd_orbit", _EPIPE)),
                       (1, _traceback("_cmd_orbit", _EPIPE))),
-    # `>&-` leaves no stdout, so sys.stdout is None
-    "stdout-closed": (_CLOSURE, (1, _traceback("_cmd_closure", _NO_STDOUT)),
-                      (1, _traceback("_cmd_closure", _NO_STDOUT))),
+    # `>&-` leaves no stdout, so sys.stdout is None: an output that cannot be written is a
+    # usage error
+    "stdout-closed": (_CLOSURE, (2, _NO_STDOUT), (2, _NO_STDOUT)),
     "stdout-closed-out-file": ([*_CLOSURE, "--out", "closure.json"], (0, ""), (0, "")),
 }
 

@@ -50,6 +50,7 @@ from orbit_reference import (
     oscillator_apsis_times,
     oscillator_polar_at,
     orbit_residual,
+    sphere_apsis_times,
     state_at_theta,
 )
 from state_sampler import sample_states
@@ -483,8 +484,9 @@ def _csv_matches_percent(values):
     """``to_csv`` of a trajectory whose rows are ``values`` (padded to 9 columns by
     repeating them) equals formatting each field with ``{:.17g}``."""
     v = np.resize(np.asarray(values, dtype=float), (-(-len(values) // 9), 9))
-    traj = dynamics.Trajectory(v[:, 0], v[:, 1:5].copy(), v[:, 5], v[:, 6], v[:, 7], v[:, 8],
-                               None, None, None, [], False)
+    traj = dynamics.Trajectory(t=v[:, 0], states=v[:, 1:5].copy(), r=v[:, 5], theta=v[:, 6],
+                               H=v[:, 7], Lz=v[:, 8], params=None, dense=None, turning_points=[],
+                               circular=False)
     want = ["t,x1,x2,p1,p2,r,theta,H,Lz"] + [",".join(f"{x:.17g}" for x in row) for row in v.tolist()]
     csv = traj.to_csv()
     same = csv == "\n".join(want) + "\n"
@@ -749,7 +751,7 @@ def test_turning_points_do_not_depend_on_the_samples(params, state, t_end):
     for traj in runs[1:]:
         assert repr(traj.turning_points) == repr(runs[0].turning_points)  # repr keeps every bit
         assert traj.circular == runs[0].circular
-        assert traj.step_theta.tobytes() == runs[0].step_theta.tobytes()
+        assert traj.dense.theta.tobytes() == runs[0].dense.theta.tobytes()
         assert traj.dense.bounds.tobytes() == runs[0].dense.bounds.tobytes()
     assert runs[0].circular == (params is FLAT_KEPLER)
 
@@ -888,12 +890,54 @@ def test_curvature_shift_traces_same_projected_orbit():
 ], ids=["coulomb", "oscillator"])
 def test_turning_times_match_the_exact_apsis_times_at_zero_curvature(
         rel_tol, kind, start, t_end, reference, count, bound):
-    state, params = PhaseState(*start), SystemParams(kind, 0.0, 0.05)
+    error = _turning_time_error(kind, start, 0.0, t_end, rel_tol, reference, count)
+    assert error <= bound * rel_tol
+
+
+def _turning_time_error(kind, start, lam, t_end, rel_tol, reference, count):
+    """The worst |t - t_exact| over an orbit's turning points, once their count and kinds are
+    checked against the exact apsides of ``reference``."""
+    state, params = PhaseState(*start), SystemParams(kind, lam, 0.05)
     exact = reference(state, params, t_end)
     points = integrate(state, params, t_end, rel_tol=rel_tol, n_samples=2).turning_points
     assert len(exact) == count
     assert [p.kind.value for p in points] == [kind for _, kind in exact]
-    assert max(abs(p.t - t) for p, (t, _) in zip(points, exact)) <= bound * rel_tol
+    return max(abs(p.t - t) for p, (t, _) in zip(points, exact))
+
+
+@pytest.mark.parametrize("kind,start,t_end,reference", [
+    (SystemKind.COULOMB, (1.0, 0.0, 0.0, 0.55), 70.0, coulomb_apsis_times),
+    (SystemKind.COULOMB, (1.2, 0.3, 0.2, -0.6), 40.0, coulomb_apsis_times),
+    (SystemKind.COULOMB, (-0.8, 1.1, -0.5, -0.2), 40.0, coulomb_apsis_times),
+    (SystemKind.OSCILLATOR, (1.0, 0.0, 0.3, 0.8), 60.0, oscillator_apsis_times),
+    (SystemKind.OSCILLATOR, (1.2, 0.3, -0.4, -0.9), 30.0, oscillator_apsis_times),
+    (SystemKind.OSCILLATOR, (-0.5, -1.0, 0.7, 0.1), 30.0, oscillator_apsis_times),
+], ids=["coulomb-fixture", "coulomb-clockwise", "coulomb-rising", "oscillator-fixture",
+        "oscillator-clockwise", "oscillator-falling"])
+def test_sphere_apsis_times_reduce_to_the_flat_laws_at_zero_curvature(kind, start, t_end,
+                                                                     reference):
+    # the quadrature of the time law against Kepler's equation and r**2 = E + B*cos(2t + phi);
+    # measured within 1-2 ulp of t_end
+    state, params = PhaseState(*start), SystemParams(kind, 0.0, 0.05)
+    exact, flat = sphere_apsis_times(state, params, t_end), reference(state, params, t_end)
+    assert [k for _, k in exact] == [k for _, k in flat]
+    assert max(abs(a - b) for (a, _), (b, _) in zip(exact, flat)) <= 4 * math.ulp(t_end)
+
+
+@pytest.mark.parametrize("kind,start,t_end,lam,count,bound", [
+    # the fixtures of the zero-curvature test, rel_tol 1e-10; measured 127 x rel_tol
+    (SystemKind.COULOMB, (1.0, 0.0, 0.0, 0.55), 70.0, 0.1, 57, 500.0),
+    # measured 112 x rel_tol
+    (SystemKind.COULOMB, (1.0, 0.0, 0.0, 0.55), 70.0, 1.0, 83, 500.0),
+    # measured 0.038 x rel_tol
+    (SystemKind.OSCILLATOR, (1.0, 0.0, 0.3, 0.8), 60.0, 0.1, 41, 0.2),
+    # measured 0.63 x rel_tol
+    (SystemKind.OSCILLATOR, (1.0, 0.0, 0.3, 0.8), 60.0, 1.0, 71, 2.0),
+], ids=["coulomb-0.1", "coulomb-1", "oscillator-0.1", "oscillator-1"])
+def test_turning_times_match_the_exact_apsis_times_on_the_sphere(kind, start, t_end, lam, count,
+                                                                 bound):
+    error = _turning_time_error(kind, start, lam, t_end, 1e-10, sphere_apsis_times, count)
+    assert error <= bound * 1e-10
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
