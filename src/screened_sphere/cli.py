@@ -140,6 +140,25 @@ def _write_output(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
+def _report(line: str) -> None:
+    """Write one of the CLI's own lines to stderr, or lose it where stderr cannot take it
+    (closed with ``2>&-``, a reader gone), so that the exit status still tells the result.
+
+    Buffered stderr takes the bytes straight to its raw file, in one write that a line this
+    short passes to a pipe whole: bytes of a failed write left in the buffer would fail the
+    interpreter's final flush too, which ends in status 120."""
+    err = sys.stderr
+    try:
+        raw = getattr(getattr(err, "buffer", None), "raw", None)  # none unbuffered or captured
+        if raw is None:
+            err.write(line + "\n")
+            err.flush()
+        else:
+            raw.write((line + "\n").encode(err.encoding, err.errors))
+    except (OSError, ValueError, AttributeError):  # a closed or broken stream, or none
+        pass
+
+
 def _strip_header_csv(text: str) -> str:
     """Gnuplot mode: drop the header line and use space-separated columns."""
     return text.split("\n", 1)[1].replace(",", " ")
@@ -194,7 +213,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
         summary += f"; turning_points={len(points)}"
     elif traj.circular:
         summary += "; circular orbit"
-    print(summary, file=sys.stderr)
+    _report(summary)
     return 0
 
 
@@ -402,7 +421,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         build_parser().error(str(exc))  # prints usage, raises SystemExit(2)
     except DomainError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
+        _report(f"{exc.code}: {exc}")
         return 3
 
 

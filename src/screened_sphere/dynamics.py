@@ -539,7 +539,7 @@ def integrate(
     lam = 0 (k = 0.05, from (1, 0, 0, 0.55) to t = 70, 26.8 radial periods) r was within
     146-247 x rel_tol, theta 4500-7600 x and the apsis times 129-216 x, the oscillator 0.07 x
     (``test_sampled_states_match_the_exact_orbit_at_zero_curvature`` and
-    ``test_turning_times_match_the_exact_apsis_times_at_zero_curvature``).
+    ``test_turning_times_match_the_exact_apsis_times_on_the_sphere``).
     """
     y0 = (state0.x1, state0.x2, state0.p1, state0.p2)
     if not all(map(math.isfinite, y0)):

@@ -37,13 +37,13 @@ class PhaseState(namedtuple("PhaseState", "x1 x2 p1 p2")):
 
 def potential(r, params: SystemParams):
     """V(r) for the given system on a float or an array; r must be positive (singular at
-    r = 0), and a float r whose square underflows to 0 is refused alike."""
+    r = 0), and an r whose square underflows to 0 is refused alike."""
     if array := not isinstance(r, (float, int)):
         import numpy as np
         r = np.asarray(r, dtype=float)
-    if (r <= 0.0).any() if array else r <= 0.0 or r * r == 0.0:
-        raise RadiusError("potential requires r > 0")
     r2 = r * r  # numpy's r**2 is r*r; a float ** calls pow, which need not be
+    if ((r <= 0.0) | (r2 == 0.0)).any() if array else r <= 0.0 or r2 == 0.0:
+        raise RadiusError("potential requires r > 0")
     v = (-1.0 / r if params.kind is SystemKind.COULOMB else 0.5 * r2) - params.k / r2
     return v if array and v.ndim else float(v)
 

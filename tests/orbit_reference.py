@@ -8,13 +8,14 @@ orbits, with curvature entering only through Et):
     oscillator:  1/r**2 = [Et + sqrt(Et**2 - Lz**2*alpha**2)   * cos(2*alpha*(theta - theta0))] / (Lz**2 * alpha**2)
 
 ``orbit_residual`` compares an integrated ``Trajectory`` with them, with
-theta0 fitted by one linear least-squares solve (``fit_theta0``), and
-``state_at_theta`` finds the state where the unwrapped azimuth reaches a
-given angle, for the closure checks.  The exact apsis times and polar
-coordinates follow from the time laws: Kepler's and the oscillator's at
-lam = 0, and at any lam ``sphere_apsis_times``, which integrates
-dt = r(theta)**2/(Lz*(1 + lam*r(theta)**2)) dtheta along the closed form.
-No command runs these.
+theta0 read exactly from the start state (``OrbitShape.start_phase``), so
+nothing is fitted, and ``state_at_theta`` finds the state where the
+unwrapped azimuth reaches a given angle, for the closure checks.  The exact
+apsis times at any lam come from ``sphere_apsis_times``, which integrates
+dt = r(theta)**2/(Lz*(1 + lam*r(theta)**2)) dtheta along the closed form
+from the same start phase; Kepler's and the oscillator's time laws give the
+apsis times and polar coordinates at lam = 0, the independent anchor of
+that quadrature.  No command runs these.
 """
 
 from __future__ import annotations
@@ -51,16 +52,14 @@ class OrbitShape(namedtuple("OrbitShape", "E lz alpha theta0", defaults=(0.0,)))
     __slots__ = ()
 
     @classmethod
-    def from_state(
-        cls, state: PhaseState, params: SystemParams, theta0: float = 0.0
-    ) -> "OrbitShape":
-        lz = lz_value(state.x1, state.x2, state.p1, state.p2)
-        return cls(
-            E=hamiltonian(state, params),
-            lz=float(lz),
-            alpha=orbit_alpha(params, float(lz)),
-            theta0=theta0,
-        )
+    def from_state(cls, state: PhaseState, params: SystemParams) -> "OrbitShape":
+        """The closed-form orbit through ``state``, with theta0 = theta - sign(Lz)*u0/nu at the
+        state's azimuth theta and phase u0 (:meth:`start_phase`)."""
+        lz = float(lz_value(state.x1, state.x2, state.p1, state.p2))
+        shape = cls(E=hamiltonian(state, params), lz=lz, alpha=orbit_alpha(params, lz))
+        nu = shape.coefficients(params)[2]
+        turn = math.copysign(1.0, lz) * shape.start_phase(state, params) / nu
+        return shape._replace(theta0=math.atan2(state.x2, state.x1) - turn)
 
     def shifted_energy(self, params: SystemParams) -> float:
         """Et = E - (lam/2)*Lz**2, the only combination curvature enters."""
@@ -77,6 +76,21 @@ class OrbitShape(namedtuple("OrbitShape", "E lz alpha theta0", defaults=(0.0,)))
         if params.kind is SystemKind.COULOMB:
             return 1.0, 1.0 + 2.0 * et * la2, self.alpha, la2, 1
         return et, et * et - la2, 2.0 * self.alpha, la2, 2
+
+    def start_phase(self, state: PhaseState, params: SystemParams) -> float:
+        """The phase u0 of ``state`` on this orbit, in w*la2 = c0 + c1*cos(u) with
+        u = sign(Lz)*nu*(theta - theta0), which grows with t (:meth:`coefficients`).
+
+        It is read from the state, not fitted: c1*cos(u0) = w*la2 - c0, and through
+        rdot = (x.p)*(1 + lam*r**2)**2/r, c1*sin(u0) = n*la2*(x.p)*(1 + lam*r**2)/(nu*|Lz|*r**n),
+        so no acos loses digits near an apsis.  Perihelia lie at even multiples of pi, aphelia
+        at odd ones; a circular orbit, where both vanish, gets u0 = atan2(0, 0) = 0.
+        """
+        c0, _, nu, la2, n = self.coefficients(params)
+        s, lz = state.x1 * state.p1 + state.x2 * state.p2, abs(self.lz)
+        w = 1.0 / state.r ** n
+        return math.atan2(n * la2 * s * (1.0 + params.lam * state.r ** 2) * w / (nu * lz),
+                          w * la2 - c0)
 
 
 def closed_form_radius(theta, shape: OrbitShape, params: SystemParams):
@@ -97,23 +111,6 @@ def closed_form_radius(theta, shape: OrbitShape, params: SystemParams):
     return float(r) if r.ndim == 0 else r
 
 
-def fit_theta0(traj: Trajectory, params: SystemParams) -> float:
-    """Phase offset theta0 aligning the closed form with the trajectory.
-
-    The closed form is linear in (A, B) = c1*(cos(nu*theta0), sin(nu*theta0)):
-    w*la2 - c0 = A*cos(nu*theta) + B*sin(nu*theta) (see
-    :meth:`OrbitShape.coefficients`).  One least-squares solve over all
-    samples gives theta0 = atan2(B, A)/nu, in (-pi/nu, pi/nu], so no turning
-    point is needed.  A circular orbit accepts any phase; returns 0 by convention.
-    """
-    if traj.circular:
-        return 0.0
-    c0, _, nu, la2, n = OrbitShape.from_state(traj.state_at(0.0), params).coefficients(params)
-    basis = np.column_stack([np.cos(nu * traj.theta), np.sin(nu * traj.theta)])
-    (a, b), *_ = np.linalg.lstsq(basis, la2 / traj.r**n - c0, rcond=None)
-    return math.atan2(b, a) / nu
-
-
 def orbit_residual(
     traj: Trajectory,
     params: SystemParams,
@@ -121,8 +118,10 @@ def orbit_residual(
 ) -> tuple[float, float]:
     """(max closed-form deviation, max orbit-relation residual) over samples.
 
-    The first is max |r - r_closed(theta)| / r with theta0 fitted unless a
-    shape is supplied.  The second is the pointwise residual of
+    The first is max |r - r_closed(theta)| / r against the closed form through the
+    trajectory's start (:meth:`OrbitShape.from_state`) unless a shape is supplied, so a
+    constant phase error of the integrator shows in it.  The second is the pointwise
+    residual of
 
         (Lz**2/2) * [(dr/dtheta)**2 / r**4 + 1/r**2] + V(r) - (E - lam*Lz**2/2),
 
@@ -130,8 +129,7 @@ def orbit_residual(
     (x.p) * r * (1 + lam*r**2) / Lz.
     """
     if shape is None:
-        theta0 = fit_theta0(traj, params)
-        shape = OrbitShape.from_state(traj.state_at(0.0), params, theta0=theta0)
+        shape = OrbitShape.from_state(traj.state_at(0.0), params)
 
     r_cf = closed_form_radius(traj.theta, shape, params)
     dev_cf = float(np.max(np.abs(traj.r - r_cf) / traj.r))
@@ -271,21 +269,16 @@ def oscillator_polar_at(state: PhaseState, params: SystemParams, t) -> tuple:
 def sphere_apsis_times(state: PhaseState, params: SystemParams, t_end: float) -> list:
     """Exact (t, kind) of each apsis in [0, t_end] of a bound orbit at any lam >= 0, Lz != 0.
 
-    The projected orbit is the flat closed form with Et (:meth:`OrbitShape.coefficients`),
-    w*la2 = c0 + c1*cos(u) with w = 1/r**n, in the phase u = sign(Lz)*nu*(theta - theta0),
-    which grows with t: perihelia at even multiples of pi, aphelia at odd ones.  Since
-    r**2*thetadot = Lz*(1 + lam*r**2), dt = r**2/(|Lz|*nu*(1 + lam*r**2)) du.  The start's
-    phase is read from its state, not fitted: c1*cos(u) = w*la2 - c0, and through
-    rdot = (x.p)*(1 + lam*r**2)**2/r, c1*sin(u) = n*la2*(x.p)*(1 + lam*r**2)/(nu*|Lz|*r**n),
-    so no acos loses digits near an apsis.  Every half radial period takes the same time, so
-    two quadratures give every apsis: one to the first, one over a half period.
+    The projected orbit is the flat closed form with Et, w*la2 = c0 + c1*cos(u) with
+    w = 1/r**n, in the phase u, which grows with t from the start's u0
+    (:meth:`OrbitShape.start_phase`): perihelia at even multiples of pi, aphelia at odd
+    ones.  Since r**2*thetadot = Lz*(1 + lam*r**2), dt = r**2/(|Lz|*nu*(1 + lam*r**2)) du.
+    Every half radial period takes the same time, so two quadratures give every apsis: one
+    to the first, one over a half period.
     """
-    c0, disc, nu, la2, n = OrbitShape.from_state(state, params).coefficients(params)
-    lz = abs(lz_value(state.x1, state.x2, state.p1, state.p2))
-    s = state.x1 * state.p1 + state.x2 * state.p2
-    w = 1.0 / state.r ** n
-    u0 = math.atan2(n * la2 * s * (1.0 + params.lam * state.r ** 2) * w / (nu * lz), w * la2 - c0)
-    c1 = math.sqrt(disc)
+    shape = OrbitShape.from_state(state, params)
+    c0, disc, nu, la2, n = shape.coefficients(params)
+    lz, u0, c1 = abs(shape.lz), shape.start_phase(state, params), math.sqrt(disc)
 
     def dt_du(u):
         r2 = (la2 / (c0 + c1 * mpmath.cos(u))) ** (2 // n)

@@ -1237,6 +1237,7 @@ def _stderr_shape(stderr: str) -> str:
 _EPIPE = "BrokenPipeError: [Errno 32] Broken pipe"
 _NO_STDOUT = ("usage: screened-sphere [-h] {orbit,closure,turning,brackets,spectrum} ...\n"
               "screened-sphere: error: cannot write '-': there is no stdout")
+_IMAGINARY_ALPHA = ["closure", "--system", "coulomb", "--Lz", "0.1", "--k", "0.05"]
 # (argv, (exit status, stderr shape) with stdout buffered, the same with PYTHONUNBUFFERED set)
 _STDOUT_GONE = {
     # nothing reads the pipe: a short text waits in the stdio buffer, so the interpreter's
@@ -1252,6 +1253,14 @@ _STDOUT_GONE = {
     # usage error
     "stdout-closed": (_CLOSURE, (2, _NO_STDOUT), (2, _NO_STDOUT)),
     "stdout-closed-out-file": ([*_CLOSURE, "--out", "closure.json"], (0, ""), (0, "")),
+    # `2>&-` leaves no stderr, so sys.stderr is None: the CLI's own stderr line is lost, but
+    # neither the status it reports beside it nor stdout's bytes
+    "stderr-closed-domain-error": (_IMAGINARY_ALPHA, (3, ""), (3, "")),
+    "stderr-closed-orbit": (["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "0.5",
+                             "--t-end", "5", "--out", "orbit.csv"], (0, ""), (0, "")),
+    # `2</dev/null` leaves a stderr that refuses writes; buffered, the refused bytes must not
+    # stay behind for the interpreter's final flush, which would end in status 120
+    "stderr-unwritable-domain-error": (_IMAGINARY_ALPHA, (3, ""), (3, "")),
 }
 
 
@@ -1261,10 +1270,13 @@ def test_a_stdout_that_goes_away_ends_as_it_always_has(tmp_path, case, unbuffere
     argv, *expected = _STDOUT_GONE[case]
     env = _env(unbuffered)
     cmd = [sys.executable, "-m", "screened_sphere.cli", *argv]
-    if case.startswith("stdout-closed"):
-        proc = subprocess.run(["sh", "-c", '"$0" "$@" >&-', *cmd], env=env, cwd=tmp_path,
-                              stderr=subprocess.PIPE, text=True, timeout=60)
+    if case.startswith(("stdout-closed", "stderr-")):
+        redirect = (">&-" if case.startswith("stdout") else
+                    "2>&-" if case.startswith("stderr-closed") else "2</dev/null")
+        proc = subprocess.run(["sh", "-c", f'"$0" "$@" {redirect}', *cmd], env=env, cwd=tmp_path,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=60)
         rc, err = proc.returncode, proc.stderr
+        assert proc.stdout == ""
     elif case == "reader-gone":
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -1282,6 +1294,8 @@ def test_a_stdout_that_goes_away_ends_as_it_always_has(tmp_path, case, unbuffere
             err = proc.communicate(timeout=60)[1]
             rc = proc.returncode
     assert (rc, _stderr_shape(err)) == expected[unbuffered]
+    if case == "stderr-closed-orbit":
+        assert (tmp_path / "orbit.csv").read_text().count("\n") == 4002  # every row, then exit 0
 
 
 def test_script_target_is_the_entry_of_python_m():

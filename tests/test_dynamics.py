@@ -46,7 +46,6 @@ from orbit_reference import (
     closed_form_radius,
     coulomb_apsis_times,
     coulomb_polar_at,
-    fit_theta0,
     oscillator_apsis_times,
     oscillator_polar_at,
     orbit_residual,
@@ -78,6 +77,14 @@ def test_potential_values():
         potential(0.0, FLAT_KEPLER)
     with pytest.raises(RadiusError):
         potential(-1.0, FLAT_KEPLER)
+
+
+@pytest.mark.parametrize("r", [1e-170, np.array([1e-170]), np.array([1.0, 1e-170])],
+                         ids=["float", "array", "array-mixed"])
+def test_potential_refuses_a_radius_whose_square_underflows(r):
+    # r > 0 but r*r rounds to 0, where k/r**2 would divide by zero
+    with pytest.raises(RadiusError):
+        potential(r, SystemParams(SystemKind.COULOMB, 0.0, 0.05))
 
 
 def test_pi_vector():
@@ -591,19 +598,24 @@ def test_integrated_orbit_matches_closed_form_flat_screened():
     assert dev_ode < 1e-6
 
 
-# --- theta0 fitting ----------------------------------------------------------
+# --- theta0 from the start state ---------------------------------------------
 
-def test_fit_theta0_circular_returns_zero():
+def _theta0(traj, params) -> float:
+    return OrbitShape.from_state(traj.state_at(0.0), params).theta0
+
+
+def test_theta0_circular_returns_zero():
+    # x.p = 0 and w*la2 = c0 at every point: u0 = atan2(0, 0) = 0 by convention
     traj = integrate(PhaseState(1.0, 0.0, 0.0, 1.0), FLAT_KEPLER, 20.0, rel_tol=1e-10)
-    assert fit_theta0(traj, FLAT_KEPLER) == 0.0
+    assert _theta0(traj, FLAT_KEPLER) == 0.0
 
 
-def test_fit_theta0_perihelion_launch():
+def test_theta0_perihelion_launch():
     traj = integrate(flat_ellipse_state(), FLAT_KEPLER, 30.0, rel_tol=1e-11, n_samples=6001)
-    assert abs(fit_theta0(traj, FLAT_KEPLER)) < 1e-8
+    assert _theta0(traj, FLAT_KEPLER) == 0.0
 
 
-def test_fit_theta0_rotational_covariance():
+def test_theta0_rotational_covariance():
     beta = 0.7
     st = flat_ellipse_state()
     c, s = math.cos(beta), math.sin(beta)
@@ -614,30 +626,30 @@ def test_fit_theta0_rotational_covariance():
         st.p1 * s + st.p2 * c,
     )
     traj = integrate(rotated, FLAT_KEPLER, 30.0, rel_tol=1e-11, n_samples=6001)
-    assert fit_theta0(traj, FLAT_KEPLER) == pytest.approx(beta, abs=1e-8)
+    assert _theta0(traj, FLAT_KEPLER) == pytest.approx(beta, abs=1e-14)
 
 
-def test_fit_theta0_rotated_screened_oscillator(oscillator_params):
-    # a perihelion launch turned by beta: the closed form's theta0 is beta modulo pi/alpha
+def test_theta0_rotated_screened_oscillator(oscillator_params):
+    # a perihelion launch turned by beta: the closed form's theta0 is beta itself
     beta = 1.1
     c, s = math.cos(beta), math.sin(beta)
     rotated = PhaseState(0.8 * c, 0.8 * s, -1.2 * s, 1.2 * c)
     traj = integrate(rotated, oscillator_params, 40.0, rel_tol=1e-10, n_samples=6001)
     assert traj.turning_points[0].kind is TurningKind.PERIHELION
-    period = math.pi / orbit_alpha(oscillator_params, 0.8 * 1.2)
-    theta0 = fit_theta0(traj, oscillator_params)
-    assert abs((theta0 - beta + 0.5 * period) % period - 0.5 * period) < 1e-8
+    assert _theta0(traj, oscillator_params) == pytest.approx(beta, abs=1e-14)
 
 
-def test_fit_theta0_without_turning_point(coulomb_params):
-    # an inbound arc that ends before its perihelion: the linear fit needs no apsis
-    traj = integrate(PhaseState(1.6, 0.0, -0.1, 0.55), coulomb_params, 1.0,
-                     rel_tol=1e-10, n_samples=201)
-    assert traj.turning_points == [] and not traj.circular
-    assert math.isfinite(fit_theta0(traj, coulomb_params))
-    dev_cf, dev_ode = orbit_residual(traj, coulomb_params)
-    assert dev_cf < 1e-6
-    assert dev_ode < 1e-6
+def test_theta0_without_turning_point(coulomb_params):
+    # inbound arcs that end before their perihelion: the start's phase needs no apsis, and
+    # sign(Lz) turns it for the clockwise one
+    for py in (0.55, -0.55):
+        traj = integrate(PhaseState(1.6, 0.0, -0.1, py), coulomb_params, 1.0,
+                         rel_tol=1e-10, n_samples=201)
+        assert traj.turning_points == [] and not traj.circular
+        assert math.isfinite(_theta0(traj, coulomb_params))
+        dev_cf, dev_ode = orbit_residual(traj, coulomb_params)
+        assert dev_cf < 1e-6
+        assert dev_ode < 1e-6
 
 
 _RESIDUAL_PROBE = """
@@ -682,7 +694,7 @@ def test_orbit_residual_wrong_screening_detected(coulomb_orbit, coulomb_params):
         E=hamiltonian(st0, coulomb_params),
         lz=float(coulomb_orbit.Lz[0]),
         alpha=orbit_alpha(wrong, float(coulomb_orbit.Lz[0])),
-        theta0=fit_theta0(coulomb_orbit, coulomb_params),
+        theta0=_theta0(coulomb_orbit, coulomb_params),
     )
     dev_cf, _ = orbit_residual(coulomb_orbit, wrong, shape=shape)
     assert dev_cf > 1e-2
@@ -881,30 +893,6 @@ def test_curvature_shift_traces_same_projected_orbit():
     assert np.max(np.abs(r1 - r2) / r1) < 1e-6
 
 
-@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
-@pytest.mark.parametrize("kind,start,t_end,reference,count,bound", [
-    # 26.8 radial periods, starting at an aphelion; measured 129-216 x rel_tol
-    (SystemKind.COULOMB, (1.0, 0.0, 0.0, 0.55), 70.0, coulomb_apsis_times, 54, 500.0),
-    # measured 0.012-0.036 x rel_tol, the last at the rounding of t near 60
-    (SystemKind.OSCILLATOR, (1.0, 0.0, 0.3, 0.8), 60.0, oscillator_apsis_times, 38, 0.1),
-], ids=["coulomb", "oscillator"])
-def test_turning_times_match_the_exact_apsis_times_at_zero_curvature(
-        rel_tol, kind, start, t_end, reference, count, bound):
-    error = _turning_time_error(kind, start, 0.0, t_end, rel_tol, reference, count)
-    assert error <= bound * rel_tol
-
-
-def _turning_time_error(kind, start, lam, t_end, rel_tol, reference, count):
-    """The worst |t - t_exact| over an orbit's turning points, once their count and kinds are
-    checked against the exact apsides of ``reference``."""
-    state, params = PhaseState(*start), SystemParams(kind, lam, 0.05)
-    exact = reference(state, params, t_end)
-    points = integrate(state, params, t_end, rel_tol=rel_tol, n_samples=2).turning_points
-    assert len(exact) == count
-    assert [p.kind.value for p in points] == [kind for _, kind in exact]
-    return max(abs(p.t - t) for p, (t, _) in zip(points, exact))
-
-
 @pytest.mark.parametrize("kind,start,t_end,reference", [
     (SystemKind.COULOMB, (1.0, 0.0, 0.0, 0.55), 70.0, coulomb_apsis_times),
     (SystemKind.COULOMB, (1.2, 0.3, 0.2, -0.6), 40.0, coulomb_apsis_times),
@@ -924,20 +912,31 @@ def test_sphere_apsis_times_reduce_to_the_flat_laws_at_zero_curvature(kind, star
     assert max(abs(a - b) for (a, _), (b, _) in zip(exact, flat)) <= 4 * math.ulp(t_end)
 
 
-@pytest.mark.parametrize("kind,start,t_end,lam,count,bound", [
-    # the fixtures of the zero-curvature test, rel_tol 1e-10; measured 127 x rel_tol
-    (SystemKind.COULOMB, (1.0, 0.0, 0.0, 0.55), 70.0, 0.1, 57, 500.0),
-    # measured 112 x rel_tol
-    (SystemKind.COULOMB, (1.0, 0.0, 0.0, 0.55), 70.0, 1.0, 83, 500.0),
-    # measured 0.038 x rel_tol
-    (SystemKind.OSCILLATOR, (1.0, 0.0, 0.3, 0.8), 60.0, 0.1, 41, 0.2),
-    # measured 0.63 x rel_tol
-    (SystemKind.OSCILLATOR, (1.0, 0.0, 0.3, 0.8), 60.0, 1.0, 71, 2.0),
-], ids=["coulomb-0.1", "coulomb-1", "oscillator-0.1", "oscillator-1"])
-def test_turning_times_match_the_exact_apsis_times_on_the_sphere(kind, start, t_end, lam, count,
-                                                                 bound):
-    error = _turning_time_error(kind, start, lam, t_end, 1e-10, sphere_apsis_times, count)
-    assert error <= bound * 1e-10
+_REL_TOLS = (1e-8, 1e-10, 1e-12)
+_APSIS_FIXTURES = {SystemKind.COULOMB: ((1.0, 0.0, 0.0, 0.55), 70.0),
+                   SystemKind.OSCILLATOR: ((1.0, 0.0, 0.3, 0.8), 60.0)}
+
+
+@pytest.mark.parametrize("kind,lam,rel_tol,count,bound", [
+    # 26.8 radial periods at lam = 0, starting at an aphelion; measured 129-216 x rel_tol
+    *((SystemKind.COULOMB, 0.0, rel_tol, 54, 500.0) for rel_tol in _REL_TOLS),
+    (SystemKind.COULOMB, 0.1, 1e-10, 57, 500.0),  # measured 127 x rel_tol
+    (SystemKind.COULOMB, 1.0, 1e-10, 83, 500.0),  # measured 112 x rel_tol
+    # measured 0.012-0.028 x rel_tol at lam = 0
+    *((SystemKind.OSCILLATOR, 0.0, rel_tol, 38, 0.1) for rel_tol in _REL_TOLS),
+    (SystemKind.OSCILLATOR, 0.1, 1e-10, 41, 0.2),  # measured 0.038 x rel_tol
+    (SystemKind.OSCILLATOR, 1.0, 1e-10, 71, 2.0),  # measured 0.63 x rel_tol
+], ids=["coulomb-0-1e-08", "coulomb-0-1e-10", "coulomb-0-1e-12", "coulomb-0.1", "coulomb-1",
+        "oscillator-0-1e-08", "oscillator-0-1e-10", "oscillator-0-1e-12", "oscillator-0.1",
+        "oscillator-1"])
+def test_turning_times_match_the_exact_apsis_times_on_the_sphere(kind, lam, rel_tol, count, bound):
+    (start, t_end), params = _APSIS_FIXTURES[kind], SystemParams(kind, lam, 0.05)
+    state = PhaseState(*start)
+    exact = sphere_apsis_times(state, params, t_end)
+    points = integrate(state, params, t_end, rel_tol=rel_tol, n_samples=2).turning_points
+    assert len(exact) == count
+    assert [p.kind.value for p in points] == [k for _, k in exact]
+    assert max(abs(p.t - t) for p, (t, _) in zip(points, exact)) <= bound * rel_tol
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])

@@ -1,14 +1,16 @@
 """Symbolic oracle: the Higgs-algebra identities proved exactly, the
-analytic gradient kernels checked against sympy derivatives, and the
-coulomb ground state and the lowest oscillator states proved exact
-eigenstates of the radial operator."""
+analytic gradient kernels proved equal to sympy derivatives on symbols and
+checked on sampled states, and the coulomb ground state and the lowest
+oscillator states proved exact eigenstates of the radial operator."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from screened_sphere import conserved, phase_space
 from screened_sphere.conserved import (
     FRADKIN_1,
     FRADKIN_XY,
@@ -83,6 +85,25 @@ def test_gradient_kernels_match_symbolic_derivatives(kind, cases):
         want = np.array(exact(*z, params.lam, params.k))
         got = np.array(obs.gradient(*z, params))
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), obs.name
+
+
+@pytest.mark.parametrize("kind,h,pair,values,gradients", [
+    (SystemKind.COULOMB, H_COULOMB, (RX, RY), conserved._runge_lenz_pair,
+     conserved._runge_lenz_gradients),
+    (SystemKind.OSCILLATOR, H_OSCILLATOR, (QXY, Q1), conserved._fradkin_pair,
+     conserved._fradkin_gradients),
+], ids=["coulomb", "oscillator"])
+def test_kernels_on_symbols_are_the_symbolic_values_and_derivatives(monkeypatch, kind, h, pair,
+                                                                    values, gradients):
+    # the production kernels themselves, run on sympy symbols with a symbolic lam and k, expand
+    # to exactly the values and derivatives of H, R' and Q'
+    monkeypatch.setattr(phase_space, "kernel_sqrt", sp.sqrt)
+    monkeypatch.setattr(conserved, "kernel_sqrt", sp.sqrt)
+    params, z = types.SimpleNamespace(kind=kind, lam=LAM, k=K), (X, Y, PX, PY)
+    got = [*phase_space.h_gradient(*z, params), *values(*z, params),
+           *(d for gradient in gradients(*z, params) for d in gradient)]
+    want = [*(sp.diff(h, v) for v in z), *pair, *(sp.diff(e, v) for e in pair for v in z)]
+    assert [sp.expand(g - w) for g, w in zip(got, want)] == [0] * len(want)
 
 
 # --- the paper's theorem: conservation at the apsides --------------------------
