@@ -312,7 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, a subparser per command with its options from ``_OPTIONS``.  The
     metavar names the command argument in the errors for a missing or an unknown command."""
     import argparse
-    parser = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):  # subparsers are made of the same class
+        def error(self, message):
+            """argparse's usage and error lines through ``_report``, which leaves no bytes of a
+            refused write for the interpreter's final flush; then exit 2."""
+            _report(self.format_usage() + f"{self.prog}: error: {message}")
+            raise SystemExit(2)
+
+    parser = Parser(
         prog="screened-sphere",
         description="Screened Coulomb/oscillator systems on a sphere: orbits, brackets, spectra.",
     )

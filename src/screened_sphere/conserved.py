@@ -23,6 +23,8 @@ together with Lz they close into a polynomial deformation of SO(3)/SU(2)
 The quadratic identities drop the quantum operator-ordering constant
 (+lam/4 in the coulomb commutator); the finite-difference bracket mode
 exists to pin those constants independently of the analytic gradients.
+``tests/test_symbolic.py`` proves these identities exact on the kernels
+below, run on sympy symbols, together with {R', H} = {Q', H} = 0 at rdot = 0.
 
 Brackets {f, g} = sum_i (df/dx_i * dg/dp_i - df/dp_i * dg/dx_i) are
 pointwise in the gradients, so they batch.  An ``Observable`` is its two
@@ -417,6 +419,12 @@ class TurningConservationReport(namedtuple(
         }
 
 
+def _brackets_with_h(algebra: _Algebra, params: SystemParams, z):
+    """({A, H}, {B, H}) of the algebra's pair at states ``z`` (floats, or rows of arrays)."""
+    g_h = h_gradient(*z, params)
+    return tuple(_bracket(g, g_h) for g in algebra.gradients(*z, params))
+
+
 def turning_point_conservation(traj: dynamics.Trajectory) -> TurningConservationReport:
     """Evaluate {quantity, H} along a trajectory, under its own params, at and away from rdot = 0."""
     import numpy as np
@@ -429,14 +437,10 @@ def turning_point_conservation(traj: dynamics.Trajectory) -> TurningConservation
             + (" (orbit is circular)" if traj.circular else "")
         )
 
-    def brackets_with_h(z):
-        g_h = h_gradient(*z, params)
-        return np.stack([_bracket(g, g_h) for g in algebra.gradients(*z, params)], axis=1)
-
     z_turning = np.array([p.state for p in points]).T
-    at_turning = brackets_with_h(z_turning)
+    at_turning = np.stack(_brackets_with_h(algebra, params, z_turning), axis=1)
     values = np.stack(algebra.values(*z_turning, params), axis=1)
-    generic = np.max(np.abs(brackets_with_h(traj.states.T)))
+    generic = np.max(np.abs(_brackets_with_h(algebra, params, traj.states.T)))
     return TurningConservationReport(
         quantity_names=algebra.names,
         n_turning_points=len(points),

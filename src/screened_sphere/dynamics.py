@@ -76,7 +76,7 @@ from .errors import (
     StiffnessError,
 )
 from .phase_space import (_H_GRAD, _H_LINES, _H_PARAMS, MAX_SAMPLES, PhaseState, check_radius,
-                          h_gradient, h_value, lz_value)
+                          h_gradient, h_value, kernel_sqrt, lz_value)
 
 R_MIN_GUARD = 1e-8          # terminate near-collision orbits
 CHART_EDGE_GUARD = 1e12     # terminate orbits with lam*r**2 = tan(chi)**2 beyond this
@@ -235,7 +235,7 @@ def _rdot(y, lam: float):
     """rdot = (x.p) * (1 + lam*r**2)**2 / r of states ``y`` (columns x1, x2, p1, p2)."""
     x1, x2, p1, p2 = y
     r2 = x1 * x1 + x2 * x2
-    return (x1 * p1 + x2 * p2) * (1.0 + lam * r2) ** 2 / np.sqrt(r2)
+    return (x1 * p1 + x2 * p2) * (1.0 + lam * r2) ** 2 / kernel_sqrt(r2)
 
 
 # --- DOP853 ----------------------------------------------------------------

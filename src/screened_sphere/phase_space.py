@@ -35,16 +35,23 @@ class PhaseState(namedtuple("PhaseState", "x1 x2 p1 p2")):
         return cls(float(y[0]), float(y[1]), float(y[2]), float(y[3]))
 
 
+def v_value(r, params: SystemParams):
+    """V(r) = -1/r (coulomb) or r**2/2 (oscillator), minus k/r**2, unchecked: the one
+    definition, on floats, arrays and symbols alike."""
+    r2 = r * r  # numpy's r**2 is r*r; a float ** calls pow, which need not be
+    return (-1.0 / r if params.kind is SystemKind.COULOMB else 0.5 * r2) - params.k / r2
+
+
 def potential(r, params: SystemParams):
     """V(r) for the given system on a float or an array; r must be positive (singular at
     r = 0), and an r whose square underflows to 0 is refused alike."""
     if array := not isinstance(r, (float, int)):
         import numpy as np
         r = np.asarray(r, dtype=float)
-    r2 = r * r  # numpy's r**2 is r*r; a float ** calls pow, which need not be
+    r2 = r * r
     if ((r <= 0.0) | (r2 == 0.0)).any() if array else r <= 0.0 or r2 == 0.0:
         raise RadiusError("potential requires r > 0")
-    v = (-1.0 / r if params.kind is SystemKind.COULOMB else 0.5 * r2) - params.k / r2
+    v = v_value(r, params)
     return v if array and v.ndim else float(v)
 
 
@@ -84,11 +91,11 @@ def lz_gradient(x1, x2, p1, p2, params: SystemParams | None = None):
 
 
 def h_value(x1, x2, p1, p2, params: SystemParams):
-    """H = (1 + lam*r**2) * (p**2 + lam*(x.p)**2) / 2 + V(r)."""
+    """H = (1 + lam*r**2) * (p**2 + lam*(x.p)**2) / 2 + V(r), r unchecked."""
     r2 = x1 * x1 + x2 * x2
     s = x1 * p1 + x2 * p2
     psq = p1 * p1 + p2 * p2
-    return 0.5 * (1.0 + params.lam * r2) * (psq + params.lam * s * s) + potential(
+    return 0.5 * (1.0 + params.lam * r2) * (psq + params.lam * s * s) + v_value(
         kernel_sqrt(r2), params
     )
 

@@ -1261,6 +1261,10 @@ _STDOUT_GONE = {
     # `2</dev/null` leaves a stderr that refuses writes; buffered, the refused bytes must not
     # stay behind for the interpreter's final flush, which would end in status 120
     "stderr-unwritable-domain-error": (_IMAGINARY_ALPHA, (3, ""), (3, "")),
+    # the usage and error lines of a usage error, one argparse finds and one ``main`` raises,
+    # are lost alike, and the status stays 2
+    "stderr-unwritable-usage-error": (["closure", "--bogus"], (2, ""), (2, "")),
+    "stderr-unwritable-usage-error-main": (["closure", "--system", "coulomb"], (2, ""), (2, "")),
 }
 
 
