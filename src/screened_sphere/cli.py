@@ -101,7 +101,7 @@ def _write_output(path: str, text: str) -> None:
     Stdout with a binary ``buffer`` takes the encoded text through it until every byte
     is written: unbuffered (``PYTHONUNBUFFERED``), that buffer is the raw file, whose
     short write the text layer would let pass, dropping the rest."""
-    chunks = (text[i:i + 2**20] for i in range(0, len(text), 2**20))  # never encoded whole
+    chunks = (text[i:i + 2**18] for i in range(0, len(text), 2**18))  # never encoded whole
     if path == "-":
         out = sys.stdout
         if out is None:  # `>&-` leaves no stdout

@@ -321,6 +321,14 @@ def _sample_batch(params: SystemParams, n: int, seed: int):
     return np.concatenate(blocks, axis=1)[:, :n]
 
 
+def _sample(params: SystemParams, n: int, seed: int, floats: bool = True):
+    """The sampled states: float tuples from ``_sample_floats`` if ``floats``, n is at most
+    ``_FLOAT_PATH_MAX`` and that path finds them, else the (4, n) array of ``_sample_batch``,
+    which finds the same states."""
+    return (floats and n <= _FLOAT_PATH_MAX and _sample_floats(params, n, seed)
+            or _sample_batch(params, n, seed))
+
+
 # --- algebra identities -----------------------------------------------------
 
 def _residuals(algebra: _Algebra, params: SystemParams, z, gradients=None):
@@ -360,14 +368,12 @@ def _verify_pair(kind, params, n_samples, seed, method):
     if method not in ("analytic", "fd"):  # this and the system are checked before any draw
         raise DomainError(f"unknown bracket method {method!r}")
     _require(params, kind, "R'" if kind is SystemKind.COULOMB else "Q'")
-    states = (method == "analytic" and n_samples <= _FLOAT_PATH_MAX
-              and _sample_floats(params, n_samples, seed))
-    if states:
+    z = _sample(params, n_samples, seed, method == "analytic")
+    if isinstance(z, list):
         residuals = [list(map(abs, res))
-                     for res in zip(*(_residuals(algebra, params, z) for z in states))]
+                     for res in zip(*(_residuals(algebra, params, state) for state in z))]
     else:
         import numpy as np
-        z = _sample_batch(params, n_samples, seed)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked in _report
             if method == "analytic":
                 residuals = _residuals(algebra, params, z)

@@ -570,12 +570,21 @@ def integrate(
     lz = lz_value(x1, x2, p1, p2)
 
     bound = 10.0 * rel_tol
-    h_drift = float(np.max(np.abs(h - h[0]))) / max(1.0, abs(float(h[0])))
-    lz_drift = float(np.max(np.abs(lz - lz[0]))) / max(1.0, abs(float(lz[0])))
+    h_scale, lz_scale = max(1.0, abs(float(h[0]))), max(1.0, abs(float(lz[0])))
+    h_drift = float(np.max(np.abs(h - h[0]))) / h_scale
+    lz_drift = float(np.max(np.abs(lz - lz[0]))) / lz_scale
     if h_drift > bound or lz_drift > bound:
+        # which error broke the gate: the solver's, if its accepted steps drift as far as the
+        # samples, else the interpolant's between them
+        worst = int(np.argmax(np.maximum(np.abs(h - h[0]) / h_scale,
+                                         np.abs(lz - lz[0]) / lz_scale)))
+        step_h, step_lz = h_value(*dense.steps, params), lz_value(*dense.steps)
         raise AccuracyError(
             f"conservation drift exceeds 10x tolerance: "
-            f"dH = {h_drift:.3e}, dLz = {lz_drift:.3e}, bound = {bound:.3e}"
+            f"dH = {h_drift:.3e}, dLz = {lz_drift:.3e}, bound = {bound:.3e}; "
+            f"worst sample t = {t[worst]:.6g}, r = {r[worst]:.3g}; on the {dense.h.size} "
+            f"accepted steps dH = {float(np.max(np.abs(step_h - h[0]))) / h_scale:.3e}, "
+            f"dLz = {float(np.max(np.abs(step_lz - lz[0]))) / lz_scale:.3e}"
         )
 
     points, circular = _turning_points(dense, params)

@@ -1,15 +1,17 @@
-"""Golden digests of CLI runs, and the script that regenerates them.
+"""Golden digests of CLI runs, the one harness that runs and compares them, and the script
+that regenerates them.
 
-Each argv in ``golden/argv.json`` runs in-process through ``cli.main`` in
-an empty directory; its record in ``golden/digests.json`` holds the exit
-status and, for stdout, stderr and every file written, the SHA-256 of the
-bytes and a 16-bit fingerprint per line (base64), so that a mismatch can
-name its first differing line.  ``run_process`` runs an argv through
-``python -m screened_sphere.cli`` instead, to check the same record.  The
-numpy version and the CPU model are stored beside the records: the dense
-output runs a numpy matmul, whose last digits may depend on both.  The
-``spectrum --numeric`` levels take no numpy: their bits come from libm's
-``sin`` and ``tan`` and from dstebz in the OpenBLAS that scipy ships.
+Each argv in ``golden/argv.json`` runs in-process through ``cli.main`` in an empty directory;
+its record in ``golden/digests.json`` holds the exit status and, for stdout, stderr and every
+file written, the SHA-256 of the bytes and a 16-bit fingerprint per line (base64), so that a
+mismatch can name its first differing line.  ``run`` (in-process) and ``run_process`` (a fresh
+interpreter, under any ``src``) return the same ``(rc, outputs)`` record, which ``record`` and
+``mismatch`` compare; ``child_env`` is the environment of every child the tests start, and
+``load_argv`` yields the golden argv, with the benchmark workloads' argv at seeds 1-5 if asked.
+The numpy version and the CPU model are stored beside the records: the dense output runs a
+numpy matmul, whose last digits may depend on both.  The ``spectrum --numeric`` levels take no
+numpy: their bits come from libm's ``sin`` and ``tan`` and from dstebz in the OpenBLAS that
+scipy ships.
 
     PYTHONPATH=src python tests/golden_digests.py [NAME ...]
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -35,9 +38,10 @@ from pathlib import Path
 
 import numpy as np
 
-from screened_sphere.cli import main
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+SRC = ROOT / "src"
+SEEDS = range(1, 6)  # the workload seeds of load_argv
 
 
 def host() -> dict:
@@ -50,16 +54,32 @@ def host() -> dict:
     return {"numpy": np.__version__, "cpu": cpu}
 
 
-def run(argv: list[str], directory: Path) -> tuple[int, dict[str, bytes]]:
-    """(rc, outputs) of ``main(argv)`` run inside the empty ``directory``; outputs maps
-    "stdout", "stderr" and the name of each file written to its bytes."""
+def child_env(src: Path = SRC, unbuffered: bool = False, paths=(), **extra: str) -> dict:
+    """The environment of a child process: ``src`` and then ``paths`` on PYTHONPATH, stdio
+    buffered as by default unless ``unbuffered`` (whatever PYTHONUNBUFFERED is here), and
+    the ``extra`` variables."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(map(str, [src, *paths]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return {**env, **extra}
+
+
+def run(argv: list[str], directory: Path, entry=None) -> tuple[int, dict[str, bytes]]:
+    """(rc, outputs) of ``entry(argv)``, by default ``cli.main``, run inside the empty
+    ``directory``, made if missing; outputs maps "stdout", "stderr" and the name of each file
+    written to its bytes."""
+    if entry is None:
+        from screened_sphere.cli import main as entry
+
     out, err = io.StringIO(), io.StringIO()
+    Path(directory).mkdir(parents=True, exist_ok=True)
     cwd = os.getcwd()
     os.chdir(directory)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                rc = main(argv)
+                rc = entry(argv)
             except SystemExit as exc:
                 rc = exc.code
     finally:
@@ -67,19 +87,20 @@ def run(argv: list[str], directory: Path) -> tuple[int, dict[str, bytes]]:
     return rc, _outputs(out.getvalue().encode(), err.getvalue().encode(), directory)
 
 
-def run_process(argv: list[str], directory: Path) -> tuple[int, dict[str, bytes]]:
-    """``run`` through ``python -m screened_sphere.cli`` in a fresh interpreter, with stdio
-    buffered as by default."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(GOLDEN.parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-m", "screened_sphere.cli", *argv], cwd=directory,
-                          env=env, capture_output=True, timeout=120)
+def run_process(argv: list[str], directory: Path, src: Path = SRC, *,
+                entry=("-m", "screened_sphere.cli"), timeout: float = 60.0,
+                **extra: str) -> tuple[int, dict[str, bytes]]:
+    """``run`` in a fresh interpreter started as ``python *entry *argv`` under ``src`` (see
+    ``child_env`` for ``extra``); a hang fails at ``timeout``."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    proc = subprocess.run([sys.executable, *entry, *argv], cwd=directory,
+                          env=child_env(src, **extra), capture_output=True, timeout=timeout)
     return proc.returncode, _outputs(proc.stdout, proc.stderr, directory)
 
 
 def _outputs(stdout: bytes, stderr: bytes, directory: Path) -> dict[str, bytes]:
     outputs = {"stdout": stdout, "stderr": stderr}
-    outputs.update((p.name, p.read_bytes()) for p in sorted(directory.iterdir()))
+    outputs.update((p.name, p.read_bytes()) for p in sorted(Path(directory).iterdir()))
     return outputs
 
 
@@ -117,8 +138,32 @@ def mismatch(rc: int, outputs: dict[str, bytes], golden: dict) -> str | None:
     return None
 
 
-def load_argv() -> list[dict]:
-    return json.loads((GOLDEN / "argv.json").read_text())
+def load_argv(workloads: bool = False) -> list[dict]:
+    """The ops ({"name", "argv"}) of ``golden/argv.json``, then, if ``workloads``, each argv
+    that ``perfbench/workloads.generate`` gives a benchmark workload at ``SEEDS`` and no op
+    before it has, named ``<workload>-<seed>-op<i>-<command>``.  A workload argv loses the
+    ``./`` of its output paths, as ``golden/argv.json`` has them; ``perfbench/`` gets no
+    bytecode."""
+    ops = json.loads((GOLDEN / "argv.json").read_text())
+    if not workloads:
+        return ops
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    seen = {tuple(op["argv"]) for op in ops}
+    for workload in module.WORKLOADS:
+        for seed in SEEDS:
+            for i, op in enumerate(module.generate(workload, seed, ".")):
+                argv = [a.removeprefix("./") for a in op.argv]
+                if tuple(argv) not in seen:
+                    seen.add(tuple(argv))
+                    ops.append({"name": f"{workload}-{seed}-op{i:02d}-{argv[0]}", "argv": argv})
+    return ops
 
 
 def regenerate(names: list[str]) -> None:

@@ -14,5 +14,5 @@ from screened_sphere.phase_space import PhaseState
 def sample_states(params, n: int, seed: int = 0) -> list[PhaseState]:
     """``n`` states for ``seed``; raises as the algebra checks do before any draw."""
     conserved._check_sampling(params, n, seed)
-    states = n <= conserved._FLOAT_PATH_MAX and conserved._sample_floats(params, n, seed)
-    return [PhaseState(*z) for z in states or conserved._sample_batch(params, n, seed).T.tolist()]
+    states = conserved._sample(params, n, seed)
+    return [PhaseState(*z) for z in (states if isinstance(states, list) else states.T.tolist())]

@@ -12,6 +12,7 @@ import site
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -20,29 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden_digests import ROOT, SRC, child_env, run_process
+from golden_digests import run as run_main
 from screened_sphere.cli import (_OPTIONS, _json, _read_args, _write_output, build_parser, main,
                                  run)
 from screened_sphere.errors import AccuracyError
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def _env(unbuffered: bool = False) -> dict:
-    """The environment of a fresh CLI process: this package on the path, and stdio
-    buffered as by default unless ``unbuffered`` (whatever PYTHONUNBUFFERED is here)."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(SRC)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    return env
-
-
-def run_cli(*argv: str, timeout: float = 60.0, cwd=None) -> subprocess.CompletedProcess:
-    """Run the CLI in a fresh interpreter; a hang fails the test at ``timeout``."""
-    return subprocess.run(
-        [sys.executable, "-m", "screened_sphere.cli", *argv],
-        env=_env(), capture_output=True, text=True, timeout=timeout, cwd=cwd,
-    )
 
 
 def test_orbit_command_writes_trajectory_and_detects_closure(tmp_path, capsys):
@@ -249,12 +232,13 @@ def test_usage_error_exit_codes(capsys):
     (["brackets", "--samples", "10"], "missing --system"),
     (["spectrum", "--m", "1,2", "--numeric"], "missing --system"),
 ])
-def test_missing_flag_usage_lists_every_command(argv, message):
+def test_missing_flag_usage_lists_every_command(tmp_path, argv, message):
     # the run builds only its own command's subparser; the usage line still lists all five
-    proc = run_cli(*argv)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == ("usage: screened-sphere [-h] {orbit,closure,turning,brackets,spectrum}"
-                           f" ...\nscreened-sphere: error: {message}\n")
+    rc, out = run_process(argv, tmp_path)
+    assert (rc, out["stdout"]) == (2, b"")
+    assert out["stderr"].decode() == ("usage: screened-sphere [-h] "
+                                      "{orbit,closure,turning,brackets,spectrum} ...\n"
+                                      f"screened-sphere: error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -268,36 +252,35 @@ def test_missing_flag_usage_lists_every_command(argv, message):
         (["--k", "0.05", "--seed", "-1"], "ERR_DOMAIN:"),
     ],
 )
-def test_brackets_sampler_terminates_with_code(argv, code):
-    proc = run_cli("brackets", "--system", "coulomb", "--lambda", "0", *argv)
-    assert proc.returncode == 3
-    assert proc.stderr.startswith(code)
+def test_brackets_sampler_terminates_with_code(tmp_path, argv, code):
+    rc, out = run_process(["brackets", "--system", "coulomb", "--lambda", "0", *argv], tmp_path)
+    assert rc == 3
+    assert out["stderr"].startswith(code.encode())
 
 
-def test_brackets_sampler_refuses_a_hopeless_request_without_drawing_to_the_cap():
+def test_brackets_sampler_refuses_a_hopeless_request_without_drawing_to_the_cap(tmp_path):
     # the cap allows 10**9 candidates here; drawing them took minutes, and none passes
-    proc = run_cli("brackets", "--system", "coulomb", "--lambda", "0", "--k", "35.99",
-                   "--samples", "1000000", timeout=20.0)
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("ERR_IMAGINARY_ALPHA: found 0 of 1000000 states")
+    rc, out = run_process(["brackets", "--system", "coulomb", "--lambda", "0", "--k", "35.99",
+                           "--samples", "1000000"], tmp_path, timeout=20.0)
+    assert rc == 3
+    assert out["stderr"].startswith(b"ERR_IMAGINARY_ALPHA: found 0 of 1000000 states")
 
 
 def test_brackets_sampler_finds_a_low_yield_request_past_the_yield_check(tmp_path):
     # about 8e-4 of the candidates pass at k = 26, so 1000 states take more than the 2**20
     # candidates after which the sampler may refuse a request for its yield
-    out = tmp_path / "brackets.json"
-    proc = run_cli("brackets", "--system", "coulomb", "--lambda", "0", "--k", "26",
-                   "--samples", "1000", "--out", str(out))
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert all(r["n_samples"] == 1000 for r in json.loads(out.read_text()))
+    rc, out = run_process(["brackets", "--system", "coulomb", "--lambda", "0", "--k", "26",
+                           "--samples", "1000", "--out", "brackets.json"], tmp_path)
+    assert (rc, out["stderr"]) == (0, b"")
+    assert all(r["n_samples"] == 1000 for r in json.loads(out["brackets.json"]))
 
 
 @pytest.mark.parametrize("command,t_end", [("turning", "inf"), ("orbit", "nan"), ("turning", "0")])
-def test_non_finite_t_end_rejected(command, t_end):
-    proc = run_cli(command, "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
-                   "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", t_end)
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("ERR_DOMAIN:")
+def test_non_finite_t_end_rejected(tmp_path, command, t_end):
+    rc, out = run_process([command, "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
+                           "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", t_end], tmp_path)
+    assert rc == 3
+    assert out["stderr"].startswith(b"ERR_DOMAIN:")
 
 
 @pytest.mark.parametrize("flag,value,code", [
@@ -307,11 +290,11 @@ def test_non_finite_t_end_rejected(command, t_end):
     # r**2 underflows in the gradient; the start is refused below the radius guard
     ("--x", "1e-300", "ERR_SINGULAR_ORBIT:"),
 ])
-def test_non_finite_orbit_ends_with_code(flag, value, code):
-    proc = run_cli("orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1",
-                   "--t-end", "1", flag, value, timeout=30.0)
-    assert proc.returncode == 3
-    assert proc.stderr.startswith(code), proc.stderr
+def test_non_finite_orbit_ends_with_code(tmp_path, flag, value, code):
+    rc, out = run_process(["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1",
+                           "--t-end", "1", flag, value], tmp_path, timeout=30.0)
+    assert rc == 3
+    assert out["stderr"].startswith(code.encode()), out["stderr"]
 
 
 @pytest.mark.parametrize("command", ["orbit", "turning"])
@@ -358,26 +341,27 @@ def test_huge_quantum_number_ends_in_a_code(capsys, flag):
 
 
 @pytest.mark.parametrize("system,lam", [("coulomb", "1e300"), ("oscillator", "1e150")])
-def test_overflowing_brackets_print_only_their_code_line(system, lam):
+def test_overflowing_brackets_print_only_their_code_line(tmp_path, system, lam):
     # a fresh process, since pytest would capture numpy's RuntimeWarnings in-process
-    proc = run_cli("brackets", "--system", system, "--lambda", lam, "--samples", "3")
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert re.fullmatch(r"ERR_ACCURACY: .+\n", proc.stderr), proc.stderr
+    rc, out = run_process(["brackets", "--system", system, "--lambda", lam, "--samples", "3"],
+                          tmp_path)
+    assert rc == 3
+    assert out["stdout"] == b""
+    assert re.fullmatch(rb"ERR_ACCURACY: .+\n", out["stderr"]), out["stderr"]
 
 
 @pytest.mark.parametrize("argv", [
     ["--system", "coulomb", "--lambda", "1e308", "--m", "1"],
     ["--system", "oscillator", "--lambda", "1e308", "--m", "1"],
 ])
-def test_overflowing_numeric_spectrum_prints_only_its_code_line(argv):
+def test_overflowing_numeric_spectrum_prints_only_its_code_line(tmp_path, argv):
     # the grid matrix overflows; numpy's RuntimeWarnings used to come before the code line.
     # m = 1 passes the m' >= 1/2 refusal, so the line is the overflow's own
-    proc = run_cli("spectrum", *argv, "--numeric")
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr == ("ERR_ACCURACY: tridiagonal eigensolver failed: array must not contain "
-                           "infs or NaNs\n")
+    rc, out = run_process(["spectrum", *argv, "--numeric"], tmp_path)
+    assert rc == 3
+    assert out["stdout"] == b""
+    assert out["stderr"] == (b"ERR_ACCURACY: tridiagonal eigensolver failed: array must not "
+                             b"contain infs or NaNs\n")
 
 
 # Near-radial coulomb starts (e ~ 0.99 and beyond) that end in a coded error today: py 0.1 in
@@ -433,21 +417,21 @@ def test_radial_oscillator_passes_r_0_between_its_aphelia(tmp_path, capsys, comm
         assert json.loads(out.read_text())["turning_kinds"] == ["aphelion"] * apsides
 
 
-def test_long_fast_orbit_hits_the_step_cap():
+def test_long_fast_orbit_hits_the_step_cap(tmp_path):
     # ~770 steps per time unit over 1e6 time units: the step cap ends it within seconds
-    proc = run_cli("orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1",
-                   "--t-end", "1e6", "--tol", "1e-6", "--lambda", "100", timeout=60.0)
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("ERR_STEP_BUDGET:"), proc.stderr
+    rc, out = run_process(["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1",
+                           "--t-end", "1e6", "--tol", "1e-6", "--lambda", "100"], tmp_path)
+    assert rc == 3
+    assert out["stderr"].startswith(b"ERR_STEP_BUDGET:"), out["stderr"]
 
 
-def test_trajectory_samples_are_capped():
+def test_trajectory_samples_are_capped(tmp_path):
     # 10**12 samples would need terabytes; the cap rejects them before allocating
-    proc = run_cli("orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
-                   "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", "10",
-                   "--trajectory-samples", "1000000000000")
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("ERR_DOMAIN: n_samples must be at most")
+    rc, out = run_process(["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
+                           "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", "10",
+                           "--trajectory-samples", "1000000000000"], tmp_path)
+    assert rc == 3
+    assert out["stderr"].startswith(b"ERR_DOMAIN: n_samples must be at most")
 
 
 def test_brackets_samples_are_capped(capsys):
@@ -506,8 +490,8 @@ def test_output_into_a_fifo_is_written_not_replaced(tmp_path, capsys):
 
 @pytest.mark.parametrize("target", ["file", "device", "stdout"])
 def test_output_is_written_a_chunk_at_a_time(tmp_path, monkeypatch, target):
-    # an encoded copy of the whole 16 MiB text would take 16 MiB more; 2**20-character
-    # chunks take about 2-3 MiB
+    # an encoded copy of the whole 16 MiB text would take 16 MiB more; 2**18-character
+    # chunks take about 0.5-0.75 MiB
     text = "0.12345678901234567,-1.5e-300,42\n" * (2**19 + 7)
     path = {"file": str(tmp_path / "out.csv"), "device": os.devnull, "stdout": "-"}[target]
     with open(tmp_path / "stdout", "w", encoding="utf-8") as stdout:
@@ -574,16 +558,14 @@ def test_format_and_gnuplot_are_usage_errors_where_unread(capsys, argv):
     ("brackets", ["--samples", "10"]),
     ("orbit", ["--x", "1", "--px", "0", "--py", "1", "--t-end", "1", "--trajectory-samples", "5"]),
 ])
-def test_config_format_and_gnuplot_keys_are_ignored_where_unread(tmp_path, capsys, monkeypatch,
-                                                                 command, flags):
+def test_config_format_and_gnuplot_keys_are_ignored_where_unread(tmp_path, command, flags):
     # one file can serve every command: keys of options the command lacks are ignored
     cfg = tmp_path / "run.cfg"
     cfg.write_text("system=coulomb\nk=0.05\nformat=json\n"
                    + ("" if command == "orbit" else "gnuplot=1\n"))
     plain = ["--system", "coulomb", "--k", "0.05", *flags]
-    from_config = _run_in(tmp_path / "a", [command, "--config", str(cfg), *flags], capsys,
-                          monkeypatch)
-    from_flags = _run_in(tmp_path / "b", [command, *plain], capsys, monkeypatch)
+    from_config = run_main([command, "--config", str(cfg), *flags], tmp_path / "a")
+    from_flags = run_main([command, *plain], tmp_path / "b")
     assert from_config[0] == 0
     assert from_config == from_flags
 
@@ -592,23 +574,18 @@ def test_traced_entry_point_writes_the_plain_outputs(tmp_path):
     # perfbench/traced.py wraps Trajectory.to_csv and cli._write_output in place and
     # counts the bytes of the text it is given, so both must keep their str interface
     argv = ["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
-            "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", "70"]
+            "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", "70",
+            "--out", "traj.csv", "--turning-out", "tp.json"]
     spans = tmp_path / "spans.json"
-    env = dict(os.environ, PYTHONPATH=str(SRC), PERFBENCH_SPANS=str(spans), PERFBENCH_OP="op00")
-    traced = subprocess.run(
-        [sys.executable, str(SRC.parent / "perfbench" / "traced.py"), *argv,
-         "--out", str(tmp_path / "traced.csv"), "--turning-out", str(tmp_path / "traced.json")],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert traced.returncode == 0, traced.stderr
-    plain = run_cli(*argv, "--out", str(tmp_path / "plain.csv"),
-                    "--turning-out", str(tmp_path / "plain.json"))
-    assert plain.returncode == 0, plain.stderr
-    assert (traced.stdout, traced.stderr) == (plain.stdout, plain.stderr)
-    outputs = [(tmp_path / f"traced.{ext}").read_bytes() for ext in ("csv", "json")]
-    assert outputs == [(tmp_path / f"plain.{ext}").read_bytes() for ext in ("csv", "json")]
+    traced = run_process(argv, tmp_path / "traced", entry=[str(ROOT / "perfbench" / "traced.py")],
+                         PERFBENCH_SPANS=str(spans), PERFBENCH_OP="op00")
+    assert traced[0] == 0, traced[1]["stderr"]
+    plain = run_process(argv, tmp_path / "plain")
+    assert plain[0] == 0, plain[1]["stderr"]
+    assert traced == plain  # stdout, stderr and both files
     written = [s for s in json.loads(spans.read_text())["spans"] if s["name"] == "_write_output"]
-    assert [s["attrs"]["bytes"] for s in written] == [len(b) for b in outputs]
+    assert [s["attrs"]["bytes"] for s in written] == [len(plain[1][f])
+                                                      for f in ("traj.csv", "tp.json")]
 
 
 _SCIPY_PROBE = """
@@ -637,15 +614,11 @@ print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswi
 """
 
 
-def _probe(argv: list, cwd: Path, clean: bool = False) -> subprocess.CompletedProcess:
+def _probe(argv: list, cwd: Path, clean: bool = False) -> tuple[int, dict[str, bytes]]:
     """``_SCIPY_PROBE`` on ``argv`` in a fresh interpreter; ``clean`` runs it under ``python -S``
     with site-packages appended to the path, so that no ``.pth`` hook imports modules first."""
-    return subprocess.run(
-        [sys.executable, *["-S"] * clean, "-c", _SCIPY_PROBE, json.dumps(argv),
-         json.dumps(site.getsitepackages() if clean else [])],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), cwd=cwd,
-        capture_output=True, text=True, timeout=60,
-    )
+    return run_process([json.dumps(argv), json.dumps(site.getsitepackages() if clean else [])],
+                       cwd, entry=[*["-S"] * clean, "-c", _SCIPY_PROBE])
 
 
 _SP_FLAGS = ["--system", "oscillator", "--lambda", "0.1", "--k", "0.05", "--m", "1,2", "--N", "0,1"]
@@ -674,9 +647,9 @@ def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
     batch = argv[:1] == ["brackets"] and ("fd" in argv or "4097" in argv)
     uses_numpy = bool(argv) and (argv[0] in ("orbit", "turning") or batch)
     for clean in (False, True):
-        proc = _probe(argv, tmp_path, clean)
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
+        rc, out = _probe(argv, tmp_path, clean)
+        assert rc == 0, out["stderr"]
+        report = json.loads(out["stdout"])
         assert report["rc"] == (0 if argv else None)
         # the grid oracle calls dstebz in scipy's OpenBLAS through ctypes, importing no scipy
         # module
@@ -700,11 +673,11 @@ def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
 
 def test_a_usage_error_loads_argparse_and_reports_through_it(tmp_path):
     argv = ["closure", "--system", "coulomb", "--lambda", "0.1"]
-    proc = _probe(argv, tmp_path)
-    report = json.loads(proc.stdout)
+    _, out = _probe(argv, tmp_path)
+    report = json.loads(out["stdout"])
     assert (report["rc"], report["argparse"], report["gettext"]) == (2, True, True)
-    assert proc.stderr == ("usage: screened-sphere [-h] {orbit,closure,turning,brackets,spectrum}"
-                           " ...\nscreened-sphere: error: closure requires --Lz\n")
+    assert out["stderr"] == (b"usage: screened-sphere [-h] {orbit,closure,turning,brackets,"
+                             b"spectrum} ...\nscreened-sphere: error: closure requires --Lz\n")
 
 
 @pytest.mark.parametrize("argv,error", [
@@ -727,9 +700,9 @@ def test_a_missing_or_unknown_command_is_named_by_the_command_list(capsys, argv,
 ], ids=["N=-1", "N=10"])
 def test_a_bad_radial_index_for_the_grid_oracle_names_n_and_loads_no_numpy(tmp_path, n, message):
     argv = ["spectrum", "--system", "coulomb", "--m", "1", "--N", n, "--numeric"]
-    proc = _probe(argv, tmp_path)
-    report = json.loads(proc.stdout)
-    assert (report["rc"], proc.stderr) == (3, f"ERR_DOMAIN: {message}\n")
+    _, out = _probe(argv, tmp_path)
+    report = json.loads(out["stdout"])
+    assert (report["rc"], out["stderr"].decode()) == (3, f"ERR_DOMAIN: {message}\n")
     assert report["numpy"] is False
 
 
@@ -740,11 +713,11 @@ def test_a_bad_radial_index_for_the_grid_oracle_names_n_and_loads_no_numpy(tmp_p
 ], ids=["m=0", "default-m", "mp=0.45"])
 def test_the_grid_oracle_refuses_m_prime_below_one_half_and_loads_no_numpy(tmp_path, flags):
     argv = ["spectrum", "--system", "coulomb", *flags, "--numeric"]
-    proc = _probe(argv, tmp_path)
-    report = json.loads(proc.stdout)
+    _, out = _probe(argv, tmp_path)
+    report = json.loads(out["stdout"])
     assert report["rc"] == 3
-    assert re.fullmatch(r"ERR_ACCURACY: the grid oracle needs m' >= 1/2, got m' = \S+ at m = "
-                        r"[01]\n", proc.stderr), proc.stderr
+    assert re.fullmatch(rb"ERR_ACCURACY: the grid oracle needs m' >= 1/2, got m' = \S+ at m = "
+                        rb"[01]\n", out["stderr"]), out["stderr"]
     assert report["numpy"] is False
 
 
@@ -759,22 +732,6 @@ def test_help_text_is_pinned(capsys, monkeypatch, command):
         main([command, "--help"] if command else ["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == HELP[command]
-
-
-def _files(directory: Path) -> dict:
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
-
-
-def _run_in(directory: Path, argv: list[str], capsys, monkeypatch):
-    """Run ``main`` inside ``directory``; return (rc, stdout, stderr, files written)."""
-    directory.mkdir()
-    monkeypatch.chdir(directory)
-    try:
-        rc = main(argv)
-    except SystemExit as exc:
-        rc = exc.code
-    out, err = capsys.readouterr()
-    return rc, out, err, _files(directory)
 
 
 ORBIT_FLAGS = ["--system", "oscillator", "--lambda", "0.1", "--k", "0.05", "--x", "1.5",
@@ -825,11 +782,11 @@ ORBIT_CONFIG = ("system=oscillator\nlambda=0.1\nk=0.05\nx=1.5\ny=0\npx=0\npy=0.6
           "--system", "coulomb"]),
     ],
 )
-def test_config_key_acts_like_its_flag(tmp_path, capsys, monkeypatch, command, config, flags):
+def test_config_key_acts_like_its_flag(tmp_path, command, config, flags):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
-    from_config = _run_in(tmp_path / "a", [command, "--config", str(cfg)], capsys, monkeypatch)
-    from_flags = _run_in(tmp_path / "b", [command, *flags], capsys, monkeypatch)
+    from_config = run_main([command, "--config", str(cfg)], tmp_path / "a")
+    from_flags = run_main([command, *flags], tmp_path / "b")
     assert from_config[0] == 0
     assert from_config == from_flags
 
@@ -929,15 +886,6 @@ def test_bad_quantum_number_list_is_a_usage_error(tmp_path, capsys, flag, value,
     assert f"argument {flag}: want comma-separated integers, got '{value}'" in errors[0]
 
 
-def _exit_code_and_output(argv, capsys):
-    try:
-        rc = main(argv)
-    except SystemExit as exc:
-        rc = exc.code
-    out = capsys.readouterr()
-    return rc, out.out, out.err
-
-
 @pytest.mark.parametrize("argv,flag,value,rc", [
     (["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--x", "1.6",
       "--py", "0.55", "--t-end", "3", "--trajectory-samples", "7"], "--px", "-1e-05", 0),
@@ -948,10 +896,10 @@ def _exit_code_and_output(argv, capsys):
      "--t-end", "-inf", 3),
     (["brackets", "--system", "coulomb", "--samples", "10"], "--lambda", "-1e-3", 3),
 ])
-def test_negative_float_in_exponent_notation_is_a_value(capsys, argv, flag, value, rc):
+def test_negative_float_in_exponent_notation_is_a_value(tmp_path, argv, flag, value, rc):
     # "--flag -1e-05" must parse as "--flag=-1e-05" does, not as an unknown option
-    spaced = _exit_code_and_output(argv + [flag, value], capsys)
-    joined = _exit_code_and_output(argv + [f"{flag}={value}"], capsys)
+    spaced = run_main(argv + [flag, value], tmp_path / "spaced")
+    joined = run_main(argv + [f"{flag}={value}"], tmp_path / "joined")
     assert spaced == joined
     assert spaced[0] == rc
 
@@ -1023,17 +971,13 @@ def _assert_finite_output(text: str) -> None:
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(argv=_odd_argv())
 def test_numeric_flags_end_in_a_result_or_a_coded_error(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
+    with tempfile.TemporaryDirectory() as directory:
+        rc, out = run_main(argv, directory)
     assert rc in (0, 2, 3), argv
     if rc == 0:
-        _assert_finite_output(out.getvalue())
+        _assert_finite_output(out["stdout"].decode())
     if rc == 3:
-        assert re.fullmatch(r"ERR_[A-Z_]+: .+\n", err.getvalue()), (argv, err.getvalue())
+        assert re.fullmatch(rb"ERR_[A-Z_]+: .+\n", out["stderr"]), (argv, out["stderr"])
 
 
 # --- the option-table reader: argparse's namespace, or None -------------------------
@@ -1114,26 +1058,18 @@ _EXITS = {
 }
 
 
-def _exit_code(entry, argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return entry(argv)
-        except SystemExit as exc:
-            return exc.code
-
-
 def _raise_exit(status):
     raise SystemExit(status)
 
 
 @pytest.mark.parametrize("rc", sorted(_EXITS))
-def test_only_the_process_entry_touches_the_collector(rc, monkeypatch):
+def test_only_the_process_entry_touches_the_collector(tmp_path, rc, monkeypatch):
     monkeypatch.setattr(os, "_exit", _raise_exit)  # run ends its process; this one goes on
     enabled, frozen = gc.isenabled(), gc.get_freeze_count()
-    assert _exit_code(main, _EXITS[rc]) == rc
+    assert run_main(_EXITS[rc], tmp_path / "main")[0] == rc
     assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
     try:
-        assert _exit_code(run, _EXITS[rc]) == rc
+        assert run_main(_EXITS[rc], tmp_path / "run", entry=run)[0] == rc
         assert not gc.isenabled()
         assert gc.get_freeze_count() > frozen
     finally:
@@ -1142,13 +1078,13 @@ def test_only_the_process_entry_touches_the_collector(rc, monkeypatch):
             gc.enable()
 
 
-def _cyclic_garbage(argv) -> int:
+def _cyclic_garbage(argv, directory) -> int:
     """Objects in reference cycles that one ``main`` run leaves for the collector."""
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        assert _exit_code(main, argv) == 0
+        assert run_main(argv, directory)[0] == 0
         return gc.collect()
     finally:
         if enabled:
@@ -1160,10 +1096,11 @@ def _cyclic_garbage(argv) -> int:
     (["brackets", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--out", os.devnull],
      "--samples", "200", "30000"),
 ])
-def test_cyclic_garbage_does_not_grow_with_the_work(argv, flag, small, large):
+def test_cyclic_garbage_does_not_grow_with_the_work(tmp_path, argv, flag, small, large):
     # the process entry never collects, so a cycle per step, sample or state would pile up
-    _cyclic_garbage([*argv, flag, small])  # first use: lazy imports
-    assert _cyclic_garbage([*argv, flag, small]) == _cyclic_garbage([*argv, flag, large])
+    _cyclic_garbage([*argv, flag, small], tmp_path)  # first use: lazy imports
+    assert (_cyclic_garbage([*argv, flag, small], tmp_path)
+            == _cyclic_garbage([*argv, flag, large], tmp_path))
 
 
 _CLOSURE = ["closure", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--Lz", "1.5"]
@@ -1185,12 +1122,8 @@ _BIG_CSV = [*_ORBIT, "--trajectory-samples", "30000", "--out", "-"]
     ["brackets", "--system", "coulomb", "--lambda", "1e300", "--samples", "3"],
 ], ids=["orbit", "turning", "brackets", "spectrum-numeric", "closure", "spectrum",
         "spectrum-gnuplot", "orbit-stdout", "exit-0", "exit-2", "exit-3"])
-def test_process_entry_and_main_give_the_same_results(tmp_path, capsys, monkeypatch, argv):
-    fresh = tmp_path / "process"
-    fresh.mkdir()
-    proc = run_cli(*argv, cwd=fresh)
-    in_process = _run_in(tmp_path / "main", argv, capsys, monkeypatch)
-    assert (proc.returncode, proc.stdout, proc.stderr, _files(fresh)) == in_process
+def test_process_entry_and_main_give_the_same_results(tmp_path, argv):
+    assert run_process(argv, tmp_path / "process") == run_main(argv, tmp_path / "main")
 
 
 # the generated `screened-sphere` script, with an exit hook registered before it runs
@@ -1208,16 +1141,12 @@ sys.exit(run())
     _EXITS[3],
     _EXITS[2],
 ], ids=["closure-stdout", "orbit-files", "exit-3", "exit-2"])
-def test_run_ends_the_process_without_the_interpreter_teardown(tmp_path, capsys, monkeypatch,
-                                                               argv):
-    fresh = tmp_path / "process"
-    fresh.mkdir()
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT_WITH_HOOK, *argv], env=_env(),
-                          cwd=fresh, capture_output=True, text=True, timeout=60)
-    rc, out, err, files = _run_in(tmp_path / "main", argv, capsys, monkeypatch)
+def test_run_ends_the_process_without_the_interpreter_teardown(tmp_path, argv):
+    proc = run_process(argv, tmp_path / "process", entry=["-c", _SCRIPT_WITH_HOOK])
+    rc, outputs = run_main(argv, tmp_path / "main")
     # a usage error leaves through SystemExit, so the interpreter exits as usual and runs the hook
-    hook = "exit hook ran\n" if rc == 2 else ""
-    assert (proc.returncode, proc.stdout, proc.stderr, _files(fresh)) == (rc, out, err + hook, files)
+    outputs["stderr"] += b"exit hook ran\n" if rc == 2 else b""
+    assert proc == (rc, outputs)
 
 
 def _traceback(command: str, error: str) -> str:
@@ -1272,7 +1201,7 @@ _STDOUT_GONE = {
 @pytest.mark.parametrize("case", sorted(_STDOUT_GONE))
 def test_a_stdout_that_goes_away_ends_as_it_always_has(tmp_path, case, unbuffered):
     argv, *expected = _STDOUT_GONE[case]
-    env = _env(unbuffered)
+    env = child_env(unbuffered=unbuffered)
     cmd = [sys.executable, "-m", "screened_sphere.cli", *argv]
     if case.startswith(("stdout-closed", "stderr-")):
         redirect = (">&-" if case.startswith("stdout") else

@@ -35,7 +35,7 @@ from oscillator_reference import (
     oscillator_operator_residual,
     oscillator_wavefunction,
 )
-from test_cli import run_cli
+from golden_digests import run_process
 
 COULOMB = SystemParams(SystemKind.COULOMB, 0.1, 0.05)
 OSCILLATOR = SystemParams(SystemKind.OSCILLATOR, 0.1, 0.05)
@@ -74,14 +74,14 @@ def test_library_input_checks_raise_domain_error(call):
 
 
 @pytest.mark.parametrize("lz", ["nan", "inf", "-inf"])
-def test_non_finite_lz_is_a_domain_error(lz):
+def test_non_finite_lz_is_a_domain_error(tmp_path, lz):
     # an infinite Lz used to pass as alpha = 1 (a closed orbit), a NaN as a bare ValueError
     message = f"angular momentum Lz must be finite, got {float(lz)}"
     with pytest.raises(DomainError, match=message) as exc:
         orbit_alpha(COULOMB, float(lz))
     assert exc.value.code == "ERR_DOMAIN"
-    proc = run_cli("closure", "--system", "coulomb", "--Lz", lz)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"ERR_DOMAIN: {message}\n")
+    rc, out = run_process(["closure", "--system", "coulomb", "--Lz", lz], tmp_path)
+    assert (rc, out) == (3, {"stdout": b"", "stderr": f"ERR_DOMAIN: {message}\n".encode()})
 
 
 @pytest.mark.parametrize("lz", [1e-200, -1e-200, 5e-324, -5e-324])

@@ -1,13 +1,9 @@
 """Orbit integration, closed forms, turning points, closure."""
 
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 from array import array
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,11 +48,10 @@ from orbit_reference import (
     sphere_apsis_times,
     state_at_theta,
 )
+from golden_digests import ROOT, run_process
 from state_sampler import sample_states
 
 FLAT_KEPLER = SystemParams(SystemKind.COULOMB, 0.0, 0.0)
-SRC = Path(__file__).resolve().parents[1] / "src"
-TESTS = Path(__file__).resolve().parent  # holds orbit_reference
 TWO_PI = 2.0 * math.pi
 
 
@@ -662,13 +657,12 @@ print(",".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
 
-def test_orbit_residual_loads_no_scipy():
+def test_orbit_residual_loads_no_scipy(tmp_path):
     # a fresh interpreter, so that no earlier test has loaded scipy already
-    proc = subprocess.run([sys.executable, "-c", _RESIDUAL_PROBE],
-                          env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)])),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "\n"
+    rc, out = run_process([], tmp_path, entry=["-c", _RESIDUAL_PROBE],
+                          paths=[ROOT / "tests"])  # which holds orbit_reference
+    assert rc == 0, out["stderr"]
+    assert out["stdout"] == b"\n"
 
 
 # --- orbit residual -----------------------------------------------------------

@@ -4,10 +4,7 @@ import ast
 import importlib
 import inspect
 import linecache
-import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -16,7 +13,7 @@ import screened_sphere
 from screened_sphere import closed_forms
 from screened_sphere.closed_forms import SystemKind, SystemParams
 from screened_sphere.errors import CurvatureError, DomainError
-from test_cli import SRC
+from golden_digests import SRC, run_process
 
 # Every name the package exports, by the module that defines it.
 EXPORTED = {
@@ -213,15 +210,14 @@ def test_integrate_returns_the_trajectory_whole():
         traj.note = "x"
 
 
-def test_cli_import_registers_the_numpy_modules_without_running_them():
+def test_cli_import_registers_the_numpy_modules_without_running_them(tmp_path):
     # perfbench/traced.py reads these from sys.modules right after importing the CLI
     code = ("import sys, screened_sphere.cli\n"
             "print([f'screened_sphere.{m}' in sys.modules for m in ('dynamics', 'conserved', 'spectra')],"
             " 'numpy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[True, True, True] False\n"
+    rc, out = run_process([], tmp_path, entry=["-c", code])
+    assert rc == 0, out["stderr"]
+    assert out["stdout"] == b"[True, True, True] False\n"
 
 
 def _records():

@@ -2,11 +2,8 @@
 
 import itertools
 import math
-import os
-import subprocess
 import sys
 from array import array
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -28,6 +25,7 @@ from screened_sphere.spectra import (
     spectrum_csv,
     spectrum_entries,
 )
+from golden_digests import run_process
 from oscillator_reference import (
     hypergeometric_terminating,
     oscillator_operator_residual,
@@ -489,15 +487,11 @@ print("ok")
 
 
 @pytest.mark.parametrize("order", ["solve-first", "linalg-first"])
-def test_scipy_linalg_loads_beside_the_grid_solve_and_agrees_bitwise(order):
+def test_scipy_linalg_loads_beside_the_grid_solve_and_agrees_bitwise(tmp_path, order):
     # a fresh interpreter, so that no earlier test has loaded scipy already
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_ORDER, order],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ok\n"
+    rc, out = run_process([order], tmp_path, entry=["-c", _IMPORT_ORDER])
+    assert rc == 0, out["stderr"]
+    assert out["stdout"] == b"ok\n"
 
 
 # --- degeneracy splitting ---------------------------------------------------------
