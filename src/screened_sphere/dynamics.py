@@ -123,22 +123,31 @@ class Trajectory(namedtuple("Trajectory", "t states r theta H Lz params dense tu
     the azimuth unwrapped over the solver's accepted steps (``dense.theta``,
     at the times ``dense.bounds``), so sparse samples cannot alias it.
     ``states`` holds (n, 4) rows.  The dense interpolant and the turning
-    points found during the solve (``circular`` when x.p stays at rounding
-    level) are kept with the samples.
+    points found during the solve (``circular`` when x.p and its rate stay at
+    rounding level) are kept with the samples.  ``state_at``, ``theta_at`` and
+    ``rdot`` take times inside the integrated span only.
     """
 
     __slots__ = ()
 
     def state_at(self, t: float) -> PhaseState:  # contract: the orbit between its samples
-        return PhaseState.from_array(self.dense(t))
+        return PhaseState.from_array(self._in_span(t))
 
     def theta_at(self, t):  # contract: the orbit between its samples
         """Unwrapped theta at a time or times, on the branch of the solver's steps."""
-        return self.dense.on_branch(t, self.dense(t))
+        return self.dense.on_branch(t, self._in_span(t))
 
     def rdot(self, t) -> np.ndarray:  # contract: the orbit between its samples
         """Radial velocity along the orbit; see :func:`_rdot`."""
-        return _rdot(self.dense(t), self.params.lam)
+        return _rdot(self._in_span(t), self.params.lam)
+
+    def _in_span(self, t) -> np.ndarray:
+        """The dense output at a time or times in the integrated span, ends included; past
+        either end the end step's polynomial is no orbit, so that is a domain error."""
+        lo, hi, ts = self.dense.bounds[0], self.dense.bounds[-1], np.asarray(t)
+        if not np.all((lo <= ts) & (ts <= hi)):
+            raise DomainError(f"t outside the integrated span [{lo:.17g}, {hi:.17g}]")
+        return self.dense(t)
 
     def to_csv(self) -> str:
         """CSV export, header ``t,x1,x2,p1,p2,r,theta,H,Lz``, the bytes of ``%.17g`` per field,
@@ -535,11 +544,11 @@ def integrate(
     drift contract with margin.  Below rel_tol = 2.5e-12 that floor leaves less than two
     decades, and at the minimum 1e-13 (0.25 x rel_tol) a coulomb orbit can fail the drift gate.
 
-    ``rel_tol`` bounds the drift of H and Lz, not the phase: on the exact coulomb orbit at
-    lam = 0 (k = 0.05, from (1, 0, 0, 0.55) to t = 70, 26.8 radial periods) r was within
-    146-247 x rel_tol, theta 4500-7600 x and the apsis times 129-216 x, the oscillator 0.07 x
-    (``test_sampled_states_match_the_exact_orbit_at_zero_curvature`` and
-    ``test_turning_times_match_the_exact_apsis_times_on_the_sphere``).
+    ``rel_tol`` bounds the drift of H and Lz, not the phase: against the exact bound orbit
+    at lam = 0, 0.1 and 1 (coulomb at k = 0.05 from (1, 0, 0, 0.55) to t = 70, 26.8 radial
+    periods at lam = 0), r was within 187-331 x rel_tol and theta 4810-9360 x every pi/3 of
+    the orbit's phase, and the apsis times at lam = 0 within 129-216 x; the oscillator within
+    0.16 x at lam <= 0.1 and 3.4 x at lam = 1 (``tests/orbit_reference.orbit_points``).
     """
     y0 = (state0.x1, state0.x2, state0.p1, state0.p2)
     if not all(map(math.isfinite, y0)):
@@ -602,7 +611,13 @@ def _turning_points(dense: DenseOutput, params: SystemParams):
     s = xp(step_y)
     radius, momentum = np.hypot(step_y[0], step_y[1]), np.hypot(step_y[2], step_y[3])
     if float(np.max(np.abs(s))) <= 1e-8 * max(1.0, float(np.max(momentum) * np.max(radius))):
-        return [], True
+        # a circle, or a short span that starts at an apsis: only on the circle does the rate
+        # of x.p, xdot.p + x.pdot, stay at rounding level too
+        hx1, hx2, hp1, hp2 = h_gradient(*step_y, params)
+        rate = hp1 * step_y[2] + hp2 * step_y[3] - step_y[0] * hx1 - step_y[1] * hx2
+        scale = np.hypot(hp1, hp2) * momentum + radius * np.hypot(hx1, hx2)
+        if float(np.max(np.abs(rate))) <= 1e-8 * float(np.max(scale)):
+            return [], True
     # one root of x.p per step over which it changes sign, in increasing time:
     # rising through zero is a minimum of r, a perihelion
     j = np.flatnonzero((s[:-1] <= 0.0) & (s[1:] >= 0.0) | (s[:-1] >= 0.0) & (s[1:] <= 0.0))
@@ -629,6 +644,7 @@ def find_turning_points(traj: Trajectory) -> list[TurningPoint]:
     :func:`integrate` finds them as roots of x.p on the solver's own steps
     (``traj.dense.steps``), to |rdot| < ``TURNING_RDOT_TOL``.  A perihelion is where x.p rises
     through zero in increasing time, an aphelion where it falls.  A
-    trajectory whose x.p stays at rounding level sets ``circular`` instead.
+    trajectory whose x.p and its rate, xdot.p + x.pdot, stay at rounding level sets
+    ``circular`` instead; on a short span that starts at an apsis x.p alone does.
     """
     return traj.turning_points

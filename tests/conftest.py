@@ -1,8 +1,13 @@
-"""Shared fixtures: the two eccentric screened orbits used across modules."""
+"""Shared fixtures: the two eccentric screened orbits used across modules, and the one
+hypothesis profile, under which every property draws the same examples on every run."""
 
 import pytest
+from hypothesis import settings
 
 from screened_sphere.dynamics import PhaseState, SystemKind, SystemParams, integrate
+
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -10,12 +10,16 @@ orbits, with curvature entering only through Et):
 ``orbit_residual`` compares an integrated ``Trajectory`` with them, with
 theta0 read exactly from the start state (``OrbitShape.start_phase``), so
 nothing is fitted, and ``state_at_theta`` finds the state where the
-unwrapped azimuth reaches a given angle, for the closure checks.  The exact
-apsis times at any lam come from ``sphere_apsis_times``, which integrates
-dt = r(theta)**2/(Lz*(1 + lam*r(theta)**2)) dtheta along the closed form
-from the same start phase; Kepler's and the oscillator's time laws give the
-apsis times and polar coordinates at lam = 0, the independent anchor of
-that quadrature.  No command runs these.
+unwrapped azimuth reaches a given angle, for the closure checks.
+
+``orbit_points`` states the bound orbit once, at any lam, by its phase u in
+the closed form: r(u) from it, theta(u) = theta0 + sign(Lz)*u/nu, and t(u)
+from the quadrature of dt = r**2/(|Lz|*nu*(1 + lam*r**2)) du from the start's
+phase.  Its points at phases j*pi are the apsides, which every turning-time
+check reads, and its points between them are what the sampled states are
+checked against.  ``bound_orbit_start`` builds the starts of the property
+tests.  Kepler's and the oscillator's apsis laws at lam = 0 are the
+independent anchor of the quadrature.  No command runs these.
 """
 
 from __future__ import annotations
@@ -99,11 +103,17 @@ def closed_form_radius(theta, shape: OrbitShape, params: SystemParams):
     Raises :class:`OrbitDomainError` where the
     bracket is nonpositive (angles outside the bound range).
     """
-    theta = np.asarray(theta, dtype=float)
-    c0, disc, nu, la2, n = shape.coefficients(params)
+    nu = shape.coefficients(params)[2]
+    return _radius_at_phase(nu * (np.asarray(theta, dtype=float) - shape.theta0), shape, params)
+
+
+def _radius_at_phase(u, shape: OrbitShape, params: SystemParams):
+    """r at phase ``u`` of the closed form w*la2 = c0 + c1*cos(u), w = 1/r**n
+    (:meth:`OrbitShape.coefficients`); :class:`OrbitDomainError` where w <= 0."""
+    c0, disc, _, la2, n = shape.coefficients(params)
     if disc < 0.0:
         raise OrbitDomainError(f"{params.kind.value} orbit discriminant negative: {disc:g}")
-    w = (c0 + math.sqrt(disc) * np.cos(nu * (theta - shape.theta0))) / la2
+    w = (c0 + math.sqrt(disc) * np.cos(u)) / la2
     if np.any(w <= 0.0):
         raise OrbitDomainError(("1/r" if n == 1 else "1/r**2")
                                + " nonpositive: angle outside the bound range")
@@ -163,26 +173,100 @@ def state_at_theta(traj: Trajectory, theta_target: float) -> PhaseState:
     return traj.state_at(float(t_star))
 
 
-def _kepler_elements(state: PhaseState, params: SystemParams) -> tuple:
-    """(a, e, mean motion, start's mean anomaly M0, start's eccentric anomaly E0) of a flat
-    (lam = 0) bound coulomb orbit, whose radial motion is Kepler's with L_eff**2 = Lz**2 - 2k."""
-    e_tot = hamiltonian(state, params)
-    l_eff2 = lz_value(state.x1, state.x2, state.p1, state.p2) ** 2 - 2.0 * params.k
-    a, ecc = -0.5 / e_tot, math.sqrt(max(0.0, 1.0 + 2.0 * e_tot * l_eff2))
-    s = state.x1 * state.p1 + state.x2 * state.p2  # has the sign of rdot, and of sin(E0)
-    ecc0 = math.copysign(math.acos(max(-1.0, min(1.0, (1.0 - state.r / a) / ecc))), s)
-    return a, ecc, a ** -1.5, ecc0 - ecc * math.sin(ecc0), ecc0
+def bound_orbit_start(kind: SystemKind, lam: float, k: float, shape: float, ecc: float,
+                      psi: float, phi: float) -> PhaseState:
+    """Start on the bound orbit of eccentricity ``ecc`` (in 1/r for coulomb, 1/r**2 for the
+    oscillator) at radial phase ``psi``, rotated by ``phi``; ``shape`` is Lz**2*alpha**2
+    (coulomb) or Lz*alpha (oscillator).  The radial momentum comes from the shifted energy
+    Et = E - lam*Lz**2/2 and has the sign of sin(psi)."""
+    if kind is SystemKind.COULOMB:
+        lz = math.sqrt(shape + 2.0 * k)
+        et = (ecc * ecc - 1.0) / (2.0 * shape)
+        r0 = shape / (1.0 + ecc * math.cos(psi))
+        v = -1.0 / r0 - k / r0**2
+    else:
+        lz = math.sqrt(shape * shape + 2.0 * k)
+        et = shape / math.sqrt(1.0 - ecc * ecc)
+        r0 = shape / math.sqrt(et * (1.0 + ecc * math.cos(psi)))
+        v = 0.5 * r0 * r0 - k / r0**2
+    a2 = 2.0 * (et - lz * lz / (2.0 * r0 * r0) - v) / (1.0 + lam * r0 * r0) ** 2
+    a = math.copysign(math.sqrt(max(a2, 0.0)), math.sin(psi))
+    c, s = math.cos(phi), math.sin(phi)
+    return PhaseState(r0 * c, r0 * s, a * c - lz / r0 * s, a * s + lz / r0 * c)
+
+
+class OrbitPoint(namedtuple("OrbitPoint", "t u r theta")):
+    """An exact point of a bound orbit: time, phase u, radius and unwrapped azimuth."""
+
+    __slots__ = ()
+
+    @property
+    def kind(self) -> str:
+        """The apsis at u = j*pi: a perihelion for even j, an aphelion for odd j."""
+        return "perihelion" if round(self.u / math.pi) % 2 == 0 else "aphelion"
+
+
+def orbit_points(state: PhaseState, params: SystemParams, t_end: float,
+                 offsets=(0.0,)) -> list:
+    """Exact :class:`OrbitPoint` at every phase j*pi + delta, delta in ``offsets`` (each in
+    [0, pi)), whose time lies in the span from 0 to ``t_end``, in increasing time: the bound
+    orbit through ``state`` at any lam >= 0, Lz != 0.  The default offset gives the apsides.
+
+    The projected orbit is the flat closed form with Et, w*la2 = c0 + c1*cos(u) with
+    w = 1/r**n, in the phase u, which grows with t from the start's u0
+    (:meth:`OrbitShape.start_phase`).  So r(u) is the closed form, theta(u) = theta0 +
+    sign(Lz)*u/nu, and since r**2*thetadot = Lz*(1 + lam*r**2),
+    dt = r**2/(|Lz|*nu*(1 + lam*r**2)) du gives t(u).  Every half radial period, from one
+    apsis to the next, takes the same time, so two quadratures give every apsis: one to the
+    first, one over a half period; and two more per offset give every point: delta past a
+    perihelion and delta past an aphelion.  A negative ``t_end`` is the law of the reversed
+    start (x, -p), negated.
+    """
+    if t_end < 0.0:
+        back = PhaseState(state.x1, state.x2, -state.p1, -state.p2)
+        return [p._replace(t=-p.t, u=-p.u)
+                for p in reversed(orbit_points(back, params, -t_end, offsets))]
+    shape = OrbitShape.from_state(state, params)
+    c0, disc, nu, la2, n = shape.coefficients(params)
+    lz, u0, c1 = abs(shape.lz), shape.start_phase(state, params), math.sqrt(disc)
+    turn = math.copysign(1.0, shape.lz) / nu
+
+    def dt_du(u):
+        r2 = (la2 / (c0 + c1 * mpmath.cos(u))) ** (2 // n)
+        return r2 / (lz * nu * (1 + params.lam * r2))
+
+    j0 = math.ceil(u0 / math.pi - 1e-12)  # the first apsis; a start 1e-12*pi past one has it
+    with mpmath.workdps(30):
+        first = float(mpmath.quad(dt_du, [u0, j0 * mpmath.pi]))
+        half = float(mpmath.quad(dt_du, [0, mpmath.pi]))
+        lag = {(j, delta): float(mpmath.quad(dt_du, [j * mpmath.pi, j * mpmath.pi + delta]))
+               for j in (0, 1) for delta in offsets}
+    points, j = [], j0 - 1
+    while (apsis := first + (j - j0) * half) <= t_end:
+        for delta in offsets:
+            u, t = j * math.pi + delta, apsis + lag[j % 2, delta]
+            if u >= u0 - 1e-12 * math.pi and t <= t_end:
+                points.append(OrbitPoint(max(t, 0.0), u, _radius_at_phase(u, shape, params),
+                                         shape.theta0 + turn * u))
+        j += 1
+    return sorted(points)
 
 
 def coulomb_apsis_times(state: PhaseState, params: SystemParams, t_end: float) -> list:
-    """Exact (t, kind) of each apsis in [0, t_end] of a flat (lam = 0) bound coulomb orbit.
+    """Exact (t, kind) of each apsis in [0, t_end] of a flat (lam = 0) bound coulomb orbit,
+    the independent anchor of :func:`orbit_points`.
 
     The radial motion is Kepler's with L_eff**2 = Lz**2 - 2k: semi-major axis
     a = -1/(2E), eccentricity e = sqrt(1 + 2E*L_eff**2), mean motion a**-1.5.
     Apsides fall at mean anomaly j*pi (perihelia at even j), counted from the
     start's mean anomaly M0.
     """
-    _, _, motion, m0, _ = _kepler_elements(state, params)
+    e_tot = hamiltonian(state, params)
+    l_eff2 = lz_value(state.x1, state.x2, state.p1, state.p2) ** 2 - 2.0 * params.k
+    a, ecc = -0.5 / e_tot, math.sqrt(max(0.0, 1.0 + 2.0 * e_tot * l_eff2))
+    s = state.x1 * state.p1 + state.x2 * state.p2  # has the sign of rdot, and of sin(E0)
+    ecc0 = math.copysign(math.acos(max(-1.0, min(1.0, (1.0 - state.r / a) / ecc))), s)
+    m0, motion = ecc0 - ecc * math.sin(ecc0), a ** -1.5
     j = math.ceil(m0 / math.pi - 1e-12)
     times = []
     while (t := (j * math.pi - m0) / motion) <= t_end:
@@ -191,105 +275,19 @@ def coulomb_apsis_times(state: PhaseState, params: SystemParams, t_end: float) -
     return times
 
 
-def _true_anomaly(ecc_anomaly, ecc: float):
-    """Unwrapped true anomaly f = E + 2*atan(beta*sin(E)/(1 - beta*cos(E))),
-    beta = e/(1 + sqrt(1 - e**2)), continuous in the eccentric anomaly E."""
-    beta = ecc / (1.0 + math.sqrt(1.0 - ecc * ecc))
-    return ecc_anomaly + 2.0 * np.arctan(beta * np.sin(ecc_anomaly)
-                                         / (1.0 - beta * np.cos(ecc_anomaly)))
-
-
-def coulomb_polar_at(state: PhaseState, params: SystemParams, t) -> tuple:
-    """Exact (r, unwrapped theta) at times ``t`` of a flat (lam = 0) bound coulomb orbit.
-
-    Kepler's equation E - e*sin(E) = M0 + n*t, solved by Newton's method,
-    gives r = a*(1 - e*cos(E)).  Since dtheta/dt = Lz/r**2 and the Kepler
-    true anomaly f has df/dt = L_eff/r**2 with L_eff = alpha*|Lz|,
-    theta = theta0 + sign(Lz)*(f - f0)/alpha.
-    """
-    a, ecc, motion, m0, ecc0 = _kepler_elements(state, params)
-    mean = m0 + motion * np.asarray(t, dtype=float)
-    ecc_anomaly = mean + ecc * np.sin(mean)
-    for _ in range(50):
-        step = (ecc_anomaly - ecc * np.sin(ecc_anomaly) - mean) / (1.0 - ecc * np.cos(ecc_anomaly))
-        ecc_anomaly = ecc_anomaly - step
-        if np.all(np.abs(step) <= 4e-16 * np.maximum(1.0, np.abs(mean))):
-            break
-    lz = lz_value(state.x1, state.x2, state.p1, state.p2)
-    turn = (_true_anomaly(ecc_anomaly, ecc) - _true_anomaly(ecc0, ecc)) / orbit_alpha(params, lz)
-    theta = math.atan2(state.x2, state.x1) + math.copysign(1.0, lz) * turn
-    return a * (1.0 - ecc * np.cos(ecc_anomaly)), theta
-
-
-def _oscillator_phase(state: PhaseState, params: SystemParams) -> tuple:
-    """(E, B, phi) of r**2(t) = E + B*cos(2t + phi) for a flat (lam = 0) oscillator orbit:
-    d(x.p)/dt = 2E - 2r**2 and d(r**2)/dt = 2*x.p."""
-    e_tot = hamiltonian(state, params)
-    s = state.x1 * state.p1 + state.x2 * state.p2
-    return e_tot, math.hypot(s, state.r ** 2 - e_tot), math.atan2(-s, state.r ** 2 - e_tot)
-
-
 def oscillator_apsis_times(state: PhaseState, params: SystemParams, t_end: float) -> list:
-    """Exact (t, kind) of each apsis in [0, t_end] of a flat (lam = 0) oscillator orbit.
+    """Exact (t, kind) of each apsis in [0, t_end] of a flat (lam = 0) oscillator orbit, the
+    independent anchor of :func:`orbit_points`.
 
-    d(x.p)/dt = 2E - 2r**2, so r**2(t) = E + B*cos(2t + phi) with
+    d(x.p)/dt = 2E - 2r**2 and d(r**2)/dt = 2*x.p, so r**2(t) = E + B*cos(2t + phi) with
     phi = atan2(-x.p, r0**2 - E), and the apsides fall at 2t + phi = j*pi
     (aphelia at even j).
     """
-    _, _, phi = _oscillator_phase(state, params)
+    s = state.x1 * state.p1 + state.x2 * state.p2
+    phi = math.atan2(-s, state.r ** 2 - hamiltonian(state, params))
     j = math.ceil(phi / math.pi - 1e-12)
     times = []
     while (t := (j * math.pi - phi) / 2.0) <= t_end:
         times.append((max(t, 0.0), "aphelion" if j % 2 == 0 else "perihelion"))
-        j += 1
-    return times
-
-
-def oscillator_polar_at(state: PhaseState, params: SystemParams, t) -> tuple:
-    """Exact (r, unwrapped theta) at times ``t`` of a flat (lam = 0) oscillator orbit, Lz != 0.
-
-    r**2 = E + B*cos(2x) with x = t + phi/2, and dtheta/dt = Lz/r**2 integrates to
-    theta = theta0 + (Lz/w)*(F(x) - F(x0)), w = sqrt(E**2 - B**2), where
-    F(x) = atan(c*tan(x)) with c = sqrt((E - B)/(E + B)), unwrapped as
-    x + atan((c - 1)*sin(x)*cos(x)/(cos(x)**2 + c*sin(x)**2)).
-    """
-    e_tot, b, phi = _oscillator_phase(state, params)
-    c, w = math.sqrt((e_tot - b) / (e_tot + b)), math.sqrt((e_tot - b) * (e_tot + b))
-
-    def unwrapped(x):
-        sin, cos = np.sin(x), np.cos(x)
-        return x + np.arctan((c - 1.0) * sin * cos / (cos * cos + c * sin * sin))
-
-    x = np.asarray(t, dtype=float) + 0.5 * phi
-    lz = lz_value(state.x1, state.x2, state.p1, state.p2)
-    theta = math.atan2(state.x2, state.x1) + lz / w * (unwrapped(x) - unwrapped(0.5 * phi))
-    return np.sqrt(e_tot + b * np.cos(2.0 * x)), theta
-
-
-def sphere_apsis_times(state: PhaseState, params: SystemParams, t_end: float) -> list:
-    """Exact (t, kind) of each apsis in [0, t_end] of a bound orbit at any lam >= 0, Lz != 0.
-
-    The projected orbit is the flat closed form with Et, w*la2 = c0 + c1*cos(u) with
-    w = 1/r**n, in the phase u, which grows with t from the start's u0
-    (:meth:`OrbitShape.start_phase`): perihelia at even multiples of pi, aphelia at odd
-    ones.  Since r**2*thetadot = Lz*(1 + lam*r**2), dt = r**2/(|Lz|*nu*(1 + lam*r**2)) du.
-    Every half radial period takes the same time, so two quadratures give every apsis: one
-    to the first, one over a half period.
-    """
-    shape = OrbitShape.from_state(state, params)
-    c0, disc, nu, la2, n = shape.coefficients(params)
-    lz, u0, c1 = abs(shape.lz), shape.start_phase(state, params), math.sqrt(disc)
-
-    def dt_du(u):
-        r2 = (la2 / (c0 + c1 * mpmath.cos(u))) ** (2 // n)
-        return r2 / (lz * nu * (1 + params.lam * r2))
-
-    j0 = math.ceil(u0 / math.pi - 1e-12)
-    with mpmath.workdps(30):
-        first = float(mpmath.quad(dt_du, [u0, j0 * mpmath.pi]))
-        half = float(mpmath.quad(dt_du, [0, mpmath.pi]))
-    times, j = [], j0
-    while (t := first + (j - j0) * half) <= t_end:
-        times.append((max(t, 0.0), "perihelion" if j % 2 == 0 else "aphelion"))
         j += 1
     return times

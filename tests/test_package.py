@@ -27,7 +27,7 @@ EXPORTED = {
     "spectra": "RadialGrid radial_solve_numeric",
 }
 # The closed-form orbit oracle, which no command runs, lives in tests/orbit_reference.py.
-ORBIT_REFERENCE = "OrbitShape closed_form_radius orbit_residual state_at_theta".split()
+ORBIT_REFERENCE = "OrbitShape closed_form_radius orbit_points orbit_residual state_at_theta".split()
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names.split()]
 
 

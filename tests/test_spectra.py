@@ -395,7 +395,7 @@ _tridiagonals = st.integers(1, 300).flatmap(lambda n: st.tuples(
     st.integers(1, n).flatmap(lambda il: st.tuples(st.just(il), st.integers(il, n)))))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(_tridiagonals)
 def test_dstebz_call_matches_scipy_lapack(matrix):
     from scipy.linalg import lapack
@@ -573,7 +573,7 @@ def _csv_field(value) -> str:
 
 
 # about one example in nine solves the grid oracle, which takes most of the test's time
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(st.sampled_from(SystemKind), st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
        st.floats(0.0, 0.3), st.sets(st.integers(1, 4), min_size=1),
        st.sets(st.integers(0, 5), min_size=1), st.sampled_from([False] * 3 + [True]))
