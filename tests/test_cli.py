@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shlex
 import site
 import stat
 import subprocess
@@ -25,7 +26,7 @@ from golden_digests import ROOT, SRC, child_env, run_process
 from golden_digests import run as run_main
 from screened_sphere.cli import (_OPTIONS, _json, _read_args, _write_output, build_parser, main,
                                  run)
-from screened_sphere.errors import AccuracyError
+from screened_sphere.errors import AccuracyError, DomainError
 
 
 def test_orbit_command_writes_trajectory_and_detects_closure(tmp_path, capsys):
@@ -196,21 +197,184 @@ def test_undecodable_config_is_a_domain_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERR_DOMAIN: ")
 
 
-def test_domain_error_exit_codes(capsys):
-    rc = main(["closure", "--system", "coulomb", "--lambda", "0", "--k", "0.5",
-               "--Lz", "1"])
-    assert rc == 3
-    assert capsys.readouterr().err.startswith("ERR_IMAGINARY_ALPHA:")
+# --- every refusal of the command line: its exit status and its stderr, in full ------
 
-    rc = main(["spectrum", "--system", "coulomb", "--lambda", "0", "--k", "0.05",
-               "--m", "0", "--N", "0"])
-    assert rc == 3
-    assert capsys.readouterr().err.startswith("ERR_IMAGINARY_MPRIME:")
+_USAGE = "usage: screened-sphere [-h] {orbit,closure,turning,brackets,spectrum} ...\n"
+_C = ["--system", "coulomb"]
+_START = ["--x", "1", "--px", "0", "--py", "1", "--t-end", "1"]
+_FIXTURE = [*_C, "--lambda", "0.1", "--k", "0.05", "--x", "1.6", "--px", "0", "--py", "0.55"]
+_HUGE_START = [*_C, "--x", "1", "--px", "1", "--py", "1", "--t-end", "5", "--out", os.devnull]
+_HUGE_INT = "1" + "0" * 200  # converts to a float, but its square does not
+_STIFF = "ERR_STIFF: integrator failed: Required step size is less than spacing between numbers."
+_UNREAD = "unrecognized arguments: "
 
-    rc = main(["orbit", "--system", "coulomb", "--lambda", "0", "--k", "0.05",
-               "--x", "1", "--px", "-0.5", "--py", "0", "--t-end", "50"])
-    assert rc == 3
-    assert capsys.readouterr().err.startswith("ERR_SINGULAR_ORBIT:")
+# name: (argv, exit status, line[, timeout]).  Exit 3 prints the line alone, exit 2 the usage
+# line and then "screened-sphere: error: " and the line; "…" stands for a computed number.  A
+# row with a timeout runs in a fresh process, since what it checks is that the run ends: a
+# hang, the draw cap, the step cap or an allocation.  Every other row runs in-process, where
+# a numpy RuntimeWarning is an error (pyproject's filterwarnings), so a row that warns fails.
+_REFUSALS = {
+    "closure-imaginary-alpha": (["closure", *_C, "--lambda", "0", "--k", "0.5", "--Lz", "1"], 3,
+                                "ERR_IMAGINARY_ALPHA: 2k = 1 >= Lz**2 = 1: alpha is imaginary"),
+    "closure-negative-curvature": (["closure", *_C, "--lambda", "-0.1", "--Lz", "1"], 3,
+                                   "ERR_NEGATIVE_CURVATURE: curvature must be finite and >= 0, "
+                                   "got -0.1"),
+    # an infinite Lz used to pass as alpha = 1 (a closed orbit), a NaN as a bare ValueError
+    **{f"closure-lz-{lz}": (["closure", *_C, "--Lz", lz], 3,
+                            f"ERR_DOMAIN: angular momentum Lz must be finite, got {lz}")
+       for lz in ("nan", "inf", "-inf")},
+    "spectrum-imaginary-m-prime": (["spectrum", *_C, "--lambda", "0", "--k", "0.05", "--m", "0",
+                                    "--N", "0"], 3,
+                                   "ERR_IMAGINARY_MPRIME: m**2 = 0 < 2k = 0.1: m' is imaginary"),
+    # the level overflows; it used to be printed as a bare inf
+    "spectrum-level-overflows": (["spectrum", "--system", "oscillator", "--lambda", "1e308",
+                                  "--m", "1", "--N", "0", "--format", "json"], 3,
+                                 "ERR_DOMAIN: level m = 1, N = 0 overflows at lam = 1e+308"),
+    # the coulomb level's (m' + N + 1/2)**2 and m**2 overflow; both used to end in a traceback
+    "spectrum-huge-N": (["spectrum", *_C, "--N", _HUGE_INT], 3,
+                        f"ERR_DOMAIN: level m = 0, N = {_HUGE_INT} overflows at lam = 0"),
+    "spectrum-huge-m": (["spectrum", *_C, "--m", _HUGE_INT], 3,
+                        "ERR_DOMAIN: m**2 is too large for a float"),
+    # the grid matrix overflows; numpy's RuntimeWarnings used to come before the code line.
+    # m = 1 passes the m' >= 1/2 refusal, so the line is the overflow's own
+    **{f"spectrum-numeric-{system}-overflows": (
+        ["spectrum", "--system", system, "--lambda", "1e308", "--m", "1", "--numeric"], 3,
+        "ERR_ACCURACY: tridiagonal eigensolver failed: array must not contain infs or NaNs")
+       for system in ("coulomb", "oscillator")},
+    # no state of the sampling box has Lz**2 > 2k = 80
+    "brackets-no-state-in-the-box": (["brackets", *_C, "--lambda", "0", "--k", "40"], 3,
+                                     "ERR_IMAGINARY_ALPHA: 2k = 80 >= 72, the largest Lz**2 on "
+                                     "the sampling box", 60.0),
+    # a few states exist, but too rare to find within the draw cap
+    "brackets-too-rare": (["brackets", *_C, "--lambda", "0", "--k", "35.99"], 3,
+                          "ERR_IMAGINARY_ALPHA: found 0 of 1000 states with 2k < Lz**2 in … "
+                          "candidate draws, too few to reach 1000 in …", 60.0),
+    # the cap allows 10**9 candidates here; drawing them took minutes, and none passes
+    "brackets-hopeless": (["brackets", *_C, "--lambda", "0", "--k", "35.99", "--samples",
+                           "1000000"], 3,
+                          "ERR_IMAGINARY_ALPHA: found 0 of 1000000 states with 2k < Lz**2 in … "
+                          "candidate draws, too few to reach 1000000 in …", 20.0),
+    "brackets-no-samples": (["brackets", *_C, "--lambda", "0", "--k", "0.05", "--samples", "0"],
+                            3, "ERR_DOMAIN: need at least one sampled state, got 0"),
+    "brackets-negative-seed": (["brackets", *_C, "--lambda", "0", "--k", "0.05", "--seed", "-1"],
+                               3, "ERR_DOMAIN: seed must be nonnegative, got -1"),
+    # 10**12 states would need terabytes; the cap rejects them before any draw
+    **{f"brackets-samples-{samples}": (["brackets", *_C, "--k", "0.05", "--samples", samples], 3,
+                                       f"ERR_DOMAIN: at most 1000000 sampled states, got {samples}")
+       for samples in ("1000001", "1000000000000")},
+    # the bracket terms overflow; the residuals used to be printed as nan
+    **{f"brackets-{system}-overflows": (["brackets", "--system", system, "--lambda", lam,
+                                         "--samples", "3"], 3,
+                                        f"ERR_ACCURACY: bracket residuals are not finite at "
+                                        f"lam = {float(lam):g}, k = 0: the terms overflow")
+       for system, lam in (("coulomb", "1e300"), ("oscillator", "1e150"))},
+    "orbit-at-the-origin": (["orbit", *_C, "--x", "0", "--px", "0", "--py", "1", "--t-end", "1"],
+                            3, "ERR_NONPOSITIVE_RADIUS: initial state must have r > 0"),
+    "orbit-collapses": (["orbit", *_C, "--lambda", "0", "--k", "0.05", "--x", "1", "--px", "-0.5",
+                         "--py", "0", "--t-end", "50"], 3,
+                        "ERR_SINGULAR_ORBIT: orbit collapsed to r = … at t = …"),
+    # the orbit crosses the equator, where the chart ends; it used to run the whole step budget
+    "orbit-chart-edge": (["orbit", *_C, "--x", "1", "--y", "1", "--px", "0", "--py", "0.55",
+                          "--lambda", "1", "--t-end", "3"], 3,
+                         "ERR_CHART_EDGE: orbit reached the edge of the chart, lam*r**2 > 1e+12, "
+                         "at t = …"),
+    "turning-t-end-inf": (["turning", *_FIXTURE, "--t-end", "inf"], 3,
+                          "ERR_DOMAIN: t_end must be finite and nonzero, got inf", 60.0),
+    "orbit-t-end-nan": (["orbit", *_FIXTURE, "--t-end", "nan"], 3,
+                        "ERR_DOMAIN: t_end must be finite and nonzero, got nan", 60.0),
+    "turning-t-end-0": (["turning", *_FIXTURE, "--t-end", "0"], 3,
+                        "ERR_DOMAIN: t_end must be finite and nonzero, got 0.0", 60.0),
+    "orbit-px-nan": (["orbit", *_C, "--x", "1", "--px", "nan", "--py", "1", "--t-end", "1"], 3,
+                     "ERR_DOMAIN: initial state must be finite, got (1.0, 0.0, nan, 1.0)", 30.0),
+    # p**2 overflows, the step size turns NaN, and that ends as a step underflow
+    "orbit-py-1e200": (["orbit", *_C, "--x", "1", "--px", "0", "--py", "1e200", "--t-end", "1"],
+                       3, _STIFF, 30.0),
+    # r**2 underflows in the gradient; the start is refused below the radius guard
+    "orbit-x-1e-300": (["orbit", *_C, "--x", "1e-300", "--px", "0", "--py", "1", "--t-end", "1"],
+                       3, "ERR_SINGULAR_ORBIT: initial r = 1e-300 is at or below the guard 1e-08",
+                       30.0),
+    # an infinite first derivative leaves a zero first step (px, lambda and k at 1e308), or the
+    # error norm of the first step overflows (k at 1e200)
+    **{f"{command}-huge-{flags[-2][2:]}-{flags[-1]}": ([command, *_HUGE_START, *flags], 3, _STIFF)
+       for command in ("orbit", "turning")
+       for flags in (["--px", "1e308"], ["--px", "0", "--lambda", "1e308"],
+                     ["--px", "0", "--k", "1e308"], ["--px", "0", "--k", "1e200"])},
+    # ~770 steps per time unit over 1e6 time units: the step cap ends it within seconds
+    "orbit-step-cap": (["orbit", *_C, "--x", "1", "--px", "0", "--py", "1", "--t-end", "1e6",
+                        "--tol", "1e-6", "--lambda", "100"], 3,
+                       "ERR_STEP_BUDGET: more than 200000 solver steps; stopped at t = …", 60.0),
+    # 10**12 samples would need terabytes; the cap rejects them before allocating
+    "orbit-samples-cap": (["orbit", *_FIXTURE, "--t-end", "10", "--trajectory-samples",
+                           "1000000000000"], 3,
+                          "ERR_DOMAIN: n_samples must be at most 1000000, got 1000000000000",
+                          60.0),
+    "turning-circular": (["turning", *_C, "--x", "1", "--px", "0", "--py", "1", "--t-end", "5"], 3,
+                         "ERR_NO_TURNING_POINTS: no turning points detected (orbit is circular)"),
+    # exit 2: argparse's usage errors, and those that main raises
+    "missing-command": ([], 2, "the following arguments are required: "
+                               "{orbit,closure,turning,brackets,spectrum}"),
+    "unknown-command": (["orb"], 2, "argument {orbit,closure,turning,brackets,spectrum}: invalid "
+                                    "choice: 'orb' (choose from 'orbit', 'closure', 'turning', "
+                                    "'brackets', 'spectrum')"),
+    "unknown-flag": (["closure", *_C, "--bogus-flag", "1"], 2, _UNREAD + "--bogus-flag 1"),
+    # --format belongs to spectrum alone, --gnuplot to orbit and spectrum
+    "closure-format": (["closure", *_C, "--format", "json", "--Lz", "1"], 2,
+                       _UNREAD + "--format json"),
+    "closure-gnuplot": (["closure", *_C, "--gnuplot", "--Lz", "1"], 2, _UNREAD + "--gnuplot"),
+    "orbit-format": (["orbit", *_C, "--format", "json", *_START], 2, _UNREAD + "--format json"),
+    "turning-format": (["turning", *_C, "--format", "csv", *_START], 2, _UNREAD + "--format csv"),
+    "turning-gnuplot": (["turning", *_C, "--gnuplot", *_START], 2, _UNREAD + "--gnuplot"),
+    "brackets-format": (["brackets", *_C, "--format", "json", "--samples", "10"], 2,
+                        _UNREAD + "--format json"),
+    "brackets-gnuplot": (["brackets", *_C, "--gnuplot", "--samples", "10"], 2,
+                         _UNREAD + "--gnuplot"),
+    "closure-missing-lz": (["closure", *_C, "--k", "0.1"], 2, "closure requires --Lz"),
+    "orbit-missing-t-end": (["orbit", *_C, "--x", "1", "--px", "0", "--py", "1"], 2,
+                            "missing --t-end"),
+    "turning-missing-px-py": (["turning", "--system", "oscillator", "--t-end", "5", "--x", "1"], 2,
+                              "missing initial-condition flags: --px, --py"),
+    "brackets-missing-system": (["brackets", "--samples", "10"], 2, "missing --system"),
+    "spectrum-missing-system": (["spectrum", "--m", "1,2", "--numeric"], 2, "missing --system"),
+    "orbit-tol-out-of-range": (["orbit", *_C, *_START, "--tol", "0.1"], 2,
+                               "--tol must lie in [1e-13, 1e-6], got 0.1"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSALS))
+def test_a_refusal_ends_as_its_row_says(tmp_path, name):
+    argv, status, line, *timeout = _REFUSALS[name]
+    rc, out = (run_process(argv, tmp_path, timeout=timeout[0]) if timeout
+               else run_main(argv, tmp_path))
+    assert (rc, sorted(out), out["stdout"]) == (status, ["stderr", "stdout"], b""), out["stderr"]
+    text = line if status == 3 else f"{_USAGE}screened-sphere: error: {line}"
+    pattern = r"\S+".join(map(re.escape, text.split("…"))) + r"\n"
+    assert re.fullmatch(pattern, out["stderr"].decode()), out["stderr"]
+
+
+def _codes(cls=DomainError) -> set[str]:
+    """The code of ``cls`` and of each of its subclasses in ``errors.py``, found recursively
+    (the tests' own subclasses, such as ``orbit_reference.OrbitDomainError``, left out)."""
+    return {cls.code}.union(*(_codes(sub) for sub in cls.__subclasses__()
+                              if sub.__module__ == DomainError.__module__))
+
+
+def _row_codes() -> dict[tuple[str, ...], str]:
+    """The code each exit-3 row prints, by its argv."""
+    return {tuple(argv): line.partition(":")[0]
+            for argv, status, line, *_ in _REFUSALS.values() if status == 3}
+
+
+def test_every_error_code_is_printed_by_a_refusal():
+    assert set(_row_codes().values()) == _codes()
+
+
+def test_the_readme_lists_every_code_with_a_refusal_that_prints_it():
+    # one "- `CODE`: ..." item per code, whose example `screened-sphere ...` is a row
+    items = re.findall(r"^- `(ERR_[A-Z_]+)`.*?`screened-sphere ([^`]+)`",
+                       (ROOT / "README.md").read_text(), re.M | re.S)
+    rows = _row_codes()
+    assert sorted((code, rows.get(tuple(shlex.split(example)))) for code, example in items) == [
+        (code, code) for code in sorted(_codes())]
 
 
 @pytest.mark.parametrize("lz", ["1e-200", "-5e-324"])
@@ -221,63 +385,6 @@ def test_unscreened_closure_where_lz_squared_underflows(capsys, lz):
     assert (data["alpha"], data["closed"], data["p"], data["q"]) == (1.0, True, 1, 1)
 
 
-def test_usage_error_exit_codes(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["closure", "--system", "coulomb", "--bogus-flag", "1"])
-    assert exc.value.code == 2
-
-    with pytest.raises(SystemExit) as exc:
-        main(["closure", "--system", "coulomb"])  # missing --Lz
-    assert exc.value.code == 2
-
-    with pytest.raises(SystemExit) as exc:
-        main(["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1",
-              "--t-end", "1", "--tol", "0.1"])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1"], "missing --t-end"),
-    (["closure", "--system", "coulomb", "--k", "0.1"], "closure requires --Lz"),
-    (["turning", "--system", "oscillator", "--t-end", "5", "--x", "1"],
-     "missing initial-condition flags: --px, --py"),
-    (["brackets", "--samples", "10"], "missing --system"),
-    (["spectrum", "--m", "1,2", "--numeric"], "missing --system"),
-])
-def test_missing_flag_usage_lists_every_command(tmp_path, argv, message):
-    # the run builds only its own command's subparser; the usage line still lists all five
-    rc, out = run_process(argv, tmp_path)
-    assert (rc, out["stdout"]) == (2, b"")
-    assert out["stderr"].decode() == ("usage: screened-sphere [-h] "
-                                      "{orbit,closure,turning,brackets,spectrum} ...\n"
-                                      f"screened-sphere: error: {message}\n")
-
-
-@pytest.mark.parametrize(
-    "argv,code",
-    [
-        # no state of the sampling box has Lz**2 > 2k = 80
-        (["--k", "40"], "ERR_IMAGINARY_ALPHA:"),
-        # a few states exist, but too rare to find within the draw cap
-        (["--k", "35.99"], "ERR_IMAGINARY_ALPHA:"),
-        (["--k", "0.05", "--samples", "0"], "ERR_DOMAIN:"),
-        (["--k", "0.05", "--seed", "-1"], "ERR_DOMAIN:"),
-    ],
-)
-def test_brackets_sampler_terminates_with_code(tmp_path, argv, code):
-    rc, out = run_process(["brackets", "--system", "coulomb", "--lambda", "0", *argv], tmp_path)
-    assert rc == 3
-    assert out["stderr"].startswith(code.encode())
-
-
-def test_brackets_sampler_refuses_a_hopeless_request_without_drawing_to_the_cap(tmp_path):
-    # the cap allows 10**9 candidates here; drawing them took minutes, and none passes
-    rc, out = run_process(["brackets", "--system", "coulomb", "--lambda", "0", "--k", "35.99",
-                           "--samples", "1000000"], tmp_path, timeout=20.0)
-    assert rc == 3
-    assert out["stderr"].startswith(b"ERR_IMAGINARY_ALPHA: found 0 of 1000000 states")
-
-
 def test_brackets_sampler_finds_a_low_yield_request_past_the_yield_check(tmp_path):
     # about 8e-4 of the candidates pass at k = 26, so 1000 states take more than the 2**20
     # candidates after which the sampler may refuse a request for its yield
@@ -285,95 +392,6 @@ def test_brackets_sampler_finds_a_low_yield_request_past_the_yield_check(tmp_pat
                            "--samples", "1000", "--out", "brackets.json"], tmp_path)
     assert (rc, out["stderr"]) == (0, b"")
     assert all(r["n_samples"] == 1000 for r in json.loads(out["brackets.json"]))
-
-
-@pytest.mark.parametrize("command,t_end", [("turning", "inf"), ("orbit", "nan"), ("turning", "0")])
-def test_non_finite_t_end_rejected(tmp_path, command, t_end):
-    rc, out = run_process([command, "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
-                           "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", t_end], tmp_path)
-    assert rc == 3
-    assert out["stderr"].startswith(b"ERR_DOMAIN:")
-
-
-@pytest.mark.parametrize("flag,value,code", [
-    ("--px", "nan", "ERR_DOMAIN:"),
-    # p**2 overflows, the step size turns NaN, and that ends as a step underflow
-    ("--py", "1e200", "ERR_STIFF:"),
-    # r**2 underflows in the gradient; the start is refused below the radius guard
-    ("--x", "1e-300", "ERR_SINGULAR_ORBIT:"),
-])
-def test_non_finite_orbit_ends_with_code(tmp_path, flag, value, code):
-    rc, out = run_process(["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1",
-                           "--t-end", "1", flag, value], tmp_path, timeout=30.0)
-    assert rc == 3
-    assert out["stderr"].startswith(code.encode()), out["stderr"]
-
-
-@pytest.mark.parametrize("command", ["orbit", "turning"])
-@pytest.mark.parametrize("flags", [
-    # an infinite first derivative leaves a zero first step
-    ["--px", "1e308"], ["--px", "0", "--lambda", "1e308"], ["--px", "0", "--k", "1e308"],
-    # the error norm of the first step overflows
-    ["--px", "0", "--k", "1e200"],
-])
-def test_huge_inputs_end_with_code(command, flags, capsys):
-    rc = main([command, "--system", "coulomb", "--x", "1", "--px", "1", "--py", "1",
-               "--t-end", "5", "--out", os.devnull, *flags])
-    assert rc == 3
-    assert re.match(r"ERR_[A-Z_]+: ", capsys.readouterr().err)
-
-
-@pytest.mark.parametrize("argv,code", [
-    # the bracket terms overflow; the residuals used to be printed as nan
-    (["brackets", "--system", "coulomb", "--lambda", "1e300", "--samples", "3"], "ERR_ACCURACY"),
-    # the level overflows; it used to be printed as a bare inf
-    (["spectrum", "--system", "oscillator", "--lambda", "1e308", "--m", "1", "--N", "0",
-      "--format", "json"], "ERR_DOMAIN"),
-    # the orbit crosses the equator, where the chart ends; it used to run the whole step budget
-    (["orbit", "--system", "coulomb", "--x", "1", "--y", "1", "--px", "0", "--py", "0.55",
-      "--lambda", "1", "--t-end", "3"], "ERR_CHART_EDGE"),
-])
-def test_overflow_and_chart_edge_end_with_code(argv, code, capsys):
-    assert main(argv) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert re.fullmatch(code + r": .+\n", err), err
-
-
-_HUGE_INT = "1" + "0" * 200  # converts to a float, but its square does not
-
-
-@pytest.mark.parametrize("flag", ["--N", "--m"])
-def test_huge_quantum_number_ends_in_a_code(capsys, flag):
-    # the coulomb level's (m' + N + 1/2)**2 and m**2 overflow; both used to end in a traceback
-    assert main(["spectrum", "--system", "coulomb", flag, _HUGE_INT]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert re.fullmatch(r"ERR_DOMAIN: .+\n", err), err
-
-
-@pytest.mark.parametrize("system,lam", [("coulomb", "1e300"), ("oscillator", "1e150")])
-def test_overflowing_brackets_print_only_their_code_line(tmp_path, system, lam):
-    # a fresh process, since pytest would capture numpy's RuntimeWarnings in-process
-    rc, out = run_process(["brackets", "--system", system, "--lambda", lam, "--samples", "3"],
-                          tmp_path)
-    assert rc == 3
-    assert out["stdout"] == b""
-    assert re.fullmatch(rb"ERR_ACCURACY: .+\n", out["stderr"]), out["stderr"]
-
-
-@pytest.mark.parametrize("argv", [
-    ["--system", "coulomb", "--lambda", "1e308", "--m", "1"],
-    ["--system", "oscillator", "--lambda", "1e308", "--m", "1"],
-])
-def test_overflowing_numeric_spectrum_prints_only_its_code_line(tmp_path, argv):
-    # the grid matrix overflows; numpy's RuntimeWarnings used to come before the code line.
-    # m = 1 passes the m' >= 1/2 refusal, so the line is the overflow's own
-    rc, out = run_process(["spectrum", *argv, "--numeric"], tmp_path)
-    assert rc == 3
-    assert out["stdout"] == b""
-    assert out["stderr"] == (b"ERR_ACCURACY: tridiagonal eigensolver failed: array must not "
-                             b"contain infs or NaNs\n")
 
 
 # Near-radial coulomb starts (e ~ 0.99 and beyond) that end in a coded error today: py 0.1 in
@@ -427,31 +445,6 @@ def test_radial_oscillator_passes_r_0_between_its_aphelia(tmp_path, capsys, comm
         assert max(abs(p["r"] - math.sqrt(1.25)) for p in points) < 1e-9
     else:
         assert json.loads(out.read_text())["turning_kinds"] == ["aphelion"] * apsides
-
-
-def test_long_fast_orbit_hits_the_step_cap(tmp_path):
-    # ~770 steps per time unit over 1e6 time units: the step cap ends it within seconds
-    rc, out = run_process(["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1",
-                           "--t-end", "1e6", "--tol", "1e-6", "--lambda", "100"], tmp_path)
-    assert rc == 3
-    assert out["stderr"].startswith(b"ERR_STEP_BUDGET:"), out["stderr"]
-
-
-def test_trajectory_samples_are_capped(tmp_path):
-    # 10**12 samples would need terabytes; the cap rejects them before allocating
-    rc, out = run_process(["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
-                           "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", "10",
-                           "--trajectory-samples", "1000000000000"], tmp_path)
-    assert rc == 3
-    assert out["stderr"].startswith(b"ERR_DOMAIN: n_samples must be at most")
-
-
-def test_brackets_samples_are_capped(capsys):
-    # 10**12 states would need terabytes; the cap rejects them before any draw
-    for samples in ("1000001", "1000000000000"):
-        assert main(["brackets", "--system", "coulomb", "--k", "0.05", "--samples", samples]) == 3
-        err = capsys.readouterr().err
-        assert err == f"ERR_DOMAIN: at most 1000000 sampled states, got {samples}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -543,26 +536,6 @@ def test_regular_output_gets_the_mode_of_the_umask(tmp_path, umask):
         os.umask(old)
     assert [stat.S_IMODE(p.stat().st_mode) for p in (out, tp)] == [0o666 & ~umask] * 2
     assert tp.read_text().startswith("[")
-
-
-@pytest.mark.parametrize("argv", [
-    ["orbit", "--format", "json", "--x", "1", "--px", "0", "--py", "1", "--t-end", "1"],
-    ["closure", "--format", "json", "--Lz", "1"],
-    ["closure", "--gnuplot", "--Lz", "1"],
-    ["turning", "--format", "csv", "--x", "1", "--px", "0", "--py", "1", "--t-end", "1"],
-    ["turning", "--gnuplot", "--x", "1", "--px", "0", "--py", "1", "--t-end", "1"],
-    ["brackets", "--format", "json", "--samples", "10"],
-    ["brackets", "--gnuplot", "--samples", "10"],
-])
-def test_format_and_gnuplot_are_usage_errors_where_unread(capsys, argv):
-    # --format belongs to spectrum alone, --gnuplot to orbit and spectrum
-    flag = next(a for a in argv if a in ("--format", "--gnuplot"))
-    with pytest.raises(SystemExit) as exc:
-        main([argv[0], "--system", "coulomb", *argv[1:]])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert f"unrecognized arguments: {flag}" in out.err
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -688,22 +661,7 @@ def test_a_usage_error_loads_argparse_and_reports_through_it(tmp_path):
     _, out = _probe(argv, tmp_path)
     report = json.loads(out["stdout"])
     assert (report["rc"], report["argparse"], report["gettext"]) == (2, True, True)
-    assert out["stderr"] == (b"usage: screened-sphere [-h] {orbit,closure,turning,brackets,"
-                             b"spectrum} ...\nscreened-sphere: error: closure requires --Lz\n")
-
-
-@pytest.mark.parametrize("argv,error", [
-    ([], "the following arguments are required: {orbit,closure,turning,brackets,spectrum}"),
-    (["orb"], "argument {orbit,closure,turning,brackets,spectrum}: invalid choice: 'orb' "
-              "(choose from 'orbit', 'closure', 'turning', 'brackets', 'spectrum')"),
-], ids=["missing", "unknown"])
-def test_a_missing_or_unknown_command_is_named_by_the_command_list(capsys, argv, error):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert capsys.readouterr().err == ("usage: screened-sphere [-h] "
-                                       "{orbit,closure,turning,brackets,spectrum} ...\n"
-                                       f"screened-sphere: error: {error}\n")
+    assert out["stderr"].decode() == _USAGE + "screened-sphere: error: closure requires --Lz\n"
 
 
 @pytest.mark.parametrize("n,message", [
@@ -920,7 +878,7 @@ def test_negative_float_in_exponent_notation_is_a_value(tmp_path, argv, flag, va
 
 # Odd values: nan, +-inf, zeros, negatives, exponent notation, huge.  Slow ones
 # are left out, since they only make a run longer: an orbit run to MAX_STEPS takes
-# seconds (test_long_fast_orbit_hits_the_step_cap covers that exit), which --t-end
+# seconds (the refusal row orbit-step-cap covers that exit), which --t-end
 # beyond ~100 does, as does an orbit that passes close round the singularity; so
 # the orbit commands mix their odd values only with the ordinary ones of the
 # fixtures and lambda = 1, where many of them run out to the edge of the chart.  A
@@ -955,7 +913,8 @@ def _odd_argv(draw) -> list[str]:
     command = draw(st.sampled_from(sorted(_SWEEP)))
     base, pools = _SWEEP[command]
     flags = dict(base)
-    for flag in draw(st.sets(st.sampled_from(sorted(pools)), min_size=1, max_size=3)):
+    # sorted: a set's order follows the string hash, which differs from process to process
+    for flag in sorted(draw(st.sets(st.sampled_from(sorted(pools)), min_size=1, max_size=3))):
         flags[flag] = draw(st.sampled_from(pools[flag]))
     argv = [command, "--system", draw(st.sampled_from(["coulomb", "oscillator"])),
             *(tok for item in flags.items() for tok in item)]
@@ -995,6 +954,7 @@ def test_numeric_flags_end_in_a_result_or_a_coded_error(argv):
 # --- the option-table reader: argparse's namespace, or None -------------------------
 
 _FLAGS = tuple(flag for flag, _, _ in _OPTIONS)
+_PARSER = build_parser()  # parse_args keeps no state from one call to the next
 
 
 @st.composite
@@ -1043,7 +1003,7 @@ def test_the_option_table_reads_argv_as_argparse_does(argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         try:
-            parsed = build_parser().parse_args(argv)
+            parsed = _PARSER.parse_args(argv)
         except SystemExit:
             parsed = None
     assert parsed is not None, (argv, err.getvalue())
@@ -1176,8 +1136,7 @@ def _stderr_shape(stderr: str) -> str:
 
 
 _EPIPE = "BrokenPipeError: [Errno 32] Broken pipe"
-_NO_STDOUT = ("usage: screened-sphere [-h] {orbit,closure,turning,brackets,spectrum} ...\n"
-              "screened-sphere: error: cannot write '-': there is no stdout")
+_NO_STDOUT = _USAGE + "screened-sphere: error: cannot write '-': there is no stdout"
 _IMAGINARY_ALPHA = ["closure", "--system", "coulomb", "--Lz", "0.1", "--k", "0.05"]
 # (argv, (exit status, stderr shape) with stdout buffered, the same with PYTHONUNBUFFERED set)
 _STDOUT_GONE = {

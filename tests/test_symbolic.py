@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from screened_sphere import conserved, dynamics, phase_space
+from screened_sphere import conserved, dynamics, phase_space, spectra
 from screened_sphere.conserved import (
     FRADKIN_1,
     FRADKIN_XY,
@@ -199,6 +199,17 @@ PSI_GROUND = sp.sin(CHI) ** (MP + sp.Rational(1, 2)) * sp.exp(
 def test_coulomb_ground_state_is_an_exact_eigenstate():
     ht_psi = -LAM / 2 * sp.diff(PSI_GROUND, CHI, 2) + HT_POTENTIAL * PSI_GROUND
     assert sp.simplify((ht_psi - E_GROUND * PSI_GROUND) / PSI_GROUND) == 0
+
+
+def test_the_grid_operator_is_ht_exactly(monkeypatch):
+    # spectra's potential itself, on the node s = chi/sqrt(lam): sympy's sqrt, sin and tan for
+    # its math, and the symbol m' for m_prime(m, k); its float constants 0.5, 0.125 and 0.25
+    # are binary fractions, so nsimplify makes them the exact rationals
+    monkeypatch.setattr(spectra, "math", types.SimpleNamespace(sqrt=sp.sqrt, sin=sp.sin,
+                                                               tan=sp.tan))
+    monkeypatch.setattr(spectra, "m_prime", lambda m, k: MP)
+    (potential,) = _transformed_potential(COULOMB, LAM, K, 1, [CHI / sp.sqrt(LAM)])
+    assert sp.simplify(sp.nsimplify(potential, rational=True) - HT_POTENTIAL) == 0
 
 
 @pytest.mark.parametrize("lam,k,m", [(0.1, 0.05, 1), (0.7, 0.0, 2), (2.0, 1.3, 3)])
