@@ -4,11 +4,11 @@ Classical orbits, turning-point-conserved extended quantities, Higgs
 algebra bracket checks, and analytic-versus-numeric energy spectra, all
 in gnomonic-projection coordinates.
 
-The numpy-backed modules ``dynamics`` and ``conserved``, and the grid
-oracle ``spectra``, are registered in ``sys.modules`` at import but run
-their bodies on first attribute access, so code that needs only
-``closed_forms`` never loads numpy, and ``conserved``, which takes its
-kernels from ``phase_space``, runs ``dynamics`` only to analyse a
+The numpy-backed modules ``dynamics`` and ``conserved``, and ``spectra``
+(the spectrum table and its grid oracle), are registered in ``sys.modules``
+at import but run their bodies on first attribute access, so code that
+needs only ``closed_forms`` runs none of them, and ``conserved``, which
+takes its kernels from ``phase_space``, runs ``dynamics`` only to analyse a
 trajectory.  The public names below resolve from their owning module on
 use.
 """
@@ -17,14 +17,14 @@ import importlib.util
 import sys
 
 _EXPORTS = {
-    "closed_forms": """ClosureResult SpectrumEntry SystemKind SystemParams closure_analysis
-        coulomb_energy m_prime orbit_alpha oscillator_energy spectrum_entries""",
+    "closed_forms": """ClosureResult SystemKind SystemParams closure_analysis coulomb_energy
+        m_prime orbit_alpha oscillator_energy""",
     "phase_space": "PhaseState hamiltonian potential",
     "dynamics": """Trajectory TurningKind TurningPoint equations_of_motion find_turning_points
         integrate""",
     "conserved": """BracketReport Observable fradkin_quantities poisson_bracket runge_lenz
         turning_point_conservation verify_coulomb_algebra verify_oscillator_algebra""",
-    "spectra": "RadialGrid radial_solve_numeric",
+    "spectra": "RadialGrid SpectrumEntry radial_solve_numeric spectrum_entries",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
@@ -41,7 +41,7 @@ def _lazy(name: str):
 
 dynamics = _lazy("dynamics")
 conserved = _lazy("conserved")
-spectra = _lazy("spectra")  # contract: the package attribute of a submodule
+spectra = _lazy("spectra")
 
 
 def __getattr__(name: str):

@@ -23,12 +23,13 @@ of options that only other commands have are skipped; a bad line or a key no
 command has is a domain error, found before any value is parsed.  ``--gnuplot``
 with ``--format json`` is a usage error, from either source.
 
-All floating output is printed with 17 significant digits and regular
-files are written atomically, through a new temporary file beside the target
-that is renamed over it (a FIFO or a device is written into), so identical
-inputs (including ``--seed``) give byte-identical outputs.  Exit status: 0 on
-success, 2 on usage errors (an output path that cannot be written is one), 3 on
-domain errors (one ``CODE: message`` line on stderr).
+All floating output is printed with 17 significant digits and regular files are
+written atomically, through a new temporary file beside the target that is renamed
+over it (a FIFO or a device is written into), so on one host and numpy build identical
+inputs (including ``--seed``) give byte-identical outputs; numpy picks the SIMD kernel
+of the ``arctan2`` behind every theta by CPU.  Exit status: 0 on success, 2 on usage
+errors (an output path that cannot be written is one), 3 on domain errors (one ``CODE:
+message`` line on stderr).
 
 The process entry ``run`` (``python -m screened_sphere.cli``, the
 ``screened-sphere`` script) runs the command with the cyclic garbage
@@ -51,9 +52,8 @@ import sys
 import types
 from collections.abc import Sequence
 
-from . import conserved, dynamics  # registered lazily: numpy loads on their first use
-from .closed_forms import (MAX_DENOMINATOR, RATIONAL_TOL, SystemKind, SystemParams,
-                           closure_analysis, spectrum_csv, spectrum_entries)
+from . import conserved, dynamics, spectra  # registered lazily: each runs on its first use
+from .closed_forms import MAX_DENOMINATOR, RATIONAL_TOL, SystemKind, SystemParams, closure_analysis
 from .errors import AccuracyError, DomainError, ImaginaryAlphaError
 
 
@@ -246,11 +246,12 @@ def _cmd_brackets(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params(args)
-    entries = spectrum_entries(params.kind, args.lam, args.k, args.m, args.n, numeric=args.numeric)
+    entries = spectra.spectrum_entries(params.kind, args.lam, args.k, args.m, args.n,
+                                       numeric=args.numeric)
     if args.fmt == "json":
         text = _json([e.to_dict() for e in entries]) + "\n"
     else:
-        text = spectrum_csv(entries)
+        text = spectra.spectrum_csv(entries)
         if args.gnuplot:
             text = _strip_header_csv(text)
     _write_output(args.out, text)

@@ -1,10 +1,11 @@
-"""The paper's closed forms: orbit closure and the analytic spectra.
+"""The paper's closed forms: system parameters, orbit closure and the analytic levels.
 
 This module imports only the standard library and ``errors``, so the
-``closure`` command and the analytic ``spectrum`` never load numpy.  Its
-records are namedtuples rather than dataclasses, since ``dataclasses``
-imports ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``), and
-``closure_analysis`` finds p/q without ``fractions`` (which imports ``decimal``).
+``closure`` command never loads numpy; the spectrum table over these levels
+lives in ``spectra``.  Its records are namedtuples rather than dataclasses,
+since ``dataclasses`` imports ``inspect`` (and with it ``ast``, ``dis`` and
+``tokenize``), and ``closure_analysis`` finds p/q without ``fractions`` (which
+imports ``decimal``).
 
 Orbits close for rational alpha = sqrt(1 - 2k/Lz**2) = p/q.  Screening
 enters the radial quantum problem only through the effective angular
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
 from enum import Enum
 
 from .errors import CurvatureError, DomainError, ImaginaryAlphaError, ImaginaryMPrimeError
@@ -164,64 +164,3 @@ def analytic_energy(kind: SystemKind, lam: float, k: float, m: int, n: int) -> f
     if kind is SystemKind.COULOMB:
         return coulomb_energy(lam, k, m, n)
     return oscillator_energy(lam, k, m, n)
-
-
-SPECTRUM_COLUMNS = tuple("kind lambda k m N m_prime E_analytic E_numeric abs_diff".split())
-
-
-class SpectrumEntry(namedtuple("SpectrumEntry",
-                               "kind lam k m n m_prime e_analytic e_numeric abs_diff",
-                               defaults=(None, None))):
-    """One (m, N) level: analytic energy plus optional grid-oracle energy."""
-
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return dict(zip(SPECTRUM_COLUMNS, (self.kind.value, *self[1:])))
-
-
-def spectrum_csv(entries: Sequence[SpectrumEntry]) -> str:
-    """CSV table of spectrum entries under a ``SPECTRUM_COLUMNS`` header: a float with 17
-    significant digits, None as an empty field."""
-    lines = [",".join(SPECTRUM_COLUMNS)]
-    for e in entries:
-        lines.append(",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in e.to_dict().values()))
-    return "\n".join(lines) + "\n"
-
-
-def spectrum_entries(
-    kind: SystemKind,
-    lam: float,
-    k: float,
-    ms: Sequence[int],
-    ns: Sequence[int],
-    numeric: bool = False,
-) -> list[SpectrumEntry]:
-    """Spectrum table over given quantum numbers, optionally with the grid oracle.
-
-    Every N is checked first; the grid oracle takes N < ``spectra.GRID_MAX_LEVELS`` and
-    m' >= 1/2, and solves each distinct m once.  Only a ``numeric`` table imports ``spectra``.
-    """
-    if numeric:
-        from .spectra import GRID_MAX_LEVELS, check_grid_m_prime, radial_solve_numeric
-    for n in ns:
-        _check_qn(lam, k, n)
-        if numeric and n >= GRID_MAX_LEVELS:
-            raise DomainError(f"radial index N must be at most {GRID_MAX_LEVELS - 1} for the grid "
-                              f"oracle, got {n}")
-    if numeric:
-        for m in ms:
-            check_grid_m_prime(m, k)
-    entries: list[SpectrumEntry] = []
-    solved: dict[int, Sequence[float]] = {}
-    for m in ms:
-        if numeric and ns and m not in solved:
-            solved[m] = radial_solve_numeric(kind, lam, k, m, n_levels=max(ns) + 1).energies
-        numeric_levels = solved.get(m)
-        for n in sorted(ns):
-            e_an = analytic_energy(kind, lam, k, m, n)
-            e_num = None if numeric_levels is None else float(numeric_levels[n])
-            entries.append(SpectrumEntry(kind, lam, k, m, n, m_prime(m, k), e_an, e_num,
-                                         None if e_num is None else abs(e_an - e_num)))
-    return entries

@@ -1,7 +1,7 @@
-"""Quantum spectra of the screened systems: the finite-difference grid oracle.
+"""Quantum spectra of the screened systems: the spectrum table and its grid oracle.
 
-The closed-form levels, the spectrum table and its CSV live in
-``closed_forms``; ``perfbench`` reads the table and its CSV here.
+``spectrum_entries`` tabulates the closed-form levels of ``closed_forms`` over the
+requested (m, N), optionally beside the grid oracle's; ``spectrum_csv`` writes the table.
 
 The independent oracle discretizes the radial Hamiltonian H1 in the arc
 length s = chi/sqrt(lam) from the pole (chi the polar angle, r =
@@ -38,8 +38,7 @@ from array import array
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .closed_forms import SystemKind, m_prime
-from .closed_forms import spectrum_csv, spectrum_entries  # noqa: F401 -- perfbench reads them here
+from .closed_forms import SystemKind, _check_qn, analytic_energy, m_prime
 from .errors import AccuracyError, DomainError
 
 GRID_MAX_LEVELS = 10        # levels the grid oracle solves: N = 0 .. GRID_MAX_LEVELS - 1
@@ -186,3 +185,58 @@ def radial_solve_numeric(kind: SystemKind, lam: float, k: float, m: int,
     energies = tuple((4.0 * f - c) / 3.0 for f, c in zip(e_fine, e_coarse))
     estimate = tuple(abs(f - c) for f, c in zip(e_fine, e_coarse))
     return RadialSolveResult(energies=energies, error_estimate=estimate, grid=fine)
+
+
+# --- spectrum table -------------------------------------------------------
+
+SPECTRUM_COLUMNS = tuple("kind lambda k m N m_prime E_analytic E_numeric abs_diff".split())
+
+
+class SpectrumEntry(namedtuple("SpectrumEntry",
+                               "kind lam k m n m_prime e_analytic e_numeric abs_diff",
+                               defaults=(None, None))):
+    """One (m, N) level: analytic energy plus optional grid-oracle energy."""
+
+    __slots__ = ()
+
+    def to_dict(self) -> dict:
+        return dict(zip(SPECTRUM_COLUMNS, (self.kind.value, *self[1:])))
+
+
+def spectrum_csv(entries: Sequence[SpectrumEntry]) -> str:
+    """CSV table of spectrum entries under a ``SPECTRUM_COLUMNS`` header: a float with 17
+    significant digits, None as an empty field."""
+    lines = [",".join(SPECTRUM_COLUMNS)]
+    for e in entries:
+        lines.append(",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in e.to_dict().values()))
+    return "\n".join(lines) + "\n"
+
+
+def spectrum_entries(kind: SystemKind, lam: float, k: float, ms: Sequence[int], ns: Sequence[int],
+                     numeric: bool = False) -> list[SpectrumEntry]:
+    """Spectrum table over given quantum numbers, optionally with the grid oracle.
+
+    Every N is checked first; the grid oracle takes N < ``GRID_MAX_LEVELS`` and m' >= 1/2,
+    and solves each distinct m once.
+    """
+    for n in ns:
+        _check_qn(lam, k, n)
+        if numeric and n >= GRID_MAX_LEVELS:
+            raise DomainError(f"radial index N must be at most {GRID_MAX_LEVELS - 1} for the grid "
+                              f"oracle, got {n}")
+    if numeric:
+        for m in ms:
+            check_grid_m_prime(m, k)
+    entries: list[SpectrumEntry] = []
+    solved: dict[int, Sequence[float]] = {}
+    for m in ms:
+        if numeric and ns and m not in solved:
+            solved[m] = radial_solve_numeric(kind, lam, k, m, n_levels=max(ns) + 1).energies
+        numeric_levels = solved.get(m)
+        for n in sorted(ns):
+            e_an = analytic_energy(kind, lam, k, m, n)
+            e_num = None if numeric_levels is None else float(numeric_levels[n])
+            entries.append(SpectrumEntry(kind, lam, k, m, n, m_prime(m, k), e_an, e_num,
+                                         None if e_num is None else abs(e_an - e_num)))
+    return entries

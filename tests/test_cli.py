@@ -593,6 +593,7 @@ print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswi
                   "dataclasses": "dataclasses" in sys.modules,
                   "fractions": "fractions" in sys.modules,
                   "argparse": "argparse" in sys.modules,
+                  "ctypes": "ctypes" in sys.modules,
                   "gettext": "gettext" in sys.modules,
                   "unused": sorted({"typing", "tempfile", "shutil", "bz2", "lzma", "random"}
                                    & set(sys.modules)),
@@ -652,6 +653,10 @@ def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
         assert (report["argparse"], report["gettext"]) == (False, False)
         # brackets takes its kernels from phase_space; only an integrated orbit runs dynamics
         assert report["dynamics_ran"] is (argv[:1] in (["orbit"], ["turning"]))
+        # LAPACK stays behind spectra._dstebz_routine, so of the runs without numpy (which
+        # imports ctypes itself) only the grid oracle loads ctypes
+        if not uses_numpy:
+            assert report["ctypes"] is ("--numeric" in argv), argv
     # in the clean run: annotations need no typing, a regular --out file no tempfile (nor its
     # shutil, bz2, lzma and random); only brackets draws random states
     assert ("random" in report["unused"]) is (argv[:1] == ["brackets"]), argv

@@ -1,6 +1,7 @@
 """The package's public names and the modules that importing the CLI registers."""
 
 import ast
+import graphlib
 import importlib
 import inspect
 import linecache
@@ -17,14 +18,14 @@ from golden_digests import SRC, run_process
 
 # Every name the package exports, by the module that defines it.
 EXPORTED = {
-    "closed_forms": """ClosureResult SpectrumEntry SystemKind SystemParams closure_analysis
-        coulomb_energy m_prime orbit_alpha oscillator_energy spectrum_entries""",
+    "closed_forms": """ClosureResult SystemKind SystemParams closure_analysis coulomb_energy
+        m_prime orbit_alpha oscillator_energy""",
     "phase_space": "PhaseState hamiltonian potential",
     "dynamics": """Trajectory TurningKind TurningPoint equations_of_motion find_turning_points
         integrate""",
     "conserved": """BracketReport Observable fradkin_quantities poisson_bracket runge_lenz
         turning_point_conservation verify_coulomb_algebra verify_oscillator_algebra""",
-    "spectra": "RadialGrid radial_solve_numeric",
+    "spectra": "RadialGrid SpectrumEntry radial_solve_numeric spectrum_entries",
 }
 # The closed-form orbit oracle, which no command runs, lives in tests/orbit_reference.py.
 ORBIT_REFERENCE = "OrbitShape closed_form_radius orbit_points orbit_residual state_at_theta".split()
@@ -116,6 +117,26 @@ def test_every_name_imported_from_a_sibling_module_is_used():
         unused += [f"{path.name}:{line} {name}" for line, name in imported
                    if name not in used and not re.search(rf"\b{name}\b", text)]
     assert unused == []
+
+
+def test_the_import_graph_is_acyclic_and_closed_forms_is_a_leaf():
+    # each module of src/ and the sibling modules it imports anywhere in its text, function
+    # bodies included: "from .m import ..." and "from . import m"
+    trees, _ = _sources()
+    graph = {path.stem: {node.module or alias.name for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.level == 1
+                         for alias in node.names}
+             for path, tree in trees.items()}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+    assert graph["closed_forms"] <= {"errors"}
+    # the benchmark wraps the spectrum table where it is defined, not through an alias
+    from screened_sphere import spectra
+
+    assert {getattr(spectra, name).__module__ for name in BENCHMARK_NAMES["spectra"].split()} == {
+        "screened_sphere.spectra"}
 
 
 CONTRACT = re.compile(r"#\s*contract:\s*\S")
@@ -221,9 +242,12 @@ def test_cli_import_registers_the_numpy_modules_without_running_them(tmp_path):
 
 
 def _records():
-    """One of each closed_forms record: system parameters, a closure result, a spectrum entry."""
+    """One of each closed-form record: system parameters and a closure result (closed_forms),
+    and a spectrum entry (spectra)."""
+    from screened_sphere import spectra
+
     params = SystemParams(SystemKind.COULOMB, 0.0, 0.375)
-    entry, = closed_forms.spectrum_entries(SystemKind.OSCILLATOR, 0.1, 0.05, [1], [0])
+    entry, = spectra.spectrum_entries(SystemKind.OSCILLATOR, 0.1, 0.05, [1], [0])
     return params, closed_forms.closure_analysis(params, 1.0), entry
 
 
