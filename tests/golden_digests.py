@@ -1,13 +1,16 @@
 """Golden digests of CLI runs, the one harness that runs and compares them, and the script
 that regenerates them.
 
-Each argv in ``golden/argv.json`` runs in-process through ``cli.main`` in an empty directory;
-its record in ``golden/digests.json`` holds the exit status and, for stdout, stderr and every
-file written, the SHA-256 of the bytes and a 16-bit fingerprint per line (base64), so that a
-mismatch can name its first differing line.  ``run`` (in-process) and ``run_process`` (a fresh
-interpreter, under any ``src``) return the same ``(rc, outputs)`` record, which ``record`` and
-``mismatch`` compare; ``child_env`` is the environment of every child the tests start, and
-``load_argv`` yields the golden argv, with the benchmark workloads' argv at seeds 1-5 if asked.
+Each argv in ``golden/argv.json`` runs in-process through ``cli.main`` in an empty directory,
+on the stdio a process has (UTF-8 text over a buffered byte stream); its record in
+``golden/digests.json`` holds the exit status and, for stdout, stderr and every file written,
+the SHA-256 of the bytes and a 16-bit fingerprint per line (base64), so that a mismatch can
+name its first differing line.  ``run`` (in-process, the tests' one caller of ``cli.main``) and
+``run_process`` (a fresh interpreter, under any ``src``) return the same ``(rc, outputs)``
+record, which ``record`` and ``mismatch`` compare; ``child_env`` is the environment of every
+child the tests start, ``load_argv`` yields the golden argv, with the benchmark workloads' argv
+at seeds 1-5 if asked, and ``perfbench_workloads`` loads the benchmark's workload generator
+without writing bytecode into ``perfbench/``.
 The numpy version and the CPU model are stored beside the records: the dense output runs a
 numpy matmul, whose last digits may depend on both.  The ``spectrum --numeric`` levels take no
 numpy: their bits come from libm's ``sin`` and ``tan`` and from dstebz in the OpenBLAS that
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -68,11 +72,18 @@ def child_env(src: Path = SRC, unbuffered: bool = False, paths=(), **extra: str)
 def run(argv: list[str], directory: Path, entry=None) -> tuple[int, dict[str, bytes]]:
     """(rc, outputs) of ``entry(argv)``, by default ``cli.main``, run inside the empty
     ``directory``, made if missing; outputs maps "stdout", "stderr" and the name of each file
-    written to its bytes."""
+    written to its bytes.
+
+    stdout and stderr are UTF-8 text over a buffered byte stream, as in a process (stderr
+    is line-buffered and escapes what it cannot encode), so ``entry`` takes the branches that
+    ``python -m screened_sphere.cli`` takes: ``cli._write_output`` writes to
+    ``stdout.buffer``, and ``cli._report`` to ``stderr.buffer.raw``."""
     if entry is None:
         from screened_sphere.cli import main as entry
 
-    out, err = io.StringIO(), io.StringIO()
+    out = io.TextIOWrapper(io.BufferedWriter(io.BytesIO()), encoding="utf-8")
+    err = io.TextIOWrapper(io.BufferedWriter(io.BytesIO()), encoding="utf-8",
+                           errors="backslashreplace", line_buffering=True)
     Path(directory).mkdir(parents=True, exist_ok=True)
     cwd = os.getcwd()
     os.chdir(directory)
@@ -84,7 +95,9 @@ def run(argv: list[str], directory: Path, entry=None) -> tuple[int, dict[str, by
                 rc = exc.code
     finally:
         os.chdir(cwd)
-    return rc, _outputs(out.getvalue().encode(), err.getvalue().encode(), directory)
+    out.flush()
+    err.flush()
+    return rc, _outputs(out.buffer.raw.getvalue(), err.buffer.raw.getvalue(), directory)
 
 
 def run_process(argv: list[str], directory: Path, src: Path = SRC, *,
@@ -142,19 +155,11 @@ def load_argv(workloads: bool = False) -> list[dict]:
     """The ops ({"name", "argv"}) of ``golden/argv.json``, then, if ``workloads``, each argv
     that ``perfbench/workloads.generate`` gives a benchmark workload at ``SEEDS`` and no op
     before it has, named ``<workload>-<seed>-op<i>-<command>``.  A workload argv loses the
-    ``./`` of its output paths, as ``golden/argv.json`` has them; ``perfbench/`` gets no
-    bytecode."""
+    ``./`` of its output paths, as ``golden/argv.json`` has them."""
     ops = json.loads((GOLDEN / "argv.json").read_text())
     if not workloads:
         return ops
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  ROOT / "perfbench" / "workloads.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
+    module = perfbench_workloads()
     seen = {tuple(op["argv"]) for op in ops}
     for workload in module.WORKLOADS:
         for seed in SEEDS:
@@ -164,6 +169,21 @@ def load_argv(workloads: bool = False) -> list[dict]:
                     seen.add(tuple(argv))
                     ops.append({"name": f"{workload}-{seed}-op{i:02d}-{argv[0]}", "argv": argv})
     return ops
+
+
+@functools.cache
+def perfbench_workloads():
+    """``perfbench/workloads.py``, loaded once as ``perfbench_workloads`` without writing
+    bytecode into ``perfbench/``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 def regenerate(names: list[str]) -> None:

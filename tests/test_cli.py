@@ -24,63 +24,68 @@ from hypothesis import strategies as st
 
 from golden_digests import ROOT, SRC, child_env, run_process
 from golden_digests import run as run_main
-from screened_sphere.cli import (_OPTIONS, _json, _read_args, _write_output, build_parser, main,
-                                 run)
+from screened_sphere import cli
+from screened_sphere.cli import _OPTIONS, _json, _read_args, _write_output, build_parser, run
 from screened_sphere.errors import AccuracyError, DomainError
 
 
-def test_orbit_command_writes_trajectory_and_detects_closure(tmp_path, capsys):
-    out = tmp_path / "traj.csv"
-    tp = tmp_path / "turning.json"
-    rc = main([
+def _config(tmp_path: Path, text: str | bytes) -> str:
+    """The path of a config file holding ``text``, beside the run directories under
+    ``tmp_path``, not in one, since a run reads back every file in its directory."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+    return str(cfg)
+
+
+def _ok(argv: list[str], directory: Path) -> dict[str, bytes]:
+    """The outputs of a run that exits 0."""
+    rc, out = run_main(argv, directory)
+    assert rc == 0, out["stderr"]
+    return out
+
+
+def test_orbit_command_writes_trajectory_and_detects_closure(tmp_path):
+    out = _ok([
         "orbit", "--system", "coulomb", "--lambda", "0", "--k", "0.375",
         "--x", "2", "--px", "0", "--py", "0.5", "--t-end", "200",
-        "--tol", "1e-10", "--out", str(out), "--turning-out", str(tp),
-    ])
-    assert rc == 0
-    lines = out.read_text().splitlines()
+        "--tol", "1e-10", "--out", "traj.csv", "--turning-out", "turning.json",
+    ], tmp_path)
+    lines = out["traj.csv"].decode().splitlines()
     assert lines[0] == "t,x1,x2,p1,p2,r,theta,H,Lz"
     assert len(lines) == 4002
     first = [float(v) for v in lines[1].split(",")]
     assert first[:5] == [0.0, 2.0, 0.0, 0.0, 0.5]
     assert first[8] == 1.0  # Lz
 
-    err = capsys.readouterr().err
-    assert "alpha=0.5" in err and "closed=true" in err
+    assert b"alpha=0.5" in out["stderr"] and b"closed=true" in out["stderr"]
 
-    points = json.loads(tp.read_text())
+    points = json.loads(out["turning.json"])
     assert len(points) > 10
     assert set(points[0]) == {"t", "r", "theta", "kind"}
     assert points[0]["kind"] in ("aphelion", "perihelion")
 
 
-def test_spectrum_command_flat_oscillator_ground_state(capsys):
-    rc = main(["spectrum", "--system", "oscillator", "--lambda", "0", "--k", "0",
-               "--m", "0", "--N", "0"])
-    assert rc == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == "kind,lambda,k,m,N,m_prime,E_analytic,E_numeric,abs_diff"
-    assert out[1] == "oscillator,0,0,0,0,0,1,,"
+def test_spectrum_command_flat_oscillator_ground_state(tmp_path):
+    out = _ok(["spectrum", "--system", "oscillator", "--lambda", "0", "--k", "0",
+               "--m", "0", "--N", "0"], tmp_path)
+    assert out["stdout"].decode().splitlines() == [
+        "kind,lambda,k,m,N,m_prime,E_analytic,E_numeric,abs_diff", "oscillator,0,0,0,0,0,1,,"]
 
 
-def test_spectrum_sweep_json(capsys):
-    rc = main(["spectrum", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
-               "--m", "1,2", "--N", "0,1", "--format", "json"])
-    assert rc == 0
-    rows = json.loads(capsys.readouterr().out)
+def test_spectrum_sweep_json(tmp_path):
+    rows = json.loads(_ok(["spectrum", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
+                           "--m", "1,2", "--N", "0,1", "--format", "json"], tmp_path)["stdout"])
     assert len(rows) == 4
     assert rows[0]["kind"] == "coulomb"
     assert rows[0]["E_numeric"] is None
 
 
-def test_spectrum_gnuplot_strips_header(capsys):
+def test_spectrum_gnuplot_strips_header(tmp_path):
     argv = ["spectrum", "--system", "oscillator", "--lambda", "0", "--k", "0",
             "--m", "1", "--N", "0,1"]
-    assert main(argv) == 0
-    csv = capsys.readouterr().out.splitlines(keepends=True)
+    csv = _ok(argv, tmp_path)["stdout"].decode().splitlines(keepends=True)
     for gnuplot in (["--gnuplot"], ["--format", "csv", "--gnuplot"]):
-        assert main([*argv, *gnuplot]) == 0
-        out = capsys.readouterr().out
+        out = _ok([*argv, *gnuplot], tmp_path)["stdout"].decode()
         assert out == "".join(csv[1:]).replace(",", " ")
     out = out.splitlines()
     assert len(out) == 2
@@ -88,15 +93,13 @@ def test_spectrum_gnuplot_strips_header(capsys):
     assert out[0].split()[6] == "2"  # E = 1 + m' + 2N = 2
 
 
-def test_orbit_gnuplot_is_the_csv_without_header_or_commas(tmp_path, capsys):
+def test_orbit_gnuplot_is_the_csv_without_header_or_commas(tmp_path):
     argv = ["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
-            "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", "5"]
-    plain, gnuplot = tmp_path / "orbit.csv", tmp_path / "orbit.dat"
-    assert main([*argv, "--out", str(plain)]) == 0
-    assert main([*argv, "--gnuplot", "--out", str(gnuplot)]) == 0
-    lines = plain.read_bytes().splitlines(keepends=True)
+            "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", "5", "--out", "orbit.csv"]
+    lines = _ok(argv, tmp_path)["orbit.csv"].splitlines(keepends=True)
+    gnuplot = _ok([*argv, "--gnuplot", "--out", "orbit.dat"], tmp_path)["orbit.dat"]
     assert lines[0] == b"t,x1,x2,p1,p2,r,theta,H,Lz\n"
-    assert gnuplot.read_bytes() == b"".join(lines[1:]).replace(b",", b" ")
+    assert gnuplot == b"".join(lines[1:]).replace(b",", b" ")
 
 
 @pytest.mark.parametrize("flags,config", [
@@ -106,26 +109,19 @@ def test_orbit_gnuplot_is_the_csv_without_header_or_commas(tmp_path, capsys):
     (["--gnuplot"], "format=json\n"),
     (["--format", "json"], "gnuplot=1\n"),
 ], ids=["flags", "flags-reversed", "config", "gnuplot-flag", "format-flag"])
-def test_spectrum_json_with_gnuplot_is_a_usage_error(tmp_path, capsys, flags, config):
+def test_spectrum_json_with_gnuplot_is_a_usage_error(tmp_path, flags, config):
     # gnuplot columns are a csv layout; json output would drop the flag without a word
     argv = ["spectrum", "--system", "coulomb", "--m", "1", "--N", "0", *flags]
     if config is not None:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(config)
-        argv += ["--config", str(cfg)]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.endswith("error: --gnuplot needs csv output, not --format json\n")
+        argv += ["--config", _config(tmp_path, config)]
+    rc, out = run_main(argv, tmp_path / "run")
+    assert (rc, out["stdout"]) == (2, b"")
+    assert out["stderr"].endswith(b"error: --gnuplot needs csv output, not --format json\n")
 
 
-def test_closure_command_json(capsys):
-    rc = main(["closure", "--system", "coulomb", "--lambda", "0", "--k", "0.375",
-               "--Lz", "1"])
-    assert rc == 0
-    data = json.loads(capsys.readouterr().out)
+def test_closure_command_json(tmp_path):
+    data = json.loads(_ok(["closure", "--system", "coulomb", "--lambda", "0", "--k", "0.375",
+                           "--Lz", "1"], tmp_path)["stdout"])
     assert data["alpha"] == 0.5
     assert data["closed"] is True
     assert (data["p"], data["q"]) == (1, 2)
@@ -135,23 +131,18 @@ def test_closure_command_json(capsys):
 def test_brackets_determinism(tmp_path):
     args = ["brackets", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
             "--samples", "200", "--seed", "42"]
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    reports = json.loads(out1.read_text())
+    first, second = (_ok([*args, "--out", "brackets.json"], tmp_path / name) for name in "ab")
+    assert first == second
+    reports = json.loads(first["brackets.json"])
     assert len(reports) == 3
     assert set(reports[0]) == {"identity", "n_samples", "max_abs_residual", "mean_abs_residual"}
     assert all(r["max_abs_residual"] < 1e-7 for r in reports)
 
 
 def test_turning_command(tmp_path):
-    out = tmp_path / "turning.json"
-    rc = main(["turning", "--system", "oscillator", "--lambda", "0.1", "--k", "0.05",
-               "--x", "1.5", "--px", "0", "--py", "0.6", "--t-end", "20",
-               "--out", str(out)])
-    assert rc == 0
-    data = json.loads(out.read_text())
+    data = json.loads(_ok(["turning", "--system", "oscillator", "--lambda", "0.1", "--k", "0.05",
+                           "--x", "1.5", "--px", "0", "--py", "0.6", "--t-end", "20",
+                           "--out", "turning.json"], tmp_path)["turning.json"])
     assert data["quantities"] == ["Q'xy", "Q'1"]
     assert data["max_abs_bracket_at_turning"] < 1e-7
     assert data["generic_max_abs_bracket"] > 1e-3
@@ -169,32 +160,26 @@ def test_a_short_span_from_an_aphelion_finds_it(tmp_path):
     assert json.loads(out["stdout"])["turning_kinds"] == ["aphelion"]
 
 
-def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("system=coulomb\nlambda=0\nk=0.05\nLz=1\n")
-    rc = main(["closure", "--config", str(cfg)])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["closed"] is False
+def test_config_file_supplies_defaults_and_flags_win(tmp_path):
+    argv = ["closure", "--config", _config(tmp_path, "system=coulomb\nlambda=0\nk=0.05\nLz=1\n")]
+    assert json.loads(_ok(argv, tmp_path / "run")["stdout"])["closed"] is False
 
-    rc = main(["closure", "--config", str(cfg), "--k", "0.375"])
-    assert rc == 0
-    data = json.loads(capsys.readouterr().out)
+    data = json.loads(_ok([*argv, "--k", "0.375"], tmp_path / "run")["stdout"])
     assert data["closed"] is True and data["alpha"] == 0.5
 
 
-def test_unreadable_config_is_a_usage_error(tmp_path, capsys):
+def test_unreadable_config_is_a_usage_error(tmp_path):
     for path in (tmp_path, tmp_path / "missing.cfg"):  # a directory, then no file
-        with pytest.raises(SystemExit) as exc:
-            main(["closure", "--config", str(path), "--Lz", "1"])
-        assert exc.value.code == 2
-        assert "cannot read --config" in capsys.readouterr().err
+        rc, out = run_main(["closure", "--config", str(path), "--Lz", "1"], tmp_path / "run")
+        assert rc == 2
+        assert b"cannot read --config" in out["stderr"]
 
 
-def test_undecodable_config_is_a_domain_error(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(b"system=coulomb\n\xff\xfe=1\n")
-    assert main(["closure", "--config", str(cfg), "--Lz", "1"]) == 3
-    assert capsys.readouterr().err.startswith("ERR_DOMAIN: ")
+def test_undecodable_config_is_a_domain_error(tmp_path):
+    cfg = _config(tmp_path, b"system=coulomb\n\xff\xfe=1\n")
+    rc, out = run_main(["closure", "--config", cfg, "--Lz", "1"], tmp_path / "run")
+    assert rc == 3
+    assert out["stderr"].startswith(b"ERR_DOMAIN: ")
 
 
 # --- every refusal of the command line: its exit status and its stderr, in full ------
@@ -381,10 +366,10 @@ def test_the_readme_lists_every_code_with_a_refusal_that_prints_it():
 
 
 @pytest.mark.parametrize("lz", ["1e-200", "-5e-324"])
-def test_unscreened_closure_where_lz_squared_underflows(capsys, lz):
+def test_unscreened_closure_where_lz_squared_underflows(tmp_path, lz):
     # at k = 0 alpha is 1 for every Lz != 0, also where Lz**2 underflows to 0
-    assert main(["closure", "--system", "coulomb", "--k", "0", "--Lz", lz]) == 0
-    data = json.loads(capsys.readouterr().out)
+    data = json.loads(_ok(["closure", "--system", "coulomb", "--k", "0", "--Lz", lz],
+                          tmp_path)["stdout"])
     assert (data["alpha"], data["closed"], data["p"], data["q"]) == (1.0, True, 1, 1)
 
 
@@ -404,10 +389,10 @@ def test_brackets_sampler_finds_a_low_yield_request_past_the_yield_check(tmp_pat
                    reason="near-radial orbits: turning-point refinement and drift gate")
 @pytest.mark.parametrize("py", ["0.1", "0.05"])
 @pytest.mark.parametrize("command", ["orbit", "turning"])
-def test_near_radial_coulomb_start_exits_0(tmp_path, capsys, command, py):
-    rc = main([command, "--system", "coulomb", "--x", "1", "--y", "0", "--px", "0", "--py", py,
-               "--t-end", "20", "--tol", "1e-10", "--out", str(tmp_path / "out")])
-    assert rc == 0, capsys.readouterr().err
+def test_near_radial_coulomb_start_exits_0(tmp_path, command, py):
+    rc, out = run_main([command, "--system", "coulomb", "--x", "1", "--y", "0", "--px", "0",
+                        "--py", py, "--t-end", "20", "--tol", "1e-10", "--out", "out"], tmp_path)
+    assert rc == 0, out["stderr"]
 
 
 # ``integrate`` solves at max(tol * 1e-2, 2.5e-14), so at --tol 1e-13 the solver runs only
@@ -416,10 +401,10 @@ def test_near_radial_coulomb_start_exits_0(tmp_path, capsys, command, py):
 # oscillator at 1e-13.  Strict, so that the fix has to flip it.
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="--tol near its minimum: the solver floor leaves no drift margin")
-def test_coulomb_orbit_at_the_minimum_tol_exits_0(capsys):
-    rc = main(["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "0.5",
-               "--t-end", "10", "--tol", "1e-13", "--out", os.devnull])
-    assert rc == 0, capsys.readouterr().err
+def test_coulomb_orbit_at_the_minimum_tol_exits_0(tmp_path):
+    rc, out = run_main(["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "0.5",
+                        "--t-end", "10", "--tol", "1e-13", "--out", os.devnull], tmp_path)
+    assert rc == 0, out["stderr"]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -430,24 +415,22 @@ def test_json_writer_refuses_non_finite_numbers(value):
 
 @pytest.mark.parametrize("command,lam,t_end,apsides", [("orbit", "0", "50", 16),
                                                         ("turning", "0.3", "20", 7)])
-def test_radial_oscillator_passes_r_0_between_its_aphelia(tmp_path, capsys, command, lam,
-                                                           t_end, apsides):
+def test_radial_oscillator_passes_r_0_between_its_aphelia(tmp_path, command, lam, t_end,
+                                                           apsides):
     # Lz = 0: the orbit runs through the origin, where x.p changes sign but rdot jumps from
     # -|v| to |v|; those passes used to be refined as perihelia and end in ERR_ACCURACY
-    out = tmp_path / "out.json"
     argv = [command, "--system", "oscillator", "--lambda", lam, "--x", "1", "--px", "-0.5",
             "--py", "0", "--t-end", t_end]
-    argv += ["--out", os.devnull, "--turning-out", str(out)] if command == "orbit" else [
-        "--out", str(out)]
-    assert main(argv) == 0
-    capsys.readouterr()
+    argv += ["--out", os.devnull, "--turning-out", "out.json"] if command == "orbit" else [
+        "--out", "out.json"]
+    out = _ok(argv, tmp_path)
     if command == "orbit":
-        points = json.loads(out.read_text())
+        points = json.loads(out["out.json"])
         assert [p["kind"] for p in points] == ["aphelion"] * apsides
         # flat and unscreened, E = 0.625 = r**2/2 at the aphelion
         assert max(abs(p["r"] - math.sqrt(1.25)) for p in points) < 1e-9
     else:
-        assert json.loads(out.read_text())["turning_kinds"] == ["aphelion"] * apsides
+        assert json.loads(out["out.json"])["turning_kinds"] == ["aphelion"] * apsides
 
 
 @pytest.mark.parametrize("argv", [
@@ -459,7 +442,7 @@ def test_radial_oscillator_passes_r_0_between_its_aphelia(tmp_path, capsys, comm
     ["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1", "--t-end", "1",
      "--out", "{tmp}/orbit.csv", "--turning-out", "{nul}"],
 ])
-def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+def test_unwritable_output_is_a_usage_error(tmp_path, argv):
     # a missing directory fails the temporary file, an existing directory the write into it;
     # a NUL byte, which a --config line can carry, fails every os call with ValueError
     (tmp_path / "taken").mkdir()
@@ -467,33 +450,33 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
              "directory": str(tmp_path / "taken"), "tmp": str(tmp_path),
              "nul": str(tmp_path / "a\0b.json")}
     argv = [arg.format(**paths) for arg in argv]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"cannot write {argv[-1]!r}: " in capsys.readouterr().err
+    rc, out = run_main(argv, tmp_path / "run")
+    assert rc == 2
+    assert f"cannot write {argv[-1]!r}: ".encode() in out["stderr"]
     assert not [p.name for p in tmp_path.rglob(".tmp-*")]
 
 
-def test_output_into_a_fifo_is_written_not_replaced(tmp_path, capsys):
+def test_output_into_a_fifo_is_written_not_replaced(tmp_path):
+    # the FIFO lies beside the run directory: a run reads back every file in its own
     argv = ["closure", "--system", "coulomb", "--k", "0.375", "--Lz", "1"]
-    assert main(argv) == 0
-    want = capsys.readouterr().out.encode()
+    want = _ok(argv, tmp_path / "run")
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     got = []
     reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
     reader.start()
     try:
-        assert main(argv + ["--out", str(fifo)]) == 0
+        rc, out = run_main(argv + ["--out", str(fifo)], tmp_path / "run")
     finally:
         reader.join(timeout=30)
         if reader.is_alive():  # nothing opened the FIFO to write: release the reader
             os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
             reader.join(timeout=30)
     assert not reader.is_alive()
-    assert got == [want]
+    assert (rc, out) == (0, {"stdout": b"", "stderr": b""})
+    assert got == [want["stdout"]]
     assert stat.S_ISFIFO(fifo.lstat().st_mode)
-    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "run"]
 
 
 @pytest.mark.parametrize("target", ["file", "device", "stdout"])
@@ -526,19 +509,38 @@ def test_stdout_chunks_are_encoded_as_one_stream(tmp_path, monkeypatch):
     assert (tmp_path / "stdout").read_bytes() == text.encode("utf-16")
 
 
+def test_a_stdout_without_a_buffer_takes_the_same_text(tmp_path):
+    # a StringIO (a notebook's stdout) has no binary buffer, so _write_output writes it the
+    # text whole; every harness run takes the buffer branch, as a process does
+    argv = ["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--x", "1.6",
+            "--px", "0", "--py", "0.55", "--t-end", "5", "--out", "-"]
+    text = io.StringIO()
+
+    def into_text(argv):
+        with contextlib.redirect_stdout(text):
+            return cli.main(argv)
+
+    rc, out = run_main(argv, tmp_path / "text", entry=into_text)
+    assert run_main(argv, tmp_path / "bytes") == (rc, {**out, "stdout": text.getvalue().encode()})
+    assert rc == 0 and out["stdout"] == b"" and len(text.getvalue()) > 10_000
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=lambda u: f"{u:03o}")
 def test_regular_output_gets_the_mode_of_the_umask(tmp_path, umask):
-    out, tp = tmp_path / "traj.csv", tmp_path / "tp.json"
+    tp = tmp_path / "tp.json"
     tp.write_text("an older file\n")
     tp.chmod(0o600)
     old = os.umask(umask)
     try:
-        assert main(["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1",
-                     "--t-end", "1", "--out", str(out), "--turning-out", str(tp)]) == 0
+        rc, out = run_main(["orbit", "--system", "coulomb", "--x", "1", "--px", "0", "--py", "1",
+                            "--t-end", "1", "--out", "traj.csv", "--turning-out", "tp.json"],
+                           tmp_path)
     finally:
         os.umask(old)
-    assert [stat.S_IMODE(p.stat().st_mode) for p in (out, tp)] == [0o666 & ~umask] * 2
-    assert tp.read_text().startswith("[")
+    assert rc == 0, out["stderr"]
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("traj.csv", "tp.json")]
+    assert modes == [0o666 & ~umask] * 2
+    assert out["tp.json"].startswith(b"[")
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -548,11 +550,10 @@ def test_regular_output_gets_the_mode_of_the_umask(tmp_path, umask):
 ])
 def test_config_format_and_gnuplot_keys_are_ignored_where_unread(tmp_path, command, flags):
     # one file can serve every command: keys of options the command lacks are ignored
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("system=coulomb\nk=0.05\nformat=json\n"
-                   + ("" if command == "orbit" else "gnuplot=1\n"))
+    cfg = _config(tmp_path, "system=coulomb\nk=0.05\nformat=json\n"
+                  + ("" if command == "orbit" else "gnuplot=1\n"))
     plain = ["--system", "coulomb", "--k", "0.05", *flags]
-    from_config = run_main([command, "--config", str(cfg), *flags], tmp_path / "a")
+    from_config = run_main([command, "--config", cfg, *flags], tmp_path / "a")
     from_flags = run_main([command, *plain], tmp_path / "b")
     assert from_config[0] == 0
     assert from_config == from_flags
@@ -703,13 +704,11 @@ HELP = json.loads((Path(__file__).resolve().parent / "golden" / "help.json").rea
 
 
 @pytest.mark.parametrize("command", list(HELP), ids=[c or "bare" for c in HELP])
-def test_help_text_is_pinned(capsys, monkeypatch, command):
+def test_help_text_is_pinned(tmp_path, monkeypatch, command):
     # each command's options, their order and their wording, at a fixed terminal width
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--help"] if command else ["--help"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out == HELP[command]
+    rc, out = run_main([command, "--help"] if command else ["--help"], tmp_path)
+    assert (rc, out["stdout"].decode(), out["stderr"]) == (0, HELP[command], b"")
 
 
 ORBIT_FLAGS = ["--system", "oscillator", "--lambda", "0.1", "--k", "0.05", "--x", "1.5",
@@ -761,9 +760,7 @@ ORBIT_CONFIG = ("system=oscillator\nlambda=0.1\nk=0.05\nx=1.5\ny=0\npx=0\npy=0.6
     ],
 )
 def test_config_key_acts_like_its_flag(tmp_path, command, config, flags):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(config)
-    from_config = run_main([command, "--config", str(cfg)], tmp_path / "a")
+    from_config = run_main([command, "--config", _config(tmp_path, config)], tmp_path / "a")
     from_flags = run_main([command, *flags], tmp_path / "b")
     assert from_config[0] == 0
     assert from_config == from_flags
@@ -773,95 +770,76 @@ def test_config_key_acts_like_its_flag(tmp_path, command, config, flags):
     "config",
     ["system=coulomb\nbogus=1\n", "system=coulomb\nlambda 0.1\n", "system=coulomb\nconfig=x\n"],
 )
-def test_config_bad_key_or_line_is_a_domain_error(tmp_path, capsys, config):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(config)
-    rc = main(["closure", "--Lz", "1", "--config", str(cfg)])
+def test_config_bad_key_or_line_is_a_domain_error(tmp_path, config):
+    rc, out = run_main(["closure", "--Lz", "1", "--config", _config(tmp_path, config)],
+                       tmp_path / "run")
     assert rc == 3
-    assert capsys.readouterr().err.startswith("ERR_DOMAIN:")
+    assert out["stderr"].startswith(b"ERR_DOMAIN:")
 
 
-def test_config_value_is_parsed_like_its_flag(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("system=coulomb\nk=0.05\nsamples=1.5\n")
-    for argv in (["brackets", "--config", str(cfg)],
+def test_config_value_is_parsed_like_its_flag(tmp_path):
+    cfg = _config(tmp_path, "system=coulomb\nk=0.05\nsamples=1.5\n")
+    for argv in (["brackets", "--config", cfg],
                  ["brackets", "--system", "coulomb", "--k", "0.05", "--samples", "1.5"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "argument --samples: invalid int value: '1.5'" in capsys.readouterr().err
+        rc, out = run_main(argv, tmp_path / "run")
+        assert rc == 2
+        assert b"argument --samples: invalid int value: '1.5'" in out["stderr"]
 
 
-def test_config_ignores_keys_of_other_commands(tmp_path, capsys):
+def test_config_ignores_keys_of_other_commands(tmp_path):
     # closure has neither --tol nor --samples, so their values are never parsed
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("system=coulomb\nk=0.375\nLz=1\ntol=1e-3\nsamples=many\n")
-    assert main(["closure", "--config", str(cfg)]) == 0
-    assert json.loads(capsys.readouterr().out)["alpha"] == 0.5
+    cfg = _config(tmp_path, "system=coulomb\nk=0.375\nLz=1\ntol=1e-3\nsamples=many\n")
+    assert json.loads(_ok(["closure", "--config", cfg], tmp_path / "run")["stdout"])["alpha"] == 0.5
 
 
 @pytest.mark.parametrize(
     "command,key,value",
     [("spectrum", "format", "xml"), ("closure", "system", "kepler"), ("brackets", "method", "newton")],
 )
-def test_config_value_outside_choices_is_a_usage_error(tmp_path, capsys, command, key, value):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key}={value}\n")
-    errors = []
-    for argv in ([command, "--config", str(cfg)], [command, f"--{key}", value]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1]
-    assert f"argument --{key}: invalid choice: '{value}'" in errors[0]
+def test_config_value_outside_choices_is_a_usage_error(tmp_path, command, key, value):
+    cfg = _config(tmp_path, f"{key}={value}\n")
+    from_config = run_main([command, "--config", cfg], tmp_path / "a")
+    from_flag = run_main([command, f"--{key}", value], tmp_path / "b")
+    assert from_config[0] == 2
+    assert from_config == from_flag
+    assert f"argument --{key}: invalid choice: '{value}'".encode() in from_config[1]["stderr"]
 
 
-def test_config_value_ends_in_its_flags_code(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("system=coulomb\nlambda=-1\nLz=1\n")  # a value that starts with '-'
-    assert main(["closure", "--config", str(cfg)]) == 3
-    assert capsys.readouterr() == ("", "ERR_NEGATIVE_CURVATURE: "
-                                       "curvature must be finite and >= 0, got -1.0\n")
+def test_config_value_ends_in_its_flags_code(tmp_path):
+    cfg = _config(tmp_path, "system=coulomb\nlambda=-1\nLz=1\n")  # a value that starts with '-'
+    assert run_main(["closure", "--config", cfg], tmp_path / "run") == (3, {
+        "stdout": b"", "stderr": b"ERR_NEGATIVE_CURVATURE: curvature must be finite and >= 0, "
+                                 b"got -1.0\n"})
 
 
-def test_a_flag_before_config_still_beats_the_file(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("system=coulomb\nlambda=0\nk=0.05\nLz=1\n")
-    assert main(["closure", "--k", "0.375", "--config", str(cfg)]) == 0
-    assert json.loads(capsys.readouterr().out)["alpha"] == 0.5
+def test_a_flag_before_config_still_beats_the_file(tmp_path):
+    cfg = _config(tmp_path, "system=coulomb\nlambda=0\nk=0.05\nLz=1\n")
+    out = _ok(["closure", "--k", "0.375", "--config", cfg], tmp_path / "run")["stdout"]
+    assert json.loads(out)["alpha"] == 0.5
 
 
 @pytest.mark.parametrize("config", [
     "system=kepler\nbogus=1\n", "bogus=1\nsystem=kepler\n",
     "samples=1.5\nlambda 0.1\n", "lambda 0.1\nsamples=1.5\n",
 ])
-def test_config_bad_key_or_line_beats_a_bad_value_wherever_it_stands(tmp_path, capsys, config):
+def test_config_bad_key_or_line_beats_a_bad_value_wherever_it_stands(tmp_path, config):
     # every line is checked before any value is parsed, so the domain error wins
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(config)
-    assert main(["brackets", "--config", str(cfg)]) == 3
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("ERR_DOMAIN: ") and out.err.count("\n") == 1
+    rc, out = run_main(["brackets", "--config", _config(tmp_path, config)], tmp_path / "run")
+    assert (rc, out["stdout"]) == (3, b"")
+    assert out["stderr"].startswith(b"ERR_DOMAIN: ") and out["stderr"].count(b"\n") == 1
 
 
 @pytest.mark.parametrize("flag,value", [("--N", ","), ("--N", "1.5"), ("--m", "1,x"), ("--m", "")])
 @pytest.mark.parametrize("numeric", [[], ["--numeric"]])
-def test_bad_quantum_number_list_is_a_usage_error(tmp_path, capsys, flag, value, numeric):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"system=coulomb\n{flag[2:]}={value}\n")
-    errors = []
-    for argv in (["spectrum", "--config", str(cfg), *numeric],
-                 ["spectrum", "--system", "coulomb", flag, value, *numeric]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        errors.append(out.err)
-    assert errors[0] == errors[1]
-    assert f"argument {flag}: want comma-separated integers, got '{value}'" in errors[0]
+def test_bad_quantum_number_list_is_a_usage_error(tmp_path, flag, value, numeric):
+    cfg = _config(tmp_path, f"system=coulomb\n{flag[2:]}={value}\n")
+    from_config = run_main(["spectrum", "--config", cfg, *numeric], tmp_path / "a")
+    from_flag = run_main(["spectrum", "--system", "coulomb", flag, value, *numeric],
+                         tmp_path / "b")
+    assert (from_config[0], from_config[1]["stdout"]) == (2, b"")
+    assert from_config == from_flag
+    message = f"argument {flag}: want comma-separated integers, got '{value}'"
+    assert message.encode() in from_config[1]["stderr"]
 
 
 @pytest.mark.parametrize("argv,flag,value,rc", [

@@ -10,28 +10,29 @@ import random
 import numpy as np
 import pytest
 
-from screened_sphere.cli import main
+from golden_digests import run as run_main
 from screened_sphere.conserved import turning_point_conservation
 from screened_sphere.dynamics import (PhaseState, SystemKind, SystemParams, closure_analysis,
                                       integrate)
 
 
-def _e_numeric(capsys, system: str, lam: float) -> float:
+def _e_numeric(directory, system: str, lam: float) -> float:
     """The grid oracle's E_numeric for k = 0.05, m = 1, N = 0, as ``spectrum`` prints it."""
-    assert main(["spectrum", "--system", system, "--lambda", repr(lam), "--k", "0.05",
-                 "--m", "1", "--N", "0", "--numeric"]) == 0
-    header, row = capsys.readouterr().out.splitlines()
+    rc, out = run_main(["spectrum", "--system", system, "--lambda", repr(lam), "--k", "0.05",
+                        "--m", "1", "--N", "0", "--numeric"], directory)
+    assert rc == 0
+    header, row = out["stdout"].decode().splitlines()
     return float(dict(zip(header.split(","), row.split(",")))["E_numeric"])
 
 
 @pytest.mark.parametrize("system, lam", [("coulomb", 1e-12), ("oscillator", 1e-7)])
-def test_numeric_spectrum_is_continuous_as_lambda_goes_to_zero(capsys, system, lam):
+def test_numeric_spectrum_is_continuous_as_lambda_goes_to_zero(tmp_path, system, lam):
     # a printed level is within 1e-4 relative of the true level (the acceptance contract),
     # and a level is smooth in lambda with a slope of order one, so from lambda = 0 to these
     # lambda it moves by far less than that: the two prints agree within 2e-4 relative.  The
     # chi grid of 2000 points on the whole sphere printed -0.23825 and -0.00148 for coulomb,
     # 1.94868 and 1.0089 for the oscillator
-    flat, curved = _e_numeric(capsys, system, 0.0), _e_numeric(capsys, system, lam)
+    flat, curved = _e_numeric(tmp_path, system, 0.0), _e_numeric(tmp_path, system, lam)
     assert abs(curved - flat) <= 2e-4 * abs(flat)
 
 
@@ -51,7 +52,7 @@ def _closure_cases(rng: random.Random, n: int):
 
 @pytest.mark.parametrize("kind", list(SystemKind))
 @pytest.mark.parametrize("s", [2.0, 4.0, 0.5, 0.25])
-def test_closure_is_invariant_under_the_coulomb_scaling(capsys, kind, s):
+def test_closure_is_invariant_under_the_coulomb_scaling(tmp_path, kind, s):
     # (x, p, t, lam, k) -> (s**2 x, p/s, s**3 t, lam/s**4, s**2 k) maps coulomb orbits to
     # orbits with Lz -> s Lz, and alpha = sqrt(1 - 2k/Lz**2) does not change; for s a power
     # of 2 every scaled product is exact, so the result is the same bit for bit
@@ -62,12 +63,11 @@ def test_closure_is_invariant_under_the_coulomb_scaling(capsys, kind, s):
         got = closure_analysis(SystemParams(kind, lam / s**4, s * s * k), s * lz)
         assert repr(got) == repr(want), (lam, k, lz)
     for lam, k, lz in cases[:20]:  # and the closure command prints the same bytes
-        out = []
-        for args in ((lam, k, lz), (lam / s**4, s * s * k, s * lz)):
-            assert main(["closure", "--system", kind.value, "--lambda", repr(args[0]),
-                         "--k", repr(args[1]), "--Lz", repr(args[2])]) == 0
-            out.append(capsys.readouterr().out)
-        assert out[0] == out[1], (lam, k, lz)
+        want, got = (run_main(["closure", "--system", kind.value, "--lambda", repr(args[0]),
+                               "--k", repr(args[1]), "--Lz", repr(args[2])], tmp_path)
+                     for args in ((lam, k, lz), (lam / s**4, s * s * k, s * lz)))
+        assert want[0] == 0
+        assert want == got, (lam, k, lz)
 
 
 _SHORT_ORBITS = [(SystemKind.COULOMB, (1.6, 0.0, 0.0, 0.55), 20.0),

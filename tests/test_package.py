@@ -1,20 +1,25 @@
-"""The package's public names and the modules that importing the CLI registers."""
+"""The package's public names, the modules that importing the CLI registers, and what the
+benchmark and the tests share with the package."""
 
 import ast
 import graphlib
 import importlib
 import inspect
 import linecache
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import screened_sphere
 from screened_sphere import closed_forms
 from screened_sphere.closed_forms import SystemKind, SystemParams
 from screened_sphere.errors import CurvatureError, DomainError
-from golden_digests import SRC, run_process
+from golden_digests import ROOT, SRC, perfbench_workloads, run_process
+from orbit_reference import bound_orbit_start, orbit_points
 
 # Every name the package exports, by the module that defines it.
 EXPORTED = {
@@ -90,6 +95,40 @@ def test_the_benchmark_entry_points_resolve(module, name):
     if callable(target):  # traced.py binds each call of what it wraps to the signature
         params = inspect.signature(target).parameters
         assert set(BENCHMARK_PARAMS.get((module, name), ())) <= set(params)
+
+
+# the shape ranges of perfbench/workloads.py's _orbit_shape: Lz**2*alpha**2 or Lz*alpha
+_WORKLOAD_SHAPES = {SystemKind.COULOMB: (0.8, 1.2), SystemKind.OSCILLATOR: (0.6, 1.0)}
+# the periodic trapezoid of workloads.radial_period converges geometrically: it was within
+# 2.8e-15 relative of the exact law over 40 random orbits of these ranges
+_PERIOD_REL_TOL = 1e-13
+
+
+@settings(max_examples=25)
+@given(system=st.sampled_from(list(SystemKind)), lam=st.floats(0.0, 0.5), k=st.floats(0.01, 0.1),
+       ecc=st.floats(0.3, 0.7), psi=st.floats(0.0, 2.0 * math.pi),
+       phi=st.floats(0.0, 2.0 * math.pi), data=st.data())
+def test_the_benchmark_orbits_follow_the_tests_orbit_law(system, lam, k, ecc, psi, phi, data):
+    # perfbench/ does not import the tests: its start builder is the tests' to the bit, and
+    # its radial period is the time between apsides two apart of the exact law
+    workloads = perfbench_workloads()
+    shape = data.draw(st.floats(*_WORKLOAD_SHAPES[system]), label="shape")
+    state = bound_orbit_start(system, lam, k, shape, ecc, psi, phi)
+    assert workloads.orbit_state(system.value, lam, k, shape, ecc, psi, phi) == tuple(state)
+    period = workloads.radial_period(system.value, lam, k, shape, ecc)
+    apsides = orbit_points(state, SystemParams(system, lam, k), 1.6 * period)
+    exact = apsides[2].t - apsides[0].t
+    assert abs(period - exact) <= _PERIOD_REL_TOL * exact, (period, exact)
+
+
+def test_the_harness_is_the_one_in_process_caller_of_the_cli():
+    # golden_digests.run gives main the stdio of a process; a test that called main itself
+    # would read a run that `python -m screened_sphere.cli` never makes
+    importers = sorted(path.name for path in (ROOT / "tests").glob("*.py")
+                       for node in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(node, ast.ImportFrom) and node.module == "screened_sphere.cli"
+                       and "main" in {alias.name for alias in node.names})
+    assert importers == ["golden_digests.py"]
 
 
 def _sources():
