@@ -8,9 +8,9 @@ The numpy-backed modules ``dynamics`` and ``conserved``, and ``spectra``
 (the spectrum table and its grid oracle), are registered in ``sys.modules``
 at import but run their bodies on first attribute access, so code that
 needs only ``closed_forms`` runs none of them, and ``conserved``, which
-takes its kernels from ``phase_space``, runs ``dynamics`` only to analyse a
-trajectory.  The public names below resolve from their owning module on
-use.
+takes its kernels from ``phase_space`` and reads a trajectory's recorded
+turning points, never runs ``dynamics``.  The public names below resolve
+from their owning module on use.
 """
 
 import importlib.util

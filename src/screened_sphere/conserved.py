@@ -37,7 +37,9 @@ loads numpy; larger and ``fd`` checks and turning-point conservation call
 the same kernels once on a ``(4, n)`` batch, with the same bits.  States
 come from one stream, ``random.Random(seed)``, on either path.  The
 kernels of R' and Q' reject the other system's params, so every entry
-point refuses a wrong system alike.
+point refuses a wrong system alike.  Turning-point conservation reads the
+apsides that the trajectory records (``turning_points``), so this module
+depends only on ``phase_space``, ``closed_forms`` and ``errors``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from . import dynamics  # registered lazily: runs only when a trajectory is analysed
 from .closed_forms import SystemKind, SystemParams
 from .errors import AccuracyError, DomainError, ImaginaryAlphaError, NoTurningPointError
 from .phase_space import (MAX_SAMPLES, PhaseState, check_radius, h_gradient, h_value, kernel_sqrt,
@@ -431,12 +432,13 @@ def _brackets_with_h(algebra: _Algebra, params: SystemParams, z):
     return tuple(_bracket(g, g_h) for g in algebra.gradients(*z, params))
 
 
-def turning_point_conservation(traj: dynamics.Trajectory) -> TurningConservationReport:
-    """Evaluate {quantity, H} along a trajectory, under its own params, at and away from rdot = 0."""
+def turning_point_conservation(traj) -> TurningConservationReport:
+    """Evaluate {quantity, H} along a ``dynamics.Trajectory``, under its own params, at its
+    recorded turning points (rdot = 0) and at its samples."""
     import numpy as np
     params = traj.params
     algebra = _ALGEBRAS[params.kind]
-    points = dynamics.find_turning_points(traj)
+    points = traj.turning_points
     if not points:
         raise NoTurningPointError(
             "no turning points detected"

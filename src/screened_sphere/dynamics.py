@@ -32,21 +32,20 @@ so r = tan(chi)/sqrt(lam) for the polar angle chi, and the chart covers
 the open upper hemisphere (the equator maps to r = infinity).  An orbit
 that runs out to the equator stops once lam*r**2 passes ``CHART_EDGE_GUARD``.
 
-Orbits are integrated by DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-II.10), at most ``MAX_STEPS`` steps, on Python floats, without scipy, by one loop
-written at import from the table.  Its stages are straight-line code that skips zero
-coefficients, sums left to right from 0.0 as Python 3.11's ``sum(map(mul, a, k))``
-does and runs the text of ``h_gradient`` inline: on finite stages that loop bit for
-bit.  (The squared error-norm sums start from their first term instead, since a square
-drops the sign of zero that the 0.0 sets, and ``max`` of two floats is written as the
-comparison ``max`` makes.)  It keeps only the step times and states, returns them at
-t_end and raises every other end of an orbit itself.  The dense output then owns the steps:
-in increasing time, with theta's branch unwrapped over them, and their stage derivatives
-rebuilt with the same operations on arrays, a block of steps at a time (``_stages``).  It is
-evaluated a block of times at a time, on the step coefficients gathered once (``_interpolate``):
-the same bits as evaluating each time alone.  The apsides (rdot = 0) are found and refined on
-x.p, which has the sign of rdot: its sign changes over the dense output's steps bracket them,
-and each bracket, one step's span, is bisected on x.p of the dense output.
+Orbits are integrated by DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10), at most
+``MAX_STEPS`` steps, on Python floats, without scipy, by one loop written at import from the
+table.  Its stages are straight-line code that skips zero coefficients and runs the text of
+``h_gradient`` inline, and ``max`` of two floats is written as the comparison ``max`` makes.
+It keeps only the step times and states, returns them at t_end and raises every other end of
+an orbit itself.  The dense output then owns the steps: in increasing time, with theta's
+branch unwrapped over them, and their stage derivatives rebuilt with the same operations on
+arrays, a block of steps at a time (``_stages``).  It is evaluated a block of times at a time,
+on the step coefficients gathered once (``_interpolate``): the same bits as evaluating each
+time alone.  Every sum written out in the driver, ``_stages`` and ``_interpolate`` runs left
+to right from its first term, so a sum's sign of zero is its first term's.  The apsides
+(rdot = 0) are found and refined on x.p, which has the sign of rdot: its sign changes over the
+dense output's steps bracket them, and each bracket, one step's span, is bisected on x.p of
+the dense output.
 
 ``Trajectory.to_csv`` writes the bytes of ``%.17g`` per field: numpy lays out a field in
 1e-4 <= |v| < 1e16 from its exact 17-digit integer (Dekker's product, round half to
@@ -307,16 +306,14 @@ _D = (
 
 def _stages(y, h, params: SystemParams):
     """Stage derivatives (n, 4, 16) of steps of sizes ``h`` (n,) from states ``y`` (4, n): 0-12 as
-    the driver computes them (each row of ``_A`` summed left to right from 0.0 over its nonzero
-    entries, then J times ``h_gradient``), built stage-major so that every sum runs on contiguous
-    rows, and 13-15 from the dense-output rows of ``_A``."""
+    the driver computes them (each row of ``_A`` summed left to right over its nonzero entries,
+    from the first, then J times ``h_gradient``), built stage-major so that every sum runs on
+    contiguous rows, and 13-15 from the dense-output rows of ``_A``."""
     kb = np.empty((13, 4, h.size))
-    for s, row in enumerate(_A[:13]):
-        acc = 0.0
-        for j, a in enumerate(row):
-            if a:
-                acc = acc + a * kb[j]
-        kb[s] = _rhs(*(y + acc * h if s else y), params)
+    kb[0] = _rhs(*y, params)
+    for s, row in enumerate(_A[1:13], 1):
+        acc = functools.reduce(np.add, (a * kb[j] for j, a in enumerate(row) if a))
+        kb[s] = _rhs(*(y + acc * h), params)
     k = np.empty((h.size, 4, 16))
     k[:, :, :13] = kb.transpose(2, 1, 0)
     for s in (13, 14, 15):
@@ -404,8 +401,8 @@ def _compile_driver():
     """The driver's loop ``_DRIVER`` with one block per row of ``_A`` at <stages> (the stage's state
     in x1, x2, p1, p2, the text of ``h_gradient`` inline, the derivative in k1_s..k4_s) and the
     error norms err5, err3, compiled; its text goes into ``linecache`` for tracebacks."""
-    def dot(row, c, start="0.0 + "):
-        return "(" + start + " + ".join(f"{a!r} * k{c}_{j}" for j, a in enumerate(row) if a) + ")"
+    def dot(row, c):
+        return "(" + " + ".join(f"{a!r} * k{c}_{j}" for j, a in enumerate(row) if a) + ")"
     names = ("x1", "x2", "p1", "p2")
     rhs = (_H_GRAD[2], _H_GRAD[3], f"-({_H_GRAD[0]})", f"-({_H_GRAD[1]})")  # J times the gradient
     lines = []
@@ -415,8 +412,8 @@ def _compile_driver():
     # max(|y|, |x|) as max picks it, the first on a tie or a NaN
     lines += [f"sc{c} = atol + (new if (new := abs({v})) > (old := abs(y{c})) else old) * rtol"
               for c, v in enumerate(names, 1)]
-    # squared, a sum's sign is lost, so these start from their first term
-    lines += [f"err{n} = " + " + ".join(f"({dot(e, c, '')} / sc{c}) ** 2" for c in range(1, 5))
+    # sums of squares, from the first term as every sum here
+    lines += [f"err{n} = " + " + ".join(f"({dot(e, c)} / sc{c}) ** 2" for c in range(1, 5))
               for n, e in ((5, _E5), (3, _E3))]
     stages = ("\n" + " " * 16).join(lines)  # at the indentation of <stages>
     src = _DRIVER.replace("<params>", _H_PARAMS).replace("<stages>", stages)
@@ -487,12 +484,11 @@ class DenseOutput:
 
 def _interpolate(F, y_old, t_old, h, t, out):
     """The interpolant with step coefficients ``F`` (7, 4, m), ``y_old`` (4, m), ``t_old`` and ``h``
-    (m,) at times ``t`` (m,), into ``out`` (4, m): Horner in x over the rows of F, from 0.0, the
-    factors x and 1 - x alternating."""
+    (m,) at times ``t`` (m,), into ``out`` (4, m): Horner in x over the rows of F, from F[6] as
+    every sum here starts from its first term, the factors x and 1 - x alternating."""
     x = (t - t_old) / h
     w = 1.0 - x
-    np.add(F[6], 0.0, out=out)
-    out *= x
+    np.multiply(F[6], x, out=out)
     for row in (5, 4, 3, 2, 1, 0):
         out += F[row]
         out *= w if row % 2 else x

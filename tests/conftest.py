@@ -1,12 +1,14 @@
 """Shared fixtures: the two eccentric screened orbits used across modules, and the one
-hypothesis profile, under which every property draws the same examples on every run."""
+hypothesis profile, under which every property draws the same examples on every run and a
+failing one reports its first failing example without shrinking it."""
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from screened_sphere.dynamics import PhaseState, SystemKind, SystemParams, integrate
 
-settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
+                          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 settings.load_profile("tier1")
 
 

@@ -9,7 +9,8 @@ roots of its interpolant are the oracle's event times.
 import linecache
 import math
 import traceback
-from operator import mul
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -37,11 +38,9 @@ def test_table_equals_scipy_coefficients():
 
 
 def _dot(row, k):
-    """sum(map(mul, row, k)) as Python 3.11 adds it: left to right from 0.0 (3.12 compensates)."""
-    total = 0.0
-    for v in map(mul, row, k):
-        total += v
-    return total
+    """The products of the nonzero entries of ``row`` with ``k``, added left to right from the
+    first, as every sum in the driver is."""
+    return reduce(add, (a * v for a, v in zip(row, k) if a))
 
 
 def _reference_step(y, f, h, params, atol, rtol):
@@ -87,8 +86,8 @@ def test_generated_step_is_the_table_loop_bit_for_bit(kind, lam, k):
     # included (products with 0)
     params = SystemParams(kind, lam=lam, k=k)
     rng = np.random.default_rng(853)
-    # radial starts with -0.0 y-components, where sum's 0.0 start sets the sign of zero
-    cases = [((1.2, -0.0, 0.4, -0.0), 0.05, 1e-12), ((1.2, -0.0, 0.4, -0.0), -0.05, 1e-12)]
+    # radial starts with -0.0 and +0.0 y-components: a sum's sign of zero is its first term's
+    cases = [((1.2, z, 0.4, z), h, 1e-12) for z in (-0.0, 0.0) for h in (0.05, -0.05)]
     for _ in range(50):
         r, a = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * np.pi)
         p1, p2 = rng.uniform(-1.0, 1.0, 2)
@@ -115,12 +114,8 @@ def _step_bits(step):
 
 def _stage_12_sum(y, h, k):
     """States y (4, n) stepped by h (n,) with the weights B over stage derivatives k (n, 4, 13),
-    each sum left to right from 0.0 as the driver adds it."""
-    acc = 0.0
-    for j, b in enumerate(dynamics._A[12]):
-        if b:
-            acc = acc + b * k[:, :, j].T
-    return y + acc * h
+    each sum left to right from its first term as the driver adds it."""
+    return y + reduce(add, (b * k[:, :, j].T for j, b in enumerate(dynamics._A[12]) if b)) * h
 
 
 def test_stored_states_are_the_stage_12_sums_of_the_rebuilt_stages(orbit):

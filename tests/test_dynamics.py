@@ -262,8 +262,8 @@ def _interpolant_one_at_a_time(dense, t):
     for ti in t.tolist():
         i = min(max(int(np.searchsorted(dense.bounds, ti, dense.side)) - 1, 0), dense.h.size - 1)
         x = (ti - dense.t_old[i]) / dense.h[i]
-        y = 0.0
-        for row in range(6, -1, -1):
+        y = dense.F[6][:, i] * x  # from F[6], its first term, as every sum in dynamics
+        for row in range(5, -1, -1):
             y = (y + dense.F[row][:, i]) * (x if row % 2 == 0 else 1.0 - x)
         cols.append(y + dense.y_old[:, i])
     return np.array(cols).T

@@ -137,3 +137,34 @@ def test_time_reversal_maps_an_orbit_onto_itself(kind, state, t_end, lam):
     assert len(points) >= 4 and [p.kind for p in points] == [p.kind for p in forth.turning_points]
     for p, q in zip(points, forth.turning_points):
         assert abs(p.t + q.t) <= 8.0 * math.ulp(1.0) * (1.0 + abs(q.t)), (p.t, q.t)
+
+
+# integrate's docstring: the coulomb r is within 331 x rel_tol and theta within 9360 x of the
+# exact orbit at lam = 0, 0.1 and 1, and the apsis times within 216 x at lam = 0 (used at 0.1 too)
+_APSIS_T_RATE, _R_RATE, _THETA_RATE = 216.0, 331.0, 9360.0
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("s", [0.5, 2.0])
+def test_coulomb_scaling_maps_the_apsides_onto_themselves(coulomb_params, lam, s):
+    # (x, p, t, lam, k) -> (s**2 x, p/s, s**3 t, lam/s**4, s**2 k) takes H to H/s**2 and
+    # Hamilton's equations to themselves, so the scaled orbit is the same orbit in other
+    # units: apsis times scale by s**3 and radii by s**2, while theta, the kinds and
+    # R' = pi_y Lz - (1 + 2k/r) x/r (pi -> pi/s, Lz -> s Lz) stay; a power-of-2 s maps the
+    # inputs exactly.  The solver is not scale-free (atol is absolute), so each side is held
+    # only to the docstring's rates against the one exact orbit, and the two to twice them.
+    # R' is |R'| < 1 (a bound orbit) along the apsis line: its components move by theta's
+    # error plus the length's, which H and Lz, held to 10 x rel_tol, keep under 100 x.
+    rel_tol, (x1, x2, p1, p2) = 1e-10, (1.6, 0.0, 0.0, 0.55)
+    params = SystemParams(SystemKind.COULOMB, lam, coulomb_params.k)
+    scaled_params = SystemParams(SystemKind.COULOMB, lam / s**4, s * s * params.k)
+    a = integrate(PhaseState(x1, x2, p1, p2), params, 70.0, rel_tol=rel_tol, n_samples=2)
+    b = integrate(PhaseState(s * s * x1, s * s * x2, p1 / s, p2 / s), scaled_params, s**3 * 70.0,
+                  rel_tol=rel_tol, n_samples=2)
+    pa, pb = a.turning_points, b.turning_points
+    assert len(pa) >= 4 and [p.kind for p in pa] == [p.kind for p in pb]
+    assert max(abs(q.t / s**3 - p.t) for p, q in zip(pa, pb)) <= 2.0 * _APSIS_T_RATE * rel_tol
+    assert max(abs(q.r / (s * s) - p.r) for p, q in zip(pa, pb)) <= 2.0 * _R_RATE * rel_tol
+    assert max(abs(q.theta - p.theta) for p, q in zip(pa, pb)) <= 2.0 * _THETA_RATE * rel_tol
+    ra, rb = (turning_point_conservation(traj).values_at_turning for traj in (a, b))
+    assert np.max(np.abs(rb - ra)) <= 2.0 * (_THETA_RATE + 100.0) * rel_tol

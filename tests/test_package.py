@@ -171,6 +171,8 @@ def test_the_import_graph_is_acyclic_and_closed_forms_is_a_leaf():
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
     assert graph["closed_forms"] <= {"errors"}
+    # conserved reads a trajectory's recorded turning points, not dynamics
+    assert graph["conserved"] == {"phase_space", "closed_forms", "errors"}
     # the benchmark wraps the spectrum table where it is defined, not through an alias
     from screened_sphere import spectra
 
