@@ -57,39 +57,29 @@ from .closed_forms import MAX_DENOMINATOR, RATIONAL_TOL, SystemKind, SystemParam
 from .errors import AccuracyError, DomainError, ImaginaryAlphaError
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def _json(obj, indent: int = 0) -> str:
-    """Minimal JSON writer with deterministic 17-significant-digit floats.
+    """Minimal JSON writer with deterministic 17-significant-digit floats, the CLI's only
+    writer of a value: the outputs' and the values in ``orbit``'s summary line.
 
     JSON has no nan or infinity, so a non-finite float raises ``AccuracyError``.
     """
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {_json(v, indent + 1)}' for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, (dict, list, tuple)):
+        pad, keyed = "  " * indent, isinstance(obj, dict)
+        pairs = ((f'"{k}": ', v) for k, v in obj.items()) if keyed else (("", v) for v in obj)
+        items = ",\n".join(f"{pad}  {key}{_json(v, indent + 1)}" for key, v in pairs)
+        start, end = "{}" if keyed else "[]"
+        return f"{start}\n{items}\n{pad}{end}" if items else start + end
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise AccuracyError(f"{obj} is not a JSON number")
-    return _fmt(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise AccuracyError(f"{obj} is not a JSON number")
+        return f"{obj:.17g}"
+    return str(obj)
 
 
 def _write_output(path: str, text: str) -> None:
@@ -195,18 +185,22 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
+    out, turning_out = args.out, args.turning_out  # a file replaced twice keeps only the second
+    if (turning_out and out != "-" and (os.path.isfile(out) or not os.path.exists(out))
+            and os.path.abspath(out) == os.path.abspath(turning_out)):
+        raise UsageError(f"--out and --turning-out name one file, {out!r}")
     traj = _trajectory(args)
     points = dynamics.find_turning_points(traj)
     csv = traj.to_csv()
-    _write_output(args.out, _strip_header_csv(csv) if args.gnuplot else csv)
-    if args.turning_out:
+    _write_output(out, _strip_header_csv(csv) if args.gnuplot else csv)
+    if turning_out:
         rows = [{"t": p.t, "r": p.r, "theta": p.theta, "kind": p.kind.value} for p in points]
-        _write_output(args.turning_out, _json(rows) + "\n")
+        _write_output(turning_out, _json(rows) + "\n")
     try:
         closure = closure_analysis(traj.params, float(traj.Lz[0]))
-        summary = f"closure: alpha={_fmt(closure.alpha)} closed={_fmt(closure.closed)}"
+        summary = f"closure: alpha={_json(closure.alpha)} closed={_json(closure.closed)}"
         if closure.closed:
-            summary += f" p={closure.p} q={closure.q} delta_theta={_fmt(closure.closure_angle)}"
+            summary += f" p={closure.p} q={closure.q} delta_theta={_json(closure.closure_angle)}"
     except ImaginaryAlphaError:
         summary = "closure: alpha imaginary (2k >= Lz**2)"
     if points:
@@ -424,8 +418,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise UsageError("missing --system")
         if getattr(args, "fmt", None) == "json" and args.gnuplot:
             raise UsageError("--gnuplot needs csv output, not --format json")
-        if hasattr(args, "tol") and not (math.isfinite(args.tol) and 1e-13 <= args.tol <= 1e-6):
-            raise UsageError(f"--tol must lie in [1e-13, 1e-6], got {args.tol:g}")
         return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         build_parser().error(str(exc))  # prints usage, raises SystemExit(2)

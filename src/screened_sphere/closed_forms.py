@@ -36,7 +36,7 @@ class SystemKind(str, Enum):
     OSCILLATOR = "oscillator"
 
 
-def check_lam_k(lam: float, k: float = 0.0) -> None:
+def check_lam_k(lam: float, k: float) -> None:
     """Reject a curvature or a screening strength that is non-finite or negative."""
     if not math.isfinite(lam) or lam < 0.0:
         raise CurvatureError(f"curvature must be finite and >= 0, got {lam}")

@@ -18,8 +18,8 @@ def test_byte_identity_names_the_first_differing_line(tmp_path, capsys):
     assert capsys.readouterr().out == "0 of 2 argv differ\n"
     cli = change / "screened_sphere" / "cli.py"
     text = cli.read_text()
-    assert text.count('return f"{v:.17g}"') == 1  # _fmt's float
-    cli.write_text(text.replace('return f"{v:.17g}"', 'return f"{v:.16g}"'))
+    assert text.count('return f"{obj:.17g}"') == 1  # _json's float
+    cli.write_text(text.replace('return f"{obj:.17g}"', 'return f"{obj:.16g}"'))
     assert byte_identity.main(parent, change, OPS) == 1
     assert capsys.readouterr().out == (
         "cli-mix-1-op00-closure: op00.json: first differing line 2 of 7 (golden 7): "

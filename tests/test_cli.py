@@ -296,6 +296,9 @@ _REFUSALS = {
                            "1000000000000"], 3,
                           "ERR_DOMAIN: n_samples must be at most 1000000, got 1000000000000",
                           60.0),
+    # integrate alone checks the range, as it checks every other bound of an orbit's inputs
+    "orbit-tol-out-of-range": (["orbit", *_C, *_START, "--tol", "0.1"], 3,
+                               "ERR_DOMAIN: rel_tol must lie in [1e-13, 1e-6], got 0.1"),
     "turning-circular": (["turning", *_C, "--x", "1", "--px", "0", "--py", "1", "--t-end", "5"], 3,
                          "ERR_NO_TURNING_POINTS: no turning points detected (orbit is circular)"),
     # exit 2: argparse's usage errors, and those that main raises
@@ -323,8 +326,9 @@ _REFUSALS = {
                               "missing initial-condition flags: --px, --py"),
     "brackets-missing-system": (["brackets", "--samples", "10"], 2, "missing --system"),
     "spectrum-missing-system": (["spectrum", "--m", "1,2", "--numeric"], 2, "missing --system"),
-    "orbit-tol-out-of-range": (["orbit", *_C, *_START, "--tol", "0.1"], 2,
-                               "--tol must lie in [1e-13, 1e-6], got 0.1"),
+    # the turning points, written second, would replace the trajectory
+    "orbit-out-is-turning-out": (["orbit", *_C, *_START, "--out", "a.csv", "--turning-out",
+                                  "./a.csv"], 2, "--out and --turning-out name one file, 'a.csv'"),
 }
 
 
@@ -616,22 +620,22 @@ _BR_FLAGS = ["--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--samples
 
 
 @pytest.mark.parametrize(
-    "argv,loads_scipy",
+    "argv",
     [
-        ([], False),  # import only
-        (["closure", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--Lz", "1.5"], False),
-        (["spectrum", *_SP_FLAGS], False),
-        (["brackets", *_BR_FLAGS, "--method", "analytic"], False),
-        (["brackets", *_BR_FLAGS, "--method", "fd"], False),
-        (["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--x", "1.6",
-          "--px", "0", "--py", "0.55", "--t-end", "20", "--out", "traj.csv"], False),
-        (["spectrum", *_SP_FLAGS, "--numeric"], False),  # LAPACK through ctypes
-        (["turning", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--x", "1.6",
-          "--px", "0", "--py", "0.55", "--t-end", "20", "--out", "turning.json"], False),
-        (["brackets", *_BR_FLAGS, "--samples", "4097"], False),  # above the float path's limit
+        [],  # import only
+        ["closure", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--Lz", "1.5"],
+        ["spectrum", *_SP_FLAGS],
+        ["brackets", *_BR_FLAGS, "--method", "analytic"],
+        ["brackets", *_BR_FLAGS, "--method", "fd"],
+        ["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--x", "1.6",
+         "--px", "0", "--py", "0.55", "--t-end", "20", "--out", "traj.csv"],
+        ["spectrum", *_SP_FLAGS, "--numeric"],  # LAPACK through ctypes
+        ["turning", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--x", "1.6",
+         "--px", "0", "--py", "0.55", "--t-end", "20", "--out", "turning.json"],
+        ["brackets", *_BR_FLAGS, "--samples", "4097"],  # above the float path's limit
     ],
 )
-def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
+def test_the_modules_each_command_loads(tmp_path, argv):
     # a fresh interpreter, so that no earlier test has loaded scipy already; and a clean one,
     # since a site hook can import (here: does import) every module of "unused" first
     batch = argv[:1] == ["brackets"] and ("fd" in argv or "4097" in argv)
@@ -641,9 +645,9 @@ def test_only_commands_that_call_scipy_load_it(tmp_path, argv, loads_scipy):
         assert rc == 0, out["stderr"]
         report = json.loads(out["stdout"])
         assert report["rc"] == (0 if argv else None)
-        # the grid oracle calls dstebz in scipy's OpenBLAS through ctypes, importing no scipy
-        # module
-        assert bool(report["scipy"]) is loads_scipy, report["scipy"]
+        # no command imports scipy: the grid oracle calls dstebz in scipy's OpenBLAS through
+        # ctypes
+        assert report["scipy"] == [], report["scipy"]
         # closure and the spectrum run on the stdlib alone, and analytic brackets of at most
         # 4096 states on Python floats
         assert report["numpy"] is uses_numpy

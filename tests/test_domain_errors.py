@@ -46,30 +46,46 @@ def _theta_outside_the_orbit():
     state_at_theta(traj, float(traj.theta[-1]) + math.pi)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: coulomb_energy(0.1, 0.0, 1, -1),
-    lambda: hypergeometric_terminating(-1, 1.0, 1.0, 0.5),
-    lambda: hypergeometric_terminating(2, 1.0, -1.0, 0.5),
-    lambda: oscillator_wavefunction(1.0, 0.0, 0.0, 1, 0),
-    lambda: radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 11),
-    lambda: oscillator_operator_residual(0.0, 0.0, 1, 0),
-    lambda: runge_lenz(STATE, OSCILLATOR),
-    lambda: poisson_bracket(HAMILTONIAN, LZ, STATE, COULOMB, method="newton"),
-    lambda: verify_coulomb_algebra(OSCILLATOR, n_samples=10),
-    lambda: verify_coulomb_algebra(COULOMB, n_samples=10, method="newton"),
-    lambda: integrate(STATE, COULOMB, 1.0, rel_tol=1e-3),
-    lambda: integrate(STATE, COULOMB, 1.0, n_samples=1),
-    _theta_outside_the_orbit,
-], ids=[
-    "spectra-N", "spectra-series-order", "spectra-series-pole", "spectra-wavefunction-lam",
-    "spectra-n-levels", "spectra-residual-lam", "conserved-pair-kind", "conserved-bracket-method",
-    "conserved-verify-kind", "conserved-verify-method", "dynamics-rel-tol", "dynamics-n-samples",
-    "dynamics-theta-target",
-])
-def test_library_input_checks_raise_domain_error(call):
+# id: (call, message); "…" stands for a computed number, as in tests/test_cli.py's _REFUSALS
+_LIBRARY_REFUSALS = {
+    "spectra-N": (lambda: coulomb_energy(0.1, 0.0, 1, -1),
+                  "radial index N must be a non-negative integer, got -1"),
+    "spectra-series-order": (lambda: hypergeometric_terminating(-1, 1.0, 1.0, 0.5),
+                             "series order N must be a non-negative integer, got -1"),
+    "spectra-series-pole": (lambda: hypergeometric_terminating(2, 1.0, -1.0, 0.5),
+                            "pole in (c)_j at j = 1 before termination"),
+    "spectra-wavefunction-lam": (lambda: oscillator_wavefunction(1.0, 0.0, 0.0, 1, 0),
+                                 "oscillator_wavefunction requires lam > 0"),
+    "spectra-n-levels": (lambda: radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 11),
+                         "n_levels must lie in 1..10"),
+    "spectra-residual-lam": (lambda: oscillator_operator_residual(0.0, 0.0, 1, 0),
+                             "operator residual is defined for lam > 0"),
+    "conserved-pair-kind": (lambda: runge_lenz(STATE, OSCILLATOR),
+                            "R' is defined for the coulomb system"),
+    "conserved-bracket-method": (
+        lambda: poisson_bracket(HAMILTONIAN, LZ, STATE, COULOMB, method="newton"),
+        "unknown bracket method 'newton'"),
+    "conserved-verify-kind": (lambda: verify_coulomb_algebra(OSCILLATOR, n_samples=10),
+                              "R' is defined for the coulomb system"),
+    "conserved-verify-method": (
+        lambda: verify_coulomb_algebra(COULOMB, n_samples=10, method="newton"),
+        "unknown bracket method 'newton'"),
+    "dynamics-rel-tol": (lambda: integrate(STATE, COULOMB, 1.0, rel_tol=1e-3),
+                         "rel_tol must lie in [1e-13, 1e-6], got 0.001"),
+    "dynamics-n-samples": (lambda: integrate(STATE, COULOMB, 1.0, n_samples=1),
+                           "n_samples must be at least 2"),
+    "dynamics-theta-target": (_theta_outside_the_orbit,
+                              "theta_target … outside trajectory range [0, …]"),
+}
+
+
+@pytest.mark.parametrize("name", list(_LIBRARY_REFUSALS))
+def test_library_input_checks_raise_domain_error(name):
+    call, message = _LIBRARY_REFUSALS[name]
     with pytest.raises(DomainError) as exc:
         call()
     assert exc.value.code == "ERR_DOMAIN"
+    assert re.fullmatch(r"\S+".join(map(re.escape, message.split("…"))), str(exc.value)), exc.value
 
 
 @pytest.mark.parametrize("lz", ["nan", "inf", "-inf"])

@@ -100,13 +100,6 @@ def test_eom_flat_circle():
     assert d == pytest.approx((0.0, 1.0, -1.0, 0.0), abs=1e-15)
 
 
-@pytest.mark.parametrize("kind, x", [(SystemKind.COULOMB, 1e-300), (SystemKind.OSCILLATOR, 1e-200)])
-def test_eom_rejects_radius_whose_square_underflows(kind, x):
-    # r > 0 but r**2 rounds to 0, where the gradient would divide by zero
-    with pytest.raises(RadiusError):
-        equations_of_motion(PhaseState(x, 0.0, 0.0, 1.0), SystemParams(kind, 0.1, 0.05))
-
-
 @pytest.mark.parametrize("kind", [SystemKind.COULOMB, SystemKind.OSCILLATOR])
 def test_eom_matches_finite_difference_gradient(kind):
     params = SystemParams(kind, 0.1, 0.05)
@@ -147,11 +140,6 @@ def test_lz_drift_bound_is_relative_to_large_lz():
     traj = integrate(PhaseState(30.0, 0.0, 0.0, 20.0), params, t_end=10.0, rel_tol=1e-10)
     assert traj.Lz[0] == 600.0
     assert np.max(np.abs(traj.Lz - traj.Lz[0])) <= 10.0 * 1e-10 * abs(traj.Lz[0])
-
-
-def test_integrate_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        integrate(PhaseState(1.0, 0.0, 0.0, 1.0), FLAT_KEPLER, 1.0, rel_tol=1e-3)
 
 
 @pytest.mark.parametrize("lam,k,error", [

@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from screened_sphere.closed_forms import check_lam_k
 from screened_sphere.dynamics import (
     PhaseState,
     SystemKind,
@@ -23,7 +22,6 @@ from screened_sphere.dynamics import (
     h_value,
     integrate,
 )
-from screened_sphere.errors import CurvatureError
 from screened_sphere.phase_space import pi_components, potential
 
 
@@ -75,10 +73,3 @@ def test_flat_limit():
     b = integrate(state0, tiny, t_end=20.0)
     assert np.max(np.abs(a.states - b.states)) < 1e-8
 
-
-def test_negative_curvature_rejected():
-    for bad in (-0.1, math.nan, math.inf, -math.inf):
-        with pytest.raises(CurvatureError):
-            check_lam_k(bad)
-        with pytest.raises(CurvatureError):
-            SystemParams(SystemKind.COULOMB, lam=bad)
