@@ -25,11 +25,11 @@ with ``--format json`` is a usage error, from either source.
 
 All floating output is printed with 17 significant digits and regular files are
 written atomically, through a new temporary file beside the target that is renamed
-over it (a FIFO or a device is written into), so on one host and numpy build identical
-inputs (including ``--seed``) give byte-identical outputs; numpy picks the SIMD kernel
-of the ``arctan2`` behind every theta by CPU.  Exit status: 0 on success, 2 on usage
-errors (an output path that cannot be written is one), 3 on domain errors (one ``CODE:
-message`` line on stderr).
+over it (a FIFO or a device is written into), so identical inputs (including ``--seed``)
+give byte-identical outputs on one host; across hosts, ``orbit``'s theta fields can differ
+(numpy picks the SIMD kernel of the ``arctan2`` behind every theta by CPU), not ``brackets``'
+states, made with +, - and * alone.  Exit status: 0 on success, 2 on usage errors (an output
+path that cannot be written is one), 3 on domain errors (one ``CODE: message`` line on stderr).
 
 The process entry ``run`` (``python -m screened_sphere.cli``, the
 ``screened-sphere`` script) runs the command with the cyclic garbage
@@ -186,8 +186,11 @@ def _int_list(text: str) -> list[int]:
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
     out, turning_out = args.out, args.turning_out  # a file replaced twice keeps only the second
-    if (turning_out and out != "-" and (os.path.isfile(out) or not os.path.exists(out))
-            and os.path.abspath(out) == os.path.abspath(turning_out)):
+    def entry(path):  # the directory entry that os.replace replaces, through any symlinked dir
+        return os.path.join(os.path.realpath(os.path.dirname(path)), os.path.basename(path))
+    if (turning_out and out != "-" and "\0" not in out + turning_out  # _write_output refuses a NUL
+            and (os.path.isfile(out) or not os.path.exists(out))
+            and entry(out) == entry(turning_out)):
         raise UsageError(f"--out and --turning-out name one file, {out!r}")
     traj = _trajectory(args)
     points = dynamics.find_turning_points(traj)

@@ -246,12 +246,11 @@ def poisson_bracket(  # contract: a scalar entry point, {f, g} at one state
 
 # --- sampling ---------------------------------------------------------------
 
-# The states of an algebra check: positions uniform over the annulus 0.3 <= r <= 3 (area
-# measure), momenta uniform over [-2, 2]**2, and a state with 2k >= Lz**2 rejected, so that
-# orbit quantities stay real; ``ImaginaryAlphaError`` when no state of the box, or too few
-# candidates, pass that test.
-_R_MIN, _R_MAX, _P_MAX = 0.3, 3.0, 2.0
-_LZ_SQ_MAX = 2.0 * (_R_MAX * _P_MAX) ** 2  # |Lz| <= r*|p| <= 3 * 2*sqrt(2) on the box
+# The states of an algebra check: positions area-uniform on the annulus 0.3 <= r <= 3, by
+# rejection from the square [-3, 3]**2, momenta uniform on [-2, 2]**2, and a state with
+# 2k >= Lz**2 rejected, so that orbit quantities stay real; ``ImaginaryAlphaError`` when no
+# state of the box, or too few candidates, pass.  +, - and * alone make a state's bits.
+_LZ_SQ_MAX = 2.0 * (3.0 * 2.0) ** 2  # |Lz| <= r*|p| <= 3 * 2*sqrt(2) on the box
 _FLOAT_PATH_MAX = 4096  # analytic checks of at most this many states run on Python floats
 
 
@@ -263,27 +262,26 @@ def _check_sampling(params: SystemParams, n: int, seed: int) -> None:
     if seed < 0:  # random.Random seeds with abs(seed), so -s would alias s
         raise DomainError(f"seed must be nonnegative, got {seed}")
     if 2.0 * params.k >= _LZ_SQ_MAX:
-        raise ImaginaryAlphaError(
-            f"2k = {2 * params.k:g} >= {_LZ_SQ_MAX:g}, the largest Lz**2 on the sampling box"
-        )
+        raise ImaginaryAlphaError(f"2k = {2 * params.k:g} >= {_LZ_SQ_MAX:g}, the largest Lz**2 "
+                                  "on the sampling box")
 
 
-def _candidate(xp, u, phi, p1, p2):
-    """The candidate state of four successive random() values of random.Random(seed), on
-    floats (``xp`` is ``math``) or arrays (numpy, whose float64 sin and cos match libm's)."""
-    r = xp.sqrt(_R_MIN**2 + u * (_R_MAX**2 - _R_MIN**2))
-    phi = 2.0 * math.pi * phi
-    return r * xp.cos(phi), r * xp.sin(phi), -_P_MAX + 2 * _P_MAX * p1, -_P_MAX + 2 * _P_MAX * p2
+def _candidates(k: float, u1, u2, u3, u4):
+    """(x, y, p1, p2) of four successive random() values, x, y on [-3, 3] and p on [-2, 2], and
+    whether 0.3**2 <= r**2 <= 3**2 and 2k < Lz**2 keep it, on floats or equal-shape arrays."""
+    z = x, y, p1, p2 = -3.0 + 6.0 * u1, -3.0 + 6.0 * u2, -2.0 + 4.0 * u3, -2.0 + 4.0 * u4
+    r2, lz = x * x + y * y, lz_value(*z)
+    return z, (0.3**2 <= r2) & (r2 <= 3.0**2) & (2.0 * k < lz * lz)
 
 
 def _sample_floats(params: SystemParams, n: int, seed: int):
     """The sampled states as float tuples, drawn one value at a time, or None if fewer than n
-    pass among the first 4n + 64 candidates."""
+    pass among the first 6n + 64 candidates (the annulus keeps 0.778 of the square)."""
     import random
     draw, states = random.Random(seed).random, []
-    for _ in range(4 * n + 64):
-        z = _candidate(math, draw(), draw(), draw(), draw())
-        if 2.0 * params.k < (lz := lz_value(*z)) * lz:
+    for _ in range(6 * n + 64):
+        z, kept = _candidates(params.k, draw(), draw(), draw(), draw())
+        if kept:
             states.append(z)
             if len(states) == n:
                 return states
@@ -314,9 +312,8 @@ def _sample_batch(params: SystemParams, n: int, seed: int):
                                       f"candidate draws, too few to reach {n} in {max_draws}")
         # block size from the acceptance rate so far
         m = min((n - have) * (drawn + 1) // (have + 1) + (n - have) // 8 + 16, 1 << 16)
-        z = np.array(_candidate(np, *_uniforms(rng, 4 * m).reshape(m, 4).T))
-        lz = lz_value(*z)
-        blocks.append(z[:, 2.0 * params.k < lz * lz])
+        z, kept = _candidates(params.k, *_uniforms(rng, 4 * m).reshape(m, 4).T)
+        blocks.append(np.array(z)[:, kept])
         have += blocks[-1].shape[1]
         drawn += m
     return np.concatenate(blocks, axis=1)[:, :n]

@@ -4,7 +4,9 @@
 ``conserved.verify_coulomb_algebra`` and ``verify_oscillator_algebra`` with that
 ``n`` and ``seed``, under the same checks: at most 4096 states on Python floats,
 more (or a float path that runs short) on the array path, which finds the same
-ones.  No command runs it; the sampling rule itself stays in ``conserved``.
+ones, since both draw through one map and one acceptance rule made of +, - and *
+(``conserved._candidates``).  No command runs it; the sampling rule itself stays
+in ``conserved``.
 """
 
 from screened_sphere import conserved

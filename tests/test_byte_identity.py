@@ -24,3 +24,11 @@ def test_byte_identity_names_the_first_differing_line(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "cli-mix-1-op00-closure: op00.json: first differing line 2 of 7 (golden 7): "
         "b'  \"alpha\": 0.8333333333333334,\\n'\n1 of 2 argv differ\n")
+
+
+def test_a_setting_reaches_only_the_change_runs(tmp_path, capsys):
+    # one tree named twice; the change's interpreter finds no standard library under PYTHONHOME
+    assert byte_identity.main(SRC, SRC, OPS[:1], PYTHONHOME=str(tmp_path)) == 1
+    assert capsys.readouterr().out == (
+        "cli-mix-1-op00-closure: exit status 1, golden 0\n1 of 1 argv differ\n")
+    assert byte_identity.main(SRC, SRC, OPS[:1]) == 0

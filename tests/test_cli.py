@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shlex
 import site
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from golden_digests import ROOT, SRC, child_env, run_process
 from golden_digests import run as run_main
-from screened_sphere import cli
+from screened_sphere import cli, conserved
 from screened_sphere.cli import _OPTIONS, _json, _read_args, _write_output, build_parser, run
 from screened_sphere.errors import AccuracyError, DomainError
 
@@ -343,6 +344,17 @@ def test_a_refusal_ends_as_its_row_says(tmp_path, name):
     assert re.fullmatch(pattern, out["stderr"].decode()), out["stderr"]
 
 
+def test_out_and_turning_out_through_a_symlinked_directory_name_one_file(tmp_path):
+    # ../here is the run directory by a symlink, so both paths name the entry that os.replace
+    # replaces; the link lies beside the run directory, which a run reads back file by file
+    (tmp_path / "here").symlink_to("run", target_is_directory=True)
+    rc, out = run_main(["orbit", *_C, *_START, "--out", "a.csv", "--turning-out", "../here/a.csv"],
+                       tmp_path / "run")
+    assert (rc, sorted(out), out["stdout"]) == (2, ["stderr", "stdout"], b"")  # nothing written
+    assert out["stderr"].decode() == (f"{_USAGE}screened-sphere: error: --out and --turning-out "
+                                      "name one file, 'a.csv'\n")
+
+
 def _codes(cls=DomainError) -> set[str]:
     """The code of ``cls`` and of each of its subclasses in ``errors.py``, found recursively
     (the tests' own subclasses, such as ``orbit_reference.OrbitDomainError``, left out)."""
@@ -378,8 +390,12 @@ def test_unscreened_closure_where_lz_squared_underflows(tmp_path, lz):
 
 
 def test_brackets_sampler_finds_a_low_yield_request_past_the_yield_check(tmp_path):
-    # about 8e-4 of the candidates pass at k = 26, so 1000 states take more than the 2**20
-    # candidates after which the sampler may refuse a request for its yield
+    # about 6e-4 of the candidates pass at k = 26, so 1000 states take about 1.6e6 candidates,
+    # more than the 2**20 after which the sampler may refuse a request for its yield
+    rng = random.Random(0)  # --seed's default
+    blocks = (conserved._candidates(26.0, *conserved._uniforms(rng, 4 << 16).reshape(-1, 4).T)
+              for _ in range(16))
+    assert sum(int(kept.sum()) for _, kept in blocks) < 1000  # in the first 2**20 candidates
     rc, out = run_process(["brackets", "--system", "coulomb", "--lambda", "0", "--k", "26",
                            "--samples", "1000", "--out", "brackets.json"], tmp_path)
     assert (rc, out["stderr"]) == (0, b"")

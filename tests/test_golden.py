@@ -30,6 +30,32 @@ def test_process_entry_output_matches_its_golden_digests(op, tmp_path):
     assert found is None, found
 
 
+# Settings that change which kernel computes a transcendental function on an x86-64 host:
+# glibc's libm variants without AVX2 and FMA, and numpy's SIMD dispatch below AVX-512.  The
+# brackets records take their states from +, - and * alone, and the grid levels at lam > 0
+# (libm's sin and tan, LAPACK's dstebz) held under both; theta, from numpy's arctan2, does not.
+HOST_SETTINGS = {
+    "glibc-no-avx2-fma": {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2_Usable,-FMA_Usable,-AVX2,-FMA"},
+    "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+}
+HOST_FREE = [op for op in ARGV if op["argv"][0] == "brackets"
+             or op["name"] == "cli-mix-1-op04-spectrum"]
+
+
+@pytest.mark.parametrize("setting", HOST_SETTINGS)
+def test_brackets_and_grid_levels_hold_under_other_host_settings(setting, tmp_path):
+    extra = HOST_SETTINGS[setting]
+    # a host that refuses the setting says so when numpy is imported under it
+    rc, out = run_process([], tmp_path / "probe", entry=("-c", "import numpy"), **extra)
+    if rc or out["stderr"]:
+        pytest.skip(out["stderr"].decode(errors="replace").strip() or f"exit status {rc}")
+    assert len(HOST_FREE) == 8
+    for op in HOST_FREE:
+        found = mismatch(*run_process(op["argv"], tmp_path / op["name"], **extra),
+                         DIGESTS["ops"][op["name"]])
+        assert found is None, f"{op['name']}: {found}"
+
+
 # one op per command, and an orbit's --turning-out and --gnuplot
 CONFIG_TWINS = ["cli-mix-1-op10-orbit", "readme-turning", "cli-mix-1-op00-closure",
                 "cli-mix-1-op08-brackets", "cli-mix-1-op04-spectrum", "readme-orbit-gnuplot"]

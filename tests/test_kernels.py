@@ -33,18 +33,18 @@ SYSTEMS = [
 
 
 def reference_sample_states(params, n, seed):
-    """The scalar rejection loop on the seeded stdlib stream, one candidate at a time."""
+    """The scalar rejection loop on the seeded stdlib stream, one candidate at a time:
+    positions uniform on the square [-3, 3]**2 and kept on the annulus 0.3 <= r <= 3,
+    momenta uniform on [-2, 2]**2, and a state with 2k >= Lz**2 dropped."""
     rng = random.Random(seed)
     states = []
     while len(states) < n:
-        u = rng.uniform(0.0, 1.0)
-        r = math.sqrt(0.3**2 + u * (3.0**2 - 0.3**2))
-        phi = rng.uniform(0.0, 2.0 * math.pi)
+        x, y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
         p1, p2 = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
-        st = PhaseState(r * math.cos(phi), r * math.sin(phi), p1, p2)
-        if 2.0 * params.k >= (st.x1 * st.p2 - st.x2 * st.p1) ** 2:
+        lz = x * p2 - y * p1
+        if not 0.3**2 <= x * x + y * y <= 3.0**2 or 2.0 * params.k >= lz * lz:
             continue
-        states.append(st)
+        states.append(PhaseState(x, y, p1, p2))
     return states
 
 
@@ -130,7 +130,7 @@ def test_float_and_batch_paths_give_the_same_reports(kind, seed):
         floats, arrays = _both_paths(kind, params, n, seed)
         assert floats == arrays, (k, lam, n)
         assert isinstance(floats, list) is (n < 300 or k < 30.0), (k, lam, n)
-        # k = 30 hands the small requests over: too few states among 4n + 64 candidates
+        # k = 30 hands the small requests over: too few states among 6n + 64 candidates
         assert n > 7 or k < 30.0 or conserved._sample_floats(params, n, seed) is None
 
 
