@@ -28,8 +28,10 @@ written atomically, through a new temporary file beside the target that is renam
 over it (a FIFO or a device is written into), so identical inputs (including ``--seed``)
 give byte-identical outputs on one host; across hosts, ``orbit``'s theta fields can differ
 (numpy picks the SIMD kernel of the ``arctan2`` behind every theta by CPU), not ``brackets``'
-states, made with +, - and * alone.  Exit status: 0 on success, 2 on usage errors (an output
-path that cannot be written is one), 3 on domain errors (one ``CODE: message`` line on stderr).
+states, made with +, - and * alone, nor the other orbit fields, which no longer follow
+OpenBLAS's CPU kernel since the dense output sums no matrix product.  Exit status: 0 on
+success, 2 on usage errors (an output path that cannot be written is one), 3 on domain errors
+(one ``CODE: message`` line on stderr).
 
 The process entry ``run`` (``python -m screened_sphere.cli``, the
 ``screened-sphere`` script) runs the command with the cyclic garbage

@@ -319,14 +319,6 @@ def _sample_batch(params: SystemParams, n: int, seed: int):
     return np.concatenate(blocks, axis=1)[:, :n]
 
 
-def _sample(params: SystemParams, n: int, seed: int, floats: bool = True):
-    """The sampled states: float tuples from ``_sample_floats`` if ``floats``, n is at most
-    ``_FLOAT_PATH_MAX`` and that path finds them, else the (4, n) array of ``_sample_batch``,
-    which finds the same states."""
-    return (floats and n <= _FLOAT_PATH_MAX and _sample_floats(params, n, seed)
-            or _sample_batch(params, n, seed))
-
-
 # --- algebra identities -----------------------------------------------------
 
 def _residuals(algebra: _Algebra, params: SystemParams, z, gradients=None):
@@ -358,15 +350,17 @@ def _report(name: str, res: list, params: SystemParams) -> BracketReport:
 
 def _verify_pair(kind, params, n_samples, seed, method):
     """Residuals of the identities of ``kind``'s algebra (see ``_ALGEBRAS``) over random
-    states: an analytic check of at most ``_FLOAT_PATH_MAX`` states runs one state at a
-    time on Python floats, without numpy, and any other on one batch of arrays; both take
-    the same states for a seed and give the same bits."""
+    states: an analytic check of at most ``_FLOAT_PATH_MAX`` states that ``_sample_floats``
+    finds runs one state at a time on Python floats, without numpy, and any other on one
+    batch of arrays from ``_sample_batch``; both take the same states for a seed and give the
+    same bits."""
     algebra = _ALGEBRAS[kind]
     _check_sampling(params, n_samples, seed)
     if method not in ("analytic", "fd"):  # this and the system are checked before any draw
         raise DomainError(f"unknown bracket method {method!r}")
     _require(params, kind, "R'" if kind is SystemKind.COULOMB else "Q'")
-    z = _sample(params, n_samples, seed, method == "analytic")
+    z = (method == "analytic" and n_samples <= _FLOAT_PATH_MAX
+         and _sample_floats(params, n_samples, seed) or _sample_batch(params, n_samples, seed))
     if isinstance(z, list):
         residuals = [list(map(abs, res))
                      for res in zip(*(_residuals(algebra, params, state) for state in z))]

@@ -41,11 +41,12 @@ an orbit itself.  The dense output then owns the steps: in increasing time, with
 branch unwrapped over them, and their stage derivatives rebuilt with the same operations on
 arrays, a block of steps at a time (``_stages``).  It is evaluated a block of times at a time,
 on the step coefficients gathered once (``_interpolate``): the same bits as evaluating each
-time alone.  Every sum written out in the driver, ``_stages`` and ``_interpolate`` runs left
-to right from its first term, so a sum's sign of zero is its first term's.  The apsides
-(rdot = 0) are found and refined on x.p, which has the sign of rdot: its sign changes over the
-dense output's steps bracket them, and each bracket, one step's span, is bisected on x.p of
-the dense output.
+time alone.  Every sum runs left to right from its first term, so a sum's sign of zero is its
+first term's: the driver's, each row of the table in ``_stages`` and the dense output's rows
+(``_row_sum``), and ``_interpolate``'s.  No matrix product sums one, so no BLAS kernel that
+OpenBLAS picks by CPU moves a last bit.  The apsides (rdot = 0) are found and refined on x.p,
+which has the sign of rdot: its sign changes over the dense output's steps bracket them, and
+each bracket, one step's span, is bisected on x.p of the dense output.
 
 ``Trajectory.to_csv`` writes the bytes of ``%.17g`` per field: numpy lays out a field in
 1e-4 <= |v| < 1e16 from its exact 17-digit integer (Dekker's product, round half to
@@ -304,20 +305,19 @@ _D = (
 )
 
 
+def _row_sum(row, k):
+    """Row ``row`` of the table times stages ``k``: its nonzero terms, left to right."""
+    return functools.reduce(np.add, (a * k[j] for j, a in enumerate(row) if a))
+
+
 def _stages(y, h, params: SystemParams):
-    """Stage derivatives (n, 4, 16) of steps of sizes ``h`` (n,) from states ``y`` (4, n): 0-12 as
-    the driver computes them (each row of ``_A`` summed left to right over its nonzero entries,
-    from the first, then J times ``h_gradient``), built stage-major so that every sum runs on
-    contiguous rows, and 13-15 from the dense-output rows of ``_A``."""
-    kb = np.empty((13, 4, h.size))
-    kb[0] = _rhs(*y, params)
-    for s, row in enumerate(_A[1:13], 1):
-        acc = functools.reduce(np.add, (a * kb[j] for j, a in enumerate(row) if a))
-        kb[s] = _rhs(*(y + acc * h), params)
-    k = np.empty((h.size, 4, 16))
-    k[:, :, :13] = kb.transpose(2, 1, 0)
-    for s in (13, 14, 15):
-        k[:, :, s] = np.transpose(_rhs(*(y + (k[:, :, :s] @ _A[s]).T * h), params))
+    """Stage derivatives (16, 4, n) of steps of sizes ``h`` (n,) from states ``y`` (4, n), each
+    as the driver computes stages 0-12: a row of ``_A`` summed by :func:`_row_sum`, then J times
+    ``h_gradient``; rows 13-15 of ``_A`` are the dense output's."""
+    k = np.empty((16, 4, h.size))
+    k[0] = _rhs(*y, params)
+    for s, row in enumerate(_A[1:], 1):
+        k[s] = _rhs(*(y + _row_sum(row, k) * h), params)
     return k
 
 
@@ -456,9 +456,9 @@ class DenseOutput:
             b = slice(i, i + _BLOCK)
             hb, y_old = h[b], y[:, :-1][:, b]
             k = _stages(y_old, hb, params)
-            dy, f_old, f_new = y[:, 1:][:, b] - y_old, k[:, :, 0].T, k[:, :, 12].T
+            dy, f_old, f_new = y[:, 1:][:, b] - y_old, k[0], k[12]
             F[:3, :, b] = dy, hb * f_old - dy, 2.0 * dy - hb * (f_new + f_old)
-            F[3:, :, b] = np.transpose(k @ np.transpose(_D), (2, 1, 0)) * hb
+            F[3:, :, b] = [_row_sum(row, k) * hb for row in _D]
         order = slice(None) if t[-1] > t[0] else slice(None, None, -1)
         self.bounds, self.t_old, self.h = t[order], t[:-1][order], h[order]
         self.steps, self.y_old, self.F = y[:, order], y[:, :-1][:, order], F[:, :, order]

@@ -11,13 +11,15 @@ record, which ``record`` and ``mismatch`` compare; ``child_env`` is the environm
 child the tests start, ``load_argv`` yields the golden argv, with the benchmark workloads' argv
 at seeds 1-5 if asked, and ``perfbench_workloads`` loads the benchmark's workload generator
 without writing bytecode into ``perfbench/``.
-The numpy version and the CPU model are stored beside the records: the dense output runs a
-numpy matmul, whose last digits may depend on both, and every orbit's theta comes from numpy's
-``arctan2``, whose SIMD kernel numpy picks by CPU dispatch level.  The ``brackets`` records
-take their states from +, - and * alone.  The ``spectrum --numeric`` levels take no numpy:
-their bits come from libm's ``sin`` and ``tan`` and from dstebz in the OpenBLAS that scipy
-ships.  ``tests/test_golden.py`` runs both kinds under a masked glibc and a lowered numpy
-dispatch level, in fresh processes (``run_process`` passes such settings to the child).
+The numpy version and the CPU model are stored beside the records: every orbit's theta
+comes from numpy's ``arctan2``, whose SIMD kernel numpy picks by CPU dispatch level.  The
+dense output sums no matrix product, so OpenBLAS's CPU kernel, which once changed every
+column of every orbit, changes none.  The ``brackets`` records take their states from +, -
+and * alone.  The ``spectrum --numeric`` levels take no numpy: their bits come from libm's
+``sin`` and ``tan`` and from dstebz in the OpenBLAS that scipy ships.  ``tests/test_golden.py``
+runs both kinds under a masked glibc and a lowered numpy dispatch level, and orbit records
+under another OpenBLAS kernel, in fresh processes (``run_process`` passes such settings to
+the child).
 
     PYTHONPATH=src python tests/golden_digests.py [NAME ...]
 

@@ -2,9 +2,9 @@
 
 ``sample_states(params, n, seed)`` takes the same states, in the same order, as
 ``conserved.verify_coulomb_algebra`` and ``verify_oscillator_algebra`` with that
-``n`` and ``seed``, under the same checks: at most 4096 states on Python floats,
-more (or a float path that runs short) on the array path, which finds the same
-ones, since both draw through one map and one acceptance rule made of +, - and *
+``n`` and ``seed``, under the same checks.  It takes them from the array path,
+``conserved._sample_batch``, which finds the ones the float path finds, since both
+draw through one map and one acceptance rule made of +, - and *
 (``conserved._candidates``).  No command runs it; the sampling rule itself stays
 in ``conserved``.
 """
@@ -16,5 +16,4 @@ from screened_sphere.phase_space import PhaseState
 def sample_states(params, n: int, seed: int = 0) -> list[PhaseState]:
     """``n`` states for ``seed``; raises as the algebra checks do before any draw."""
     conserved._check_sampling(params, n, seed)
-    states = conserved._sample(params, n, seed)
-    return [PhaseState(*z) for z in (states if isinstance(states, list) else states.T.tolist())]
+    return [PhaseState(*z) for z in conserved._sample_batch(params, n, seed).T.tolist()]

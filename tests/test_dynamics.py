@@ -4,6 +4,8 @@ import math
 import re
 import tracemalloc
 from array import array
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -205,18 +207,21 @@ def test_dense_output_builds_its_stages_a_block_of_steps_at_a_time(coulomb_param
 @pytest.mark.parametrize("t_end", [70.0, -70.0])
 def test_dense_output_rows_keep_the_bits_of_their_stacked_form(coulomb_params, t_end):
     # the interpolant's rows are built a block of steps at a time; here they are stacked
-    # from whole rows over all steps, with the same expressions
+    # from whole rows over all steps, with the same written-out sums
     ts, ys = dynamics._dop853((1.6, 0.0, 0.0, 0.55), coulomb_params, t_end, 1e-12)
     t, y = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, 4).T
     h = np.diff(t)
+
+    def row_sum(row, k):  # left to right over the nonzero entries, from the first
+        return reduce(add, (a * k[j] for j, a in enumerate(row) if a))
+
     k = dynamics._stages(y[:, :-1], h, coulomb_params)
     for s in (13, 14, 15):
-        k[:, :, s] = np.transpose(dynamics._rhs(*(y[:, :-1] + (k[:, :, :s] @ dynamics._A[s]).T * h),
-                                                coulomb_params))
+        k[s] = dynamics._rhs(*(y[:, :-1] + row_sum(dynamics._A[s], k) * h), coulomb_params)
     dy = y[:, 1:] - y[:, :-1]
-    f_old, f_new = k[:, :, 0].T, k[:, :, 12].T
+    f_old, f_new = k[0], k[12]
     stacked = np.stack([dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old),
-                        *np.transpose(k @ np.transpose(dynamics._D), (2, 1, 0)) * h])
+                        *(row_sum(row, k) * h for row in dynamics._D)])
     order = slice(None, None, 1 if t_end > 0.0 else -1)
     F = dynamics.DenseOutput(t, y, coulomb_params).F
     assert F.shape == (7, 4, h.size) and h.size > 500
@@ -224,9 +229,9 @@ def test_dense_output_rows_keep_the_bits_of_their_stacked_form(coulomb_params, t
 
 
 def test_orbit_bytes_do_not_depend_on_the_block_sizes(monkeypatch, coulomb_params):
-    # the blocks of stages, samples and CSV rows only split the work, yet a product such as the
-    # stages' `@` may take another BLAS kernel at another shape; at each size here this orbit
-    # spans more than two blocks (9328 steps, 9000 samples)
+    # the blocks of stages, samples and CSV rows only split the work, yet a matrix product
+    # there would be free to take another BLAS kernel at another shape; at each size here this
+    # orbit spans more than two blocks (9328 steps, 9000 samples)
     y0, t_end = (1.6, 0.0, 0.0, 0.55), 700.0
     ts, ys = dynamics._dop853(y0, coulomb_params, t_end, 1e-12)  # the steps depend on no block
     monkeypatch.setattr(dynamics, "_dop853", lambda *args: (array("d", ts), array("d", ys)))

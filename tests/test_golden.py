@@ -30,30 +30,47 @@ def test_process_entry_output_matches_its_golden_digests(op, tmp_path):
     assert found is None, found
 
 
-# Settings that change which kernel computes a transcendental function on an x86-64 host:
-# glibc's libm variants without AVX2 and FMA, and numpy's SIMD dispatch below AVX-512.  The
-# brackets records take their states from +, - and * alone, and the grid levels at lam > 0
-# (libm's sin and tan, LAPACK's dstebz) held under both; theta, from numpy's arctan2, does not.
+# Settings that change which kernel computes a transcendental function or a product on an
+# x86-64 host: glibc's libm variants without AVX2 and FMA, numpy's SIMD dispatch below AVX-512,
+# and OpenBLAS's Sandy Bridge kernels.  The brackets records take their states from +, - and *
+# alone, and the grid levels at lam > 0 (libm's sin and tan, LAPACK's dstebz) held under the
+# first two; theta, from numpy's arctan2, does not hold under numpy's.  The orbit pipeline sums
+# no matrix product, so OpenBLAS's kernel reaches no orbit or turning-point byte.
 HOST_SETTINGS = {
     "glibc-no-avx2-fma": {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2_Usable,-FMA_Usable,-AVX2,-FMA"},
     "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+    "openblas-sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
 }
 HOST_FREE = [op for op in ARGV if op["argv"][0] == "brackets"
              or op["name"] == "cli-mix-1-op04-spectrum"]
+BLAS_FREE = [op for op in ARGV
+             if op["name"] in ("readme-orbit", "readme-turning", "orbit-backward")]
 
 
-@pytest.mark.parametrize("setting", HOST_SETTINGS)
-def test_brackets_and_grid_levels_hold_under_other_host_settings(setting, tmp_path):
+def _assert_records_hold_under(setting, ops, tmp_path):
+    """Each of ``ops`` in a fresh process under ``setting`` against its golden record."""
     extra = HOST_SETTINGS[setting]
     # a host that refuses the setting says so when numpy is imported under it
     rc, out = run_process([], tmp_path / "probe", entry=("-c", "import numpy"), **extra)
     if rc or out["stderr"]:
         pytest.skip(out["stderr"].decode(errors="replace").strip() or f"exit status {rc}")
-    assert len(HOST_FREE) == 8
-    for op in HOST_FREE:
+    for op in ops:
         found = mismatch(*run_process(op["argv"], tmp_path / op["name"], **extra),
                          DIGESTS["ops"][op["name"]])
         assert found is None, f"{op['name']}: {found}"
+
+
+@pytest.mark.parametrize("setting", ["glibc-no-avx2-fma", "numpy-no-avx512"])
+def test_brackets_and_grid_levels_hold_under_other_host_settings(setting, tmp_path):
+    assert len(HOST_FREE) == 8
+    _assert_records_hold_under(setting, HOST_FREE, tmp_path)
+
+
+def test_orbits_and_turning_points_hold_under_another_blas_kernel(tmp_path):
+    # an orbit, its turning points and a backward orbit, whose every column a matrix product
+    # in the dense output once tied to the CPU's OpenBLAS kernel
+    assert len(BLAS_FREE) == 3
+    _assert_records_hold_under("openblas-sandybridge", BLAS_FREE, tmp_path)
 
 
 # one op per command, and an orbit's --turning-out and --gnuplot

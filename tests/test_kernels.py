@@ -139,7 +139,7 @@ def test_sampler_states_do_not_depend_on_the_path():
     n = conserved._FLOAT_PATH_MAX
     floats = conserved._sample_floats(params, n, 3)
     assert np.array_equal(np.array(floats).T, conserved._sample_batch(params, n, 3))
-    # above the float path's limit sample_states takes the batch path, a prefix of the stream
+    # sample_states takes the batch path, whose n + 1 states begin with the float path's n
     more = batch(sample_states(params, n + 1, seed=3))
     assert np.array_equal(more[:, :n], np.array(floats).T)
 

@@ -180,6 +180,25 @@ def test_the_import_graph_is_acyclic_and_closed_forms_is_a_leaf():
         "screened_sphere.spectra"}
 
 
+# numpy's products that it hands to BLAS, whose kernel OpenBLAS picks by CPU and shape
+MATRIX_PRODUCTS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "multi_dot"}
+
+
+def test_src_holds_no_matrix_product():
+    # every sum of src/ is written out, left to right from its first term, so that its bits
+    # are those of IEEE + and * on any host: no `@`, `@=` or numpy product, generated driver
+    # included
+    trees, driver = _sources()
+    found = [f"{getattr(path, 'name', path)}:{node.lineno}"
+             for path, tree in [*trees.items(), ("driver", ast.parse(driver))]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+             or isinstance(node, ast.Attribute) and node.attr in MATRIX_PRODUCTS
+             or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+             and MATRIX_PRODUCTS & {alias.name for alias in node.names}]
+    assert found == []
+
+
 CONTRACT = re.compile(r"#\s*contract:\s*\S")
 
 
