@@ -305,11 +305,15 @@ _OPTIONS = (
     ("--numeric", ("spectrum",), dict(action="store_true",
                                       help="add finite-difference oracle energies")),
 )
+# Each command's options, indexed once: flag -> (dest, keywords), in help order
+_INDEX = {name: {flag: (keywords.get("dest", flag[2:].replace("-", "_")), keywords)
+                 for flag, commands, keywords in _OPTIONS if name in commands}
+          for name in _COMMANDS}
 _NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)  # "-1e-05", "-inf" are not options
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, a subparser per command with its options from ``_OPTIONS``.  The
+    """The CLI parser, a subparser per command with its options from ``_INDEX``.  The
     metavar names the command argument in the errors for a missing or an unknown command."""
     import argparse
 
@@ -327,26 +331,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_ALL) + "}")
     for name, (_, text, description) in _COMMANDS.items():
         p = sub.add_parser(name, help=text, description=description)
-        for flag, commands, keywords in _OPTIONS:
-            if name in commands:
-                p.add_argument(flag, **keywords)
+        for flag, (_, keywords) in _INDEX[name].items():
+            p.add_argument(flag, **keywords)
         p._negative_number_matcher = _NUMBER
     return parser
 
 
 def _read_args(argv: Sequence[str]) -> types.SimpleNamespace | None:
     """argparse's namespace for ``argv`` when it is a command and only its exact long flags
-    (``--flag value``, ``--flag=value``, a bare store_true flag), read from ``_OPTIONS``, each
+    (``--flag value``, ``--flag=value``, a bare store_true flag), read from ``_INDEX``, each
     value typed and checked where it stands; None for argparse to read or report otherwise."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    values, options = {"command": argv[0]}, {}
-    for flag, commands, keywords in _OPTIONS:
-        if argv[0] in commands:
-            dest = keywords.get("dest", flag[2:].replace("-", "_"))
-            default = keywords.get("default", False if "action" in keywords else None)
-            values[dest] = keywords.get("type", str)(default) if type(default) is str else default
-            options[flag] = dest, keywords
+    values, options = {"command": argv[0]}, _INDEX[argv[0]]
+    for dest, keywords in options.values():
+        default = keywords.get("default", False if "action" in keywords else None)
+        values[dest] = keywords.get("type", str)(default) if type(default) is str else default
     tokens = iter(argv[1:])
     for token in tokens:
         flag, eq, value = token.partition("=")
@@ -388,8 +388,7 @@ def _config_flags(path: str, command: str) -> list[str]:
         raise UsageError(f"cannot read --config {path!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DomainError(f"config file {path!r} is not text: {exc}") from None
-    options = {flag: (commands, keywords) for flag, commands, keywords in _OPTIONS}
-    flags = []
+    options, flags = _INDEX[command], []
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
@@ -398,12 +397,11 @@ def _config_flags(path: str, command: str) -> list[str]:
             raise DomainError(f"bad config line (want key=value): {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
         flag = "--" + key
-        if key == "config" or flag not in options:
+        if key == "config" or not any(flag in index for index in _INDEX.values()):
             raise DomainError(f"unknown config key {key!r}")
-        commands, keywords = options[flag]
-        if command not in commands:  # an option of other commands only
+        if flag not in options:  # an option of other commands only
             continue
-        if keywords.get("action") != "store_true":
+        if options[flag][1].get("action") != "store_true":
             flags.append(f"{flag}={value}")
         elif value.lower() in ("1", "true", "yes"):
             flags.append(flag)

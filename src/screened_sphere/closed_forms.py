@@ -127,7 +127,7 @@ def m_prime(m: int, k: float) -> float:
 
 def _check_qn(lam: float, k: float, n: int) -> None:
     check_lam_k(lam, k)
-    if n < 0 or int(n) != n:
+    if not (n >= 0 and n % 1 == 0):  # nan and inf too: inf % 1 is nan
         raise DomainError(f"radial index N must be a non-negative integer, got {n}")
     try:
         float(n)

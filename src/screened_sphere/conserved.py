@@ -54,10 +54,9 @@ from .phase_space import (MAX_SAMPLES, PhaseState, check_radius, h_gradient, h_v
 
 _FD_STEP = 6.0e-6  # ~cbrt(eps): optimal central-difference step on unit scales
 
-class Observable(namedtuple("Observable", "name value gradient")):
-    """Named phase-space function: value and gradient kernels of (x1, x2, p1, p2, params)."""
-
-    __slots__ = ()
+Observable = namedtuple("Observable", "name value gradient")
+Observable.__doc__ = ("Named phase-space function: value and gradient kernels of "
+                      "(x1, x2, p1, p2, params).")
 
 
 class BracketReport(namedtuple("BracketReport",

@@ -90,10 +90,8 @@ class TurningKind(str, Enum):
     PERIHELION = "perihelion"
 
 
-class TurningPoint(namedtuple("TurningPoint", "t state kind r theta")):
-    """Point with rdot = 0: local maximum (aphelion) or minimum (perihelion) of r."""
-
-    __slots__ = ()
+TurningPoint = namedtuple("TurningPoint", "t state kind r theta")
+TurningPoint.__doc__ = "Point with rdot = 0: local maximum (aphelion) or minimum (perihelion) of r."
 
 
 # --- equations of motion ---------------------------------------------------
@@ -576,13 +574,12 @@ def integrate(
 
     bound = 10.0 * rel_tol
     h_scale, lz_scale = max(1.0, abs(float(h[0]))), max(1.0, abs(float(lz[0])))
-    h_drift = float(np.max(np.abs(h - h[0]))) / h_scale
-    lz_drift = float(np.max(np.abs(lz - lz[0]))) / lz_scale
+    h_dev, lz_dev = np.abs(h - h[0]) / h_scale, np.abs(lz - lz[0]) / lz_scale
+    h_drift, lz_drift = float(np.max(h_dev)), float(np.max(lz_dev))
     if h_drift > bound or lz_drift > bound:
         # which error broke the gate: the solver's, if its accepted steps drift as far as the
         # samples, else the interpolant's between them
-        worst = int(np.argmax(np.maximum(np.abs(h - h[0]) / h_scale,
-                                         np.abs(lz - lz[0]) / lz_scale)))
+        worst = int(np.argmax(np.maximum(h_dev, lz_dev)))
         step_h, step_lz = h_value(*dense.steps, params), lz_value(*dense.steps)
         raise AccuracyError(
             f"conservation drift exceeds 10x tolerance: "

@@ -54,11 +54,10 @@ def check_grid_m_prime(m: int, k: float) -> None:
         raise AccuracyError(f"the grid oracle needs m' >= 1/2, got m' = {mp:.6g} at m = {m}")
 
 
-class RadialGrid(namedtuple("RadialGrid", "n_points x_max")):
-    """The uniform Dirichlet grid a level set was solved on: interior nodes s = i*x_max/(n_points
-    + 1), i = 1..n_points, in the arc length s = chi/sqrt(lam) from the pole (r at lam = 0)."""
-
-    __slots__ = ()
+RadialGrid = namedtuple("RadialGrid", "n_points x_max")
+RadialGrid.__doc__ = """The uniform Dirichlet grid a level set was solved on: interior nodes
+s = i*x_max/(n_points + 1), i = 1..n_points, in the arc length s = chi/sqrt(lam) from the pole
+(r at lam = 0)."""
 
 
 def default_grid(kind: SystemKind, lam: float, k: float, m: int, n_levels: int) -> RadialGrid:
@@ -161,10 +160,8 @@ def _eigenvalues_on_grid(
     return vals[:n_levels]
 
 
-class RadialSolveResult(namedtuple("RadialSolveResult", "energies error_estimate grid")):
-    """Richardson-combined eigenvalues with a per-level error estimate."""
-
-    __slots__ = ()
+RadialSolveResult = namedtuple("RadialSolveResult", "energies error_estimate grid")
+RadialSolveResult.__doc__ = "Richardson-combined eigenvalues with a per-level error estimate."
 
 
 def radial_solve_numeric(kind: SystemKind, lam: float, k: float, m: int,

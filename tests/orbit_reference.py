@@ -37,7 +37,6 @@ from screened_sphere.dynamics import (
     SystemKind,
     SystemParams,
     Trajectory,
-    _bracketed_root,
     lz_value,
 )
 from screened_sphere.errors import DomainError
@@ -168,9 +167,12 @@ def state_at_theta(traj: Trajectory, theta_target: float) -> PhaseState:
     idx = int(np.searchsorted(th, target))
     if idx == 0:
         return traj.state_at(traj.t[0])
-    t_star = _bracketed_root(lambda t: sign * traj.theta_at(t) - target,
-                             traj.t[idx - 1], traj.t[idx])
-    return traj.state_at(float(t_star))
+    # bisect the samples' bracket (a after b on a backward span), over which sign*theta rises
+    # through target, down to adjacent floats: apart from the root finder of the apsides
+    a, b = float(traj.t[idx - 1]), float(traj.t[idx])
+    while (mid := a + 0.5 * (b - a)) not in (a, b):
+        a, b = (mid, b) if sign * traj.theta_at(mid) < target else (a, mid)
+    return traj.state_at(b)
 
 
 def bound_orbit_start(kind: SystemKind, lam: float, k: float, shape: float, ecc: float,

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from screened_sphere import conserved
-from screened_sphere.closed_forms import coulomb_energy, orbit_alpha
+from screened_sphere.closed_forms import coulomb_energy, orbit_alpha, oscillator_energy
 from screened_sphere.conserved import (
     FRADKIN_XY,
     HAMILTONIAN,
@@ -50,6 +50,10 @@ def _theta_outside_the_orbit():
 _LIBRARY_REFUSALS = {
     "spectra-N": (lambda: coulomb_energy(0.1, 0.0, 1, -1),
                   "radial index N must be a non-negative integer, got -1"),
+    "spectra-N-nan": (lambda: coulomb_energy(0.1, 0.0, 1, float("nan")),  # once a bare ValueError
+                      "radial index N must be a non-negative integer, got nan"),
+    "spectra-N-inf": (lambda: oscillator_energy(0.1, 0.0, 1, float("inf")),  # once OverflowError
+                      "radial index N must be a non-negative integer, got inf"),
     "spectra-series-order": (lambda: hypergeometric_terminating(-1, 1.0, 1.0, 0.5),
                              "series order N must be a non-negative integer, got -1"),
     "spectra-series-pole": (lambda: hypergeometric_terminating(2, 1.0, -1.0, 0.5),

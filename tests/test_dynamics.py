@@ -179,12 +179,12 @@ def test_integrate_holds_the_steps_one_stage_buffer_and_the_samples(monkeypatch,
     n = len(traj.dense.bounds) - 1
     assert n > 29000
     assert returned == [8 * 5 * (n + 1)]  # step times and states only
-    # per step: t and y, the one (n, 4, 16) stage buffer, the interpolant's 7 rows of 4 and
-    # the (4, 4) product of stages that its last 4 rows are scaled from; one block of stages;
-    # about 50 floats per sample.  Each block's rows are built as expressions and copied in,
-    # so their temporaries stay within the block; a driver that also kept its 52 stage
-    # derivatives a step (416n bytes) would exceed it
-    bound = 8 * (5 + 4 * 16 + 7 * 4 + 4 * 4) * n + 8 * 13 * 4 * dynamics._BLOCK + 8 * 50 * 2001
+    # per step: t and y, the interpolant's 7 rows of 4, its step size and unwrapped theta (35
+    # floats, 280 B), and a margin of 8 floats (64 B) for the temporaries of theta's unwrap and
+    # the turning-point scan; one block of 16 stages of 4; about 50 floats per sample.  This
+    # orbit takes 292 B a step beyond the block and the samples, 87% of the bound; one that
+    # also kept its 52 stage derivatives a step (416 B) would exceed it
+    bound = 8 * (5 + 7 * 4 + 2 + 8) * n + 8 * 16 * 4 * dynamics._BLOCK + 8 * 50 * 2001
     assert returned[0] + peak < bound
 
 

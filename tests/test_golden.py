@@ -35,7 +35,11 @@ def test_process_entry_output_matches_its_golden_digests(op, tmp_path):
 # and OpenBLAS's Sandy Bridge kernels.  The brackets records take their states from +, - and *
 # alone, and the grid levels at lam > 0 (libm's sin and tan, LAPACK's dstebz) held under the
 # first two; theta, from numpy's arctan2, does not hold under numpy's.  The orbit pipeline sums
-# no matrix product, so OpenBLAS's kernel reaches no orbit or turning-point byte.
+# no matrix product, so OpenBLAS's kernel reaches no orbit or turning-point byte.  The step
+# controller's float ** is libm's pow, not correctly rounded (x ** 2 != x * x on about 1 in 1200
+# draws), and under glibc's setting x ** 2, x ** -0.125 and x ** 0.125 moved on 600-800 of 10**6
+# inputs each: the error norms move, while the accepted steps of the long-orbits orbits and the
+# three orbit records held.
 HOST_SETTINGS = {
     "glibc-no-avx2-fma": {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2_Usable,-FMA_Usable,-AVX2,-FMA"},
     "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
@@ -66,11 +70,13 @@ def test_brackets_and_grid_levels_hold_under_other_host_settings(setting, tmp_pa
     _assert_records_hold_under(setting, HOST_FREE, tmp_path)
 
 
-def test_orbits_and_turning_points_hold_under_another_blas_kernel(tmp_path):
+@pytest.mark.parametrize("setting", ["glibc-no-avx2-fma", "openblas-sandybridge"])
+def test_orbits_and_turning_points_hold_under_other_host_settings(setting, tmp_path):
     # an orbit, its turning points and a backward orbit, whose every column a matrix product
-    # in the dense output once tied to the CPU's OpenBLAS kernel
+    # in the dense output once tied to the CPU's OpenBLAS kernel; glibc's setting moves libm's
+    # pow in the step controller (see HOST_SETTINGS)
     assert len(BLAS_FREE) == 3
-    _assert_records_hold_under("openblas-sandybridge", BLAS_FREE, tmp_path)
+    _assert_records_hold_under(setting, BLAS_FREE, tmp_path)
 
 
 # one op per command, and an orbit's --turning-out and --gnuplot
