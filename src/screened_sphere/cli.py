@@ -220,7 +220,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     if args.lz is None:
         raise UsageError("closure requires --Lz")
     result = closure_analysis(_params(args), args.lz)
-    _write_output(args.out, _json(result.to_dict()) + "\n")
+    _write_output(args.out, _json(result._asdict()) + "\n")
     return 0
 
 
@@ -239,14 +239,12 @@ def _cmd_brackets(args: argparse.Namespace) -> int:
         else conserved.verify_oscillator_algebra
     )
     reports = verify(params, n_samples=args.samples, seed=args.seed, method=args.method)
-    _write_output(args.out, _json([r.to_dict() for r in reports]) + "\n")
+    _write_output(args.out, _json([r._asdict() for r in reports]) + "\n")
     return 0
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    params = _params(args)
-    entries = spectra.spectrum_entries(params.kind, args.lam, args.k, args.m, args.n,
-                                       numeric=args.numeric)
+    entries = spectra.spectrum_entries(_params(args), args.m, args.n, numeric=args.numeric)
     if args.fmt == "json":
         text = _json([e.to_dict() for e in entries]) + "\n"
     else:

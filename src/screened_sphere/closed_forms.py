@@ -21,6 +21,7 @@ degenerate at k = 0 (equal |m|+N, resp. |m|+2N) split.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from enum import Enum
 
@@ -42,6 +43,14 @@ def check_lam_k(lam: float, k: float) -> None:
         raise CurvatureError(f"curvature must be finite and >= 0, got {lam}")
     if not math.isfinite(k) or k < 0.0:
         raise DomainError(f"screening strength must be finite and >= 0, got {k}")
+
+
+def check_count(value, name: str) -> int:
+    """``value`` as an int, or a domain error that names ``name`` where it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 class SystemParams(namedtuple("SystemParams", "kind lam k")):
@@ -72,14 +81,9 @@ def orbit_alpha(params: SystemParams, lz: float) -> float:
     return math.sqrt(1.0 - 2.0 * params.k / lz2)
 
 
-class ClosureResult(namedtuple("ClosureResult", "alpha closed p q closure_angle",
-                               defaults=(None, None, None))):
-    """Rational-alpha closure analysis for given system and angular momentum."""
-
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return self._asdict()
+ClosureResult = namedtuple("ClosureResult", "alpha closed p q closure_angle",
+                           defaults=(None, None, None))
+ClosureResult.__doc__ = "Rational-alpha closure analysis for given system and angular momentum."
 
 
 def closure_analysis(params: SystemParams, lz: float) -> ClosureResult:

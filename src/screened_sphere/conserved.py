@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .closed_forms import SystemKind, SystemParams
+from .closed_forms import SystemKind, SystemParams, check_count
 from .errors import AccuracyError, DomainError, ImaginaryAlphaError, NoTurningPointError
 from .phase_space import (MAX_SAMPLES, PhaseState, check_radius, h_gradient, h_value, kernel_sqrt,
                           lz_gradient, lz_value, pi_components)
@@ -59,14 +59,8 @@ Observable.__doc__ = ("Named phase-space function: value and gradient kernels of
                       "(x1, x2, p1, p2, params).")
 
 
-class BracketReport(namedtuple("BracketReport",
-                               "identity n_samples max_abs_residual mean_abs_residual")):
-    """Residual summary of one bracket identity over sampled states."""
-
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return self._asdict()
+BracketReport = namedtuple("BracketReport", "identity n_samples max_abs_residual mean_abs_residual")
+BracketReport.__doc__ = "Residual summary of one bracket identity over sampled states."
 
 
 # --- value kernels and scalar evaluators -----------------------------------
@@ -214,7 +208,8 @@ def finite_difference_gradient(func, state: PhaseState, params: SystemParams):
         check_radius(x1, x2, "finite_difference_gradient")  # a stencil point can land on r = 0
         return func(x1, x2, p1, p2, params)
 
-    return _central_difference(value, state.as_array())
+    import numpy as np
+    return _central_difference(value, np.array(state))
 
 
 def _bracket(gf, gg):
@@ -253,7 +248,9 @@ _LZ_SQ_MAX = 2.0 * (3.0 * 2.0) ** 2  # |Lz| <= r*|p| <= 3 * 2*sqrt(2) on the box
 _FLOAT_PATH_MAX = 4096  # analytic checks of at most this many states run on Python floats
 
 
-def _check_sampling(params: SystemParams, n: int, seed: int) -> None:
+def _check_sampling(params: SystemParams, n: int, seed: int) -> tuple[int, int]:
+    """(n, seed) as ints, once each is checked: a float seed would seed by its hash."""
+    n, seed = check_count(n, "n_samples"), check_count(seed, "seed")
     if n < 1:
         raise DomainError(f"need at least one sampled state, got {n}")
     if n > MAX_SAMPLES:  # checked before anything is drawn, as for trajectory samples
@@ -263,6 +260,7 @@ def _check_sampling(params: SystemParams, n: int, seed: int) -> None:
     if 2.0 * params.k >= _LZ_SQ_MAX:
         raise ImaginaryAlphaError(f"2k = {2 * params.k:g} >= {_LZ_SQ_MAX:g}, the largest Lz**2 "
                                   "on the sampling box")
+    return n, seed
 
 
 def _candidates(k: float, u1, u2, u3, u4):
@@ -354,7 +352,7 @@ def _verify_pair(kind, params, n_samples, seed, method):
     batch of arrays from ``_sample_batch``; both take the same states for a seed and give the
     same bits."""
     algebra = _ALGEBRAS[kind]
-    _check_sampling(params, n_samples, seed)
+    n_samples, seed = _check_sampling(params, n_samples, seed)
     if method not in ("analytic", "fd"):  # this and the system are checked before any draw
         raise DomainError(f"unknown bracket method {method!r}")
     _require(params, kind, "R'" if kind is SystemKind.COULOMB else "Q'")

@@ -64,7 +64,7 @@ from enum import Enum
 
 import numpy as np
 
-from .closed_forms import TWO_PI, SystemKind  # SystemKind runs in the driver's text
+from .closed_forms import TWO_PI, SystemKind, check_count  # SystemKind runs in the driver's text
 from .closed_forms import SystemParams, closure_analysis  # noqa: F401 -- perfbench reads them here
 from .errors import (
     AccuracyError,
@@ -129,7 +129,7 @@ class Trajectory(namedtuple("Trajectory", "t states r theta H Lz params dense tu
     __slots__ = ()
 
     def state_at(self, t: float) -> PhaseState:  # contract: the orbit between its samples
-        return PhaseState.from_array(self._in_span(t))
+        return PhaseState(*map(float, self._in_span(t)))  # float refuses an array of times
 
     def theta_at(self, t):  # contract: the orbit between its samples
         """Unwrapped theta at a time or times, on the branch of the solver's steps."""
@@ -555,6 +555,7 @@ def integrate(
         raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
     if not 1e-13 <= rel_tol <= 1e-6:
         raise DomainError(f"rel_tol must lie in [1e-13, 1e-6], got {rel_tol}")
+    n_samples = check_count(n_samples, "n_samples")
     if n_samples < 2:
         raise DomainError("n_samples must be at least 2")
     if n_samples > MAX_SAMPLES:

@@ -26,14 +26,6 @@ class PhaseState(namedtuple("PhaseState", "x1 x2 p1 p2")):
     def r(self) -> float:
         return math.hypot(self.x1, self.x2)
 
-    def as_array(self):
-        import numpy as np
-        return np.array([self.x1, self.x2, self.p1, self.p2])
-
-    @classmethod
-    def from_array(cls, y) -> "PhaseState":
-        return cls(float(y[0]), float(y[1]), float(y[2]), float(y[3]))
-
 
 def v_value(r, params: SystemParams):
     """V(r) = -1/r (coulomb) or r**2/2 (oscillator), minus k/r**2, unchecked: the one

@@ -38,7 +38,7 @@ from array import array
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .closed_forms import SystemKind, _check_qn, analytic_energy, m_prime
+from .closed_forms import SystemKind, SystemParams, _check_qn, analytic_energy, check_count, m_prime
 from .errors import AccuracyError, DomainError
 
 GRID_MAX_LEVELS = 10        # levels the grid oracle solves: N = 0 .. GRID_MAX_LEVELS - 1
@@ -60,17 +60,17 @@ s = i*x_max/(n_points + 1), i = 1..n_points, in the arc length s = chi/sqrt(lam)
 (r at lam = 0)."""
 
 
-def default_grid(kind: SystemKind, lam: float, k: float, m: int, n_levels: int) -> RadialGrid:
+def default_grid(params: SystemParams, m: int, n_levels: int) -> RadialGrid:
     """The flat grid that holds the requested levels, or 2000 points where the sphere ends in it."""
-    mp = m_prime(m, k)
-    if kind is SystemKind.COULOMB:
+    mp = m_prime(m, params.k)
+    if params.kind is SystemKind.COULOMB:
         n_eff = mp + (n_levels - 1) + 0.5  # the outer turning point of the top level is ~2 n_eff**2
         x_max = max(40.0, 30.0 * n_eff, 2.0 * n_eff * n_eff + 20.0 * n_eff)
         flat, chi_end = RadialGrid(6000, x_max), math.pi
     else:
         e_max = 1.0 + mp + 2.0 * (n_levels - 1)
         flat, chi_end = RadialGrid(3000, max(10.0, math.sqrt(2.0 * e_max) + 7.0)), math.pi / 2.0
-    q = math.sqrt(lam)
+    q = math.sqrt(params.lam)
     return RadialGrid(2000, chi_end / q) if math.atan(q * flat.x_max) > 0.5 else flat
 
 
@@ -137,16 +137,15 @@ def _dstebz(d: array, e: array, il: int, iu: int) -> tuple[int, tuple[float, ...
     return found.value, tuple(w[:found.value]), info.value
 
 
-def _eigenvalues_on_grid(
-    kind: SystemKind, lam: float, k: float, m: int, n_levels: int, grid: RadialGrid
-) -> tuple[float, ...]:
+def _eigenvalues_on_grid(params: SystemParams, m: int, n_levels: int,
+                         grid: RadialGrid) -> tuple[float, ...]:
     """Lowest ``n_levels`` eigenvalues of the grid matrix, by bisection (LAPACK dstebz)."""
     n = grid.n_points
     h = grid.x_max / (n + 1)
     s = [h * i for i in range(1, n + 1)]
     try:
         kin = 1.0 / h**2
-        diag = array("d", [kin + v for v in _transformed_potential(kind, lam, k, m, s)])
+        diag = array("d", [kin + v for v in _transformed_potential(*params, m, s)])
         finite = all(map(math.isfinite, diag))
     except ArithmeticError:  # a float division by zero or an h**2 past the float range:
         finite = False       # an inf or a NaN in IEEE arithmetic
@@ -164,21 +163,21 @@ RadialSolveResult = namedtuple("RadialSolveResult", "energies error_estimate gri
 RadialSolveResult.__doc__ = "Richardson-combined eigenvalues with a per-level error estimate."
 
 
-def radial_solve_numeric(kind: SystemKind, lam: float, k: float, m: int,
-                         n_levels: int) -> RadialSolveResult:
+def radial_solve_numeric(params: SystemParams, m: int, n_levels: int) -> RadialSolveResult:
     """Lowest eigenvalues of the discretized radial Hamiltonian.
 
     Solves on ``default_grid`` and on its nested grid of halved spacing
     (2n+1 interior points); returns the h**2-extrapolated eigenvalues with
     |E_fine - E_coarse| as the error estimate, and the nested grid.
     """
+    n_levels = check_count(n_levels, "n_levels")
     if not 1 <= n_levels <= GRID_MAX_LEVELS:
         raise DomainError(f"n_levels must lie in 1..{GRID_MAX_LEVELS}")
-    check_grid_m_prime(m, k)
-    grid = default_grid(kind, lam, k, m, n_levels)
+    check_grid_m_prime(m, params.k)
+    grid = default_grid(params, m, n_levels)
     fine = RadialGrid(2 * grid.n_points + 1, grid.x_max)
-    e_coarse = _eigenvalues_on_grid(kind, lam, k, m, n_levels, grid)
-    e_fine = _eigenvalues_on_grid(kind, lam, k, m, n_levels, fine)
+    e_coarse = _eigenvalues_on_grid(params, m, n_levels, grid)
+    e_fine = _eigenvalues_on_grid(params, m, n_levels, fine)
     energies = tuple((4.0 * f - c) / 3.0 for f, c in zip(e_fine, e_coarse))
     estimate = tuple(abs(f - c) for f, c in zip(e_fine, e_coarse))
     return RadialSolveResult(energies=energies, error_estimate=estimate, grid=fine)
@@ -210,30 +209,30 @@ def spectrum_csv(entries: Sequence[SpectrumEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def spectrum_entries(kind: SystemKind, lam: float, k: float, ms: Sequence[int], ns: Sequence[int],
+def spectrum_entries(params: SystemParams, ms: Sequence[int], ns: Sequence[int],
                      numeric: bool = False) -> list[SpectrumEntry]:
     """Spectrum table over given quantum numbers, optionally with the grid oracle.
 
-    Every N is checked first; the grid oracle takes N < ``GRID_MAX_LEVELS`` and m' >= 1/2,
-    and solves each distinct m once.
+    Every N is checked first (an integer-valued float N counts as its int); the grid oracle
+    takes N < ``GRID_MAX_LEVELS`` and m' >= 1/2, and solves each distinct m once.
     """
     for n in ns:
-        _check_qn(lam, k, n)
+        _check_qn(params.lam, params.k, n)
         if numeric and n >= GRID_MAX_LEVELS:
             raise DomainError(f"radial index N must be at most {GRID_MAX_LEVELS - 1} for the grid "
                               f"oracle, got {n}")
     if numeric:
         for m in ms:
-            check_grid_m_prime(m, k)
+            check_grid_m_prime(m, params.k)
     entries: list[SpectrumEntry] = []
     solved: dict[int, Sequence[float]] = {}
     for m in ms:
         if numeric and ns and m not in solved:
-            solved[m] = radial_solve_numeric(kind, lam, k, m, n_levels=max(ns) + 1).energies
+            solved[m] = radial_solve_numeric(params, m, n_levels=int(max(ns)) + 1).energies
         numeric_levels = solved.get(m)
         for n in sorted(ns):
-            e_an = analytic_energy(kind, lam, k, m, n)
-            e_num = None if numeric_levels is None else float(numeric_levels[n])
-            entries.append(SpectrumEntry(kind, lam, k, m, n, m_prime(m, k), e_an, e_num,
+            e_an = analytic_energy(*params, m, n)
+            e_num = None if numeric_levels is None else numeric_levels[int(n)]
+            entries.append(SpectrumEntry(*params, m, n, m_prime(m, params.k), e_an, e_num,
                                          None if e_num is None else abs(e_an - e_num)))
     return entries

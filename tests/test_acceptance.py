@@ -108,7 +108,7 @@ def test_criterion_3_closure_and_irrational_control():
     res = closure_analysis(params, 1.0)
     traj = integrate(st0, params, t_end=60.0, rel_tol=1e-10, n_samples=8001)
     back = state_at_theta(traj, traj.theta[0] + res.closure_angle)
-    return_dev = float(np.max(np.abs(back.as_array() - st0.as_array())))
+    return_dev = float(np.max(np.abs(np.array(back) - np.array(st0))))
 
     # irrational control: alpha = sqrt(0.9); never within 1e-3 of the
     # start over 64 radial periods
@@ -234,7 +234,7 @@ def test_criterion_6_spectra():
         for lam in (0.0, 0.05, 0.1):
             for k in (0.0, 0.02, 0.05):
                 for m in (1, 2):
-                    result = radial_solve_numeric(kind, lam, k, m, n_levels=3)
+                    result = radial_solve_numeric(SystemParams(kind, lam, k), m, n_levels=3)
                     for n in range(3):
                         want = analytic_energy(kind, lam, k, m, n)
                         rel = abs(result.energies[n] - want) / abs(want)

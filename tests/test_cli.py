@@ -25,8 +25,9 @@ from hypothesis import strategies as st
 
 from golden_digests import ROOT, SRC, child_env, run_process
 from golden_digests import run as run_main
-from screened_sphere import cli, conserved
+from screened_sphere import cli, conserved, spectra
 from screened_sphere.cli import _OPTIONS, _json, _read_args, _write_output, build_parser, run
+from screened_sphere.closed_forms import SystemKind, SystemParams
 from screened_sphere.errors import AccuracyError, DomainError
 
 
@@ -579,22 +580,32 @@ def test_config_format_and_gnuplot_keys_are_ignored_where_unread(tmp_path, comma
     assert from_config == from_flags
 
 
-def test_traced_entry_point_writes_the_plain_outputs(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--x", "1.6", "--px", "0",
+     "--py", "0.55", "--t-end", "70", "--out", "traj.csv", "--turning-out", "tp.json"],
+    ["spectrum", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05", "--m", "1,2",
+     "--N", "0,2", "--numeric", "--out", "levels.csv"],
+], ids=["orbit", "spectrum-numeric"])
+def test_traced_entry_point_writes_the_plain_outputs(tmp_path, argv):
     # perfbench/traced.py wraps Trajectory.to_csv and cli._write_output in place and
-    # counts the bytes of the text it is given, so both must keep their str interface
-    argv = ["orbit", "--system", "coulomb", "--lambda", "0.1", "--k", "0.05",
-            "--x", "1.6", "--px", "0", "--py", "0.55", "--t-end", "70",
-            "--out", "traj.csv", "--turning-out", "tp.json"]
+    # counts the bytes of the text it is given, so both must keep their str interface;
+    # it binds radial_solve_numeric's arguments and reads n_levels by name
     spans = tmp_path / "spans.json"
     traced = run_process(argv, tmp_path / "traced", entry=[str(ROOT / "perfbench" / "traced.py")],
                          PERFBENCH_SPANS=str(spans), PERFBENCH_OP="op00")
     assert traced[0] == 0, traced[1]["stderr"]
     plain = run_process(argv, tmp_path / "plain")
     assert plain[0] == 0, plain[1]["stderr"]
-    assert traced == plain  # stdout, stderr and both files
-    written = [s for s in json.loads(spans.read_text())["spans"] if s["name"] == "_write_output"]
-    assert [s["attrs"]["bytes"] for s in written] == [len(plain[1][f])
-                                                      for f in ("traj.csv", "tp.json")]
+    assert traced == plain  # stdout, stderr and every file
+    recorded = json.loads(spans.read_text())["spans"]
+    files = [argv[i + 1] for i, flag in enumerate(argv) if flag in ("--out", "--turning-out")]
+    assert [s["attrs"]["bytes"] for s in recorded if s["name"] == "_write_output"] == [
+        len(plain[1][f]) for f in files]
+    if argv[0] == "spectrum":  # one solve of three levels per m, on the nested grid
+        params = SystemParams(SystemKind.COULOMB, 0.1, 0.05)
+        assert [s["attrs"] for s in recorded if s["name"] == "radial_solve_numeric"] == [
+            {"levels": 3, "grid_points": 3 * spectra.default_grid(params, m, 3).n_points + 1}
+            for m in (1, 2)]
 
 
 _SCIPY_PROBE = """

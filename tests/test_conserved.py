@@ -84,7 +84,7 @@ def test_runge_lenz_magnitude_is_flat_eccentricity():
                      rel_tol=1e-11, n_samples=2001)
     ecc = math.sqrt(1.0 + 2.0 * traj.H[0] * traj.Lz[0] ** 2)
     for row in traj.states[::20]:
-        rx, ry = runge_lenz(PhaseState.from_array(row), params)
+        rx, ry = runge_lenz(PhaseState(*map(float, row)), params)
         assert math.hypot(rx, ry) == pytest.approx(ecc, abs=1e-9)
 
 
@@ -232,7 +232,7 @@ def test_quadratic_constant_pinned_by_fd_oracle(coulomb_params, oscillator_param
 
 def test_bracket_report_serialization(coulomb_params):
     rep = verify_coulomb_algebra(coulomb_params, 50, seed=1)[0]
-    d = rep.to_dict()
+    d = rep._asdict()
     assert set(d) == {"identity", "n_samples", "max_abs_residual", "mean_abs_residual"}
     assert d["n_samples"] == 50
     assert d["max_abs_residual"] >= d["mean_abs_residual"] >= 0.0
@@ -241,7 +241,7 @@ def test_bracket_report_serialization(coulomb_params):
 def test_bracket_sampling_is_seeded(coulomb_params):
     a = verify_coulomb_algebra(coulomb_params, 100, seed=42)
     b = verify_coulomb_algebra(coulomb_params, 100, seed=42)
-    assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+    assert a == b
 
 
 # --- turning-point conservation ---------------------------------------------

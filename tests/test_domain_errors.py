@@ -60,8 +60,12 @@ _LIBRARY_REFUSALS = {
                             "pole in (c)_j at j = 1 before termination"),
     "spectra-wavefunction-lam": (lambda: oscillator_wavefunction(1.0, 0.0, 0.0, 1, 0),
                                  "oscillator_wavefunction requires lam > 0"),
-    "spectra-n-levels": (lambda: radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 11),
+    "spectra-n-levels": (lambda: radial_solve_numeric(COULOMB, 1, 11),
                          "n_levels must lie in 1..10"),
+    # a count or a seed that is no integer: a bare TypeError or ValueError, or (a seed) one
+    # that random.Random took by its hash, which for a NaN follows the object's id
+    "spectra-n-levels-fraction": (lambda: radial_solve_numeric(COULOMB, 1, 2.5),
+                                  "n_levels must be an integer, got 2.5"),
     "spectra-residual-lam": (lambda: oscillator_operator_residual(0.0, 0.0, 1, 0),
                              "operator residual is defined for lam > 0"),
     "conserved-pair-kind": (lambda: runge_lenz(STATE, OSCILLATOR),
@@ -74,10 +78,22 @@ _LIBRARY_REFUSALS = {
     "conserved-verify-method": (
         lambda: verify_coulomb_algebra(COULOMB, n_samples=10, method="newton"),
         "unknown bracket method 'newton'"),
+    "conserved-n-samples-fraction": (lambda: verify_coulomb_algebra(COULOMB, n_samples=2.5),
+                                     "n_samples must be an integer, got 2.5"),
+    "conserved-n-samples-nan": (lambda: verify_oscillator_algebra(OSCILLATOR, n_samples=math.nan),
+                                "n_samples must be an integer, got nan"),
+    "conserved-seed-fraction": (lambda: verify_coulomb_algebra(COULOMB, 10, seed=2.5),
+                                "seed must be an integer, got 2.5"),
+    "conserved-seed-nan": (lambda: verify_oscillator_algebra(OSCILLATOR, 10, seed=math.nan),
+                           "seed must be an integer, got nan"),
     "dynamics-rel-tol": (lambda: integrate(STATE, COULOMB, 1.0, rel_tol=1e-3),
                          "rel_tol must lie in [1e-13, 1e-6], got 0.001"),
     "dynamics-n-samples": (lambda: integrate(STATE, COULOMB, 1.0, n_samples=1),
                            "n_samples must be at least 2"),
+    "dynamics-n-samples-fraction": (lambda: integrate(STATE, COULOMB, 1.0, n_samples=2.5),
+                                    "n_samples must be an integer, got 2.5"),
+    "dynamics-n-samples-nan": (lambda: integrate(STATE, COULOMB, 1.0, n_samples=math.nan),
+                               "n_samples must be an integer, got nan"),
     "dynamics-theta-target": (_theta_outside_the_orbit,
                               "theta_target … outside trajectory range [0, …]"),
 }

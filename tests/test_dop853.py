@@ -96,7 +96,7 @@ def test_generated_step_is_the_table_loop_bit_for_bit(kind, lam, k):
         cases.append((y, float(h), 10.0 ** rng.uniform(-14.0, -8.0)))
     step = _generated_step()
     for y, h, rtol in cases:
-        f = equations_of_motion(PhaseState(*y), params)
+        f = equations_of_motion(PhaseState(*map(float, y)), params)
         ref = _reference_step(y, f, h, params, rtol * 1e-2, rtol)
         assert _step_bits(step(y, f, h, params, rtol * 1e-2, rtol)) == _step_bits(ref), (y, h)
         stages = dynamics._stages(np.array(y)[:, None], np.array([h]), params)[:13, :, 0]
@@ -145,8 +145,8 @@ def _oracle(state0, params, t_end, rel_tol):
         return y[0] * y[2] + y[1] * y[3]
 
     return solve_ivp(
-        lambda t, y: equations_of_motion(PhaseState.from_array(y), params),
-        (0.0, t_end), state0.as_array(), method="DOP853", rtol=rtol, atol=rtol * 1e-2,
+        lambda t, y: equations_of_motion(PhaseState(*map(float, y)), params),
+        (0.0, t_end), np.array(state0), method="DOP853", rtol=rtol, atol=rtol * 1e-2,
         dense_output=True, events=radial_turn,
     )
 

@@ -126,7 +126,7 @@ def test_eom_conserves_angular_momentum_pointwise():
 def test_flat_circle_period():
     st0 = PhaseState(1.0, 0.0, 0.0, 1.0)
     traj = integrate(st0, FLAT_KEPLER, t_end=2.0 * math.pi, rel_tol=1e-10)
-    assert np.allclose(traj.states[-1], st0.as_array(), atol=1e-8)
+    assert np.allclose(traj.states[-1], np.array(st0), atol=1e-8)
 
 
 def test_conservation_drift_bound(coulomb_params):
@@ -872,7 +872,7 @@ def test_rational_orbit_returns_after_closure_angle(params, state):
     assert res.closed
     traj = integrate(state, params, t_end=80.0, rel_tol=1e-10, n_samples=12001)
     back = state_at_theta(traj, traj.theta[0] + res.closure_angle)
-    assert np.max(np.abs(back.as_array() - state.as_array())) < 1e-6
+    assert np.max(np.abs(np.array(back) - np.array(state))) < 1e-6
 
 
 def test_curvature_shift_traces_same_projected_orbit():

@@ -49,7 +49,7 @@ def reference_sample_states(params, n, seed):
 
 
 def batch(states):
-    return np.array([st.as_array() for st in states]).T
+    return np.array(states).T
 
 
 @pytest.mark.parametrize("kind,observables", SYSTEMS)

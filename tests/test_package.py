@@ -46,6 +46,26 @@ def test_public_names_are_their_owners_objects():
     assert {name for _, name in NAMES} <= set(dir(screened_sphere))
 
 
+# the paper's two scalar level formulas take (lam, k, m, N); every other entry point takes the
+# system as one checked SystemParams
+LOOSE_SYSTEM = {"coulomb_energy", "oscillator_energy"}
+
+
+def test_entry_points_take_the_system_as_one_record():
+    loose = {name for name in screened_sphere._OWNER
+             if inspect.isfunction(function := getattr(screened_sphere, name))
+             and {"kind", "lam"} & set(inspect.signature(function).parameters)}
+    assert loose == LOOSE_SYSTEM
+
+
+def test_records_carry_no_pass_through_methods():
+    # a record's dict is namedtuple's _asdict, its array np.array(record)
+    gone = {"ClosureResult": "to_dict", "BracketReport": "to_dict",
+            "PhaseState": "as_array from_array"}
+    assert [f"{record}.{method}" for record, methods in gone.items() for method in methods.split()
+            if hasattr(getattr(screened_sphere, record), method)] == []
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         screened_sphere.no_such_name
@@ -307,7 +327,7 @@ def _records():
     from screened_sphere import spectra
 
     params = SystemParams(SystemKind.COULOMB, 0.0, 0.375)
-    entry, = spectra.spectrum_entries(SystemKind.OSCILLATOR, 0.1, 0.05, [1], [0])
+    entry, = spectra.spectrum_entries(SystemParams(SystemKind.OSCILLATOR, 0.1, 0.05), [1], [0])
     return params, closed_forms.closure_analysis(params, 1.0), entry
 
 
@@ -348,7 +368,7 @@ def test_closed_form_records_are_frozen_hashable_values():
     # the grid result is frozen, and so is the report, though its arrays make it unhashable
     from screened_sphere import conserved, spectra
 
-    result = spectra.radial_solve_numeric(SystemKind.COULOMB, 0.0, 0.0, 1, 1)
+    result = spectra.radial_solve_numeric(SystemParams(SystemKind.COULOMB, 0.0, 0.0), 1, 1)
     report = conserved.TurningConservationReport(
         ("R'x", "R'y"), 1, np.zeros((1, 2)), np.ones((1, 2)), ("aphelion",), 0.0, 1.0)
     for record in (result, report):
@@ -370,10 +390,10 @@ def test_closed_form_records_keep_fields_defaults_and_checks():
     assert SystemParams(SystemKind.COULOMB)._replace(k=0.5) == (SystemKind.COULOMB, 0.0, 0.5)
     assert closed_forms.ClosureResult(0.25, False) == (0.25, False, None, None, None)
     params, closure, entry = _records()
-    assert closure.to_dict() == {"alpha": 0.5, "closed": True, "p": 1, "q": 2,
+    assert closure._asdict() == {"alpha": 0.5, "closed": True, "p": 1, "q": 2,
                                  "closure_angle": closure.closure_angle}
-    assert list(closure.to_dict()) == ["alpha", "closed", "p", "q", "closure_angle"]
-    assert type(closure.to_dict()) is dict
+    assert list(closure._asdict()) == ["alpha", "closed", "p", "q", "closure_angle"]
+    assert type(closure._asdict()) is dict
     assert list(entry.to_dict()) == ["kind", "lambda", "k", "m", "N", "m_prime", "E_analytic",
                                      "E_numeric", "abs_diff"]
     assert (entry.e_numeric, entry.abs_diff) == (None, None)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from screened_sphere import spectra
-from screened_sphere.closed_forms import analytic_energy, coulomb_energy, oscillator_energy
+from screened_sphere.closed_forms import (SystemParams, analytic_energy, coulomb_energy,
+                                          oscillator_energy)
 from screened_sphere.dynamics import SystemKind
 from screened_sphere.errors import AccuracyError, CurvatureError, DomainError, ImaginaryMPrimeError
 from screened_sphere.spectra import (
@@ -31,6 +32,9 @@ from oscillator_reference import (
     oscillator_operator_residual,
     oscillator_wavefunction,
 )
+
+
+SCREENED = SystemParams(SystemKind.COULOMB, 0.1, 0.05)
 
 
 def direct_series_sum(n, b, c, z):
@@ -216,19 +220,19 @@ def test_wavefunction_node_count():
 # --- radial grid oracle ----------------------------------------------------------
 
 def test_flat_hydrogen_lowest_level():
-    result = radial_solve_numeric(SystemKind.COULOMB, 0.0, 0.0, 1, 1)
+    result = radial_solve_numeric(SystemParams(SystemKind.COULOMB, 0.0, 0.0), 1, 1)
     assert result.energies[0] == pytest.approx(-0.5 / 1.5**2, abs=1e-4)
 
 
 def test_oracle_matches_coulomb_spectrum_on_sphere():
-    result = radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 3)
+    result = radial_solve_numeric(SystemParams(SystemKind.COULOMB, 0.1, 0.0), 1, 3)
     for n in range(3):
         want = coulomb_energy(0.1, 0.0, 1, n)
         assert abs(result.energies[n] - want) / abs(want) < 1e-4
 
 
 def test_oracle_matches_screened_oscillator_spectrum():
-    result = radial_solve_numeric(SystemKind.OSCILLATOR, 0.1, 0.05, 1, 3)
+    result = radial_solve_numeric(SystemParams(SystemKind.OSCILLATOR, 0.1, 0.05), 1, 3)
     for n in range(3):
         want = oscillator_energy(0.1, 0.05, 1, n)
         assert abs(result.energies[n] - want) / abs(want) < 1e-4
@@ -241,29 +245,39 @@ def test_oracle_matches_screened_oscillator_spectrum():
 def test_oracle_refuses_m_prime_below_one_half(kind, lam, k, m):
     # u ~ x**(m'+1/2) is too rough at x = 0 for the h**2 step: at m' = 0 the grid printed
     # -1.2185 for the coulomb E(0, 0) = -2, 12-15 times past its own error estimate
-    for solve in (lambda: radial_solve_numeric(kind, lam, k, m, 2),
-                  lambda: spectrum_entries(kind, lam, k, [1, m], [0, 1], numeric=True)):
+    params = SystemParams(kind, lam, k)
+    for solve in (lambda: radial_solve_numeric(params, m, 2),
+                  lambda: spectrum_entries(params, [1, m], [0, 1], numeric=True)):
         with pytest.raises(AccuracyError, match=f"m' >= 1/2, got m' = .* at m = {m}") as exc:
             solve()
         assert exc.value.code == "ERR_ACCURACY"
-    assert spectrum_entries(kind, lam, k, [m], [0, 1])[0].e_numeric is None
+    assert spectrum_entries(params, [m], [0, 1])[0].e_numeric is None
 
 
 def test_oracle_level_cap_is_the_same_for_the_table_and_the_solve():
     # ten levels, N = 0..9, on both sides of the cap, each refusal in its own words
     for n_levels in (0, 11):
         with pytest.raises(DomainError, match=r"^n_levels must lie in 1\.\.10$"):
-            radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.05, 1, n_levels)
+            radial_solve_numeric(SCREENED, 1, n_levels)
     with pytest.raises(DomainError, match=r"^radial index N must be at most 9 for the grid "
                                           r"oracle, got 10$"):
-        spectrum_entries(SystemKind.COULOMB, 0.1, 0.05, [1], [10], numeric=True)
-    [entry] = spectrum_entries(SystemKind.COULOMB, 0.1, 0.05, [1], [9], numeric=True)
-    assert entry.e_numeric == radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.05, 1, 10).energies[9]
+        spectrum_entries(SCREENED, [1], [10], numeric=True)
+    [entry] = spectrum_entries(SCREENED, [1], [9], numeric=True)
+    assert entry.e_numeric == radial_solve_numeric(SCREENED, 1, 10).energies[9]
+
+
+def test_an_integer_valued_float_n_is_its_int_on_the_grid_path_too():
+    # the closed forms admit N = 1.0; the grid path indexed its levels with 1.0 and passed
+    # n_levels = 2.0 to ctypes, a bare TypeError
+    [by_float] = spectrum_entries(SCREENED, [1], [1.0], numeric=True)
+    [by_int] = spectrum_entries(SCREENED, [1], [1], numeric=True)
+    assert by_float.n == 1.0 and by_float[5:] == by_int[5:]
+    assert by_float.e_numeric == radial_solve_numeric(SCREENED, 1, 2).energies[1]
 
 
 def test_oracle_takes_m_prime_of_one_half():
     # m' = 1/2 is the smallest the oracle takes: u ~ x, and the levels keep to their estimate
-    result = radial_solve_numeric(SystemKind.COULOMB, 0.0, 0.375, 1, 3)
+    result = radial_solve_numeric(SystemParams(SystemKind.COULOMB, 0.0, 0.375), 1, 3)
     want = [coulomb_energy(0.0, 0.375, 1, n) for n in range(3)]
     assert np.all(np.abs(np.asarray(result.energies) - want) <= np.asarray(result.error_estimate))
 
@@ -274,7 +288,7 @@ def test_flat_coulomb_levels_keep_to_their_estimate_past_n_eff_5(m, k):
     # the outer turning point of a flat coulomb level is near r = 2 n_eff**2; a grid of
     # 30 n_eff cut the levels past n_eff = 5 off: m = 100 printed 2.998e-4 for E(100, 0) =
     # -4.950e-5, and m = 20 was 8e5 times past its estimate
-    result = radial_solve_numeric(SystemKind.COULOMB, 0.0, k, m, 10)
+    result = radial_solve_numeric(SystemParams(SystemKind.COULOMB, 0.0, k), m, 10)
     want = [coulomb_energy(0.0, k, m, n) for n in range(10)]
     assert np.all(np.abs(np.asarray(result.energies) - want) <= np.asarray(result.error_estimate))
 
@@ -286,9 +300,9 @@ _DEGENERACY_LAMS = [0.0, 1e-9, 1e-4, 0.05, 0.5]
 
 @pytest.fixture(scope="module")
 def ten_levels():
-    """radial_solve_numeric(kind, lam, k, m, 10), keyed by (kind, lam, k, m), for the sweep's
-    and the degeneracy test's cases, solved on two threads: ctypes lets go of the GIL while
-    dstebz, most of a solve, runs."""
+    """radial_solve_numeric(SystemParams(kind, lam, k), m, 10), keyed by (kind, lam, k, m), for
+    the sweep's and the degeneracy test's cases, solved on two threads: ctypes lets go of the
+    GIL while dstebz, most of a solve, runs."""
     from concurrent.futures import ThreadPoolExecutor
 
     cases = sorted(set(itertools.product(SystemKind, _SWEEP_LAMS, (0.0, 0.05), (1, 2, 3)))
@@ -296,7 +310,8 @@ def ten_levels():
                                            range(1, 6))))
     spectra._dstebz_routine()  # loaded once, before the two threads start
     with ThreadPoolExecutor(2) as pool:
-        return dict(zip(cases, pool.map(lambda case: radial_solve_numeric(*case, 10), cases)))
+        return dict(zip(cases, pool.map(
+            lambda case: radial_solve_numeric(SystemParams(*case[:3]), case[3], 10), cases)))
 
 
 @pytest.mark.parametrize("lam", _SWEEP_LAMS)
@@ -342,7 +357,7 @@ def grid_solves(monkeypatch):
 def _grids(kind, lam):
     """(n_levels, grid) for every grid the oracle solves on at k = 0.05, m = 1."""
     for n_levels in (1, 3, 10):
-        coarse = default_grid(kind, lam, 0.05, 1, n_levels)
+        coarse = default_grid(SystemParams(kind, lam, 0.05), 1, n_levels)
         for grid in (coarse, RadialGrid(2 * coarse.n_points + 1, coarse.x_max)):
             yield n_levels, grid
 
@@ -354,7 +369,7 @@ def test_grid_eigenvalues_equal_scipy_eigh_tridiagonal(grid_solves, kind, lam):
     from scipy.linalg import eigh_tridiagonal
 
     for n_levels, grid in _grids(kind, lam):
-        vals = _eigenvalues_on_grid(kind, lam, 0.05, 1, n_levels, grid)
+        vals = _eigenvalues_on_grid(SystemParams(kind, lam, 0.05), 1, n_levels, grid)
         d, e, *_ = grid_solves.pop()
         assert len(d) == grid.n_points
         want = eigh_tridiagonal(np.asarray(d), np.asarray(e), select="i",
@@ -369,7 +384,7 @@ def test_float_diagonal_matches_the_numpy_reference(grid_solves, kind, lam):
     # round differently from numpy's by an ulp, which the oscillator's tan**2 doubles
     ulps = 1 if kind is SystemKind.COULOMB else 2
     for n_levels, grid in _grids(kind, lam):
-        _eigenvalues_on_grid(kind, lam, 0.05, 1, n_levels, grid)
+        _eigenvalues_on_grid(SystemParams(kind, lam, 0.05), 1, n_levels, grid)
         d, e, *_ = grid_solves.pop()
         want, off = _numpy_matrix(kind, lam, 0.05, 1, grid)
         assert np.asarray(e).tobytes() == off.tobytes()
@@ -412,7 +427,7 @@ def test_eigensolver_failure_is_an_accuracy_error(monkeypatch, found, info):
 
     monkeypatch.setattr(spectra, "_dstebz", fake)
     with pytest.raises(AccuracyError) as exc:
-        radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 3)
+        radial_solve_numeric(SystemParams(SystemKind.COULOMB, 0.1, 0.0), 1, 3)
     assert exc.value.code == "ERR_ACCURACY"
     assert str(exc.value) == (f"tridiagonal eigensolver failed: dstebz found {found} of 3 "
                               f"levels (LAPACK info={info})")
@@ -429,7 +444,7 @@ def test_eigensolver_failure_is_an_accuracy_error(monkeypatch, found, info):
 ])
 def test_unsolvable_grid_matrix_is_an_accuracy_error(kind, lam, m, message):
     with pytest.raises(AccuracyError) as exc:
-        radial_solve_numeric(kind, lam, 0.0, m, 1)
+        radial_solve_numeric(SystemParams(kind, lam, 0.0), m, 1)
     assert str(exc.value) == f"tridiagonal eigensolver failed: {message}"
 
 
@@ -437,7 +452,7 @@ def test_a_zero_division_on_the_diagonal_is_the_non_finite_matrix_error(monkeypa
     # where numpy's division gave an inf or a NaN, Python's raises
     monkeypatch.setattr(spectra, "_transformed_potential", lambda *args: [1.0 / 0.0])
     with pytest.raises(AccuracyError) as exc:
-        radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.0, 1, 1)
+        radial_solve_numeric(SystemParams(SystemKind.COULOMB, 0.1, 0.0), 1, 1)
     assert str(exc.value) == "tridiagonal eigensolver failed: array must not contain infs or NaNs"
 
 
@@ -445,8 +460,9 @@ _IMPORT_ORDER = """
 import sys
 from array import array
 from screened_sphere import spectra
-from screened_sphere.closed_forms import SystemKind
+from screened_sphere.closed_forms import SystemKind, SystemParams
 
+PARAMS = SystemParams(SystemKind.COULOMB, 0.1, 0.05)
 solves = []
 dstebz = spectra._dstebz
 
@@ -457,7 +473,7 @@ def spy(d, e, il, iu):
 spectra._dstebz = spy
 
 def solve():
-    return array("d", spectra.radial_solve_numeric(SystemKind.COULOMB, 0.1, 0.05, 1, 3).energies)
+    return array("d", spectra.radial_solve_numeric(PARAMS, 1, 3).energies)
 
 if sys.argv[1] == "linalg-first":
     import scipy.linalg
@@ -516,8 +532,8 @@ def test_oscillator_degeneracy_split():
 def test_degeneracy_gap_confirmed_by_oracle():
     lam, k = 0.1, 0.05
     gap_analytic = abs(coulomb_energy(lam, k, 1, 1) - coulomb_energy(lam, k, 2, 0))
-    e_m1 = radial_solve_numeric(SystemKind.COULOMB, lam, k, 1, 2).energies[1]
-    e_m2 = radial_solve_numeric(SystemKind.COULOMB, lam, k, 2, 1).energies[0]
+    e_m1 = radial_solve_numeric(SystemParams(SystemKind.COULOMB, lam, k), 1, 2).energies[1]
+    e_m2 = radial_solve_numeric(SystemParams(SystemKind.COULOMB, lam, k), 2, 1).energies[0]
     assert abs(abs(e_m1 - e_m2) - gap_analytic) < 1e-4
 
 
@@ -539,14 +555,14 @@ def test_grid_levels_are_degenerate_unscreened_and_split_screened(ten_levels, ki
 # --- tables --------------------------------------------------------------------
 
 def test_spectrum_entries_and_csv():
-    entries = spectrum_entries(SystemKind.OSCILLATOR, 0.0, 0.0, ms=[0], ns=[0])
+    entries = spectrum_entries(SystemParams(SystemKind.OSCILLATOR, 0.0, 0.0), ms=[0], ns=[0])
     assert entries[0].e_analytic == pytest.approx(1.0)
     text = spectrum_csv(entries)
     lines = text.splitlines()
     assert lines[0] == "kind,lambda,k,m,N,m_prime,E_analytic,E_numeric,abs_diff"
     assert lines[1].startswith("oscillator,0,0,0,0,0,1,")
 
-    entries = spectrum_entries(SystemKind.COULOMB, 0.1, 0.05, ms=[1], ns=[0, 1], numeric=True)
+    entries = spectrum_entries(SCREENED, ms=[1], ns=[0, 1], numeric=True)
     for e in entries:
         assert e.e_numeric is not None
         assert e.abs_diff == pytest.approx(abs(e.e_analytic - e.e_numeric))
@@ -556,7 +572,7 @@ def test_spectrum_entries_and_csv():
 @pytest.mark.parametrize("numeric", [False, True])
 def test_spectrum_table_of_no_levels_is_empty(numeric):
     # the numeric table sized its solve by max(ns), which raised on an empty N list
-    assert spectrum_entries(SystemKind.COULOMB, 0.1, 0.05, [1], [], numeric=numeric) == []
+    assert spectrum_entries(SCREENED, [1], [], numeric=numeric) == []
 
 
 def _csv_field(value) -> str:
@@ -569,7 +585,7 @@ def _csv_field(value) -> str:
        st.floats(0.0, 0.3), st.sets(st.integers(1, 4), min_size=1),
        st.sets(st.integers(0, 5), min_size=1), st.sampled_from([False] * 3 + [True]))
 def test_spectrum_csv_rows_are_the_json_records(kind, lam, k, ms, ns, numeric):
-    entries = spectrum_entries(kind, lam, k, sorted(ms), sorted(ns), numeric=numeric)
+    entries = spectrum_entries(SystemParams(kind, lam, k), sorted(ms), sorted(ns), numeric=numeric)
     header, *rows = spectrum_csv(entries).splitlines()
     assert len(rows) == len(entries)
     for entry, row in zip(entries, rows):
@@ -586,14 +602,12 @@ def test_spectrum_entries_solve_each_distinct_m_once(monkeypatch):
     solved = []
     solve = spectra.radial_solve_numeric
 
-    def counting(kind, lam, k, m, n_levels):
+    def counting(params, m, n_levels):
         solved.append(m)
-        return solve(kind, lam, k, m, n_levels)
+        return solve(params, m, n_levels)
 
     monkeypatch.setattr(spectra, "radial_solve_numeric", counting)
-    entries = spectrum_entries(SystemKind.COULOMB, 0.1, 0.05, ms=[1, 2, 1], ns=[1, 0],
-                               numeric=True)
+    entries = spectrum_entries(SCREENED, ms=[1, 2, 1], ns=[1, 0], numeric=True)
     assert solved == [1, 2]
     assert entries[4:] == entries[:2]
-    assert entries == (spectrum_entries(SystemKind.COULOMB, 0.1, 0.05, ms=[1, 2], ns=[1, 0],
-                                        numeric=True) + entries[:2])
+    assert entries == spectrum_entries(SCREENED, ms=[1, 2], ns=[1, 0], numeric=True) + entries[:2]

@@ -78,7 +78,7 @@ def _vanishes(expr) -> bool:
 )
 def test_gradient_kernels_match_symbolic_derivatives(kind, cases):
     params = SystemParams(kind, 0.1, 0.05)
-    z = np.array([st.as_array() for st in sample_states(params, 1000, seed=31)]).T
+    z = np.array(sample_states(params, 1000, seed=31)).T
     for obs, expr in cases:
         exact = sp.lambdify(
             (X, Y, PX, PY, LAM, K),
