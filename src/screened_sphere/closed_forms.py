@@ -115,11 +115,13 @@ def closure_analysis(params: SystemParams, lz: float) -> ClosureResult:
 # --- analytic spectra -----------------------------------------------------
 
 def m_prime(m: int, k: float) -> float:
-    """Effective angular quantum number m' = sqrt(m**2 - 2k).
+    """Effective angular quantum number m' = sqrt(m**2 - 2k) of an integer m.
 
     Raises for m**2 < 2k (all m = 0 states once k > 0): m' is imaginary
     and the state ceases to exist in the screened spectrum.
     """
+    if not m % 1 == 0:  # nan and inf too: inf % 1 is nan
+        raise DomainError(f"angular number m must be an integer, got {m}")
     try:
         disc = m * m - 2.0 * k
     except OverflowError:

@@ -35,7 +35,7 @@ that runs out to the equator stops once lam*r**2 passes ``CHART_EDGE_GUARD``.
 Orbits are integrated by DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10), at most
 ``MAX_STEPS`` steps, on Python floats, without scipy, by one loop written at import from the
 table.  Its stages are straight-line code that skips zero coefficients and runs the text of
-``h_gradient`` inline, and ``max`` of two floats is written as the comparison ``max`` makes.
+``hamilton_field`` inline, and ``max`` of two floats is written as the comparison ``max`` makes.
 It keeps only the step times and states, returns them at t_end and raises every other end of
 an orbit itself.  The dense output then owns the steps: in increasing time, with theta's
 branch unwrapped over them, and their stage derivatives rebuilt with the same operations on
@@ -75,8 +75,8 @@ from .errors import (
     StepBudgetError,
     StiffnessError,
 )
-from .phase_space import (_H_GRAD, _H_LINES, _H_PARAMS, MAX_SAMPLES, PhaseState, check_radius,
-                          h_gradient, h_value, kernel_sqrt, lz_value)
+from .phase_space import (_FIELD, _H_LINES, _H_PARAMS, MAX_SAMPLES, PhaseState, check_radius,
+                          h_value, hamilton_field, kernel_sqrt, lz_value)
 
 R_MIN_GUARD = 1e-8          # terminate near-collision orbits
 CHART_EDGE_GUARD = 1e12     # terminate orbits with lam*r**2 = tan(chi)**2 beyond this
@@ -101,13 +101,7 @@ def equations_of_motion(  # contract: a scalar entry point, Hamilton's equations
 ) -> tuple[float, float, float, float]:
     """Hamilton's equations (x1dot, x2dot, p1dot, p2dot) from analytic gradients."""
     check_radius(state.x1, state.x2, "equations_of_motion")
-    return _rhs(state.x1, state.x2, state.p1, state.p2, params)
-
-
-def _rhs(x1, x2, p1, p2, params: SystemParams):
-    """J times the gradient of H, on Python floats or on arrays (dense output)."""
-    hx1, hx2, hp1, hp2 = h_gradient(x1, x2, p1, p2, params)
-    return hp1, hp2, -hx1, -hx2
+    return hamilton_field(state.x1, state.x2, state.p1, state.p2, params)
 
 
 # --- trajectories --------------------------------------------------------
@@ -310,12 +304,12 @@ def _row_sum(row, k):
 
 def _stages(y, h, params: SystemParams):
     """Stage derivatives (16, 4, n) of steps of sizes ``h`` (n,) from states ``y`` (4, n), each
-    as the driver computes stages 0-12: a row of ``_A`` summed by :func:`_row_sum`, then J times
-    ``h_gradient``; rows 13-15 of ``_A`` are the dense output's."""
+    as the driver computes stages 0-12: a row of ``_A`` summed by :func:`_row_sum`, then
+    ``hamilton_field``; rows 13-15 of ``_A`` are the dense output's."""
     k = np.empty((16, 4, h.size))
-    k[0] = _rhs(*y, params)
+    k[0] = hamilton_field(*y, params)
     for s, row in enumerate(_A[1:], 1):
-        k[s] = _rhs(*(y + _row_sum(row, k) * h), params)
+        k[s] = hamilton_field(*(y + _row_sum(row, k) * h), params)
     return k
 
 
@@ -337,13 +331,13 @@ def _dop853(y, params, t_end, rtol):
     toward = direction * inf
     t = 0.0
     ts, ys = array("d", [t]), array("d", y)
-    f = _rhs(*y, params)
+    f = hamilton_field(*y, params)
     scale = [atol + abs(v) * rtol for v in y]
     d0, d1 = (math.hypot(*(v / sc for v, sc in zip(w, scale))) / 2.0 for w in (y, f))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t_end))
     if h0 == 0.0:  # an infinite derivative leaves no first step
         raise _underflow(y, t)
-    f1 = _rhs(*(v + h0 * direction * dv for v, dv in zip(y, f)), params)
+    f1 = hamilton_field(*(v + h0 * direction * dv for v, dv in zip(y, f)), params)
     d2 = math.hypot(*((b - a) / sc for a, b, sc in zip(f, f1, scale))) / 2.0 / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100.0 * h0, h1, abs(t_end))
@@ -397,16 +391,15 @@ def _dop853(y, params, t_end, rtol):
 
 def _compile_driver():
     """The driver's loop ``_DRIVER`` with one block per row of ``_A`` at <stages> (the stage's state
-    in x1, x2, p1, p2, the text of ``h_gradient`` inline, the derivative in k1_s..k4_s) and the
+    in x1, x2, p1, p2, the text of ``hamilton_field`` inline, the derivative in k1_s..k4_s) and the
     error norms err5, err3, compiled; its text goes into ``linecache`` for tracebacks."""
     def dot(row, c):
         return "(" + " + ".join(f"{a!r} * k{c}_{j}" for j, a in enumerate(row) if a) + ")"
     names = ("x1", "x2", "p1", "p2")
-    rhs = (_H_GRAD[2], _H_GRAD[3], f"-({_H_GRAD[0]})", f"-({_H_GRAD[1]})")  # J times the gradient
     lines = []
     for s, row in enumerate(_A[1:13], 1):
         lines += [f"{v} = y{c} + {dot(row, c)} * h" for c, v in enumerate(names, 1)]
-        lines += [*_H_LINES, *(f"k{c}_{s} = {d}" for c, d in enumerate(rhs, 1))]  # no tuple
+        lines += [*_H_LINES, *(f"k{c}_{s} = {d}" for c, d in enumerate(_FIELD, 1))]  # no tuple
     # max(|y|, |x|) as max picks it, the first on a tie or a NaN
     lines += [f"sc{c} = atol + (new if (new := abs({v})) > (old := abs(y{c})) else old) * rtol"
               for c, v in enumerate(names, 1)]
@@ -607,9 +600,9 @@ def _turning_points(dense: DenseOutput, params: SystemParams):
     if float(np.max(np.abs(s))) <= 1e-8 * max(1.0, float(np.max(momentum) * np.max(radius))):
         # a circle, or a short span that starts at an apsis: only on the circle does the rate
         # of x.p, xdot.p + x.pdot, stay at rounding level too
-        hx1, hx2, hp1, hp2 = h_gradient(*step_y, params)
-        rate = hp1 * step_y[2] + hp2 * step_y[3] - step_y[0] * hx1 - step_y[1] * hx2
-        scale = np.hypot(hp1, hp2) * momentum + radius * np.hypot(hx1, hx2)
+        f1, f2, f3, f4 = hamilton_field(*step_y, params)
+        rate = f1 * step_y[2] + f2 * step_y[3] + step_y[0] * f3 + step_y[1] * f4
+        scale = np.hypot(f1, f2) * momentum + radius * np.hypot(f3, f4)
         if float(np.max(np.abs(rate))) <= 1e-8 * float(np.max(scale)):
             return [], True
     # one root of x.p per step over which it changes sign, in increasing time:

@@ -1,4 +1,4 @@
-"""Phase-space kernels of the gnomonic chart: H, its gradient, Lz and pi.
+"""Phase-space kernels of the gnomonic chart: H, its gradient, Hamilton's equations, Lz and pi.
 
 ``dynamics`` sets out the chart and integrates on these kernels; ``conserved``
 takes its kernels from here, so the bracket checks never run ``dynamics``.
@@ -93,11 +93,12 @@ def h_value(x1, x2, p1, p2, params: SystemParams):
 
 
 # The gradient of H as source text, the one definition that h_gradient and each
-# stage of the generated DOP853 driver (dynamics._compile_driver) are built from, so a
-# stage derivative is h_gradient's bit for bit: a line reading the system from
-# ``params``, lines on (x1, x2, p1, p2) that call a local ``sqrt``, and the
-# four components dH/dx_i = lam*x_i*(p**2 + lam*s**2) + a*lam*s*p_i + V'(r)*x_i/r,
-# dH/dp_i = a*pi_i with a = 1 + lam*r**2.
+# stage of the generated DOP853 driver (dynamics._compile_driver) are built from: a line
+# reading the system from ``params``, lines on (x1, x2, p1, p2) that call a local ``sqrt``,
+# and the four components dH/dx_i = lam*x_i*(p**2 + lam*s**2) + a*lam*s*p_i + V'(r)*x_i/r,
+# dH/dp_i = a*pi_i with a = 1 + lam*r**2.  ``_FIELD`` is Hamilton's equations, J times it,
+# which hamilton_field and the driver's stages run, so a stage derivative is hamilton_field's
+# bit for bit.
 _H_PARAMS = "lam, two_k, coulomb = params.lam, 2.0 * params.k, params.kind is SystemKind.COULOMB"
 _H_LINES = (
     "r2 = x1 * x1 + x2 * x2", "r = sqrt(r2)", "s = x1 * p1 + x2 * p2", "a = 1.0 + lam * r2",
@@ -106,11 +107,13 @@ _H_LINES = (
 )
 _H_GRAD = ("x1 * common + als * p1 + radial * x1", "x2 * common + als * p2 + radial * x2",
            "a * (p1 + ls * x1)", "a * (p2 + ls * x2)")
+_FIELD = (_H_GRAD[2], _H_GRAD[3], f"-({_H_GRAD[0]})", f"-({_H_GRAD[1]})")
 
-exec("\n    ".join((  # defines h_gradient
-    "def h_gradient(x1, x2, p1, p2, params):",
-    '"""Phase-space gradient of H on floats or arrays; Hamilton\'s equations are J times it."""',
-    _H_PARAMS, "sqrt = kernel_sqrt", *_H_LINES, "return " + ", ".join(_H_GRAD))))
+exec("\n".join("\n    ".join((  # defines h_gradient and hamilton_field
+    f"def {name}(x1, x2, p1, p2, params):", f'"""{doc}, on floats or equal-shape arrays."""',
+    _H_PARAMS, "sqrt = kernel_sqrt", *_H_LINES, "return " + ", ".join(exprs)))
+    for name, doc, exprs in (("h_gradient", "Phase-space gradient of H", _H_GRAD),
+                             ("hamilton_field", "Hamilton's equations, J times h_gradient", _FIELD))))
 
 
 # contract: a scalar entry point, H of one state

@@ -28,7 +28,7 @@ from screened_sphere.dynamics import (
 )
 from screened_sphere.errors import DomainError, ImaginaryAlphaError, RadiusError
 from screened_sphere.phase_space import hamiltonian
-from screened_sphere.spectra import radial_solve_numeric
+from screened_sphere.spectra import radial_solve_numeric, spectrum_entries
 from orbit_reference import state_at_theta
 from oscillator_reference import (
     hypergeometric_terminating,
@@ -54,6 +54,20 @@ _LIBRARY_REFUSALS = {
                       "radial index N must be a non-negative integer, got nan"),
     "spectra-N-inf": (lambda: oscillator_energy(0.1, 0.0, 1, float("inf")),  # once OverflowError
                       "radial index N must be a non-negative integer, got inf"),
+    # an m that is no integer: a level of a state that does not exist, which the grid oracle
+    # matched, or for a nan or inf m an overflow that did not happen
+    "spectra-m-fraction": (lambda: coulomb_energy(0.1, 0.05, 1.5, 0),
+                           "angular number m must be an integer, got 1.5"),
+    "spectra-m-fraction-oscillator": (lambda: oscillator_energy(0.1, 0.05, 1.5, 0),
+                                      "angular number m must be an integer, got 1.5"),
+    "spectra-m-fraction-grid": (lambda: spectrum_entries(COULOMB, [1.5], [0], numeric=True),
+                                "angular number m must be an integer, got 1.5"),
+    "spectra-m-nan": (lambda: coulomb_energy(0.1, 0.05, math.nan, 0),
+                      "angular number m must be an integer, got nan"),
+    "spectra-m-inf": (lambda: oscillator_energy(0.1, 0.05, math.inf, 0),
+                      "angular number m must be an integer, got inf"),
+    "spectra-m-nan-grid": (lambda: radial_solve_numeric(COULOMB, math.nan, 1),  # once ERR_ACCURACY
+                           "angular number m must be an integer, got nan"),
     "spectra-series-order": (lambda: hypergeometric_terminating(-1, 1.0, 1.0, 0.5),
                              "series order N must be a non-negative integer, got -1"),
     "spectra-series-pole": (lambda: hypergeometric_terminating(2, 1.0, -1.0, 0.5),

@@ -217,7 +217,8 @@ def test_dense_output_rows_keep_the_bits_of_their_stacked_form(coulomb_params, t
 
     k = dynamics._stages(y[:, :-1], h, coulomb_params)
     for s in (13, 14, 15):
-        k[s] = dynamics._rhs(*(y[:, :-1] + row_sum(dynamics._A[s], k) * h), coulomb_params)
+        k[s] = dynamics.hamilton_field(*(y[:, :-1] + row_sum(dynamics._A[s], k) * h),
+                                       coulomb_params)
     dy = y[:, 1:] - y[:, :-1]
     f_old, f_new = k[0], k[12]
     stacked = np.stack([dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old),

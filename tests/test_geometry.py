@@ -18,11 +18,10 @@ from screened_sphere.dynamics import (
     SystemKind,
     SystemParams,
     equations_of_motion,
-    h_gradient,
     h_value,
     integrate,
 )
-from screened_sphere.phase_space import pi_components, potential
+from screened_sphere.phase_space import h_gradient, pi_components, potential
 
 
 def _embed_with_velocity(x, xdot, lam):

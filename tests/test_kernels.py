@@ -21,9 +21,9 @@ from screened_sphere.dynamics import (
     SystemKind,
     SystemParams,
     equations_of_motion,
-    h_gradient,
 )
 from screened_sphere.errors import AccuracyError, DomainError, ImaginaryAlphaError
+from screened_sphere.phase_space import h_gradient, hamilton_field
 from state_sampler import sample_states
 
 SYSTEMS = [
@@ -72,6 +72,9 @@ def test_equations_of_motion_are_symplectic_gradient_of_h(kind):
     hx1, hx2, hp1, hp2 = h_gradient(*batch(states), params)
     eom = np.array([equations_of_motion(st, params) for st in states]).T
     assert np.array_equal(eom, np.array([hp1, hp2, -hx1, -hx2]))
+    # the array path of the dense output's stages and the circular-orbit test, bit for bit
+    assert np.array(hamilton_field(*batch(states), params)).tobytes() == np.array(
+        [hp1, hp2, -hx1, -hx2]).tobytes()
 
 
 @pytest.mark.parametrize("kind", [SystemKind.COULOMB, SystemKind.OSCILLATOR])

@@ -5,6 +5,7 @@ import ast
 import graphlib
 import importlib
 import inspect
+import json
 import linecache
 import math
 import re
@@ -141,6 +142,18 @@ def test_the_benchmark_orbits_follow_the_tests_orbit_law(system, lam, k, ecc, ps
     assert abs(period - exact) <= _PERIOD_REL_TOL * exact, (period, exact)
 
 
+def test_the_committed_benchmark_baseline_names_each_record():
+    # BENCH_baseline.json: perfbench/run.py's records as it writes them, beside the host block
+    # of tests/bench_host.py
+    baseline = json.loads((ROOT / "BENCH_baseline.json").read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert baseline["records"] and isinstance(baseline["host"], dict)
+    for record in baseline["records"]:
+        assert record["workload"] in {workload["name"] for workload in spec["workloads"]}
+        assert isinstance(record["seed"], int)
+        assert {"python", "numpy", "scipy", "nproc", "cpu"} <= set(record["environment"])
+
+
 def test_the_harness_is_the_one_in_process_caller_of_the_cli():
     # golden_digests.run gives main the stdio of a process; a test that called main itself
     # would read a run that `python -m screened_sphere.cli` never makes
@@ -245,10 +258,22 @@ def _marked(node, lines: list[str]) -> bool:
     return bool(CONTRACT.search(lines[node.lineno - 1]) or CONTRACT.match(above))
 
 
+def _generated(path):
+    """The functions that the module of src/ file ``path`` defines by ``exec``, whose code's file
+    name is ``<...>``, by name: kernels built from source text, which its AST does not hold."""
+    module = importlib.import_module("screened_sphere" + ("" if path.stem == "__init__" else
+                                                          f".{path.stem}"))
+    return {name: value for name, value in vars(module).items()
+            if inspect.isfunction(value) and value.__module__ == module.__name__
+            and value.__code__.co_filename.startswith("<")}
+
+
 def _surface():
-    """(unadmitted, marked): each definition of src/ that no line of src/ or of the generated
-    DOP853 driver reads (a method only as an attribute) and that is neither exported, read by
-    the benchmark nor marked ``# contract:``, as "file:line name"; and every marked name."""
+    """(unadmitted, marked): each definition of src/, and each function that a module of src/
+    defines by ``exec``, that no line of src/ or of the generated DOP853 driver reads (a method
+    only as an attribute) and that is neither exported, read by the benchmark nor marked
+    ``# contract:`` (a generated one cannot be), as "file:line name" ("file:<...> name" for a
+    generated one); and every marked name."""
     trees, driver = _sources()
     loads = [node for tree in [*trees.values(), ast.parse(driver)] for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
@@ -266,6 +291,9 @@ def _surface():
             elif not (short.startswith("__") and short.endswith("__") or name in admitted
                       or short in (attrs if owner else names)):
                 unadmitted.append(f"{path.name}:{node.lineno} {name}")
+        unadmitted += [f"{path.name}:{function.__code__.co_filename} {name}"
+                       for name, function in _generated(path).items()
+                       if not (name in admitted or name in names)]
     return unadmitted, marked
 
 
@@ -277,6 +305,20 @@ def test_src_holds_only_what_runs_or_a_stated_contract():
     assert unadmitted == []
     readme = (SRC.parent / "README.md").read_text()
     assert marked and [name for name in marked if f"`{name}`" not in readme] == []
+
+
+def test_the_surface_rule_reads_the_kernels_that_exec_defines(monkeypatch):
+    # h_gradient and hamilton_field (phase_space) and the DOP853 driver (dynamics) are built
+    # from source text; a kernel built so and read nowhere is caught as a definition would be
+    from screened_sphere import phase_space
+
+    trees, _ = _sources()
+    generated = {name for path in trees for name in _generated(path)}
+    assert {"h_gradient", "hamilton_field", "_dop853"} <= generated
+    namespace = {"__name__": phase_space.__name__}
+    exec("def unread_kernel(x1, x2, p1, p2, params):\n    return x1", namespace)
+    monkeypatch.setattr(phase_space, "unread_kernel", namespace["unread_kernel"], raising=False)
+    assert _surface()[0] == ["phase_space.py:<string> unread_kernel"]
 
 
 def _trajectory(state, params):

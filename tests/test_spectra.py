@@ -65,6 +65,10 @@ def test_m_prime_values():
     assert m_prime(0, 0.0) == 0.0
     with pytest.raises(ImaginaryMPrimeError):
         m_prime(0, 0.05)
+    # an integer-valued float m is its int, as an integer-valued float N is
+    assert m_prime(-2.0, 0.05) == m_prime(2, 0.05)
+    assert spectrum_entries(SCREENED, [1.0], [1], numeric=True)[0][5:] == spectrum_entries(
+        SCREENED, [1], [1], numeric=True)[0][5:]
 
 
 def test_coulomb_energy_flat_unscreened_ground_state():
