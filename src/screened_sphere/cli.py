@@ -81,6 +81,8 @@ def _json(obj, indent: int = 0) -> str:
         if not math.isfinite(obj):
             raise AccuracyError(f"{obj} is not a JSON number")
         return f"{obj:.17g}"
+    if hasattr(obj, "tolist"):  # a numpy array, written without importing numpy
+        return _json(obj.tolist(), indent)
     return str(obj)
 
 
@@ -227,7 +229,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 def _cmd_turning(args: argparse.Namespace) -> int:
     traj = _trajectory(args)
     report = conserved.turning_point_conservation(traj)
-    _write_output(args.out, _json(report.to_dict()) + "\n")
+    _write_output(args.out, _json(report._asdict()) + "\n")
     return 0
 
 

@@ -307,8 +307,9 @@ def _sample_batch(params: SystemParams, n: int, seed: int):
         if drawn >= max_draws or (drawn >= 1 << 20 and 2 * have * max_draws < n * drawn):
             raise ImaginaryAlphaError(f"found {have} of {n} states with 2k < Lz**2 in {drawn} "
                                       f"candidate draws, too few to reach {n} in {max_draws}")
-        # block size from the acceptance rate so far
-        m = min((n - have) * (drawn + 1) // (have + 1) + (n - have) // 8 + 16, 1 << 16)
+        # block size from the acceptance rate so far, within the cap
+        m = min((n - have) * (drawn + 1) // (have + 1) + (n - have) // 8 + 16, 1 << 16,
+                max_draws - drawn)
         z, kept = _candidates(params.k, *_uniforms(rng, 4 * m).reshape(m, 4).T)
         blocks.append(np.array(z)[:, kept])
         have += blocks[-1].shape[1]
@@ -388,30 +389,16 @@ def verify_oscillator_algebra(params: SystemParams, n_samples: int = 1000, seed:
 
 # --- turning-point conservation ---------------------------------------------
 
-class TurningConservationReport(namedtuple(
-        "TurningConservationReport", "quantity_names n_turning_points bracket_at_turning "
-        "values_at_turning turning_kinds max_abs_at_turning generic_max")):
-    """|{quantity, H}| at turning points versus generic points of one orbit.
+TurningConservationReport = namedtuple(
+    "TurningConservationReport", "quantities n_turning_points max_abs_bracket_at_turning "
+    "generic_max_abs_bracket bracket_at_turning values_at_turning turning_kinds")
+TurningConservationReport.__doc__ = """|{quantity, H}| at turning points versus generic points of
+one orbit, in the fields and order of the ``turning`` command's JSON.
 
-    For k > 0 the extended quantities are conserved only where rdot = 0:
-    the turning-point maximum should sit at root-finder noise while the
-    generic maximum stays finite.  ``values_at_turning`` holds the
-    quantities themselves, which agree across successive same-kind
-    turning points; it and ``bracket_at_turning`` are (n_turning, 2) arrays.
-    """
-
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "quantities": list(self.quantity_names),
-            "n_turning_points": self.n_turning_points,
-            "max_abs_bracket_at_turning": self.max_abs_at_turning,
-            "generic_max_abs_bracket": self.generic_max,
-            "bracket_at_turning": [list(row) for row in self.bracket_at_turning],
-            "values_at_turning": [list(row) for row in self.values_at_turning],
-            "turning_kinds": list(self.turning_kinds),
-        }
+For k > 0 the extended quantities are conserved only where rdot = 0: the turning-point
+maximum should sit at root-finder noise while the generic maximum stays finite.
+``values_at_turning`` holds the quantities themselves, which agree across successive
+same-kind turning points; it and ``bracket_at_turning`` are (n_turning, 2) arrays."""
 
 
 def _brackets_with_h(algebra: _Algebra, params: SystemParams, z):
@@ -438,11 +425,11 @@ def turning_point_conservation(traj) -> TurningConservationReport:
     values = np.stack(algebra.values(*z_turning, params), axis=1)
     generic = np.max(np.abs(_brackets_with_h(algebra, params, traj.states.T)))
     return TurningConservationReport(
-        quantity_names=algebra.names,
+        quantities=algebra.names,
         n_turning_points=len(points),
+        max_abs_bracket_at_turning=float(np.max(np.abs(at_turning))),
+        generic_max_abs_bracket=float(generic),
         bracket_at_turning=at_turning,
         values_at_turning=values,
         turning_kinds=tuple(p.kind.value for p in points),
-        max_abs_at_turning=float(np.max(np.abs(at_turning))),
-        generic_max=float(generic),
     )

@@ -363,13 +363,12 @@ def _dop853(y, params, t_end, rtol):
                 err = h_abs * err5 / sqrt((err5 + 0.01 * err3) * 4) if err5 or err3 else 0.0
             except OverflowError:  # from ``** 2`` in the error norm
                 err = math.inf
+            factor = 10.0 if err == 0.0 else 0.9 * err ** -0.125  # inf and NaN raise nothing
             if err < 1.0:
-                factor = 10.0 if err == 0.0 else 0.9 * err ** -0.125
                 if not factor < 10.0:  # min(10.0, factor): these conditionals pick as min, max do
                     factor = 10.0
                 h_abs *= factor if not rejected or factor < 1.0 else 1.0  # min(1.0, factor)
                 break
-            factor = 0.9 * err ** -0.125
             h_abs *= factor if factor > 0.2 else 0.2  # max(0.2, factor)
             rejected = True
         r = hypot(x1, x2)

@@ -153,13 +153,13 @@ def test_criterion_4_turning_point_conservation():
         rep0 = turning_point_conservation(traj0)
         ok = (
             ok
-            and rep.max_abs_at_turning < 1e-7
-            and rep.generic_max > 1e-3
-            and rep0.generic_max < 1e-9
+            and rep.max_abs_bracket_at_turning < 1e-7
+            and rep.generic_max_abs_bracket > 1e-3
+            and rep0.generic_max_abs_bracket < 1e-9
         )
         details.append(
-            f"{params.kind.value}: turning={rep.max_abs_at_turning:.1e}, "
-            f"generic={rep.generic_max:.1e}, k=0 max={rep0.generic_max:.1e}"
+            f"{params.kind.value}: turning={rep.max_abs_bracket_at_turning:.1e}, "
+            f"generic={rep.generic_max_abs_bracket:.1e}, k=0 max={rep0.generic_max_abs_bracket:.1e}"
         )
     _report(4, "turning-point conservation", ok, "; ".join(details))
 

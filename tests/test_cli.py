@@ -145,6 +145,7 @@ def test_turning_command(tmp_path):
     data = json.loads(_ok(["turning", "--system", "oscillator", "--lambda", "0.1", "--k", "0.05",
                            "--x", "1.5", "--px", "0", "--py", "0.6", "--t-end", "20",
                            "--out", "turning.json"], tmp_path)["turning.json"])
+    assert list(data) == list(conserved.TurningConservationReport._fields)
     assert data["quantities"] == ["Q'xy", "Q'1"]
     assert data["max_abs_bracket_at_turning"] < 1e-7
     assert data["generic_max_abs_bracket"] > 1e-3
@@ -432,6 +433,12 @@ def test_coulomb_orbit_at_the_minimum_tol_exits_0(tmp_path):
 def test_json_writer_refuses_non_finite_numbers(value):
     with pytest.raises(AccuracyError):
         _json({"report": [0.5, value]})
+
+
+def test_json_writer_writes_an_array_as_its_list():
+    import numpy as np
+
+    assert _json(np.array([[1.0, -0.0]])) == _json([[1.0, -0.0]])
 
 
 @pytest.mark.parametrize("command,lam,t_end,apsides", [("orbit", "0", "50", 16),

@@ -1,6 +1,7 @@
 """Observables, bracket engine, Higgs-algebra identities, turning-point conservation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from screened_sphere.dynamics import (
     integrate,
     lz_value,
 )
-from screened_sphere.errors import NoTurningPointError
+from screened_sphere.errors import ImaginaryAlphaError, NoTurningPointError
 from screened_sphere.phase_space import hamiltonian
 from state_sampler import sample_states
 
@@ -244,18 +245,28 @@ def test_bracket_sampling_is_seeded(coulomb_params):
     assert a == b
 
 
+def test_a_refused_sampling_draws_no_more_than_its_cap():
+    # a block of up to 2**16 candidates used to run past the cap, 1000 per state plus 2**20:
+    # this refusal drew 1081231
+    with pytest.raises(ImaginaryAlphaError) as refusal:
+        verify_coulomb_algebra(SystemParams(SystemKind.COULOMB, 0.0, 35.99), 5)
+    drawn, cap = map(int, re.search(r"in (\d+) candidate draws, too few to reach 5 in (\d+)$",
+                                    str(refusal.value)).groups())
+    assert drawn <= cap == 1000 * 5 + 2**20
+
+
 # --- turning-point conservation ---------------------------------------------
 
 def test_turning_conservation_screened(coulomb_orbit):
     rep = turning_point_conservation(coulomb_orbit)
-    assert rep.max_abs_at_turning < 1e-7
-    assert rep.generic_max > 1e-3
+    assert rep.max_abs_bracket_at_turning < 1e-7
+    assert rep.generic_max_abs_bracket > 1e-3
 
 
 def test_turning_conservation_oscillator(oscillator_orbit):
     rep = turning_point_conservation(oscillator_orbit)
-    assert rep.max_abs_at_turning < 1e-7
-    assert rep.generic_max > 1e-3
+    assert rep.max_abs_bracket_at_turning < 1e-7
+    assert rep.generic_max_abs_bracket > 1e-3
 
 
 @pytest.mark.parametrize(
@@ -269,7 +280,7 @@ def test_unscreened_quantities_conserved_everywhere(kind, state):
     params = SystemParams(kind, 0.1, 0.0)
     traj = integrate(state, params, t_end=40.0, rel_tol=1e-10, n_samples=3001)
     rep = turning_point_conservation(traj)
-    assert rep.generic_max < 1e-9
+    assert rep.generic_max_abs_bracket < 1e-9
 
 
 def test_turning_magnitude_matches_orbit_discriminant(

@@ -92,10 +92,10 @@ def _assert_reflected(kind, state, t_end, lam, signs, lz_sign, value_signs):
     assert np.array_equal([p.state for p in a.turning_points] * np.array(signs),
                           [p.state for p in b.turning_points])
     assert (lz_sign * a.Lz).tobytes() == b.Lz.tobytes()
-    assert ra.generic_max == rb.generic_max
+    assert ra.generic_max_abs_bracket == rb.generic_max_abs_bracket
     assert np.array_equal(ra.values_at_turning * value_signs, rb.values_at_turning)
     # the brackets at the turning points are rounding noise, of no definite sign
-    assert rb.max_abs_at_turning < 1e-7
+    assert rb.max_abs_bracket_at_turning < 1e-7
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
