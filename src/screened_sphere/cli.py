@@ -415,6 +415,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.config:  # the file's flags go before the command line's, which win
             argv = [args.command, *_config_flags(args.config, args.command), *argv[1:]]
             args = _read_args(argv) or build_parser().parse_args(argv)
+        for flag in ("--config", "--out", "--turning-out"):  # no file has an empty name
+            if getattr(args, flag[2:].replace("-", "_"), None) == "":
+                raise UsageError(f"{flag} needs a path, got ''")
         if getattr(args, "t_end", 0.0) is None:
             raise UsageError("missing --t-end")
         if args.system is None:

@@ -45,12 +45,15 @@ def check_lam_k(lam: float, k: float) -> None:
         raise DomainError(f"screening strength must be finite and >= 0, got {k}")
 
 
-def check_count(value, name: str) -> int:
-    """``value`` as an int, or a domain error that names ``name`` where it is no integer."""
+def check_count(value, name: str, lo: int, hi: float = math.inf) -> int:
+    """``value`` as an int in ``lo``..``hi``, or a domain error that names ``name``."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if not lo <= n <= hi:
+        raise DomainError(f"{name} must lie in {lo}..{hi}, got {n}")
+    return n
 
 
 class SystemParams(namedtuple("SystemParams", "kind lam k")):

@@ -249,14 +249,10 @@ _FLOAT_PATH_MAX = 4096  # analytic checks of at most this many states run on Pyt
 
 
 def _check_sampling(params: SystemParams, n: int, seed: int) -> tuple[int, int]:
-    """(n, seed) as ints, once each is checked: a float seed would seed by its hash."""
-    n, seed = check_count(n, "n_samples"), check_count(seed, "seed")
-    if n < 1:
-        raise DomainError(f"need at least one sampled state, got {n}")
-    if n > MAX_SAMPLES:  # checked before anything is drawn, as for trajectory samples
-        raise DomainError(f"at most {MAX_SAMPLES} sampled states, got {n}")
-    if seed < 0:  # random.Random seeds with abs(seed), so -s would alias s
-        raise DomainError(f"seed must be nonnegative, got {seed}")
+    """(n, seed) as ints, once each is checked, before anything is drawn: a float seed would
+    seed by its hash, and random.Random seeds with abs(seed), so a negative seed would alias
+    its absolute value."""
+    n, seed = check_count(n, "n_samples", 1, MAX_SAMPLES), check_count(seed, "seed", 0)
     if 2.0 * params.k >= _LZ_SQ_MAX:
         raise ImaginaryAlphaError(f"2k = {2 * params.k:g} >= {_LZ_SQ_MAX:g}, the largest Lz**2 "
                                   "on the sampling box")

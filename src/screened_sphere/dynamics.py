@@ -236,7 +236,8 @@ def _rdot(y, lam: float):
     """rdot = (x.p) * (1 + lam*r**2)**2 / r of states ``y`` (columns x1, x2, p1, p2)."""
     x1, x2, p1, p2 = y
     r2 = x1 * x1 + x2 * x2
-    return (x1 * p1 + x2 * p2) * (1.0 + lam * r2) ** 2 / kernel_sqrt(r2)
+    a = 1.0 + lam * r2  # squared as a * a: ``** 2`` of a numpy scalar is libm's pow
+    return (x1 * p1 + x2 * p2) * (a * a) / kernel_sqrt(r2)
 
 
 # --- DOP853 ----------------------------------------------------------------
@@ -522,8 +523,8 @@ def integrate(
     :class:`~screened_sphere.errors.AccuracyError` if energy or angular
     momentum drift beyond 10x the requested tolerance, relative to
     max(1, |H0|) and max(1, |Lz0|), or if a turning
-    point is left with |rdot| above ``TURNING_RDOT_TOL``.  More than
-    ``MAX_SAMPLES`` samples is a domain error, raised before any allocation.
+    point is left with |rdot| above ``TURNING_RDOT_TOL``.  A count of samples outside
+    2..``MAX_SAMPLES`` is a domain error, raised before any allocation.
 
     Local truncation errors accumulate to a few tens of the solver tolerance over long spans,
     so the solver runs two decades tighter, at max(rel_tol * 1e-2, 2.5e-14), to keep the 10x
@@ -547,11 +548,7 @@ def integrate(
         raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
     if not 1e-13 <= rel_tol <= 1e-6:
         raise DomainError(f"rel_tol must lie in [1e-13, 1e-6], got {rel_tol}")
-    n_samples = check_count(n_samples, "n_samples")
-    if n_samples < 2:
-        raise DomainError("n_samples must be at least 2")
-    if n_samples > MAX_SAMPLES:
-        raise DomainError(f"n_samples must be at most {MAX_SAMPLES}, got {n_samples}")
+    n_samples = check_count(n_samples, "n_samples", 2, MAX_SAMPLES)
 
     rtol_eff = max(rel_tol * 1e-2, 2.5e-14)
     ts, ys = _dop853(y0, params, t_end, rtol_eff)

@@ -170,9 +170,7 @@ def radial_solve_numeric(params: SystemParams, m: int, n_levels: int) -> RadialS
     (2n+1 interior points); returns the h**2-extrapolated eigenvalues with
     |E_fine - E_coarse| as the error estimate, and the nested grid.
     """
-    n_levels = check_count(n_levels, "n_levels")
-    if not 1 <= n_levels <= GRID_MAX_LEVELS:
-        raise DomainError(f"n_levels must lie in 1..{GRID_MAX_LEVELS}")
+    n_levels = check_count(n_levels, "n_levels", 1, GRID_MAX_LEVELS)
     check_grid_m_prime(m, params.k)
     grid = default_grid(params, m, n_levels)
     fine = RadialGrid(2 * grid.n_points + 1, grid.x_max)

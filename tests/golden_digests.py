@@ -107,11 +107,11 @@ def run(argv: list[str], directory: Path, entry=None) -> tuple[int, dict[str, by
 
 def run_process(argv: list[str], directory: Path, src: Path = SRC, *,
                 entry=("-m", "screened_sphere.cli"), timeout: float = 60.0,
-                **extra: str) -> tuple[int, dict[str, bytes]]:
+                python=sys.executable, **extra: str) -> tuple[int, dict[str, bytes]]:
     """``run`` in a fresh interpreter started as ``python *entry *argv`` under ``src`` (see
-    ``child_env`` for ``extra``); a hang fails at ``timeout``."""
+    ``child_env`` for ``extra``), by default this one; a hang fails at ``timeout``."""
     Path(directory).mkdir(parents=True, exist_ok=True)
-    proc = subprocess.run([sys.executable, *entry, *argv], cwd=directory,
+    proc = subprocess.run([python, *entry, *argv], cwd=directory,
                           env=child_env(src, **extra), capture_output=True, timeout=timeout)
     return proc.returncode, _outputs(proc.stdout, proc.stderr, directory)
 

@@ -178,6 +178,13 @@ def test_unreadable_config_is_a_usage_error(tmp_path):
         assert b"cannot read --config" in out["stderr"]
 
 
+def test_an_empty_path_from_a_config_file_is_a_usage_error(tmp_path):
+    cfg = _config(tmp_path, "system=coulomb\nLz=1\nout=\n")
+    rc, out = run_main(["closure", "--config", cfg], tmp_path / "run")
+    assert (rc, sorted(out), out["stdout"]) == (2, ["stderr", "stdout"], b"")  # nothing written
+    assert out["stderr"].endswith(b"screened-sphere: error: --out needs a path, got ''\n")
+
+
 def test_undecodable_config_is_a_domain_error(tmp_path):
     cfg = _config(tmp_path, b"system=coulomb\n\xff\xfe=1\n")
     rc, out = run_main(["closure", "--config", cfg, "--Lz", "1"], tmp_path / "run")
@@ -243,12 +250,13 @@ _REFUSALS = {
                           "ERR_IMAGINARY_ALPHA: found 0 of 1000000 states with 2k < Lz**2 in … "
                           "candidate draws, too few to reach 1000000 in …", 20.0),
     "brackets-no-samples": (["brackets", *_C, "--lambda", "0", "--k", "0.05", "--samples", "0"],
-                            3, "ERR_DOMAIN: need at least one sampled state, got 0"),
+                            3, "ERR_DOMAIN: n_samples must lie in 1..1000000, got 0"),
     "brackets-negative-seed": (["brackets", *_C, "--lambda", "0", "--k", "0.05", "--seed", "-1"],
-                               3, "ERR_DOMAIN: seed must be nonnegative, got -1"),
+                               3, "ERR_DOMAIN: seed must lie in 0..inf, got -1"),
     # 10**12 states would need terabytes; the cap rejects them before any draw
     **{f"brackets-samples-{samples}": (["brackets", *_C, "--k", "0.05", "--samples", samples], 3,
-                                       f"ERR_DOMAIN: at most 1000000 sampled states, got {samples}")
+                                       "ERR_DOMAIN: n_samples must lie in 1..1000000, got "
+                                       + samples)
        for samples in ("1000001", "1000000000000")},
     # the bracket terms overflow; the residuals used to be printed as nan.  Also run in a fresh
     # process, where numpy's RuntimeWarnings would reach stderr ahead of the line
@@ -297,7 +305,7 @@ _REFUSALS = {
     # 10**12 samples would need terabytes; the cap rejects them before allocating
     "orbit-samples-cap": (["orbit", *_FIXTURE, "--t-end", "10", "--trajectory-samples",
                            "1000000000000"], 3,
-                          "ERR_DOMAIN: n_samples must be at most 1000000, got 1000000000000",
+                          "ERR_DOMAIN: n_samples must lie in 2..1000000, got 1000000000000",
                           60.0),
     # integrate alone checks the range, as it checks every other bound of an orbit's inputs
     "orbit-tol-out-of-range": (["orbit", *_C, *_START, "--tol", "0.1"], 3,
@@ -329,6 +337,15 @@ _REFUSALS = {
                               "missing initial-condition flags: --px, --py"),
     "brackets-missing-system": (["brackets", "--samples", "10"], 2, "missing --system"),
     "spectrum-missing-system": (["spectrum", "--m", "1,2", "--numeric"], 2, "missing --system"),
+    # no file has an empty name: --out '' made and removed a temporary file in the parent
+    # directory before it failed, --turning-out '' wrote no turning points, --config '' read
+    # nothing, and both exited 0
+    "closure-out-empty": (["closure", *_C, "--Lz", "1", "--out", ""], 2,
+                          "--out needs a path, got ''"),
+    "orbit-turning-out-empty": (["orbit", *_C, *_START, "--out", os.devnull, "--turning-out", ""],
+                                2, "--turning-out needs a path, got ''"),
+    "closure-config-empty": (["closure", *_C, "--Lz", "1", "--config", ""], 2,
+                             "--config needs a path, got ''"),
     # the turning points, written second, would replace the trajectory
     "orbit-out-is-turning-out": (["orbit", *_C, *_START, "--out", "a.csv", "--turning-out",
                                   "./a.csv"], 2, "--out and --turning-out name one file, 'a.csv'"),

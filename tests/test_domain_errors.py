@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from screened_sphere import conserved
+from screened_sphere import conserved, dynamics, spectra
 from screened_sphere.closed_forms import coulomb_energy, orbit_alpha, oscillator_energy
 from screened_sphere.conserved import (
     FRADKIN_XY,
@@ -27,8 +27,8 @@ from screened_sphere.dynamics import (
     integrate,
 )
 from screened_sphere.errors import DomainError, ImaginaryAlphaError, RadiusError
-from screened_sphere.phase_space import hamiltonian
-from screened_sphere.spectra import radial_solve_numeric, spectrum_entries
+from screened_sphere.phase_space import MAX_SAMPLES, hamiltonian
+from screened_sphere.spectra import GRID_MAX_LEVELS, radial_solve_numeric, spectrum_entries
 from orbit_reference import state_at_theta
 from oscillator_reference import (
     hypergeometric_terminating,
@@ -75,7 +75,7 @@ _LIBRARY_REFUSALS = {
     "spectra-wavefunction-lam": (lambda: oscillator_wavefunction(1.0, 0.0, 0.0, 1, 0),
                                  "oscillator_wavefunction requires lam > 0"),
     "spectra-n-levels": (lambda: radial_solve_numeric(COULOMB, 1, 11),
-                         "n_levels must lie in 1..10"),
+                         "n_levels must lie in 1..10, got 11"),
     # a count or a seed that is no integer: a bare TypeError or ValueError, or (a seed) one
     # that random.Random took by its hash, which for a NaN follows the object's id
     "spectra-n-levels-fraction": (lambda: radial_solve_numeric(COULOMB, 1, 2.5),
@@ -103,7 +103,7 @@ _LIBRARY_REFUSALS = {
     "dynamics-rel-tol": (lambda: integrate(STATE, COULOMB, 1.0, rel_tol=1e-3),
                          "rel_tol must lie in [1e-13, 1e-6], got 0.001"),
     "dynamics-n-samples": (lambda: integrate(STATE, COULOMB, 1.0, n_samples=1),
-                           "n_samples must be at least 2"),
+                           "n_samples must lie in 2..1000000, got 1"),
     "dynamics-n-samples-fraction": (lambda: integrate(STATE, COULOMB, 1.0, n_samples=2.5),
                                     "n_samples must be an integer, got 2.5"),
     "dynamics-n-samples-nan": (lambda: integrate(STATE, COULOMB, 1.0, n_samples=math.nan),
@@ -190,3 +190,35 @@ def test_algebra_checks_refuse_a_bad_request_before_drawing_a_state(
     with pytest.raises(DomainError, match=re.escape(message)) as exc:
         verify(params, n_samples, method=method)
     assert exc.value.code == "ERR_DOMAIN"
+
+
+# name: (a call with one count, the count's name, its range lo..hi, the functions that would
+# allocate, draw or solve).  Every count goes through ``closed_forms.check_count``
+_COUNTS = {
+    "integrate-n-samples": (lambda n: integrate(STATE, COULOMB, 1.0, n_samples=n), "n_samples",
+                            2, MAX_SAMPLES, [(dynamics, "_dop853")]),
+    "algebra-n-samples": (lambda n: verify_coulomb_algebra(COULOMB, n_samples=n), "n_samples",
+                          1, MAX_SAMPLES, [(conserved, "_sample_floats"),
+                                           (conserved, "_sample_batch")]),
+    "algebra-seed": (lambda n: verify_oscillator_algebra(OSCILLATOR, 10, seed=n), "seed",
+                     0, math.inf, [(conserved, "_sample_floats"), (conserved, "_sample_batch")]),
+    "grid-n-levels": (lambda n: radial_solve_numeric(COULOMB, 1, n), "n_levels",
+                      1, GRID_MAX_LEVELS, [(spectra, "default_grid")]),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNTS))
+def test_a_count_out_of_range_is_refused_in_one_template_before_any_work(monkeypatch, name):
+    call, label, lo, hi, work = _COUNTS[name]
+    call(lo)  # the least count is taken
+
+    def begun(*args, **kwargs):
+        raise AssertionError(f"work began for a {label} that is refused")
+
+    for module, function in work:
+        monkeypatch.setattr(module, function, begun)
+    for n in (lo - 1, hi + 1) if hi < math.inf else (lo - 1,):
+        with pytest.raises(DomainError) as exc:
+            call(n)
+        assert (exc.value.code, str(exc.value)) == (
+            "ERR_DOMAIN", f"{label} must lie in {lo}..{hi}, got {n}")

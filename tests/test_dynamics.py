@@ -751,6 +751,16 @@ def test_turning_point_rdot_tolerance(oscillator_orbit):
         assert abs(float(oscillator_orbit.rdot(p.t))) < 1e-10
 
 
+def test_rdot_at_one_time_is_its_value_inside_an_array_of_times():
+    # the dense output at one time is numpy scalars, whose ``** 2`` was libm's pow, while an
+    # array is squared as x * x: 8 of these 20 001 times differed in the last bit
+    params = SystemParams(SystemKind.COULOMB, 0.3, 0.05)
+    traj = integrate(PhaseState(1.6, 0.0, 0.1, 0.55), params, 20.0, rel_tol=1e-10)
+    ts = np.linspace(0.0, 20.0, 20001)
+    whole = traj.rdot(ts).tolist()
+    assert [t for t, rdot in zip(ts.tolist(), whole) if traj.rdot(t) != rdot] == []
+
+
 @pytest.mark.parametrize("params, state, t_end", [
     (SystemParams(SystemKind.COULOMB, 0.1, 0.05), (1.6, 0.0, 0.0, 0.55), 70.0),
     (SystemParams(SystemKind.OSCILLATOR, 0.1, 0.05), (1.5, 0.0, 0.0, 0.6), 40.0),

@@ -3,11 +3,15 @@ in ``golden/digests.json``, which ``golden_digests.py`` regenerates."""
 
 import json
 import math
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
-from golden_digests import GOLDEN, host, load_argv, mismatch, run, run_process
+from golden_digests import GOLDEN, ROOT, host, load_argv, mismatch, run, run_process
 from screened_sphere.cli import _config_flags, _read_args
+from screened_sphere.conserved import _FLOAT_PATH_MAX
 
 DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
 ARGV = load_argv()
@@ -77,6 +81,43 @@ def test_orbits_and_turning_points_hold_under_other_host_settings(setting, tmp_p
     # pow in the step controller (see HOST_SETTINGS)
     assert len(BLAS_FREE) == 3
     _assert_records_hold_under(setting, BLAS_FREE, tmp_path)
+
+
+def _numpy_free(argv: list[str]) -> bool:
+    """Whether a command runs without numpy: ``closure``, the analytic ``spectrum``, and an
+    analytic ``brackets`` on the float path."""
+    command, flags = argv[0], dict(zip(argv[1::2], argv[2::2]))
+    return (command == "closure" or command == "spectrum" and "--numeric" not in argv
+            or command == "brackets" and flags.get("--method", "analytic") == "analytic"
+            and int(flags.get("--samples", 1000)) <= _FLOAT_PATH_MAX)
+
+
+NUMPY_FREE = [op for op in ARGV if _numpy_free(op["argv"])]
+
+
+def _floor_python() -> Path | None:
+    """The oldest CPython at or above the floor of pyproject's ``requires-python`` among the
+    interpreters installed beside this one, each in a directory named by its version (as
+    pyenv keeps them), or None."""
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    found = sorted((tuple(map(int, python.parents[1].name.split("."))), python)
+                   for python in Path(sys.base_prefix).parent.glob("*/bin/python3")
+                   if re.fullmatch(r"\d+\.\d+\.\d+", python.parents[1].name))
+    return next((python for version, python in found
+                 if version >= tuple(map(int, floor.groups()))), None)
+
+
+def test_numpy_free_commands_match_their_records_at_the_python_floor(tmp_path):
+    # pyproject claims >=3.10; these commands need nothing but the standard library, so an
+    # interpreter at the floor runs them even without numpy, and must give the same bytes
+    assert len(NUMPY_FREE) == 10
+    python = _floor_python()
+    if python is None:
+        pytest.skip(f"no CPython at requires-python's floor beside {sys.base_prefix}")
+    for op in NUMPY_FREE:
+        found = mismatch(*run_process(op["argv"], tmp_path / op["name"], python=python),
+                         DIGESTS["ops"][op["name"]])
+        assert found is None, f"{op['name']} under {python}: {found}"
 
 
 # one op per command, and an orbit's --turning-out and --gnuplot

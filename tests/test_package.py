@@ -262,7 +262,6 @@ HOST_BOUND = {
         1, "its branch estimate is rounded to a whole number of turns at once"),
     ("dynamics.py", "_csv_rows", "np.log10"): (
         1, "only seeds the decimal exponent, which the loop after it corrects from the digits"),
-    ("dynamics.py", "_rdot", "** 2"): (1, "an array, which numpy squares as x * x"),
     ("dynamics.py", "integrate", "np.hypot"): (1, "the r column, libm's hypot" + _HELD),
     ("dynamics.py", "_turning_points", "np.hypot"): (
         4, "scales of the circular-orbit and radial-pass tests, only compared with margins"),

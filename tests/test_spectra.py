@@ -261,7 +261,7 @@ def test_oracle_refuses_m_prime_below_one_half(kind, lam, k, m):
 def test_oracle_level_cap_is_the_same_for_the_table_and_the_solve():
     # ten levels, N = 0..9, on both sides of the cap, each refusal in its own words
     for n_levels in (0, 11):
-        with pytest.raises(DomainError, match=r"^n_levels must lie in 1\.\.10$"):
+        with pytest.raises(DomainError, match=rf"^n_levels must lie in 1\.\.10, got {n_levels}$"):
             radial_solve_numeric(SCREENED, 1, n_levels)
     with pytest.raises(DomainError, match=r"^radial index N must be at most 9 for the grid "
                                           r"oracle, got 10$"):
